@@ -37,7 +37,7 @@ from .convolution import (ConvolutionAlgebra, check_coalgebra_morphism,
                           check_strict_morphism)
 from .freelie import FreeLie, expr_degree, is_bracket
 from .graded import (GradedMap, GradedSpace, Key, Vec, homology, vec_add,
-                     vec_is_zero, vec_scale)
+                     vec_eq, vec_scale)
 from .matrices import ONE, ZERO
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
 
@@ -49,12 +49,8 @@ def _entries_match(a: GradedMap, b: GradedMap) -> bool:
     objects are identical."""
     if a.degree != b.degree:
         return False
-    for k in set(a.entries) | set(b.entries):
-        ca, cb = a.column(k), b.column(k)
-        if not vec_is_zero({x: ca.get(x, ZERO) - cb.get(x, ZERO)
-                            for x in set(ca) | set(cb)}):
-            return False
-    return True
+    return all(vec_eq(a.column(k), b.column(k))
+               for k in set(a.entries) | set(b.entries))
 
 
 def twisting_residual(conv: ConvolutionAlgebra, tau: GradedMap) -> GradedMap:

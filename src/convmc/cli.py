@@ -12,13 +12,14 @@ residual that is not zero, a certificate that does not verify) exit 1;
 an undecided homotopy question exits 3.
 
 The truncation window is taken from --window, then the CONVMC_WINDOW
-environment variable, then a per-command default.
+environment variable, then a per-command default.  cobar and transfer
+refuse a window below the lowest class of the coalgebra, which would
+leave the cobar model with no generators.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -89,6 +90,33 @@ def _top_degree(sp) -> int:
     return max(sp.degrees(), default=2)
 
 
+def _cobar_window(args, C: CdgCoalgebra, fallback: int) -> int:
+    """The window for a cobar model of C; one below the lowest class of C
+    would leave the model with no generators."""
+    window = _window(args, fallback)
+    low = C.space.deg_min
+    if C.space.degrees() and window < low:
+        raise ModelFileError("--window", f"window {window} is below degree "
+                             f"{low}, the lowest class of {C.name}; the "
+                             "cobar model would have no generators")
+    return window
+
+
+def _replay(obj) -> dict | None:
+    """Re-check a gauge path or a certificate: the fields 'checked' and
+    'valid', plus 'outcome' for a certificate and 'reason' for an
+    undecided one.  None for any other object."""
+    if isinstance(obj, GaugePath):
+        return {"checked": "gauge_path", "valid": obj.path_check().is_zero()}
+    if isinstance(obj, Unknown):
+        return {"checked": "certificate", "outcome": obj.outcome,
+                "valid": False, "reason": obj.reason}
+    if isinstance(obj, (Equal, Distinct)):
+        return {"checked": "certificate", "outcome": obj.outcome,
+                "valid": obj.verify()}
+    return None
+
+
 def _emit(args, rec: dict) -> None:
     text = modelio.dumps_record(rec)
     out = getattr(args, "out", None)
@@ -112,16 +140,12 @@ def cmd_validate(args) -> int:
         _emit(args, {"kind": "validation_report", "valid": True,
                      "checked": obj.get("kind")})
         return EXIT_OK
-    if isinstance(obj, GaugePath):
-        ok = obj.path_check().is_zero()
-        _emit(args, {"kind": "validation_report", "valid": ok,
-                     "checked": "gauge_path"})
-        return EXIT_OK if ok else EXIT_FAIL
-    if isinstance(obj, (Equal, Distinct, Unknown)):
-        ok = not isinstance(obj, Unknown) and obj.verify()
-        _emit(args, {"kind": "validation_report", "valid": ok,
-                     "checked": "certificate"})
-        return EXIT_OK if ok else EXIT_FAIL
+    replayed = _replay(obj)
+    if replayed is not None:
+        _emit(args, {"kind": "validation_report",
+                     "valid": replayed["valid"],
+                     "checked": replayed["checked"]})
+        return EXIT_OK if replayed["valid"] else EXIT_FAIL
     obj.validate()
     _emit(args, {"kind": "validation_report", "valid": True,
                  "checked": rec.get("kind")})
@@ -148,7 +172,7 @@ def cmd_homology(args) -> int:
 
 def cmd_cobar(args) -> int:
     C = _load_coalgebra(args.file)
-    window = _window(args, _top_degree(C.space) + 3)
+    window = _cobar_window(args, C, _top_degree(C.space) + 3)
     om = cobar(C, degree_max=window)
     rec = modelio.quillen_to_record(om)
     rec["window"] = window
@@ -258,22 +282,13 @@ def cmd_homotopic(args) -> int:
 
 def cmd_gauge_check(args) -> int:
     obj = modelio.record_to_object(modelio.load_record(args.file))
-    if isinstance(obj, GaugePath):
-        ok = obj.path_check().is_zero()
-        _emit(args, {"kind": "gauge_check_report", "checked": "gauge_path",
-                     "valid": ok})
-        return EXIT_OK if ok else EXIT_FAIL
-    if isinstance(obj, (Equal, Distinct)):
-        ok = obj.verify()
-        _emit(args, {"kind": "gauge_check_report", "checked": "certificate",
-                     "outcome": obj.outcome, "valid": ok})
-        return EXIT_OK if ok else EXIT_FAIL
+    replayed = _replay(obj)
+    if replayed is None:
+        raise ModelFileError(args.file, "expected a gauge path or certificate")
+    _emit(args, {"kind": "gauge_check_report", **replayed})
     if isinstance(obj, Unknown):
-        _emit(args, {"kind": "gauge_check_report", "checked": "certificate",
-                     "outcome": "unknown", "valid": False,
-                     "reason": obj.reason})
         return EXIT_UNKNOWN
-    raise ModelFileError(args.file, "expected a gauge path or certificate")
+    return EXIT_OK if replayed["valid"] else EXIT_FAIL
 
 
 def cmd_components(args) -> int:
@@ -291,7 +306,11 @@ def cmd_components(args) -> int:
             raise ModelFileError("--param", f"not valid JSON: {exc}") \
                 from None
         restrict = [modelio.decode_key(r, "--param") for r in rows]
-    samples = tuple(int(s) for s in args.samples.split(","))
+    try:
+        samples = tuple(int(s) for s in args.samples.split(","))
+    except ValueError:
+        raise ModelFileError("--samples", "expected comma-separated "
+                             f"integers, got {args.samples!r}") from None
     report = mapping.components(source, L, restrict_to=restrict,
                                 samples=samples, degree_max=window)
     classes = [{"representative": modelio.gmap_to_json(c.representative),
@@ -315,19 +334,14 @@ def cmd_components(args) -> int:
 
 def cmd_transfer(args) -> int:
     C = _load_coalgebra(args.file)
-    window = _window(args, _top_degree(C.space) + 2)
+    window = _cobar_window(args, C, _top_degree(C.space) + 2)
     t = transfer_linfty(cobar(C, degree_max=window), arity_max=args.arity)
     t.validate()
 
     def morphism_rows(m):
-        sp = m.source.space
-        keys = sorted(sp.all_keys(), key=sp.sort_key)
         rows = []
         for n in range(1, args.arity + 1):
-            for combo in itertools.combinations_with_replacement(keys, n):
-                sw = wd.sort_letters(sp, combo)
-                if sw is None or sw[0] != combo:
-                    continue
+            for combo in wd.canonical_words(m.source.space, n):
                 for dst, c in m.component(n, combo).items():
                     rows.append([n, [modelio.encode_key(k) for k in combo],
                                  modelio.encode_key(dst),

@@ -20,13 +20,14 @@ one-reduced coalgebra vanish in bounded arity.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import factorial
 
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec,
-                     contraction_from_complex, vec_is_zero)
+                     contraction_from_complex, vec_eq)
 from .matrices import ONE, ZERO
 from .models import CdgCoalgebra, LInfinityAlgebra, Truncation
+from .words import canonical_words
 
 F = Fraction
 
@@ -211,10 +212,8 @@ class ConvolutionAlgebra:
     def as_linfty(self, arity_max: int = 4) -> LInfinityAlgebra:
         """The carrier with bracket tables materialized through the given
         arity, suitable for the generic Jacobi validation."""
-        keys = sorted(self.carrier.all_keys(), key=self.carrier.sort_key)
-        degf = self.carrier.degree_of
         brackets: dict[int, dict[tuple, Vec]] = {1: {}}
-        for k in keys:
+        for k in sorted(self.carrier.all_keys(), key=self.carrier.sort_key):
             v = self.to_vec(self.differential_of(self.elementary(*k)))
             if v:
                 brackets[1][(k,)] = v
@@ -224,10 +223,7 @@ class ConvolutionAlgebra:
             if n > self.L.max_arity():
                 break
             table: dict[tuple, Vec] = {}
-            for word in combinations_with_replacement(keys, n):
-                if any(a == b and degf[a] % 2
-                       for a, b in zip(word, word[1:])):
-                    continue
+            for word in canonical_words(self.carrier, n):
                 val = self.bracket(n, [self.elementary(*k) for k in word])
                 v = self.to_vec(val)
                 if v:
@@ -287,23 +283,16 @@ def check_strict_morphism(L: LInfinityAlgebra, Lp: LInfinityAlgebra,
     lhs = g.compose(L.l1())
     rhs = Lp.l1().compose(g)
     for k in L.space.all_keys():
-        a, b = lhs.column(k), rhs.column(k)
-        if not vec_is_zero({x: a.get(x, ZERO) - b.get(x, ZERO)
-                            for x in set(a) | set(b)}):
+        if not vec_eq(lhs.column(k), rhs.column(k)):
             raise ValueError("map does not commute with l_1")
-    degf = L.space.degree_of
-    keys = sorted(L.space.all_keys(), key=L.space.sort_key)
     arities = sorted(set(L.arities) | set(Lp.arities))
     for n in arities:
         if n < 2:
             continue
-        for word in combinations_with_replacement(keys, n):
-            if any(a == b and degf[a] % 2 for a, b in zip(word, word[1:])):
-                continue
+        for word in canonical_words(L.space, n):
             left = g.apply(L.bracket(n, word))
             right = Lp.bracket_multi(n, [g.apply({k: ONE}) for k in word])
-            if not vec_is_zero({k: left.get(k, ZERO) - right.get(k, ZERO)
-                                for k in set(left) | set(right)}):
+            if not vec_eq(left, right):
                 raise ValueError(
                     f"map does not commute with l_{n} on {word!r}")
 

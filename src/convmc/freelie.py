@@ -14,9 +14,7 @@ ones that grow the rank (deterministic, so every run picks the same basis).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from . import matrices
 from .graded import GradedMap, GradedSpace, Key, Vec, vec_add, vec_scale

@@ -21,7 +21,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from . import matrices
 from .matrices import ONE, ZERO
@@ -70,10 +70,6 @@ def vec_is_zero(v: Vec) -> bool:
 
 def vec_eq(a: Vec, b: Vec) -> bool:
     return vec_is_zero(vec_sub(a, b))
-
-
-def vec_support(v: Vec) -> list:
-    return [k for k, c in v.items() if c]
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +126,6 @@ class GradedSpace:
         """Canonical total order on the basis: by degree, then position."""
         return (self.degree_of[key], self._pos[key])
 
-    def check_vector(self, v: Vec, degree: int | None = None):
-        for k in v:
-            if k not in self.degree_of:
-                raise ValueError(f"key {k!r} not in space {self.name!r}")
-            if degree is not None and self.degree_of[k] != degree:
-                raise ValueError(
-                    f"key {k!r} has degree {self.degree_of[k]}, expected {degree}")
-
     def degree_of_vector(self, v: Vec) -> int | None:
         """Degree of a homogeneous vector, None for the zero vector."""
         degs = {self.degree_of[k] for k, c in v.items() if c}
@@ -147,26 +135,9 @@ class GradedSpace:
             raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def to_list(self, v: Vec, n: int) -> list:
-        return [v.get(k, ZERO) for k in self.basis(n)]
-
-    def from_list(self, coeffs: Sequence, n: int) -> Vec:
-        keys = self.basis(n)
-        if len(coeffs) != len(keys):
-            raise ValueError("coefficient count does not match basis")
-        return {k: Fraction(c) for k, c in zip(keys, coeffs) if c}
-
     def __repr__(self):
         dims = ", ".join(f"{n}:{self.dim(n)}" for n in self.degrees())
         return f"GradedSpace({self.name or '?'}; {dims})"
-
-
-def direct_sum_space(spaces: Sequence[GradedSpace], name: str = "") -> GradedSpace:
-    by_deg: dict[int, list] = {}
-    for idx, sp in enumerate(spaces):
-        for n in sp.degrees():
-            by_deg.setdefault(n, []).extend((idx, k) for k in sp.basis(n))
-    return GradedSpace(by_deg, name=name)
 
 
 def tensor_space(factors: Sequence[GradedSpace], name: str = "",
@@ -211,11 +182,6 @@ class GradedMap:
     @classmethod
     def identity(cls, sp: GradedSpace) -> "GradedMap":
         return cls(sp, sp, 0, {k: basis_vec(k) for k in sp.all_keys()})
-
-    @classmethod
-    def from_function(cls, src: GradedSpace, dst: GradedSpace, degree: int,
-                      fn: Callable[[Key], Vec], name: str = "") -> "GradedMap":
-        return cls(src, dst, degree, {k: fn(k) for k in src.all_keys()}, name=name)
 
     def set_column(self, key: Key, value: Vec):
         if key not in self.src.degree_of:

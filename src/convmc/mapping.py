@@ -32,7 +32,7 @@ import sympy
 
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
-from .gauge import (Distinct, Equal, ModuliClass, Unknown, gauge_equivalent,
+from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
                     moduli_normal_form)
 from .graded import GradedMap, GradedSpace
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel

@@ -69,19 +69,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    m, n = shape(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[tuple[int, int]]]:
     """Reduced row echelon form.
 

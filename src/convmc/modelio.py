@@ -19,7 +19,6 @@ so a decision can be re-verified later from the file alone.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
@@ -177,15 +176,11 @@ def materialize_brackets(L: LInfinityAlgebra,
     """Force every bracket value on canonical words of the carrier, so a
     lazily computed structure can be written out."""
     cap = arity_max if arity_max is not None else L.max_arity()
-    keys = sorted(L.space.all_keys(), key=L.space.sort_key)
     tables: dict[int, dict] = {}
     for n in L.arities:
         if n > cap:
             continue
-        for combo in itertools.combinations_with_replacement(keys, n):
-            sw = wd.sort_letters(L.space, combo)
-            if sw is None or sw[0] != combo:
-                continue
+        for combo in wd.canonical_words(L.space, n):
             val = L.bracket(n, combo)
             if val:
                 tables.setdefault(n, {})[combo] = dict(val)
@@ -260,18 +255,6 @@ def quillen_from_record(rec: dict) -> QuillenModel:
     return QuillenModel(fl, delta, name=name)
 
 
-def element_to_record(f: GradedMap, kind: str = "mc_element",
-                      src_name: str = "", dst_name: str = "") -> dict:
-    if kind not in ("mc_element", "map"):
-        raise ValueError(f"unsupported element kind {kind!r}")
-    rec = _header(kind, f.name or "")
-    rec["degree"] = f.degree
-    rec["entries"] = gmap_to_json(f)
-    rec["source"] = src_name or f.src.name
-    rec["target"] = dst_name or f.dst.name
-    return rec
-
-
 def element_from_record(rec: dict, src: GradedSpace,
                         dst: GradedSpace) -> GradedMap:
     degree = rec.get("degree", 0)
@@ -321,15 +304,6 @@ def path_from_json(rec: dict, conv, where: str = "path") -> GaugePath:
     p = _parts_from_json(rec.get("p_parts", []), f"{where}.p_parts", conv, 0)
     q = _parts_from_json(rec.get("q_parts", []), f"{where}.q_parts", conv, 1)
     return GaugePath(conv, bound, p, q)
-
-
-def gauge_path_to_record(path: GaugePath,
-                         arity_max: int | None = None) -> dict:
-    rec = _header("gauge_path", "")
-    rec["C"] = cdgc_to_record(path.conv.C)
-    rec["L"] = linfty_to_record(path.conv.L, arity_max)
-    rec["path"] = path_to_json(path)
-    return rec
 
 
 def gauge_path_from_record(rec: dict) -> GaugePath:
@@ -434,11 +408,6 @@ def dumps_record(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, indent=2) + "\n"
 
 
-def save_record(path: str, rec: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_record(rec))
-
-
 def load_record(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -452,17 +421,3 @@ def load_record(path: str) -> dict:
         raise ModelFileError(f"{path}.format_version",
                              f"expected {FORMAT_VERSION}, got {version!r}")
     return rec
-
-
-def object_to_record(obj, arity_max: int | None = None) -> dict:
-    if isinstance(obj, CdgCoalgebra):
-        return cdgc_to_record(obj)
-    if isinstance(obj, QuillenModel):
-        return quillen_to_record(obj)
-    if isinstance(obj, LInfinityAlgebra):
-        return linfty_to_record(obj, arity_max)
-    if isinstance(obj, GaugePath):
-        return gauge_path_to_record(obj, arity_max)
-    if isinstance(obj, (Equal, Distinct, Unknown)):
-        return certificate_to_record(obj, arity_max)
-    raise ValueError(f"cannot serialize {type(obj).__name__}")

@@ -23,8 +23,7 @@ from typing import Callable, Sequence
 
 from . import words as wd
 from .freelie import FreeLie
-from .graded import (GradedMap, GradedSpace, Key, Vec, apply_at_slot,
-                     ChainComplex, vec_add, vec_scale)
+from .graded import ChainComplex, GradedMap, GradedSpace, Key, Vec, vec_scale
 from .matrices import ONE, ZERO
 
 
@@ -305,13 +304,8 @@ class LInfinityAlgebra:
                         f"Jacobi fails on {word!r}: residue {jac!r}")
         else:
             # letters in degrees < 1: enumerate words directly
-            from itertools import combinations_with_replacement
-            keys = sorted(self.space.all_keys(), key=self.space.sort_key)
             for m in range(1, arity_cap + 1):
-                for word in combinations_with_replacement(keys, m):
-                    if any(a == b and degf[a] % 2
-                           for a, b in zip(word, word[1:])):
-                        continue
+                for word in wd.canonical_words(self.space, m):
                     jac = self.jacobiator(word)
                     if jac:
                         raise ValueError(

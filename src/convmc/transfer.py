@@ -69,16 +69,6 @@ def _accum(letters: GradedSpace, acc: WVec, seq: tuple, coeff: Fraction) -> None
         acc.pop(word, None)
 
 
-def _same_map(a: GradedMap, b: GradedMap) -> bool:
-    keys = set(a.entries) | set(b.entries)
-    for k in keys:
-        va = a.entries.get(k, {})
-        vb = b.entries.get(k, {})
-        if {x: c for x, c in va.items() if c} != {x: c for x, c in vb.items() if c}:
-            return False
-    return True
-
-
 class InfinityMorphism:
     """Morphism of shifted L-infinity algebras given by graded symmetric
     degree-0 components on source words, one per arity.
@@ -234,7 +224,7 @@ class TransferredLInfinity:
             raise ValueError("arity_max must be at least 1")
         if contraction.big.space.degree_of != ambient.space.degree_of:
             raise ValueError("contraction does not retract the ambient carrier")
-        if not _same_map(contraction.big.d, ambient.l1()):
+        if not contraction.big.d.equals(ambient.l1()):
             raise ValueError("contraction differential differs from l_1")
         self.ambient = ambient
         self.contraction = contraction

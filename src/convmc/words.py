@@ -15,6 +15,9 @@ Conventions pinned here and relied on everywhere downstream:
     each unordered position subset counted once.
   * symmetrize is the averaged inclusion into tensors, (1/n!) sum of signed
     permutations, and wordify is its left inverse (sort with sign).
+  * canonical_words is the single enumeration of basis words: every sorted
+    n-letter word with no repeated odd letter, in the order of
+    combinations_with_replacement over the letters in canonical order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Iterator, Sequence
 
 from .graded import GradedMap, GradedSpace, Key, Vec
-from .matrices import ONE, ZERO
+from .matrices import ZERO
 
 
 def sort_letters(letters: GradedSpace, seq: Sequence[Key]):
@@ -54,6 +57,20 @@ def word_degree(letters: GradedSpace, word: tuple) -> int:
     return sum(letters.degree_of[let] for let in word)
 
 
+def canonical_words(letters: GradedSpace, n: int) -> Iterator[tuple]:
+    """Every sorted n-letter word with no repeated odd letter, in the order
+    of combinations_with_replacement over the letters sorted by sort_key.
+
+    sort_letters leaves such a word as it is, so these are exactly the
+    basis words of arity n.
+    """
+    keys = sorted(letters.all_keys(), key=letters.sort_key)
+    degf = letters.degree_of
+    for word in combinations_with_replacement(keys, n):
+        if not any(a == b and degf[a] % 2 for a, b in zip(word, word[1:])):
+            yield word
+
+
 def word_space(letters: GradedSpace, deg_max: int, max_length: int | None = None,
                name: str = "") -> GradedSpace:
     """All nonzero words of length >= 1 and degree <= deg_max.
@@ -61,20 +78,15 @@ def word_space(letters: GradedSpace, deg_max: int, max_length: int | None = None
     Letters must sit in degrees >= 1 so that the degree cap keeps the word
     count finite; pass a truncated letter space otherwise.
     """
-    keys = sorted(letters.all_keys(), key=letters.sort_key)
-    if not keys:
+    if not letters.degree_of:
         return GradedSpace({}, name=name)
-    min_deg = min(letters.degree_of[k] for k in keys)
+    min_deg = letters.deg_min
     if min_deg < 1:
         raise ValueError("word_space needs letters in degrees >= 1; truncate first")
     by_deg: dict[int, list] = {}
     n = 1
     while n * min_deg <= deg_max and (max_length is None or n <= max_length):
-        for combo in combinations_with_replacement(keys, n):
-            bad = any(a == b and letters.degree_of[a] % 2
-                      for a, b in zip(combo, combo[1:]))
-            if bad:
-                continue
+        for combo in canonical_words(letters, n):
             d = word_degree(letters, combo)
             if d <= deg_max:
                 by_deg.setdefault(d, []).append(combo)
@@ -122,18 +134,6 @@ def symmetrize(letters: GradedSpace, word: tuple) -> Vec:
             out[tup] = nc
         else:
             out.pop(tup, None)
-    return out
-
-
-def symmetrize_vec(letters: GradedSpace, word_vec: Vec) -> Vec:
-    out: Vec = {}
-    for word, c in word_vec.items():
-        for tup, cc in symmetrize(letters, word).items():
-            nc = out.get(tup, ZERO) + c * cc
-            if nc:
-                out[tup] = nc
-            else:
-                out.pop(tup, None)
     return out
 
 

@@ -1,0 +1,262 @@
+"""The command line contract: golden outputs, --out, the window
+precedence, and refusals of requests that cannot give a trustworthy
+answer.
+
+Every golden call runs convmc.cli.main in-process on bundled models and
+pins its exit code and the sha256 of its standard output, so a change of
+any output byte fails here.  Element, map, model and certificate files
+are written as literal dicts, which pins the file format independently
+of any writer in the package.  All golden calls are valid requests: exit
+1 and exit 3 are answers (a nonzero residual, distinct maps, an
+undecided certificate), not errors.  Refusals with exit 2 are tested
+after the golden table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from convmc import cli
+
+
+def _element(kind, name, entries, source, target):
+    return {"format_version": 1, "kind": kind, "name": name, "degree": 0,
+            "entries": entries, "source": source, "target": target}
+
+
+RECORDS = {
+    # S3 -> pi(S2): the fundamental class to the Whitehead square
+    "whitehead": _element("mc_element", "whitehead",
+                          [["a", "y", "1/1"]], "S3", "pi(S2)"),
+    # CP2 -> pi(S2): the bottom class to pi_2; the coproduct of the top
+    # class leaves the Whitehead square as residual
+    "cp2_bottom": _element("mc_element", "cp2_bottom",
+                           [["a", "x", "1/1"]], "CP2", "pi(S2)"),
+    # S3 -> loop homology of S2: k times the self-bracket class (Hopf)
+    "eta1": _element("mc_element", "eta1",
+                     [["a", "H3_0", "1/1"]], "S3", "loops(S2)"),
+    "eta2": _element("mc_element", "eta2",
+                     [["a", "H3_0", "2/1"]], "S3", "loops(S2)"),
+    # self-maps of CP2: the identity and the conjugation a |-> -a
+    "cp2_id": _element("map", "id", [["a", "a", "1/1"], ["b", "b", "1/1"]],
+                       "CP2", "CP2"),
+    "cp2_conj": _element("map", "conj",
+                         [["a", "a", "-1/1"], ["b", "b", "1/1"]],
+                         "CP2", "CP2"),
+    "cp2_model": {"format_version": 1, "kind": "cdgc", "name": "CP2",
+                  "basis": [{"name": "a", "degree": 2},
+                            {"name": "b", "degree": 4}],
+                  "d": [], "delta": [["b", "a", "a", "1/1"]]},
+    "pi_s2_model": {"format_version": 1, "kind": "linfty", "name": "pi(S2)",
+                    "basis": [{"name": "x", "degree": 2},
+                              {"name": "y", "degree": 3}],
+                    "arities": [1, 2],
+                    "brackets": [[2, ["x", "x"], "y", "1/1"]]},
+    "undecided": {"format_version": 1, "kind": "certificate", "name": "",
+                  "outcome": "unknown", "reason": "no normal form"},
+}
+
+# (argv, exit code, sha256 of stdout); "@name" is the file of RECORDS[name]
+GOLDEN = [
+    (["validate", "@cp2_model"], 0,
+     "6092198d37a786ac140e21989a467b8c5cdbdd3ecf89f18486298b64a5fb4fe5"),
+    (["validate", "@pi_s2_model"], 0,
+     "364155e70fc715174ab0364550e47dac42b18183285a212bcb51066c8c9ab134"),
+    (["validate", "@whitehead"], 0,
+     "ef98161136fb2a924c361a35cc24f4daba10cec9faeb375048f0b0e8ad59119a"),
+    (["validate", "@cp2_id"], 0,
+     "462f824682d5219f5be7559c6c92e859fbd02809f427cc09b885a46baa99a66c"),
+    (["validate", "@undecided"], 1,
+     "933bf468a2295b528efa654ab515b9b232c72e8e087850c725cf7f1c72b5b19a"),
+    (["homology", "s2"], 0,
+     "3f405d83d59cc21f02c2dc6d8e02fad0dfa9c1070cbfe9189c1ed2d8e21ed5cf"),
+    (["homology", "cp2"], 0,
+     "cfe4d135fce50dea82c87c58e2bd167a5bebd31916a21c8846d4412d30139b29"),
+    (["homology", "pi_s2", "--degree", "3"], 0,
+     "4e7311824c53e3df8d119245791a09fb8119c723245d126e5f8132f1aded02af"),
+    (["homology", "@cp2_model"], 0,
+     "cfe4d135fce50dea82c87c58e2bd167a5bebd31916a21c8846d4412d30139b29"),
+    (["cobar", "cp2"], 0,
+     "c7cf0f0f4df406fabc8328aeed3648dc603778f2ffead0eec5710e34c7e0fa06"),
+    (["cobar", "s2vs3", "--window", "6"], 0,
+     "4bca550b0484b79e0578b6e4714a04f07722e65c6a71fb71916921b4dc8e30c7"),
+    (["cobar", "s2xs2", "--window", "5"], 0,
+     "215779f83bd3147e9f55a3899e7f6ac54c1a5ea37f03909d06bd0a9e389e9429"),
+    (["bar", "pi_s2"], 0,
+     "952a9964cff91d66f4dda060579deee8f6d54c4b2182213d0d7ec1f8f9086621"),
+    (["bar", "ab23", "--window", "5"], 0,
+     "6a66f8516e7df72c5b277d99c0cf6eb6ad1dd774878fc3ec8e32973983665964"),
+    (["transfer", "s2"], 0,
+     "b0cc7a6da928a89e986901f22c65b0c8b013dbc1d829b2d1b3c8b7f27a1956df"),
+    (["transfer", "cp2", "--window", "6"], 0,
+     "dee289c9c5f57738ed83c323d363d3ad94f61ac8aeacf90a9aeb83666a9d25ba"),
+    (["transfer", "s2vs3", "--window", "6", "--arity", "2"], 0,
+     "3072ee838fe63d862456bafbdfff41de311ab5a57285cd4765a9b9982e48f978"),
+    (["components", "s3", "pi_s2"], 0,
+     "7e051403354a63c6a9756314c52eb6f9207bad2353a5e6ded7777665e8a29d68"),
+    (["components", "s2", "pi_s2", "--samples", "0,1"], 0,
+     "e6f0d0480b5f5c62d8abae08e4bc659be4b4068aff6e5a57f4e2a6e4160c258b"),
+    (["components", "s2", "pi_s2", "--param", '[["a", "x"]]'], 0,
+     "b87fa0b6019e48a9f43e7a052167ce6dbf857a32ecf6013054b40ec0305d13bc"),
+    (["components", "cp2", "pi_s2"], 0,
+     "7bea29f8d9a4b2ddcdd08a71687a358078250ef7b4e1164049fb5252b296a536"),
+    (["mc-check", "s3", "pi_s2", "@whitehead"], 0,
+     "4ee5ed81d5b8f755e5093539fbb177e79213eb2eda1864ae260a79043533348c"),
+    (["mc-check", "cp2", "pi_s2", "@cp2_bottom"], 1,
+     "bdb6286da283f6200234ce6960504548608e4fe896e5f8eb213b66ba010d405f"),
+    (["twist", "s3", "pi_s2", "@whitehead"], 0,
+     "cdf871bc1facfd2dba43f7eafbdaafb54ab99b9a36c9484b71ea177f0d2f7a1e"),
+    (["pi", "s3", "pi_s2", "@whitehead", "--n", "1"], 0,
+     "d5b3c666d89419e17a0c91e8c3afaf8c53e495969a4da7b606d7cbd64d7a72d4"),
+    (["pi", "s3", "pi_s2", "@whitehead", "--n", "3"], 0,
+     "1d9c8782898929809b9426f144aeb3dd79274a42a5cf0fb00be73533fc2482cd"),
+    (["hopf", "s3", "s2", "@eta1", "--window", "5"], 0,
+     "ea8636cc83a0a2521038564c9683929e4c851aac818415646b2d3df2ad08a4cc"),
+    (["hopf", "cp2", "cp2", "@cp2_id"], 0,
+     "5938303170df7755b43ccb97f3f8a983283095c30f9b3c5418d792ee9d435045"),
+    (["homotopic", "s3", "s2", "@eta1", "@eta1", "--window", "5"], 0,
+     "b0cfa6c379e5d4a6631c16a8f8d1892205fe4e4e431080bdfa84e7812de4355c"),
+    (["homotopic", "s3", "s2", "@eta1", "@eta2", "--window", "5"], 1,
+     "5a671e8dc8c4273eac518a296457be1a7a500263f5e66812813de03373c8094d"),
+    (["gauge-check", "@undecided"], 3,
+     "f31faa3411957c97958e34a33dd9ec103d44493dcce8fed494f1cc943dbfd086"),
+]
+
+# homotopic on two maps, then validate and gauge-check on its certificate
+# and on the first gauge path of that certificate, when there is one:
+# (f, g, [exit code, sha256] for homotopic, validate, gauge-check, and the
+# two path checks)
+CERTIFICATES = [
+    ("cp2_id", "cp2_id", [
+      [0, "1bd12e911b01e7e7caabc0e41643bc081acf8a734f84b93c0a7d07ff1f57c1d4"],
+      [0, "753f240297ed8b69221ad81f252ecdc207961657d0b4d9bc902a3cacbb035658"],
+      [0, "de67dff5833b4c5ac77988493133cfbee3007c5f0a2fd804871d957f1c6974d6"],
+      [0, "8a09faba2e5fca836289c23466ff26cf3eb646977226a3c870db925c644f60b8"],
+      [0, "f12577dac8d8ff84d07b36c6393b6b283f09a6ccd67afeb0e96ac9e9f1f27b93"],
+    ]),
+    ("cp2_id", "cp2_conj", [
+      [1, "e85555717fdc07a1d9932814540e36e6d10e956c8cc5785791334f0d104d0e67"],
+      [0, "753f240297ed8b69221ad81f252ecdc207961657d0b4d9bc902a3cacbb035658"],
+      [0, "9dddd2561a4aeec550c4aace3fe8342ef8b8df062fbdb0643cd06ba388669830"],
+    ]),
+]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def no_window_env(monkeypatch):
+    monkeypatch.delenv(cli.WINDOW_ENV, raising=False)
+
+
+@pytest.fixture
+def files(tmp_path):
+    for name, rec in RECORDS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(rec))
+    return tmp_path
+
+
+def run(capsys, argv, where=None):
+    argv = [str(where / f"{a[1:]}.json") if a.startswith("@") else a
+            for a in argv]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden(files, capsys, argv, code, digest):
+    got, out, err = run(capsys, argv, files)
+    assert (got, err) == (code, "")
+    assert sha(out) == digest
+
+
+def test_certificates_replay(files, capsys):
+    for f, g, pins in CERTIFICATES:
+        code, out, _ = run(capsys, ["homotopic", "cp2", "cp2",
+                                    f"@{f}", f"@{g}"], files)
+        seen = [[code, sha(out)]]
+        report = json.loads(out)
+        cert = files / "cert.json"
+        cert.write_text(json.dumps(report["certificate"]))
+        calls = [["validate", str(cert)], ["gauge-check", str(cert)]]
+        paths = report["certificate"].get("paths", [])
+        if paths:
+            path = files / "path.json"
+            path.write_text(json.dumps({
+                "format_version": 1, "kind": "gauge_path", "name": "",
+                "C": report["certificate"]["C"],
+                "L": report["certificate"]["L"], "path": paths[0]}))
+            calls += [["validate", str(path)], ["gauge-check", str(path)]]
+        for argv in calls:
+            code, out, err = run(capsys, argv)
+            assert err == ""
+            seen.append([code, sha(out)])
+        assert seen == pins, (f, g)
+
+
+def test_out_writes_the_same_bytes(tmp_path, capsys):
+    _, printed, _ = run(capsys, ["transfer", "cp2", "--window", "6"])
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, ["transfer", "cp2", "--window", "6",
+                                  "--out", str(target)])
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == printed
+    # the written model is a valid input again
+    quillen = tmp_path / "cobar.json"
+    assert run(capsys, ["cobar", "cp2", "--out", str(quillen)])[:2] == (0, "")
+    code, out, _ = run(capsys, ["validate", str(quillen)])
+    assert code == 0 and json.loads(out)["checked"] == "quillen"
+
+
+def test_window_flag_beats_environment(capsys, monkeypatch):
+    _, at5, _ = run(capsys, ["cobar", "cp2", "--window", "5"])
+    _, at7, _ = run(capsys, ["cobar", "cp2", "--window", "7"])
+    assert at5 != at7
+    monkeypatch.setenv(cli.WINDOW_ENV, "7")
+    assert run(capsys, ["cobar", "cp2"])[1] == at7
+    assert run(capsys, ["cobar", "cp2", "--window", "5"])[1] == at5
+
+
+# -- refusals -----------------------------------------------------------------
+
+def refusal(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("command", ["cobar", "transfer"])
+def test_window_below_the_lowest_class_is_refused(capsys, monkeypatch,
+                                                  command):
+    # a window under degree 2 leaves the cobar model without generators:
+    # an empty model, and an empty loop homology for transfer
+    for window in ("-3", "1"):
+        err = refusal(capsys, [command, "cp2", "--window", window])
+        assert err["where"] == "--window"
+        assert f"window {window} is below degree 2" in err["error"]
+    monkeypatch.setenv(cli.WINDOW_ENV, "1")
+    assert refusal(capsys, [command, "s2"])["where"] == "--window"
+    # the lowest class itself is still in the window
+    code, out, _ = run(capsys, [command, "s2", "--window", "2"])
+    assert code == 0 and json.loads(out)["window"] == 2
+
+
+def test_transfer_at_the_lowest_window_keeps_pi_2(capsys):
+    _, out, _ = run(capsys, ["transfer", "s2", "--window", "2"])
+    assert json.loads(out)["homology"] == [{"degree": 2, "name": "H2_0"}]
+
+
+def test_samples_must_be_integers(capsys):
+    for samples in ("x", "0,,1"):
+        err = refusal(capsys, ["components", "s3", "pi_s2",
+                               "--samples", samples])
+        assert err == {"where": "--samples",
+                       "error": "--samples: expected comma-separated "
+                                f"integers, got {samples!r}"}

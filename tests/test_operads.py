@@ -1,356 +1,49 @@
-"""Truncated operads: Lie and cocommutative carriers, pre-Lie brackets,
-convolution operads, and the twisting morphism check."""
+"""The Lie operad seen inside the free Lie algebra: LIE(n) is the
+multilinear part of the free Lie algebra on n letters of degree 0, so its
+dimension, its antisymmetry and its composition rule are checked on the
+tensor-algebra expansions of `convmc.freelie`."""
 
-from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
-import pytest
-
-from convmc.freelie import br
-from convmc.graded import (GradedMap, vec_add, vec_eq, vec_is_zero, vec_scale,
-                           vec_sub)
+from convmc import matrices
+from convmc.freelie import br, expand, expr_degree
+from convmc.graded import GradedSpace, vec_eq, vec_sub
 from convmc.matrices import ONE
-from convmc.operads import (OperadMap, cocom, cocom_coproduct_terms,
-                            convolution_operad, hom_space, kappa, lie,
-                            operadic_mc_check, perm_compose, perm_identity,
-                            perm_inverse, perm_sign, phi_unit,
-                            phi_unit_inverse, prelie_bracket, tree_terms,
-                            TruncatedOperad)
 
-F = Fraction
+LETTERS = GradedSpace({0: [1, 2, 3, 4]}, name="X")
 
 
-@pytest.fixture(scope="module")
-def P():
-    return lie(4)
+def _left_normed(letters):
+    e = letters[0]
+    for x in letters[1:]:
+        e = br(e, x)
+    return e
 
 
-@pytest.fixture(scope="module")
-def C():
-    return cocom(4)
+def _multilinear_dim(n):
+    """Rank of all left-normed brackets of x_1..x_n in the tensor algebra."""
+    exprs = [_left_normed(p) for p in permutations(range(1, n + 1))]
+    assert {expr_degree(LETTERS, e) for e in exprs} == {0}
+    vecs = [expand(LETTERS, e) for e in exprs]
+    words = sorted({w for v in vecs for w in v})
+    return matrices.rank([[v.get(w, 0) for w in words] for v in vecs])
 
 
-def test_perm_helpers():
-    sigma = (2, 3, 1)
-    rho = (1, 3, 2)
-    # diagrammatic composite: j -> rho(sigma(j))
-    assert perm_compose(sigma, rho) == (3, 2, 1)
-    assert perm_compose(sigma, perm_inverse(sigma)) == perm_identity(3)
-    assert perm_sign((1, 2, 3)) == 1
-    assert perm_sign((2, 1, 3)) == -1
-    assert perm_sign((2, 3, 1)) == 1
+def test_lie_dimensions():
+    assert [_multilinear_dim(n) for n in range(1, 5)] == [1, 1, 2, 6]
 
 
-def test_lie_dimensions(P):
-    assert [P.space(n).total_dim() for n in range(1, 5)] == [1, 1, 2, 6]
-    assert P.space(1).degrees() == [0]
-    assert P.space(4).degrees() == [0]
+def test_lie_antisymmetry():
+    # the transposition (2, 1) acts on [x1, x2] by -1
+    assert vec_eq(expand(LETTERS, br(2, 1)),
+                  {k: -c for k, c in expand(LETTERS, br(1, 2)).items()})
+    assert expand(LETTERS, br(1, 2)) == {(1, 2): ONE, (2, 1): -ONE}
 
 
-def test_lie_antisymmetry(P):
-    v = {br(1, 2): ONE}
-    assert P.act(2, (2, 1), v) == {br(1, 2): -ONE}
-
-
-def test_lie_slot_one_composition(P):
-    v = {br(1, 2): ONE}
-    assert P.compose(2, 2, 1, v, v) == {br(br(1, 2), 3): ONE}
-
-
-def test_lie_slot_two_composition(P):
+def test_lie_slot_two_composition():
     # [x1, [x2, x3]] rewritten into the left-normed basis; the classical
     # Jacobi identity gives [[x1,x2],x3] - [[x1,x3],x2]
-    v = {br(1, 2): ONE}
-    out = P.compose(2, 2, 2, v, v)
-    assert out == {br(br(1, 2), 3): ONE, br(br(1, 3), 2): -ONE}
-
-
-def test_lie_action_group_law(P):
-    for n in (2, 3):
-        perms = list(permutations(range(1, n + 1)))
-        for e in P.space(n).all_keys():
-            v = {e: ONE}
-            for sigma in perms:
-                for rho in perms:
-                    two_step = P.act(n, rho, P.act(n, sigma, v))
-                    one_step = P.act(n, perm_compose(sigma, rho), v)
-                    assert vec_eq(two_step, one_step)
-    # arity 4: every sigma against the adjacent transpositions; the
-    # general law follows by induction on the word length of rho
-    gens = [(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)]
-    for e in P.space(4).all_keys():
-        v = {e: ONE}
-        for sigma in permutations(range(1, 5)):
-            for rho in gens:
-                two_step = P.act(4, rho, P.act(4, sigma, v))
-                one_step = P.act(4, perm_compose(sigma, rho), v)
-                assert vec_eq(two_step, one_step)
-
-
-def test_lie_identity_element(P):
-    one = {1: ONE}
-    v = {br(br(1, 2), 3): ONE}
-    assert P.compose(1, 3, 1, one, v) == v
-    for i in (1, 2, 3):
-        assert P.compose(3, 1, i, v, one) == v
-
-
-def _triples_within(amax, arity_min=1):
-    for n in range(arity_min, amax + 1):
-        for m in range(arity_min, amax + 1):
-            for k in range(arity_min, amax + 1):
-                if n + m + k - 2 <= amax:
-                    yield n, m, k
-
-
-def test_operad_sequential_associativity(P):
-    for n, m, k in _triples_within(4):
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                for eu in P.space(n).all_keys():
-                    for ev in P.space(m).all_keys():
-                        for ew in P.space(k).all_keys():
-                            u, v, w = {eu: ONE}, {ev: ONE}, {ew: ONE}
-                            lhs = P.compose(n + m - 1, k, i + j - 1,
-                                            P.compose(n, m, i, u, v), w)
-                            rhs = P.compose(n, m + k - 1, i, u,
-                                            P.compose(m, k, j, v, w))
-                            assert vec_eq(lhs, rhs)
-
-
-def test_operad_parallel_associativity(P):
-    for n, m, k in _triples_within(4):
-        if n < 2:
-            continue
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for eu in P.space(n).all_keys():
-                    for ev in P.space(m).all_keys():
-                        for ew in P.space(k).all_keys():
-                            u, v, w = {eu: ONE}, {ev: ONE}, {ew: ONE}
-                            lhs = P.compose(n + m - 1, k, i,
-                                            P.compose(n, m, j, u, v), w)
-                            rhs = P.compose(n + k - 1, m, j + k - 1,
-                                            P.compose(n, k, i, u, w), v)
-                            assert vec_eq(lhs, rhs)
-
-
-def test_cocom_structure():
-    C = cocom(4)
-    for n in range(1, 5):
-        assert C.space(n).total_dim() == 1
-        assert C.space(n).degrees() == [0]
-        assert C.act(n, tuple(range(n, 0, -1)), {("mu", n): ONE}) == \
-            {("mu", n): ONE}
-    assert len(cocom_coproduct_terms(1)) == 1
-    assert len(cocom_coproduct_terms(2)) == 3
-    assert len(cocom_coproduct_terms(3)) == 6
-    assert C.decompose(("mu", 3), 2, 1) == [(ONE, ("mu", 2), ("mu", 2))]
-    assert C.decompose(("mu", 4), 2, 2) == [(ONE, ("mu", 2), ("mu", 3))]
-
-
-def test_tree_terms_counts():
-    from math import comb
-    assert list(tree_terms(1, 1)) == [(1, (1,), 1)]
-    # arity 2 with arity 1: one term per slot, identity relabelings only
-    assert list(tree_terms(2, 1)) == [(1, (1, 2), 1), (2, (1, 2), 1)]
-    for n in range(1, 5):
-        for m in range(1, 5):
-            assert len(list(tree_terms(n, m))) == comb(n + m - 1, m)
-
-
-def test_tree_terms_arity_two_two():
-    assert list(tree_terms(2, 2)) == [
-        (1, (1, 2, 3), 1),
-        (1, (1, 3, 2), -1),
-        (2, (1, 2, 3), 1),
-    ]
-
-
-def _one_dimensional_operad(amax):
-    """Each arity spanned by a single degree-0 element with trivial action;
-    compositions send generators to the generator."""
-    from convmc.graded import GradedSpace
-    spaces = {n: GradedSpace({0: [("e", n)]}) for n in range(1, amax + 1)}
-
-    def act(n, sigma, v):
-        return dict(v)
-
-    def compose(n, m, i, u, v):
-        cu = u.get(("e", n), 0)
-        cv = v.get(("e", m), 0)
-        c = cu * cv
-        return {("e", n + m - 1): c} if c else {}
-
-    return TruncatedOperad(spaces, act, compose, name="K")
-
-
-def test_prelie_identity_one_dimensional_operad():
-    Q = _one_dimensional_operad(7)
-    for na, nb, nc in _triples_within(7):
-        a = (na, {("e", na): ONE})
-        b = (nb, {("e", nb): ONE})
-        c = (nc, {("e", nc): ONE})
-
-        def assoc(x, y, z):
-            xy = prelie_bracket(Q, x[0], x[1], y[0], y[1])
-            lhs = prelie_bracket(Q, x[0] + y[0] - 1, xy, z[0], z[1])
-            yz = prelie_bracket(Q, y[0], y[1], z[0], z[1])
-            rhs = prelie_bracket(Q, x[0], x[1], y[0] + z[0] - 1, yz)
-            return vec_sub(lhs, rhs)
-
-        assert vec_eq(assoc(a, b, c), assoc(a, c, b))
-
-
-def _assoc(P, a, b, c, susp):
-    (na, va), (nb, vb), (nc, vc) = a, b, c
-    ab = prelie_bracket(P, na, va, nb, vb, suspension=susp)
-    ab_c = prelie_bracket(P, na + nb - 1, ab, nc, vc, suspension=susp)
-    bc = prelie_bracket(P, nb, vb, nc, vc, suspension=susp)
-    a_bc = prelie_bracket(P, na, va, nb + nc - 1, bc, suspension=susp)
-    return vec_sub(ab_c, a_bc)
-
-
-def test_prelie_identity_lie_exhaustive(P):
-    for n, m, k in _triples_within(4):
-        for ea in P.space(n).all_keys():
-            for eb in P.space(m).all_keys():
-                for ec in P.space(k).all_keys():
-                    a, b, c = (n, {ea: ONE}), (m, {eb: ONE}), (k, {ec: ONE})
-                    d1 = _assoc(P, a, b, c, False)
-                    d2 = _assoc(P, a, c, b, False)
-                    assert vec_eq(d1, d2), (n, m, k, ea, eb, ec)
-
-
-def test_prelie_graded_identity_suspension(P):
-    # shifted convention: the arity-n part is even or odd according to
-    # n - 1, so swapping the last two arguments costs (-1)^{(m-1)(k-1)}
-    for n, m, k in _triples_within(4):
-        sign = -1 if ((m - 1) * (k - 1)) % 2 else 1
-        for ea in P.space(n).all_keys():
-            for eb in P.space(m).all_keys():
-                for ec in P.space(k).all_keys():
-                    a, b, c = (n, {ea: ONE}), (m, {eb: ONE}), (k, {ec: ONE})
-                    lhs = _assoc(P, a, b, c, True)
-                    rhs = vec_scale(sign, _assoc(P, a, c, b, True))
-                    assert vec_eq(lhs, rhs), (n, m, k, ea, eb, ec)
-
-
-def test_prelie_identities_reach_arity_five():
-    # mixed arities (2,2,3) only appear beyond the arity-4 window; this
-    # is the case that distinguishes the evaluation sign
-    P5 = lie(5)
-    a = (2, {br(1, 2): ONE})
-    b = (2, {br(1, 2): ONE})
-    c = (3, {br(br(1, 2), 3): ONE})
-    assert vec_eq(_assoc(P5, a, b, c, False), _assoc(P5, a, c, b, False))
-    lhs = _assoc(P5, a, b, c, True)
-    rhs = _assoc(P5, a, c, b, True)  # (m-1)(k-1) = 2, even swap sign
+    lhs = expand(LETTERS, br(1, br(2, 3)))
+    rhs = vec_sub(expand(LETTERS, br(br(1, 2), 3)),
+                  expand(LETTERS, br(br(1, 3), 2)))
     assert vec_eq(lhs, rhs)
-
-
-def test_kappa_square_needs_suspension_signs(P):
-    v = {br(1, 2): ONE}
-    plain = prelie_bracket(P, 2, v, 2, v, suspension=False)
-    assert plain == {br(br(1, 2), 3): F(2)}
-    assert prelie_bracket(P, 2, v, 2, v, suspension=True) == {}
-
-
-def test_hom_space_dimensions(C, P):
-    for n in range(1, 5):
-        sp = hom_space(C, P, n)
-        assert sp.total_dim() == P.space(n).total_dim()
-        assert sp.degrees() == [0]
-    assert hom_space(C, P, 1).total_dim() == 1
-
-
-def test_convolution_unit_bijection(C, P):
-    for n in range(1, 5):
-        for e in P.space(n).all_keys():
-            f = phi_unit_inverse(C, P, n, {e: ONE})
-            assert phi_unit(f, n) == {e: ONE}
-            g = phi_unit_inverse(C, P, n, phi_unit(f, n))
-            assert g.column(("mu", n)) == f.column(("mu", n))
-
-
-def test_convolution_unit_commutes_with_actions(C, P):
-    conv = convolution_operad(C, P)
-    for n in range(2, 5):
-        perms = list(permutations(range(1, n + 1)))
-        if n == 4:
-            perms = [(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3), (4, 3, 2, 1)]
-        for e in P.space(n).all_keys():
-            fvec = {(("mu", n), e): ONE}
-            for sigma in perms:
-                moved = conv.act(n, sigma, fvec)
-                via_p = P.act(n, sigma, {e: ONE})
-                assert vec_eq({k[1]: c for k, c in moved.items()}, via_p)
-
-
-def test_convolution_unit_commutes_with_compositions(C, P):
-    conv = convolution_operad(C, P)
-    for n in range(1, 5):
-        for m in range(1, 5):
-            if n + m - 1 > 4:
-                continue
-            for i in range(1, n + 1):
-                for eu in P.space(n).all_keys():
-                    for ev in P.space(m).all_keys():
-                        fvec = {(("mu", n), eu): ONE}
-                        gvec = {(("mu", m), ev): ONE}
-                        got = conv.compose(n, m, i, fvec, gvec)
-                        want = P.compose(n, m, i, {eu: ONE}, {ev: ONE})
-                        assert vec_eq({k[1]: c for k, c in got.items()}, want)
-
-
-def test_convolution_action_group_law(C, P):
-    conv = convolution_operad(C, P)
-    perms = list(permutations((1, 2, 3)))
-    for e in P.space(3).all_keys():
-        fvec = {(("mu", 3), e): ONE}
-        for sigma in perms:
-            for rho in perms:
-                two_step = conv.act(3, rho, conv.act(3, sigma, fvec))
-                one_step = conv.act(3, perm_compose(sigma, rho), fvec)
-                assert vec_eq(two_step, one_step)
-
-
-def test_operadic_mc_kappa_passes(C, P):
-    ok, residuals = operadic_mc_check(kappa(C, P))
-    assert ok
-    assert all(r == {} for r in residuals.values())
-
-
-def test_operadic_mc_zero_map_passes(C, P):
-    tau = OperadMap(C, P, {}, formal_degree=-1, name="0")
-    ok, _ = operadic_mc_check(tau)
-    assert ok
-
-
-def test_operadic_mc_scalar_multiples_pass(C, P):
-    # with zero differentials the residual is quadratic, so any scalar
-    # multiple of a solution is again a solution; there is no scaling
-    # counterexample to detect here
-    for c in (2, -1, F(1, 3)):
-        ok, _ = operadic_mc_check(kappa(C, P).scale(c))
-        assert ok
-
-
-def test_operadic_mc_detects_bad_arity_three_component(C, P):
-    k = kappa(C, P)
-    bad = GradedMap(C.space(3), P.space(3), 0,
-                    {("mu", 3): {br(br(1, 2), 3): ONE}})
-    tau = OperadMap(C, P, {2: k.component(2), 3: bad}, formal_degree=-1)
-    ok, residuals = operadic_mc_check(tau)
-    assert not ok
-    assert residuals[2] == {} and residuals[3] == {}
-    assert residuals[4] != {}
-
-
-def test_operadic_mc_formal_degree_controls_signs(C, P):
-    # the same components read as a degree-0 map square to the unsigned
-    # sum, which the Jacobi identity does not kill
-    tau = OperadMap(C, P, {2: kappa(C, P).component(2)}, formal_degree=0)
-    ok, residuals = operadic_mc_check(tau)
-    assert not ok
-    assert residuals[3] == {br(br(1, 2), 3): F(2)}

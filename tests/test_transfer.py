@@ -13,7 +13,6 @@ evaluates independently of the perturbation series.
 """
 
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,13 +54,9 @@ def window_words(space, arity_max, deg_cap):
     """All sorted words up to the arity bound; multi-letter words are
     capped in total degree so every bracket they need stays inside the
     truncation-trusted zone."""
-    lets = sorted(space.all_keys(), key=space.sort_key)
     out = []
     for n in range(1, arity_max + 1):
-        for combo in combinations_with_replacement(lets, n):
-            sw = wd.sort_letters(space, combo)
-            if sw is None or sw[0] != combo:
-                continue
+        for combo in wd.canonical_words(space, n):
             if n > 1 and sum(space.degree_of[k] for k in combo) > deg_cap:
                 continue
             out.append(combo)

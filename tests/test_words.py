@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from convmc.graded import GradedSpace, vec_add, vec_eq, vec_scale
+from convmc.graded import GradedSpace
 from convmc import words as wd
 
 F = Fraction
@@ -23,6 +24,20 @@ def test_sort_letters_signs():
     assert wd.sort_letters(L, ("a", "a")) is None
     # repeated even letter is fine
     assert wd.sort_letters(L, ("u", "u")) == (("u", "u"), 1)
+
+
+def test_canonical_words_are_the_words_sort_letters_keeps():
+    # mixed parity, two letters per degree, listed out of name order
+    L = GradedSpace({1: ["b", "a"], 2: ["u"], 3: ["z", "y"]}, name="L")
+    keys = sorted(L.all_keys(), key=L.sort_key)
+    for n in range(5):
+        want = [combo for combo in combinations_with_replacement(keys, n)
+                if wd.sort_letters(L, combo) == (combo, 1)]
+        assert list(wd.canonical_words(L, n)) == want
+    assert list(wd.canonical_words(L, 2))[:4] == [
+        ("b", "a"), ("b", "u"), ("b", "z"), ("b", "y")]
+    assert ("u", "u") in wd.canonical_words(L, 2)
+    assert ("a", "a") not in wd.canonical_words(L, 2)
 
 
 def test_word_space_enumeration():
