@@ -36,9 +36,9 @@ from . import words as wd
 from .convolution import (ConvolutionAlgebra, check_coalgebra_morphism,
                           check_strict_morphism)
 from .freelie import FreeLie, expr_degree, is_bracket
-from .graded import (GradedMap, GradedSpace, Key, Vec, homology, vec_add,
-                     vec_eq, vec_scale)
-from .matrices import ONE, ZERO
+from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, homology,
+                     tensor_terms, vec_add, vec_eq, vec_scale)
+from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
 
 F = Fraction
@@ -114,11 +114,7 @@ def bar(L: LInfinityAlgebra, degree_max: int) -> BarCoalgebra:
     for w in wsp.all_keys():
         col: Vec = {}
         for (pair, c) in wd.reduced_coproduct_terms(letters, w):
-            nc = col.get(pair, ZERO) + c
-            if nc:
-                col[pair] = nc
-            else:
-                col.pop(pair, None)
+            add_term(col, pair, c)
         if col:
             delta[w] = col
     return BarCoalgebra(wsp, d, delta, L, degree_max)
@@ -176,7 +172,6 @@ def cobar(C: CdgCoalgebra, degree_max: int) -> CobarAlgebra:
             sgn = -gamma if C.space.degree_of[w1] % 2 == 0 else gamma
             term = fl.bracket({w1: ONE}, {w2: ONE})
             col = vec_add(col, vec_scale(sgn * F(1, 2), term))
-        col = {k: v for k, v in col.items() if v}
         if col:
             vals[c] = col
     delta = fl.derivation(vals, -1, name="d_Omega")
@@ -239,15 +234,8 @@ class Adjunction:
             for n in range(1, depth + 1):
                 gamma_n = F(1, factorial(n))
                 for tup, gamma in self.C.iterated_coproduct(c, n).items():
-                    terms: list[tuple[tuple, Fraction]] = [((), gamma)]
-                    for ck in tup:
-                        img = tau.apply({ck: ONE})
-                        if not img:
-                            terms = []
-                            break
-                        terms = [(pre + (lk,), cc * c2)
-                                 for pre, cc in terms for lk, c2 in img.items()]
-                    for tensor, cc in terms:
+                    images = (tau.entries.get(ck, {}) for ck in tup)
+                    for tensor, cc in tensor_terms(images, gamma):
                         sw = wd.sort_letters(self.L.space, tensor)
                         if sw is None:
                             continue
@@ -256,11 +244,7 @@ class Adjunction:
                             raise ValueError(
                                 f"bar truncation {self.degree_max} too small "
                                 f"to hold the image word {word!r}")
-                        nc = acc.get(word, ZERO) + cc * sgn * gamma_n
-                        if nc:
-                            acc[word] = nc
-                        else:
-                            acc.pop(word, None)
+                        add_term(acc, word, cc * sgn * gamma_n)
             if acc:
                 cols[c] = acc
         f = GradedMap(self.C.space, B.space, 0, cols, name="f_tau")

@@ -12,9 +12,11 @@ residual that is not zero, a certificate that does not verify) exit 1;
 an undecided homotopy question exits 3.
 
 The truncation window is taken from --window, then the CONVMC_WINDOW
-environment variable, then a per-command default.  cobar and transfer
-refuse a window below the lowest class of the coalgebra, which would
-leave the cobar model with no generators.
+environment variable, then a per-command default.  Every command with a
+window refuses one below the lowest degree of the space its model is
+built on (the carrier of L for bar, the coalgebra for cobar and
+transfer, the target coalgebra for hopf and homotopic), since that
+model would be empty.
 """
 
 from __future__ import annotations
@@ -86,19 +88,16 @@ def _window(args, fallback: int) -> int:
     return fallback
 
 
-def _top_degree(sp) -> int:
-    return max(sp.degrees(), default=2)
-
-
-def _cobar_window(args, C: CdgCoalgebra, fallback: int) -> int:
-    """The window for a cobar model of C; one below the lowest class of C
-    would leave the model with no generators."""
-    window = _window(args, fallback)
-    low = C.space.deg_min
-    if C.space.degrees() and window < low:
+def _model_window(args, space, margin: int) -> int:
+    """The window for a model built on space, by default margin above its
+    top degree; one below the lowest degree of space would leave the model
+    empty."""
+    window = _window(args, max(space.degrees(), default=2) + margin)
+    low = space.deg_min
+    if space.degrees() and window < low:
         raise ModelFileError("--window", f"window {window} is below degree "
-                             f"{low}, the lowest class of {C.name}; the "
-                             "cobar model would have no generators")
+                             f"{low}, the lowest degree of {space.name}; "
+                             "the model built on it would be empty")
     return window
 
 
@@ -172,7 +171,7 @@ def cmd_homology(args) -> int:
 
 def cmd_cobar(args) -> int:
     C = _load_coalgebra(args.file)
-    window = _cobar_window(args, C, _top_degree(C.space) + 3)
+    window = _model_window(args, C.space, 3)
     om = cobar(C, degree_max=window)
     rec = modelio.quillen_to_record(om)
     rec["window"] = window
@@ -183,7 +182,7 @@ def cmd_cobar(args) -> int:
 
 def cmd_bar(args) -> int:
     L = _load_linfty(args.file)
-    window = _window(args, _top_degree(L.space) + 3)
+    window = _model_window(args, L.space, 3)
     B = bar(L, window)
     rec = modelio.cdgc_to_record(B)
     rec["window"] = window
@@ -249,7 +248,7 @@ def _map_representation(rec: dict, C: CdgCoalgebra, D: CdgCoalgebra,
 def cmd_hopf(args) -> int:
     C = _load_coalgebra(args.C)
     D = _load_coalgebra(args.D)
-    window = _window(args, _top_degree(D.space) + 2)
+    window = _model_window(args, D.space, 2)
     model = hopf.loop_homology(D, window)
     rep = _map_representation(_load_element(args.map), C, D, model, window)
     inv = hopf.hopf_invariant(rep)
@@ -264,7 +263,7 @@ def cmd_hopf(args) -> int:
 def cmd_homotopic(args) -> int:
     C = _load_coalgebra(args.C)
     D = _load_coalgebra(args.D)
-    window = _window(args, _top_degree(D.space) + 2)
+    window = _model_window(args, D.space, 2)
     model = hopf.loop_homology(D, window)
     fa = _map_representation(_load_element(args.f), C, D, model, window)
     fb = _map_representation(_load_element(args.g), C, D, model, window)
@@ -334,7 +333,7 @@ def cmd_components(args) -> int:
 
 def cmd_transfer(args) -> int:
     C = _load_coalgebra(args.file)
-    window = _cobar_window(args, C, _top_degree(C.space) + 2)
+    window = _model_window(args, C.space, 2)
     t = transfer_linfty(cobar(C, degree_max=window), arity_max=args.arity)
     t.validate()
 

@@ -23,9 +23,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec,
+from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
                      contraction_from_complex, vec_eq)
-from .matrices import ONE, ZERO
+from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra, Truncation
 from .words import canonical_words
 
@@ -93,7 +93,7 @@ class ConvolutionAlgebra:
                 degree = 0
         cols: dict[Key, Vec] = {}
         for (ck, lk), c in v.items():
-            cols.setdefault(ck, {})[lk] = cols.get(ck, {}).get(lk, ZERO) + c
+            add_term(cols.setdefault(ck, {}), lk, c)
         return GradedMap(self.C.space, self.L.space, degree, cols)
 
     def zero_map(self, degree: int = 0) -> GradedMap:
@@ -155,11 +155,7 @@ class ConvolutionAlgebra:
                         vecs.append(fs[sigma[slot]].apply({word[slot]: ONE}))
                     val = self.L.bracket_multi(n, vecs)
                     for lk, c in val.items():
-                        nc = acc.get(lk, ZERO) + F(sgn) * gamma * c
-                        if nc:
-                            acc[lk] = nc
-                        else:
-                            acc.pop(lk, None)
+                        add_term(acc, lk, F(sgn) * gamma * c)
             if acc:
                 cols[ck] = acc
         return GradedMap(self.C.space, self.L.space, out_degree, cols)
@@ -313,11 +309,6 @@ def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,
         for (a, b), c in Cp.delta.get(k, {}).items():
             for a2, c2 in h.apply({a: ONE}).items():
                 for b2, c3 in h.apply({b: ONE}).items():
-                    kk = (a2, b2)
-                    nc = rhs.get(kk, ZERO) + c * c2 * c3
-                    if nc:
-                        rhs[kk] = nc
-                    else:
-                        rhs.pop(kk, None)
-        if {p: c for p, c in lhs.items() if c} != rhs:
+                    add_term(rhs, (a2, b2), c * c2 * c3)
+        if lhs != rhs:
             raise ValueError(f"coproducts disagree after the map at {k!r}")

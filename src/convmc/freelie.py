@@ -17,7 +17,8 @@ from __future__ import annotations
 from itertools import product
 
 from . import matrices
-from .graded import GradedMap, GradedSpace, Key, Vec, vec_add, vec_scale
+from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, vec_add,
+                     vec_scale)
 from .matrices import ONE, ZERO
 
 BR = "br"
@@ -61,13 +62,8 @@ def expand(letters: GradedSpace, e) -> Vec:
         for tv, cv in v.items():
             dv = sum(letters.degree_of[x] for x in tv)
             c = cu * cv
-            swap = c if (du * dv) % 2 else -c
-            for key, cc in ((tu + tv, c), (tv + tu, swap)):
-                nc = out.get(key, ZERO) + cc
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
+            add_term(out, tu + tv, c)
+            add_term(out, tv + tu, c if (du * dv) % 2 else -c)
     return out
 
 
@@ -148,11 +144,7 @@ class FreeLie:
         out: Vec = {}
         for e, c in ev.items():
             for w, cc in expand(self.letters, e).items():
-                nc = out.get(w, ZERO) + c * cc
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
+                add_term(out, w, c * cc)
         return out
 
     def express(self, tv: Vec) -> Vec:
@@ -187,13 +179,8 @@ class FreeLie:
                 if du + dv > self.deg_max:
                     raise ValueError("bracket leaves the truncation window")
                 c = cu * cv
-                swap = c if (du * dv) % 2 else -c
-                for key, cc in ((tu + tv, c), (tv + tu, swap)):
-                    nc = out.get(key, ZERO) + cc
-                    if nc:
-                        out[key] = nc
-                    else:
-                        out.pop(key, None)
+                add_term(out, tu + tv, c)
+                add_term(out, tv + tu, c if (du * dv) % 2 else -c)
         return self.express(out)
 
     def derivation(self, letter_values: dict[Key, Vec], degree: int,

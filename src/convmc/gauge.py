@@ -35,9 +35,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .convolution import ConvolutionAlgebra
-from .graded import GradedMap, Vec
-from .matrices import (ONE, ZERO, coset_reduce, in_span, nullspace,
-                       vectors_equal)
+from .graded import GradedMap, Vec, add_term
+from .matrices import ONE, ZERO, coset_reduce, in_span, nullspace
 from .models import extension_of_scalars
 
 F = Fraction
@@ -100,16 +99,12 @@ class GaugePath:
         self.ext = ext
         self.ext_conv = ConvolutionAlgebra(conv.C, ext)
         cols: dict = {}
-        for k, f in self.p_parts.items():
-            for ck, col in f.entries.items():
-                dst = cols.setdefault(ck, {})
-                for lk, c in col.items():
-                    dst[(("p", k), lk)] = dst.get((("p", k), lk), ZERO) + c
-        for k, f in self.q_parts.items():
-            for ck, col in f.entries.items():
-                dst = cols.setdefault(ck, {})
-                for lk, c in col.items():
-                    dst[(("q", k), lk)] = dst.get((("q", k), lk), ZERO) + c
+        for kind, parts in (("p", self.p_parts), ("q", self.q_parts)):
+            for k, f in parts.items():
+                for ck, col in f.entries.items():
+                    dst = cols.setdefault(ck, {})
+                    for lk, c in col.items():
+                        dst[((kind, k), lk)] = c
         self.z = GradedMap(conv.C.space, ext.space, 0, cols)
 
     def path_check(self) -> GradedMap:
@@ -223,14 +218,10 @@ def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
     ext_conv = ConvolutionAlgebra(conv.C, ext)
     lam_p = _lift(conv, ext, lam, ("p", 0))
     base = _lift(conv, ext, x, ("p", 0))
-    window = ext_conv.arity_window()
     current = base
     for _ in range(poly_bound + 2):
         try:
-            rate = ext_conv.bracket(1, [lam_p])
-            for n in range(1, window):
-                term = ext_conv.bracket(n + 1, [lam_p] + [current] * n)
-                rate = rate + term.scale(F(1, factorial(n)))
+            rate = vector_field(ext_conv, current, lam_p)
             nxt = base + _integrate(conv, ext, rate, poly_bound)
         except ValueError as err:
             raise ValueError(
@@ -253,6 +244,19 @@ def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
 
 # -- certificates --------------------------------------------------------
 
+def _replay_chain(start: GradedMap, paths, end: GradedMap) -> bool:
+    """Every path is a gauge path, each starts where the previous one
+    ended, the first at start, and the last ends at end."""
+    at = start
+    for path in paths:
+        if not path.path_check().is_zero():
+            return False
+        if not path.endpoint(0).equals(at):
+            return False
+        at = path.endpoint(1)
+    return at.equals(end)
+
+
 class Equal:
     """Positive certificate: a chain of gauge paths from x to y."""
 
@@ -270,14 +274,7 @@ class Equal:
             return False
         if not self.conv.mc_check(self.y).is_zero():
             return False
-        at = self.x
-        for path in self.paths:
-            if not path.path_check().is_zero():
-                return False
-            if not path.endpoint(0).equals(at):
-                return False
-            at = path.endpoint(1)
-        return at.equals(self.y)
+        return _replay_chain(self.x, self.paths, self.y)
 
     def __repr__(self):
         return f"Equal(paths={len(self.paths)})"
@@ -354,14 +351,7 @@ class ModuliClass:
     def verify(self) -> bool:
         if not self.conv.mc_check(self.representative).is_zero():
             return False
-        at = self.start
-        for path in self.paths:
-            if not path.path_check().is_zero():
-                return False
-            if not path.endpoint(0).equals(at):
-                return False
-            at = path.endpoint(1)
-        return at.equals(self.representative)
+        return _replay_chain(self.start, self.paths, self.representative)
 
     def __repr__(self):
         return (f"ModuliClass(representative="
@@ -443,13 +433,13 @@ def _abelian_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
                for _, e in dirs]
     xv = _dense(keys0, conv.to_vec(x))
     red = coset_reduce(xv, effects)
-    if vectors_equal(red, xv):
+    if red == xv:
         return ModuliClass(conv, x, x, ())
     coeffs = in_span(effects, [r - c for r, c in zip(red, xv)])
     lam = _combine(conv, dirs, coeffs)
     path = gauge_flow(conv, x, lam, poly_bound)
     rep = path.endpoint(1)
-    if not vectors_equal(_dense(keys0, conv.to_vec(rep)), red):
+    if _dense(keys0, conv.to_vec(rep)) != red:
         raise AssertionError("abelian flow missed its predicted endpoint")
     return ModuliClass(conv, x, rep, (path,))
 
@@ -482,11 +472,11 @@ def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
             for c, eff in zip(combo, effects):
                 if c:
                     for k, v in eff.items():
-                        acc[k] = acc.get(k, ZERO) + c * v
+                        add_term(acc, k, c * v)
             moves.append(_dense(basis_p, acc))
         cur_p = _dense(basis_p, conv.to_vec(current))
         red = coset_reduce(cur_p, moves)
-        if vectors_equal(red, cur_p):
+        if red == cur_p:
             continue
         sel = in_span(moves, [r - c for r, c in zip(red, cur_p)])
         coeffs = [sum((s * combo[j] for s, combo in zip(sel, admissible)),
@@ -497,7 +487,7 @@ def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
         delta = conv.to_vec(end - current)
         if any(c for k, c in delta.items() if cdeg[k[0]] < p):
             raise AssertionError("stage flow disturbed a finished column")
-        if not vectors_equal(_dense(basis_p, conv.to_vec(end)), red):
+        if _dense(basis_p, conv.to_vec(end)) != red:
             raise AssertionError("stage flow missed its predicted column")
         chain.append(path)
         current = end

@@ -13,6 +13,11 @@ Sign conventions used throughout the package:
 
 and more generally a tensor product of maps picks up
 (-1)^{sum_{j<i} |f_i||x_j|}.  Composition of maps carries no sign.
+
+Every signed sum over sparse vectors in the package goes through two
+helpers: add_term is the only way to accumulate a term into a vector
+(a coefficient that sums to zero drops its key), and tensor_terms is the
+only expansion of a tensor product of vectors into its terms.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import matrices
 from .matrices import ONE, ZERO
@@ -41,15 +46,33 @@ def basis_vec(key: Key) -> Vec:
     return {key: ONE}
 
 
+def add_term(out: Vec, key: Key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    nc = out.get(key, ZERO) + c
+    if nc:
+        out[key] = nc
+    else:
+        out.pop(key, None)
+
+
+def tensor_terms(vecs: Iterable[Vec], c=ONE) -> list[tuple[tuple, Fraction]]:
+    """The (key_tuple, coeff) terms of c . v_1 (x) ... (x) v_n, over the
+    supports of the factors in product order; empty as soon as one factor
+    is empty, so a lazy iterable of factors stops being consumed there."""
+    terms: list[tuple[tuple, Fraction]] = [((), c)]
+    for v in vecs:
+        terms = [(keys + (k,), cc * ck)
+                 for keys, cc in terms for k, ck in v.items() if ck]
+        if not terms:
+            return []
+    return terms
+
+
 def vec_add(*vs: Vec) -> Vec:
     out: Vec = {}
     for v in vs:
         for k, c in v.items():
-            nc = out.get(k, ZERO) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
     return out
 
 
@@ -210,11 +233,7 @@ class GradedMap:
             if not col or not c:
                 continue
             for kk, cc in col.items():
-                nc = out.get(kk, ZERO) + c * cc
-                if nc:
-                    out[kk] = nc
-                else:
-                    out.pop(kk, None)
+                add_term(out, kk, c * cc)
         return out
 
     __call__ = apply
@@ -319,8 +338,8 @@ def _apply_tensor(fs: Sequence[GradedMap], key: tuple, dst: GradedSpace) -> Vec:
             continue
         if tup not in dst.degree_of:
             raise ValueError(f"tensor image key {tup!r} outside target window")
-        out[tup] = out.get(tup, ZERO) + c
-    return {k: c for k, c in out.items() if c}
+        add_term(out, tup, c)
+    return out
 
 
 def apply_at_slot(f: GradedMap, slot: int, v: Vec, slot_degree_of: Callable[[Key], int],
@@ -338,11 +357,7 @@ def apply_at_slot(f: GradedMap, slot: int, v: Vec, slot_degree_of: Callable[[Key
                 nk = key[:slot] + kk + key[slot + 1:]
             else:
                 nk = key[:slot] + (kk,) + key[slot + 1:]
-            nc = out.get(nk, ZERO) + sign * c * cc
-            if nc:
-                out[nk] = nc
-            else:
-                out.pop(nk, None)
+            add_term(out, nk, sign * c * cc)
     return out
 
 
@@ -484,13 +499,10 @@ def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
             coords = [Pinv[t][jj] for t in range(dim)]
             # p: the rep-block coordinates
             p_cols[key] = {hkeys[t]: coords[nb + t] for t in range(nh) if coords[nb + t]}
-            # h: boundary-block coordinates go to the chosen preimages upstairs
-            h_cols[key] = {}
-            for t in range(nb):
-                if coords[t]:
-                    pk = preimages[t]
-                    h_cols[key][pk] = h_cols[key].get(pk, ZERO) + coords[t]
-            h_cols[key] = {k: c for k, c in h_cols[key].items() if c}
+            # h: boundary-block coordinates go to the chosen preimages
+            # upstairs, which are distinct pivot columns of d_{n+1}
+            h_cols[key] = {preimages[t]: coords[t] for t in range(nb)
+                           if coords[t]}
 
     h_space = GradedSpace(
         {n: [f"H{n}_{j}" for j in range(len(rep_vecs.get(n, [])))] for n in degs},

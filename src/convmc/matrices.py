@@ -63,12 +63,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((a[i][j] * v[j] for j in range(n) if v[j]), ZERO) for i in range(m)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch in mat_add")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[tuple[int, int]]]:
     """Reduced row echelon form.
 
@@ -191,6 +185,3 @@ def coset_reduce(v: Vector, directions: Sequence[Vector]) -> Vector:
             out = [x - c * y for x, y in zip(out, r[row])]
     return out
 
-
-def vectors_equal(u: Vector, v: Vector) -> bool:
-    return len(u) == len(v) and all(x == y for x, y in zip(u, v))

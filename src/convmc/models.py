@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Sequence
 
 from . import words as wd
 from .freelie import FreeLie
-from .graded import ChainComplex, GradedMap, GradedSpace, Key, Vec, vec_scale
+from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
+                     tensor_terms, vec_scale)
 from .matrices import ONE, ZERO
 
 
@@ -66,11 +66,7 @@ class CdgCoalgebra:
         out: Vec = {}
         for k, c in v.items():
             for pair, cc in self.delta.get(k, {}).items():
-                nc = out.get(pair, ZERO) + c * cc
-                if nc:
-                    out[pair] = nc
-                else:
-                    out.pop(pair, None)
+                add_term(out, pair, c * cc)
         return out
 
     def iterated_coproduct(self, key: Key, n: int) -> Vec:
@@ -85,12 +81,7 @@ class CdgCoalgebra:
                 last = len(tup) - 1
                 # coproduct has degree 0: no slot sign
                 for pair, cc in self.delta.get(tup[last], {}).items():
-                    nk = tup[:last] + pair
-                    nc = nxt.get(nk, ZERO) + c * cc
-                    if nc:
-                        nxt[nk] = nc
-                    else:
-                        nxt.pop(nk, None)
+                    add_term(nxt, tup[:last] + pair, c * cc)
             cur = nxt
         return cur
 
@@ -109,9 +100,8 @@ class CdgCoalgebra:
             flipped: Vec = {}
             for (a, b), c in v.items():
                 s = -ONE if (degf[a] * degf[b]) % 2 else ONE
-                kk = (b, a)
-                flipped[kk] = flipped.get(kk, ZERO) + s * c
-            if {p: c for p, c in flipped.items() if c} != v:
+                add_term(flipped, (b, a), s * c)
+            if flipped != v:
                 raise ValueError(f"coproduct not cocommutative at {k!r}")
         # coassociativity
         for k in self.delta:
@@ -119,13 +109,9 @@ class CdgCoalgebra:
             right: Vec = {}
             for (a, b), c in self.delta[k].items():
                 for (a1, a2), c2 in self.delta.get(a, {}).items():
-                    kk = (a1, a2, b)
-                    left[kk] = left.get(kk, ZERO) + c * c2
+                    add_term(left, (a1, a2, b), c * c2)
                 for (b1, b2), c2 in self.delta.get(b, {}).items():
-                    kk = (a, b1, b2)
-                    right[kk] = right.get(kk, ZERO) + c * c2
-            left = {p: c for p, c in left.items() if c}
-            right = {p: c for p, c in right.items() if c}
+                    add_term(right, (a, b1, b2), c * c2)
             if left != right:
                 raise ValueError(f"coproduct not coassociative at {k!r}")
         # d is a coderivation: delta d = (d (x) id + id (x) d) delta
@@ -134,13 +120,10 @@ class CdgCoalgebra:
             rhs: Vec = {}
             for (a, b), c in self.delta.get(k, {}).items():
                 for a2, c2 in self.d.column(a).items():
-                    kk = (a2, b)
-                    rhs[kk] = rhs.get(kk, ZERO) + c * c2
+                    add_term(rhs, (a2, b), c * c2)
                 s = -ONE if degf[a] % 2 else ONE
                 for b2, c2 in self.d.column(b).items():
-                    kk = (a, b2)
-                    rhs[kk] = rhs.get(kk, ZERO) + s * c * c2
-            rhs = {p: c for p, c in rhs.items() if c}
+                    add_term(rhs, (a, b2), s * c * c2)
             if lhs != rhs:
                 raise ValueError(f"differential is not a coderivation at {k!r}")
 
@@ -214,19 +197,9 @@ class LInfinityAlgebra:
         if len(vecs) != n:
             raise ValueError("arity mismatch")
         out: Vec = {}
-        stack: list[tuple[list, Fraction]] = [([], ONE)]
-        for v in vecs:
-            stack = [(args + [k], c * cc)
-                     for args, c in stack for k, cc in v.items() if cc]
-            if not stack:
-                return {}
-        for args, c in stack:
+        for args, c in tensor_terms(vecs):
             for k, cc in self.bracket(n, args).items():
-                nc = out.get(k, ZERO) + c * cc
-                if nc:
-                    out[k] = nc
-                else:
-                    out.pop(k, None)
+                add_term(out, k, c * cc)
         return out
 
     # -- structure queries ----------------------------------------------
@@ -261,20 +234,10 @@ class LInfinityAlgebra:
             outer = m - j + 1
             if j not in self.arities and not self.brackets.get(j):
                 continue
-            for subset in combinations(range(m), j):
-                chosen = set(subset)
-                block = tuple(word[i] for i in subset)
-                rest = tuple(word[i] for i in range(m) if i not in chosen)
-                sgn = wd.unshuffle_sign(degs, subset)
-                inner = self.bracket(j, block)
-                for let, c in inner.items():
-                    term = self.bracket(outer, (let,) + rest)
-                    for k, cc in term.items():
-                        nc = out.get(k, ZERO) + sgn * c * cc
-                        if nc:
-                            out[k] = nc
-                        else:
-                            out.pop(k, None)
+            for block, rest, sgn in wd.unshuffles(degs, word, j):
+                for let, c in self.bracket(j, block).items():
+                    for k, cc in self.bracket(outer, (let,) + rest).items():
+                        add_term(out, k, sgn * c * cc)
         return out
 
     def validate(self, truncation: Truncation | None = None):
@@ -483,17 +446,14 @@ def extension_of_scalars(L: LInfinityAlgebra, poly_bound: int
         if n == 1:
             # l1 = d_Omega (x) id + id (x) l1 with the usual sign
             for fk2, c in omega.d(forms[0]).items():
-                out[(fk2, lets[0])] = out.get((fk2, lets[0]), ZERO) + c
+                add_term(out, (fk2, lets[0]), c)
             s = -ONE if omega.degree(forms[0]) % 2 else ONE
             for let2, c in L.bracket(1, (lets[0],)).items():
-                k2 = (forms[0], let2)
-                out[k2] = out.get(k2, ZERO) + s * c
-            return {k: c for k, c in out.items() if c}
-        val = L.bracket(n, tuple(lets))
-        for let2, c in val.items():
-            k2 = (acc, let2)
-            out[k2] = out.get(k2, ZERO) + sgn * coeff * c
-        return {k: c for k, c in out.items() if c}
+                add_term(out, (forms[0], let2), s * c)
+            return out
+        for let2, c in L.bracket(n, tuple(lets)).items():
+            add_term(out, (acc, let2), sgn * coeff * c)
+        return out
 
     ext = LInfinityAlgebra(ext_space, {}, name=f"Omega({L.name})",
                            arities=sorted(set(L.arities) | {1}),

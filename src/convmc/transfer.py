@@ -37,16 +37,15 @@ identity at every arity, so the convention is tested rather than trusted.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from . import words as wd
 from .barcobar import CobarAlgebra, twisting_residual
 from .convolution import ConvolutionAlgebra
 from .gauge import GaugePath
-from .graded import (Contraction, GradedMap, GradedSpace, Key, Vec,
-                     contraction_from_complex, vec_scale)
-from .matrices import ONE, ZERO
+from .graded import (Contraction, GradedMap, GradedSpace, Key, Vec, add_term,
+                     contraction_from_complex, tensor_terms, vec_scale)
+from .matrices import ONE
 from .models import CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation
 
 F = Fraction
@@ -62,11 +61,7 @@ def _accum(letters: GradedSpace, acc: WVec, seq: tuple, coeff: Fraction) -> None
     if sorted_word is None:
         return
     word, sign = sorted_word
-    new = acc.get(word, ZERO) + sign * coeff
-    if new:
-        acc[word] = new
-    else:
-        acc.pop(word, None)
+    add_term(acc, word, sign * coeff)
 
 
 class InfinityMorphism:
@@ -139,19 +134,9 @@ class InfinityMorphism:
         if len(vecs) != n:
             raise ValueError(f"component of arity {n} got {len(vecs)} vectors")
         out: Vec = {}
-        terms = [((), ONE)]
-        for v in vecs:
-            terms = [(keys + (k,), c * ck)
-                     for keys, c in terms for k, ck in v.items() if ck]
-            if not terms:
-                return {}
-        for keys, c in terms:
+        for keys, c in tensor_terms(vecs):
             for k, ck in self.component(n, keys).items():
-                new = out.get(k, ZERO) + c * ck
-                if new:
-                    out[k] = new
-                else:
-                    out.pop(k, None)
+                add_term(out, k, c * ck)
         return out
 
     def coherence_residual(self, word) -> Vec:
@@ -181,27 +166,12 @@ class InfinityMorphism:
             if vecs is None:
                 continue
             for k, c in self.target.bracket_multi(len(blocks), vecs).items():
-                new = out.get(k, ZERO) + sign * c
-                if new:
-                    out[k] = new
-                else:
-                    out.pop(k, None)
+                add_term(out, k, sign * c)
         for j in range(1, n + 1):
-            for subset in combinations(range(n), j):
-                block = tuple(word[i] for i in subset)
-                chosen = set(subset)
-                rest = tuple(word[i] for i in range(n) if i not in chosen)
-                sign = wd.unshuffle_sign(degs, subset)
-                inner = self.source.bracket(j, block)
-                if not inner:
-                    continue
-                for let, c in inner.items():
+            for block, rest, sign in wd.unshuffles(degs, word, j):
+                for let, c in self.source.bracket(j, block).items():
                     for k, ck in self.component(n - j + 1, (let,) + rest).items():
-                        new = out.get(k, ZERO) - sign * c * ck
-                        if new:
-                            out[k] = new
-                        else:
-                            out.pop(k, None)
+                        add_term(out, k, -sign * c * ck)
         return out
 
     def coherent_on(self, words) -> bool:
@@ -245,15 +215,8 @@ class TransferredLInfinity:
         """Apply an even degree-0 map to every letter of every word."""
         out: WVec = {}
         for word, c in wv.items():
-            terms = [((), c)]
-            for let in word:
-                img = m.entries.get(let)
-                if not img:
-                    terms = []
-                    break
-                terms = [(seq + (k,), cc * ck)
-                         for seq, cc in terms for k, ck in img.items()]
-            for seq, cc in terms:
+            images = (m.entries.get(let, {}) for let in word)
+            for seq, cc in tensor_terms(images, c):
                 _accum(m.dst, out, seq, cc)
         return out
 
@@ -269,11 +232,7 @@ class TransferredLInfinity:
             for arity, op in self._delta_ops.items():
                 if arity > n:
                     continue
-                for subset in combinations(range(n), arity):
-                    chosen = set(subset)
-                    block = tuple(word[i] for i in subset)
-                    rest = tuple(word[i] for i in range(n) if i not in chosen)
-                    sign = wd.unshuffle_sign(degs, subset)
+                for block, rest, sign in wd.unshuffles(degs, word, arity):
                     for let, ck in op(block).items():
                         _accum(letters, out, (let,) + rest, sign * ck * c)
         return out
@@ -321,11 +280,7 @@ class TransferredLInfinity:
             longer: WVec = {}
             for word, c in cur.items():
                 if len(word) == 1:
-                    new = out.get(word[0], ZERO) + c
-                    if new:
-                        out[word[0]] = new
-                    else:
-                        out.pop(word[0], None)
+                    add_term(out, word[0], c)
                 else:
                     longer[word] = c
             if not longer:
@@ -515,11 +470,7 @@ def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,
                 if vecs is None:
                     continue
                 for k, c in f.component_multi(n, vecs).items():
-                    new = acc.get(k, ZERO) + weight * gamma * c
-                    if new:
-                        acc[k] = new
-                    else:
-                        acc.pop(k, None)
+                    add_term(acc, k, weight * gamma * c)
         if acc:
             cols[ck] = acc
     return GradedMap(coalgebra.space, f.target.space, 0, cols,
@@ -584,12 +535,8 @@ def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
                     if not val:
                         continue
                     for vk, c4 in val.items():
-                        key2 = (fk, vk)
-                        new = acc.get(key2, ZERO) + weight * gamma * sign * cc * fc * c4
-                        if new:
-                            acc[key2] = new
-                        else:
-                            acc.pop(key2, None)
+                        add_term(acc, (fk, vk),
+                                 weight * gamma * sign * cc * fc * c4)
         for (fk, vk), c in acc.items():
             kind, kdeg = fk
             store = p_cols if kind == "p" else q_cols

@@ -9,6 +9,9 @@ degrees.
 
 Conventions pinned here and relied on everywhere downstream:
 
+  * unshuffles is the single enumeration of position subsets: for each
+    k-subset, in combinations order, the chosen block, the rest and the
+    Koszul sign of moving the block to the front.
   * reduced_coproduct_terms sums over proper nonempty position subsets, so
     a squared even letter x gives  x.x |-> 2 (x (x) x).
   * coderivation applies the arity-n component to the chosen front block,
@@ -26,8 +29,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Iterator, Sequence
 
-from .graded import GradedMap, GradedSpace, Key, Vec
-from .matrices import ZERO
+from .graded import GradedMap, GradedSpace, Key, Vec, add_term, tensor_terms
 
 
 def sort_letters(letters: GradedSpace, seq: Sequence[Key]):
@@ -105,11 +107,7 @@ def wordify(letters: GradedSpace, tensor_vec: Vec) -> Vec:
         if sw is None:
             continue
         word, sign = sw
-        nc = out.get(word, ZERO) + sign * c
-        if nc:
-            out[word] = nc
-        else:
-            out.pop(word, None)
+        add_term(out, word, sign * c)
     return out
 
 
@@ -128,12 +126,7 @@ def symmetrize(letters: GradedSpace, word: tuple) -> Vec:
             for j in range(i + 1, n):
                 if perm[i] > perm[j] and (degs[perm[i]] * degs[perm[j]]) % 2:
                     sign = -sign
-        tup = tuple(word[p] for p in perm)
-        nc = out.get(tup, ZERO) + sign * coeff
-        if nc:
-            out[tup] = nc
-        else:
-            out.pop(tup, None)
+        add_term(out, tuple(word[p] for p in perm), sign * coeff)
     return out
 
 
@@ -149,21 +142,28 @@ def unshuffle_sign(degs: Sequence[int], subset: Sequence[int]) -> int:
     return sign
 
 
+def unshuffles(degs: Sequence[int], word: tuple, k: int
+               ) -> Iterator[tuple[tuple, tuple, int]]:
+    """(block, rest, sign) for each k-subset of the positions of word, in
+    combinations order: block holds the chosen letters and rest the
+    others, both in word order, and sign is the Koszul sign of moving the
+    block to the front.  degs[i] is the degree of word[i]."""
+    n = len(word)
+    for subset in combinations(range(n), k):
+        chosen = set(subset)
+        yield (tuple(word[i] for i in subset),
+               tuple(word[i] for i in range(n) if i not in chosen),
+               unshuffle_sign(degs, subset))
+
+
 def reduced_coproduct_terms(letters: GradedSpace, word: tuple):
     """[( (left_word, right_word), coeff )] over proper nonempty position
     subsets.  Both halves of a sorted word stay sorted, so no resorting is
     needed, only the unshuffle sign."""
-    n = len(word)
     degs = [letters.degree_of[let] for let in word]
-    terms = []
-    for k in range(1, n):
-        for subset in combinations(range(n), k):
-            chosen = set(subset)
-            left = tuple(word[i] for i in subset)
-            right = tuple(word[i] for i in range(n) if i not in chosen)
-            sign = unshuffle_sign(degs, subset)
-            terms.append(((left, right), Fraction(sign)))
-    return terms
+    return [((left, right), Fraction(sign))
+            for k in range(1, len(word))
+            for left, right, sign in unshuffles(degs, word, k)]
 
 
 def insert_letter(letters: GradedSpace, word: tuple, let: Key):
@@ -195,23 +195,13 @@ def coderivation(components: dict[int, Callable[[tuple], Vec]],
         for arity, comp in components.items():
             if arity > n:
                 continue
-            for subset in combinations(range(n), arity):
-                chosen = set(subset)
-                block = tuple(word[i] for i in subset)
-                rest = tuple(word[i] for i in range(n) if i not in chosen)
-                sign = unshuffle_sign(degs, subset)
-                img = comp(block)
-                for let, c in img.items():
+            for block, rest, sign in unshuffles(degs, word, arity):
+                for let, c in comp(block).items():
                     ins = insert_letter(letters, rest, let)
                     if ins is None:
                         continue
                     new_word, s2 = ins
-                    coeff = sign * s2 * c
-                    nc = col.get(new_word, ZERO) + coeff
-                    if nc:
-                        col[new_word] = nc
-                    else:
-                        col.pop(new_word, None)
+                    add_term(col, new_word, sign * s2 * c)
         if col:
             out.set_column(word, col)
     return out
@@ -272,26 +262,15 @@ def coalgebra_morphism(components: dict[int, Callable[[tuple], Vec]],
         for blocks in set_partitions(n):
             if any(len(b) not in components for b in blocks):
                 continue
-            sign = blocks_sign(degs, blocks)
-            terms: list[tuple[tuple, Fraction]] = [((), Fraction(sign))]
-            for b in blocks:
-                sub = tuple(word[i] for i in b)
-                img = components[len(b)](sub)
-                if not img:
-                    terms = []
-                    break
-                terms = [(pre + (let,), c * cc)
-                         for pre, c in terms for let, cc in img.items()]
-            for tup, c in terms:
+            images = (components[len(b)](tuple(word[i] for i in b))
+                      for b in blocks)
+            for tup, c in tensor_terms(images,
+                                       Fraction(blocks_sign(degs, blocks))):
                 sw = sort_letters(dst_letters, tup)
                 if sw is None:
                     continue
                 word2, s2 = sw
-                nc = col.get(word2, ZERO) + s2 * c
-                if nc:
-                    col[word2] = nc
-                else:
-                    col.pop(word2, None)
+                add_term(col, word2, s2 * c)
         if col:
             out.set_column(word, col)
     return out

@@ -226,8 +226,8 @@ def test_window_flag_beats_environment(capsys, monkeypatch):
 
 # -- refusals -----------------------------------------------------------------
 
-def refusal(capsys, argv):
-    code, out, err = run(capsys, argv)
+def refusal(capsys, argv, where=None):
+    code, out, err = run(capsys, argv, where)
     assert (code, out) == (2, "")
     return json.loads(err)
 
@@ -246,6 +246,28 @@ def test_window_below_the_lowest_class_is_refused(capsys, monkeypatch,
     # the lowest class itself is still in the window
     code, out, _ = run(capsys, [command, "s2", "--window", "2"])
     assert code == 0 and json.loads(out)["window"] == 2
+
+
+def test_bar_window_below_the_carrier_is_refused(capsys):
+    # pi(S2) sits in degrees 2 and 3: a smaller window leaves no word
+    for window in ("0", "1"):
+        err = refusal(capsys, ["bar", "pi_s2", "--window", window])
+        assert err["where"] == "--window"
+        assert f"window {window} is below degree 2" in err["error"]
+    code, out, _ = run(capsys, ["bar", "pi_s2", "--window", "2"])
+    assert code == 0
+    assert json.loads(out)["basis"] == [{"degree": 2, "name": ["x"]}]
+
+
+@pytest.mark.parametrize("argv", [["hopf", "s3", "s2", "@eta1"],
+                                  ["homotopic", "s3", "s2", "@eta1", "@eta2"]],
+                         ids=["hopf", "homotopic"])
+def test_loop_model_window_below_the_target_is_refused(files, capsys, argv):
+    # the loop model of S2 at window 1 has no generators, so the element
+    # names a class that is missing: the window is what is wrong
+    err = refusal(capsys, argv + ["--window", "1"], files)
+    assert err["where"] == "--window"
+    assert "window 1 is below degree 2" in err["error"]
 
 
 def test_transfer_at_the_lowest_window_keeps_pi_2(capsys):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from convmc.graded import (
-    ChainComplex, Contraction, GradedMap, GradedSpace, apply_at_slot,
-    basis_vec, contraction_from_complex, homology, tensor_map, tensor_space,
-    vec_add, vec_eq, vec_scale, vec_sub,
+    ChainComplex, Contraction, GradedMap, GradedSpace, add_term,
+    apply_at_slot, basis_vec, contraction_from_complex, homology, tensor_map,
+    tensor_space, tensor_terms, vec_add, vec_eq, vec_scale, vec_sub,
 )
 
 F = Fraction
@@ -32,6 +33,37 @@ def test_vector_helpers():
     assert vec_sub(a, a) == {}
     assert vec_scale(F(1, 2), a) == {"x": F(1)}
     assert vec_eq({"x": F(0), "y": F(1)}, {"y": F(1)})
+    out = {"x": F(1)}
+    add_term(out, "x", F(-1))
+    assert out == {}
+    add_term(out, "y", F(2))
+    add_term(out, "y", F(1, 2))
+    add_term(out, "z", F(0))
+    assert out == {"y": F(5, 2)}
+
+
+def test_tensor_terms_match_the_product_of_supports():
+    u = {"a": F(2), "b": F(-1)}
+    v = {"x": F(3), "z": F(0), "y": F(1, 2)}  # z is not in the support
+    w = {"p": F(5)}
+    for vecs, c in [([u, v, w], F(7)), ([v, u], F(1)), ([u], F(-1)),
+                    ([], F(3)), ([u, {}, w], F(1)), ([{}], F(1))]:
+        supports = [[(k, x) for k, x in vec.items() if x] for vec in vecs]
+        want = []
+        for combo in product(*supports):
+            coeff = c
+            for _, x in combo:
+                coeff *= x
+            want.append((tuple(k for k, _ in combo), coeff))
+        assert tensor_terms(vecs, c) == want
+    assert tensor_terms([u, v]) == tensor_terms([u, v], F(1))
+
+    def factors():
+        yield u
+        yield {}
+        raise AssertionError("a factor after an empty one was read")
+
+    assert tensor_terms(factors()) == []
 
 
 def test_map_degree_check():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+
+from hypothesis import given, settings, strategies as st
 
 from convmc.graded import GradedSpace
 from convmc import words as wd
@@ -38,6 +40,25 @@ def test_canonical_words_are_the_words_sort_letters_keeps():
         ("b", "a"), ("b", "u"), ("b", "z"), ("b", "y")]
     assert ("u", "u") in wd.canonical_words(L, 2)
     assert ("a", "a") not in wd.canonical_words(L, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3)),
+                max_size=6), st.data())
+def test_unshuffles_split_the_word_with_the_blocks_sign(letters, data):
+    word = tuple(let for let, _ in letters)
+    degs = [d for _, d in letters]
+    n = len(word)
+    k = data.draw(st.integers(0, n))
+    got = list(wd.unshuffles(degs, word, k))
+    subsets = list(combinations(range(n), k))
+    assert len(got) == len(subsets)
+    for (block, rest, sign), subset in zip(got, subsets):
+        complement = tuple(i for i in range(n) if i not in subset)
+        # block and rest partition the positions, each in word order
+        assert block == tuple(word[i] for i in subset)
+        assert rest == tuple(word[i] for i in complement)
+        assert sign == wd.blocks_sign(degs, [subset, complement])
 
 
 def test_word_space_enumeration():
