@@ -16,7 +16,9 @@ environment variable, then a per-command default.  Every command with a
 window refuses one below the lowest degree of the space its model is
 built on (the carrier of L for bar, the coalgebra for cobar and
 transfer, the target coalgebra for hopf and homotopic), since that
-model would be empty.
+model would be empty.  hopf and homotopic also refuse a window that leaves
+the top degree of the source above exact_through (window - 1), where the
+loop model is only a truncation artifact.
 """
 
 from __future__ import annotations
@@ -88,16 +90,25 @@ def _window(args, fallback: int) -> int:
     return fallback
 
 
-def _model_window(args, space, margin: int) -> int:
+def _model_window(args, space, margin: int, source=None) -> int:
     """The window for a model built on space, by default margin above its
-    top degree; one below the lowest degree of space would leave the model
-    empty."""
-    window = _window(args, max(space.degrees(), default=2) + margin)
+    top degree and the top degree of source.  One below the lowest degree
+    of space would leave the model empty.  A map from source is read in the
+    model through its classes, so the window must also keep source's top
+    degree at or below exact_through (window - 1)."""
+    tops = space.degrees() + (source.degrees() if source else [])
+    window = _window(args, max(tops, default=2) + margin)
     low = space.deg_min
     if space.degrees() and window < low:
         raise ModelFileError("--window", f"window {window} is below degree "
                              f"{low}, the lowest degree of {space.name}; "
                              "the model built on it would be empty")
+    if source is not None and source.degrees() and window <= source.deg_max:
+        raise ModelFileError("--window", f"window {window} is exact only "
+                             f"through degree {window - 1}, below degree "
+                             f"{source.deg_max}, the top degree of "
+                             f"{source.name}; the map would be read on "
+                             "truncation artifacts")
     return window
 
 
@@ -248,7 +259,7 @@ def _map_representation(rec: dict, C: CdgCoalgebra, D: CdgCoalgebra,
 def cmd_hopf(args) -> int:
     C = _load_coalgebra(args.C)
     D = _load_coalgebra(args.D)
-    window = _model_window(args, D.space, 2)
+    window = _model_window(args, D.space, 2, C.space)
     model = hopf.loop_homology(D, window)
     rep = _map_representation(_load_element(args.map), C, D, model, window)
     inv = hopf.hopf_invariant(rep)
@@ -263,7 +274,7 @@ def cmd_hopf(args) -> int:
 def cmd_homotopic(args) -> int:
     C = _load_coalgebra(args.C)
     D = _load_coalgebra(args.D)
-    window = _model_window(args, D.space, 2)
+    window = _model_window(args, D.space, 2, C.space)
     model = hopf.loop_homology(D, window)
     fa = _map_representation(_load_element(args.f), C, D, model, window)
     fb = _map_representation(_load_element(args.g), C, D, model, window)

@@ -8,18 +8,20 @@ applied where the Lie algebra is consumed, not here.
 
 Bracket expressions are nested tuples ("br", left, right) over letter keys.
 Left-normed expressions span the free Lie algebra, so bases are chosen by
-expanding left-normed words in a fixed enumeration order and keeping the
-ones that grow the rank (deterministic, so every run picks the same basis).
+expanding left-normed words degree by degree, in the order of the tensor
+words of that degree, and keeping the ones that grow the rank
+(deterministic, so every run picks the same basis).  One echelon of the
+accepted expansions per degree serves both the scan and express.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
 
 from . import matrices
 from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, vec_add,
                      vec_scale)
-from .matrices import ONE, ZERO
+from .matrices import ONE
 
 BR = "br"
 
@@ -68,6 +70,9 @@ def expand(letters: GradedSpace, e) -> Vec:
 
 
 def _tensor_words(letters: GradedSpace, deg_max: int) -> dict[int, list[tuple]]:
+    """Tensor words by degree up to deg_max, each degree ordered by length
+    and then lexicographically in the letters' sort order: the order in
+    which FreeLie offers their left-normed brackets to the basis."""
     keys = sorted(letters.all_keys(), key=letters.sort_key)
     min_deg = min((letters.degree_of[k] for k in keys), default=1)
     if min_deg < 1:
@@ -99,46 +104,18 @@ class FreeLie:
                 raise ValueError("letter key collides with bracket tag")
         self.letters = letters
         self.deg_max = deg_max
-        self.tword = _tensor_words(letters, deg_max)
-        self.tindex = {d: {w: i for i, w in enumerate(ws)}
-                       for d, ws in self.tword.items()}
-
-        keys_sorted = sorted(letters.all_keys(), key=letters.sort_key)
-        min_deg = min((letters.degree_of[k] for k in keys_sorted), default=1)
         basis_by_deg: dict[int, list] = {}
-        col_by_deg: dict[int, list[list]] = {}
-        weight = 1
-        while weight * min_deg <= deg_max:
-            for seq in product(keys_sorted, repeat=weight):
-                d = sum(letters.degree_of[k] for k in seq)
-                if d > deg_max:
-                    continue
-                e = seq[0]
-                for k in seq[1:]:
-                    e = br(e, k)
-                coords = self._coords(expand(letters, e), d)
-                if all(c == 0 for c in coords):
-                    continue
-                cols = col_by_deg.setdefault(d, [])
-                cand = cols + [coords]
-                if matrices.rank([list(r) for r in zip(*cand)]) > len(cols):
-                    cols.append(coords)
+        self._echelons: dict[int, matrices.Echelon] = {}
+        for d, words in sorted(_tensor_words(letters, deg_max).items()):
+            ech = self._echelons[d] = matrices.Echelon()
+            for word in words:
+                e = reduce(br, word)   # left-normed: [[w1, w2], w3] ...
+                if ech.add(expand(letters, e)):
                     basis_by_deg.setdefault(d, []).append(e)
-            weight += 1
         self.space = GradedSpace(basis_by_deg, name=f"L({letters.name})")
-        self._cols = col_by_deg
 
     def dim(self, n: int) -> int:
         return self.space.dim(n)
-
-    def _coords(self, tv: Vec, degree: int) -> list:
-        idx = self.tindex.get(degree, {})
-        out = [ZERO] * len(idx)
-        for w, c in tv.items():
-            if w not in idx:
-                raise ValueError(f"tensor word {w!r} outside the truncation")
-            out[idx[w]] = c
-        return out
 
     def expand_vec(self, ev: Vec) -> Vec:
         out: Vec = {}
@@ -157,9 +134,9 @@ class FreeLie:
         for d in sorted(degs):
             part = {w: c for w, c in tv.items()
                     if sum(self.letters.degree_of[x] for x in w) == d}
-            target = self._coords(part, d)
-            cols = self._cols.get(d, [])
-            sol = matrices.in_span(cols, target)
+            if d not in self._echelons:
+                raise ValueError(f"degree {d} is outside the truncation")
+            sol = self._echelons[d].coords(part)
             if sol is None:
                 raise ValueError(f"vector is not in the Lie span in degree {d}")
             for e, c in zip(self.space.basis(d), sol):

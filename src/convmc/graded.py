@@ -15,7 +15,8 @@ and more generally a tensor product of maps picks up
 (-1)^{sum_{j<i} |f_i||x_j|}.  Composition of maps carries no sign.
 
 Every signed sum over sparse vectors in the package goes through two
-helpers: add_term is the only way to accumulate a term into a vector
+helpers: add_term (defined in matrices, whose Echelon reduces with it,
+and re-exported here) is the only way to accumulate a term into a vector
 (a coefficient that sums to zero drops its key), and tensor_terms is the
 only expansion of a tensor product of vectors into its terms.
 """
@@ -29,7 +30,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import matrices
-from .matrices import ONE, ZERO
+from .matrices import ONE, ZERO, add_term
 
 Key = Hashable
 Vec = dict  # dict[Key, Fraction]
@@ -44,15 +45,6 @@ def vec(*pairs) -> Vec:
 
 def basis_vec(key: Key) -> Vec:
     return {key: ONE}
-
-
-def add_term(out: Vec, key: Key, c) -> None:
-    """out[key] += c, dropping the key when the sum is zero."""
-    nc = out.get(key, ZERO) + c
-    if nc:
-        out[key] = nc
-    else:
-        out.pop(key, None)
 
 
 def tensor_terms(vecs: Iterable[Vec], c=ONE) -> list[tuple[tuple, Fraction]]:
@@ -469,15 +461,10 @@ def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
                 b_basis.append([dn1[i][j] for i in range(dim)])
                 preimages.append(up_keys[j])
         # extend boundary basis to the cycles, deterministically
-        reps: list = []
-        span = [list(v) for v in b_basis]
-        r = matrices.rank(span) if span else 0
-        for v in z_basis:
-            cand = span + [list(v)]
-            if matrices.rank(cand) > r:
-                span = cand
-                r += 1
-                reps.append(v)
+        span = matrices.Echelon()
+        for v in b_basis:
+            span.add(dict(enumerate(v)))
+        reps = [v for v in z_basis if span.add(dict(enumerate(v)))]
         rep_vecs[n] = reps
         # assemble the change of basis [B | reps | U] where U is the span of
         # the pivot standard vectors of d_n (the complement of the cycles)

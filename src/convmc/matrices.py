@@ -1,12 +1,18 @@
-"""Dense exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction: dense row reduction and one
+incremental sparse echelon basis.
 
-Everything downstream (homology, contractions, gauge solves, moduli normal
-forms) reduces to row operations on small dense matrices with Fraction
-entries.  Pivoting is deterministic: scan columns left to right, take the
-first row with a nonzero entry.  No floating point enters anywhere.
+Homology, contractions, gauge solves and moduli normal forms reduce to
+row operations on small dense matrices with Fraction entries.  Pivoting is
+deterministic: scan columns left to right, take the first row with a
+nonzero entry.  Matrices are lists of rows, rows are lists of Fraction.
+Vectors are lists of Fraction.  These functions return fresh objects and
+never mutate arguments.
 
-Matrices are lists of rows, rows are lists of Fraction.  Vectors are lists
-of Fraction.  Functions return fresh objects and never mutate arguments.
+Echelon is the incremental kernel for a span that grows one vector at a
+time and is queried many times: FreeLie keeps one per degree for its
+basis scan and for express, and contraction_from_complex extends the
+boundaries to the cycles with one.  Its vectors are sparse dicts
+{key: Fraction}.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -185,3 +191,62 @@ def coset_reduce(v: Vector, directions: Sequence[Vector]) -> Vector:
             out = [x - c * y for x, y in zip(out, r[row])]
     return out
 
+
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    nc = out.get(key, ZERO) + c
+    if nc:
+        out[key] = nc
+    else:
+        out.pop(key, None)
+
+
+class Echelon:
+    """Echelon basis of the span of the sparse vectors accepted so far.
+
+    Row j is accepted vector j reduced against rows 0..j-1 and scaled to 1
+    at its pivot, so it vanishes at every earlier pivot, and it carries
+    its combination of the accepted vectors.  One forward pass over the
+    rows therefore reduces a vector and yields its coordinates.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple] = []   # (pivot, row, combination)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: dict) -> tuple[dict, dict]:
+        """(residual, comb) with v = residual + sum comb[j] accepted_j."""
+        res = {k: x for k, x in v.items() if x}
+        comb: dict = {}
+        for pivot, row, rc in self._rows:
+            c = res.get(pivot)
+            if c:
+                for k, x in row.items():
+                    add_term(res, k, -c * x)
+                for j, x in rc.items():
+                    add_term(comb, j, c * x)
+        return res, comb
+
+    def add(self, v: dict) -> bool:
+        """Accept v if it grows the span; return whether it did."""
+        res, comb = self._reduce(v)
+        if not res:
+            return False
+        pivot = next(iter(res))
+        inv = ONE / res[pivot]
+        combination = {j: -inv * x for j, x in comb.items()}
+        combination[self.rank] = inv
+        self._rows.append((pivot, {k: inv * x for k, x in res.items()},
+                           combination))
+        return True
+
+    def coords(self, v: dict) -> list | None:
+        """Coordinates of v in the accepted vectors, or None when v is
+        outside their span."""
+        res, comb = self._reduce(v)
+        if res:
+            return None
+        return [comb.get(j, ZERO) for j in range(self.rank)]

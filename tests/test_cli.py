@@ -113,12 +113,16 @@ GOLDEN = [
      "d5b3c666d89419e17a0c91e8c3afaf8c53e495969a4da7b606d7cbd64d7a72d4"),
     (["pi", "s3", "pi_s2", "@whitehead", "--n", "3"], 0,
      "1d9c8782898929809b9426f144aeb3dd79274a42a5cf0fb00be73533fc2482cd"),
+    (["hopf", "s3", "s2", "@eta1", "--window", "4"], 0,
+     "e186990b6192db669fe7a243e19d4c755ae91584a21ed821b24acf908603d6ef"),
     (["hopf", "s3", "s2", "@eta1", "--window", "5"], 0,
      "ea8636cc83a0a2521038564c9683929e4c851aac818415646b2d3df2ad08a4cc"),
     (["hopf", "cp2", "cp2", "@cp2_id"], 0,
      "5938303170df7755b43ccb97f3f8a983283095c30f9b3c5418d792ee9d435045"),
     (["homotopic", "s3", "s2", "@eta1", "@eta1", "--window", "5"], 0,
      "b0cfa6c379e5d4a6631c16a8f8d1892205fe4e4e431080bdfa84e7812de4355c"),
+    (["homotopic", "s3", "s2", "@eta1", "@eta2", "--window", "4"], 1,
+     "f1faf2e99e79580ad4d303298d71187d51aaf40cf7de294aae37aea1a2a67d78"),
     (["homotopic", "s3", "s2", "@eta1", "@eta2", "--window", "5"], 1,
      "5a671e8dc8c4273eac518a296457be1a7a500263f5e66812813de03373c8094d"),
     (["gauge-check", "@undecided"], 3,
@@ -268,6 +272,19 @@ def test_loop_model_window_below_the_target_is_refused(files, capsys, argv):
     err = refusal(capsys, argv + ["--window", "1"], files)
     assert err["where"] == "--window"
     assert "window 1 is below degree 2" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [["hopf", "s3", "s2", "@eta1"],
+                                  ["homotopic", "s3", "s2", "@eta1", "@eta2"]],
+                         ids=["hopf", "homotopic"])
+def test_loop_model_window_below_the_source_is_refused(files, capsys, argv):
+    # eta1 sends the class of S3 to H3_0 in degree 3: at window 3 the loop
+    # model is exact only through degree 2, and at window 2 it has no H3_0
+    for window in ("2", "3"):
+        err = refusal(capsys, argv + ["--window", window], files)
+        assert err["where"] == "--window"
+        assert (f"window {window} is exact only through degree "
+                f"{int(window) - 1}, below degree 3") in err["error"]
 
 
 def test_transfer_at_the_lowest_window_keeps_pi_2(capsys):

@@ -97,3 +97,47 @@ def test_derivation_leibniz_and_square():
 def test_format_expr():
     assert format_expr(br(br("a", "a"), "b")) == "[[a,a],b]"
     assert expr_degree(projective_plane_letters(), br("a", "b")) == 4
+
+
+def pbw_dims(letter_degrees, top):
+    """dim L_n for n <= top from PBW alone, in plain integers: the tensor
+    algebra T(V), with Hilbert series 1 / (1 - V(t)), equals
+    prod_n (1 + t^n)^{dim L_n} for odd n times (1 - t^n)^{-dim L_n} for
+    even n.  The factor of degree n is the first to reach t^n with a
+    linear term, so dim L_n is the gap between T(V) and the product of the
+    factors below n, read at t^n."""
+    tensor = [1] + [0] * top
+    for n in range(1, top + 1):
+        tensor[n] = sum(tensor[n - d] for d in letter_degrees if d <= n)
+    prod = [1] + [0] * top
+    dims = {}
+    for n in range(1, top + 1):
+        dims[n] = tensor[n] - prod[n]
+        for _ in range(dims[n]):
+            if n % 2:   # times (1 + t^n): update from the top down
+                for i in range(top, n - 1, -1):
+                    prod[i] += prod[i - n]
+            else:       # divided by (1 - t^n): update from the bottom up
+                for i in range(n, top + 1):
+                    prod[i] += prod[i - n]
+    return dims
+
+
+def test_pbw_oracle_on_known_dims():
+    # the hand-checked cases above, read off the oracle
+    assert pbw_dims([1, 1], 4) == {1: 2, 2: 3, 3: 2, 4: 3}
+    assert pbw_dims([1, 3], 5) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
+    assert pbw_dims([2, 2], 6) == {1: 0, 2: 2, 3: 0, 4: 1, 5: 0, 6: 2}
+
+
+@pytest.mark.parametrize("by_degree,deg_max", [
+    # the desuspended cell letters of CP5, as cobar(CP5) sees them
+    ({1: ["a1"], 3: ["a2"], 5: ["a3"], 7: ["a4"], 9: ["a5"]}, 12),
+    # two odd letters and an even one
+    ({1: ["a", "b"], 2: ["u"]}, 7),
+], ids=["cp5-letters", "mixed"])
+def test_dims_match_pbw(by_degree, deg_max):
+    fl = FreeLie(GradedSpace(by_degree, name="V"), deg_max=deg_max)
+    degrees = [d for d, keys in by_degree.items() for _ in keys]
+    expected = pbw_dims(degrees, deg_max)
+    assert {n: fl.dim(n) for n in range(1, deg_max + 1)} == expected

@@ -118,3 +118,58 @@ def test_rank_of_rank_one_product():
     u = [[F(1)], [F(2)], [F(3)]]
     v = [[F(4), F(5)]]
     assert mx.rank(mx.mat_mul(u, v)) == 1
+
+
+def _sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
+@st.composite
+def vectors_and_coefficients(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 5))
+    vectors = [[draw(small_fraction) for _ in range(n)] for _ in range(k)]
+    coefficients = [draw(small_fraction) for _ in range(k)]
+    return vectors, coefficients
+
+
+@given(vectors_and_coefficients())
+@settings(max_examples=60, deadline=None)
+def test_echelon_agrees_with_dense_rank_and_in_span(data):
+    vectors, coefficients = data
+    n = len(vectors[0]) if vectors else 0
+    ech = mx.Echelon()
+    accepted = []
+    for v in vectors:
+        grows = mx.rank(accepted + [v]) > len(accepted)
+        assert ech.add(_sparse(v)) is grows
+        if grows:
+            accepted.append(v)
+    assert ech.rank == len(accepted)
+    # in the span: every vector offered and a combination of them
+    combination = [sum((c * v[i] for c, v in zip(coefficients, vectors)),
+                       F(0)) for i in range(n)]
+    for v in vectors + [combination]:
+        got = ech.coords(_sparse(v))
+        assert got is not None and got == mx.in_span(accepted, v)
+    # outside the span: the unit vectors the span misses
+    units = [[F(int(i == j)) for i in range(n)] for j in range(n)]
+    missed = [u for u in units if mx.in_span(accepted, u) is None]
+    assert len(missed) >= n - len(accepted)
+    for u in missed:
+        assert ech.coords(_sparse(u)) is None
+
+
+def test_echelon_empty_and_zero_vectors():
+    ech = mx.Echelon()
+    assert ech.rank == 0
+    assert ech.coords({}) == []
+    assert ech.coords({0: F(1)}) is None
+    # a zero vector, with or without explicit zero entries, never grows it
+    assert ech.add({}) is False
+    assert ech.add({0: F(0), 1: F(0)}) is False
+    assert ech.add({1: F(2)}) is True
+    assert ech.coords({0: F(0)}) == [F(0)]
+    assert ech.coords({1: F(3)}) == [F(3, 2)]
+    assert ech.add({1: F(-1)}) is False
+    assert ech.rank == 1
