@@ -68,11 +68,8 @@ def twisting_residual(conv: ConvolutionAlgebra, tau: GradedMap) -> GradedMap:
     """
     if tau.degree != 0:
         raise ValueError("twisting-morphism candidates must have degree 0")
-    res = conv.bracket(1, [tau])
-    for n in range(2, conv.arity_window() + 1):
-        term = conv.bracket(n, [tau] * n)
-        res = res + term.scale(F(1, factorial(n) ** 2))
-    return res
+    return conv.differential_of(tau) + conv.tau_series(
+        tau, weight=lambda n: F(1, factorial(n)))
 
 
 class BarCoalgebra(CdgCoalgebra):

@@ -316,6 +316,9 @@ def cmd_components(args) -> int:
             raise ModelFileError("--param", f"not valid JSON: {exc}") \
                 from None
         restrict = [modelio.decode_key(r, "--param") for r in rows]
+        for i, key in enumerate(restrict):
+            if key in restrict[:i]:
+                raise ModelFileError("--param", f"{key!r} is repeated")
     try:
         samples = tuple(int(s) for s in args.samples.split(","))
     except ValueError:

@@ -15,13 +15,25 @@ words.  l_1 is the Hom differential d_L o f - (-1)^{|f|} f o d_C.
 Maurer-Cartan elements are degree-0 maps with sum 1/n! l_n(tau, ..., tau)
 equal to zero; the sum is finite because iterated coproducts of a
 one-reduced coalgebra vanish in bounded arity.
+
+When every argument but at most one is the same degree-0 map tau, the
+symmetric sum collapses.  Orderings that only permute the copies of tau
+swap even maps, so their Koszul sign is +1 and they give equal terms:
+l_n(tau, ..., tau) is n! times one term per coproduct word, and
+l_n(f, tau, ..., tau) is (n-1)! times the sum over the slot that f
+takes, with the sign (-1)^{|f| (|w_1| + ... + |w_{i-1}|)} of moving f
+past the earlier letters of the word.  The 1/n! of the Maurer-Cartan
+series and the 1/(n-1)! of the twisted differential cancel those counts
+exactly, so tau_series reads each word of the iterated coproduct once.
+mc_check, twist, gauge.vector_field and barcobar.twisting_residual use
+it; the generic bracket stays for arguments that differ (as_linfty and
+the residual polynomials of a component search).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
 
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
                      contraction_from_complex, vec_eq)
@@ -71,6 +83,7 @@ class ConvolutionAlgebra:
                 by_deg.setdefault(d, []).append((ck, lk))
         self.carrier = GradedSpace(by_deg, name=self.name)
         self._window: int | None = None
+        self._l1: GradedMap | None = None
 
     # -- elements --------------------------------------------------------
 
@@ -102,7 +115,9 @@ class ConvolutionAlgebra:
     # -- structure -------------------------------------------------------
 
     def differential_of(self, f: GradedMap) -> GradedMap:
-        out = self.L.l1().compose(f)
+        if self._l1 is None:
+            self._l1 = self.L.l1()
+        out = self._l1.compose(f)
         fd = f.compose(self.C.d)
         if f.degree % 2:
             return out + fd
@@ -160,17 +175,57 @@ class ConvolutionAlgebra:
                 cols[ck] = acc
         return GradedMap(self.C.space, self.L.space, out_degree, cols)
 
+    def tau_series(self, tau: GradedMap, f: GradedMap | None = None,
+                   weight=lambda n: ONE) -> GradedMap:
+        """sum over n >= 2 of weight(n) 1/(n-1)! l_n(f, tau, ..., tau), or
+        of weight(n) 1/n! l_n(tau, ..., tau) when f is None, for tau of
+        degree 0; each word of the iterated coproduct is read once."""
+        if tau.degree != 0:
+            raise ValueError("tau must have degree 0")
+        fdeg = 0 if f is None else f.degree
+        cdeg = self.C.space.degree_of
+        top = self.arity_window()
+        cols: dict[Key, Vec] = {}
+        for ck in self.C.space.all_keys():
+            acc: Vec = {}
+            for n in range(2, top + 1):
+                w = weight(n)
+                for word, gamma in self.C.iterated_coproduct(ck, n).items():
+                    # the slots f can take, with their signs; slot None
+                    # places tau everywhere
+                    if f is None:
+                        slots = [(None, ONE)]
+                    else:
+                        slots = []
+                        before = 0
+                        for i, c in enumerate(word):
+                            if c in f.entries:
+                                odd = fdeg % 2 and before % 2
+                                slots.append((i, -ONE if odd else ONE))
+                            before += cdeg[c]
+                    for i, sgn in slots:
+                        vecs = [f.entries[c] if j == i else tau.entries.get(c)
+                                for j, c in enumerate(word)]
+                        if not all(vecs):
+                            continue
+                        coef = sgn * w * gamma
+                        for lk, c in self.L.bracket_multi(n, vecs).items():
+                            add_term(acc, lk, coef * c)
+            if acc:
+                cols[ck] = acc
+        return GradedMap(self.C.space, self.L.space, fdeg - 1, cols)
+
+    def twisted_differential(self, tau: GradedMap, f: GradedMap) -> GradedMap:
+        """d^tau(f) = l_1(f) + sum 1/n! l_{n+1}(f, tau, ..., tau)."""
+        return self.differential_of(f) + self.tau_series(tau, f)
+
     # -- Maurer-Cartan ---------------------------------------------------
 
     def mc_check(self, tau: GradedMap) -> GradedMap:
         """The residual sum 1/n! l_n(tau, ..., tau); zero iff tau is MC."""
         if tau.degree != 0:
             raise ValueError("Maurer-Cartan candidates must have degree 0")
-        res = self.differential_of(tau)
-        for n in range(2, self.arity_window() + 1):
-            term = self.bracket(n, [tau] * n)
-            res = res + term.scale(F(1, factorial(n)))
-        return res
+        return self.differential_of(tau) + self.tau_series(tau)
 
     def is_mc(self, tau: GradedMap) -> bool:
         return self.mc_check(tau).is_zero()
@@ -183,11 +238,7 @@ class ConvolutionAlgebra:
         cols: dict[Key, Vec] = {}
         for key in self.carrier.all_keys():
             f = self.elementary(*key)
-            img = self.differential_of(f)
-            for n in range(1, self.arity_window()):
-                term = self.bracket(n + 1, [f] + [tau] * n)
-                img = img + term.scale(F(1, factorial(n)))
-            v = self.to_vec(img)
+            v = self.to_vec(self.twisted_differential(tau, f))
             if v:
                 cols[key] = v
         d = GradedMap(self.carrier, self.carrier, -1, cols, name="d^tau")

@@ -32,7 +32,7 @@ elements have isomorphic twisted homology).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .convolution import ConvolutionAlgebra
 from .graded import GradedMap, Vec, add_term
@@ -55,11 +55,7 @@ def vector_field(conv: ConvolutionAlgebra, x: GradedMap,
     direction lam: l_1(lam) + sum 1/n! l_{n+1}(lam, x, ..., x)."""
     if lam.degree != 1:
         raise ValueError("gauge directions must have degree 1")
-    out = conv.bracket(1, [lam])
-    for n in range(1, conv.arity_window()):
-        term = conv.bracket(n + 1, [lam] + [x] * n)
-        out = out + term.scale(F(1, factorial(n)))
-    return out
+    return conv.twisted_differential(x, lam)
 
 
 # -- paths ---------------------------------------------------------------

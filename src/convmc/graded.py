@@ -376,7 +376,8 @@ class ChainComplex:
             raise ValueError(f"d^2 != 0 on {self.name!r}, first at {bad[0]!r}")
 
     def betti(self) -> dict[int, int]:
-        return {n: self.space.dim(n) - _rank_at(self, n) - _rank_at(self, n + 1)
+        rank = {n: _rank_at(self, n) for n in self.space.degrees()}
+        return {n: self.space.dim(n) - rank[n] - rank.get(n + 1, 0)
                 for n in self.space.degrees()}
 
 

@@ -23,6 +23,7 @@ homology classes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 
 from .barcobar import cobar, cobar_map
@@ -79,18 +80,24 @@ class LoopHomology:
         return self._projection
 
 
-_MODELS: dict[tuple, LoopHomology] = {}
+_MODELS: OrderedDict[tuple, LoopHomology] = OrderedDict()
+_MODELS_CAP = 8
 
 
 def loop_homology(coalgebra: CdgCoalgebra, degree_max: int,
                   arity_max: int = 3) -> LoopHomology:
     """Cached loop homology model; the cache key is structural, so two
     equal coalgebras built independently share one model and hence one
-    fingerprint."""
+    fingerprint.  The cache keeps the _MODELS_CAP most recently used
+    models."""
     key = (_coalgebra_signature(coalgebra), degree_max, arity_max)
-    if key not in _MODELS:
+    if key in _MODELS:
+        _MODELS.move_to_end(key)
+    else:
         _MODELS[key] = LoopHomology(coalgebra, degree_max,
                                     arity_max=arity_max)
+        if len(_MODELS) > _MODELS_CAP:
+            _MODELS.popitem(last=False)
     return _MODELS[key]
 
 

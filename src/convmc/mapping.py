@@ -194,9 +194,11 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
         if 0 in conv.carrier.degrees() else []
     if restrict_to is not None:
         pairs = list(restrict_to)
-        for p in pairs:
+        for i, p in enumerate(pairs):
             if p not in all_pairs:
                 raise ValueError(f"{p!r} is not a degree-0 basis pair")
+            if p in pairs[:i]:
+                raise ValueError(f"{p!r} is repeated")
     else:
         pairs = all_pairs
     report = ComponentReport(conv, pairs)

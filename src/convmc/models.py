@@ -61,6 +61,7 @@ class CdgCoalgebra:
         self.delta = {k: {p: Fraction(c) for p, c in v.items() if c}
                       for k, v in delta.items() if v}
         self.name = name or space.name
+        self._coproducts: dict[tuple[Key, int], Vec] = {}
 
     def delta_apply(self, v: Vec) -> Vec:
         out: Vec = {}
@@ -70,19 +71,23 @@ class CdgCoalgebra:
         return out
 
     def iterated_coproduct(self, key: Key, n: int) -> Vec:
-        """Right-normed n-fold coproduct, as a vector over n-tuples."""
+        """Right-normed n-fold coproduct, as a vector over n-tuples.
+
+        Memoised per (key, n), so callers must not mutate the result."""
         if n < 1:
             raise ValueError("need n >= 1")
-        cur: Vec = {(key,): ONE}
-        deg = lambda k: self.space.degree_of[k]
-        for step in range(n - 1):
-            nxt: Vec = {}
-            for tup, c in cur.items():
-                last = len(tup) - 1
+        memo = self._coproducts.get((key, n))
+        if memo is not None:
+            return memo
+        if n == 1:
+            cur: Vec = {(key,): ONE}
+        else:
+            cur = {}
+            for tup, c in self.iterated_coproduct(key, n - 1).items():
                 # coproduct has degree 0: no slot sign
-                for pair, cc in self.delta.get(tup[last], {}).items():
-                    add_term(nxt, tup[:last] + pair, c * cc)
-            cur = nxt
+                for pair, cc in self.delta.get(tup[-1], {}).items():
+                    add_term(cur, tup[:-1] + pair, c * cc)
+        self._coproducts[(key, n)] = cur
         return cur
 
     def is_one_reduced(self) -> bool:

@@ -292,6 +292,13 @@ def test_transfer_at_the_lowest_window_keeps_pi_2(capsys):
     assert json.loads(out)["homology"] == [{"degree": 2, "name": "H2_0"}]
 
 
+def test_repeated_param_pair_is_refused(capsys):
+    err = refusal(capsys, ["components", "s2", "pi_s2", "--param",
+                           '[["a", "x"], ["a", "x"]]'])
+    assert err == {"where": "--param",
+                   "error": "--param: ('a', 'x') is repeated"}
+
+
 def test_samples_must_be_integers(capsys):
     for samples in ("x", "0,,1"):
         err = refusal(capsys, ["components", "s3", "pi_s2",

@@ -10,17 +10,21 @@ invisible through CP^2, which is why both are checked.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convmc.barcobar import twisting_residual
 from convmc.convolution import ConvolutionAlgebra, koszul_perm_sign
+from convmc.gauge import vector_field
 from convmc.graded import GradedMap, GradedSpace
 from convmc.library import (abelian_pair_with_d, abelian_two, cp2_coalgebra,
                             cp3_coalgebra, pi_s2, pi_s3, s2xs2_coalgebra,
                             sphere_coalgebra, wedge_s2_s3_coalgebra)
 from convmc.models import CdgCoalgebra, LInfinityAlgebra
+from test_gauge import acyclic_pair_target, pair_mc, two_step_target
 
 F = Fraction
 
@@ -276,3 +280,149 @@ def test_pullback_rejects_non_coalgebra_maps(conv_cp2):
                   {"a": {"a": F(1)}, "b": {"b": F(2)}})
     with pytest.raises(ValueError, match="coproduct"):
         conv_cp2.pullback(h, Cp)
+
+
+# -- the one-pass kernel against the n!-ordering formula -------------------
+
+def symmetric_sum(conv, first, tau, weight):
+    """l_1(first) + sum over n >= 2 of weight(n) l_n(first, tau, ..., tau),
+    each l_n summed over all n! orderings by the generic bracket: the
+    formula the kernel replaces, kept as its reference."""
+    out = conv.bracket(1, [first])
+    for n in range(2, conv.arity_window() + 1):
+        term = conv.bracket(n, [first] + [tau] * (n - 1))
+        out = out + term.scale(weight(n))
+    return out
+
+
+def old_mc_check(conv, tau):
+    return symmetric_sum(conv, tau, tau, lambda n: F(1, factorial(n)))
+
+
+def old_twisting_residual(conv, tau):
+    return symmetric_sum(conv, tau, tau, lambda n: F(1, factorial(n) ** 2))
+
+
+def old_twisted(conv, tau, f):
+    return symmetric_sum(conv, f, tau, lambda n: F(1, factorial(n - 1)))
+
+
+def s2xs3_source():
+    """a2, b3, t5 with t -> a (x) b + b (x) a: an odd class in front of a
+    slot, so the Koszul sign of placing an odd f after b is -1."""
+    sp = GradedSpace({2: ["a"], 3: ["b"], 5: ["t"]}, name="S2xS3")
+    delta = {"t": {("a", "b"): F(1), ("b", "a"): F(1)}}
+    return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name="S2xS3")
+
+
+def odd_pair_target():
+    """y1, y2 in degree 3 with l2(y1, y2) = z as the only operation, so
+    Jacobi holds and the bracket pairs two odd letters."""
+    sp = GradedSpace({3: ["y1", "y2"], 5: ["z"]}, name="odd")
+    return LInfinityAlgebra(sp, {2: {("y1", "y2"): {"z": F(1)}}},
+                            name="odd", arities=[1, 2])
+
+
+ORACLE_PAIRS = [(cp2_coalgebra, pi_s2), (s2xs2_coalgebra, pi_s2),
+                (cp2_coalgebra, acyclic_pair_target),
+                (cp3_coalgebra, two_step_target),
+                (cp3_coalgebra, acyclic_pair_target),
+                (s2xs3_source, odd_pair_target)]
+
+
+def test_oracle_pairs_are_models():
+    for source, target in ORACLE_PAIRS:
+        source().validate()
+        target().validate()
+
+
+def check_against_orderings(conv, tau, fs):
+    assert conv.mc_check(tau).equals(old_mc_check(conv, tau))
+    assert twisting_residual(conv, tau).equals(
+        old_twisting_residual(conv, tau))
+    for f in fs:
+        got = conv.twisted_differential(tau, f)
+        assert got.degree == f.degree - 1
+        assert got.equals(old_twisted(conv, tau, f))
+        if f.degree == 1:
+            assert vector_field(conv, tau, f).equals(old_twisted(conv, tau, f))
+
+
+def test_kernel_matches_the_orderings_on_bundled_pairs():
+    cases = [(ConvolutionAlgebra(cp2_coalgebra(), pi_s2()),
+              [F(0), F(3)], [("a", "x")]),
+             (ConvolutionAlgebra(s2xs2_coalgebra(), pi_s2()),
+              [F(2), F(-1, 3)], [("a", "x"), ("b", "x")])]
+    for conv, coeffs, keys in cases:
+        for c in coeffs:
+            for key in keys:
+                tau = conv.elementary(*key).scale(c)
+                fs = [conv.elementary(*k) for k in conv.carrier.all_keys()]
+                check_against_orderings(conv, tau, fs)
+    conv = ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target())
+    fs = [conv.elementary(*k) for k in conv.carrier.all_keys()]
+    for alpha, gamma in [(1, 0), (2, 3), (-1, F(1, 2))]:
+        check_against_orderings(conv, pair_mc(conv, alpha, gamma), fs)
+
+
+def test_twist_columns_match_the_orderings():
+    cases = [(ConvolutionAlgebra(s2xs2_coalgebra(), pi_s2()),
+              lambda cv: cv.elementary("a", "x").scale(F(3))),
+             (ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target()),
+              lambda cv: pair_mc(cv, 2, 3)),
+             (ConvolutionAlgebra(cp3_coalgebra(), two_step_target()),
+              lambda cv: cv.elementary("a", "x"))]
+    for conv, make in cases:
+        tau = make(conv)
+        d = conv.twist(tau).d
+        for key in conv.carrier.all_keys():
+            want = old_twisted(conv, tau, conv.elementary(*key))
+            assert d.column(key) == conv.to_vec(want)
+
+
+@st.composite
+def kernel_cases(draw):
+    source, target = draw(st.sampled_from(ORACLE_PAIRS))
+    conv = ConvolutionAlgebra(source(), target())
+    car = conv.carrier
+
+    def element(degree):
+        keys = sorted(car.basis(degree), key=car.sort_key)
+        coeffs = draw(st.lists(small_fraction, min_size=len(keys),
+                               max_size=len(keys)))
+        return conv.to_map(dict(zip(keys, coeffs)), degree=degree)
+
+    tau = element(0)
+    degrees = sorted(car.degrees())
+    fs = [element(draw(st.sampled_from(degrees))) for _ in range(2)]
+    return conv, tau, fs
+
+
+@given(kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_orderings_on_generated_elements(case):
+    conv, tau, fs = case
+    check_against_orderings(conv, tau, fs)
+
+
+def test_odd_slot_sign_is_exercised():
+    # f = a -> y1 has degree 1.  On the word (b, a) it sits behind the odd
+    # class b, so that term carries -1 on top of the Koszul sign of
+    # l2(y2, y1) = -z; without the slot sign the two words would cancel
+    conv = ConvolutionAlgebra(s2xs3_source(), odd_pair_target())
+    tau = conv.elementary("b", "y2")
+    f = conv.elementary("a", "y1")
+    got = conv.twisted_differential(tau, f)
+    assert got.entries == {"t": {"z": F(2)}}
+    assert got.equals(old_twisted(conv, tau, f))
+
+
+def test_memoised_coproduct_equals_a_fresh_one():
+    for make in (cp2_coalgebra, s2xs2_coalgebra, cp3_coalgebra,
+                 s2xs3_source):
+        C = make()
+        for n in range(1, 5):
+            for key in C.space.all_keys():
+                first = C.iterated_coproduct(key, n)
+                assert C.iterated_coproduct(key, n) is first
+                assert first == make().iterated_coproduct(key, n)

@@ -63,6 +63,18 @@ def test_model_cache_is_structural():
     assert hopf.loop_homology(sphere_coalgebra(2), 6) is not m
 
 
+def test_model_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    monkeypatch.setattr(hopf, "_MODELS_CAP", 2)
+    s2 = sphere_coalgebra(2)
+    w3, w4 = hopf.loop_homology(s2, 3), hopf.loop_homology(s2, 4)
+    assert hopf.loop_homology(s2, 3) is w3      # a hit, now most recent
+    hopf.loop_homology(s2, 5)                   # past the cap: w4 goes
+    assert len(hopf._MODELS) == 2
+    assert hopf.loop_homology(s2, 3) is w3
+    assert hopf.loop_homology(s2, 4) is not w4
+
+
 def test_hopf_family_invariants():
     one, two = hopf_family(1), hopf_family(2)
     inv = hopf.hopf_invariant(one)

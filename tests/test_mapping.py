@@ -98,6 +98,14 @@ def test_restricted_search_is_flagged():
         mapping.components(conv, pi_s2(), restrict_to=[("a", "x")])
 
 
+def test_repeated_pair_is_rejected():
+    # a repeated pair would get two coefficients for one direction, and
+    # the point built from a solution keeps only the last of them
+    with pytest.raises(ValueError, match="repeated"):
+        mapping.components(sphere_coalgebra(2), pi_s2(),
+                           restrict_to=[("a", "x"), ("a", "x")])
+
+
 def test_component_homotopy_group_table():
     s2, s3 = sphere_coalgebra(2), sphere_coalgebra(3)
     L = pi_s2()
