@@ -346,6 +346,9 @@ def cmd_components(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    if args.arity < 1:
+        raise ModelFileError("--arity", f"arity {args.arity} is below 1; "
+                             "the transferred structure starts at l_1")
     C = _load_coalgebra(args.file)
     window = _model_window(args, C.space, 2)
     t = transfer_linfty(cobar(C, degree_max=window), arity_max=args.arity)

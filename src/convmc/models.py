@@ -175,14 +175,24 @@ class LInfinityAlgebra:
 
     # -- evaluation ------------------------------------------------------
 
+    def _check_degree(self, n: int, word: tuple, val: Vec) -> None:
+        degf = self.space.degree_of
+        want = sum(degf[k] for k in word) - 1
+        for k in val:
+            if degf[k] != want:
+                raise ValueError(f"l_{n}{word!r} lands in degree {degf[k]}, "
+                                 f"expected {want}")
+
     def _lookup(self, n: int, word: tuple) -> Vec:
         table = self.brackets.setdefault(n, {})
         if word in table:
             return table[word]
         if self.compute is not None and n in self.arities:
-            val = self.compute(n, word)
-            table[word] = {k: Fraction(c) for k, c in val.items() if c}
-            return table[word]
+            val = {k: Fraction(c) for k, c in self.compute(n, word).items()
+                   if c}
+            self._check_degree(n, word, val)
+            table[word] = val
+            return val
         return {}
 
     def bracket(self, n: int, args: Sequence[Key]) -> Vec:
@@ -246,17 +256,15 @@ class LInfinityAlgebra:
         return out
 
     def validate(self, truncation: Truncation | None = None):
-        degf = self.space.degree_of
+        """Check the stored brackets' arities and degrees, then the
+        generalized Jacobi identities on every word in the truncation.
+        Values a compute hook supplies are degree-checked as they are
+        stored, so the Jacobi pass checks those it evaluates."""
         for n, table in self.brackets.items():
             for word, v in table.items():
                 if len(word) != n:
                     raise ValueError(f"bracket arity mismatch on {word!r}")
-                want = sum(degf[k] for k in word) - 1
-                for k, c in v.items():
-                    if degf[k] != want:
-                        raise ValueError(
-                            f"l_{n}{word!r} lands in degree {degf[k]}, "
-                            f"expected {want}")
+                self._check_degree(n, word, v)
         arity_cap = truncation.arity_max if truncation else max(
             (2 * n for n in self.arities), default=2)
         deg_cap = truncation.deg_max if truncation \

@@ -6,11 +6,28 @@ words.  Words on the big carrier form the coalgebra underlying the bar
 construction; the brackets of arity >= 2 assemble into a coderivation
 delta that strictly shortens words, so the perturbation series is a
 finite sum.  A contraction (i, p, h) of the carrier lifts to words:
-i and p act letter by letter, and the lifted homotopy symmetrizes
+i and p act letter by letter, and the lifted homotopy hhat is the average
+over the n! orderings of an n-letter word of
 
-    h tensor (i p) tensor ... tensor (i p)
+    id tensor ... tensor id tensor h tensor (i p) tensor ... tensor (i p).
 
-over all slot positions.  With the homotopy identity written as
+The average is taken without listing orderings.  A term is fixed by the
+letter a in the h slot and the set S of other positions in front of it;
+the rest T follows through i p.  Reordering S or T changes the ordering
+sign and the sort sign back to a word by the same Koszul factor, because
+id and i p keep degrees, so all |S|! |T|! orderings of one (a, S) give
+the same word and hhat takes that term, in word order, with the weight
+|S|! |T|! / n!.  That is n 2^(n-1) terms per word instead of n n!.
+
+Only letters where h does not vanish, supp(h), can feed hhat: a word
+with no letter in supp(h) is killed by it.  When supp(h) is empty, as
+on a complex with zero differential, hhat is zero and the series stops
+after one delta.  Then only the ambient bracket whose arity is the word
+length matters, since any shorter one leaves a longer word that hhat
+kills, and the outputs are l'_n = p l_n i, i'_n = 0 and p'_n = 0 for
+n >= 2.  Both rules drop only terms that are exactly zero.
+
+With the homotopy identity written as
 id - i p = d h + h d (the convention of graded.Contraction), the series
 has to be taken with alternating signs,
 
@@ -37,7 +54,7 @@ identity at every arity, so the convention is tested rather than trusted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import words as wd
 from .barcobar import CobarAlgebra, twisting_residual
@@ -200,8 +217,9 @@ class TransferredLInfinity:
         self.contraction = contraction
         self.arity_max = arity_max
         self._ip = contraction.i.compose(contraction.p)
-        self._delta_ops = {n: (lambda word, n=n: ambient.bracket(n, word))
-                           for n in ambient.arities if n >= 2}
+        self._h_support = frozenset(k for k, col in contraction.h.entries.items()
+                                    if col)
+        self._delta_arities = [n for n in ambient.arities if n >= 2]
         self._tree: dict[tuple, Vec] = {}
         self._cotree: dict[tuple, Vec] = {}
         small = contraction.small
@@ -222,49 +240,51 @@ class TransferredLInfinity:
 
     def _apply_delta(self, wv: WVec) -> WVec:
         """Coderivation collecting the ambient brackets of arity >= 2."""
-        letters = self.ambient.space
+        amb = self.ambient
+        letters = amb.space
         out: WVec = {}
         for word, c in wv.items():
             n = len(word)
             if n < 2:
                 continue
             degs = [letters.degree_of[k] for k in word]
-            for arity, op in self._delta_ops.items():
-                if arity > n:
+            for arity in self._delta_arities:
+                # with h = 0 a shorter bracket leaves a word hhat kills
+                if arity > n or (arity < n and not self._h_support):
                     continue
                 for block, rest, sign in wd.unshuffles(degs, word, arity):
-                    for let, ck in op(block).items():
+                    for let, ck in amb.bracket(arity, block).items():
                         _accum(letters, out, (let,) + rest, sign * ck * c)
         return out
 
     def _apply_hhat(self, wv: WVec) -> WVec:
-        """Symmetrized lift of the contraction homotopy to words."""
-        h = self.contraction.h
-        ip = self._ip
+        """Lift of the contraction homotopy to words, averaged over the
+        orderings of each word by the weighted (a, S, T) split of the
+        module docstring."""
+        h = self.contraction.h.entries
+        ip = self._ip.entries
         letters = self.ambient.space
+        degf = letters.degree_of
         out: WVec = {}
         for word, c in wv.items():
+            if self._h_support.isdisjoint(word):
+                continue
             n = len(word)
-            for tup, c0 in wd.symmetrize(letters, word).items():
-                degs = [letters.degree_of[k] for k in tup]
-                prefix = 0
-                for j in range(n):
-                    sign = -ONE if prefix % 2 else ONE
-                    prefix += degs[j]
-                    himg = h.entries.get(tup[j])
-                    if not himg:
-                        continue
-                    terms = [(tup[:j] + (k,), sign * c * c0 * ck)
-                             for k, ck in himg.items()]
-                    for t in range(j + 1, n):
-                        img = ip.entries.get(tup[t])
-                        if not img:
-                            terms = []
-                            break
-                        terms = [(seq + (k,), cc * ck)
-                                 for seq, cc in terms for k, ck in img.items()]
-                    for seq, cc in terms:
-                        _accum(letters, out, seq, cc)
+            degs = [degf[k] for k in word]
+            for (a,), rest, s1 in wd.unshuffles(degs, word, 1):
+                himg = h.get(a)
+                if not himg:
+                    continue
+                rest_degs = [degf[k] for k in rest]
+                for k in range(n):
+                    weight = F(s1 * c, n * comb(n - 1, k))
+                    for front, back, s2 in wd.unshuffles(rest_degs, rest, k):
+                        # (a, S, T) -> (S, a, T), then h crosses S
+                        if sum(degf[x] for x in front) * (degf[a] + 1) % 2:
+                            s2 = -s2
+                        images = [himg] + [ip.get(x, {}) for x in back]
+                        for seq, cc in tensor_terms(images, s2 * weight):
+                            _accum(letters, out, front + seq, cc)
         return out
 
     def _series_letter_part(self, wv: WVec) -> Vec:
@@ -290,12 +310,16 @@ class TransferredLInfinity:
         return out
 
     def _tree_letters(self, word: tuple) -> Vec:
+        if not self._h_support and len(word) not in self._delta_arities:
+            return {}
         if word not in self._tree:
             start = self._letterwise(self.contraction.i, {word: ONE})
             self._tree[word] = self._series_letter_part(start)
         return self._tree[word]
 
     def _cotree_letters(self, word: tuple) -> Vec:
+        if self._h_support.isdisjoint(word):
+            return {}
         if word not in self._cotree:
             lifted = self._apply_hhat({word: ONE})
             start = {w: -c for w, c in lifted.items()}

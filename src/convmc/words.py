@@ -17,7 +17,10 @@ Conventions pinned here and relied on everywhere downstream:
   * coderivation applies the arity-n component to the chosen front block,
     each unordered position subset counted once.
   * symmetrize is the averaged inclusion into tensors, (1/n!) sum of signed
-    permutations, and wordify is its left inverse (sort with sign).
+    permutations, and wordify is its left inverse (sort with sign).  No
+    computation path calls symmetrize: the transfer lifts its homotopy to
+    words by a weighted sum over unshuffles instead of n! orderings.  It
+    stays as the reference the tests check that sum against.
   * canonical_words is the single enumeration of basis words: every sorted
     n-letter word with no repeated odd letter, in the order of
     combinations_with_replacement over the letters in canonical order.

@@ -95,6 +95,10 @@ GOLDEN = [
      "dee289c9c5f57738ed83c323d363d3ad94f61ac8aeacf90a9aeb83666a9d25ba"),
     (["transfer", "s2vs3", "--window", "6", "--arity", "2"], 0,
      "3072ee838fe63d862456bafbdfff41de311ab5a57285cd4765a9b9982e48f978"),
+    # h != 0 here, and at arity 4 the lifted homotopy has 4 2^3 terms per
+    # word against 4 4! orderings
+    (["transfer", "cp2", "--window", "8", "--arity", "4"], 0,
+     "8e196575ba4d795780637a860ef296506581a521f1b4d649bd07f7d19ac47257"),
     (["components", "s3", "pi_s2"], 0,
      "7e051403354a63c6a9756314c52eb6f9207bad2353a5e6ded7777665e8a29d68"),
     (["components", "s2", "pi_s2", "--samples", "0,1"], 0,
@@ -285,6 +289,14 @@ def test_loop_model_window_below_the_source_is_refused(files, capsys, argv):
         assert err["where"] == "--window"
         assert (f"window {window} is exact only through degree "
                 f"{int(window) - 1}, below degree 3") in err["error"]
+
+
+def test_transfer_arity_below_one_is_refused(capsys):
+    for arity in ("0", "-2"):
+        err = refusal(capsys, ["transfer", "cp2", "--arity", arity])
+        assert err == {"where": "--arity",
+                       "error": f"--arity: arity {arity} is below 1; "
+                                "the transferred structure starts at l_1"}
 
 
 def test_transfer_at_the_lowest_window_keeps_pi_2(capsys):

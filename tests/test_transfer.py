@@ -21,10 +21,12 @@ from convmc import words as wd
 from convmc.barcobar import cobar, twisting_residual
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import gauge_flow
-from convmc.graded import Contraction, GradedMap, GradedSpace
+from convmc.graded import (ChainComplex, Contraction, GradedMap, GradedSpace,
+                           add_term, contraction_from_complex, tensor_terms)
 from convmc.library import (abelian_pair_with_d, cp2_coalgebra, pi_s2,
-                            sphere_coalgebra)
-from convmc.models import LInfinityAlgebra
+                            sphere_coalgebra, wedge_s2_s3_coalgebra)
+from convmc.matrices import identity, solve_matrix
+from convmc.models import LInfinityAlgebra, abelian_linfty
 from convmc.transfer import (InfinityMorphism, TransferredLInfinity,
                              homology_contraction, push_mc, push_path,
                              strict_infinity, transfer_linfty,
@@ -355,3 +357,148 @@ def test_broken_component_fails_coherence():
               2: {("H2_0", "H2_0"): {"b": F(3)}}}
     bad = InfinityMorphism.from_tables(T.algebra, T.ambient, tables)
     assert bad.coherence_residual(("H2_0", "H2_0"))
+
+
+def test_validate_checks_the_degree_of_computed_brackets():
+    """A bracket the compute hook supplies is degree-checked when it is
+    stored, so validate sees it although the tables start empty."""
+    T = transfer_linfty(cobar(wedge_s2_s3_coalgebra(), degree_max=6),
+                        arity_max=2)
+    honest = T.algebra.compute
+
+    def compute(n, word):
+        if word == ("H2_0", "H2_0"):
+            return {"H2_0": F(1)}
+        return honest(n, word)
+
+    T.algebra.compute = compute
+    with pytest.raises(ValueError,
+                       match=r"lands in degree 2, expected 3"):
+        T.validate()
+
+
+# -- generated contractions -----------------------------------------------------
+
+# degrees of a generated complex: the differential runs from 2 to 1 and
+# from 5 to 4, so h is nonzero on odd letters (degree 1) and on even ones
+# (degree 4), and the isolated degree 3 gives more odd letters to cross
+GEN_DEGREES = (1, 2, 3, 4, 5)
+small_int = st.integers(-2, 2)
+
+
+@st.composite
+def two_term_complexes(draw):
+    """A chain complex whose differential has two blocks that cannot
+    compose, so any matrices square to zero; some entry is nonzero."""
+    sp = GradedSpace({n: [f"e{n}_{j}" for j in range(draw(st.integers(1, 2)))]
+                      for n in GEN_DEGREES}, name="gen")
+    cols = {}
+    for top in (2, 5):
+        for src in sp.basis(top):
+            col = {dst: F(draw(small_int)) for dst in sp.basis(top - 1)}
+            cols[src] = {k: c for k, c in col.items() if c}
+    if not any(cols.values()):
+        cols[sp.basis(2)[0]] = {sp.basis(1)[0]: F(1)}
+    return ChainComplex(sp, GradedMap(sp, sp, -1, cols, name="d"))
+
+
+@st.composite
+def words_on(draw, space, max_len=5):
+    """A nonzero sorted word of 1..max_len letters of space."""
+    seq = draw(st.lists(st.sampled_from(space.all_keys()), min_size=1,
+                        max_size=max_len))
+    # an odd letter may appear only once; even ones may repeat
+    odd = [k for k in dict.fromkeys(seq) if space.degree_of[k] % 2]
+    even = [k for k in seq if not space.degree_of[k] % 2]
+    return wd.sort_letters(space, tuple(odd + even))[0]
+
+
+def hhat_by_orderings(T, word):
+    """The lifted homotopy as the average over all n! orderings of the
+    word: h in one slot, the identity before it, i p after it, each term
+    signed by h crossing the letters in front and sorted back to a
+    word."""
+    letters = T.ambient.space
+    h = T.contraction.h.entries
+    ip = T.contraction.i.compose(T.contraction.p).entries
+    tensors = {}
+    for tup, c0 in wd.symmetrize(letters, word).items():
+        prefix = 0
+        for j, a in enumerate(tup):
+            images = ([{x: F(1)} for x in tup[:j]] + [h.get(a, {})]
+                      + [ip.get(x, {}) for x in tup[j + 1:]])
+            sign = -1 if prefix % 2 else 1
+            for seq, c in tensor_terms(images, sign * c0):
+                add_term(tensors, seq, c)
+            prefix += letters.degree_of[a]
+    return wd.wordify(letters, tensors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_term_complexes(), st.data())
+def test_hhat_matches_the_average_over_orderings(cx, data):
+    k = contraction_from_complex(cx)
+    assert not k.h.is_zero()
+    T = TransferredLInfinity(abelian_linfty(cx.space, cx.d), k, arity_max=1)
+    word = data.draw(words_on(cx.space))
+    c = F(data.draw(st.integers(1, 3)), 2)
+    assert T._apply_hhat({word: c}) == {
+        w: c * v for w, v in hhat_by_orderings(T, word).items()}
+
+
+@st.composite
+def zero_homotopy_transfers(draw):
+    """An ambient algebra with zero differential and random brackets of
+    arity 2 and 3, retracted by h = 0 onto a copy of itself through a
+    random unitriangular change of basis i with inverse p.  The series
+    identity l'_n = p l_n i does not use the Jacobi identity, so the
+    brackets need not satisfy it."""
+    big = GradedSpace({n: [f"b{n}_{j}" for j in range(draw(st.integers(1, 2)))]
+                       for n in (1, 2, 3)}, name="big")
+    small = GradedSpace({n: [f"s{k[1:]}" for k in big.basis(n)]
+                         for n in big.degrees()}, name="small")
+    i_cols, p_cols = {}, {}
+    for n in big.degrees():
+        bks, sks = big.basis(n), small.basis(n)
+        m = len(bks)
+        a = [[F(1) if r == col else F(draw(small_int)) if r < col else F(0)
+              for col in range(m)] for r in range(m)]
+        inv = solve_matrix(a, identity(m))
+        for col in range(m):
+            i_cols[sks[col]] = {bks[r]: a[r][col] for r in range(m)
+                                if a[r][col]}
+            p_cols[bks[col]] = {sks[r]: inv[r][col] for r in range(m)
+                                if inv[r][col]}
+    brackets = {}
+    for n in (2, 3):
+        for word in wd.canonical_words(big, n):
+            want = wd.word_degree(big, word) - 1
+            val = {x: F(draw(small_int)) for x in big.basis(want)}
+            if any(val.values()):
+                brackets.setdefault(n, {})[word] = val
+    L = LInfinityAlgebra(big, brackets, name="amb", arities=[1, 2, 3])
+    k = Contraction(ChainComplex(big, GradedMap.zero(big, big, -1)),
+                    ChainComplex(small, GradedMap.zero(small, small, -1)),
+                    GradedMap(small, big, 0, i_cols),
+                    GradedMap(big, small, 0, p_cols),
+                    GradedMap.zero(big, big, 1))
+    k.validate()
+    return L, k
+
+
+@settings(max_examples=25, deadline=None)
+@given(zero_homotopy_transfers())
+def test_zero_homotopy_transfer_is_conjugation(case):
+    """With h = 0 the series is one delta: l'_n = p l_n i, and both
+    infinity-morphisms are strict."""
+    L, k = case
+    T = transfer_linfty(L, k, arity_max=4)
+    inc, proj = T.inclusion_infinity(), T.projection_infinity()
+    for n in range(2, 5):
+        for word in wd.canonical_words(k.small.space, n):
+            direct = k.p.apply(L.bracket_multi(
+                n, [k.i.entries[x] for x in word]))
+            assert T.algebra.bracket(n, word) == direct
+            assert inc.component(n, word) == {}
+        for word in wd.canonical_words(L.space, n):
+            assert proj.component(n, word) == {}
