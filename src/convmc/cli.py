@@ -18,7 +18,9 @@ built on (the carrier of L for bar, the coalgebra for cobar and
 transfer, the target coalgebra for hopf and homotopic), since that
 model would be empty.  hopf and homotopic also refuse a window that leaves
 the top degree of the source above exact_through (window - 1), where the
-loop model is only a truncation artifact.
+loop model is only a truncation artifact.  transfer blames --window for a
+Jacobi residue above exact_through, where the cobar cut at the window
+leaves homology that is not there.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .convolution import ConvolutionAlgebra
 from .gauge import Distinct, Equal, GaugePath, Unknown
 from .graded import ChainComplex, contraction_from_complex
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
-from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
+from .models import (CdgCoalgebra, JacobiError, LInfinityAlgebra,
+                     QuillenModel)
 from .modelio import ModelFileError
 from .transfer import transfer_linfty
 
@@ -352,12 +355,25 @@ def cmd_transfer(args) -> int:
     C = _load_coalgebra(args.file)
     window = _model_window(args, C.space, 2)
     t = transfer_linfty(cobar(C, degree_max=window), arity_max=args.arity)
-    t.validate()
+    try:
+        t.validate()
+    except JacobiError as exc:
+        degree = t.algebra.space.degree_of_vector(exc.residue)
+        if degree < window:
+            raise
+        raise ModelFileError("--window", f"{exc}; the residue lies in degree "
+                             f"{degree}, above exact_through {window - 1}, "
+                             "where the cobar cut makes the homology "
+                             f"spurious: window {window} is too small for "
+                             f"arity {args.arity}") from None
 
     def morphism_rows(m):
+        # components have degree 0: a word above the target's top degree
+        # has no value
         rows = []
         for n in range(1, args.arity + 1):
-            for combo in wd.canonical_words(m.source.space, n):
+            for combo in wd.canonical_words(m.source.space, n,
+                                            m.target.space.deg_max):
                 for dst, c in m.component(n, combo).items():
                     rows.append([n, [modelio.encode_key(k) for k in combo],
                                  modelio.encode_key(dst),

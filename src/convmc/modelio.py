@@ -174,13 +174,14 @@ def cdgc_from_record(rec: dict) -> CdgCoalgebra:
 def materialize_brackets(L: LInfinityAlgebra,
                          arity_max: int | None = None) -> dict:
     """Force every bracket value on canonical words of the carrier, so a
-    lazily computed structure can be written out."""
+    lazily computed structure can be written out.  l_n has degree -1, so
+    only words of degree <= deg_max + 1 can have a value in the carrier."""
     cap = arity_max if arity_max is not None else L.max_arity()
     tables: dict[int, dict] = {}
     for n in L.arities:
         if n > cap:
             continue
-        for combo in wd.canonical_words(L.space, n):
+        for combo in wd.canonical_words(L.space, n, L.space.deg_max + 1):
             val = L.bracket(n, combo)
             if val:
                 tables.setdefault(n, {})[combo] = dict(val)

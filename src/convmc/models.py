@@ -136,6 +136,16 @@ class CdgCoalgebra:
 # ---------------------------------------------------------------------------
 # L-infinity algebras (shifted presentation)
 
+class JacobiError(ValueError):
+    """A generalized Jacobi sum that is not zero: the sorted word it was
+    evaluated on and the residue vector."""
+
+    def __init__(self, word: tuple, residue: Vec):
+        super().__init__(f"Jacobi fails on {word!r}: residue {residue!r}")
+        self.word = word
+        self.residue = residue
+
+
 class LInfinityAlgebra:
     """Shifted L-infinity algebra: graded symmetric operations, all of
     degree -1, stored by their values on sorted basis words.
@@ -259,7 +269,15 @@ class LInfinityAlgebra:
         """Check the stored brackets' arities and degrees, then the
         generalized Jacobi identities on every word in the truncation.
         Values a compute hook supplies are degree-checked as they are
-        stored, so the Jacobi pass checks those it evaluates."""
+        stored, so the Jacobi pass checks those it evaluates.
+
+        Words above degree deg_max + 2 of the carrier are not visited:
+        every l_n has degree -1, so the Jacobi sum on a word w lies in
+        degree |w| - 2, where the carrier has no basis element, and each
+        of its terms is a degree-checked value.  No bracket that can be
+        nonzero goes unchecked: a word of degree <= deg_max + 1 is itself
+        visited, and the j = m term of its sum evaluates l_m on it.
+        """
         for n, table in self.brackets.items():
             for word, v in table.items():
                 if len(word) != n:
@@ -267,25 +285,20 @@ class LInfinityAlgebra:
                 self._check_degree(n, word, v)
         arity_cap = truncation.arity_max if truncation else max(
             (2 * n for n in self.arities), default=2)
-        deg_cap = truncation.deg_max if truncation \
-            else self.space.deg_max * arity_cap
-        min_deg = min(self.space.degrees(), default=1)
-        if min_deg >= 1:
-            W = wd.word_space(self.space, deg_max=deg_cap,
-                              max_length=arity_cap)
-            for word in W.all_keys():
-                jac = self.jacobiator(word)
-                if jac:
-                    raise ValueError(
-                        f"Jacobi fails on {word!r}: residue {jac!r}")
+        top = self.space.deg_max + 2
+        if min(self.space.degrees(), default=1) >= 1:
+            deg_cap = truncation.deg_max if truncation \
+                else self.space.deg_max * arity_cap
+            words = wd.word_space(self.space, deg_max=min(deg_cap, top),
+                                  max_length=arity_cap).all_keys()
         else:
             # letters in degrees < 1: enumerate words directly
-            for m in range(1, arity_cap + 1):
-                for word in wd.canonical_words(self.space, m):
-                    jac = self.jacobiator(word)
-                    if jac:
-                        raise ValueError(
-                            f"Jacobi fails on {word!r}: residue {jac!r}")
+            words = (word for m in range(1, arity_cap + 1)
+                     for word in wd.canonical_words(self.space, m, top))
+        for word in words:
+            jac = self.jacobiator(word)
+            if jac:
+                raise JacobiError(word, jac)
 
 
 def abelian_linfty(space: GradedSpace, d: GradedMap | None = None,

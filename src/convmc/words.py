@@ -24,12 +24,16 @@ Conventions pinned here and relied on everywhere downstream:
   * canonical_words is the single enumeration of basis words: every sorted
     n-letter word with no repeated odd letter, in the order of
     combinations_with_replacement over the letters in canonical order.
+    Given deg_max it lists only the words of degree <= deg_max, in the same
+    order, and never builds one above it.  A caller that evaluates an
+    operation of degree k on all words passes the bound at which the value
+    can still land in a carrier whose top degree is D: D - k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .graded import GradedMap, GradedSpace, Key, Vec, add_term, tensor_terms
@@ -62,18 +66,36 @@ def word_degree(letters: GradedSpace, word: tuple) -> int:
     return sum(letters.degree_of[let] for let in word)
 
 
-def canonical_words(letters: GradedSpace, n: int) -> Iterator[tuple]:
+def canonical_words(letters: GradedSpace, n: int,
+                    deg_max: int | None = None) -> Iterator[tuple]:
     """Every sorted n-letter word with no repeated odd letter, in the order
-    of combinations_with_replacement over the letters sorted by sort_key.
+    of combinations_with_replacement over the letters sorted by sort_key,
+    and of degree at most deg_max when it is given.
 
     sort_letters leaves such a word as it is, so these are exactly the
-    basis words of arity n.
+    basis words of arity n.  sort_key sorts by degree first, so a branch
+    whose next letter, taken for every letter still to place, already
+    exceeds the degree left is cut with all the heavier letters after it.
     """
     keys = sorted(letters.all_keys(), key=letters.sort_key)
-    degf = letters.degree_of
-    for word in combinations_with_replacement(keys, n):
-        if not any(a == b and degf[a] % 2 for a, b in zip(word, word[1:])):
-            yield word
+    degs = [letters.degree_of[k] for k in keys]
+    if deg_max is None:
+        deg_max = n * max(degs, default=0)
+
+    def extend(lo: int, left: int, budget: int) -> Iterator[tuple]:
+        if not left:
+            if budget >= 0:
+                yield ()
+            return
+        for i in range(lo, len(keys)):
+            d = degs[i]
+            if d * left > budget:
+                return
+            # an odd letter cannot repeat: the next one starts after it
+            for rest in extend(i + d % 2, left - 1, budget - d):
+                yield (keys[i],) + rest
+
+    return extend(0, n, deg_max)
 
 
 def word_space(letters: GradedSpace, deg_max: int, max_length: int | None = None,
@@ -91,10 +113,8 @@ def word_space(letters: GradedSpace, deg_max: int, max_length: int | None = None
     by_deg: dict[int, list] = {}
     n = 1
     while n * min_deg <= deg_max and (max_length is None or n <= max_length):
-        for combo in canonical_words(letters, n):
-            d = word_degree(letters, combo)
-            if d <= deg_max:
-                by_deg.setdefault(d, []).append(combo)
+        for combo in canonical_words(letters, n, deg_max):
+            by_deg.setdefault(word_degree(letters, combo), []).append(combo)
         n += 1
     for d in by_deg:
         by_deg[d].sort(key=lambda w: (len(w), [letters.sort_key(x) for x in w]))

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from convmc import cli
+from convmc.models import JacobiError
+from convmc.transfer import TransferredLInfinity
 
 
 def _element(kind, name, entries, source, target):
@@ -99,6 +102,11 @@ GOLDEN = [
     # word against 4 4! orderings
     (["transfer", "cp2", "--window", "8", "--arity", "4"], 0,
      "8e196575ba4d795780637a860ef296506581a521f1b4d649bd07f7d19ac47257"),
+    # the largest arity pinned here, and the benchmark's transfer call
+    (["transfer", "cp2", "--window", "8", "--arity", "6"], 0,
+     "664345258a3e64d816a213a30ca0aea03ae7dfdd246fbb73e14533a8c5300d4b"),
+    (["transfer", "s2vs3", "--window", "11"], 0,
+     "ed1e8edc0485fed6bd7aa53a3814ed03f4c8dd82648904571fe0d4c61a7d5be4"),
     (["components", "s3", "pi_s2"], 0,
      "7e051403354a63c6a9756314c52eb6f9207bad2353a5e6ded7777665e8a29d68"),
     (["components", "s2", "pi_s2", "--samples", "0,1"], 0,
@@ -297,6 +305,40 @@ def test_transfer_arity_below_one_is_refused(capsys):
         assert err == {"where": "--arity",
                        "error": f"--arity: arity {arity} is below 1; "
                                 "the transferred structure starts at l_1"}
+
+
+@pytest.mark.parametrize("model,window,word,residue", [
+    ("cp2", 6, "('H2_0', 'H2_0', 'H2_0', 'H2_0')", "{'H6_0': Fraction(12, 1)}"),
+    ("s2xs2", 7, "('H2_0', 'H2_0', 'H2_0', 'H3_1')",
+     "{'H7_0': Fraction(-12, 1)}")])
+def test_transfer_jacobi_residue_above_exact_through_blames_the_window(
+        capsys, model, window, word, residue):
+    # the residue lies in degree window, where the cobar is cut: the top
+    # homology there is a truncation artifact, and arity 4 reaches it
+    err = refusal(capsys, ["transfer", model, "--window", str(window),
+                           "--arity", "4"])
+    assert err == {"where": "--window",
+                   "error": f"--window: Jacobi fails on {word}: residue "
+                            f"{residue}; the residue lies in degree {window}, "
+                            f"above exact_through {window - 1}, where the "
+                            "cobar cut makes the homology spurious: window "
+                            f"{window} is too small for arity 4"}
+    code, _, _ = run(capsys, ["transfer", model, "--window", str(window + 1),
+                              "--arity", "4"])
+    assert code == 0
+
+
+def test_transfer_jacobi_residue_inside_the_window_stays_plain(capsys,
+                                                                monkeypatch):
+    # a residue in degree 2, at or below exact_through: the structure is
+    # wrong, not the window
+    def fail(self):
+        raise JacobiError(("H2_0", "H2_0"), {"H2_0": F(1)})
+
+    monkeypatch.setattr(TransferredLInfinity, "validate", fail)
+    err = refusal(capsys, ["transfer", "cp2", "--window", "6"])
+    assert err == {"error": "Jacobi fails on ('H2_0', 'H2_0'): "
+                            "residue {'H2_0': Fraction(1, 1)}"}
 
 
 def test_transfer_at_the_lowest_window_keeps_pi_2(capsys):

@@ -12,13 +12,15 @@ Expected values fixed here by hand:
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convmc import library as lib
+from convmc import words as wd
 from convmc.freelie import FreeLie, br
 from convmc.graded import GradedMap, GradedSpace
-from convmc.models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra,
-                           QuillenModel, Truncation, abelian_linfty,
-                           extension_of_scalars)
+from convmc.models import (CdgCoalgebra, IntervalForms, JacobiError,
+                           LInfinityAlgebra, QuillenModel, Truncation,
+                           abelian_linfty, extension_of_scalars)
 
 F = Fraction
 
@@ -109,6 +111,64 @@ def test_jacobi_failure_detected():
                                   ("x", "y"): {"z": F(1)}}})
     with pytest.raises(ValueError, match="Jacobi"):
         L.validate(Truncation(0, 12, 3))
+
+
+@st.composite
+def bracket_tables(draw, low):
+    """Up to five letters in degrees low..4 and a few random values of l_2,
+    and sometimes of l_3, each in the degree |w| - 1: some tables satisfy
+    every Jacobi identity and some do not."""
+    degrees = draw(st.lists(st.integers(low, 4), min_size=1, max_size=5))
+    by_deg: dict[int, list] = {}
+    for i, d in enumerate(degrees):
+        by_deg.setdefault(d, []).append(f"e{i}")
+    sp = GradedSpace(by_deg, name="L")
+    arities = [2, 3] if draw(st.booleans()) else [2]
+    brackets: dict[int, dict] = {}
+    for n in arities:
+        words = [w for w in wd.canonical_words(sp, n)
+                 if sp.basis(wd.word_degree(sp, w) - 1)]
+        for _ in range(draw(st.integers(0, 4)) if words else 0):
+            w = draw(st.sampled_from(words))
+            k = draw(st.sampled_from(sp.basis(wd.word_degree(sp, w) - 1)))
+            brackets.setdefault(n, {}).setdefault(w, {})[k] = F(
+                draw(st.integers(-2, 2)))
+    return LInfinityAlgebra(sp, brackets, arities=arities)
+
+
+def first_jacobi_failure(L):
+    """The Jacobi pass over every word validate() visits without its
+    degree cut: all words up to twice the top arity, of degree at most
+    the top degree times that arity."""
+    arity = max(2 * n for n in L.arities)
+    if L.space.deg_min >= 1:
+        words = wd.word_space(L.space, L.space.deg_max * arity,
+                              arity).all_keys()
+    else:
+        words = [w for m in range(1, arity + 1)
+                 for w in wd.canonical_words(L.space, m)]
+    for w in words:
+        jac = L.jacobiator(w)
+        if jac:
+            return f"Jacobi fails on {w!r}: residue {jac!r}"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, -1]).flatmap(bracket_tables))
+# the residue l2(l2(x, x), x) lands in z, the top degree, from a word of
+# degree deg_max + 2: the highest word the cut still visits
+@example(LInfinityAlgebra(GradedSpace({2: ["x"], 3: ["y"], 4: ["z"]}),
+                          {2: {("x", "x"): {"y": F(1)},
+                               ("x", "y"): {"z": F(1)}}}))
+def test_validate_fails_exactly_where_the_full_degree_pass_does(L):
+    want = first_jacobi_failure(L)
+    if want is None:
+        L.validate()
+    else:
+        with pytest.raises(JacobiError) as exc:
+            L.validate()
+        assert str(exc.value) == want
 
 
 def test_bracket_word_must_be_sorted():

@@ -377,6 +377,33 @@ def test_validate_checks_the_degree_of_computed_brackets():
         T.validate()
 
 
+@pytest.mark.parametrize("coalgebra,window,arity",
+                         [(cp2_coalgebra, 8, 4),
+                          (wedge_s2_s3_coalgebra, 8, 3)],
+                         ids=["cp2", "s2vs3"])
+def test_validate_evaluates_every_bracket_the_full_degree_pass_does(
+        coalgebra, window, arity):
+    """validate() skips words above degree deg_max + 2; the brackets it
+    evaluates on the way must still be every nonzero one that a pass over
+    all words of degree up to top * arity evaluates."""
+    def nonzero_tables(T):
+        return {n: {w: v for w, v in table.items() if v}
+                for n, table in T.algebra.brackets.items()
+                if any(table.values())}
+
+    cut = transfer_linfty(cobar(coalgebra(), degree_max=window),
+                          arity_max=arity)
+    cut.validate()
+    full = transfer_linfty(cobar(coalgebra(), degree_max=window),
+                           arity_max=arity)
+    space = full.algebra.space
+    for word in wd.word_space(space, space.deg_max * arity,
+                              arity).all_keys():
+        assert not full.algebra.jacobiator(word)
+    assert nonzero_tables(cut) == nonzero_tables(full)
+    assert nonzero_tables(cut)
+
+
 # -- generated contractions -----------------------------------------------------
 
 # degrees of a generated complex: the differential runs from 2 to 1 and

@@ -61,6 +61,56 @@ def test_unshuffles_split_the_word_with_the_blocks_sign(letters, data):
         assert sign == wd.blocks_sign(degs, [subset, complement])
 
 
+@st.composite
+def letter_spaces(draw, low=-2):
+    """Up to six letters in degrees low..4, several of them sharing a
+    degree, so words mix odd letters, repeated even letters and, for
+    low < 1, letters in degrees <= 0."""
+    degrees = draw(st.lists(st.integers(low, 4), min_size=1, max_size=6))
+    by_deg: dict[int, list] = {}
+    for i, d in enumerate(degrees):
+        by_deg.setdefault(d, []).append(f"e{i}")
+    return GradedSpace(by_deg, name="L")
+
+
+def words_by_filter(L, n):
+    """The enumeration written out: combinations_with_replacement over the
+    letters in canonical order, minus the words with a repeated odd
+    letter."""
+    keys = sorted(L.all_keys(), key=L.sort_key)
+    return [w for w in combinations_with_replacement(keys, n)
+            if not any(a == b and L.degree_of[a] % 2
+                       for a, b in zip(w, w[1:]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_spaces(), st.integers(0, 4), st.integers(-8, 14))
+def test_bounded_canonical_words_are_the_filtered_words_in_order(L, n,
+                                                                 deg_max):
+    words = words_by_filter(L, n)
+    assert list(wd.canonical_words(L, n)) == words
+    assert list(wd.canonical_words(L, n, deg_max)) == [
+        w for w in words if wd.word_degree(L, w) <= deg_max]
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_spaces(low=1), st.integers(0, 12),
+       st.one_of(st.none(), st.integers(1, 4)))
+def test_word_space_equals_the_filtered_enumeration(L, deg_max, max_length):
+    by_deg: dict[int, list] = {}
+    n = 1
+    while n * L.deg_min <= deg_max and (max_length is None
+                                        or n <= max_length):
+        for w in words_by_filter(L, n):
+            if wd.word_degree(L, w) <= deg_max:
+                by_deg.setdefault(wd.word_degree(L, w), []).append(w)
+        n += 1
+    for words in by_deg.values():
+        words.sort(key=lambda w: (len(w), [L.sort_key(x) for x in w]))
+    assert wd.word_space(L, deg_max, max_length).by_degree == {
+        d: tuple(ws) for d, ws in sorted(by_deg.items())}
+
+
 def test_word_space_enumeration():
     L = sphere_letters()
     W = wd.word_space(L, deg_max=8)
