@@ -327,6 +327,9 @@ def cmd_components(args) -> int:
     except ValueError:
         raise ModelFileError("--samples", "expected comma-separated "
                              f"integers, got {args.samples!r}") from None
+    for i, v in enumerate(samples):
+        if v in samples[:i]:
+            raise ModelFileError("--samples", f"sample {v} is repeated")
     report = mapping.components(source, L, restrict_to=restrict,
                                 samples=samples, degree_max=window)
     classes = [{"representative": modelio.gmap_to_json(c.representative),

@@ -32,6 +32,7 @@ the residual polynomials of a component search).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import permutations
 
@@ -84,6 +85,9 @@ class ConvolutionAlgebra:
         self.carrier = GradedSpace(by_deg, name=self.name)
         self._window: int | None = None
         self._l1: GradedMap | None = None
+        # what the gauge decision derives from single Maurer-Cartan
+        # points (gauge._memo); nothing else reads it
+        self.point_memo: OrderedDict[tuple, dict] = OrderedDict()
 
     # -- elements --------------------------------------------------------
 

@@ -27,6 +27,18 @@ abelian case (where reachability is exactly a coset of the image of the
 differential, so the decision is complete and a failure yields a nonzero
 homology class as witness), and a twisted Betti comparison (equivalent
 elements have isomorphic twisted homology).
+
+What the decision derives from one point alone is kept on the algebra,
+so a search that decides many pairs over few points computes it once per
+point: the Maurer-Cartan residual, the flow rates of the degree-1
+directions that the rigidity sweep reads, the staged normal form (per
+polynomial bound) and the nonzero twisted Betti numbers.  The store,
+ConvolutionAlgebra.point_memo, is an LRU of the _POINTS_CAP points used
+last, keyed by the degree and exact coefficients of the point.  Only
+gauge_equivalent and its helpers read it.  Every verify() and
+path_check recompute from scratch, so a certificate is checked again
+rather than looked up, and a stale or damaged entry cannot make a wrong
+answer verify.
 """
 
 from __future__ import annotations
@@ -295,7 +307,8 @@ class Distinct:
         if not conv.mc_check(x).is_zero() or not conv.mc_check(y).is_zero():
             return False
         if self.kind == "rigid-stage":
-            return _rigidity_sweep(conv, x, y) == self.witness["degree"]
+            stage = _rigidity_sweep(conv, x, y, _flow_rates(conv, x))
+            return stage == self.witness["degree"]
         if self.kind == "homology-class":
             if conv.arity_window() > 1:
                 return False
@@ -311,8 +324,8 @@ class Distinct:
                    for k in _degree_keys(conv, 1)]
             return in_span(bnd, _dense(keys0, dv)) is None
         if self.kind == "twisted-betti":
-            bx = _nonzero_betti(conv.twisted_betti(x))
-            by = _nonzero_betti(conv.twisted_betti(y))
+            bx = _twisted_betti(conv, x)
+            by = _twisted_betti(conv, y)
             return (bx, by) == (self.witness["betti_x"],
                                 self.witness["betti_y"]) and bx != by
         return False
@@ -367,8 +380,9 @@ def _dense(keys: list, v: Vec) -> list:
     return [v.get(k, ZERO) for k in keys]
 
 
-def _nonzero_betti(b: dict[int, int]) -> dict[int, int]:
-    return {k: v for k, v in sorted(b.items()) if v}
+def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
+    """The nonzero Betti numbers of the carrier twisted by x."""
+    return {k: v for k, v in sorted(conv.twisted_betti(x).items()) if v}
 
 
 def _direction_maps(conv: ConvolutionAlgebra) -> list[tuple]:
@@ -387,8 +401,15 @@ def _combine(conv: ConvolutionAlgebra, dirs: list[tuple],
 
 # -- the rigidity sweep --------------------------------------------------
 
-def _rigidity_sweep(conv: ConvolutionAlgebra, x: GradedMap,
-                    y: GradedMap) -> int | None:
+def _flow_rates(conv: ConvolutionAlgebra, x: GradedMap) -> list[Vec]:
+    """The flow rate at x of every elementary degree-1 direction, in the
+    order of _direction_maps: only the degree-1 columns of the twist."""
+    return [conv.to_vec(vector_field(conv, x, e))
+            for _, e in _direction_maps(conv)]
+
+
+def _rigidity_sweep(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
+                    rates: list[Vec]) -> int | None:
     """Source degree at which x and y are certifiably inequivalent, or
     None when the sweep is inconclusive.
 
@@ -397,11 +418,9 @@ def _rigidity_sweep(conv: ConvolutionAlgebra, x: GradedMap,
     along every gauge path out of x, so the rates computed at x stay
     exact one degree higher.  At the first degree where the difference is
     nonzero it must lie in the span of the rates there; if it does not,
-    no path from x reaches y.
+    no path from x reaches y.  rates are _flow_rates(conv, x).
     """
     diff = conv.to_vec(y - x)
-    dirs = _direction_maps(conv)
-    rates = [conv.to_vec(vector_field(conv, x, e)) for _, e in dirs]
     cdeg = conv.C.space.degree_of
     keys0 = _degree_keys(conv, 0)
     for p in sorted({cdeg[k] for k in conv.C.space.all_keys()}):
@@ -518,6 +537,31 @@ def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
 
 # -- the decision --------------------------------------------------------
 
+# as many points as a component search samples on one family grid
+_POINTS_CAP = 64
+
+
+def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:
+    return (x.degree, frozenset(conv.to_vec(x).items()))
+
+
+def _memo(conv: ConvolutionAlgebra, x: GradedMap, field, compute):
+    """compute(), kept under field in the entry of x in conv.point_memo:
+    an LRU of the _POINTS_CAP points decided last."""
+    key = _point_key(conv, x)
+    memo = conv.point_memo
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = {}
+        if len(memo) > _POINTS_CAP:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    if field not in entry:
+        entry[field] = compute()
+    return entry[field]
+
+
 def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
                     poly_bound: int):
     dirs = _direction_maps(conv)
@@ -546,11 +590,11 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     for the genuinely undecided case: normal forms differ but no sound
     separating invariant applies at this arity window.
     """
-    rx = conv.mc_check(x)
+    rx = _memo(conv, x, "residual", lambda: conv.mc_check(x))
     if not rx.is_zero():
         raise ValueError(
             f"first element is not Maurer-Cartan, residual {rx.entries!r}")
-    ry = conv.mc_check(y)
+    ry = _memo(conv, y, "residual", lambda: conv.mc_check(y))
     if not ry.is_zero():
         raise ValueError(
             f"second element is not Maurer-Cartan, residual {ry.entries!r}")
@@ -560,18 +604,20 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
         return Equal(conv, x, y, (constant_path(conv, x, poly_bound),))
     if conv.arity_window() <= 1:
         return _abelian_decide(conv, x, y, poly_bound)
-    stage = _rigidity_sweep(conv, x, y)
+    rates = _memo(conv, x, "rates", lambda: _flow_rates(conv, x))
+    stage = _rigidity_sweep(conv, x, y, rates)
     if stage is not None:
         return Distinct(conv, x, y, "rigid-stage", {"degree": stage})
-    nx = moduli_normal_form(conv, x, poly_bound)
-    ny = moduli_normal_form(conv, y, poly_bound)
+    nf = ("normal_form", poly_bound)
+    nx = _memo(conv, x, nf, lambda: moduli_normal_form(conv, x, poly_bound))
+    ny = _memo(conv, y, nf, lambda: moduli_normal_form(conv, y, poly_bound))
     if nx.representative.equals(ny.representative):
         back = tuple(p.reversed() for p in reversed(ny.paths))
         return Equal(conv, x, y, nx.paths + back)
-    bx = _nonzero_betti(conv.twisted_betti(x))
-    by = _nonzero_betti(conv.twisted_betti(y))
+    bx = _memo(conv, x, "betti", lambda: _twisted_betti(conv, x))
+    by = _memo(conv, y, "betti", lambda: _twisted_betti(conv, y))
     if bx != by:
         return Distinct(conv, x, y, "twisted-betti",
-                        {"betti_x": bx, "betti_y": by})
+                        {"betti_x": dict(bx), "betti_y": dict(by)})
     return Unknown("normal forms differ but no separating invariant "
                    "applies at this arity window")

@@ -201,6 +201,10 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
                 raise ValueError(f"{p!r} is repeated")
     else:
         pairs = all_pairs
+    for i, v in enumerate(samples):
+        # a repeat would spend the grid cap on duplicate points
+        if v in samples[:i]:
+            raise ValueError(f"sample {v!r} is repeated")
     report = ComponentReport(conv, pairs)
     covers = len(pairs) == len(all_pairs)
 

@@ -353,6 +353,14 @@ def test_repeated_param_pair_is_refused(capsys):
                    "error": "--param: ('a', 'x') is repeated"}
 
 
+def test_repeated_sample_is_refused(capsys):
+    # a repeat would spend the family grid cap on duplicate points
+    err = refusal(capsys, ["components", "s3", "pi_s2",
+                           "--samples", "0,0,0,0,1"])
+    assert err == {"where": "--samples",
+                   "error": "--samples: sample 0 is repeated"}
+
+
 def test_samples_must_be_integers(capsys):
     for samples in ("x", "0,,1"):
         err = refusal(capsys, ["components", "s3", "pi_s2",

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convmc import gauge
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import (Distinct, Equal, GaugePath, Unknown,
                           constant_path, default_poly_bound, gauge_flow,
@@ -61,6 +62,15 @@ def pair_mc(conv, alpha, gamma):
     if gamma:
         v[("b", "w")] = F(gamma)
     return conv.to_map(v, degree=0)
+
+
+def two_step_mc(conv, alpha, beta, gamma):
+    """(a -> alpha x, b -> beta u, c -> gamma n) on maps from CP3 into
+    two_step_target: every such map is Maurer-Cartan, since no bracket of
+    the target takes two of x, u, n."""
+    return conv.to_map({k: F(c) for k, c in
+                        ((("a", "x"), alpha), (("b", "u"), beta),
+                         (("c", "n"), gamma)) if c}, degree=0)
 
 
 def test_probe_targets_validate():
@@ -383,3 +393,122 @@ def test_default_poly_bound_grows_with_the_source():
         ConvolutionAlgebra(cp2_coalgebra(), pi_s2())) == 4
     assert default_poly_bound(
         ConvolutionAlgebra(cp3_coalgebra(), pi_s2())) == 5
+
+
+# -- properties of flows and of the per-point memo -----------------------
+
+small = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def probe_point(draw):
+    """A Maurer-Cartan element of one of the two probe algebras, named by
+    its family and coefficients."""
+    if draw(st.booleans()):
+        return "pair", (draw(small), draw(small))
+    return "two_step", (draw(small), draw(small), draw(small))
+
+
+def probe_algebra(family):
+    if family == "pair":
+        return ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target())
+    return ConvolutionAlgebra(cp3_coalgebra(), two_step_target())
+
+
+def probe_mc(conv, family, coeffs):
+    return (pair_mc if family == "pair" else two_step_mc)(conv, *coeffs)
+
+
+def signature(cert):
+    """Outcome, kind, witness or reason, and every path's endpoints."""
+    ends = [tuple(sorted(cert.conv.to_vec(path.endpoint(t)).items())
+                  for t in (0, 1))
+            for path in getattr(cert, "paths", ())]
+    return (cert.outcome, getattr(cert, "kind", None),
+            getattr(cert, "witness", None), getattr(cert, "reason", None),
+            ends)
+
+
+@settings(max_examples=25, deadline=None)
+@given(point=probe_point(), data=st.data())
+def test_mc_residual_stays_zero_along_gauge_flows(point, data):
+    family, coeffs = point
+    conv = probe_algebra(family)
+    x = probe_mc(conv, family, coeffs)
+    lam = conv.zero_map(1)
+    for key in sorted(conv.carrier.basis(1), key=conv.carrier.sort_key):
+        lam = lam + conv.elementary(*key).scale(data.draw(fractions))
+    path = gauge_flow(conv, x, lam)
+    assert path.path_check().is_zero()
+    assert path.endpoint(0).equals(x)
+    for t in (0, F(1, 3), 1):
+        assert conv.mc_check(path.endpoint(t)).is_zero()
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["pair", "two_step"]), data=st.data())
+def test_shared_algebra_decides_like_fresh_ones(family, data):
+    dim = 2 if family == "pair" else 3
+    coords = st.tuples(*[st.integers(min_value=0, max_value=2)] * dim)
+    points = data.draw(st.lists(coords, min_size=2, max_size=5,
+                                unique=True))
+    index = st.integers(min_value=0, max_value=len(points) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1,
+                               max_size=6))
+    # the first pair again, and swapped
+    pairs += [pairs[0], pairs[0][::-1]]
+    shared = probe_algebra(family)
+    for i, j in pairs:
+        got = gauge_equivalent(shared, probe_mc(shared, family, points[i]),
+                               probe_mc(shared, family, points[j]))
+        fresh = probe_algebra(family)
+        want = gauge_equivalent(fresh, probe_mc(fresh, family, points[i]),
+                                probe_mc(fresh, family, points[j]))
+        assert signature(got) == signature(want)
+    assert len(shared.point_memo) <= len(points)
+
+
+def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
+    monkeypatch.setattr(gauge, "_POINTS_CAP", 2)
+    conv = probe_algebra("pair")
+    p = [pair_mc(conv, a, g) for a, g in [(2, 3), (2, -5), (1, 0), (0, 1)]]
+    first = gauge_equivalent(conv, p[0], p[1])
+    assert first.outcome == "equal"
+    assert gauge_equivalent(conv, p[2], p[3]).outcome == "distinct"
+    assert set(conv.point_memo) == {gauge._point_key(conv, p[2]),
+                                    gauge._point_key(conv, p[3])}
+    again = gauge_equivalent(conv, p[0], p[1])
+    assert signature(again) == signature(first)
+    assert again.verify()
+    assert set(conv.point_memo) == {gauge._point_key(conv, p[0]),
+                                    gauge._point_key(conv, p[1])}
+
+
+def test_verify_recomputes_what_the_decision_memoises():
+    conv = probe_algebra("pair")
+    x, y, z = pair_mc(conv, 2, 3), pair_mc(conv, 2, -5), pair_mc(conv, 1, 0)
+    equal = gauge_equivalent(conv, x, y)
+    rigid = gauge_equivalent(conv, x, z)
+    assert (equal.outcome, rigid.kind) == ("equal", "rigid-stage")
+    entry = conv.point_memo[gauge._point_key(conv, x)]
+    # no direction moves x any more, as far as the memo knows
+    entry["rates"] = [{} for _ in entry["rates"]]
+    forged = gauge_equivalent(conv, x, y)
+    assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
+    assert not forged.verify()
+    assert equal.verify()
+    assert rigid.verify()
+
+    conv = probe_algebra("two_step")
+    x, y = two_step_mc(conv, 0, 0, 0), two_step_mc(conv, 0, 1, 0)
+    bx, by = gauge._twisted_betti(conv, x), gauge._twisted_betti(conv, y)
+    assert bx != by
+    betti = Distinct(conv, x, y, "twisted-betti",
+                     {"betti_x": bx, "betti_y": by})
+    assert gauge_equivalent(conv, x, y).kind == "rigid-stage"
+    entry = conv.point_memo[gauge._point_key(conv, x)]
+    entry["rates"] = [{} for _ in entry["rates"]]
+    entry["betti"] = {0: 99}
+    assert betti.verify()
+    assert not Distinct(conv, x, y, "twisted-betti",
+                        {"betti_x": {0: 99}, "betti_y": by}).verify()

@@ -106,6 +106,12 @@ def test_repeated_pair_is_rejected():
                            restrict_to=[("a", "x"), ("a", "x")])
 
 
+def test_repeated_sample_is_rejected():
+    # duplicate grid values would use up GRID_CAP on duplicate points
+    with pytest.raises(ValueError, match="sample 0 is repeated"):
+        mapping.components(sphere_coalgebra(3), pi_s2(), samples=(0, 0, 1))
+
+
 def test_component_homotopy_group_table():
     s2, s3 = sphere_coalgebra(2), sphere_coalgebra(3)
     L = pi_s2()
