@@ -15,12 +15,14 @@ The truncation window is taken from --window, then the CONVMC_WINDOW
 environment variable, then a per-command default.  Every command with a
 window refuses one below the lowest degree of the space its model is
 built on (the carrier of L for bar, the coalgebra for cobar and
-transfer, the target coalgebra for hopf and homotopic), since that
-model would be empty.  hopf and homotopic also refuse a window that leaves
-the top degree of the source above exact_through (window - 1), where the
-loop model is only a truncation artifact.  transfer blames --window for a
-Jacobi residue above exact_through, where the cobar cut at the window
-leaves homology that is not there.
+transfer, the target coalgebra for hopf and homotopic, the bar
+construction of a free Lie model source for components), since that
+model would be empty.  components refuses --window with a coalgebra
+source, which it uses as is.  hopf and homotopic also refuse a window
+that leaves the top degree of the source above exact_through (window -
+1), where the loop model is only a truncation artifact.  transfer blames
+--window for a Jacobi residue above exact_through, where the cobar cut
+at the window leaves homology that is not there.
 """
 
 from __future__ import annotations
@@ -309,8 +311,16 @@ def cmd_components(args) -> int:
     if not isinstance(source, (CdgCoalgebra, QuillenModel)):
         raise ModelFileError(args.C, "expected a coalgebra or free Lie model")
     L = _load_linfty(args.L)
-    window = _window(args, None) if (args.window is not None
-                                     or os.environ.get(WINDOW_ENV)) else None
+    window = None
+    if isinstance(source, QuillenModel):
+        if args.window is not None or os.environ.get(WINDOW_ENV):
+            # the source is replaced by its bar construction, which sits
+            # one degree above the letters of the free Lie algebra
+            window = _model_window(args, source.as_linfty().space, 0)
+    elif args.window is not None:
+        raise ModelFileError("--window", f"{args.C} is a coalgebra model and "
+                             "is used as is; the window only sets the bar "
+                             "construction of a free Lie model source")
     restrict = None
     if args.param is not None:
         try:
@@ -473,8 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a batch of calls in one process parses with it
+# again, and building it imports what argparse's help text needs
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ModelFileError as exc:

@@ -572,7 +572,9 @@ def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     coeffs = in_span(effects, target)
     if coeffs is None:
         witness = {"class_degree": 0,
-                   "cycle": sorted(conv.to_vec(y - x).items())}
+                   "cycle": sorted(conv.to_vec(y - x).items(),
+                                   key=lambda kv: conv.carrier.sort_key(
+                                       kv[0]))}
         return Distinct(conv, x, y, "homology-class", witness)
     lam = _combine(conv, dirs, coeffs)
     path = gauge_flow(conv, x, lam, poly_bound)

@@ -10,15 +10,24 @@ algebra over that bar coalgebra computes the same moduli there.  The
 replacement is recorded on the returned algebra so downstream reports
 can carry the window.
 
-Component search parameterizes degree-0 elements by exact coefficients,
-expands the Maurer-Cartan residual as a polynomial system over the
-rationals, and solves it symbolically.  Solutions come back as points
-or as parametric families; families are sampled on a small grid and
-every surviving candidate is reduced to a certified moduli class, with
-pairwise gauge decisions recorded.  The report says plainly whether the
-search was exhaustive: it is when the candidate space covers all of
-degree 0 or the system is affine, and the notes spell out anything that
-was sampled rather than enumerated.
+Component search parameterizes degree-0 elements by exact coefficients
+c0, c1, ... and expands the Maurer-Cartan residual as a polynomial
+system over the rationals: one dict from exponent tuple to Fraction per
+carrier basis pair.  The system is first settled exactly: an equation
+that is c x^k in a single coefficient forces x = 0, which is substituted
+until no equation is left.  Each step is an equivalence over Q, so a
+settled system is the single branch "forced coefficients 0, the rest
+free", decided in Fractions (sympy may list the same set with redundant
+sub-branches of its case splits; the settle does not).  A system that
+does not settle this way is solved symbolically by sympy.solve, which
+is imported only then: sympy stays a runtime dependency for that
+fallback alone.  Solutions come back as points or as parametric
+families; families are sampled on a small grid and every surviving
+candidate is reduced to a certified moduli class, with pairwise gauge
+decisions recorded.  The report says plainly whether the search was
+exhaustive: it is when the candidate space covers all of degree 0 or
+the system is affine, and the notes spell out anything that was sampled
+rather than enumerated.
 """
 
 from __future__ import annotations
@@ -28,13 +37,11 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-import sympy
-
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
 from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
                     moduli_normal_form)
-from .graded import GradedMap, GradedSpace
+from .graded import GradedMap, GradedSpace, add_term
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
 
 F = Fraction
@@ -81,37 +88,53 @@ def mapping_space_model(source, L: LInfinityAlgebra,
     return conv
 
 
-def _residual_polynomials(conv: ConvolutionAlgebra, pairs, syms):
+def _residual_polynomials(conv: ConvolutionAlgebra, pairs) -> dict:
     """Maurer-Cartan residual of sum_i c_i e_i as polynomials in the c_i,
-    one sympy expression per carrier basis pair of the image."""
-    exprs: dict = {}
+    one per carrier basis pair of the image: a dict from the exponent
+    tuple of each monomial to its coefficient."""
+    polys: dict = {}
 
     def add(gm: GradedMap, mono):
         for ck, col in gm.entries.items():
             for lk, c in col.items():
-                cur = exprs.get((ck, lk), sympy.Integer(0))
-                exprs[(ck, lk)] = cur + sympy.Rational(c.numerator,
-                                                       c.denominator) * mono
+                add_term(polys.setdefault((ck, lk), {}), mono, c)
 
     els = [conv.elementary(*p) for p in pairs]
-    for s, e in zip(syms, els):
+    for i, e in enumerate(els):
         d = conv.differential_of(e)
         if not d.is_zero():
-            add(d, s)
+            add(d, tuple(int(j == i) for j in range(len(els))))
     for n in range(2, conv.arity_window() + 1):
         for idx in itertools.combinations_with_replacement(range(len(els)),
                                                            n):
             val = conv.bracket(n, [els[j] for j in idx])
             if val.is_zero():
                 continue
+            counts = Counter(idx)
             weight = F(1)
-            for m in Counter(idx).values():
+            for m in counts.values():
                 weight *= F(1, factorial(m))
-            mono = sympy.Integer(1)
-            for j in idx:
-                mono = mono * syms[j]
-            add(val.scale(weight), mono)
-    return {k: sympy.expand(e) for k, e in exprs.items()}
+            add(val.scale(weight), tuple(counts[j] for j in range(len(els))))
+    return polys
+
+
+def _settle(eqs) -> set | None:
+    """The coordinates forced to 0 when the system settles exactly, else
+    None.  An equation c x^k with c != 0 forces x = 0; substituting it and
+    dropping what vanishes is an equivalence over Q, repeated until no
+    equation is left (settled) or none is a single power (not settled)."""
+    forced: set = set()
+    while eqs:
+        powers = [[i for i, k in enumerate(mono) if k]
+                  for eq in eqs if len(eq) == 1 for mono in eq]
+        new = {v[0] for v in powers if len(v) == 1}
+        if not new:
+            return None
+        forced |= new
+        eqs = [r for r in ({m: c for m, c in eq.items()
+                            if not any(m[i] for i in new)} for eq in eqs)
+               if r]
+    return forced
 
 
 def _polynomial_branches(sols, syms) -> bool:
@@ -119,24 +142,61 @@ def _polynomial_branches(sols, syms) -> bool:
                               for sol in sols for e in sol.values())
 
 
-def _solve_preferring_polynomial(eqs, syms):
-    """Solve the residual system, preferring a solved form whose branches
-    are polynomial in the remaining free coefficients: families then come
+def _solve_preferring_polynomial(eqs, n: int) -> list:
+    """Solve the residual system eqs, nonzero polynomials in c0..c{n-1},
+    as a list of branches (free, values, at): the names of the free
+    coefficients sorted as strings, each coefficient's solved value as
+    text, and a map from values of the free coefficients, in that order,
+    to the point, None where it is not rational.
+
+    A system that settles exactly has one branch, computed in Fractions.
+    Any other goes to sympy, preferring a solved form whose branches are
+    polynomial in the remaining free coefficients: families then come
     out as honest parameterizations instead of radical expressions.
     Falls back to whatever the default solve returns."""
-    default = sympy.solve(eqs, list(syms), dict=True)
-    if _polynomial_branches(default, syms):
-        return default
-    attempts = 0
-    for r in range(min(len(eqs), len(syms)), 0, -1):
-        for subset in itertools.combinations(syms, r):
-            attempts += 1
-            if attempts > 64:
-                return default
-            trial = sympy.solve(eqs, list(subset), dict=True)
-            if _polynomial_branches(trial, syms):
-                return trial
-    return default
+    names = [f"c{i}" for i in range(n)]
+    forced = _settle(eqs)
+    if forced is not None:
+        free = sorted(names[i] for i in range(n) if i not in forced)
+
+        def at(values):
+            subs = dict(zip(free, values))
+            return [F(0) if i in forced else subs[names[i]]
+                    for i in range(n)]
+        return [(free, ["0" if i in forced else names[i]
+                        for i in range(n)], at)]
+
+    import sympy
+    syms = sympy.symbols(names)
+    exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                         * sympy.Mul(*(s**k for s, k in zip(syms, mono)))
+                         for mono, c in eq.items())) for eq in eqs]
+    default = sympy.solve(exprs, syms, dict=True)
+    subsets = itertools.islice(itertools.chain.from_iterable(
+        itertools.combinations(syms, r)
+        for r in range(min(len(exprs), n), 0, -1)), 64)
+    trials = itertools.chain([default], (sympy.solve(exprs, list(subset),
+                                                     dict=True)
+                                         for subset in subsets))
+    sols = next((t for t in trials if _polynomial_branches(t, syms)),
+                default)
+
+    branches = []
+    for sol in sols:
+        vals = [sol.get(s, s) for s in syms]
+        free = sorted({f for e in vals for f in e.free_symbols
+                       if f in syms}, key=lambda s: s.name)
+
+        def at(values, vals=vals, free=free):
+            subs = {s: sympy.Rational(v.numerator, v.denominator)
+                    for s, v in zip(free, values)}
+            point = [e.subs(subs) for e in vals]
+            if not all(v.is_rational for v in point):
+                return None
+            return [F(int(v.p), int(v.q)) for v in point]
+        branches.append(([s.name for s in free], [str(e) for e in vals],
+                         at))
+    return branches
 
 
 class ComponentReport:
@@ -219,12 +279,8 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
         report.representatives.append(conv.zero_map(0))
         return report
 
-    syms = sympy.symbols(f"c0:{len(pairs)}")
-    if len(pairs) == 1:
-        syms = (syms,) if not isinstance(syms, tuple) else syms
-    polys = _residual_polynomials(conv, pairs, syms)
-    eqs = [e for e in polys.values() if e != 0]
-    affine = all(sympy.total_degree(e, *syms) <= 1 for e in eqs)
+    eqs = [p for p in _residual_polynomials(conv, pairs).values() if p]
+    affine = all(sum(mono) <= 1 for eq in eqs for mono in eq)
     report.method = "affine" if affine else "polynomial"
     report.exhaustive = covers or affine
     if not covers:
@@ -232,29 +288,20 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
             f"search restricted to {len(pairs)} of {len(all_pairs)} "
             "degree-0 directions")
 
-    if not eqs:
-        branches = [{s: s for s in syms}]
-    else:
-        sols = _solve_preferring_polynomial(eqs, syms)
-        if not sols:
-            report.notes.append("residual system has no solutions in the "
-                                "searched subspace")
-            return report
-        branches = [{s: sol.get(s, s) for s in syms} for sol in sols]
+    branches = _solve_preferring_polynomial(eqs, len(pairs))
+    if not branches:
+        report.notes.append("residual system has no solutions in the "
+                            "searched subspace")
+        return report
 
     candidates: list[tuple] = []
     seen = set()
-    for branch in branches:
-        free = sorted({f for e in branch.values()
-                       for f in e.free_symbols if f in syms},
-                      key=lambda s: s.name)
+    for free, values, at in branches:
         if free:
             report.free_parameters = tuple(
-                sorted(set(report.free_parameters)
-                       | {s.name for s in free}))
-            report.parametric.append(
-                {pair: str(branch[s]) for pair, s in zip(pairs, syms)})
-            grid = itertools.product([sympy.Rational(v) for v in samples],
+                sorted(set(report.free_parameters) | set(free)))
+            report.parametric.append(dict(zip(pairs, values)))
+            grid = itertools.product([F(v) for v in samples],
                                      repeat=len(free))
             grid = list(itertools.islice(grid, GRID_CAP + 1))
             if len(grid) > GRID_CAP:
@@ -266,17 +313,9 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
                 f"samples over {tuple(samples)}")
         else:
             grid = [()]
-        for values in grid:
-            subs = dict(zip(free, values))
-            point = []
-            ok = True
-            for s in syms:
-                v = branch[s].subs(subs)
-                if not v.is_rational:
-                    ok = False
-                    break
-                point.append(F(int(v.p), int(v.q)))
-            if not ok:
+        for params in grid:
+            point = at(params)
+            if point is None:
                 report.notes.append("dropped a non-rational solution branch")
                 report.exhaustive = False
                 continue

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +372,88 @@ def test_samples_must_be_integers(capsys):
         assert err == {"where": "--samples",
                        "error": "--samples: expected comma-separated "
                                 f"integers, got {samples!r}"}
+
+
+@pytest.fixture
+def quillen_s2(tmp_path, capsys):
+    """The free Lie model of S2 as `cobar s2 --window 5` writes it."""
+    path = tmp_path / "q.json"
+    assert run(capsys, ["cobar", "s2", "--window", "5",
+                        "--out", str(path)])[:2] == (0, "")
+    return path
+
+
+def test_components_over_a_mixed_bar_carrier_decides_every_pair(
+        quillen_s2, capsys):
+    # at window 3 the bar construction has arity window 1, so pairs are
+    # decided by the homology class of their difference; its degree-0
+    # carrier mixes word shapes, which the witness must sort by basis order
+    code, out, err = run(capsys, ["components", str(quillen_s2), "pi_s2",
+                                  "--window", "3"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["summary"] == ("9 component class(es) [exhaustive, "
+                                 "affine, family in c0, c1]")
+    assert all(c["verified"] for c in report["classes"])
+    assert {outcome for *_, outcome in report["pairwise"]} == {"distinct"}
+
+
+def test_components_window_below_the_bar_of_the_source_is_refused(
+        quillen_s2, capsys, monkeypatch):
+    # the bar construction of the free Lie model of S2 starts in degree 2:
+    # a smaller window leaves an empty source and an empty "success"
+    for window in ("-3", "0", "1"):
+        err = refusal(capsys, ["components", str(quillen_s2), "pi_s2",
+                               "--window", window])
+        assert err["where"] == "--window"
+        assert f"window {window} is below degree 2" in err["error"]
+    monkeypatch.setenv(cli.WINDOW_ENV, "1")
+    err = refusal(capsys, ["components", str(quillen_s2), "pi_s2"])
+    assert err["where"] == "--window"
+    code, out, _ = run(capsys, ["components", str(quillen_s2), "pi_s2",
+                                "--window", "2"])
+    assert code == 0 and json.loads(out)["classes"]
+
+
+def test_components_window_with_a_coalgebra_source_is_refused(
+        capsys, monkeypatch):
+    # a coalgebra source is used as is, so an explicit window would be
+    # silently ignored
+    for window in ("-5", "4"):
+        err = refusal(capsys, ["components", "cp2", "pi_s2",
+                               "--window", window])
+        assert err["where"] == "--window"
+        assert "cp2 is a coalgebra model" in err["error"]
+    # the environment only sets a default, which this source does not need
+    _, plain, _ = run(capsys, ["components", "cp2", "pi_s2"])
+    monkeypatch.setenv(cli.WINDOW_ENV, "-5")
+    assert run(capsys, ["components", "cp2", "pi_s2"]) == (0, plain, "")
+
+
+def test_sympy_is_imported_only_for_a_system_the_settle_leaves_open(
+        tmp_path):
+    # cp2 into pi(S2) gives c0^2 = 0, which settles exactly; the
+    # strictified S2 source gives 2 c0^2 - c1 = 0, which goes to sympy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    quillen, settled, opened = (str(tmp_path / f"{name}.json") for name in
+                                ("quillen", "settled", "opened"))
+    script = (
+        "import sys\n"
+        "from convmc.cli import main\n"
+        f"assert main(['components', 'cp2', 'pi_s2', '--out', {settled!r}])"
+        " == 0\n"
+        "print('sympy' in sys.modules)\n"
+        f"assert main(['cobar', 's2', '--out', {quillen!r}]) == 0\n"
+        f"assert main(['components', {quillen!r}, 'pi_s2', '--out', "
+        f"{opened!r}]) == 0\n"
+        "print('sympy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop(cli.WINDOW_ENV, None)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["False", "True"]
+    assert json.loads(Path(settled).read_text())["method"] == "polynomial"
+    assert [[[["a"], "x"], "c0"], [[[["br", "a", "a"]], "y"], "2*c0**2"]] \
+        in json.loads(Path(opened).read_text())["parametric"]

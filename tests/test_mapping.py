@@ -19,14 +19,17 @@ bracket letter to track the square of the bottom value.  Sampling the
 parabola reproduces the strict line sample by sample.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convmc import mapping
 from convmc.gauge import Distinct, Equal, gauge_flow
-from convmc.graded import GradedMap, GradedSpace
-from convmc.library import (cp2_coalgebra, pi_s2, quillen_s2,
+from convmc.graded import GradedMap, GradedSpace, add_term
+from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
+                            builtin_model, cp2_coalgebra, pi_s2, quillen_s2,
                             sphere_coalgebra)
 from convmc.models import LInfinityAlgebra
 
@@ -184,3 +187,168 @@ def test_strictified_source_matches_the_strict_model():
             sd = mapping.pi_of_component(sphere_coalgebra(2), pi_s2(),
                                          sc.representative, n).total_dim()
             assert qd == sd
+
+
+# -- the exact settle against sympy ------------------------------------------
+
+def sympy_exprs(eqs, syms):
+    import sympy
+    return [sympy.expand(sum(sympy.Rational(c.numerator, c.denominator)
+                             * sympy.Mul(*(s**k for s, k in zip(syms, mono)))
+                             for mono, c in eq.items())) for eq in eqs]
+
+
+def sympy_branches(eqs, n, samples):
+    """The sympy solve the component search ran for every system, read the
+    way it read it: per branch the free names, the solved values as text
+    and the rational points (None where not rational) over the grid."""
+    import sympy
+    syms = sympy.symbols(f"c0:{n}")
+    exprs = sympy_exprs(eqs, syms)
+
+    def polynomial(sols):
+        return bool(sols) and all(e.is_polynomial(*syms)
+                                  for sol in sols for e in sol.values())
+
+    def solve():
+        default = sympy.solve(exprs, list(syms), dict=True)
+        if polynomial(default):
+            return default
+        attempts = 0
+        for r in range(min(len(exprs), n), 0, -1):
+            for subset in itertools.combinations(syms, r):
+                attempts += 1
+                if attempts > 64:
+                    return default
+                trial = sympy.solve(exprs, list(subset), dict=True)
+                if polynomial(trial):
+                    return trial
+        return default
+
+    sols = solve() if exprs else [{}]
+    out = []
+    for sol in sols:
+        branch = [sol.get(s, s) for s in syms]
+        free = sorted({f for e in branch for f in e.free_symbols
+                       if f in syms}, key=lambda s: s.name)
+        points = []
+        for values in itertools.product(samples, repeat=len(free)):
+            vals = [e.subs(dict(zip(free, map(sympy.Rational, values))))
+                    for e in branch]
+            points.append([F(int(v.p), int(v.q)) for v in vals]
+                          if all(v.is_rational for v in vals) else None)
+        out.append(([s.name for s in free], [str(e) for e in branch],
+                    points))
+    return out
+
+
+def exact_branches(eqs, n, samples):
+    return [(free, values,
+             [at(tuple(map(F, v)))
+              for v in itertools.product(samples, repeat=len(free))])
+            for free, values, at in
+            mapping._solve_preferring_polynomial(eqs, n)]
+
+
+def check_against_sympy(eqs, n, one_branch=False):
+    import sympy
+    forced = mapping._settle(eqs)
+    if forced is None:
+        # left open: the same branches the plain sympy solve gave
+        assert exact_branches(eqs, n, (0, 1, -2)) == \
+            sympy_branches(eqs, n, (0, 1, -2))
+        return
+    (free, values, _), = mapping._solve_preferring_polynomial(eqs, n)
+    assert values == ["0" if i in forced else f"c{i}" for i in range(n)]
+    if not eqs:
+        return
+    syms = sympy.symbols(f"c0:{n}")
+    sols = sympy.solve(sympy_exprs(eqs, syms), list(syms), dict=True)
+    zero = {syms[i]: 0 for i in forced}
+    # sympy describes the same set: the settle's branch is one of its
+    # branches and any other pins the forced coordinates to 0 too (a
+    # redundant sub-branch of a case split, as for c0 c2 = c1 + c2 = c1 = 0)
+    assert zero in sols
+    assert all(sol.get(s) == 0 for sol in sols for s in zero)
+    assert sols == [zero] or not one_branch
+    if sols == [zero]:
+        assert exact_branches(eqs, n, (0, 1, -2)) == \
+            sympy_branches(eqs, n, (0, 1, -2))
+
+
+@st.composite
+def polynomial_systems(draw):
+    """Systems without constant terms in up to 5 variables, built from
+    pure powers, products of two variables and linear terms.  At most
+    three equations of two terms keep sympy's general solve, which every
+    system the settle leaves open goes to, within seconds."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    var = st.integers(min_value=0, max_value=n - 1)
+    coef = st.fractions(min_value=-3, max_value=3,
+                        max_denominator=2).filter(bool)
+
+    def monomial():
+        kind = draw(st.sampled_from(["power", "mixed", "linear"]))
+        mono = [0] * n
+        if kind == "mixed" and n > 1:
+            for i in draw(st.lists(var, min_size=2, max_size=2,
+                                   unique=True)):
+                mono[i] = 1
+        else:
+            mono[draw(var)] = 1 if kind == "linear" else \
+                draw(st.integers(min_value=1, max_value=3))
+        return tuple(mono)
+
+    eqs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        eq: dict = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            add_term(eq, monomial(), draw(coef))
+        if eq:
+            eqs.append(eq)
+    return eqs, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(polynomial_systems())
+# c0 c2 = c1 + c2 = c1 = 0 settles to c1 = c2 = 0; sympy's case split on
+# c0 c2 lists the sub-branch c0 = c1 = c2 = 0 as well
+@example(([{(1, 0, 1): F(1)}, {(0, 0, 1): F(1), (0, 1, 0): F(1)},
+           {(0, 1, 0): F(1)}], 3))
+def test_exact_settle_agrees_with_sympy(system):
+    check_against_sympy(*system)
+
+
+def bundled_systems():
+    sources = {name: builtin_model for name in BUILTIN_COALGEBRAS}
+    sources["quillen_s2"] = lambda _: quillen_s2()
+    for name, make in sources.items():
+        for target in BUILTIN_TARGETS:
+            conv = mapping.mapping_space_model(make(name),
+                                               builtin_model(target))
+            pairs = conv.carrier.basis(0)
+            polys = mapping._residual_polynomials(conv, pairs)
+            yield (f"{name}-{target}",
+                   [p for p in polys.values() if p], len(pairs))
+
+
+BUNDLED = list(bundled_systems())
+
+
+@pytest.mark.parametrize("eqs,n", [b[1:] for b in BUNDLED],
+                         ids=[b[0] for b in BUNDLED])
+def test_exact_settle_agrees_with_sympy_on_bundled_pairs(eqs, n):
+    # no bundled pair has a sub-branch, so its components report keeps
+    # its bytes
+    check_against_sympy(eqs, n, one_branch=True)
+
+
+def test_the_settle_forces_through_substitution():
+    # c0^2 = 0 forces c0; then c0 c1 + c2^3 = 0 leaves c2^3 = 0
+    eqs = [{(2, 0, 0): F(1)}, {(1, 1, 0): F(1), (0, 0, 3): F(-2)}]
+    assert mapping._settle(eqs) == {0, 2}
+    (free, values, at), = mapping._solve_preferring_polynomial(eqs, 3)
+    assert (free, values) == (["c1"], ["0", "c1", "0"])
+    assert at((F(5, 2),)) == [0, F(5, 2), 0]
+    # a linear relation between two coordinates is left to sympy
+    assert mapping._settle([{(1, 0): F(1), (0, 1): F(-1)}]) is None

@@ -12,19 +12,22 @@ matching inclusion correction is i'2(alpha, alpha) = -h l2(i a, i a)
 evaluates independently of the perturbation series.
 """
 
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convmc import mapping
 from convmc import words as wd
 from convmc.barcobar import cobar, twisting_residual
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import gauge_flow
 from convmc.graded import (ChainComplex, Contraction, GradedMap, GradedSpace,
                            add_term, contraction_from_complex, tensor_terms)
-from convmc.library import (abelian_pair_with_d, cp2_coalgebra, pi_s2,
-                            sphere_coalgebra, wedge_s2_s3_coalgebra)
+from convmc.library import (abelian_pair_with_d, builtin_model,
+                            cp2_coalgebra, pi_s2, sphere_coalgebra,
+                            wedge_s2_s3_coalgebra)
 from convmc.matrices import identity, solve_matrix
 from convmc.models import LInfinityAlgebra, abelian_linfty
 from convmc.transfer import (InfinityMorphism, TransferredLInfinity,
@@ -277,6 +280,45 @@ def test_push_to_homology_mc_family(s):
     expect = {"a": {"H2_0": s}} if s else {}
     assert dict(sigma.entries) == expect
     assert ConvolutionAlgebra(cp2, T.algebra).mc_check(sigma).is_zero()
+
+
+@functools.lru_cache(maxsize=None)
+def solved_families(target, source, side):
+    """The transfer of target at window 6, and the Maurer-Cartan families
+    the component search solves in Hom(source, side) with side the
+    transferred algebra or the ambient cobar one: (T, pairs, branches)."""
+    T = transfer_linfty(cobar(builtin_model(target), degree_max=6),
+                        arity_max=3)
+    conv = ConvolutionAlgebra(builtin_model(source), getattr(T, side))
+    pairs = conv.carrier.basis(0)
+    eqs = [p for p in mapping._residual_polynomials(conv, pairs).values()
+           if p]
+    return T, pairs, mapping._solve_preferring_polynomial(eqs, len(pairs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(target=st.sampled_from(["cp2", "s2vs3"]),
+       source=st.sampled_from(["cp2", "s2xs2", "s2vs3"]),
+       side=st.sampled_from(["algebra", "ambient"]), data=st.data())
+def test_push_mc_preserves_mc_on_solved_families(target, source, side,
+                                                 data):
+    """A point of a solved family, at any rational parameters, pushes to a
+    Maurer-Cartan point: down the projection under the literal residual,
+    up the inclusion under the divided-power one, as push_mc documents."""
+    T, pairs, branches = solved_families(target, source, side)
+    free, _, at = data.draw(st.sampled_from(branches))
+    point = at([data.draw(scalars) for _ in free])
+    C = builtin_model(source)
+    conv = ConvolutionAlgebra(C, getattr(T, side))
+    tau = conv.to_map(dict(zip(pairs, point)), degree=0)
+    assert conv.mc_check(tau).is_zero()
+    if side == "ambient":
+        sigma = push_mc(T.projection_infinity(), C, tau)
+        assert ConvolutionAlgebra(C, T.algebra).mc_check(sigma).is_zero()
+    else:
+        sigma = push_mc(T.inclusion_infinity(), C, tau)
+        assert twisting_residual(ConvolutionAlgebra(C, T.ambient),
+                                 sigma).is_zero()
 
 
 @settings(max_examples=10, deadline=None)
