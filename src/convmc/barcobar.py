@@ -349,7 +349,9 @@ def cobar_map(h: GradedMap, source: CobarAlgebra, target: CobarAlgebra
     """The algebra map cobar(C') -> cobar(C) induced by a coalgebra
     morphism h: C' -> C, in classical degrees; checked to be a chain
     map.  Composition of induced maps matches induction of composites
-    as an exact matrix identity."""
+    as an exact matrix identity.  Brackets of basis elements are read
+    from target.fl's table of basis-pair brackets, which the cobar
+    differential has already partly filled and this call extends."""
     check_coalgebra_morphism(source.C, target.C, h)
     memo: dict = {}
 

@@ -12,6 +12,19 @@ expanding left-normed words degree by degree, in the order of the tensor
 words of that degree, and keeping the ones that grow the rank
 (deterministic, so every run picks the same basis).  One echelon of the
 accepted expansions per degree serves both the scan and express.
+
+A FreeLie keeps two memos for its lifetime, so they go wherever the
+instance goes (a loop model in hopf's model cache keeps them with it):
+
+- the tensor expansion of each basis element, keyed by the element, kept
+  by the basis scan that computed it; one entry per basis element.
+- the bracket of each pair of basis elements in the basis, keyed by the
+  pair (a, b) and filled on the first bracket that needs it.  A pair
+  above the window raises before anything is stored, so it holds at most
+  one entry per pair whose degrees sum to at most deg_max.
+
+bracket is bilinear over the second memo and returns a fresh dict; no
+memo entry is handed to a caller.
 """
 
 from __future__ import annotations
@@ -106,12 +119,16 @@ class FreeLie:
         self.deg_max = deg_max
         basis_by_deg: dict[int, list] = {}
         self._echelons: dict[int, matrices.Echelon] = {}
+        self._expansions: dict = {}
+        self._brackets: dict[tuple, Vec] = {}
         for d, words in sorted(_tensor_words(letters, deg_max).items()):
             ech = self._echelons[d] = matrices.Echelon()
             for word in words:
                 e = reduce(br, word)   # left-normed: [[w1, w2], w3] ...
-                if ech.add(expand(letters, e)):
+                ex = expand(letters, e)
+                if ech.add(ex):
                     basis_by_deg.setdefault(d, []).append(e)
+                    self._expansions[e] = ex
         self.space = GradedSpace(basis_by_deg, name=f"L({letters.name})")
 
     def dim(self, n: int) -> int:
@@ -120,7 +137,8 @@ class FreeLie:
     def expand_vec(self, ev: Vec) -> Vec:
         out: Vec = {}
         for e, c in ev.items():
-            for w, cc in expand(self.letters, e).items():
+            ex = self._expansions.get(e) or expand(self.letters, e)
+            for w, cc in ex.items():
                 add_term(out, w, c * cc)
         return out
 
@@ -145,20 +163,37 @@ class FreeLie:
         return out
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        """Classical bracket of two basis vectors, expressed in the basis."""
-        ue = self.expand_vec(u)
-        ve = self.expand_vec(v)
+        """Classical bracket of two vectors in basis coordinates, expressed
+        in the basis: bilinear over the memo of basis-pair brackets."""
         out: Vec = {}
-        for tu, cu in ue.items():
-            du = sum(self.letters.degree_of[x] for x in tu)
-            for tv, cv in ve.items():
-                dv = sum(self.letters.degree_of[x] for x in tv)
-                if du + dv > self.deg_max:
-                    raise ValueError("bracket leaves the truncation window")
+        for a, ca in u.items():
+            if not ca:
+                continue
+            for b, cb in v.items():
+                if cb:
+                    c = ca * cb
+                    for e, ce in self._basis_bracket(a, b).items():
+                        add_term(out, e, c * ce)
+        return {e: out[e] for e in sorted(out, key=self.space.sort_key)}
+
+    def _basis_bracket(self, a, b) -> Vec:
+        """[a, b] of two basis elements in the basis, computed once."""
+        val = self._brackets.get((a, b))
+        if val is not None:
+            return val
+        da = expr_degree(self.letters, a)
+        db = expr_degree(self.letters, b)
+        if da + db > self.deg_max:
+            raise ValueError("bracket leaves the truncation window")
+        sign = ONE if (da * db) % 2 else -ONE
+        out: Vec = {}
+        for tu, cu in self._expansions[a].items():
+            for tv, cv in self._expansions[b].items():
                 c = cu * cv
                 add_term(out, tu + tv, c)
-                add_term(out, tv + tu, c if (du * dv) % 2 else -c)
-        return self.express(out)
+                add_term(out, tv + tu, sign * c)
+        val = self._brackets[(a, b)] = self.express(out)
+        return val
 
     def derivation(self, letter_values: dict[Key, Vec], degree: int,
                    name: str = "") -> GradedMap:

@@ -84,7 +84,9 @@ def vec_is_zero(v: Vec) -> bool:
 
 
 def vec_eq(a: Vec, b: Vec) -> bool:
-    return vec_is_zero(vec_sub(a, b))
+    """Equality as vectors: explicit zero entries do not count."""
+    return ({k: c for k, c in a.items() if c}
+            == {k: c for k, c in b.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,15 @@ def _settle(eqs) -> set | None:
     return forced
 
 
-def _polynomial_branches(sols, syms) -> bool:
-    return bool(sols) and all(e.is_polynomial(*syms)
-                              for sol in sols for e in sol.values())
+def _acceptable(sols, syms, exprs) -> bool:
+    """Whether a sympy solve can stand for the system exprs: it has
+    branches, each polynomial in syms, and each, substituted into every
+    equation and expanded, gives 0.  A solve for a subset of the
+    coefficients ignores the equations free of that subset, so its
+    branches are checked against all of them."""
+    return bool(sols) and all(
+        e.is_polynomial(*syms) for sol in sols for e in sol.values()) and \
+        all(ex.xreplace(sol).expand() == 0 for sol in sols for ex in exprs)
 
 
 def _solve_preferring_polynomial(eqs, n: int) -> list:
@@ -151,9 +157,10 @@ def _solve_preferring_polynomial(eqs, n: int) -> list:
 
     A system that settles exactly has one branch, computed in Fractions.
     Any other goes to sympy, preferring a solved form whose branches are
-    polynomial in the remaining free coefficients: families then come
-    out as honest parameterizations instead of radical expressions.
-    Falls back to whatever the default solve returns."""
+    polynomial in the remaining free coefficients and solve every
+    equation: families then come out as honest parameterizations instead
+    of radical expressions.  Falls back to whatever the default solve
+    returns."""
     names = [f"c{i}" for i in range(n)]
     forced = _settle(eqs)
     if forced is not None:
@@ -178,7 +185,7 @@ def _solve_preferring_polynomial(eqs, n: int) -> list:
     trials = itertools.chain([default], (sympy.solve(exprs, list(subset),
                                                      dict=True)
                                          for subset in subsets))
-    sols = next((t for t in trials if _polynomial_branches(t, syms)),
+    sols = next((t for t in trials if _acceptable(t, syms, exprs)),
                 default)
 
     branches = []

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from convmc import cli
+from convmc import cli, hopf
 from convmc.models import JacobiError
 from convmc.transfer import TransferredLInfinity
 
@@ -457,3 +457,49 @@ def test_sympy_is_imported_only_for_a_system_the_settle_leaves_open(
     assert json.loads(Path(settled).read_text())["method"] == "polynomial"
     assert [[[["a"], "x"], "c0"], [[[["br", "a", "a"]], "y"], "2*c0**2"]] \
         in json.loads(Path(opened).read_text())["parametric"]
+
+
+CP3 = {"format_version": 1, "kind": "cdgc", "name": "CP3",
+       "basis": [{"name": f"a{i}", "degree": 2 * i} for i in (1, 2, 3)],
+       "d": [], "delta": [["a2", "a1", "a1", "1/1"], ["a3", "a1", "a2", "1/1"],
+                          ["a3", "a2", "a1", "1/1"]]}
+
+
+def test_homotopic_bytes_do_not_depend_on_the_cached_models(tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+    # the loop model, with its free Lie bracket table, is cached across
+    # calls; a batch in either order prints what a fresh process prints
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    (tmp_path / "cp3.json").write_text(json.dumps(CP3))
+    for k in (-1, 1, 2, 3):
+        (tmp_path / f"f{k}.json").write_text(json.dumps(_element(
+            "map", f"f{k}", [[f"a{i}", f"a{i}", f"{k ** i}/1"]
+                             for i in (1, 2, 3)], "CP3", "CP3")))
+    pairs = [(2, 3), (-1, 1), (2, 2), (3, -1)]
+
+    def homotopic(j, k):
+        return run(capsys, ["homotopic", "@cp3", "@cp3", f"@f{j}", f"@f{k}",
+                            "--window", "12"], tmp_path)
+
+    fresh = {}
+    for pair in pairs:
+        hopf._MODELS.clear()
+        fresh[pair] = homotopic(*pair)
+    assert {code for code, _, _ in fresh.values()} == {0, 1}
+    for order in (pairs, pairs[::-1]):
+        hopf._MODELS.clear()
+        for pair in order:
+            assert homotopic(*pair) == fresh[pair]
+
+
+def test_python_m_convmc_runs_the_cli():
+    argv, code, digest = next(g for g in GOLDEN if g[0] == ["cobar", "cp2"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop(cli.WINDOW_ENV, None)
+    done = subprocess.run([sys.executable, "-m", "convmc", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (code, "")
+    assert sha(done.stdout) == digest

@@ -3,9 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from convmc.freelie import FreeLie, br, expand, expr_degree, format_expr
-from convmc.graded import ChainComplex, GradedSpace, homology
+from convmc.graded import ChainComplex, GradedSpace, add_term, homology
 
 F = Fraction
 
@@ -141,3 +142,103 @@ def test_dims_match_pbw(by_degree, deg_max):
     degrees = [d for d, keys in by_degree.items() for _ in keys]
     expected = pbw_dims(degrees, deg_max)
     assert {n: fl.dim(n) for n in range(1, deg_max + 1)} == expected
+
+
+def reference_bracket(fl, u, v):
+    """The bracket computed directly, as before the memo: expand both
+    arguments into the tensor algebra, take the commutator word by word
+    with the window check, and express the result in the basis."""
+    def expand_vec(ev):
+        out = {}
+        for e, c in ev.items():
+            for w, cc in expand(fl.letters, e).items():
+                add_term(out, w, c * cc)
+        return out
+
+    def deg(w):
+        return sum(fl.letters.degree_of[x] for x in w)
+
+    out = {}
+    for tu, cu in expand_vec(u).items():
+        for tv, cv in expand_vec(v).items():
+            if deg(tu) + deg(tv) > fl.deg_max:
+                raise ValueError("bracket leaves the truncation window")
+            c = cu * cv
+            add_term(out, tu + tv, c)
+            add_term(out, tv + tu, c if (deg(tu) * deg(tv)) % 2 else -c)
+    return fl.express(out)
+
+
+def tensor_word_count(degrees, deg_max):
+    count = [1] + [0] * deg_max
+    for n in range(1, deg_max + 1):
+        count[n] = sum(count[n - d] for d in degrees if d <= n)
+    return sum(count[1:])
+
+
+@st.composite
+def free_lie_algebras(draw):
+    """1-3 letters in each of a nonempty set of degrees in 1..4, a window
+    of at most 7, and few enough tensor words to scan quickly."""
+    per_degree = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 3),
+                                      min_size=1))
+    deg_max = draw(st.integers(min(per_degree), 7))
+    degrees = [d for d, m in per_degree.items() for _ in range(m)]
+    assume(tensor_word_count(degrees, deg_max) <= 300)
+    letters = GradedSpace({d: [f"x{d}_{i}" for i in range(m)]
+                           for d, m in per_degree.items()}, name="V")
+    return FreeLie(letters, deg_max)
+
+
+def basis_vectors(keys):
+    # a basis element, or a combination with zero coefficients kept as
+    # explicit entries
+    return st.one_of(
+        st.sampled_from(keys).map(lambda k: {k: F(1)}),
+        st.dictionaries(st.sampled_from(keys),
+                        st.sampled_from([F(0), F(1), F(-2), F(1, 3)]),
+                        max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memoized_bracket_matches_the_direct_computation(data):
+    fl = data.draw(free_lie_algebras())
+    deg = fl.space.degree_of
+    keys = fl.space.all_keys()
+    # brackets of these never leave the window
+    low = [k for k in keys if 2 * deg[k] <= fl.deg_max] or keys
+    for pool in (low, low, low, keys):
+        u = data.draw(basis_vectors(pool))
+        v = data.draw(basis_vectors(pool))
+        stored = dict(fl._brackets)
+        try:
+            want = list(reference_bracket(fl, u, v).items())
+        except ValueError as exc:
+            assert str(exc) == "bracket leaves the truncation window"
+            with pytest.raises(ValueError, match="leaves the truncation"):
+                fl.bracket(u, v)
+            continue
+        got = fl.bracket(u, v)
+        # the same entries in the same (basis) order, whatever the order
+        # of the arguments' entries
+        assert list(got.items()) == want
+        backwards = dict(reversed(list(u.items())))
+        assert list(fl.bracket(backwards, v).items()) == want
+        # a caller that mutates its result changes no later call
+        for k in got:
+            got[k] *= 3
+        got[keys[0]] = F(7)
+        assert list(fl.bracket(u, v).items()) == want
+        assert all(stored[k] == fl._brackets[k] for k in stored)
+    # a pair above the window raises and stores nothing
+    top = keys[-1]
+    stored = dict(fl._brackets)
+    if 2 * deg[top] > fl.deg_max:
+        with pytest.raises(ValueError,
+                           match="bracket leaves the truncation window"):
+            fl.bracket({top: F(1)}, {top: F(1)})
+        assert fl._brackets == stored
+    # the table is bounded by the pairs of basis elements in the window
+    assert all(a in fl.space and b in fl.space
+               and deg[a] + deg[b] <= fl.deg_max for a, b in fl._brackets)

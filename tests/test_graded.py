@@ -4,11 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from convmc.graded import (
     ChainComplex, Contraction, GradedMap, GradedSpace, add_term,
     apply_at_slot, basis_vec, contraction_from_complex, homology, tensor_map,
-    tensor_space, tensor_terms, vec_add, vec_eq, vec_scale, vec_sub,
+    tensor_space, tensor_terms, vec_add, vec_eq, vec_is_zero, vec_scale,
+    vec_sub,
 )
 
 F = Fraction
@@ -176,6 +178,21 @@ def test_contraction_fingerprint_stable():
     d2 = GradedMap(sp2, sp2, -1, {"bb": {"a": F(1)}})
     f3 = contraction_from_complex(ChainComplex(sp2, d2)).fingerprint
     assert f3 != f1
+
+
+# sparse vectors on a few keys; zero coefficients stay as explicit entries
+sparse_vectors = st.dictionaries(
+    st.sampled_from(["x", "y", ("x", "y"), 3]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    | st.just(F(0)), max_size=4)
+
+
+@given(sparse_vectors, sparse_vectors)
+def test_vec_eq_agrees_with_a_zero_difference(a, b):
+    assert vec_eq(a, b) == vec_is_zero(vec_sub(a, b))
+    # the same entries up to explicit zeros are always equal
+    padded = {**{k: F(0) for k in b if k not in a}, **a}
+    assert vec_eq(a, padded) and vec_eq(padded, a)
 
 
 def test_tensor_space_window():

@@ -201,14 +201,18 @@ def sympy_exprs(eqs, syms):
 def sympy_branches(eqs, n, samples):
     """The sympy solve the component search ran for every system, read the
     way it read it: per branch the free names, the solved values as text
-    and the rational points (None where not rational) over the grid."""
+    and the rational points (None where not rational) over the grid.  A
+    solve counts as polynomial only if each branch also solves every
+    equation, which a solve for a subset of the coefficients need not."""
     import sympy
     syms = sympy.symbols(f"c0:{n}")
     exprs = sympy_exprs(eqs, syms)
 
     def polynomial(sols):
         return bool(sols) and all(e.is_polynomial(*syms)
-                                  for sol in sols for e in sol.values())
+                                  for sol in sols for e in sol.values()) \
+            and all(sympy.expand(ex.subs(sol, simultaneous=True)) == 0
+                    for sol in sols for ex in exprs)
 
     def solve():
         default = sympy.solve(exprs, list(syms), dict=True)
@@ -315,6 +319,10 @@ def polynomial_systems(draw):
 # c0 c2 lists the sub-branch c0 = c1 = c2 = 0 as well
 @example(([{(1, 0, 1): F(1)}, {(0, 0, 1): F(1), (0, 1, 0): F(1)},
            {(0, 1, 0): F(1)}], 3))
+# c3 + c0^2 = c1 = 0: the default solve has radicals, and a solve for a
+# subset that skips c3 + c0^2 = 0 would leave c0, c2, c3 free
+@example(([{(0, 0, 0, 1): F(1), (2, 0, 0, 0): F(1)},
+           {(0, 1, 0, 0): F(1)}], 4))
 def test_exact_settle_agrees_with_sympy(system):
     check_against_sympy(*system)
 
@@ -352,3 +360,27 @@ def test_the_settle_forces_through_substitution():
     assert at((F(5, 2),)) == [0, F(5, 2), 0]
     # a linear relation between two coordinates is left to sympy
     assert mapping._settle([{(1, 0): F(1), (0, 1): F(-1)}]) is None
+
+
+def test_a_subset_solve_is_accepted_only_if_it_solves_every_equation():
+    # -c3/2 - c0 = 0, -c1^2 c4^2 - c1 = 0, -3 c0^2 c1^2 - c4 = 0: solving
+    # for c3 alone ignores the two equations free of c3
+    import sympy
+    c = sympy.symbols("c0:5")
+    eqs = [{(1, 0, 0, 0, 0): F(-1), (0, 0, 0, 1, 0): F(-1, 2)},
+           {(0, 2, 0, 0, 2): F(-1), (0, 1, 0, 0, 0): F(-1)},
+           {(2, 2, 0, 0, 0): F(-3), (0, 0, 0, 0, 1): F(-1)}]
+    exprs = sympy_exprs(eqs, c)
+    partial = sympy.solve(exprs, [c[3]], dict=True)
+    assert partial == [{c[3]: -2 * c[0]}]
+    assert not mapping._acceptable(partial, c, exprs)
+    # c0 = c1 = c4 = 1 leaves -2 in the second equation
+    assert exprs[1].subs({c[0]: 1, c[1]: 1, c[3]: -2, c[4]: 1}) == -2
+    true = {c[1]: sympy.S(0), c[3]: -2 * c[0], c[4]: sympy.S(0)}
+    assert mapping._acceptable([true], c, exprs)
+    # one failing branch rejects the whole solve
+    assert not mapping._acceptable([true] + partial, c, exprs)
+    # a branch that is not polynomial stays rejected, as does no branch
+    root = sympy.sqrt(c[3])
+    assert not mapping._acceptable([{c[0]: root}], c, [c[0] ** 2 - c[3]])
+    assert not mapping._acceptable([], c, exprs)
