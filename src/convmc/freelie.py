@@ -202,6 +202,11 @@ class FreeLie:
 
         memo: dict = {}
 
+        def coords(e) -> Vec:
+            if e in self._expansions:
+                return {e: ONE}
+            return self.express(expand(self.letters, e))
+
         def value(e) -> Vec:
             if e in memo:
                 return memo[e]
@@ -212,11 +217,9 @@ class FreeLie:
                 da = expr_degree(self.letters, a)
                 va = value(a)
                 vb = value(b)
-                ea = self.express(expand(self.letters, a))
-                eb = self.express(expand(self.letters, b))
-                out = self.bracket(va, eb) if va else {}
+                out = self.bracket(va, coords(b)) if va else {}
                 if vb:
-                    term = self.bracket(ea, vb)
+                    term = self.bracket(coords(a), vb)
                     sgn = -ONE if (degree * da) % 2 else ONE
                     out = vec_add(out, vec_scale(sgn, term))
             memo[e] = out

@@ -30,7 +30,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import matrices
-from .matrices import ONE, ZERO, add_term
+from .matrices import ONE, add_term
 
 Key = Hashable
 Vec = dict  # dict[Key, Fraction]
@@ -276,23 +276,6 @@ class GradedMap:
     def equals(self, other: "GradedMap") -> bool:
         return (self - other).is_zero()
 
-    def block(self, n: int) -> list:
-        """Dense matrix of the degree-n block, rows indexed by the target
-        basis in degree n + self.degree, columns by the source basis in
-        degree n."""
-        src_keys = self.src.basis(n)
-        dst_keys = self.dst.basis(n + self.degree)
-        mat = matrices.zeros(len(dst_keys), len(src_keys))
-        for j, sk in enumerate(src_keys):
-            col = self.entries.get(sk)
-            if not col:
-                continue
-            for i, dk in enumerate(dst_keys):
-                c = col.get(dk)
-                if c:
-                    mat[i][j] = c
-        return mat
-
     def __repr__(self):
         return (f"GradedMap({self.name or '?'}: {self.src.name or '?'} -> "
                 f"{self.dst.name or '?'}, degree {self.degree})")
@@ -378,16 +361,34 @@ class ChainComplex:
             raise ValueError(f"d^2 != 0 on {self.name!r}, first at {bad[0]!r}")
 
     def betti(self) -> dict[int, int]:
-        rank = {n: _rank_at(self, n) for n in self.space.degrees()}
+        rank = {n: len(column_split(self.d, self.space.basis(n))[0])
+                for n in self.space.degrees()}
         return {n: self.space.dim(n) - rank[n] - rank.get(n + 1, 0)
                 for n in self.space.degrees()}
 
 
-def _rank_at(cx: ChainComplex, n: int) -> int:
-    """Rank of d restricted to degree n."""
-    if cx.space.dim(n) == 0 or cx.space.dim(n - 1) == 0:
-        return 0
-    return matrices.rank(cx.d.block(n))
+def column_split(f: GradedMap, keys: Sequence[Key]) -> tuple[list[int], list[Vec]]:
+    """Split the columns of f on keys, in order, by one echelon pass.
+
+    Returns the pivot positions, the columns independent of the columns
+    before them, and the kernel basis: for every other column j, the
+    vector e_j - sum_t c_t e_{pivot_t}, where c are the coordinates of
+    column j in the pivot columns before it.  These are the pivot columns
+    and the nullspace of the dense block in the rref pivot rule, with the
+    kernel vectors in basis-key order.
+    """
+    ech = matrices.Echelon()
+    pivots: list[int] = []
+    kernel: list[Vec] = []
+    for j, key in enumerate(keys):
+        col = f.entries.get(key, {})
+        if ech.add(col):
+            pivots.append(j)
+            continue
+        z = {keys[p]: -c for p, c in zip(pivots, ech.coords(col)) if c}
+        z[key] = ONE
+        kernel.append(z)
+    return pivots, kernel
 
 
 class Contraction:
@@ -430,12 +431,23 @@ def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
     with the canonical pivot choices, and package the result as a
     contraction onto homology (zero differential on the small side).
 
+    In each degree n, column_split of d_n gives the pivot columns (each
+    the first column independent of the columns before it, the greedy
+    choice) and the kernel basis.  The boundaries are the pivot columns of
+    d_{n+1}, with those columns upstairs as their preimages; the cycle
+    representatives are the kernel vectors that extend them; the
+    complement is spanned by the pivot basis vectors of d_n.  p and h read
+    each basis vector's coordinates in [boundaries | reps | complement]
+    off one echelon of those columns.  The fingerprint hashes the basis
+    and the pivot columns, and depends on nothing else.
+
     The construction already satisfies the side conditions, so no
     post-processing of h is required; validate() is still the contract.
     """
     sp = cx.space
     degs = sp.degrees()
-    rep_vecs: dict[int, list] = {}
+    split = {n: column_split(cx.d, sp.basis(n)) for n in degs}
+    h_basis: dict[int, list] = {}
     i_cols: dict[Key, Vec] = {}
     p_cols: dict[Key, Vec] = {}
     h_cols: dict[Key, Vec] = {}
@@ -443,65 +455,30 @@ def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
 
     for n in degs:
         keys = sp.basis(n)
-        dim = len(keys)
-        if dim == 0:
-            continue
-        dn = cx.d.block(n)                       # C_n -> C_{n-1}
-        dn1 = cx.d.block(n + 1)                  # C_{n+1} -> C_n
-        # cycles
-        if sp.dim(n - 1) == 0:
-            z_basis = [list(col) for col in matrices.identity(dim)]
-        else:
-            z_basis = matrices.nullspace(dn)
-        # boundaries, with their chosen preimages (pivot columns of d_{n+1})
-        b_basis: list = []
+        pivots, cycles = split[n]
         preimages: list = []
-        if sp.dim(n + 1) > 0:
-            piv = matrices.column_space_pivots(dn1)
-            pivot_record.append((n + 1, piv))
-            up_keys = sp.basis(n + 1)
-            for j in piv:
-                b_basis.append([dn1[i][j] for i in range(dim)])
-                preimages.append(up_keys[j])
-        # extend boundary basis to the cycles, deterministically
+        if n + 1 in split:
+            up_pivots = split[n + 1][0]
+            pivot_record.append((n + 1, up_pivots))
+            preimages = [sp.basis(n + 1)[j] for j in up_pivots]
         span = matrices.Echelon()
-        for v in b_basis:
-            span.add(dict(enumerate(v)))
-        reps = [v for v in z_basis if span.add(dict(enumerate(v)))]
-        rep_vecs[n] = reps
-        # assemble the change of basis [B | reps | U] where U is the span of
-        # the pivot standard vectors of d_n (the complement of the cycles)
-        u_idx: list[int] = []
-        if sp.dim(n - 1) > 0:
-            u_idx = matrices.column_space_pivots(dn)
-        cols = [list(v) for v in b_basis] + [list(v) for v in reps] + \
-               [[ONE if t == j else ZERO for t in range(dim)] for j in u_idx]
-        if len(cols) != dim:
-            raise AssertionError("basis split has wrong size")
-        P = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-        Pinv = matrices.solve_matrix(P, matrices.identity(dim))
-        if Pinv is None:
+        for key in preimages:
+            span.add(cx.d.entries[key])
+        reps = [z for z in cycles if span.add(z)]
+        if not all(span.add({keys[j]: ONE}) for j in pivots):
             raise AssertionError("basis split is singular")
-        nb = len(b_basis)
-        nh = len(reps)
-        hkeys = [f"H{n}_{j}" for j in range(nh)]
-        for jj, key in enumerate(keys):
-            coords = [Pinv[t][jj] for t in range(dim)]
+        nb = len(preimages)
+        hkeys = h_basis[n] = [f"H{n}_{j}" for j in range(len(reps))]
+        i_cols.update(zip(hkeys, reps))
+        for key in keys:
+            coords = span.coords({key: ONE})
             # p: the rep-block coordinates
-            p_cols[key] = {hkeys[t]: coords[nb + t] for t in range(nh) if coords[nb + t]}
+            p_cols[key] = {hk: c for hk, c in zip(hkeys, coords[nb:]) if c}
             # h: boundary-block coordinates go to the chosen preimages
             # upstairs, which are distinct pivot columns of d_{n+1}
-            h_cols[key] = {preimages[t]: coords[t] for t in range(nb)
-                           if coords[t]}
+            h_cols[key] = {e: c for e, c in zip(preimages, coords) if c}
 
-    h_space = GradedSpace(
-        {n: [f"H{n}_{j}" for j in range(len(rep_vecs.get(n, [])))] for n in degs},
-        name=f"H({sp.name})" if sp.name else "H")
-    for n in degs:
-        keys = sp.basis(n)
-        for j, v in enumerate(rep_vecs.get(n, [])):
-            i_cols[f"H{n}_{j}"] = {keys[t]: v[t] for t in range(len(keys)) if v[t]}
-
+    h_space = GradedSpace(h_basis, name=f"H({sp.name})" if sp.name else "H")
     small = ChainComplex(h_space, GradedMap.zero(h_space, h_space, -1), name=h_space.name)
     i = GradedMap(h_space, sp, 0, i_cols, name="rep")
     p = GradedMap(sp, h_space, 0, p_cols, name="proj")

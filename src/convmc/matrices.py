@@ -1,18 +1,20 @@
-"""Exact linear algebra over Fraction: dense row reduction and one
-incremental sparse echelon basis.
+"""Exact linear algebra over Fraction: one incremental sparse echelon
+basis and dense row reduction.
 
-Homology, contractions, gauge solves and moduli normal forms reduce to
-row operations on small dense matrices with Fraction entries.  Pivoting is
-deterministic: scan columns left to right, take the first row with a
-nonzero entry.  Matrices are lists of rows, rows are lists of Fraction.
-Vectors are lists of Fraction.  These functions return fresh objects and
-never mutate arguments.
+Echelon is the kernel for sparse vectors, dicts {key: Fraction}, offered
+one at a time: it accepts the ones independent of those before them and
+gives coordinates in the accepted ones.  FreeLie keeps one per degree
+for its basis scan and for express, and every chain-complex computation
+runs on it through graded.column_split: contractions onto homology,
+Betti numbers and the counit check of cobar(bar(L)).
 
-Echelon is the incremental kernel for a span that grows one vector at a
-time and is queried many times: FreeLie keeps one per degree for its
-basis scan and for express, and contraction_from_complex extends the
-boundaries to the cycles with one.  Its vectors are sparse dicts
-{key: Fraction}.  No floating point enters anywhere.
+The dense rref family (rref, rank, nullspace, solve, solve_matrix,
+in_span, coset_reduce) works on lists of rows of Fraction and returns
+fresh objects.  Its pivot rule is fixed: scan columns left to right, take
+the first row with a nonzero entry.  The gauge normal forms depend on that
+leftmost-pivot rule, which Echelon's first-key pivot does not reproduce,
+and the tests use these functions as the reference for Echelon.  No
+floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -157,12 +159,6 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
             return None
         cols.append(x)
     return [[cols[j][i] for j in range(k)] for i in range(n)]
-
-
-def column_space_pivots(a: Matrix) -> list[int]:
-    """Indices of the pivot columns of a; those columns of the original
-    matrix form the canonical image basis."""
-    return [c for _, c in rref(a)[1]]
 
 
 def in_span(vectors: Sequence[Vector], v: Vector) -> Vector | None:

@@ -111,6 +111,9 @@ GOLDEN = [
      "664345258a3e64d816a213a30ca0aea03ae7dfdd246fbb73e14533a8c5300d4b"),
     (["transfer", "s2vs3", "--window", "11"], 0,
      "ed1e8edc0485fed6bd7aa53a3814ed03f4c8dd82648904571fe0d4c61a7d5be4"),
+    # h != 0 here too, on a larger cobar complex than cp2's
+    (["transfer", "s2xs2", "--window", "9"], 0,
+     "b6dfdde289c9515feca834486cffebb97c90b30a420b0f55d91ec7d126c76da7"),
     (["components", "s3", "pi_s2"], 0,
      "7e051403354a63c6a9756314c52eb6f9207bad2353a5e6ded7777665e8a29d68"),
     (["components", "s2", "pi_s2", "--samples", "0,1"], 0,

@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from convmc import matrices as mx
 from convmc.graded import (
     ChainComplex, Contraction, GradedMap, GradedSpace, add_term,
-    apply_at_slot, basis_vec, contraction_from_complex, homology, tensor_map,
-    tensor_space, tensor_terms, vec_add, vec_eq, vec_is_zero, vec_scale,
-    vec_sub,
+    apply_at_slot, basis_vec, column_split, contraction_from_complex,
+    homology, tensor_map, tensor_space, tensor_terms, vec_add, vec_eq,
+    vec_is_zero, vec_scale, vec_sub,
 )
 
 F = Fraction
@@ -76,10 +77,9 @@ def test_map_degree_check():
         f.set_column("y", {"x": F(1)})
 
 
-def test_compose_and_block():
+def test_compose():
     sp = GradedSpace({0: ["a", "b"], 1: ["c"]}, name="V")
     d = GradedMap(sp, sp, -1, {"c": {"a": F(1), "b": F(-1)}})
-    assert d.block(1) == [[F(1)], [F(-1)]]
     assert d.compose(d).is_zero()
 
 
@@ -199,3 +199,61 @@ def test_tensor_space_window():
     v = GradedSpace({1: ["x"], 3: ["y"]}, name="V")
     t = tensor_space([v, v], deg_max=4)
     assert set(t.all_keys()) == {("x", "x"), ("x", "y"), ("y", "x")}
+
+
+def _dense_block(columns, row_keys, col_keys):
+    return [[columns.get(c, {}).get(r, F(0)) for c in col_keys]
+            for r in row_keys]
+
+
+def _dense_kernel(a, ncols):
+    """nullspace(a); a block with no rows has every unit vector."""
+    if not a:
+        return [[F(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+    return mx.nullspace(a)
+
+
+@st.composite
+def chain_complexes(draw):
+    """Chain complexes in degrees 0..3 with d^2 = 0: every column of d_n
+    is a random combination of the dense kernel basis of d_{n-1}."""
+    dims = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+    keys = {n: [f"e{n}_{j}" for j in range(dim)] for n, dim in enumerate(dims)}
+    entry = st.integers(-2, 2).map(F)
+    cols = {}
+    kernel = _dense_kernel([], dims[0])
+    for n in range(1, 4):
+        for key in keys[n]:
+            comb = [draw(entry) for _ in kernel]
+            col = [sum((c * z[i] for c, z in zip(comb, kernel)), F(0))
+                   for i in range(dims[n - 1])]
+            cols[key] = {keys[n - 1][i]: x for i, x in enumerate(col) if x}
+        kernel = _dense_kernel(_dense_block(cols, keys[n - 1], keys[n]),
+                               dims[n])
+    sp = GradedSpace(keys, name="C")
+    cx = ChainComplex(sp, GradedMap(sp, sp, -1, cols))
+    cx.validate()
+    return cx, keys
+
+
+@given(chain_complexes())
+@settings(max_examples=80, deadline=None)
+def test_column_split_matches_dense_rref(data):
+    """The echelon split reproduces the dense pivot columns and nullspace
+    that fix the contraction's choices and fingerprint."""
+    cx, keys = data
+    rank = {}
+    for n, cols in keys.items():
+        a = _dense_block(cx.d.entries, keys.get(n - 1, []), cols)
+        pivots, kernel = column_split(cx.d, cols)
+        assert pivots == [c for _, c in mx.rref(a)[1]]
+        want = [{cols[i]: x for i, x in enumerate(v) if x}
+                for v in _dense_kernel(a, len(cols))]
+        assert [list(z.items()) for z in kernel] == \
+            [list(w.items()) for w in want]
+        rank[n] = mx.rank(a)
+    assert cx.betti() == {n: len(cols) - rank[n] - rank.get(n + 1, 0)
+                          for n, cols in keys.items() if cols}
+    con = contraction_from_complex(cx)
+    con.validate()
+    assert con.small.space.total_dim() == sum(cx.betti().values())
