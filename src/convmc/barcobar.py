@@ -33,7 +33,7 @@ from math import factorial
 
 from . import words as wd
 from .convolution import (ConvolutionAlgebra, check_coalgebra_morphism,
-                          check_strict_morphism)
+                          check_strict_morphism, convolve)
 from .freelie import FreeLie, expr_degree, is_bracket
 from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, column_split,
                      homology, tensor_terms, vec_add, vec_eq, vec_scale)
@@ -56,19 +56,20 @@ def twisting_residual(conv: ConvolutionAlgebra, tau: GradedMap) -> GradedMap:
     """Obstruction for tau to induce dg morphisms on both sides of the
     adjunction: the sum over n of 1/(n!)^2 l_n(tau, ..., tau).
 
-    The extra 1/n! relative to mc_check undoes the n!-fold overcount that
-    the symmetrized bracket produces on n copies of one even map, so this
-    is exactly the letter part of the chain condition for the cofree lift
-    of tau, with the weights of the divided-power exponential.  Whenever
-    the obstruction lives in a single arity (every bundled pair: sources
-    have zero differential, or targets are abelian) the two residuals
-    vanish together; they differ on carriers that mix a nonzero
-    differential with a nonzero coproduct, such as bar outputs.
+    l_n(tau, ..., tau) is n! times the sum over the words of the iterated
+    coproduct (the collapse in the convolution docstring), so this is
+    that sum with weight 1/n!: exactly the letter part of the chain
+    condition for the cofree lift of tau, with the weights of the
+    divided-power exponential.  Whenever the obstruction lives in a
+    single arity (every bundled pair: sources have zero differential, or
+    targets are abelian) the two residuals vanish together; they differ
+    on carriers that mix a nonzero differential with a nonzero
+    coproduct, such as bar outputs.
     """
     if tau.degree != 0:
         raise ValueError("twisting-morphism candidates must have degree 0")
-    return conv.differential_of(tau) + conv.tau_series(
-        tau, weight=lambda n: F(1, factorial(n)))
+    return conv.differential_of(tau) + conv.series(
+        [tau], -1, lambda n: F(1, factorial(n)))
 
 
 class BarCoalgebra(CdgCoalgebra):
@@ -223,27 +224,20 @@ class Adjunction:
         coproduct, collected into sorted words."""
         self._require_mc(tau)
         B = self.bar_side()
+
+        def product(n, vecs) -> Vec:
+            out = wd.wordify(self.L.space, dict(tensor_terms(vecs)))
+            for word in out:
+                if word not in B.space.degree_of:
+                    raise ValueError(
+                        f"bar truncation {self.degree_max} too small "
+                        f"to hold the image word {word!r}")
+            return out
+
         depth = self.convolution.coproduct_window()
-        cols: dict[Key, Vec] = {}
-        for c in self.C.space.all_keys():
-            acc: Vec = {}
-            for n in range(1, depth + 1):
-                gamma_n = F(1, factorial(n))
-                for tup, gamma in self.C.iterated_coproduct(c, n).items():
-                    images = (tau.entries.get(ck, {}) for ck in tup)
-                    for tensor, cc in tensor_terms(images, gamma):
-                        sw = wd.sort_letters(self.L.space, tensor)
-                        if sw is None:
-                            continue
-                        word, sgn = sw
-                        if word not in B.space.degree_of:
-                            raise ValueError(
-                                f"bar truncation {self.degree_max} too small "
-                                f"to hold the image word {word!r}")
-                        add_term(acc, word, cc * sgn * gamma_n)
-            if acc:
-                cols[c] = acc
-        f = GradedMap(self.C.space, B.space, 0, cols, name="f_tau")
+        f = convolve(self.C, [tau], product, B.space, 0,
+                     {n: F(1, factorial(n)) for n in range(1, depth + 1)})
+        f.name = "f_tau"
         check_coalgebra_morphism(self.C, B, f)
         return f
 

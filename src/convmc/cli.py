@@ -37,7 +37,7 @@ from . import words as wd
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
 from .gauge import Distinct, Equal, GaugePath, Unknown
-from .graded import ChainComplex, contraction_from_complex
+from .graded import ChainComplex
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
 from .models import (CdgCoalgebra, JacobiError, LInfinityAlgebra,
                      QuillenModel)
@@ -238,14 +238,11 @@ def cmd_pi(args) -> int:
     conv, tau = _conv_and_tau(args)
     if args.n < 1:
         raise ModelFileError("--n", "component homotopy starts at n = 1")
-    con = contraction_from_complex(conv.twist(tau))
-    H = con.small.space
-    names = H.basis(args.n) if args.n in H.degrees() else ()
+    reps = mapping.pi_of_component(conv, conv.L, tau, args.n)
     classes = [{"name": modelio.encode_key(k),
-                "representative": modelio.entries_to_json(
-                    {k: con.i.column(k)})}
-               for k in names]
-    _emit(args, {"kind": "pi_report", "n": args.n, "dim": len(names),
+                "representative": modelio.entries_to_json({k: v})}
+               for k, v in reps.items()]
+    _emit(args, {"kind": "pi_report", "n": args.n, "dim": len(reps),
                  "classes": classes})
     return EXIT_OK
 

@@ -1,5 +1,5 @@
 """Convolution L-infinity algebras Hom(C, L): brackets, Maurer-Cartan
-residuals, twisted complexes and their homology, and naturality maps.
+residuals, twisted complexes, and naturality maps.
 
 The carrier of Hom(C, L) is the graded space of linear maps from a
 one-reduced cdg coalgebra C to an L-infinity algebra L, with basis keys
@@ -16,28 +16,40 @@ Maurer-Cartan elements are degree-0 maps with sum 1/n! l_n(tau, ..., tau)
 equal to zero; the sum is finite because iterated coproducts of a
 one-reduced coalgebra vanish in bounded arity.
 
-When every argument but at most one is the same degree-0 map tau, the
-symmetric sum collapses.  Orderings that only permute the copies of tau
-swap even maps, so their Koszul sign is +1 and they give equal terms:
-l_n(tau, ..., tau) is n! times one term per coproduct word, and
-l_n(f, tau, ..., tau) is (n-1)! times the sum over the slot that f
-takes, with the sign (-1)^{|f| (|w_1| + ... + |w_{i-1}|)} of moving f
-past the earlier letters of the word.  The 1/n! of the Maurer-Cartan
-series and the 1/(n-1)! of the twisted differential cancel those counts
-exactly, so tau_series reads each word of the iterated coproduct once.
-mc_check, twist, gauge.vector_field and barcobar.twisting_residual use
-it; the generic bracket stays for arguments that differ (as_linfty and
-the residual polynomials of a component search).
+The sum over S_n collapses to one ordering.  C is cocommutative and
+coassociative, so Delta^(n) is invariant under the signed action of S_n
+on tensor words, and l_n^L is graded symmetric: the term of an ordering
+s equals the term of the identity ordering after re-indexing the words
+of Delta^(n) by s.  Hence
+
+    l_n(f_1, ..., f_n) = n! sum_w gamma_w eps_w l_n^L(f_1(w_1), ...,
+    f_n(w_n))
+
+over the words w = w_1 ... w_n of Delta^(n) with coefficients gamma_w,
+where eps_w = (-1)^{sum_i |f_i| (|w_1| + ... + |w_{i-1}|)} is the Koszul
+sign of each f_i passing the letters in front of it.  convolve evaluates
+this sum with any weight per arity and any n-ary operation, reading each
+word of the iterated coproduct once.  The Maurer-Cartan residual
+sum 1/n! l_n(tau, ..., tau) is the sum with weight 1; the twisted
+differential's 1/(n-1)! l_n(f, tau, ..., tau) puts f in the first slot
+with weight n; barcobar.twisting_residual, transfer.push_mc,
+transfer.push_path and the bar-side coalgebra map of the adjunction use
+weight 1/n! with, in turn, the brackets of L, the components of an
+infinity-morphism (over interval forms for a path) and the product of
+symmetric words.  The collapse needs the cocommutativity: on a
+coproduct that is not symmetric the one-ordering sum is not the
+bracket, so coalgebra records are validated where they are read
+(modelio.cdgc_from_record).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from itertools import permutations
+from math import factorial
 
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
-                     contraction_from_complex, vec_eq)
+                     vec_eq)
 from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra, Truncation
 from .words import canonical_words
@@ -45,17 +57,46 @@ from .words import canonical_words
 F = Fraction
 
 
-def koszul_perm_sign(sigma, degrees) -> int:
-    """Sign of reordering homogeneous elements of the given degrees into
-    (x_{sigma(1)}, ..., x_{sigma(n)}); sigma is 0-based here."""
-    sign = 1
-    n = len(sigma)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sigma[a] > sigma[b]:
-                if degrees[sigma[a]] % 2 and degrees[sigma[b]] % 2:
-                    sign = -sign
-    return sign
+def convolve(C: CdgCoalgebra, maps, op, dst: GradedSpace, degree: int,
+             weights: dict) -> GradedMap:
+    """sum over n in weights of weights[n] sum_w gamma_w eps_w
+    op(n, [f_1(w_1), ..., f_n(w_n)]), as a map C -> dst of the given
+    degree.
+
+    w runs over the words of the (n-1)-fold iterated coproduct of each
+    basis key, gamma_w is its coefficient and eps_w the Koszul sign of
+    each f_i passing w_1 ... w_{i-1}.  Slot i takes maps[i], and the last
+    map fills every slot after it: [tau] puts tau everywhere, [f, tau]
+    puts f first.  op(n, vecs) is multilinear in the n vectors.  Words
+    on which some f_i vanishes are skipped, and all arities of one key
+    accumulate into one column.
+    """
+    cdeg = C.space.degree_of
+    last = len(maps) - 1
+    odd = [f.degree % 2 for f in maps]
+    cols: dict[Key, Vec] = {}
+    for ck in C.space.all_keys():
+        acc: Vec = {}
+        for n, weight in weights.items():
+            for word, gamma in C.iterated_coproduct(ck, n).items():
+                coef = weight * gamma
+                before = 0
+                vecs = []
+                for i, c in enumerate(word):
+                    j = min(i, last)
+                    v = maps[j].entries.get(c)
+                    if not v:
+                        break
+                    if odd[j] and before % 2:
+                        coef = -coef
+                    before += cdeg[c]
+                    vecs.append(v)
+                else:
+                    for k, x in op(n, vecs).items():
+                        add_term(acc, k, coef * x)
+        if acc:
+            cols[ck] = acc
+    return GradedMap(C.space, dst, degree, cols)
 
 
 class TwistedComplex(ChainComplex):
@@ -151,77 +192,23 @@ class ConvolutionAlgebra:
             raise ValueError("arity mismatch")
         if n == 1:
             return self.differential_of(fs[0])
-        fdegs = [f.degree for f in fs]
-        out_degree = sum(fdegs) - 1
-        cols: dict[Key, Vec] = {}
-        cdeg = self.C.space.degree_of
-        for ck in self.C.space.all_keys():
-            words = self.C.iterated_coproduct(ck, n)
-            if not words:
-                continue
-            acc: Vec = {}
-            for sigma in permutations(range(n)):
-                s1 = koszul_perm_sign(sigma, fdegs)
-                for word, gamma in words.items():
-                    sgn = s1
-                    before = 0
-                    vecs = []
-                    for slot in range(n):
-                        fd = fdegs[sigma[slot]]
-                        if fd % 2 and before % 2:
-                            sgn = -sgn
-                        before += cdeg[word[slot]]
-                        vecs.append(fs[sigma[slot]].apply({word[slot]: ONE}))
-                    val = self.L.bracket_multi(n, vecs)
-                    for lk, c in val.items():
-                        add_term(acc, lk, F(sgn) * gamma * c)
-            if acc:
-                cols[ck] = acc
-        return GradedMap(self.C.space, self.L.space, out_degree, cols)
+        return convolve(self.C, fs, self.L.bracket_multi, self.L.space,
+                        sum(f.degree for f in fs) - 1, {n: F(factorial(n))})
 
-    def tau_series(self, tau: GradedMap, f: GradedMap | None = None,
-                   weight=lambda n: ONE) -> GradedMap:
-        """sum over n >= 2 of weight(n) 1/(n-1)! l_n(f, tau, ..., tau), or
-        of weight(n) 1/n! l_n(tau, ..., tau) when f is None, for tau of
-        degree 0; each word of the iterated coproduct is read once."""
-        if tau.degree != 0:
-            raise ValueError("tau must have degree 0")
-        fdeg = 0 if f is None else f.degree
-        cdeg = self.C.space.degree_of
-        top = self.arity_window()
-        cols: dict[Key, Vec] = {}
-        for ck in self.C.space.all_keys():
-            acc: Vec = {}
-            for n in range(2, top + 1):
-                w = weight(n)
-                for word, gamma in self.C.iterated_coproduct(ck, n).items():
-                    # the slots f can take, with their signs; slot None
-                    # places tau everywhere
-                    if f is None:
-                        slots = [(None, ONE)]
-                    else:
-                        slots = []
-                        before = 0
-                        for i, c in enumerate(word):
-                            if c in f.entries:
-                                odd = fdeg % 2 and before % 2
-                                slots.append((i, -ONE if odd else ONE))
-                            before += cdeg[c]
-                    for i, sgn in slots:
-                        vecs = [f.entries[c] if j == i else tau.entries.get(c)
-                                for j, c in enumerate(word)]
-                        if not all(vecs):
-                            continue
-                        coef = sgn * w * gamma
-                        for lk, c in self.L.bracket_multi(n, vecs).items():
-                            add_term(acc, lk, coef * c)
-            if acc:
-                cols[ck] = acc
-        return GradedMap(self.C.space, self.L.space, fdeg - 1, cols)
+    def series(self, maps, degree: int, weight) -> GradedMap:
+        """convolve with the brackets of L over the arities 2 through the
+        arity window, with weight(n) on arity n."""
+        return convolve(self.C, maps, self.L.bracket_multi, self.L.space,
+                        degree, {n: weight(n)
+                                 for n in range(2, self.arity_window() + 1)})
 
     def twisted_differential(self, tau: GradedMap, f: GradedMap) -> GradedMap:
-        """d^tau(f) = l_1(f) + sum 1/n! l_{n+1}(f, tau, ..., tau)."""
-        return self.differential_of(f) + self.tau_series(tau, f)
+        """d^tau(f) = l_1(f) + sum 1/(n-1)! l_n(f, tau, ..., tau), for tau
+        of degree 0: f in the first slot, n times."""
+        if tau.degree != 0:
+            raise ValueError("tau must have degree 0")
+        return self.differential_of(f) + self.series([f, tau], f.degree - 1,
+                                                     F)
 
     # -- Maurer-Cartan ---------------------------------------------------
 
@@ -229,7 +216,8 @@ class ConvolutionAlgebra:
         """The residual sum 1/n! l_n(tau, ..., tau); zero iff tau is MC."""
         if tau.degree != 0:
             raise ValueError("Maurer-Cartan candidates must have degree 0")
-        return self.differential_of(tau) + self.tau_series(tau)
+        return self.differential_of(tau) + self.series([tau], -1,
+                                                       lambda n: ONE)
 
     def is_mc(self, tau: GradedMap) -> bool:
         return self.mc_check(tau).is_zero()
@@ -252,11 +240,6 @@ class ConvolutionAlgebra:
 
     def twisted_betti(self, tau: GradedMap) -> dict[int, int]:
         return self.twist(tau).betti()
-
-    def twisted_homology(self, tau: GradedMap, n: int) -> GradedSpace:
-        con = contraction_from_complex(self.twist(tau))
-        H = con.small.space
-        return GradedSpace({n: list(H.basis(n))}, name=f"H_{n}({self.name})")
 
     # -- materialized structure -----------------------------------------
 

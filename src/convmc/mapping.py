@@ -41,7 +41,7 @@ from .barcobar import bar
 from .convolution import ConvolutionAlgebra
 from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
                     moduli_normal_form)
-from .graded import GradedMap, GradedSpace, add_term
+from .graded import GradedMap, add_term, contraction_from_complex
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
 
 F = Fraction
@@ -355,12 +355,15 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
 
 
 def pi_of_component(source, L: LInfinityAlgebra, tau: GradedMap, n: int,
-                    degree_max: int | None = None) -> GradedSpace:
-    """Homotopy group of the component of tau: degree-n homology of the
-    carrier twisted by tau.  tau must satisfy the Maurer-Cartan equation;
-    the twist constructor enforces that."""
+                    degree_max: int | None = None) -> dict:
+    """Homotopy group of the component of tau: the degree-n homology of
+    the carrier twisted by tau, as {class: representative cycle in the
+    carrier}, in the order of the contraction's homology basis.  tau must
+    satisfy the Maurer-Cartan equation; the twist constructor enforces
+    that."""
     if n < 1:
         raise ValueError("component homotopy starts at n = 1")
     conv = source if isinstance(source, ConvolutionAlgebra) else \
         mapping_space_model(source, L, degree_max)
-    return conv.twisted_homology(tau, n)
+    con = contraction_from_complex(conv.twist(tau))
+    return {k: con.i.column(k) for k in con.small.space.basis(n)}

@@ -14,7 +14,10 @@ objects produce byte-identical files.  parse errors carry the path of
 the offending entry.
 
 Certificate records embed the full source coalgebra and target algebra,
-so a decision can be re-verified later from the file alone.
+so a decision can be re-verified later from the file alone.  Every
+coalgebra record, embedded or not, is validated as it is read: d squares
+to zero (where "d"), and the coproduct is cocommutative, coassociative
+and compatible with d (where "delta").
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from . import words as wd
 from .freelie import FreeLie
 from .gauge import Distinct, Equal, GaugePath, Unknown
-from .graded import GradedMap, GradedSpace
+from .graded import ChainComplex, GradedMap, GradedSpace
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
 
 F = Fraction
@@ -167,7 +170,18 @@ def cdgc_from_record(rec: dict) -> CdgCoalgebra:
         c = frac_from_str(row[3], loc)
         if c:
             delta.setdefault(k, {})[pair] = c
+    try:
+        ChainComplex(sp, d, name).validate()
+    except ValueError as exc:
+        raise ModelFileError("d", str(exc)) from None
     C = CdgCoalgebra(sp, d, delta, name=name)
+    # the convolution brackets read each coproduct word once, which
+    # equals the sum over orderings only for a cocommutative,
+    # coassociative coproduct
+    try:
+        C.validate()
+    except ValueError as exc:
+        raise ModelFileError("delta", str(exc)) from None
     return C
 
 

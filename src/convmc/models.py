@@ -343,31 +343,20 @@ class QuillenModel:
             name=self.name or cls.name)
         l1 = {(k,): dict(self.delta.column(k)) for k in cls.all_keys()
               if self.delta.column(k)}
-        l2: dict[tuple, Vec] = {}
-        keys = shifted.all_keys()
-        for i, a in enumerate(keys):
-            for b in keys[i:]:
-                sw = wd.sort_letters(shifted, (a, b))
-                if sw is None:
-                    continue
-                word, sgn = sw
-                if word in l2:
-                    continue
-                x, y = word
-                if cls.degree_of[x] + cls.degree_of[y] > self.fl.deg_max:
-                    continue
-                sx = shifted.degree_of[x]
-                val = self.fl.bracket({x: ONE}, {y: ONE})
-                val = vec_scale(-ONE if sx % 2 else ONE, val)
-                if val:
-                    l2[word] = val
-        table: dict[int, dict[tuple, Vec]] = {}
-        if l1:
-            table[1] = l1
-        if l2:
-            table[2] = l2
-        return LInfinityAlgebra(shifted, table, name=self.name,
-                                arities=[1, 2])
+
+        def compute(n: int, word: tuple) -> Vec:
+            # l1 lookups of keys with zero differential reach here too
+            if n != 2:
+                return {}
+            x, y = word
+            if cls.degree_of[x] + cls.degree_of[y] > self.fl.deg_max:
+                return {}
+            val = self.fl.bracket({x: ONE}, {y: ONE})
+            return vec_scale(-ONE, val) if shifted.degree_of[x] % 2 else val
+
+        return LInfinityAlgebra(shifted, {1: l1} if l1 else {},
+                                name=self.name, arities=[1, 2],
+                                compute=compute)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +389,27 @@ class IntervalForms:
                 f"polynomial degree {k} exceeds bound {self.poly_bound}")
         kind = "q" if ("q" in (ta, tb)) else "p"
         return ((kind, k), ONE)
+
+    def collapse(self, forms, letter_degrees) -> tuple | None:
+        """Multiply out the forms of a1 x1 (x) ... (x) an xn, with ai a
+        form and xi a letter of the given degree: (form key, sign) for
+        the product a1 ... an in front of the letters, where the sign is
+        the Koszul sign of each odd ai passing x1 ... x(i-1), or None
+        when the product dies."""
+        sign = ONE
+        before = 0
+        for fk, d in zip(forms, letter_degrees):
+            if self.degree(fk) % 2 and before % 2:
+                sign = -sign
+            before += d
+        acc = forms[0]
+        for fk in forms[1:]:
+            prod = self.product(acc, fk)
+            if prod is None:
+                return None
+            acc, c = prod
+            sign *= c
+        return acc, sign
 
     def d(self, key) -> Vec:
         kind, k = key
@@ -446,28 +456,8 @@ def extension_of_scalars(L: LInfinityAlgebra, poly_bound: int
     ext_space = GradedSpace(by_deg, name=f"Omega({L.name})")
 
     def compute(n: int, word: tuple) -> Vec:
-        # split each argument into form and letter parts
         forms = [k[0] for k in word]
         lets = [k[1] for k in word]
-        # Koszul signs: each form passes the letters to its left, and the
-        # odd operation l_n passes the whole block of forms
-        sgn = 1
-        for i in range(n):
-            fdeg = omega.degree(forms[i])
-            if fdeg % 2:
-                sgn = -sgn
-                before = sum(L.space.degree_of[lets[j]] for j in range(i))
-                if before % 2:
-                    sgn = -sgn
-        # multiply the forms left to right
-        acc = forms[0]
-        coeff = ONE
-        for f in forms[1:]:
-            prod = omega.product(acc, f)
-            if prod is None:
-                return {}
-            acc, c = prod
-            coeff *= c
         out: Vec = {}
         if n == 1:
             # l1 = d_Omega (x) id + id (x) l1 with the usual sign
@@ -477,8 +467,15 @@ def extension_of_scalars(L: LInfinityAlgebra, poly_bound: int
             for let2, c in L.bracket(1, (lets[0],)).items():
                 add_term(out, (forms[0], let2), s * c)
             return out
+        prod = omega.collapse(forms, [L.space.degree_of[x] for x in lets])
+        if prod is None:
+            return {}
+        fk, sgn = prod
+        # the odd operation l_n also passes the whole block of forms
+        if sum(omega.degree(fk2) for fk2 in forms) % 2:
+            sgn = -sgn
         for let2, c in L.bracket(n, tuple(lets)).items():
-            add_term(out, (acc, let2), sgn * coeff * c)
+            add_term(out, (fk, let2), sgn * c)
         return out
 
     ext = LInfinityAlgebra(ext_space, {}, name=f"Omega({L.name})",

@@ -58,12 +58,13 @@ from math import comb, factorial
 
 from . import words as wd
 from .barcobar import CobarAlgebra, twisting_residual
-from .convolution import ConvolutionAlgebra
+from .convolution import ConvolutionAlgebra, convolve
 from .gauge import GaugePath
 from .graded import (Contraction, GradedMap, GradedSpace, Key, Vec, add_term,
                      contraction_from_complex, tensor_terms, vec_scale)
 from .matrices import ONE
-from .models import CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation
+from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation,
+                     extension_of_scalars)
 
 F = Fraction
 
@@ -452,11 +453,13 @@ def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,
     """Pushforward of a Maurer-Cartan element of Hom(C, source) along an
     infinity-morphism, as a degree-0 map C -> target.
 
-    The value on c sums, over n up to the coproduct depth, the arity-n
-    component of f against the n-fold coproduct of c evaluated through
-    tau, weighted by 1/n!.  These are the weights of the divided-power
-    lift of tau to words, so the formula is the word-coalgebra composite
-    read off in components.
+    The value on c sums, over n from 1 up to the coproduct depth and the
+    top arity of f, 1/n! times the arity-n component of f on
+    tau(w_1), ..., tau(w_n), over the words w of the (n-1)-fold iterated
+    coproduct of c (convolution.convolve; tau has degree 0, so no slot
+    sign enters).  These are the weights of the divided-power lift of
+    tau to words, so the formula is the word-coalgebra composite read
+    off in components.
 
     The input gate depends on which normalization the element lives in:
     residual="mc_check" (default) requires the literal Maurer-Cartan
@@ -478,27 +481,10 @@ def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,
         raise ValueError("cannot push a map that fails the Maurer-Cartan "
                          f"equation; residual on {sorted(res.entries)}")
     window = min(conv.coproduct_window(), f.max_arity())
-    cols: dict[Key, Vec] = {}
-    for ck in coalgebra.space.all_keys():
-        acc: Vec = {}
-        for n in range(1, window + 1):
-            weight = F(1, factorial(n))
-            for tup, gamma in coalgebra.iterated_coproduct(ck, n).items():
-                vecs = []
-                for c2 in tup:
-                    v = tau.entries.get(c2)
-                    if not v:
-                        vecs = None
-                        break
-                    vecs.append(v)
-                if vecs is None:
-                    continue
-                for k, c in f.component_multi(n, vecs).items():
-                    add_term(acc, k, weight * gamma * c)
-        if acc:
-            cols[ck] = acc
-    return GradedMap(coalgebra.space, f.target.space, 0, cols,
-                     name=f"push({tau.name})" if tau.name else "push")
+    out = convolve(coalgebra, [tau], f.component_multi, f.target.space, 0,
+                   {n: F(1, factorial(n)) for n in range(1, window + 1)})
+    out.name = f"push({tau.name})" if tau.name else "push"
+    return out
 
 
 def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
@@ -507,67 +493,43 @@ def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
     The morphism is extended over polynomial interval forms by letting
     components act on the algebra factor, with a Koszul sign whenever an
     odd form moves past the letters in front of it, and the extended
-    pushforward is applied to the bundled family.  Polynomial degrees in
+    pushforward (convolution.convolve with weight 1/n!, as in push_mc)
+    is applied to the bundled family.  Polynomial degrees in
     the parameter multiply by at most the coproduct depth, so the result
     lives at an enlarged polynomial bound.
     """
     conv = path.conv
     if conv.L.space.degree_of != f.source.space.degree_of:
         raise ValueError("path does not live in the morphism's source")
-    coalgebra = conv.C
     window = min(conv.coproduct_window(), f.max_arity())
     bound = path.poly_bound * max(1, window)
     omega = IntervalForms(bound)
-    deg_src = f.source.space.degree_of
-    zmap = path.z
+    target, _, _ = extension_of_scalars(f.target, bound)
+
+    def component(n, vecs) -> Vec:
+        out: Vec = {}
+        for keys, c in tensor_terms(vecs):
+            forms = [k[0] for k in keys]
+            prod = omega.collapse(forms, [f.source.space.degree_of[k[1]]
+                                          for k in keys])
+            if prod is None:
+                continue
+            fk, sign = prod
+            for vk, cv in f.component(n, [k[1] for k in keys]).items():
+                add_term(out, (fk, vk), sign * c * cv)
+        return out
+
+    pushed = convolve(conv.C, [path.z], component, target.space, 0,
+                      {n: F(1, factorial(n)) for n in range(1, window + 1)})
     p_cols: dict[int, dict[Key, Vec]] = {}
     q_cols: dict[int, dict[Key, Vec]] = {}
-    for ck in coalgebra.space.all_keys():
-        acc: dict = {}
-        for n in range(1, window + 1):
-            weight = F(1, factorial(n))
-            for tup, gamma in coalgebra.iterated_coproduct(ck, n).items():
-                terms = [((), (), ONE)]
-                for c2 in tup:
-                    col = zmap.entries.get(c2)
-                    if not col:
-                        terms = []
-                        break
-                    terms = [(forms + (fk,), lets + (lk,), cc * ck2)
-                             for forms, lets, cc in terms
-                             for (fk, lk), ck2 in col.items()]
-                for forms, lets, cc in terms:
-                    sign = ONE
-                    before = 0
-                    for idx in range(n):
-                        if omega.degree(forms[idx]) % 2 and before % 2:
-                            sign = -sign
-                        before += deg_src[lets[idx]]
-                    fk = forms[0]
-                    fc = ONE
-                    dead = False
-                    for f2 in forms[1:]:
-                        prod = omega.product(fk, f2)
-                        if prod is None:
-                            dead = True
-                            break
-                        fk, c3 = prod
-                        fc = fc * c3
-                    if dead:
-                        continue
-                    val = f.component(n, lets)
-                    if not val:
-                        continue
-                    for vk, c4 in val.items():
-                        add_term(acc, (fk, vk),
-                                 weight * gamma * sign * cc * fc * c4)
-        for (fk, vk), c in acc.items():
-            kind, kdeg = fk
+    for ck, col in pushed.entries.items():
+        for ((kind, kdeg), vk), c in col.items():
             store = p_cols if kind == "p" else q_cols
             store.setdefault(kdeg, {}).setdefault(ck, {})[vk] = c
-    target_conv = ConvolutionAlgebra(coalgebra, f.target)
-    p_parts = {kd: GradedMap(coalgebra.space, f.target.space, 0, cols)
+    p_parts = {kd: GradedMap(conv.C.space, f.target.space, 0, cols)
                for kd, cols in p_cols.items()}
-    q_parts = {kd: GradedMap(coalgebra.space, f.target.space, 1, cols)
+    q_parts = {kd: GradedMap(conv.C.space, f.target.space, 1, cols)
                for kd, cols in q_cols.items()}
-    return GaugePath(target_conv, bound, p_parts, q_parts)
+    return GaugePath(ConvolutionAlgebra(conv.C, f.target), bound,
+                     p_parts, q_parts)

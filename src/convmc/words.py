@@ -144,12 +144,8 @@ def symmetrize(letters: GradedSpace, word: tuple) -> Vec:
         coeff /= k
     out: Vec = {}
     for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j] and (degs[perm[i]] * degs[perm[j]]) % 2:
-                    sign = -sign
-        add_term(out, tuple(word[p] for p in perm), sign * coeff)
+        add_term(out, tuple(word[p] for p in perm),
+                 blocks_sign(degs, [perm]) * coeff)
     return out
 
 
@@ -254,7 +250,8 @@ def set_partitions(n: int) -> Iterator[list[tuple[int, ...]]]:
 
 def blocks_sign(degs: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> int:
     """Koszul sign of rearranging the word into the concatenation of the
-    blocks (each block keeps its internal order)."""
+    blocks (each block keeps its internal order); with one block, the
+    sign of that permutation of the positions."""
     order = [i for b in blocks for i in b]
     sign = 1
     for i in range(len(order)):

@@ -64,6 +64,21 @@ RECORDS = {
                     "brackets": [[2, ["x", "x"], "y", "1/1"]]},
     "undecided": {"format_version": 1, "kind": "certificate", "name": "",
                   "outcome": "unknown", "reason": "no normal form"},
+    # a2, c3, b5 with delta(b) = a (x) c and not its flip: not
+    # cocommutative, so not a coalgebra the convolution brackets accept
+    "one_sided": {"format_version": 1, "kind": "cdgc", "name": "B",
+                  "basis": [{"name": "a", "degree": 2},
+                            {"name": "c", "degree": 3},
+                            {"name": "b", "degree": 5}],
+                  "d": [], "delta": [["b", "a", "c", "1/1"]]},
+    "xyz_model": {"format_version": 1, "kind": "linfty", "name": "T",
+                  "basis": [{"name": "x", "degree": 2},
+                            {"name": "y", "degree": 3},
+                            {"name": "z", "degree": 4}],
+                  "arities": [1, 2],
+                  "brackets": [[2, ["x", "y"], "z", "1/1"]]},
+    "one_sided_tau": _element("mc_element", "tau", [["a", "x", "1/1"]],
+                              "B", "T"),
 }
 
 # (argv, exit code, sha256 of stdout); "@name" is the file of RECORDS[name]
@@ -304,6 +319,49 @@ def test_loop_model_window_below_the_source_is_refused(files, capsys, argv):
         assert err["where"] == "--window"
         assert (f"window {window} is exact only through degree "
                 f"{int(window) - 1}, below degree 3") in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "@one_sided", "@xyz_model", "@one_sided_tau"],
+    ["mc-check", "@one_sided", "@xyz_model", "@one_sided_tau"],
+    ["components", "@one_sided", "@xyz_model"],
+    ["gauge-check", "@one_sided_path"]],
+    ids=["twist", "mc-check", "components", "gauge-check"])
+def test_coalgebra_that_is_not_cocommutative_is_refused(files, capsys, argv):
+    # the convolution brackets read each coproduct word once, which gives
+    # the bracket only on a cocommutative coproduct; the record is checked
+    # where it is read, also inside a gauge path or certificate record
+    (files / "one_sided_path.json").write_text(json.dumps({
+        "format_version": 1, "kind": "gauge_path", "name": "",
+        "C": RECORDS["one_sided"], "L": RECORDS["xyz_model"],
+        "path": {"poly_bound": 1, "p_parts": [], "q_parts": []}}))
+    err = refusal(capsys, argv, files)
+    assert err == {"where": "delta",
+                   "error": "delta: coproduct not cocommutative at 'b'"}
+
+
+@pytest.mark.parametrize("record,where,message", [
+    ({"basis": [{"name": "a", "degree": 2}, {"name": "b", "degree": 2},
+                {"name": "t", "degree": 4}, {"name": "u", "degree": 6}],
+      "d": [], "delta": [["t", "a", "a", "1/1"], ["u", "b", "t", "1/1"],
+                         ["u", "t", "b", "1/1"]]},
+     "delta", "coproduct not coassociative at 'u'"),
+    ({"basis": [{"name": "a", "degree": 2}, {"name": "t", "degree": 4},
+                {"name": "w", "degree": 5}],
+      "d": [["w", "t", "1/1"]], "delta": [["t", "a", "a", "1/1"]]},
+     "delta", "differential is not a coderivation at 'w'"),
+    ({"basis": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3},
+                {"name": "c", "degree": 4}],
+      "d": [["c", "b", "1/1"], ["b", "a", "1/1"]], "delta": []},
+     "d", "d^2 != 0 on 'B', first at 'c'"),
+], ids=["coassociative", "coderivation", "square-zero"])
+def test_coalgebra_records_are_validated_where_they_are_read(
+        tmp_path, capsys, record, where, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "cdgc",
+                                "name": "B", **record}))
+    err = refusal(capsys, ["homology", str(path)])
+    assert err == {"where": where, "error": f"{where}: {message}"}
 
 
 def test_transfer_arity_below_one_is_refused(capsys):

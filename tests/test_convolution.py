@@ -10,19 +10,22 @@ invisible through CP^2, which is why both are checked.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convmc.barcobar import twisting_residual
-from convmc.convolution import ConvolutionAlgebra, koszul_perm_sign
+from convmc import words as wd
+from convmc.barcobar import bar, twisting_residual
+from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import vector_field
-from convmc.graded import GradedMap, GradedSpace
+from convmc.graded import GradedMap, GradedSpace, add_term
 from convmc.library import (abelian_pair_with_d, abelian_two, cp2_coalgebra,
                             cp3_coalgebra, pi_s2, pi_s3, s2xs2_coalgebra,
                             sphere_coalgebra, wedge_s2_s3_coalgebra)
+from convmc.mapping import pi_of_component
 from convmc.models import CdgCoalgebra, LInfinityAlgebra
 from test_gauge import acyclic_pair_target, pair_mc, two_step_target
 
@@ -54,14 +57,6 @@ def broken_target():
     return LInfinityAlgebra(sp, {2: {("x", "x"): {"y": F(1)},
                                      ("x", "y"): {"z": F(1)}}},
                             name="broken", arities=[1, 2])
-
-
-def test_koszul_perm_sign():
-    assert koszul_perm_sign((0, 1, 2), [3, 3, 3]) == 1
-    assert koszul_perm_sign((1, 0), [3, 5]) == -1
-    assert koszul_perm_sign((1, 0), [2, 5]) == 1
-    assert koszul_perm_sign((2, 0, 1), [1, 1, 1]) == 1
-    assert koszul_perm_sign((2, 1, 0), [1, 1, 1]) == -1
 
 
 def test_carrier_and_elementaries(conv_cp2):
@@ -232,8 +227,7 @@ def test_twisted_homology_of_sphere_sources():
     betti = cv3.twisted_betti(tau)
     assert all(betti.get(k, 0) == 0 for k in range(1, 4))
     cv2 = ConvolutionAlgebra(sphere_coalgebra(2), pi_s2())
-    H1 = cv2.twisted_homology(cv2.zero_map(), 1)
-    assert len(H1.basis(1)) == 1
+    assert len(pi_of_component(cv2, cv2.L, cv2.zero_map(), 1)) == 1
 
 
 def test_pushforward_preserves_mc(conv_prod):
@@ -282,15 +276,45 @@ def test_pullback_rejects_non_coalgebra_maps(conv_cp2):
         conv_cp2.pullback(h, Cp)
 
 
-# -- the one-pass kernel against the n!-ordering formula -------------------
+# -- the one-pass formula against the n!-ordering formula ------------------
+
+def ordering_bracket(conv, n, fs):
+    """l_n(f_1, ..., f_n) summed over all n! orderings of the maps, with
+    the Koszul sign of the reordering and of each map passing the letters
+    in front of it: the formula convolve collapses, kept as its
+    reference."""
+    if n == 1:
+        return conv.differential_of(fs[0])
+    fdegs = [f.degree for f in fs]
+    cdeg = conv.C.space.degree_of
+    cols = {}
+    for ck in conv.C.space.all_keys():
+        acc = {}
+        for sigma in permutations(range(n)):
+            s1 = wd.blocks_sign(fdegs, [sigma])
+            for word, gamma in conv.C.iterated_coproduct(ck, n).items():
+                sgn = s1
+                before = 0
+                vecs = []
+                for slot in range(n):
+                    f = fs[sigma[slot]]
+                    if f.degree % 2 and before % 2:
+                        sgn = -sgn
+                    before += cdeg[word[slot]]
+                    vecs.append(f.apply({word[slot]: F(1)}))
+                for lk, c in conv.L.bracket_multi(n, vecs).items():
+                    add_term(acc, lk, sgn * gamma * c)
+        if acc:
+            cols[ck] = acc
+    return GradedMap(conv.C.space, conv.L.space, sum(fdegs) - 1, cols)
+
 
 def symmetric_sum(conv, first, tau, weight):
     """l_1(first) + sum over n >= 2 of weight(n) l_n(first, tau, ..., tau),
-    each l_n summed over all n! orderings by the generic bracket: the
-    formula the kernel replaces, kept as its reference."""
-    out = conv.bracket(1, [first])
+    each l_n summed over all n! orderings."""
+    out = ordering_bracket(conv, 1, [first])
     for n in range(2, conv.arity_window() + 1):
-        term = conv.bracket(n, [first] + [tau] * (n - 1))
+        term = ordering_bracket(conv, n, [first] + [tau] * (n - 1))
         out = out + term.scale(weight(n))
     return out
 
@@ -380,21 +404,22 @@ def test_twist_columns_match_the_orderings():
             assert d.column(key) == conv.to_vec(want)
 
 
+def draw_map(draw, conv, degree):
+    car = conv.carrier
+    keys = sorted(car.basis(degree), key=car.sort_key)
+    coeffs = draw(st.lists(small_fraction, min_size=len(keys),
+                           max_size=len(keys)))
+    return conv.to_map(dict(zip(keys, coeffs)), degree=degree)
+
+
 @st.composite
 def kernel_cases(draw):
     source, target = draw(st.sampled_from(ORACLE_PAIRS))
     conv = ConvolutionAlgebra(source(), target())
-    car = conv.carrier
-
-    def element(degree):
-        keys = sorted(car.basis(degree), key=car.sort_key)
-        coeffs = draw(st.lists(small_fraction, min_size=len(keys),
-                               max_size=len(keys)))
-        return conv.to_map(dict(zip(keys, coeffs)), degree=degree)
-
-    tau = element(0)
-    degrees = sorted(car.degrees())
-    fs = [element(draw(st.sampled_from(degrees))) for _ in range(2)]
+    degrees = sorted(conv.carrier.degrees())
+    tau = draw_map(draw, conv, 0)
+    fs = [draw_map(draw, conv, draw(st.sampled_from(degrees)))
+          for _ in range(2)]
     return conv, tau, fs
 
 
@@ -405,16 +430,48 @@ def test_kernel_matches_the_orderings_on_generated_elements(case):
     check_against_orderings(conv, tau, fs)
 
 
+def bar_source():
+    """bar(pi(S2)) through degree 7: a source with a nonzero differential
+    and words of length three."""
+    return bar(pi_s2(), 7)
+
+
+@st.composite
+def bracket_cases(draw):
+    source, target = draw(st.sampled_from(
+        ORACLE_PAIRS + [(bar_source, pi_s2), (bar_source, acyclic_pair_target)]))
+    conv = ConvolutionAlgebra(source(), target())
+    degrees = sorted(conv.carrier.degrees())
+    n = draw(st.integers(2, max(2, conv.coproduct_window())))
+    fs = [draw_map(draw, conv, draw(st.sampled_from(degrees)))
+          for _ in range(n)]
+    return conv, n, fs
+
+
+@given(bracket_cases())
+@settings(max_examples=100, deadline=None)
+def test_bracket_matches_the_orderings_on_distinct_maps(case):
+    # distinct maps of mixed degrees, odd ones included: the collapse of
+    # the n! orderings rests on the cocommutativity of the source alone
+    conv, n, fs = case
+    assert conv.bracket(n, fs).equals(ordering_bracket(conv, n, fs))
+
+
 def test_odd_slot_sign_is_exercised():
-    # f = a -> y1 has degree 1.  On the word (b, a) it sits behind the odd
-    # class b, so that term carries -1 on top of the Koszul sign of
-    # l2(y2, y1) = -z; without the slot sign the two words would cancel
+    # f = a -> y1 has degree 1 and the class b is odd.  The twisted
+    # differential puts f first, on the word (a, b), where no slot sign
+    # enters; the generic bracket with f second reads the word (b, a) with
+    # f behind b, so that term carries -1 on top of the Koszul sign of
+    # l2(y2, y1) = -z, and without it the value would flip
     conv = ConvolutionAlgebra(s2xs3_source(), odd_pair_target())
     tau = conv.elementary("b", "y2")
     f = conv.elementary("a", "y1")
     got = conv.twisted_differential(tau, f)
     assert got.entries == {"t": {"z": F(2)}}
     assert got.equals(old_twisted(conv, tau, f))
+    got = conv.bracket(2, [tau, f])
+    assert got.entries == {"t": {"z": F(2)}}
+    assert got.equals(ordering_bracket(conv, 2, [tau, f]))
 
 
 def test_memoised_coproduct_equals_a_fresh_one():

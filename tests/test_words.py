@@ -61,6 +61,15 @@ def test_unshuffles_split_the_word_with_the_blocks_sign(letters, data):
         assert sign == wd.blocks_sign(degs, [subset, complement])
 
 
+def test_blocks_sign_of_a_permutation():
+    # one block: the Koszul sign of reordering the letters into it
+    assert wd.blocks_sign([3, 3, 3], [(0, 1, 2)]) == 1
+    assert wd.blocks_sign([3, 5], [(1, 0)]) == -1
+    assert wd.blocks_sign([2, 5], [(1, 0)]) == 1
+    assert wd.blocks_sign([1, 1, 1], [(2, 0, 1)]) == 1
+    assert wd.blocks_sign([1, 1, 1], [(2, 1, 0)]) == -1
+
+
 @st.composite
 def letter_spaces(draw, low=-2):
     """Up to six letters in degrees low..4, several of them sharing a
