@@ -35,17 +35,21 @@ differential's 1/(n-1)! l_n(f, tau, ..., tau) puts f in the first slot
 with weight n; barcobar.twisting_residual, transfer.push_mc,
 transfer.push_path and the bar-side coalgebra map of the adjunction use
 weight 1/n! with, in turn, the brackets of L, the components of an
-infinity-morphism (over interval forms for a path) and the product of
-symmetric words.  The collapse needs the cocommutativity: on a
-coproduct that is not symmetric the one-ordering sum is not the
-bracket, so coalgebra records are validated where they are read
-(modelio.cdgc_from_record).
+infinity-morphism, those components extended over interval forms
+(models.extended, for a path) and the product of symmetric words.  The
+component search's residual is the Maurer-Cartan sum over the
+extension of L by polynomial coefficients (models.extension_of_scalars),
+so one pass over the coproduct words gives every monomial.  The
+collapse needs the cocommutativity: on a coproduct that is not
+symmetric the one-ordering sum is not the bracket, so coalgebra records
+are validated where they are read (modelio.cdgc_from_record).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
@@ -118,17 +122,23 @@ class ConvolutionAlgebra:
         self.C = C
         self.L = L
         self.name = name or f"Hom({C.name},{L.name})"
-        by_deg: dict[int, list] = {}
-        for ck in C.space.all_keys():
-            for lk in L.space.all_keys():
-                d = L.space.degree_of[lk] - C.space.degree_of[ck]
-                by_deg.setdefault(d, []).append((ck, lk))
-        self.carrier = GradedSpace(by_deg, name=self.name)
         self._window: int | None = None
         self._l1: GradedMap | None = None
         # what the gauge decision derives from single Maurer-Cartan
         # points (gauge._memo); nothing else reads it
         self.point_memo: OrderedDict[tuple, dict] = OrderedDict()
+
+    @cached_property
+    def carrier(self) -> GradedSpace:
+        """Basis pairs (c, x) by degree |x| - |c|, built on first use: an
+        algebra over an extension that never lists its basis (the
+        component search's) never asks for it."""
+        by_deg: dict[int, list] = {}
+        for ck in self.C.space.all_keys():
+            for lk in self.L.space.all_keys():
+                d = self.L.space.degree_of[lk] - self.C.space.degree_of[ck]
+                by_deg.setdefault(d, []).append((ck, lk))
+        return GradedSpace(by_deg, name=self.name)
 
     # -- elements --------------------------------------------------------
 

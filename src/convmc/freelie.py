@@ -10,8 +10,11 @@ Bracket expressions are nested tuples ("br", left, right) over letter keys.
 Left-normed expressions span the free Lie algebra, so bases are chosen by
 expanding left-normed words degree by degree, in the order of the tensor
 words of that degree, and keeping the ones that grow the rank
-(deterministic, so every run picks the same basis).  One echelon of the
-accepted expansions per degree serves both the scan and express.
+(deterministic, so every run picks the same basis).  A word's expansion
+is the commutator of its prefix's, kept from a lower degree, with its
+last letter; commutator is also the one rule expand and bracket use.
+One echelon of the accepted expansions per degree serves both the scan
+and express.
 
 A FreeLie keeps two memos for its lifetime, so they go wherever the
 instance goes (a loop model in hopf's model cache keeps them with it):
@@ -69,16 +72,22 @@ def expand(letters: GradedSpace, e) -> Vec:
     """Expansion in the tensor algebra; keys are flat letter tuples."""
     if not is_bracket(e):
         return {(e,): ONE}
-    u = expand(letters, e[1])
-    v = expand(letters, e[2])
+    return commutator(letters, expand(letters, e[1]), expand(letters, e[2]))
+
+
+def commutator(letters: GradedSpace, u: Vec, v: Vec) -> Vec:
+    """u (x) v - (-1)^{|u||v|} v (x) u for homogeneous tensor vectors."""
+    if not u or not v:
+        return {}
+    du = sum(letters.degree_of[x] for x in next(iter(u)))
+    dv = sum(letters.degree_of[x] for x in next(iter(v)))
+    sign = ONE if (du * dv) % 2 else -ONE
     out: Vec = {}
     for tu, cu in u.items():
-        du = sum(letters.degree_of[x] for x in tu)
         for tv, cv in v.items():
-            dv = sum(letters.degree_of[x] for x in tv)
             c = cu * cv
             add_term(out, tu + tv, c)
-            add_term(out, tv + tu, c if (du * dv) % 2 else -c)
+            add_term(out, tv + tu, sign * c)
     return out
 
 
@@ -121,11 +130,13 @@ class FreeLie:
         self._echelons: dict[int, matrices.Echelon] = {}
         self._expansions: dict = {}
         self._brackets: dict[tuple, Vec] = {}
+        words_ex: dict[tuple, Vec] = {}   # every word's, for its extensions
         for d, words in sorted(_tensor_words(letters, deg_max).items()):
             ech = self._echelons[d] = matrices.Echelon()
             for word in words:
                 e = reduce(br, word)   # left-normed: [[w1, w2], w3] ...
-                ex = expand(letters, e)
+                ex = words_ex[word] = {word: ONE} if len(word) == 1 else \
+                    commutator(letters, words_ex[word[:-1]], {word[-1:]: ONE})
                 if ech.add(ex):
                     basis_by_deg.setdefault(d, []).append(e)
                     self._expansions[e] = ex
@@ -185,14 +196,9 @@ class FreeLie:
         db = expr_degree(self.letters, b)
         if da + db > self.deg_max:
             raise ValueError("bracket leaves the truncation window")
-        sign = ONE if (da * db) % 2 else -ONE
-        out: Vec = {}
-        for tu, cu in self._expansions[a].items():
-            for tv, cv in self._expansions[b].items():
-                c = cu * cv
-                add_term(out, tu + tv, c)
-                add_term(out, tv + tu, sign * c)
-        val = self._brackets[(a, b)] = self.express(out)
+        val = self._brackets[(a, b)] = self.express(
+            commutator(self.letters, self._expansions[a],
+                       self._expansions[b]))
         return val
 
     def derivation(self, letter_values: dict[Key, Vec], degree: int,

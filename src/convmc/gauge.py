@@ -49,7 +49,7 @@ from math import comb
 from .convolution import ConvolutionAlgebra
 from .graded import GradedMap, Vec, add_term
 from .matrices import ONE, ZERO, coset_reduce, in_span, nullspace
-from .models import extension_of_scalars
+from .models import IntervalForms, extension_of_scalars
 
 F = Fraction
 
@@ -103,7 +103,7 @@ class GaugePath:
             if k > poly_bound:
                 raise ValueError(
                     f"dt part t^{k} dt exceeds bound {poly_bound}")
-        ext, _, _ = extension_of_scalars(conv.L, poly_bound)
+        ext = extension_of_scalars(conv.L, IntervalForms(poly_bound))
         self.ext = ext
         self.ext_conv = ConvolutionAlgebra(conv.C, ext)
         cols: dict = {}
@@ -114,6 +114,19 @@ class GaugePath:
                     for lk, c in col.items():
                         dst[((kind, k), lk)] = c
         self.z = GradedMap(conv.C.space, ext.space, 0, cols)
+
+    @classmethod
+    def from_map(cls, conv: ConvolutionAlgebra, poly_bound: int,
+                 z: GradedMap) -> "GaugePath":
+        """The path whose bundled map into the extension is z."""
+        parts: dict = {"p": {}, "q": {}}
+        for ck, col in z.entries.items():
+            for ((kind, k), lk), c in col.items():
+                parts[kind].setdefault(k, {}).setdefault(ck, {})[lk] = c
+        return cls(conv, poly_bound, *(
+            {k: GradedMap(conv.C.space, conv.L.space, degree, cols)
+             for k, cols in parts[kind].items()}
+            for kind, degree in (("p", 0), ("q", 1))))
 
     def path_check(self) -> GradedMap:
         """Extended Maurer-Cartan residual of the family; the path is
@@ -189,20 +202,6 @@ def _integrate(conv: ConvolutionAlgebra, ext, rate: GradedMap,
     return GradedMap(conv.C.space, ext.space, rate.degree, cols)
 
 
-def _split_parts(conv: ConvolutionAlgebra,
-                 zmap: GradedMap) -> dict[int, GradedMap]:
-    """Decompose a map into the extension into its t^k coefficients."""
-    parts: dict[int, dict] = {}
-    for ck, col in zmap.entries.items():
-        for (fk, lk), c in col.items():
-            kind, k = fk
-            if kind != "p":
-                raise AssertionError("expected a polynomial-only family")
-            parts.setdefault(k, {}).setdefault(ck, {})[lk] = c
-    return {k: GradedMap(conv.C.space, conv.L.space, 0, cols)
-            for k, cols in parts.items()}
-
-
 def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
                poly_bound: int | None = None) -> GaugePath:
     """Integrate the gauge flow from x along the constant direction lam.
@@ -222,7 +221,7 @@ def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
             f"cannot flow a non-MC element, residual {res.entries!r}")
     if poly_bound is None:
         poly_bound = default_poly_bound(conv)
-    ext, _, _ = extension_of_scalars(conv.L, poly_bound)
+    ext = extension_of_scalars(conv.L, IntervalForms(poly_bound))
     ext_conv = ConvolutionAlgebra(conv.C, ext)
     lam_p = _lift(conv, ext, lam, ("p", 0))
     base = _lift(conv, ext, x, ("p", 0))
@@ -242,8 +241,8 @@ def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
         raise ValueError(
             f"gauge flow did not stabilize within polynomial bound "
             f"{poly_bound}")
-    path = GaugePath(conv, poly_bound, _split_parts(conv, current),
-                     {0: lam})
+    path = GaugePath.from_map(conv, poly_bound,
+                              current + _lift(conv, ext, lam, ("q", 0)))
     if not path.path_check().is_zero():
         raise AssertionError(
             "integrated flow fails the extended Maurer-Cartan equation")

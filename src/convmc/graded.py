@@ -4,8 +4,10 @@ The ground field is Q, scalars are fractions.Fraction.  Grading is
 homological: differentials lower degree by one.  A vector is a plain dict
 {basis_key: Fraction}; keys are hashable labels (strings for user-facing
 models, tuples for tensor and word spaces).  A GradedMap keeps sparse
-columns and knows its source, target and degree, so composition and
-tensoring can apply the Koszul sign rule mechanically.
+columns and knows its source, target and degree, so the sums built on
+it can apply the Koszul sign rule mechanically.  A TensorSpace A (x) V
+reads the degree and order of its pair keys off the two factors and
+lists its basis only on request.
 
 Sign conventions used throughout the package:
 
@@ -26,8 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Hashable, Iterable, Sequence
+from functools import cached_property
+from typing import Hashable, Iterable, Sequence
 
 from . import matrices
 from .matrices import ONE, add_term
@@ -128,7 +130,7 @@ class GradedSpace:
         return len(self.by_degree.get(n, ()))
 
     def total_dim(self) -> int:
-        return len(self.degree_of)
+        return sum(map(len, self.by_degree.values()))
 
     def basis(self, n: int) -> tuple:
         return self.by_degree.get(n, ())
@@ -157,22 +159,41 @@ class GradedSpace:
         return f"GradedSpace({self.name or '?'}; {dims})"
 
 
-def tensor_space(factors: Sequence[GradedSpace], name: str = "",
-                 deg_min: int | None = None, deg_max: int | None = None) -> GradedSpace:
-    """Tensor product with flat tuple keys, in lexicographic basis order.
+class TensorSpace(GradedSpace):
+    """A (x) V for a graded algebra A and a graded space V, with keys
+    (a, v).
 
-    Optional degree window keeps truncated constructions finite.
+    A provides degree(a), `a in A` and, if its basis can be listed,
+    keys().  A key's degree is the sum of its factors' degrees, and keys
+    sort by degree, then by a, then by v in V's order, so neither needs
+    the basis.  The basis is listed, in that order, only when a caller
+    asks for it: a polynomial ring in many variables is never listed.
     """
-    by_deg: dict[int, list] = {}
-    key_lists = [sp.all_keys() for sp in factors]
-    for combo in product(*key_lists):
-        d = sum(sp.degree_of[k] for sp, k in zip(factors, combo))
-        if deg_min is not None and d < deg_min:
-            continue
-        if deg_max is not None and d > deg_max:
-            continue
-        by_deg.setdefault(d, []).append(tuple(combo))
-    return GradedSpace(by_deg, name=name)
+
+    def __init__(self, A, V: GradedSpace, name: str = ""):
+        self.A = A
+        self.V = V
+        self.name = name
+        # degree_of[key] and `key in degree_of` are read off the factors
+        self.degree_of = self
+
+    def __getitem__(self, key) -> int:
+        return self.A.degree(key[0]) + self.V.degree_of[key[1]]
+
+    def __contains__(self, key) -> bool:
+        return (isinstance(key, tuple) and len(key) == 2
+                and key[0] in self.A and key[1] in self.V.degree_of)
+
+    def sort_key(self, key: Key) -> tuple:
+        return (self.degree_of[key], key[0], self.V.sort_key(key[1]))
+
+    @cached_property
+    def by_degree(self) -> dict[int, tuple]:
+        by_deg: dict[int, list] = {}
+        for key in sorted(((a, v) for a in self.A.keys()
+                           for v in self.V.all_keys()), key=self.sort_key):
+            by_deg.setdefault(self.degree_of[key], []).append(key)
+        return {n: tuple(keys) for n, keys in by_deg.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -279,63 +300,6 @@ class GradedMap:
     def __repr__(self):
         return (f"GradedMap({self.name or '?'}: {self.src.name or '?'} -> "
                 f"{self.dst.name or '?'}, degree {self.degree})")
-
-
-def tensor_map(fs: Sequence[GradedMap], src: GradedSpace, dst: GradedSpace) -> GradedMap:
-    """f_1 (x) ... (x) f_k as a map of flat tensor spaces, with Koszul signs.
-
-    src and dst must be tensor spaces whose tuple keys match the factors;
-    keys whose image leaves dst (a truncation window) raise.
-    """
-    k = len(fs)
-    out = GradedMap(src, dst, sum(f.degree for f in fs))
-    for key in src.all_keys():
-        if len(key) != k:
-            raise ValueError("tensor key arity mismatch")
-        out.set_column(key, _apply_tensor(fs, key, dst))
-    return out
-
-
-def _apply_tensor(fs: Sequence[GradedMap], key: tuple, dst: GradedSpace) -> Vec:
-    terms: list[tuple[tuple, Fraction]] = [((), ONE)]
-    for i, f in enumerate(fs):
-        sign_exp = sum(f.degree * fs[j].src.degree_of[key[j]] for j in range(i))
-        img = f.entries.get(key[i], {})
-        new_terms = []
-        for prefix, coeff in terms:
-            for kk, cc in img.items():
-                s = -ONE if (sign_exp % 2) else ONE
-                new_terms.append((prefix + (kk,), coeff * cc * s))
-        terms = new_terms
-        if not terms:
-            break
-    out: Vec = {}
-    for tup, c in terms:
-        if not c:
-            continue
-        if tup not in dst.degree_of:
-            raise ValueError(f"tensor image key {tup!r} outside target window")
-        add_term(out, tup, c)
-    return out
-
-
-def apply_at_slot(f: GradedMap, slot: int, v: Vec, slot_degree_of: Callable[[Key], int],
-                  splice: bool = False) -> Vec:
-    """Apply f to one slot of a vector with tuple keys, with the Koszul sign
-    for moving f past the earlier slots.  With splice=True a tuple-valued
-    image key is spliced into the word (used for coproduct iteration)."""
-    out: Vec = {}
-    for key, c in v.items():
-        before = sum(slot_degree_of(k) for k in key[:slot])
-        sign = -ONE if (f.degree * before) % 2 else ONE
-        img = f.entries.get(key[slot], {})
-        for kk, cc in img.items():
-            if splice and isinstance(kk, tuple):
-                nk = key[:slot] + kk + key[slot + 1:]
-            else:
-                nk = key[:slot] + (kk,) + key[slot + 1:]
-            add_term(out, nk, sign * c * cc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,20 @@ can carry the window.
 Component search parameterizes degree-0 elements by exact coefficients
 c0, c1, ... and expands the Maurer-Cartan residual as a polynomial
 system over the rationals: one dict from exponent tuple to Fraction per
-carrier basis pair.  The system is first settled exactly: an equation
-that is c x^k in a single coefficient forces x = 0, which is substituted
-until no equation is left.  Each step is an equivalence over Q, so a
-settled system is the single branch "forced coefficients 0, the rest
-free", decided in Fractions (sympy may list the same set with redundant
-sub-branches of its case splits; the settle does not).  A system that
+carrier basis pair.  The expansion is the residual of the generic
+element sum_i c_i e_i in Hom(C, Q[c] (x) L), the extension of scalars
+of models.extension_of_scalars.  Its A is TruncatedPolynomials: any
+graded-commutative dg algebra with degree, product, d and membership
+serves, and the same extension carries the gauge paths (A the interval
+forms) and transfer.push_path.  Q[c] is cut at the arity window, where
+every product of the search lands, and its monomials are never listed.
+
+The system is first settled exactly: an equation that is c x^k in a
+single coefficient forces x = 0, which is substituted until no equation
+is left.  Each step is an equivalence over Q, so a settled system is
+the single branch "forced coefficients 0, the rest free", decided in
+Fractions (sympy may list the same set with redundant sub-branches of
+its case splits; the settle does not).  A system that
 does not settle this way is solved symbolically by sympy.solve, which
 is imported only then: sympy stays a runtime dependency for that
 fallback alone.  Solutions come back as points or as parametric
@@ -33,16 +41,16 @@ rather than enumerated.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
-from math import factorial
 
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
 from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
                     moduli_normal_form)
 from .graded import GradedMap, add_term, contraction_from_complex
-from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
+from .matrices import ONE
+from .models import (CdgCoalgebra, LInfinityAlgebra, QuillenModel,
+                     TruncatedPolynomials, extension_of_scalars)
 
 F = Fraction
 
@@ -91,30 +99,49 @@ def mapping_space_model(source, L: LInfinityAlgebra,
 def _residual_polynomials(conv: ConvolutionAlgebra, pairs) -> dict:
     """Maurer-Cartan residual of sum_i c_i e_i as polynomials in the c_i,
     one per carrier basis pair of the image: a dict from the exponent
-    tuple of each monomial to its coefficient."""
+    tuple of each monomial to its coefficient.
+
+    The linear part is sum_i c_i l_1(e_i).  The brackets are the series
+    of the generic element in Hom(C, Q[c] (x) L), with Q[c] cut at the
+    arity window: one convolve pass reads each coproduct word once and
+    yields every monomial with its 1/m! weights, and no monomial basis
+    is listed.
+
+    The pairs come in the order the equations have always had, so the
+    solver sees the same system: those of the linear part first, the
+    others where a walk over the multisets of directions meets them
+    first (by arity, then multiset in combinations_with_replacement
+    order, then source key, then the letter's place in that bracket)."""
     polys: dict = {}
-
-    def add(gm: GradedMap, mono):
-        for ck, col in gm.entries.items():
+    units = [tuple(int(j == i) for j in range(len(pairs)))
+             for i in range(len(pairs))]
+    for unit, pair in zip(units, pairs):
+        d = conv.differential_of(conv.elementary(*pair))
+        for ck, col in d.entries.items():
             for lk, c in col.items():
-                add_term(polys.setdefault((ck, lk), {}), mono, c)
+                add_term(polys.setdefault((ck, lk), {}), unit, c)
+    ext = extension_of_scalars(
+        conv.L, TruncatedPolynomials(len(pairs), conv.arity_window()))
+    cols: dict = {}
+    for unit, (ck, lk) in zip(units, pairs):
+        cols.setdefault(ck, {})[(unit, lk)] = ONE
+    generic = GradedMap(conv.C.space, ext.space, 0, cols)
+    brackets = ConvolutionAlgebra(conv.C, ext).series([generic], -1,
+                                                      lambda n: ONE)
+    rest: dict = {}
+    for ck, col in brackets.entries.items():
+        for (mono, lk), c in col.items():
+            into = polys if (ck, lk) in polys else rest
+            add_term(into.setdefault((ck, lk), {}), mono, c)
 
-    els = [conv.elementary(*p) for p in pairs]
-    for i, e in enumerate(els):
-        d = conv.differential_of(e)
-        if not d.is_zero():
-            add(d, tuple(int(j == i) for j in range(len(els))))
-    for n in range(2, conv.arity_window() + 1):
-        for idx in itertools.combinations_with_replacement(range(len(els)),
-                                                           n):
-            val = conv.bracket(n, [els[j] for j in idx])
-            if val.is_zero():
-                continue
-            counts = Counter(idx)
-            weight = F(1)
-            for m in counts.values():
-                weight *= F(1, factorial(m))
-            add(val.scale(weight), tuple(counts[j] for j in range(len(els))))
+    def met(key):
+        n, idx = min((sum(m), tuple(j for j, k in enumerate(m)
+                                    for _ in range(k))) for m in rest[key])
+        val = conv.L.bracket(n, [pairs[j][1] for j in idx])
+        return n, idx, conv.C.space.sort_key(key[0]), list(val).index(key[1])
+
+    for key in sorted(rest, key=met):
+        polys[key] = rest[key]
     return polys
 
 

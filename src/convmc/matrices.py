@@ -29,46 +29,12 @@ Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[ZERO] * n for _ in range(m)]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    m, n = shape(a)
-    n2, k = shape(b)
-    if n != n2:
-        raise ValueError(f"shape mismatch: {m}x{n} times {n2}x{k}")
-    out = zeros(m, k)
-    for i in range(m):
-        arow = a[i]
-        orow = out[i]
-        for t in range(n):
-            c = arow[t]
-            if c:
-                brow = b[t]
-                for j in range(k):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    m, n = shape(a)
-    if n != len(v):
-        raise ValueError("dimension mismatch in mat_vec")
-    return [sum((a[i][j] * v[j] for j in range(n) if v[j]), ZERO) for i in range(m)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[tuple[int, int]]]:

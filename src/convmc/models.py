@@ -1,5 +1,5 @@
 """Model containers: coalgebras, shifted L-infinity algebras, free Lie
-models, and polynomial interval forms.
+models, and extension of scalars by a commutative dg algebra.
 
 Grading conventions, fixed once for the whole package:
 
@@ -12,6 +12,22 @@ Grading conventions, fixed once for the whole package:
     as_linfty() exposes the shifted presentation, raising all degrees by
     one and twisting the bracket by (-1)^{shifted degree of the first
     argument}.
+
+Extension of scalars tensors an L-infinity algebra L with a finite
+graded-commutative dg algebra A.  A is any object that provides
+degree(a), product(a, b) -> (key, coeff) or None when the product dies,
+d(a) -> vector, and `a in A`; one that can list its basis also provides
+keys().  extended() is the one extended n-ary operation over A, and it
+reads only degree and product.  Three places use it:
+
+  * gauge paths: A is IntervalForms, the polynomial forms on the
+    interval, and a path is a Maurer-Cartan element of Hom(C, A (x) L);
+  * transfer.push_path: the components of an infinity-morphism extended
+    over the same forms;
+  * the component search (mapping._residual_polynomials): A is
+    TruncatedPolynomials, Q[c_0..c_(m-1)] cut at the arity window, and
+    the residual of the generic element sum_i c_i e_i is read off
+    Hom(C, A (x) L).  Its monomials are never listed.
 """
 
 from __future__ import annotations
@@ -22,19 +38,17 @@ from typing import Callable, Sequence
 
 from . import words as wd
 from .freelie import FreeLie
-from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
-                     tensor_terms, vec_scale)
+from .graded import (ChainComplex, GradedMap, GradedSpace, Key, TensorSpace,
+                     Vec, add_term, tensor_terms, vec_add, vec_scale)
 from .matrices import ONE, ZERO
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Finite computation window: degrees, bracket arity, polynomial degree
-    for interval coefficients."""
+    """Finite computation window: degrees and bracket arity."""
     deg_min: int
     deg_max: int
     arity_max: int
-    poly_bound: int = 8
 
     def __post_init__(self):
         if self.deg_min > self.deg_max:
@@ -360,7 +374,7 @@ class QuillenModel:
 
 
 # ---------------------------------------------------------------------------
-# polynomial forms on the interval
+# extension of scalars
 
 class IntervalForms:
     """Q[t] + Q[t] dt, truncated at a fixed polynomial degree.
@@ -370,8 +384,17 @@ class IntervalForms:
     bound raise, so callers must pick the bound from their nilpotency depth.
     """
 
+    name = "Omega"
+
     def __init__(self, poly_bound: int):
         self.poly_bound = poly_bound
+
+    def __contains__(self, key) -> bool:
+        return len(key) == 2 and key[0] in ("p", "q") and \
+            0 <= key[1] <= self.poly_bound
+
+    def keys(self) -> list:
+        return [(kind, k) for kind in "pq" for k in range(self.poly_bound + 1)]
 
     def degree(self, key) -> int:
         return 0 if key[0] == "p" else -1
@@ -390,27 +413,6 @@ class IntervalForms:
         kind = "q" if ("q" in (ta, tb)) else "p"
         return ((kind, k), ONE)
 
-    def collapse(self, forms, letter_degrees) -> tuple | None:
-        """Multiply out the forms of a1 x1 (x) ... (x) an xn, with ai a
-        form and xi a letter of the given degree: (form key, sign) for
-        the product a1 ... an in front of the letters, where the sign is
-        the Koszul sign of each odd ai passing x1 ... x(i-1), or None
-        when the product dies."""
-        sign = ONE
-        before = 0
-        for fk, d in zip(forms, letter_degrees):
-            if self.degree(fk) % 2 and before % 2:
-                sign = -sign
-            before += d
-        acc = forms[0]
-        for fk in forms[1:]:
-            prod = self.product(acc, fk)
-            if prod is None:
-                return None
-            acc, c = prod
-            sign *= c
-        return acc, sign
-
     def d(self, key) -> Vec:
         kind, k = key
         if kind == "p" and k > 0:
@@ -424,72 +426,93 @@ class IntervalForms:
             return ZERO
         return Fraction(t_value) ** k if k else ONE
 
-    def integrate_to_t(self, key) -> Vec:
-        """Indefinite integral from 0: t^k dt goes to t^{k+1}/(k+1);
-        polynomial parts integrate to zero (only the dt part is a 1-form)."""
-        kind, k = key
-        if kind != "q":
-            return {}
-        if k + 1 > self.poly_bound:
-            raise ValueError(
-                f"integration needs polynomial degree {k + 1}, "
-                f"bound is {self.poly_bound}")
-        return {("p", k + 1): Fraction(1, k + 1)}
 
+class TruncatedPolynomials:
+    """Q[c_0, ..., c_(m-1)] in degree 0 with d = 0, cut at a total degree.
 
-def extension_of_scalars(L: LInfinityAlgebra, poly_bound: int
-                         ) -> tuple[LInfinityAlgebra, GradedMap, GradedMap]:
-    """Interval forms tensor L, with evaluation maps at both endpoints.
-
-    Carrier keys are (form_key, letter); brackets multiply the form parts
-    and apply l_n to the letters, with the Koszul sign from moving forms
-    past letters.  Returns (extended algebra, ev0, ev1).
+    Keys are exponent tuples, of any degree: the bound cuts products,
+    and a product above it raises, so no term is ever dropped and the
+    bound must cover every product the caller forms.  The monomials are
+    never listed (there is no keys()).
     """
-    omega = IntervalForms(poly_bound)
-    form_keys = [("p", k) for k in range(poly_bound + 1)] + \
-                [("q", k) for k in range(poly_bound + 1)]
-    by_deg: dict[int, list] = {}
-    for fk in form_keys:
-        for let in L.space.all_keys():
-            d = omega.degree(fk) + L.space.degree_of[let]
-            by_deg.setdefault(d, []).append((fk, let))
-    ext_space = GradedSpace(by_deg, name=f"Omega({L.name})")
+
+    name = "Q[c]"
+
+    def __init__(self, m: int, bound: int):
+        self.m = m
+        self.bound = bound
+
+    def __contains__(self, key) -> bool:
+        return len(key) == self.m and min(key, default=0) >= 0
+
+    def degree(self, key) -> int:
+        return 0
+
+    def product(self, a, b) -> tuple:
+        k = tuple(x + y for x, y in zip(a, b))
+        if sum(k) > self.bound:
+            raise ValueError(
+                f"polynomial degree {sum(k)} exceeds bound {self.bound}")
+        return k, ONE
+
+    def d(self, key) -> Vec:
+        return {}
+
+
+def extended(A, op, letter_degree, n: int, vecs, odd: bool = False) -> Vec:
+    """The n-ary operation op(n, letters) extended over A, on vectors over
+    keys (a, x) and multilinear in them.
+
+    On a basis word (a_1, x_1) ... (a_n, x_n) the value is the product
+    a_1 ... a_n in front of op(n, (x_1, ..., x_n)), with the Koszul sign
+    of each odd a_i passing x_1 ... x_(i-1), and for an odd op the sign of
+    op passing the whole block of forms; a word whose product dies gives
+    zero.  Only A.degree and A.product are read.
+    """
+    out: Vec = {}
+    for keys, coef in tensor_terms(vecs):
+        before = 0
+        parity = 0
+        prod = None
+        for a, x in keys:
+            da = A.degree(a)
+            if da % 2 and before % 2:
+                coef = -coef
+            before += letter_degree[x]
+            parity += da
+            if prod is None:
+                prod = a
+                continue
+            step = A.product(prod, a)
+            if step is None:
+                break
+            prod, c = step
+            coef *= c
+        else:
+            if odd and parity % 2:
+                coef = -coef
+            for y, c in op(n, tuple(x for _, x in keys)).items():
+                add_term(out, (prod, y), coef * c)
+    return out
+
+
+def extension_of_scalars(L: LInfinityAlgebra, A) -> LInfinityAlgebra:
+    """A (x) L for a graded-commutative dg algebra A (see the module
+    docstring for what A provides), on the TensorSpace of keys (a, x).
+
+    l_1 is d_A (x) id + id (x) l_1, the second term with the sign of l_1
+    passing a; l_n for n >= 2 is the bracket of L extended over A, the odd
+    l_n passing the block of forms.  Values are computed per sorted word
+    on first use and cached, so no table is materialized.
+    """
+    space = TensorSpace(A, L.space, name=f"{A.name}({L.name})")
 
     def compute(n: int, word: tuple) -> Vec:
-        forms = [k[0] for k in word]
-        lets = [k[1] for k in word]
-        out: Vec = {}
-        if n == 1:
-            # l1 = d_Omega (x) id + id (x) l1 with the usual sign
-            for fk2, c in omega.d(forms[0]).items():
-                add_term(out, (fk2, lets[0]), c)
-            s = -ONE if omega.degree(forms[0]) % 2 else ONE
-            for let2, c in L.bracket(1, (lets[0],)).items():
-                add_term(out, (forms[0], let2), s * c)
-            return out
-        prod = omega.collapse(forms, [L.space.degree_of[x] for x in lets])
-        if prod is None:
-            return {}
-        fk, sgn = prod
-        # the odd operation l_n also passes the whole block of forms
-        if sum(omega.degree(fk2) for fk2 in forms) % 2:
-            sgn = -sgn
-        for let2, c in L.bracket(n, tuple(lets)).items():
-            add_term(out, (fk, let2), sgn * c)
-        return out
+        a, x = word[0]
+        d_part = {(a2, x): c for a2, c in A.d(a).items()} if n == 1 else {}
+        return vec_add(d_part, extended(A, L.bracket, L.space.degree_of, n,
+                                        [{k: ONE} for k in word], odd=True))
 
-    ext = LInfinityAlgebra(ext_space, {}, name=f"Omega({L.name})",
-                           arities=sorted(set(L.arities) | {1}),
-                           compute=compute)
-
-    def ev(t_value: Fraction) -> GradedMap:
-        cols = {}
-        for key in ext_space.all_keys():
-            fk, let = key
-            c = omega.evaluate(fk, t_value)
-            if c:
-                cols[key] = {let: c}
-        return GradedMap(ext_space, L.space, 0, cols,
-                         name=f"ev{t_value}")
-
-    return ext, ev(ZERO), ev(ONE)
+    return LInfinityAlgebra(space, {}, name=space.name,
+                            arities=sorted(set(L.arities) | {1}),
+                            compute=compute)

@@ -54,17 +54,19 @@ identity at every arity, so the convention is tested rather than trusted.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from . import words as wd
 from .barcobar import CobarAlgebra, twisting_residual
 from .convolution import ConvolutionAlgebra, convolve
 from .gauge import GaugePath
-from .graded import (Contraction, GradedMap, GradedSpace, Key, Vec, add_term,
-                     contraction_from_complex, tensor_terms, vec_scale)
+from .graded import (Contraction, GradedMap, GradedSpace, TensorSpace, Vec,
+                     add_term, contraction_from_complex, tensor_terms,
+                     vec_scale)
 from .matrices import ONE
 from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation,
-                     extension_of_scalars)
+                     extended)
 
 F = Fraction
 
@@ -490,9 +492,9 @@ def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,
 def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
     """Transport of a gauge path along an infinity-morphism.
 
-    The morphism is extended over polynomial interval forms by letting
-    components act on the algebra factor, with a Koszul sign whenever an
-    odd form moves past the letters in front of it, and the extended
+    The components are extended over polynomial interval forms
+    (models.extended: the forms multiply, with a Koszul sign whenever an
+    odd form moves past the letters in front of it), and the extended
     pushforward (convolution.convolve with weight 1/n!, as in push_mc)
     is applied to the bundled family.  Polynomial degrees in
     the parameter multiply by at most the coproduct depth, so the result
@@ -504,32 +506,10 @@ def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
     window = min(conv.coproduct_window(), f.max_arity())
     bound = path.poly_bound * max(1, window)
     omega = IntervalForms(bound)
-    target, _, _ = extension_of_scalars(f.target, bound)
-
-    def component(n, vecs) -> Vec:
-        out: Vec = {}
-        for keys, c in tensor_terms(vecs):
-            forms = [k[0] for k in keys]
-            prod = omega.collapse(forms, [f.source.space.degree_of[k[1]]
-                                          for k in keys])
-            if prod is None:
-                continue
-            fk, sign = prod
-            for vk, cv in f.component(n, [k[1] for k in keys]).items():
-                add_term(out, (fk, vk), sign * c * cv)
-        return out
-
-    pushed = convolve(conv.C, [path.z], component, target.space, 0,
+    pushed = convolve(conv.C, [path.z],
+                      partial(extended, omega, f.component,
+                              f.source.space.degree_of),
+                      TensorSpace(omega, f.target.space), 0,
                       {n: F(1, factorial(n)) for n in range(1, window + 1)})
-    p_cols: dict[int, dict[Key, Vec]] = {}
-    q_cols: dict[int, dict[Key, Vec]] = {}
-    for ck, col in pushed.entries.items():
-        for ((kind, kdeg), vk), c in col.items():
-            store = p_cols if kind == "p" else q_cols
-            store.setdefault(kdeg, {}).setdefault(ck, {})[vk] = c
-    p_parts = {kd: GradedMap(conv.C.space, f.target.space, 0, cols)
-               for kd, cols in p_cols.items()}
-    q_parts = {kd: GradedMap(conv.C.space, f.target.space, 1, cols)
-               for kd, cols in q_cols.items()}
-    return GaugePath(ConvolutionAlgebra(conv.C, f.target), bound,
-                     p_parts, q_parts)
+    return GaugePath.from_map(ConvolutionAlgebra(conv.C, f.target), bound,
+                              pushed)

@@ -1,0 +1,58 @@
+"""No function or class under src/convmc goes unreferenced by accident.
+
+A definition (def or class, at any depth; dunder methods aside) counts
+as referenced when its name occurs anywhere under src/convmc as a name
+or as an attribute.  The names are compared bare, so a method counts as
+referenced once any attribute of that name is read: the check catches
+definitions nothing could reach, not every unused method.
+
+The set of unreferenced definitions must equal ALLOWED.  A new
+unreferenced function fails, and so does an entry that is referenced
+again or deleted: take it off the list.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "convmc"
+
+ALLOWED = {
+    # named by the benchmark's tracer (perfbench/tracer.py)
+    "solve_matrix", "symmetrize",
+    # every entry below is called from tests/ only
+    # bundled models outside the CLI registry
+    "cp3_coalgebra", "hopf_tau", "quillen_s2",
+    # the bar-cobar adjunction and its checks
+    "adjunction_mc", "algebra_map_to_mc", "coalgebra_map_to_mc",
+    "coalgebra_morphism", "counit_quasi_iso_check",
+    "universal_factorization",
+    # library API
+    "coherent_on", "direction", "evaluate", "expand_vec", "from_tables",
+    "homology_betti", "is_abelian_beyond_l1", "is_mc", "pullback",
+    "push_path", "pushforward", "sphere_pi_n", "strict_infinity",
+    "transfer_morphism", "vec_sub",
+}
+
+
+def unreferenced_definitions() -> set[str]:
+    defs: set[str] = set()
+    refs: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.add(node.name)
+            elif isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return {name for name in defs - refs
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_unreferenced_definitions_are_the_allowed_ones():
+    found = unreferenced_definitions()
+    assert not found - ALLOWED, f"unreferenced: {sorted(found - ALLOWED)}"
+    assert not ALLOWED - found, f"stale allowlist: {sorted(ALLOWED - found)}"

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from convmc import matrices as mx
 from convmc.graded import (
-    ChainComplex, Contraction, GradedMap, GradedSpace, add_term,
-    apply_at_slot, basis_vec, column_split, contraction_from_complex,
-    homology, tensor_map, tensor_space, tensor_terms, vec_add, vec_eq,
-    vec_is_zero, vec_scale, vec_sub,
+    ChainComplex, Contraction, GradedMap, GradedSpace, TensorSpace,
+    add_term, basis_vec, column_split, contraction_from_complex, homology,
+    tensor_terms, vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub,
 )
+from convmc.models import IntervalForms, TruncatedPolynomials
 
 F = Fraction
 
@@ -81,37 +81,6 @@ def test_compose():
     sp = GradedSpace({0: ["a", "b"], 1: ["c"]}, name="V")
     d = GradedMap(sp, sp, -1, {"c": {"a": F(1), "b": F(-1)}})
     assert d.compose(d).is_zero()
-
-
-def test_tensor_map_koszul_sign():
-    # f, g both of odd degree: (f (x) g)(x (x) y) = (-1)^{|x|} f(x) (x) g(y)
-    v = GradedSpace({1: ["x"], 2: ["u"]}, name="V")
-    w = GradedSpace({0: ["p"], 1: ["q"]}, name="W")
-    f = GradedMap(v, w, -1, {"x": {"p": F(1)}, "u": {"q": F(1)}})
-    vv = tensor_space([v, v], name="VV")
-    ww = tensor_space([w, w], name="WW")
-    ff = tensor_map([f, f], vv, ww)
-    # |x| = 1 odd: sign -1 on the second factor's pass over x
-    assert ff.column(("x", "x")) == {("p", "p"): F(-1)}
-    # |u| = 2 even: no sign
-    assert ff.column(("u", "x")) == {("q", "p"): F(1)}
-
-
-def test_apply_at_slot_sign_and_splice():
-    v = GradedSpace({1: ["x"], 2: ["u"]}, name="V")
-    f = GradedMap(v, v, -1, {"u": {"x": F(1)}})
-    vec3 = {("x", "u", "u"): F(1)}
-    deg = lambda k: v.degree_of[k]
-    out = apply_at_slot(f, 1, vec3, deg)
-    assert out == {("x", "x", "u"): F(-1)}  # f odd passes over x (odd)
-    out2 = apply_at_slot(f, 2, vec3, deg)
-    assert out2 == {("x", "u", "x"): F(-1)}  # passes over x,u: total degree 3
-
-    # splice: a map into a tensor square gets inlined into the word
-    vv = tensor_space([v, v], name="VV")
-    delta = GradedMap(v, vv, 0, {"u": {("x", "x"): F(1)}})
-    out3 = apply_at_slot(delta, 1, {("u", "u"): F(1)}, deg, splice=True)
-    assert out3 == {("u", "x", "x"): F(1)}
 
 
 def test_d_squared_validation():
@@ -195,10 +164,29 @@ def test_vec_eq_agrees_with_a_zero_difference(a, b):
     assert vec_eq(a, padded) and vec_eq(padded, a)
 
 
-def test_tensor_space_window():
-    v = GradedSpace({1: ["x"], 3: ["y"]}, name="V")
-    t = tensor_space([v, v], deg_max=4)
-    assert set(t.all_keys()) == {("x", "x"), ("x", "y"), ("y", "x")}
+def test_tensor_space_reads_degrees_and_order_off_its_factors():
+    v = two_sphere_space()
+    t = TensorSpace(IntervalForms(1), v)
+    assert t.degree_of[(("q", 0), "y")] == 2
+    assert (("p", 1), "x") in t
+    assert (("p", 2), "x") not in t and (("p", 0), "z") not in t
+    # listed on request: by degree, then form key, then letter
+    assert t.by_degree == {
+        1: ((("q", 0), "x"), (("q", 1), "x")),
+        2: ((("p", 0), "x"), (("p", 1), "x"), (("q", 0), "y"),
+            (("q", 1), "y")),
+        3: ((("p", 0), "y"), (("p", 1), "y"))}
+    assert sorted(t.all_keys(), key=t.sort_key) == t.all_keys()
+    assert t.total_dim() == 8
+
+
+def test_tensor_space_over_polynomials_is_never_listed():
+    t = TensorSpace(TruncatedPolynomials(3, 2), two_sphere_space())
+    key = ((0, 2, 1), "y")
+    assert key in t and t.degree_of[key] == 3
+    assert t.sort_key(((1, 0, 0), "x")) > t.sort_key(((0, 1, 0), "x"))
+    with pytest.raises(AttributeError):
+        t.all_keys()
 
 
 def _dense_block(columns, row_keys, col_keys):

@@ -20,18 +20,26 @@ parabola reproduces the strict line sample by sample.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from convmc import mapping
+from convmc.barcobar import cobar
+from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import Distinct, Equal, gauge_flow
 from convmc.graded import GradedMap, GradedSpace, add_term
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
-                            builtin_model, cp2_coalgebra, pi_s2, quillen_s2,
-                            sphere_coalgebra)
-from convmc.models import LInfinityAlgebra
+                            builtin_model, cp2_coalgebra, cp3_coalgebra,
+                            pi_s2, quillen_s2, sphere_coalgebra,
+                            wedge_s2_s3_coalgebra)
+from convmc.models import LInfinityAlgebra, TruncatedPolynomials
+from convmc.transfer import transfer_linfty
+from test_convolution import ORACLE_PAIRS, bar_source
+from test_gauge import acyclic_pair_target
 
 
 def zero_target():
@@ -384,3 +392,93 @@ def test_a_subset_solve_is_accepted_only_if_it_solves_every_equation():
     root = sympy.sqrt(c[3])
     assert not mapping._acceptable([{c[0]: root}], c, [c[0] ** 2 - c[3]])
     assert not mapping._acceptable([], c, exprs)
+
+
+# ---------------------------------------------------------------------------
+# the residual system over Q[c] (x) L against the multiset walk
+
+def reference_residual(conv, pairs) -> dict:
+    """The residual by the walk the component search used before the
+    scalar extension: the bracket of every multiset of directions, with
+    weight 1 / prod m!, in combinations_with_replacement order."""
+    polys: dict = {}
+
+    def add(gm, mono):
+        for ck, col in gm.entries.items():
+            for lk, c in col.items():
+                add_term(polys.setdefault((ck, lk), {}), mono, c)
+
+    els = [conv.elementary(*p) for p in pairs]
+    for i, e in enumerate(els):
+        d = conv.differential_of(e)
+        if not d.is_zero():
+            add(d, tuple(int(j == i) for j in range(len(els))))
+    for n in range(2, conv.arity_window() + 1):
+        for idx in itertools.combinations_with_replacement(range(len(els)),
+                                                           n):
+            val = conv.bracket(n, [els[j] for j in idx])
+            if val.is_zero():
+                continue
+            counts = Counter(idx)
+            weight = F(1)
+            for m in counts.values():
+                weight *= F(1, factorial(m))
+            add(val.scale(weight), tuple(counts[j] for j in range(len(els))))
+    return polys
+
+
+def assert_same_residual(conv, pairs):
+    """Equal as dicts, with the pairs and each pair's monomials in the
+    same order: the solver sees the same input."""
+    got = mapping._residual_polynomials(conv, pairs)
+    want = reference_residual(conv, pairs)
+    assert got == want
+    assert [(k, list(v)) for k, v in got.items()] == \
+        [(k, list(v)) for k, v in want.items()]
+
+
+def test_residual_matches_the_walk_on_bundled_pairs():
+    sources = {name: builtin_model for name in BUILTIN_COALGEBRAS}
+    sources["quillen_s2"] = lambda _: quillen_s2()
+    for name, make in sources.items():
+        for target in BUILTIN_TARGETS:
+            conv = mapping.mapping_space_model(make(name),
+                                               builtin_model(target))
+            assert_same_residual(conv, list(conv.carrier.basis(0)))
+
+
+@st.composite
+def residual_cases(draw):
+    source, target = draw(st.sampled_from(
+        ORACLE_PAIRS + [(bar_source, pi_s2),
+                        (bar_source, acyclic_pair_target)]))
+    conv = ConvolutionAlgebra(source(), target())
+    pairs = draw(st.lists(st.sampled_from(conv.carrier.basis(0)),
+                          unique=True))
+    return conv, pairs
+
+
+@given(residual_cases())
+@settings(max_examples=60, deadline=None)
+def test_residual_matches_the_walk_on_direction_subsets(case):
+    assert_same_residual(*case)
+
+
+def free_lie_cp3():
+    """cobar(CP3) at window 7 into the loop homology of S2 v S3: 33
+    degree-0 directions and arity window 3, so Q[c] has 7,140 monomials
+    up to the cut."""
+    L = transfer_linfty(cobar(wedge_s2_s3_coalgebra(), degree_max=8),
+                        arity_max=3).algebra
+    conv = mapping.mapping_space_model(cobar(cp3_coalgebra(), 7), L, 7)
+    return conv, list(conv.carrier.basis(0))
+
+
+def test_residual_never_lists_the_monomial_basis(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the monomial basis of Q[c] was listed")
+
+    monkeypatch.setattr(TruncatedPolynomials, "keys", refuse, raising=False)
+    conv, pairs = free_lie_cp3()
+    assert len(pairs) == 33 and conv.arity_window() == 3
+    assert_same_residual(conv, pairs)

@@ -4,7 +4,7 @@ Expected values fixed here by hand:
   * the projective-plane coproduct is a single symmetric pair,
   * the shifted bracket of a free Lie model is (-1)^{shifted degree of
     the first argument} times the classical bracket,
-  * interval forms: d(t^k) = k t^{k-1} dt, integral of t^k dt is
+  * interval forms: d(t^k) = k t^{k-1} dt, integral of t^k from 0 is
     t^{k+1}/(k+1),
   * extension of scalars: l2(1(x)x, t(x)x) = t(x)l2(x, x).
 """
@@ -16,11 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from convmc import library as lib
 from convmc import words as wd
+from convmc.convolution import ConvolutionAlgebra
 from convmc.freelie import FreeLie, br
+from convmc.gauge import _integrate
 from convmc.graded import GradedMap, GradedSpace
 from convmc.models import (CdgCoalgebra, IntervalForms, JacobiError,
                            LInfinityAlgebra, QuillenModel, Truncation,
-                           abelian_linfty, extension_of_scalars)
+                           TruncatedPolynomials, abelian_linfty,
+                           extension_of_scalars)
 
 F = Fraction
 
@@ -265,15 +268,34 @@ def test_interval_forms_evaluate_and_integrate():
     assert om.evaluate(("p", 2), F(0)) == 0
     assert om.evaluate(("p", 2), F(1)) == 1
     assert om.evaluate(("q", 1), F(1)) == 0
-    assert om.integrate_to_t(("q", 2)) == {("p", 3): F(1, 3)}
-    assert om.integrate_to_t(("p", 2)) == {}
+    # the one integration rule: t^k integrates to t^(k+1)/(k+1)
+    conv = ConvolutionAlgebra(lib.sphere_coalgebra(2), lib.pi_s2())
+    ext = extension_of_scalars(conv.L, om)
+    rate = GradedMap(conv.C.space, ext.space, 0,
+                     {"a": {(("p", 2), "x"): F(1)}})
+    assert _integrate(conv, ext, rate, 4).entries == \
+        {"a": {(("p", 3), "x"): F(1, 3)}}
+    with pytest.raises(ValueError, match="integration needs polynomial "
+                                         "degree 3, bound is 2"):
+        _integrate(conv, ext, rate, 2)
+
+
+def test_truncated_polynomials_raise_above_their_bound():
+    qc = TruncatedPolynomials(3, 3)
+    assert qc.product((1, 0, 1), (0, 1, 0)) == ((1, 1, 1), F(1))
+    assert qc.degree((2, 0, 1)) == 0 and qc.d((2, 0, 1)) == {}
+    with pytest.raises(ValueError, match="polynomial degree 4 exceeds "
+                                         "bound 3"):
+        qc.product((1, 0, 1), (0, 2, 0))
+    # the bound cuts products only: a key is any exponent tuple
+    assert (0, 5, 0) in qc and (0, 1) not in qc and (0, -1, 0) not in qc
 
 
 # ---------------------------------------------------------------------------
 # extension of scalars
 
 def test_extension_bracket_values():
-    ext, ev0, ev1 = extension_of_scalars(lib.pi_s2(), poly_bound=3)
+    ext = extension_of_scalars(lib.pi_s2(), IntervalForms(3))
     one_x = (("p", 0), "x")
     t_x = (("p", 1), "x")
     assert ext.bracket(2, (one_x, t_x)) == {(("p", 1), "y"): F(1)}
@@ -287,7 +309,7 @@ def test_extension_bracket_values():
 def test_extension_jacobi_within_polynomial_window():
     # products of three forms of polynomial degree <= 2 need bound 6
     from itertools import combinations_with_replacement
-    ext, _, _ = extension_of_scalars(lib.pi_s2(), poly_bound=6)
+    ext = extension_of_scalars(lib.pi_s2(), IntervalForms(6))
     keys = [k for k in ext.space.all_keys() if k[0][1] <= 2]
     keys.sort(key=ext.space.sort_key)
     degf = ext.space.degree_of
@@ -300,7 +322,7 @@ def test_extension_jacobi_within_polynomial_window():
 
 
 def test_extension_l1_square_zero():
-    ext, _, _ = extension_of_scalars(lib.abelian_pair_with_d(), poly_bound=2)
+    ext = extension_of_scalars(lib.abelian_pair_with_d(), IntervalForms(2))
     ext.as_chain_complex().validate()
     # d(t (x) v) = dt (x) v + t (x) u
     t_v = (("p", 1), "v")
@@ -310,13 +332,24 @@ def test_extension_l1_square_zero():
     assert ext.bracket(1, ((("q", 0), "v"),)) == {(("q", 0), "u"): F(-1)}
 
 
+def evaluation(ext, target, t) -> GradedMap:
+    """Evaluation of the form part at t, from IntervalForms.evaluate."""
+    cols = {}
+    for fk, let in ext.space.all_keys():
+        c = ext.space.A.evaluate(fk, t)
+        if c:
+            cols[(fk, let)] = {let: c}
+    return GradedMap(ext.space, target.space, 0, cols, name=f"ev{t}")
+
+
 def test_evaluation_maps_are_strict_morphisms():
     for target in (lib.pi_s2(), lib.abelian_pair_with_d()):
-        ext, ev0, ev1 = extension_of_scalars(target, poly_bound=4)
+        ext = extension_of_scalars(target, IntervalForms(4))
         l1_ext = ext.l1()
         l1 = target.l1()
         keys = [k for k in ext.space.all_keys() if k[0][1] <= 2]
-        for ev, t in ((ev0, F(0)), (ev1, F(1))):
+        for t in (F(0), F(1)):
+            ev = evaluation(ext, target, t)
             assert ev.compose(l1_ext).equals(l1.compose(ev))
             for i, u in enumerate(keys):
                 for v in keys[i:]:
@@ -327,7 +360,9 @@ def test_evaluation_maps_are_strict_morphisms():
 
 
 def test_evaluation_endpoints():
-    ext, ev0, ev1 = extension_of_scalars(lib.pi_s2(), poly_bound=2)
+    ext = extension_of_scalars(lib.pi_s2(), IntervalForms(2))
+    ev0 = evaluation(ext, lib.pi_s2(), F(0))
+    ev1 = evaluation(ext, lib.pi_s2(), F(1))
     assert ev0.apply({(("p", 0), "x"): F(1)}) == {"x": F(1)}
     assert ev0.apply({(("p", 1), "x"): F(1)}) == {}
     assert ev1.apply({(("p", 1), "x"): F(1)}) == {"x": F(1)}

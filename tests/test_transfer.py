@@ -28,7 +28,7 @@ from convmc.graded import (ChainComplex, Contraction, GradedMap, GradedSpace,
 from convmc.library import (abelian_pair_with_d, builtin_model,
                             cp2_coalgebra, pi_s2, sphere_coalgebra,
                             wedge_s2_s3_coalgebra)
-from convmc.matrices import identity, solve_matrix
+from convmc.matrices import solve_matrix
 from convmc.models import LInfinityAlgebra, abelian_linfty
 from convmc.transfer import (InfinityMorphism, TransferredLInfinity,
                              homology_contraction, push_mc, push_path,
@@ -532,7 +532,8 @@ def zero_homotopy_transfers(draw):
         m = len(bks)
         a = [[F(1) if r == col else F(draw(small_int)) if r < col else F(0)
               for col in range(m)] for r in range(m)]
-        inv = solve_matrix(a, identity(m))
+        inv = solve_matrix(a, [[F(int(r == c)) for c in range(m)]
+                                for r in range(m)])
         for col in range(m):
             i_cols[sks[col]] = {bks[r]: a[r][col] for r in range(m)
                                 if a[r][col]}
