@@ -318,6 +318,7 @@ def cmd_components(args) -> int:
         raise ModelFileError("--window", f"{args.C} is a coalgebra model and "
                              "is used as is; the window only sets the bar "
                              "construction of a free Lie model source")
+    conv = mapping.mapping_space_model(source, L, window)
     restrict = None
     if args.param is not None:
         try:
@@ -325,10 +326,15 @@ def cmd_components(args) -> int:
         except json.JSONDecodeError as exc:
             raise ModelFileError("--param", f"not valid JSON: {exc}") \
                 from None
-        restrict = [modelio.decode_key(r, "--param") for r in rows]
-        for i, key in enumerate(restrict):
-            if key in restrict[:i]:
+        restrict = []
+        for row in modelio._expect(rows, list, "--param"):
+            key = modelio.decode_key(row, "--param")
+            if key not in conv.carrier.basis(0):
+                raise ModelFileError("--param", f"{key!r} is not a degree-0 "
+                                     "basis pair")
+            if key in restrict:
                 raise ModelFileError("--param", f"{key!r} is repeated")
+            restrict.append(key)
     try:
         samples = tuple(int(s) for s in args.samples.split(","))
     except ValueError:
@@ -337,8 +343,8 @@ def cmd_components(args) -> int:
     for i, v in enumerate(samples):
         if v in samples[:i]:
             raise ModelFileError("--samples", f"sample {v} is repeated")
-    report = mapping.components(source, L, restrict_to=restrict,
-                                samples=samples, degree_max=window)
+    report = mapping.components(conv, L, restrict_to=restrict,
+                                samples=samples)
     classes = [{"representative": modelio.gmap_to_json(c.representative),
                 "verified": c.verify()} for c in report.classes]
     pairwise = [[i, j, cert.outcome] for i, j, cert in report.pairwise]

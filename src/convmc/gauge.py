@@ -28,6 +28,11 @@ differential, so the decision is complete and a failure yields a nonzero
 homology class as witness), and a twisted Betti comparison (equivalent
 elements have isomorphic twisted homology).
 
+The linear algebra runs on carrier-keyed sparse vectors in the one
+exact kernel of matrices: span_coords, column_split and coset_reduce.
+A normal form is defined by the leading columns of a span in carrier
+order, not by an elimination order.
+
 What the decision derives from one point alone is kept on the algebra,
 so a search that decides many pairs over few points computes it once per
 point: the Maurer-Cartan residual, the flow rates of the degree-1
@@ -47,8 +52,8 @@ from fractions import Fraction
 from math import comb
 
 from .convolution import ConvolutionAlgebra
-from .graded import GradedMap, Vec, add_term
-from .matrices import ONE, ZERO, coset_reduce, in_span, nullspace
+from .graded import GradedMap, Vec, add_term, vec_sub
+from .matrices import ZERO, column_split, coset_reduce, span_coords
 from .models import IntervalForms, extension_of_scalars
 
 F = Fraction
@@ -91,18 +96,14 @@ class GaugePath:
                         if not f.is_zero()}
         self.q_parts = {k: f for k, f in sorted(q_parts.items())
                         if not f.is_zero()}
-        for k, f in self.p_parts.items():
-            if f.degree != 0:
-                raise ValueError("polynomial parts must have degree 0")
-            if k > poly_bound:
-                raise ValueError(
-                    f"polynomial part t^{k} exceeds bound {poly_bound}")
-        for k, f in self.q_parts.items():
-            if f.degree != 1:
-                raise ValueError("dt parts must have degree 1")
-            if k > poly_bound:
-                raise ValueError(
-                    f"dt part t^{k} dt exceeds bound {poly_bound}")
+        for parts, degree, name, dt in ((self.p_parts, 0, "polynomial", ""),
+                                        (self.q_parts, 1, "dt", " dt")):
+            for k, f in parts.items():
+                if f.degree != degree:
+                    raise ValueError(f"{name} parts must have degree {degree}")
+                if k > poly_bound:
+                    raise ValueError(
+                        f"{name} part t^{k}{dt} exceeds bound {poly_bound}")
         ext = extension_of_scalars(conv.L, IntervalForms(poly_bound))
         self.ext = ext
         self.ext_conv = ConvolutionAlgebra(conv.C, ext)
@@ -151,19 +152,15 @@ class GaugePath:
 
     def reversed(self) -> "GaugePath":
         """The same path run backwards, by substituting 1 - t."""
-        new_p: dict[int, GradedMap] = {}
-        new_q: dict[int, GradedMap] = {}
-        for k, f in self.p_parts.items():
-            for j in range(k + 1):
-                c = F(comb(k, j)) * (-1) ** j
-                part = f.scale(c)
-                new_p[j] = new_p[j] + part if j in new_p else part
-        for k, f in self.q_parts.items():
-            for j in range(k + 1):
-                c = -F(comb(k, j)) * (-1) ** j
-                part = f.scale(c)
-                new_q[j] = new_q[j] + part if j in new_q else part
-        return GaugePath(self.conv, self.poly_bound, new_p, new_q)
+        new: tuple[dict, dict] = ({}, {})
+        # dt becomes -dt under t -> 1 - t
+        for parts, sign, out in ((self.p_parts, 1, new[0]),
+                                 (self.q_parts, -1, new[1])):
+            for k, f in parts.items():
+                for j in range(k + 1):
+                    part = f.scale(sign * F(comb(k, j)) * (-1) ** j)
+                    out[j] = out[j] + part if j in out else part
+        return GaugePath(self.conv, self.poly_bound, *new)
 
 
 def constant_path(conv: ConvolutionAlgebra, x: GradedMap,
@@ -309,19 +306,14 @@ class Distinct:
             stage = _rigidity_sweep(conv, x, y, _flow_rates(conv, x))
             return stage == self.witness["degree"]
         if self.kind == "homology-class":
-            if conv.arity_window() > 1:
-                return False
-            diff = y - x
-            if diff.is_zero():
+            dv = conv.to_vec(y - x)
+            if conv.arity_window() > 1 or not dv:
                 return False
             tw = conv.twist(x)
-            dv = conv.to_vec(diff)
-            if any(tw.d.apply(dv).values()):
+            if tw.d.apply(dv):
                 return False
-            keys0 = _degree_keys(conv, 0)
-            bnd = [_dense(keys0, tw.d.apply({k: ONE}))
-                   for k in _degree_keys(conv, 1)]
-            return in_span(bnd, _dense(keys0, dv)) is None
+            bnd = [tw.d.entries.get(k, {}) for k in conv.carrier.basis(1)]
+            return span_coords(bnd, dv) is None
         if self.kind == "twisted-betti":
             bx = _twisted_betti(conv, x)
             by = _twisted_betti(conv, y)
@@ -367,16 +359,10 @@ class ModuliClass:
                 f"paths={len(self.paths)})")
 
 
-# -- dense linear algebra over carrier slices ----------------------------
+# -- linear algebra over carrier keys -----------------------------------
 
-def _degree_keys(conv: ConvolutionAlgebra, d: int) -> list:
-    keys = [k for k in conv.carrier.all_keys()
-            if conv.carrier.degree_of[k] == d]
-    return sorted(keys, key=conv.carrier.sort_key)
-
-
-def _dense(keys: list, v: Vec) -> list:
-    return [v.get(k, ZERO) for k in keys]
+def _restrict(v: Vec, keys) -> Vec:
+    return {k: v[k] for k in keys if k in v}
 
 
 def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
@@ -386,7 +372,7 @@ def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
 
 def _direction_maps(conv: ConvolutionAlgebra) -> list[tuple]:
     """The elementary degree-1 directions, paired with their carrier key."""
-    return [(k, conv.elementary(*k)) for k in _degree_keys(conv, 1)]
+    return [(k, conv.elementary(*k)) for k in conv.carrier.basis(1)]
 
 
 def _combine(conv: ConvolutionAlgebra, dirs: list[tuple],
@@ -421,18 +407,16 @@ def _rigidity_sweep(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     """
     diff = conv.to_vec(y - x)
     cdeg = conv.C.space.degree_of
-    keys0 = _degree_keys(conv, 0)
+    keys0 = conv.carrier.basis(0)
     for p in sorted({cdeg[k] for k in conv.C.space.all_keys()}):
         basis = [k for k in keys0 if cdeg[k[0]] == p]
         if not basis:
             continue
-        dp = _dense(basis, diff)
-        moves = [_dense(basis, r) for r in rates]
-        if any(dp):
-            if in_span(moves, dp) is None:
-                return p
-            return None
-        if any(any(m) for m in moves):
+        dp = _restrict(diff, basis)
+        moves = [_restrict(r, basis) for r in rates]
+        if dp:
+            return p if span_coords(moves, dp) is None else None
+        if any(moves):
             return None
     return None
 
@@ -442,18 +426,16 @@ def _rigidity_sweep(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
 def _abelian_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
                          poly_bound: int) -> ModuliClass:
     dirs = _direction_maps(conv)
-    keys0 = _degree_keys(conv, 0)
-    effects = [_dense(keys0, conv.to_vec(conv.differential_of(e)))
-               for _, e in dirs]
-    xv = _dense(keys0, conv.to_vec(x))
-    red = coset_reduce(xv, effects)
+    effects = [conv.to_vec(conv.differential_of(e)) for _, e in dirs]
+    xv = conv.to_vec(x)
+    red = coset_reduce(xv, effects, conv.carrier.basis(0))
     if red == xv:
         return ModuliClass(conv, x, x, ())
-    coeffs = in_span(effects, [r - c for r, c in zip(red, xv)])
+    coeffs = span_coords(effects, vec_sub(red, xv))
     lam = _combine(conv, dirs, coeffs)
     path = gauge_flow(conv, x, lam, poly_bound)
     rep = path.endpoint(1)
-    if _dense(keys0, conv.to_vec(rep)) != red:
+    if conv.to_vec(rep) != red:
         raise AssertionError("abelian flow missed its predicted endpoint")
     return ModuliClass(conv, x, rep, (path,))
 
@@ -461,7 +443,7 @@ def _abelian_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
 def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
                         poly_bound: int) -> ModuliClass:
     cdeg = conv.C.space.degree_of
-    keys0 = _degree_keys(conv, 0)
+    keys0 = conv.carrier.basis(0)
     dirs = _direction_maps(conv)
     current = x
     chain: list[GaugePath] = []
@@ -472,36 +454,31 @@ def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
             continue
         effects = [conv.to_vec(conv.differential_of(e)) for _, e in cand]
         basis_c = [k for k in keys0 if cdeg[k[0]] == p - 1]
-        if basis_c:
-            constraint = [[eff.get(bk, ZERO) for eff in effects]
-                          for bk in basis_c]
-            admissible = nullspace(constraint)
-        else:
-            admissible = [[ONE if i == j else ZERO
-                           for j in range(len(cand))]
-                          for i in range(len(cand))]
+        # the combinations of the candidates that leave column p - 1 alone
+        _, admissible = column_split(
+            [_restrict(eff, basis_c) for eff in effects], range(len(cand)))
         moves = []
         for combo in admissible:
             acc: Vec = {}
-            for c, eff in zip(combo, effects):
-                if c:
-                    for k, v in eff.items():
-                        add_term(acc, k, c * v)
-            moves.append(_dense(basis_p, acc))
-        cur_p = _dense(basis_p, conv.to_vec(current))
-        red = coset_reduce(cur_p, moves)
+            for j, c in combo.items():
+                for k, v in effects[j].items():
+                    add_term(acc, k, c * v)
+            moves.append(_restrict(acc, basis_p))
+        cur_p = _restrict(conv.to_vec(current), basis_p)
+        red = coset_reduce(cur_p, moves, basis_p)
         if red == cur_p:
             continue
-        sel = in_span(moves, [r - c for r, c in zip(red, cur_p)])
-        coeffs = [sum((s * combo[j] for s, combo in zip(sel, admissible)),
-                      ZERO) for j in range(len(cand))]
+        sel = span_coords(moves, vec_sub(red, cur_p))
+        coeffs = [sum((s * combo.get(j, ZERO)
+                       for s, combo in zip(sel, admissible)), ZERO)
+                  for j in range(len(cand))]
         lam = _combine(conv, cand, coeffs)
         path = gauge_flow(conv, current, lam, poly_bound)
         end = path.endpoint(1)
         delta = conv.to_vec(end - current)
         if any(c for k, c in delta.items() if cdeg[k[0]] < p):
             raise AssertionError("stage flow disturbed a finished column")
-        if _dense(basis_p, conv.to_vec(end)) != red:
+        if _restrict(conv.to_vec(end), basis_p) != red:
             raise AssertionError("stage flow missed its predicted column")
         chain.append(path)
         current = end
@@ -564,16 +541,13 @@ def _memo(conv: ConvolutionAlgebra, x: GradedMap, field, compute):
 def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
                     poly_bound: int):
     dirs = _direction_maps(conv)
-    keys0 = _degree_keys(conv, 0)
-    effects = [_dense(keys0, conv.to_vec(conv.differential_of(e)))
-               for _, e in dirs]
-    target = _dense(keys0, conv.to_vec(y - x))
-    coeffs = in_span(effects, target)
+    effects = [conv.to_vec(conv.differential_of(e)) for _, e in dirs]
+    target = conv.to_vec(y - x)
+    coeffs = span_coords(effects, target)
     if coeffs is None:
         witness = {"class_degree": 0,
-                   "cycle": sorted(conv.to_vec(y - x).items(),
-                                   key=lambda kv: conv.carrier.sort_key(
-                                       kv[0]))}
+                   "cycle": sorted(target.items(), key=lambda kv:
+                                   conv.carrier.sort_key(kv[0]))}
         return Distinct(conv, x, y, "homology-class", witness)
     lam = _combine(conv, dirs, coeffs)
     path = gauge_flow(conv, x, lam, poly_bound)

@@ -295,7 +295,9 @@ class GradedMap:
         return all(vec_is_zero(col) for col in self.entries.values())
 
     def equals(self, other: "GradedMap") -> bool:
-        return (self - other).is_zero()
+        self._check_parallel(other)
+        return all(vec_eq(self.entries.get(k, {}), other.entries.get(k, {}))
+                   for k in self.entries.keys() | other.entries.keys())
 
     def __repr__(self):
         return (f"GradedMap({self.name or '?'}: {self.src.name or '?'} -> "
@@ -325,34 +327,11 @@ class ChainComplex:
             raise ValueError(f"d^2 != 0 on {self.name!r}, first at {bad[0]!r}")
 
     def betti(self) -> dict[int, int]:
-        rank = {n: len(column_split(self.d, self.space.basis(n))[0])
-                for n in self.space.degrees()}
+        rank = {n: len(matrices.column_split(
+            [self.d.entries.get(k, {}) for k in keys], keys)[0])
+            for n, keys in self.space.by_degree.items()}
         return {n: self.space.dim(n) - rank[n] - rank.get(n + 1, 0)
                 for n in self.space.degrees()}
-
-
-def column_split(f: GradedMap, keys: Sequence[Key]) -> tuple[list[int], list[Vec]]:
-    """Split the columns of f on keys, in order, by one echelon pass.
-
-    Returns the pivot positions, the columns independent of the columns
-    before them, and the kernel basis: for every other column j, the
-    vector e_j - sum_t c_t e_{pivot_t}, where c are the coordinates of
-    column j in the pivot columns before it.  These are the pivot columns
-    and the nullspace of the dense block in the rref pivot rule, with the
-    kernel vectors in basis-key order.
-    """
-    ech = matrices.Echelon()
-    pivots: list[int] = []
-    kernel: list[Vec] = []
-    for j, key in enumerate(keys):
-        col = f.entries.get(key, {})
-        if ech.add(col):
-            pivots.append(j)
-            continue
-        z = {keys[p]: -c for p, c in zip(pivots, ech.coords(col)) if c}
-        z[key] = ONE
-        kernel.append(z)
-    return pivots, kernel
 
 
 class Contraction:
@@ -410,7 +389,9 @@ def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
     """
     sp = cx.space
     degs = sp.degrees()
-    split = {n: column_split(cx.d, sp.basis(n)) for n in degs}
+    split = {n: matrices.column_split(
+        [cx.d.entries.get(k, {}) for k in sp.basis(n)], sp.basis(n))
+        for n in degs}
     h_basis: dict[int, list] = {}
     i_cols: dict[Key, Vec] = {}
     p_cols: dict[Key, Vec] = {}

@@ -1,20 +1,21 @@
-"""Exact linear algebra over Fraction: one incremental sparse echelon
-basis and dense row reduction.
+"""Exact linear algebra over Fraction: one sparse echelon kernel, and
+dense row reduction kept as the tests' reference.
 
-Echelon is the kernel for sparse vectors, dicts {key: Fraction}, offered
-one at a time: it accepts the ones independent of those before them and
-gives coordinates in the accepted ones.  FreeLie keeps one per degree
-for its basis scan and for express, and every chain-complex computation
-runs on it through graded.column_split: contractions onto homology,
-Betti numbers and the counit check of cobar(bar(L)).
+Echelon holds an echelon basis of sparse vectors, dicts {key: Fraction},
+offered one at a time: it accepts the ones independent of those before
+them and gives coordinates in the accepted ones.  FreeLie keeps one per
+degree.  column_split runs one over a list of columns; chain complexes
+(contractions, Betti numbers, the counit check) and the gauge decision
+(through coset_reduce and span_coords) run on it.
 
-The dense rref family (rref, rank, nullspace, solve, solve_matrix,
-in_span, coset_reduce) works on lists of rows of Fraction and returns
-fresh objects.  Its pivot rule is fixed: scan columns left to right, take
-the first row with a nonzero entry.  The gauge normal forms depend on that
-leftmost-pivot rule, which Echelon's first-key pivot does not reproduce,
-and the tests use these functions as the reference for Echelon.  No
-floating point enters anywhere.
+A normal form is defined by the leading columns of a span, the columns
+independent of the columns before them, which column_split finds
+whatever pivot Echelon picks inside.  So every result here is fixed by
+linear algebra alone and equals the dense reduced-row-echelon answer.
+
+Nothing in the package calls the dense functions (rref, rank, nullspace,
+solve, solve_matrix, in_span), which work on lists of rows; the tests
+use them as the reference.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
 
 
-def copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -41,11 +38,10 @@ def rref(a: Matrix) -> tuple[Matrix, list[tuple[int, int]]]:
     """Reduced row echelon form.
 
     Returns (R, pivots) where pivots is the list of (row, column) positions
-    in the order found.  The pivot rule is the one fixed for the whole
-    package: leftmost nonzero column first, and within a column the smallest
-    untouched row index.
+    in the order found.  Pivot rule: leftmost nonzero column first, and
+    within a column the smallest untouched row index.
     """
-    r = copy(a)
+    r = [row[:] for row in a]
     m, n = shape(r)
     pivots: list[tuple[int, int]] = []
     prow = 0
@@ -136,24 +132,6 @@ def in_span(vectors: Sequence[Vector], v: Vector) -> Vector | None:
     return solve(a, list(v))
 
 
-def coset_reduce(v: Vector, directions: Sequence[Vector]) -> Vector:
-    """Canonical representative of v + span(directions).
-
-    Row-reduce the directions and subtract multiples so that v becomes zero
-    in every pivot coordinate.  Deterministic and idempotent; the output is
-    the unique coset member supported away from the pivot columns.
-    """
-    if not directions:
-        return list(v)
-    r, pivots = rref([list(d) for d in directions])
-    out = list(v)
-    for row, col in pivots:
-        c = out[col]
-        if c:
-            out = [x - c * y for x, y in zip(out, r[row])]
-    return out
-
-
 def add_term(out: dict, key, c) -> None:
     """out[key] += c, dropping the key when the sum is zero."""
     nc = out.get(key, ZERO) + c
@@ -212,3 +190,54 @@ class Echelon:
         if res:
             return None
         return [comb.get(j, ZERO) for j in range(self.rank)]
+
+
+def column_split(columns: Sequence[dict], labels: Sequence
+                 ) -> tuple[list[int], list[dict]]:
+    """The pivot positions, the columns independent of the columns before
+    them, and the kernel basis: for every other column j in order,
+    e_j - sum_t c_t e_{pivot_t} keyed by labels, with c the coordinates
+    of column j in the pivot columns before it.  These are the rref pivot
+    columns and nullspace of the dense matrix, by one echelon pass."""
+    ech = Echelon()
+    pivots: list[int] = []
+    kernel: list[dict] = []
+    for j, col in enumerate(columns):
+        if ech.add(col):
+            pivots.append(j)
+            continue
+        z = {labels[p]: -c for p, c in zip(pivots, ech.coords(col)) if c}
+        z[labels[j]] = ONE
+        kernel.append(z)
+    return pivots, kernel
+
+
+def coset_reduce(v: dict, directions: Sequence[dict], keys: Sequence) -> dict:
+    """Canonical representative of v + span(directions), read at keys in
+    their order: the unique coset member that vanishes at the leading
+    keys of the span.  At every other key it is v paired with that key's
+    kernel vector from column_split, v_j - sum_t c_jt v_{pivot_t}, which
+    is what reducing by the rref rows of the directions leaves."""
+    columns = [{i: d[k] for i, d in enumerate(directions) if d.get(k)}
+               for k in keys]
+    pivots, kernel = column_split(columns, keys)
+    free = [k for j, k in enumerate(keys) if j not in pivots]
+    out: dict = {}
+    for key, z in zip(free, kernel):
+        c = sum((x * v[k] for k, x in z.items() if k in v), ZERO)
+        if c:
+            out[key] = c
+    return out
+
+
+def span_coords(vectors: Sequence[dict], v: dict) -> list | None:
+    """Coordinates of v in vectors, 0 on each vector that depends on
+    those before it (the solution with free variables 0), or None when v
+    is outside their span."""
+    ech = Echelon()
+    accepted = [ech.add(u) for u in vectors]
+    coords = ech.coords(v)
+    if coords is None:
+        return None
+    rest = iter(coords)
+    return [next(rest) if a else ZERO for a in accepted]

@@ -83,6 +83,15 @@ def _canon(j) -> str:
     return json.dumps(j, sort_keys=True)
 
 
+def _expect(value, kind: type, where: str):
+    """value, refused unless it is a JSON object (kind dict) or array
+    (kind list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ModelFileError(where, f"expected {name}, got {value!r}")
+    return value
+
+
 # -- spaces and matrices ----------------------------------------------------
 
 def space_to_json(sp: GradedSpace) -> list:
@@ -95,7 +104,7 @@ def space_to_json(sp: GradedSpace) -> list:
 
 def space_from_json(rows, name: str, where: str) -> GradedSpace:
     by_deg: dict[int, list] = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_expect(rows, list, where)):
         loc = f"{where}[{i}]"
         if not isinstance(row, dict) or "name" not in row \
                 or "degree" not in row:
@@ -120,7 +129,7 @@ def entries_to_json(entries: dict) -> list:
 
 def entries_from_json(rows, where: str) -> dict:
     cols: dict = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_expect(rows, list, where)):
         loc = f"{where}[{i}]"
         if not isinstance(row, list) or len(row) != 3:
             raise ModelFileError(loc, "matrix rows are [src, dst, 'p/q']")
@@ -161,7 +170,7 @@ def cdgc_from_record(rec: dict) -> CdgCoalgebra:
     sp = space_from_json(rec.get("basis", []), name, "basis")
     d = GradedMap(sp, sp, -1, entries_from_json(rec.get("d", []), "d"))
     delta: dict = {}
-    for i, row in enumerate(rec.get("delta", [])):
+    for i, row in enumerate(_expect(rec.get("delta", []), list, "delta")):
         loc = f"delta[{i}]"
         if not isinstance(row, list) or len(row) != 4:
             raise ModelFileError(loc, "coproduct rows are [src, a, b, 'p/q']")
@@ -225,7 +234,8 @@ def linfty_from_record(rec: dict) -> LInfinityAlgebra:
     name = rec.get("name", "")
     sp = space_from_json(rec.get("basis", []), name, "basis")
     brackets: dict = {}
-    for i, row in enumerate(rec.get("brackets", [])):
+    for i, row in enumerate(_expect(rec.get("brackets", []), list,
+                                    "brackets")):
         loc = f"brackets[{i}]"
         if not isinstance(row, list) or len(row) != 4 \
                 or not isinstance(row[0], int) or not isinstance(row[1], list):
@@ -236,6 +246,9 @@ def linfty_from_record(rec: dict) -> LInfinityAlgebra:
         if len(word) != n:
             raise ModelFileError(loc, f"word length {len(word)} != arity {n}")
         dst = decode_key(row[2], loc)
+        for k in (*word, dst):
+            if k not in sp.degree_of:
+                raise ModelFileError(loc, f"{k!r} is not a basis key")
         c = frac_from_str(row[3], loc)
         if c:
             brackets.setdefault(n, {}).setdefault(word, {})[dst] = c
@@ -295,7 +308,7 @@ def _parts_to_json(parts: dict) -> list:
 
 def _parts_from_json(rows, where: str, conv, degree: int) -> dict:
     out = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_expect(rows, list, where)):
         loc = f"{where}[{i}]"
         if not isinstance(row, list) or len(row) != 2 \
                 or not isinstance(row[0], int):
@@ -312,7 +325,7 @@ def path_to_json(path: GaugePath) -> dict:
 
 
 def path_from_json(rec: dict, conv, where: str = "path") -> GaugePath:
-    bound = rec.get("poly_bound")
+    bound = _expect(rec, dict, where).get("poly_bound")
     if not isinstance(bound, int) or bound < 0:
         raise ModelFileError(f"{where}.poly_bound",
                              "must be a nonnegative integer")
@@ -321,12 +334,17 @@ def path_from_json(rec: dict, conv, where: str = "path") -> GaugePath:
     return GaugePath(conv, bound, p, q)
 
 
-def gauge_path_from_record(rec: dict) -> GaugePath:
+def _embedded_conv(rec: dict):
+    """The convolution algebra of the source coalgebra and the target
+    algebra that a path or certificate record embeds."""
     from .convolution import ConvolutionAlgebra
-    C = cdgc_from_record(rec.get("C", {}))
-    L = linfty_from_record(rec.get("L", {}))
-    conv = ConvolutionAlgebra(C, L)
-    return path_from_json(rec.get("path", {}), conv)
+    return ConvolutionAlgebra(
+        cdgc_from_record(_expect(rec.get("C", {}), dict, "C")),
+        linfty_from_record(_expect(rec.get("L", {}), dict, "L")))
+
+
+def gauge_path_from_record(rec: dict) -> GaugePath:
+    return path_from_json(rec.get("path", {}), _embedded_conv(rec))
 
 
 def _betti_to_json(b: dict) -> list:
@@ -335,8 +353,9 @@ def _betti_to_json(b: dict) -> list:
 
 def _betti_from_json(rows, where: str) -> dict:
     out = {}
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 2:
+    for i, row in enumerate(_expect(rows, list, where)):
+        if not isinstance(row, list) or len(row) != 2 \
+                or not all(isinstance(x, int) for x in row):
             raise ModelFileError(f"{where}[{i}]", "betti rows are [deg, dim]")
         out[row[0]] = row[1]
     return out
@@ -370,24 +389,19 @@ def certificate_to_record(cert, arity_max: int | None = None) -> dict:
 
 
 def certificate_from_record(rec: dict):
-    from .convolution import ConvolutionAlgebra
     outcome = rec.get("outcome")
     if outcome == "unknown":
         return Unknown(rec.get("reason", ""))
-    C = cdgc_from_record(rec.get("C", {}))
-    L = linfty_from_record(rec.get("L", {}))
-    conv = ConvolutionAlgebra(C, L)
-    x = GradedMap(C.space, L.space, 0,
-                  entries_from_json(rec.get("x", []), "x"))
-    y = GradedMap(C.space, L.space, 0,
-                  entries_from_json(rec.get("y", []), "y"))
+    conv = _embedded_conv(rec)
+    x, y = (GradedMap(conv.C.space, conv.L.space, 0,
+                      entries_from_json(rec.get(k, []), k)) for k in "xy")
     if outcome == "equal":
-        paths = [path_from_json(p, conv, f"paths[{i}]")
-                 for i, p in enumerate(rec.get("paths", []))]
+        paths = [path_from_json(p, conv, f"paths[{i}]") for i, p in
+                 enumerate(_expect(rec.get("paths", []), list, "paths"))]
         return Equal(conv, x, y, tuple(paths))
     if outcome == "distinct":
         kind = rec.get("witness_kind", "")
-        wit = rec.get("witness", {})
+        wit = _expect(rec.get("witness", {}), dict, "witness")
         if kind == "twisted-betti":
             wit = {"betti_x": _betti_from_json(wit.get("betti_x", []),
                                                "witness.betti_x"),

@@ -426,6 +426,17 @@ def test_repeated_sample_is_refused(capsys):
                    "error": "--samples: sample 0 is repeated"}
 
 
+@pytest.mark.parametrize("param,message", [
+    ('[["a", "zz"]]', "('a', 'zz') is not a degree-0 basis pair"),
+    ('[["b", "x"]]', "('b', 'x') is not a degree-0 basis pair"),
+    ('{"a": 1}', "expected a list, got {'a': 1}"),
+    ('"a"', "expected a list, got 'a'"),
+], ids=["unknown-key", "unknown-source", "object", "string"])
+def test_param_must_list_degree_zero_pairs(capsys, param, message):
+    err = refusal(capsys, ["components", "s2", "pi_s2", "--param", param])
+    assert err == {"where": "--param", "error": f"--param: {message}"}
+
+
 def test_samples_must_be_integers(capsys):
     for samples in ("x", "0,,1"):
         err = refusal(capsys, ["components", "s3", "pi_s2",
@@ -564,3 +575,79 @@ def test_python_m_convmc_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (code, "")
     assert sha(done.stdout) == digest
+
+
+# -- malformed records ----------------------------------------------------------
+
+def _homotopic_certificate(files, capsys, g):
+    """The certificate of homotopic s3 s2 eta1 g --window 5."""
+    _, out, _ = run(capsys, ["homotopic", "s3", "s2", "@eta1", f"@{g}",
+                             "--window", "5"], files)
+    return json.loads(out)["certificate"]
+
+
+@pytest.mark.parametrize("g,edit,where", [
+    ("eta1", {"paths": "nope"}, "paths"),
+    ("eta1", {"paths": ["nope"]}, "paths[0]"),
+    ("eta1", {"paths": [{"poly_bound": 1, "p_parts": "nope"}]},
+     "paths[0].p_parts"),
+    ("eta2", {"C": "nope"}, "C"),
+    ("eta2", {"L": ["nope"]}, "L"),
+    ("eta2", {"x": "nope"}, "x"),
+    ("eta2", {"witness": "nope"}, "witness"),
+    ("eta2", {"witness_kind": "twisted-betti",
+              "witness": {"betti_x": [], "betti_y": 5}}, "witness.betti_y"),
+    ("eta2", {"witness_kind": "twisted-betti",
+              "witness": {"betti_x": [["1", 2]], "betti_y": []}},
+     "witness.betti_x[0]"),
+    ("eta2", {"witness_kind": "twisted-betti",
+              "witness": {"betti_x": [[1, None]], "betti_y": []}},
+     "witness.betti_x[0]"),
+], ids=["paths-string", "path-string", "parts-string", "C-string",
+        "L-list", "x-string", "witness-string", "betti-int", "betti-row-str",
+        "betti-row-null"])
+@pytest.mark.parametrize("command", ["gauge-check", "validate"])
+def test_malformed_certificate_fields_are_refused(files, capsys, command,
+                                                  g, edit, where):
+    cert = files / "cert.json"
+    cert.write_text(json.dumps({**_homotopic_certificate(files, capsys, g),
+                                **edit}))
+    assert refusal(capsys, [command, str(cert)])["where"] == where
+
+
+@pytest.mark.parametrize("edit,where", [
+    ({"C": "nope"}, "C"), ({"L": 5}, "L"), ({"path": "nope"}, "path"),
+    ({"path": {"poly_bound": 1, "q_parts": {}}}, "path.q_parts")],
+    ids=["C", "L", "path", "q_parts"])
+def test_malformed_gauge_path_fields_are_refused(files, capsys, edit, where):
+    cert = _homotopic_certificate(files, capsys, "eta1")
+    path = files / "path.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "kind": "gauge_path", "name": "",
+        "C": cert["C"], "L": cert["L"], "path": cert["paths"][0], **edit}))
+    assert refusal(capsys, ["gauge-check", str(path)])["where"] == where
+
+
+@pytest.mark.parametrize("row,key", [
+    ([2, ["x", "zz"], "y", "1/1"], "'zz'"),
+    ([2, ["x", "x"], "zz", "1/1"], "'zz'"),
+    ([2, [["x"], "x"], "y", "1/1"], "('x',)")], ids=["word", "value", "tuple"])
+@pytest.mark.parametrize("argv", [["validate", "@bad"],
+                                  ["mc-check", "s3", "@bad", "@whitehead"]],
+                         ids=["validate", "mc-check"])
+def test_bracket_keys_outside_the_basis_are_refused(files, capsys, argv,
+                                                    row, key):
+    (files / "bad.json").write_text(json.dumps(
+        {**RECORDS["pi_s2_model"], "brackets": [row]}))
+    err = refusal(capsys, argv, files)
+    assert err == {"where": "brackets[0]",
+                   "error": f"brackets[0]: {key} is not a basis key"}
+
+
+@pytest.mark.parametrize("field", ["basis", "d", "delta"])
+def test_coalgebra_fields_that_are_not_lists_are_refused(tmp_path, capsys,
+                                                         field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**RECORDS["cp2_model"], field: 5}))
+    err = refusal(capsys, ["homology", str(path)])
+    assert err == {"where": field, "error": f"{field}: expected a list, got 5"}

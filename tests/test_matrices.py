@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convmc import matrices as mx
@@ -70,18 +70,19 @@ def test_solve_matrix_inverse():
 
 
 def test_coset_reduce_idempotent_and_in_coset():
-    v = [F(3), F(5), F(7)]
+    keys = [0, 1, 2]
+    v = _sparse([F(3), F(5), F(7)])
     dirs = [[F(1), F(1), F(0)], [F(0), F(2), F(2)]]
-    red = mx.coset_reduce(v, dirs)
-    red2 = mx.coset_reduce(red, dirs)
+    red = mx.coset_reduce(v, [_sparse(d) for d in dirs], keys)
+    red2 = mx.coset_reduce(red, [_sparse(d) for d in dirs], keys)
     assert red == red2
     # difference lies in the span
-    diff = [a - b for a, b in zip(v, red)]
+    diff = [v.get(k, F(0)) - red.get(k, F(0)) for k in keys]
     assert mx.in_span(dirs, diff) is not None
     # pivot coordinates are cleared
     _, pivots = mx.rref([list(d) for d in dirs])
     for _, c in pivots:
-        assert red[c] == 0
+        assert keys[c] not in red
 
 
 small_fraction = st.fractions(
@@ -186,3 +187,111 @@ def test_echelon_empty_and_zero_vectors():
     assert ech.coords({1: F(3)}) == [F(3, 2)]
     assert ech.add({1: F(-1)}) is False
     assert ech.rank == 1
+
+
+def _reference_rref(rows):
+    """The nonzero rows of the reduced row echelon form and their pivot
+    columns, leftmost nonzero column first."""
+    r = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(r[0]) if r else 0):
+        top = len(pivots)
+        sel = next((i for i in range(top, len(r)) if r[i][col]), None)
+        if sel is None:
+            continue
+        r[top], r[sel] = r[sel], r[top]
+        r[top] = [x / r[top][col] for x in r[top]]
+        for i in range(len(r)):
+            if i != top and r[i][col]:
+                c = r[i][col]
+                r[i] = [x - c * y for x, y in zip(r[i], r[top])]
+        pivots.append(col)
+    return r[:len(pivots)], pivots
+
+
+def _reference_coset_reduce(v, rows):
+    """v minus multiples of the rref rows of rows, zero at every pivot."""
+    out = list(v)
+    for row, col in zip(*_reference_rref(rows)):
+        c = out[col]
+        out = [x - c * y for x, y in zip(out, row)]
+    return out
+
+
+def _reference_coords(vectors, v):
+    """The solution of sum x_i vectors_i = v with every free x_i = 0, or
+    None when there is none."""
+    k = len(vectors)
+    aug = [[u[i] for u in vectors] + [v[i]] for i in range(len(v))]
+    rows, pivots = _reference_rref(aug)
+    if k in pivots:
+        return None
+    x = [F(0)] * k
+    for row, col in zip(rows, pivots):
+        x[col] = row[k]
+    return x
+
+
+@st.composite
+def cosets(draw):
+    """Keys in a drawn order, directions that may be zero or depend on
+    those before them, and a vector; the sparse vectors list their keys
+    in a drawn order too."""
+    n = draw(st.integers(0, 4))
+    keys = draw(st.permutations([f"k{i}" for i in range(n)]))
+    # zeros often: the leftmost pivot and an echelon's first-key pivot
+    # part only where a reduction empties a key and fills a later one
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3]).map(F)
+    dirs = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "zero" or (kind == "dependent" and not dirs):
+            dirs.append([F(0)] * n)
+        elif kind == "dependent":
+            cs = [draw(entry) for _ in dirs]
+            dirs.append([sum((c * d[i] for c, d in zip(cs, dirs)), F(0))
+                         for i in range(n)])
+        else:
+            dirs.append([draw(entry) for _ in range(n)])
+    v = [draw(entry) for _ in range(n)]
+
+    def sparse(dense):
+        order = draw(st.permutations(range(n)))
+        return {keys[i]: dense[i] for i in order if dense[i]}
+
+    return keys, dirs, v, [sparse(d) for d in dirs], sparse(v)
+
+
+# reducing the second direction by the first empties k0 and leaves k2
+# ahead of k1: an echelon pivots on k2, the leftmost rule on k1
+LEADING_KEY_CASE = (["k0", "k1", "k2"],
+                    [[F(1), F(1), F(0)], [F(1), F(0), F(1)]],
+                    [F(0), F(0), F(1)],
+                    [{"k0": F(1), "k1": F(1)}, {"k0": F(1), "k2": F(1)}],
+                    {"k2": F(1)})
+
+
+@given(cosets())
+@example(LEADING_KEY_CASE)
+@settings(max_examples=200, deadline=None)
+def test_coset_reduce_and_coords_match_dense_reference(data):
+    keys, dirs, v, sparse_dirs, sparse_v = data
+
+    def dense(u):
+        return [u.get(k, F(0)) for k in keys]
+
+    red = mx.coset_reduce(sparse_v, sparse_dirs, keys)
+    assert dense(red) == _reference_coset_reduce(v, dirs)
+    assert set(red) <= set(keys) and all(red.values())
+    # a coordinate outside keys is not read
+    assert mx.coset_reduce({**sparse_v, "out": F(1)},
+                           sparse_dirs + [{"out": F(1)}], keys) == red
+    diff = [x - y for x, y in zip(v, dense(red))]
+    coords = mx.span_coords(sparse_dirs, _sparse_keys(keys, diff))
+    assert coords is not None and coords == _reference_coords(dirs, diff)
+    assert mx.span_coords(sparse_dirs, sparse_v) == \
+        _reference_coords(dirs, v)
+
+
+def _sparse_keys(keys, v):
+    return {k: x for k, x in zip(keys, v) if x}
