@@ -138,11 +138,6 @@ class CobarAlgebra(QuillenModel):
         cols = {c: {c: ONE} for c in self.C.space.all_keys() if c in sh}
         return GradedMap(self.C.space, sh, 0, cols, name="iota")
 
-    def homology_betti(self) -> dict[int, int]:
-        """Betti numbers of the shifted complex; trust them only up to
-        exact_through."""
-        return self.shifted().as_chain_complex().betti()
-
 
 def cobar(C: CdgCoalgebra, degree_max: int) -> CobarAlgebra:
     if not C.is_one_reduced():
@@ -277,11 +272,6 @@ class Adjunction:
         tau = g.compose(M.inclusion())
         self._require_mc(tau)
         return tau
-
-
-def adjunction_mc(C: CdgCoalgebra, L: LInfinityAlgebra,
-                  degree_max: int | None = None) -> Adjunction:
-    return Adjunction(C, L, degree_max)
 
 
 def universal_factorization(C: CdgCoalgebra, L: LInfinityAlgebra,

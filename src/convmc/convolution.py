@@ -229,9 +229,6 @@ class ConvolutionAlgebra:
         return self.differential_of(tau) + self.series([tau], -1,
                                                        lambda n: ONE)
 
-    def is_mc(self, tau: GradedMap) -> bool:
-        return self.mc_check(tau).is_zero()
-
     def twist(self, tau: GradedMap) -> TwistedComplex:
         res = self.mc_check(tau)
         if not res.is_zero():

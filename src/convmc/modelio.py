@@ -283,21 +283,32 @@ def quillen_from_record(rec: dict) -> QuillenModel:
     return QuillenModel(fl, delta, name=name)
 
 
+def map_from_json(rows, where: str, src: GradedSpace, dst: GradedSpace,
+                  degree: int, name: str = "") -> GradedMap:
+    """The map of the given degree with matrix rows `rows`, refused at
+    where unless its source keys are basis keys of src, its target keys
+    basis keys of dst, and every image lands in the right degree."""
+    cols = entries_from_json(rows, where)
+    for ck, col in cols.items():
+        if ck not in src.degree_of:
+            raise ModelFileError(where, f"{ck!r} is not a source basis key")
+        for lk in col:
+            if lk not in dst.degree_of:
+                raise ModelFileError(where,
+                                     f"{lk!r} is not a target basis key")
+    try:
+        return GradedMap(src, dst, degree, cols, name=name)
+    except ValueError as exc:
+        raise ModelFileError(where, str(exc)) from None
+
+
 def element_from_record(rec: dict, src: GradedSpace,
                         dst: GradedSpace) -> GradedMap:
     degree = rec.get("degree", 0)
     if not isinstance(degree, int):
         raise ModelFileError("degree", "must be an integer")
-    cols = entries_from_json(rec.get("entries", []), "entries")
-    for ck, col in cols.items():
-        if ck not in src.degree_of:
-            raise ModelFileError("entries",
-                                 f"{ck!r} is not a source basis key")
-        for lk in col:
-            if lk not in dst.degree_of:
-                raise ModelFileError("entries",
-                                     f"{lk!r} is not a target basis key")
-    return GradedMap(src, dst, degree, cols, name=rec.get("name", ""))
+    return map_from_json(rec.get("entries", []), "entries", src, dst, degree,
+                         name=rec.get("name", ""))
 
 
 # -- paths and certificates -------------------------------------------------
@@ -313,8 +324,8 @@ def _parts_from_json(rows, where: str, conv, degree: int) -> dict:
         if not isinstance(row, list) or len(row) != 2 \
                 or not isinstance(row[0], int):
             raise ModelFileError(loc, "path parts are [power, entries]")
-        cols = entries_from_json(row[1], loc)
-        out[row[0]] = GradedMap(conv.C.space, conv.L.space, degree, cols)
+        out[row[0]] = map_from_json(row[1], loc, conv.C.space,
+                                    conv.L.space, degree)
     return out
 
 
@@ -393,8 +404,8 @@ def certificate_from_record(rec: dict):
     if outcome == "unknown":
         return Unknown(rec.get("reason", ""))
     conv = _embedded_conv(rec)
-    x, y = (GradedMap(conv.C.space, conv.L.space, 0,
-                      entries_from_json(rec.get(k, []), k)) for k in "xy")
+    x, y = (map_from_json(rec.get(k, []), k, conv.C.space, conv.L.space, 0)
+            for k in "xy")
     if outcome == "equal":
         paths = [path_from_json(p, conv, f"paths[{i}]") for i, p in
                  enumerate(_expect(rec.get("paths", []), list, "paths"))]
@@ -402,7 +413,13 @@ def certificate_from_record(rec: dict):
     if outcome == "distinct":
         kind = rec.get("witness_kind", "")
         wit = _expect(rec.get("witness", {}), dict, "witness")
-        if kind == "twisted-betti":
+        if kind == "rigid-stage":
+            degree = wit.get("degree")
+            if type(degree) is not int:
+                raise ModelFileError("witness.degree",
+                                     f"expected an integer, got {degree!r}")
+            wit = {"degree": degree}
+        elif kind == "twisted-betti":
             wit = {"betti_x": _betti_from_json(wit.get("betti_x", []),
                                                "witness.betti_x"),
                    "betti_y": _betti_from_json(wit.get("betti_y", []),

@@ -249,9 +249,6 @@ class LInfinityAlgebra:
     def is_strict(self) -> bool:
         return all(n <= 2 for n in self.arities)
 
-    def is_abelian_beyond_l1(self) -> bool:
-        return all(n == 1 for n in self.arities)
-
     def l1(self) -> GradedMap:
         cols = {k: self._lookup(1, (k,)) for k in self.space.all_keys()}
         return GradedMap(self.space, self.space, -1, cols, name="l1")
@@ -266,17 +263,13 @@ class LInfinityAlgebra:
         each split of the positions, the inner bracket feeds the outer one.
         Zero for every word iff the operations form an L-infinity structure
         (on the span of the given letters)."""
-        m = len(word)
         degs = [self.space.degree_of[k] for k in word]
+        inner = [j for j in range(1, len(word) + 1)
+                 if j in self.arities or self.brackets.get(j)]
         out: Vec = {}
-        for j in range(1, m + 1):
-            outer = m - j + 1
-            if j not in self.arities and not self.brackets.get(j):
-                continue
-            for block, rest, sgn in wd.unshuffles(degs, word, j):
-                for let, c in self.bracket(j, block).items():
-                    for k, cc in self.bracket(outer, (let,) + rest).items():
-                        add_term(out, k, sgn * c * cc)
+        for seq, c in wd.coderivation_terms(self.bracket, inner, degs, word):
+            for k, cc in self.bracket(len(seq), seq).items():
+                add_term(out, k, c * cc)
         return out
 
     def validate(self, truncation: Truncation | None = None):

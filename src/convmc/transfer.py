@@ -61,9 +61,8 @@ from . import words as wd
 from .barcobar import CobarAlgebra, twisting_residual
 from .convolution import ConvolutionAlgebra, convolve
 from .gauge import GaugePath
-from .graded import (Contraction, GradedMap, GradedSpace, TensorSpace, Vec,
-                     add_term, contraction_from_complex, tensor_terms,
-                     vec_scale)
+from .graded import (Contraction, GradedMap, TensorSpace, Vec, add_term,
+                     contraction_from_complex, tensor_terms, vec_scale)
 from .matrices import ONE
 from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation,
                      extended)
@@ -71,17 +70,6 @@ from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation,
 F = Fraction
 
 WVec = dict
-
-
-def _accum(letters: GradedSpace, acc: WVec, seq: tuple, coeff: Fraction) -> None:
-    """Add coeff times the sorted word for seq into acc, with sort sign."""
-    if not coeff:
-        return
-    sorted_word = wd.sort_letters(letters, tuple(seq))
-    if sorted_word is None:
-        return
-    word, sign = sorted_word
-    add_term(acc, word, sign * coeff)
 
 
 class InfinityMorphism:
@@ -171,31 +159,17 @@ class InfinityMorphism:
         reduces to the chain-map condition.
         """
         word = tuple(word)
-        n = len(word)
         degs = [self.source.space.degree_of[k] for k in word]
         out: Vec = {}
-        for blocks in wd.set_partitions(n):
-            sign = wd.blocks_sign(degs, blocks)
-            vecs = []
-            for block in blocks:
-                v = self.component(len(block), tuple(word[i] for i in block))
-                if not v:
-                    vecs = None
-                    break
-                vecs.append(v)
-            if vecs is None:
-                continue
-            for k, c in self.target.bracket_multi(len(blocks), vecs).items():
+        for vecs, sign in wd.morphism_terms(self.component, degs, word):
+            for k, c in self.target.bracket_multi(len(vecs), vecs).items():
                 add_term(out, k, sign * c)
-        for j in range(1, n + 1):
-            for block, rest, sign in wd.unshuffles(degs, word, j):
-                for let, c in self.source.bracket(j, block).items():
-                    for k, ck in self.component(n - j + 1, (let,) + rest).items():
-                        add_term(out, k, -sign * c * ck)
+        for seq, c in wd.coderivation_terms(self.source.bracket,
+                                            range(1, len(word) + 1), degs,
+                                            word):
+            for k, ck in self.component(len(seq), seq).items():
+                add_term(out, k, -c * ck)
         return out
-
-    def coherent_on(self, words) -> bool:
-        return all(not self.coherence_residual(w) for w in words)
 
 
 class TransferredLInfinity:
@@ -238,7 +212,7 @@ class TransferredLInfinity:
         for word, c in wv.items():
             images = (m.entries.get(let, {}) for let in word)
             for seq, cc in tensor_terms(images, c):
-                _accum(m.dst, out, seq, cc)
+                wd.add_word(m.dst, out, seq, cc)
         return out
 
     def _apply_delta(self, wv: WVec) -> WVec:
@@ -248,16 +222,13 @@ class TransferredLInfinity:
         out: WVec = {}
         for word, c in wv.items():
             n = len(word)
-            if n < 2:
-                continue
             degs = [letters.degree_of[k] for k in word]
-            for arity in self._delta_arities:
-                # with h = 0 a shorter bracket leaves a word hhat kills
-                if arity > n or (arity < n and not self._h_support):
-                    continue
-                for block, rest, sign in wd.unshuffles(degs, word, arity):
-                    for let, ck in amb.bracket(arity, block).items():
-                        _accum(letters, out, (let,) + rest, sign * ck * c)
+            # with h = 0 a shorter bracket leaves a word hhat kills
+            arities = (self._delta_arities if self._h_support
+                       else [n] if n in self._delta_arities else [])
+            for seq, ck in wd.coderivation_terms(amb.bracket, arities, degs,
+                                                 word):
+                wd.add_word(letters, out, seq, ck * c)
         return out
 
     def _apply_hhat(self, wv: WVec) -> WVec:
@@ -287,7 +258,7 @@ class TransferredLInfinity:
                             s2 = -s2
                         images = [himg] + [ip.get(x, {}) for x in back]
                         for seq, cc in tensor_terms(images, s2 * weight):
-                            _accum(letters, out, front + seq, cc)
+                            wd.add_word(letters, out, front + seq, cc)
         return out
 
     def _series_letter_part(self, wv: WVec) -> Vec:
@@ -404,13 +375,6 @@ def transfer_linfty(ambient, contraction: Contraction | None = None,
         contraction = homology_contraction(alg)
     contraction.validate()
     return TransferredLInfinity(alg, contraction, arity_max=arity_max)
-
-
-def transfer_morphism(ambient, contraction: Contraction | None = None,
-                      arity_max: int = 3) -> InfinityMorphism:
-    """Inclusion-side infinity-morphism of the transferred structure."""
-    return transfer_linfty(ambient, contraction,
-                           arity_max=arity_max).inclusion_infinity()
 
 
 def strict_infinity(source: LInfinityAlgebra, target: LInfinityAlgebra,

@@ -14,8 +14,19 @@ Conventions pinned here and relied on everywhere downstream:
     Koszul sign of moving the block to the front.
   * reduced_coproduct_terms sums over proper nonempty position subsets, so
     a squared even letter x gives  x.x |-> 2 (x (x) x).
-  * coderivation applies the arity-n component to the chosen front block,
-    each unordered position subset counted once.
+  * coderivation_terms is the single coderivation sum: each arity-n
+    corestriction acts on the chosen front block, each unordered position
+    subset counted once, and its letter goes in front of the rest.  The
+    bar differential (coderivation), the Jacobi sum of an L-infinity
+    algebra, the transfer's bracket coderivation and the source side of
+    the infinity-morphism identity all read it.
+  * morphism_terms is the single coalgebra-morphism sum: one corestriction
+    per block of each unordered set partition, with the Koszul sign of
+    rearranging the word into the blocks.  coalgebra_morphism and the
+    target side of the infinity-morphism identity read it.
+  * add_word is the single sort-and-accumulate: a letter tuple goes into a
+    vector of words with its Koszul sort sign, and vanishes on a repeated
+    odd letter.
   * symmetrize is the averaged inclusion into tensors, (1/n!) sum of signed
     permutations, and wordify is its left inverse (sort with sign).  No
     computation path calls symmetrize: the transfer lifts its homotopy to
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graded import GradedMap, GradedSpace, Key, Vec, add_term, tensor_terms
 
@@ -126,12 +137,19 @@ def wordify(letters: GradedSpace, tensor_vec: Vec) -> Vec:
     transfer machinery).  Left inverse of symmetrize."""
     out: Vec = {}
     for tup, c in tensor_vec.items():
-        sw = sort_letters(letters, tup)
-        if sw is None:
-            continue
-        word, sign = sw
-        add_term(out, word, sign * c)
+        add_word(letters, out, tup, c)
     return out
+
+
+def add_word(letters: GradedSpace, acc: Vec, seq: Sequence[Key],
+             coeff) -> None:
+    """Add coeff times the letter tuple seq into acc as a sorted word, with
+    the Koszul sort sign; a tuple with a repeated odd letter adds nothing."""
+    if not coeff:
+        return
+    sw = sort_letters(letters, seq)
+    if sw is not None:
+        add_term(acc, sw[0], sw[1] * coeff)
 
 
 def symmetrize(letters: GradedSpace, word: tuple) -> Vec:
@@ -185,10 +203,21 @@ def reduced_coproduct_terms(letters: GradedSpace, word: tuple):
             for left, right, sign in unshuffles(degs, word, k)]
 
 
-def insert_letter(letters: GradedSpace, word: tuple, let: Key):
-    """Sort one letter into an already sorted word.  Returns (word, sign) or
-    None when the result has a repeated odd letter."""
-    return sort_letters(letters, (let,) + word)
+def coderivation_terms(op: Callable[[int, tuple], Vec], arities: Iterable[int],
+                       degs: Sequence[int], word: tuple
+                       ) -> Iterator[tuple[tuple, Fraction]]:
+    """Terms of the coderivation with corestrictions op on a sorted word.
+
+    For each n in arities, in the given order, and each n-subset of the
+    positions, in unshuffles order, op(n, block) is put in front of the
+    rest with the unshuffle sign; op acts on the front block, so it
+    crosses nothing.  Yields (letters, coeff) with letters unsorted:
+    (let,) + rest.  degs[i] is the degree of word[i].
+    """
+    for n in arities:
+        for block, rest, sign in unshuffles(degs, word, n):
+            for let, c in op(n, block).items():
+                yield (let,) + rest, sign * c
 
 
 def coderivation(components: dict[int, Callable[[tuple], Vec]],
@@ -197,30 +226,19 @@ def coderivation(components: dict[int, Callable[[tuple], Vec]],
     """Coderivation of the cofree cocommutative coalgebra determined by its
     corestrictions.
 
-    components[n] maps a sorted n-letter word to a letter vector, homogeneous
-    of the given degree.  On a word w the coderivation is the sum over
-    position subsets S of size n of
-
-        sign(S) . (components[n](w_S) sorted into w without S),
-
-    the sign being the Koszul unshuffle sign; the component acts on the front
-    block so it crosses nothing.
+    components[n] maps a sorted n-letter word to a letter vector,
+    homogeneous of the given degree; the value on a word sums
+    coderivation_terms sorted back into words.
     """
+    def op(n, block):
+        return components[n](block)
+
     out = GradedMap(words, words, degree, name=name)
     for word in words.all_keys():
-        n = len(word)
         degs = [letters.degree_of[let] for let in word]
         col: Vec = {}
-        for arity, comp in components.items():
-            if arity > n:
-                continue
-            for block, rest, sign in unshuffles(degs, word, arity):
-                for let, c in comp(block).items():
-                    ins = insert_letter(letters, rest, let)
-                    if ins is None:
-                        continue
-                    new_word, s2 = ins
-                    add_term(col, new_word, sign * s2 * c)
+        for seq, c in coderivation_terms(op, components, degs, word):
+            add_word(letters, col, seq, c)
         if col:
             out.set_column(word, col)
     return out
@@ -261,6 +279,26 @@ def blocks_sign(degs: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> int:
     return sign
 
 
+def morphism_terms(op: Callable[[int, tuple], Vec], degs: Sequence[int],
+                   word: tuple) -> Iterator[tuple[list[Vec], int]]:
+    """Terms of the coalgebra morphism with corestrictions op on a sorted
+    word: for each unordered set partition of the positions, in
+    set_partitions order, the values of op on its blocks and the Koszul
+    sign of rearranging the word into those blocks.  A partition with a
+    block on which op vanishes is skipped, and op is not called on the
+    blocks after it.  degs[i] is the degree of word[i].
+    """
+    for blocks in set_partitions(len(word)):
+        vecs = []
+        for b in blocks:
+            v = op(len(b), tuple(word[i] for i in b))
+            if not v:
+                break
+            vecs.append(v)
+        else:
+            yield vecs, blocks_sign(degs, blocks)
+
+
 def coalgebra_morphism(components: dict[int, Callable[[tuple], Vec]],
                        src_words: GradedSpace, src_letters: GradedSpace,
                        dst_words: GradedSpace, dst_letters: GradedSpace,
@@ -269,28 +307,20 @@ def coalgebra_morphism(components: dict[int, Callable[[tuple], Vec]],
     corestrictions (all of degree 0).
 
     components[n] maps a sorted n-letter source word to a target letter
-    vector.  On a word the morphism sums over unordered set partitions of
-    the positions, applies one component per block and multiplies the
-    resulting letters into a target word.  A partition with a block size
-    that has no component contributes nothing.
+    vector.  On a word the morphism multiplies the block values of each
+    of its morphism_terms into a target word.  A block size with no
+    component contributes nothing.
     """
+    def op(n, block):
+        return components[n](block) if n in components else {}
+
     out = GradedMap(src_words, dst_words, 0, name=name)
     for word in src_words.all_keys():
-        n = len(word)
         degs = [src_letters.degree_of[let] for let in word]
         col: Vec = {}
-        for blocks in set_partitions(n):
-            if any(len(b) not in components for b in blocks):
-                continue
-            images = (components[len(b)](tuple(word[i] for i in b))
-                      for b in blocks)
-            for tup, c in tensor_terms(images,
-                                       Fraction(blocks_sign(degs, blocks))):
-                sw = sort_letters(dst_letters, tup)
-                if sw is None:
-                    continue
-                word2, s2 = sw
-                add_term(col, word2, s2 * c)
+        for vecs, sign in morphism_terms(op, degs, word):
+            for tup, c in tensor_terms(vecs, Fraction(sign)):
+                add_word(dst_letters, col, tup, c)
         if col:
             out.set_column(word, col)
     return out

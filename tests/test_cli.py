@@ -603,9 +603,23 @@ def _homotopic_certificate(files, capsys, g):
     ("eta2", {"witness_kind": "twisted-betti",
               "witness": {"betti_x": [[1, None]], "betti_y": []}},
      "witness.betti_x[0]"),
+    ("eta2", {"x": [["zz", "H3_0", "1/1"]]}, "x"),
+    ("eta2", {"y": [["a", "zz", "1/1"]]}, "y"),
+    ("eta2", {"y": [["a", "H2_0", "1/1"]]}, "y"),
+    ("eta1", {"paths": [{"poly_bound": 1,
+                         "p_parts": [[0, []], [1, [["zz", "H3_0", "1/1"]]]]}]},
+     "paths[0].p_parts[1]"),
+    ("eta2", {"witness_kind": "rigid-stage", "witness": {}},
+     "witness.degree"),
+    ("eta2", {"witness_kind": "rigid-stage", "witness": {"degree": "3"}},
+     "witness.degree"),
+    ("eta2", {"witness_kind": "rigid-stage", "witness": {"degree": True}},
+     "witness.degree"),
 ], ids=["paths-string", "path-string", "parts-string", "C-string",
         "L-list", "x-string", "witness-string", "betti-int", "betti-row-str",
-        "betti-row-null"])
+        "betti-row-null", "x-source-key", "y-target-key", "y-degree",
+        "parts-source-key", "rigid-no-degree", "rigid-str-degree",
+        "rigid-bool-degree"])
 @pytest.mark.parametrize("command", ["gauge-check", "validate"])
 def test_malformed_certificate_fields_are_refused(files, capsys, command,
                                                   g, edit, where):
@@ -617,8 +631,10 @@ def test_malformed_certificate_fields_are_refused(files, capsys, command,
 
 @pytest.mark.parametrize("edit,where", [
     ({"C": "nope"}, "C"), ({"L": 5}, "L"), ({"path": "nope"}, "path"),
-    ({"path": {"poly_bound": 1, "q_parts": {}}}, "path.q_parts")],
-    ids=["C", "L", "path", "q_parts"])
+    ({"path": {"poly_bound": 1, "q_parts": {}}}, "path.q_parts"),
+    ({"path": {"poly_bound": 1, "q_parts": [[0, [["a", "zz", "1/1"]]]]}},
+     "path.q_parts[0]")],
+    ids=["C", "L", "path", "q_parts", "q_parts-target-key"])
 def test_malformed_gauge_path_fields_are_refused(files, capsys, edit, where):
     cert = _homotopic_certificate(files, capsys, "eta1")
     path = files / "path.json"

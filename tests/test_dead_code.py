@@ -28,14 +28,12 @@ ALLOWED = {
     # bundled models outside the CLI registry
     "cp3_coalgebra", "hopf_tau", "quillen_s2",
     # the bar-cobar adjunction and its checks
-    "adjunction_mc", "algebra_map_to_mc", "coalgebra_map_to_mc",
-    "coalgebra_morphism", "counit_quasi_iso_check",
-    "universal_factorization",
+    "algebra_map_to_mc", "coalgebra_map_to_mc", "coalgebra_morphism",
+    "counit_quasi_iso_check", "universal_factorization",
     # library API
-    "coherent_on", "direction", "evaluate", "expand_vec", "from_tables",
-    "homology_betti", "is_abelian_beyond_l1", "is_mc", "pullback",
-    "push_path", "pushforward", "sphere_pi_n", "strict_infinity",
-    "transfer_morphism",
+    "coherence_residual", "direction", "evaluate", "expand_vec",
+    "from_tables", "pullback", "push_path", "pushforward", "sphere_pi_n",
+    "strict_infinity",
 }
 
 

@@ -10,6 +10,7 @@ Expected values fixed here by hand:
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,13 +92,13 @@ def test_pi_s2_validates():
     L.validate()
     assert L.bracket(2, ("x", "x")) == {"y": F(1)}
     assert L.bracket(2, ("x", "y")) == {}
-    assert L.is_strict() and not L.is_abelian_beyond_l1()
+    assert L.is_strict() and not all(n == 1 for n in L.arities)
 
 
 def test_pi_s3_abelian():
     L = lib.pi_s3()
     L.validate()
-    assert L.is_abelian_beyond_l1()
+    assert all(n == 1 for n in L.arities)
     assert L.bracket(1, ("z",)) == {}
 
 
@@ -172,6 +173,24 @@ def test_validate_fails_exactly_where_the_full_degree_pass_does(L):
         with pytest.raises(JacobiError) as exc:
             L.validate()
         assert str(exc.value) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables(1))
+@example(LInfinityAlgebra(GradedSpace({2: ["x"], 3: ["y"], 4: ["z"]}),
+                          {2: {("x", "x"): {"y": F(1)},
+                               ("x", "y"): {"z": F(1)}}}))
+def test_jacobiator_is_the_letter_part_of_the_bar_differential_squared(L):
+    """The bar differential d built by words.coderivation from the brackets
+    squares, on each word, to the Jacobi sum in its one-letter part: both
+    read the one coderivation sum of words."""
+    W = wd.word_space(L.space, L.space.deg_max + 2, 2 * L.max_arity())
+    d = wd.coderivation({n: partial(L.bracket, n) for n in L.arities},
+                        W, L.space, -1)
+    dd = d.compose(d)
+    for w in W.all_keys():
+        letters = {k[0]: c for k, c in dd.column(w).items() if len(k) == 1}
+        assert letters == L.jacobiator(w), w
 
 
 def test_bracket_word_must_be_sorted():

@@ -32,8 +32,7 @@ from convmc.matrices import solve_matrix
 from convmc.models import LInfinityAlgebra, abelian_linfty
 from convmc.transfer import (InfinityMorphism, TransferredLInfinity,
                              homology_contraction, push_mc, push_path,
-                             strict_infinity, transfer_linfty,
-                             transfer_morphism)
+                             strict_infinity, transfer_linfty)
 
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -90,8 +89,10 @@ def test_zero_homotopy_morphisms_are_strict():
     assert inc.component(1, (x,)) == T.contraction.i.entries[x]
     assert inc.component(2, (x, x)) == {}
     assert proj.component(2, ("x", "y")) == {}
-    assert inc.coherent_on([(x,), (y,), (x, x), (x, y), (x, x, x)])
-    assert proj.coherent_on([("x",), ("y",), ("x", "x"), ("x", "y"),
+    assert not any(inc.coherence_residual(w)
+                   for w in [(x,), (y,), (x, x), (x, y), (x, x, x)])
+    assert not any(proj.coherence_residual(w)
+                   for w in [("x",), ("y",), ("x", "x"), ("x", "y"),
                              ("x", "x", "x")])
 
 
@@ -148,9 +149,11 @@ def test_cp2_morphisms_coherent_inside_window():
     inc = T.inclusion_infinity()
     proj = T.projection_infinity()
     small_words = window_words(T.algebra.space, 3, deg_cap=12)
-    assert small_words and inc.coherent_on(small_words)
+    assert small_words
+    assert not any(inc.coherence_residual(w) for w in small_words)
     big_words = window_words(T.ambient.space, 3, deg_cap=6)
-    assert len(big_words) >= 9 and proj.coherent_on(big_words)
+    assert len(big_words) >= 9
+    assert not any(proj.coherence_residual(w) for w in big_words)
 
 
 def test_truncation_edge_heals_when_deepened():
@@ -219,7 +222,8 @@ def test_strict_morphism_wrapper_and_identity_push():
     W = T.ambient
     ident = strict_infinity(W, W, GradedMap.identity(W.space))
     assert ident.is_strict()
-    assert ident.coherent_on(window_words(W.space, 2, deg_cap=6))
+    assert not any(ident.coherence_residual(w)
+                   for w in window_words(W.space, 2, deg_cap=6))
     cp2 = cp2_coalgebra()
     conv = ConvolutionAlgebra(cp2, W)
     tau = conv.to_map({("a", "a"): F(1), ("b", "b"): F(2)}, degree=0)
@@ -386,7 +390,8 @@ def test_push_path_along_identity_contraction_is_identity():
 
 
 def test_transfer_morphism_entry_point():
-    inc = transfer_morphism(cobar(cp2_coalgebra(), degree_max=6))
+    inc = transfer_linfty(cobar(cp2_coalgebra(), degree_max=6)
+                          ).inclusion_infinity()
     assert inc.component(1, ("H2_0",)) == {"a": F(1)}
     assert inc.component(2, ("H2_0", "H2_0")) == {"b": F(2)}
 
