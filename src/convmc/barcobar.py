@@ -1,5 +1,6 @@
-"""Bar and cobar constructions, the Maurer-Cartan adjunction between
-them, universal factorizations, and the counit comparison.
+"""Bar and cobar constructions, the twisting residual that governs the
+Maurer-Cartan adjunction between them, and the algebra maps that
+coalgebra morphisms induce on cobar constructions.
 
 bar(L) is the cofree conilpotent cocommutative coalgebra on the carrier
 of L: sorted symmetric words, coproduct summing over position splits, and
@@ -22,8 +23,10 @@ map C -> bar(L) (divided-power exponential of tau against the iterated
 coproduct) and into an algebra map cobar(C) -> L (evaluate bracket
 expressions with the shifted binary bracket); both are dg morphisms
 exactly when the twisting residual of tau vanishes, see
-twisting_residual below, and every conversion here re-checks the
-defining identities rather than trusting the construction.
+twisting_residual below, which transfer.push_mc gates on.  The two legs
+of the adjunction, the universal factorization through them and the
+counit quasi-isomorphism cobar(bar(L)) -> L are built and checked in
+tests/test_barcobar.py, the reference for those identities.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from fractions import Fraction
 from math import factorial
 
 from . import words as wd
-from .convolution import (ConvolutionAlgebra, check_coalgebra_morphism,
-                          check_strict_morphism, convolve)
-from .freelie import FreeLie, expr_degree, is_bracket
-from .graded import (GradedMap, GradedSpace, Key, Vec, add_term,
-                     homology, tensor_terms, vec_add, vec_scale)
-from .matrices import ONE, column_split
+from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
+from .freelie import FreeLie, is_bracket
+from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, vec_add,
+                     vec_scale)
+from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
 
 F = Fraction
@@ -161,161 +163,6 @@ def cobar(C: CdgCoalgebra, degree_max: int) -> CobarAlgebra:
     if not delta.compose(delta).is_zero():
         raise AssertionError("cobar differential does not square to zero")
     return CobarAlgebra(fl, delta, C, degree_max)
-
-
-class Adjunction:
-    """Three-way dictionary between coalgebra maps C -> bar(L), twisting
-    morphisms in the convolution algebra Hom(C, L), and algebra maps
-    cobar(C) -> L.
-
-    Every direction validates its input and its output: a map with a
-    nonzero twisting residual is rejected with that residual, a
-    non-morphism with the identity it breaks.  The algebra-map leg needs
-    a strict L (l_n = 0 for n >= 3); see cobar's docstring for why that
-    covers everything bundled.
-    """
-
-    def __init__(self, C: CdgCoalgebra, L: LInfinityAlgebra,
-                 degree_max: int | None = None):
-        if degree_max is None:
-            degree_max = max(C.space.deg_max, L.space.deg_max)
-        self.C = C
-        self.L = L
-        self.degree_max = degree_max
-        self.convolution = ConvolutionAlgebra(C, L)
-        self._bar: BarCoalgebra | None = None
-        self._cobar: CobarAlgebra | None = None
-
-    def bar_side(self) -> BarCoalgebra:
-        if self._bar is None:
-            self._bar = bar(self.L, self.degree_max)
-        return self._bar
-
-    def cobar_side(self) -> CobarAlgebra:
-        if self._cobar is None:
-            self._cobar = cobar(self.C, self.degree_max)
-        return self._cobar
-
-    def _require_mc(self, tau: GradedMap):
-        res = twisting_residual(self.convolution, tau)
-        if not res.is_zero():
-            raise ValueError(
-                f"not a twisting morphism; residual {res.entries!r}")
-
-    # -- bar side --------------------------------------------------------
-
-    def mc_to_coalgebra_map(self, tau: GradedMap) -> GradedMap:
-        """The unique dg coalgebra map C -> bar(L) whose letter part is
-        tau: sum over n of 1/n! tau-tensor-powers of the iterated
-        coproduct, collected into sorted words."""
-        self._require_mc(tau)
-        B = self.bar_side()
-
-        def product(n, vecs) -> Vec:
-            out = wd.wordify(self.L.space, dict(tensor_terms(vecs)))
-            for word in out:
-                if word not in B.space.degree_of:
-                    raise ValueError(
-                        f"bar truncation {self.degree_max} too small "
-                        f"to hold the image word {word!r}")
-            return out
-
-        depth = self.convolution.coproduct_window()
-        f = convolve(self.C, [tau], product, B.space, 0,
-                     {n: F(1, factorial(n)) for n in range(1, depth + 1)})
-        f.name = "f_tau"
-        check_coalgebra_morphism(self.C, B, f)
-        return f
-
-    def coalgebra_map_to_mc(self, f: GradedMap) -> GradedMap:
-        check_coalgebra_morphism(self.C, self.bar_side(), f)
-        tau = self.bar_side().projection().compose(f)
-        self._require_mc(tau)
-        return tau
-
-    # -- cobar side ------------------------------------------------------
-
-    def mc_to_algebra_map(self, tau: GradedMap) -> GradedMap:
-        """The induced strict morphism cobar(C) -> L, evaluating each
-        basis bracket expression with the shifted binary bracket."""
-        if not self.L.is_strict():
-            raise ValueError(
-                "the algebra-map leg needs a strict target (no l_n, n >= 3)")
-        self._require_mc(tau)
-        M = self.cobar_side()
-        letters = M.fl.letters
-        memo: dict = {}
-
-        def value(e) -> Vec:
-            if e in memo:
-                return memo[e]
-            if not is_bracket(e):
-                out = tau.apply({e: ONE})
-            else:
-                a, b = e[1], e[2]
-                va, vb = value(a), value(b)
-                out = self.L.bracket_multi(2, [va, vb]) if va and vb else {}
-                if (expr_degree(letters, a) + 1) % 2:
-                    out = vec_scale(-ONE, out)
-            memo[e] = out
-            return out
-
-        cols = {e: v for e in M.shifted().space.all_keys()
-                if (v := value(e))}
-        g = GradedMap(M.shifted().space, self.L.space, 0, cols, name="g_tau")
-        check_strict_morphism(M.shifted(), self.L, g)
-        return g
-
-    def algebra_map_to_mc(self, g: GradedMap) -> GradedMap:
-        M = self.cobar_side()
-        check_strict_morphism(M.shifted(), self.L, g)
-        tau = g.compose(M.inclusion())
-        self._require_mc(tau)
-        return tau
-
-
-def universal_factorization(C: CdgCoalgebra, L: LInfinityAlgebra,
-                            phi: GradedMap, degree_max: int | None = None
-                            ) -> tuple[GradedMap, GradedMap]:
-    """Factor an MC element phi through the two universal twisting
-    morphisms: returns (f, g) with projection o f = phi on the bar side
-    and g o inclusion = phi on the cobar side, both checked exactly."""
-    adj = Adjunction(C, L, degree_max)
-    f = adj.mc_to_coalgebra_map(phi)
-    g = adj.mc_to_algebra_map(phi)
-    through_bar = adj.bar_side().projection().compose(f)
-    if not through_bar.equals(phi):
-        raise AssertionError("projection o f differs from phi")
-    through_cobar = g.compose(adj.cobar_side().inclusion())
-    if not through_cobar.equals(phi):
-        raise AssertionError("g o inclusion differs from phi")
-    return f, g
-
-
-def counit_quasi_iso_check(L: LInfinityAlgebra, degree_max: int) -> bool:
-    """Build cobar(bar(L)) and test that the counit induces a homology
-    isomorphism in degrees <= degree_max - 2; the top two degrees are
-    truncation boundary and excluded."""
-    if L.space.total_dim() == 0:
-        return True
-    B = bar(L, degree_max)
-    adj = Adjunction(B, L, degree_max)
-    counit = adj.mc_to_algebra_map(B.projection())
-    M = adj.cobar_side()
-    HM, repM, _ = homology(M.shifted().as_chain_complex())
-    HL, _, projL = homology(L.as_chain_complex())
-    induced = projL.compose(counit).compose(repM)
-    seen = {n for n in HM.degrees() if HM.dim(n)}
-    seen |= {n for n in HL.degrees() if HL.dim(n)}
-    for n in sorted(seen):
-        if n > degree_max - 2:
-            continue
-        if HM.dim(n) != HL.dim(n):
-            return False
-        cols = [induced.entries.get(k, {}) for k in HM.basis(n)]
-        if len(column_split(cols, HM.basis(n))[0]) != HM.dim(n):
-            return False
-    return True
 
 
 def cobar_map(h: GradedMap, source: CobarAlgebra, target: CobarAlgebra

@@ -136,8 +136,12 @@ def _emit(args, rec: dict) -> None:
     text = modelio.dumps_record(rec)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelFileError("--out", f"cannot write {out!r}: "
+                                 f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -238,7 +242,7 @@ def cmd_pi(args) -> int:
     conv, tau = _conv_and_tau(args)
     if args.n < 1:
         raise ModelFileError("--n", "component homotopy starts at n = 1")
-    reps = mapping.pi_of_component(conv, conv.L, tau, args.n)
+    reps = mapping.pi_of_component(conv, tau, args.n)
     classes = [{"name": modelio.encode_key(k),
                 "representative": modelio.entries_to_json({k: v})}
                for k, v in reps.items()]
@@ -247,12 +251,11 @@ def cmd_pi(args) -> int:
     return EXIT_OK
 
 
-def _map_representation(rec: dict, C: CdgCoalgebra, D: CdgCoalgebra,
-                        model, window: int):
+def _map_representation(rec: dict, C: CdgCoalgebra, model):
     if rec.get("kind") == "map":
-        f = modelio.element_from_record(rec, C.space, D.space)
+        f = modelio.element_from_record(rec, C.space, model.coalgebra.space)
         return hopf.MapRepresentation.from_coalgebra_morphism(
-            C, D, f, degree_max=window, name=rec.get("name", ""))
+            C, model, f, name=rec.get("name", ""))
     tau = modelio.element_from_record(rec, C.space, model.algebra.space)
     return hopf.MapRepresentation.from_mc(C, model, tau,
                                           name=rec.get("name", ""))
@@ -263,7 +266,7 @@ def cmd_hopf(args) -> int:
     D = _load_coalgebra(args.D)
     window = _model_window(args, D.space, 2, C.space)
     model = hopf.loop_homology(D, window)
-    rep = _map_representation(_load_element(args.map), C, D, model, window)
+    rep = _map_representation(_load_element(args.map), C, model)
     inv = hopf.hopf_invariant(rep)
     _emit(args, {"kind": "hopf_report",
                  "source": C.name, "target": D.name, "window": window,
@@ -278,8 +281,8 @@ def cmd_homotopic(args) -> int:
     D = _load_coalgebra(args.D)
     window = _model_window(args, D.space, 2, C.space)
     model = hopf.loop_homology(D, window)
-    fa = _map_representation(_load_element(args.f), C, D, model, window)
-    fb = _map_representation(_load_element(args.g), C, D, model, window)
+    fa = _map_representation(_load_element(args.f), C, model)
+    fb = _map_representation(_load_element(args.g), C, model)
     cert = hopf.maps_homotopic(fa, fb)
     rec = {"kind": "homotopy_report", "outcome": cert.outcome,
            "window": window,
@@ -343,8 +346,7 @@ def cmd_components(args) -> int:
     for i, v in enumerate(samples):
         if v in samples[:i]:
             raise ModelFileError("--samples", f"sample {v} is repeated")
-    report = mapping.components(conv, L, restrict_to=restrict,
-                                samples=samples)
+    report = mapping.components(conv, restrict_to=restrict, samples=samples)
     classes = [{"representative": modelio.gmap_to_json(c.representative),
                 "verified": c.verify()} for c in report.classes]
     pairwise = [[i, j, cert.outcome] for i, j, cert in report.pairwise]

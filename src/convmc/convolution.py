@@ -1,5 +1,6 @@
 """Convolution L-infinity algebras Hom(C, L): brackets, Maurer-Cartan
-residuals, twisted complexes, and naturality maps.
+residuals, twisted complexes, and the check that a map is a coalgebra
+morphism.
 
 The carrier of Hom(C, L) is the graded space of linear maps from a
 one-reduced cdg coalgebra C to an L-infinity algebra L, with basis keys
@@ -32,11 +33,12 @@ this sum with any weight per arity and any n-ary operation, reading each
 word of the iterated coproduct once.  The Maurer-Cartan residual
 sum 1/n! l_n(tau, ..., tau) is the sum with weight 1; the twisted
 differential's 1/(n-1)! l_n(f, tau, ..., tau) puts f in the first slot
-with weight n; barcobar.twisting_residual, transfer.push_mc,
-transfer.push_path and the bar-side coalgebra map of the adjunction use
-weight 1/n! with, in turn, the brackets of L, the components of an
-infinity-morphism, those components extended over interval forms
-(models.extended, for a path) and the product of symmetric words.  The
+with weight n; barcobar.twisting_residual, transfer.push_mc and
+transfer.push_path use weight 1/n! with, in turn, the brackets of L, the
+components of an infinity-morphism and those components extended over
+interval forms (models.extended, for a path); the bar-side coalgebra map
+of the adjunction (tests/test_barcobar.py) uses it with the product of
+symmetric words.  The
 component search's residual is the Maurer-Cartan sum over the
 extension of L by polynomial coefficients (models.extension_of_scalars),
 so one pass over the coproduct words gives every monomial.  The
@@ -52,8 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
-                     vec_eq)
+from .graded import ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term
 from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra, Truncation
 from .words import canonical_words
@@ -280,62 +281,6 @@ class ConvolutionAlgebra:
         tr = Truncation(self.carrier.deg_min, self.carrier.deg_max,
                         arity_max)
         self.as_linfty(arity_max).validate(tr)
-
-    # -- naturality ------------------------------------------------------
-
-    def pushforward(self, g: GradedMap, Lp: LInfinityAlgebra
-                    ) -> "ConvolutionMorphism":
-        check_strict_morphism(self.L, Lp, g)
-        target = ConvolutionAlgebra(self.C, Lp)
-        return ConvolutionMorphism(self, target, lambda f: g.compose(f),
-                                   kind="pushforward")
-
-    def pullback(self, h: GradedMap, Cp: CdgCoalgebra
-                 ) -> "ConvolutionMorphism":
-        check_coalgebra_morphism(Cp, self.C, h)
-        target = ConvolutionAlgebra(Cp, self.L)
-        return ConvolutionMorphism(self, target, lambda f: f.compose(h),
-                                   kind="pullback")
-
-
-class ConvolutionMorphism:
-    """Strict map of convolution algebras given by composition with a
-    fixed morphism on one side."""
-
-    def __init__(self, source: ConvolutionAlgebra, target: ConvolutionAlgebra,
-                 transport, kind: str):
-        self.source = source
-        self.target = target
-        self._transport = transport
-        self.kind = kind
-
-    def apply(self, f: GradedMap) -> GradedMap:
-        return self._transport(f)
-
-
-def check_strict_morphism(L: LInfinityAlgebra, Lp: LInfinityAlgebra,
-                          g: GradedMap):
-    """g commutes with l_1 and with every stored bracket on basis words."""
-    if g.degree != 0:
-        raise ValueError("strict morphisms have degree 0")
-    if (g.src.degree_of != L.space.degree_of
-            or g.dst.degree_of != Lp.space.degree_of):
-        raise ValueError("morphism endpoints do not match the algebras")
-    lhs = g.compose(L.l1())
-    rhs = Lp.l1().compose(g)
-    for k in L.space.all_keys():
-        if not vec_eq(lhs.column(k), rhs.column(k)):
-            raise ValueError("map does not commute with l_1")
-    arities = sorted(set(L.arities) | set(Lp.arities))
-    for n in arities:
-        if n < 2:
-            continue
-        for word in canonical_words(L.space, n):
-            left = g.apply(L.bracket(n, word))
-            right = Lp.bracket_multi(n, [g.apply({k: ONE}) for k in word])
-            if not vec_eq(left, right):
-                raise ValueError(
-                    f"map does not commute with l_{n} on {word!r}")
 
 
 def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,

@@ -56,18 +56,6 @@ def expr_degree(letters: GradedSpace, e) -> int:
     return letters.degree_of[e]
 
 
-def expr_weight(e) -> int:
-    if is_bracket(e):
-        return expr_weight(e[1]) + expr_weight(e[2])
-    return 1
-
-
-def format_expr(e) -> str:
-    if is_bracket(e):
-        return f"[{format_expr(e[1])},{format_expr(e[2])}]"
-    return str(e)
-
-
 def expand(letters: GradedSpace, e) -> Vec:
     """Expansion in the tensor algebra; keys are flat letter tuples."""
     if not is_bracket(e):
@@ -144,14 +132,6 @@ class FreeLie:
 
     def dim(self, n: int) -> int:
         return self.space.dim(n)
-
-    def expand_vec(self, ev: Vec) -> Vec:
-        out: Vec = {}
-        for e, c in ev.items():
-            ex = self._expansions.get(e) or expand(self.letters, e)
-            for w, cc in ex.items():
-                add_term(out, w, c * cc)
-        return out
 
     def express(self, tv: Vec) -> Vec:
         """Write a tensor vector in the chosen Lie basis; raises when the

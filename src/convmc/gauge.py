@@ -36,14 +36,15 @@ order, not by an elimination order.
 What the decision derives from one point alone is kept on the algebra,
 so a search that decides many pairs over few points computes it once per
 point: the Maurer-Cartan residual, the flow rates of the degree-1
-directions that the rigidity sweep reads, the staged normal form (per
-polynomial bound) and the nonzero twisted Betti numbers.  The store,
-ConvolutionAlgebra.point_memo, is an LRU of the _POINTS_CAP points used
-last, keyed by the degree and exact coefficients of the point.  Only
-gauge_equivalent and its helpers read it.  Every verify() and
-path_check recompute from scratch, so a certificate is checked again
-rather than looked up, and a stale or damaged entry cannot make a wrong
-answer verify.
+directions that the rigidity sweep reads, the staged normal form and the
+nonzero twisted Betti numbers.  Every path the decision builds has the
+polynomial bound default_poly_bound(conv), so a point has one normal
+form per algebra.  The store, ConvolutionAlgebra.point_memo, is an LRU
+of the _POINTS_CAP points used last, keyed by the degree and exact
+coefficients of the point.  Only gauge_equivalent and its helpers read
+it.  Every verify() and path_check recompute from scratch, so a
+certificate is checked again rather than looked up, and a stale or
+damaged entry cannot make a wrong answer verify.
 """
 
 from __future__ import annotations
@@ -139,14 +140,6 @@ class GaugePath:
         t = F(t)
         out = self.conv.zero_map(0)
         for k, f in self.p_parts.items():
-            out = out + f.scale(t ** k)
-        return out
-
-    def direction(self, t) -> GradedMap:
-        """The gauge direction lambda(t) multiplying dt."""
-        t = F(t)
-        out = self.conv.zero_map(1)
-        for k, f in self.q_parts.items():
             out = out + f.scale(t ** k)
         return out
 
@@ -485,8 +478,8 @@ def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
     return ModuliClass(conv, x, current, tuple(chain))
 
 
-def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
-                       poly_bound: int | None = None) -> ModuliClass:
+def moduli_normal_form(conv: ConvolutionAlgebra,
+                       x: GradedMap) -> ModuliClass:
     """Greedy staged reduction of a Maurer-Cartan element to a canonical
     coset representative, with the realizing gauge paths.
 
@@ -504,8 +497,7 @@ def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
     if not res.is_zero():
         raise ValueError(
             f"normal form of a non-MC element, residual {res.entries!r}")
-    if poly_bound is None:
-        poly_bound = default_poly_bound(conv)
+    poly_bound = default_poly_bound(conv)
     if conv.arity_window() <= 1:
         return _abelian_normal_form(conv, x, poly_bound)
     return _staged_normal_form(conv, x, poly_bound)
@@ -556,8 +548,7 @@ def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     return Equal(conv, x, y, (path,))
 
 
-def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
-                     poly_bound: int | None = None):
+def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
     """Decide gauge equivalence of two Maurer-Cartan elements.
 
     Returns Equal with a verifiable chain of paths, Distinct with a
@@ -573,8 +564,7 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     if not ry.is_zero():
         raise ValueError(
             f"second element is not Maurer-Cartan, residual {ry.entries!r}")
-    if poly_bound is None:
-        poly_bound = default_poly_bound(conv)
+    poly_bound = default_poly_bound(conv)
     if x.equals(y):
         return Equal(conv, x, y, (constant_path(conv, x, poly_bound),))
     if conv.arity_window() <= 1:
@@ -583,9 +573,8 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     stage = _rigidity_sweep(conv, x, y, rates)
     if stage is not None:
         return Distinct(conv, x, y, "rigid-stage", {"degree": stage})
-    nf = ("normal_form", poly_bound)
-    nx = _memo(conv, x, nf, lambda: moduli_normal_form(conv, x, poly_bound))
-    ny = _memo(conv, y, nf, lambda: moduli_normal_form(conv, y, poly_bound))
+    nx = _memo(conv, x, "normal_form", lambda: moduli_normal_form(conv, x))
+    ny = _memo(conv, y, "normal_form", lambda: moduli_normal_form(conv, y))
     if nx.representative.equals(ny.representative):
         back = tuple(p.reversed() for p in reversed(ny.paths))
         return Equal(conv, x, y, nx.paths + back)

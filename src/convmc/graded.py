@@ -369,7 +369,7 @@ class Contraction:
             raise ValueError(f"contraction identities failed: {', '.join(bad)}")
 
 
-def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
+def contraction_from_complex(cx: ChainComplex) -> Contraction:
     """Split a chain complex as boundaries + chosen cycles + a complement,
     with the canonical pivot choices, and package the result as a
     contraction onto homology (zero differential on the small side).
@@ -427,21 +427,10 @@ def contraction_from_complex(cx: ChainComplex, h_name: str = "") -> Contraction:
     small = ChainComplex(h_space, GradedMap.zero(h_space, h_space, -1), name=h_space.name)
     i = GradedMap(h_space, sp, 0, i_cols, name="rep")
     p = GradedMap(sp, h_space, 0, p_cols, name="proj")
-    h = GradedMap(sp, sp, 1, h_cols, name=h_name or "htp")
+    h = GradedMap(sp, sp, 1, h_cols, name="htp")
     payload = {
         "space": {str(n): [str(k) for k in sp.basis(n)] for n in degs},
         "pivots": [[n, piv] for n, piv in pivot_record],
     }
     fp = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
     return Contraction(cx, small, i, p, h, fingerprint=fp)
-
-
-def homology(cx: ChainComplex) -> tuple[GradedSpace, GradedMap, GradedMap]:
-    """Homology with deterministic representing cycles.
-
-    Returns (H, rep, proj) where rep: H -> C picks the canonical cycle
-    representatives and proj: C -> H is the retraction with proj o rep = id
-    and proj o d = 0.
-    """
-    con = contraction_from_complex(cx)
-    return con.small.space, con.i, con.p

@@ -15,28 +15,24 @@ of the target.  The middle leg lives in the divided-power normalization
 (see the transfer module), so that push gates on the twisting residual;
 the final result is checked against the literal Maurer-Cartan equation.
 
-The sphere specialization computes homotopy groups of the target as
-loop homology lines with representative addition as the group law, and
-certifies that gauge classes over a sphere source coincide with
-homology classes.
+Over a sphere source S^n the invariant of a map is a class of pi_n of the
+target, read as the degree-n loop homology with representative addition
+as the group law.  That reading, and the certificates that gauge classes
+over a sphere source coincide with homology classes, are checked in
+tests/test_hopf.py, where SphereHomotopyGroup is the reference.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from fractions import Fraction
 
 from .barcobar import cobar, cobar_map
 from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
-from .gauge import (Distinct, Equal, ModuliClass, gauge_equivalent,
-                    moduli_normal_form)
-from .graded import GradedMap, GradedSpace
-from .library import sphere_coalgebra
+from .gauge import ModuliClass, gauge_equivalent, moduli_normal_form
+from .graded import GradedMap
 from .models import CdgCoalgebra
 from .transfer import (InfinityMorphism, postcompose_strict, push_mc,
                        transfer_linfty)
-
-F = Fraction
 
 
 def _coalgebra_signature(C: CdgCoalgebra) -> tuple:
@@ -57,12 +53,11 @@ class LoopHomology:
     the representatives.  Degrees above degree_max - 1 are truncation
     artifacts and carry no meaning."""
 
-    def __init__(self, coalgebra: CdgCoalgebra, degree_max: int,
-                 arity_max: int = 3):
+    def __init__(self, coalgebra: CdgCoalgebra, degree_max: int):
         self.coalgebra = coalgebra
         self.degree_max = degree_max
         self.cobar = cobar(coalgebra, degree_max=degree_max)
-        self.transfer = transfer_linfty(self.cobar, arity_max=arity_max)
+        self.transfer = transfer_linfty(self.cobar, arity_max=3)
         self.algebra = self.transfer.algebra
         self.ambient = self.transfer.ambient
         self.fingerprint = self.transfer.contraction.fingerprint
@@ -84,27 +79,19 @@ _MODELS: OrderedDict[tuple, LoopHomology] = OrderedDict()
 _MODELS_CAP = 8
 
 
-def loop_homology(coalgebra: CdgCoalgebra, degree_max: int,
-                  arity_max: int = 3) -> LoopHomology:
+def loop_homology(coalgebra: CdgCoalgebra, degree_max: int) -> LoopHomology:
     """Cached loop homology model; the cache key is structural, so two
     equal coalgebras built independently share one model and hence one
     fingerprint.  The cache keeps the _MODELS_CAP most recently used
     models."""
-    key = (_coalgebra_signature(coalgebra), degree_max, arity_max)
+    key = (_coalgebra_signature(coalgebra), degree_max)
     if key in _MODELS:
         _MODELS.move_to_end(key)
     else:
-        _MODELS[key] = LoopHomology(coalgebra, degree_max,
-                                    arity_max=arity_max)
+        _MODELS[key] = LoopHomology(coalgebra, degree_max)
         if len(_MODELS) > _MODELS_CAP:
             _MODELS.popitem(last=False)
     return _MODELS[key]
-
-
-def _default_window(C: CdgCoalgebra) -> int:
-    degrees = C.space.degrees()
-    top = max(degrees, default=2)
-    return top + 2
 
 
 class MapRepresentation:
@@ -130,15 +117,11 @@ class MapRepresentation:
 
     @classmethod
     def from_coalgebra_morphism(cls, source: CdgCoalgebra,
-                                target: CdgCoalgebra, f: GradedMap,
-                                degree_max: int | None = None,
+                                model: LoopHomology, f: GradedMap,
                                 name: str = "") -> "MapRepresentation":
         if f.degree != 0:
             raise ValueError("a coalgebra morphism must have degree 0")
-        check_coalgebra_morphism(source, target, f)
-        window = degree_max if degree_max is not None else max(
-            _default_window(source), _default_window(target))
-        model = loop_homology(target, window)
+        check_coalgebra_morphism(source, model.coalgebra, f)
         return cls(source, model, "coalgebra", morphism=f,
                    name=name or f.name)
 
@@ -239,93 +222,3 @@ def maps_homotopic(a: MapRepresentation, b: MapRepresentation):
                          "maps against one model")
     conv = ConvolutionAlgebra(a.source, a.model.algebra)
     return gauge_equivalent(conv, mc_of_map(a), mc_of_map(b))
-
-
-class SphereHomotopyGroup:
-    """A homotopy group of the target through its loop homology model:
-    the carrier line(s), representative addition as the group law, and
-    gauge certificates equating gauge classes with homology classes."""
-
-    def __init__(self, degree: int, model: LoopHomology):
-        self.degree = degree
-        self.model = model
-        self.sphere = sphere_coalgebra(degree)
-        self.conv = ConvolutionAlgebra(self.sphere, model.algebra)
-        self.basis = tuple(model.algebra.space.basis(degree)
-                           if degree in model.algebra.space.degrees()
-                           else ())
-        self.space = GradedSpace({degree: list(self.basis)} if self.basis
-                                 else {}, name=f"pi_{degree}")
-        self.certificates = []
-        self._certify()
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def zero(self) -> GradedMap:
-        return self.conv.zero_map(0)
-
-    def element(self, coeffs) -> GradedMap:
-        """Representative map from a coefficient vector over the basis."""
-        if isinstance(coeffs, dict):
-            vec = {k: F(c) for k, c in coeffs.items() if c}
-        else:
-            vec = {k: F(c) for k, c in zip(self.basis, coeffs) if c}
-        for k in vec:
-            if k not in self.basis:
-                raise ValueError(f"{k!r} is not a degree-{self.degree} class")
-        if not vec:
-            return self.zero()
-        ent = {("a", k): c for k, c in vec.items()}
-        return self.conv.to_map(ent, degree=0)
-
-    def add(self, x: GradedMap, y: GradedMap) -> GradedMap:
-        """Group law: addition of representatives (the pinch map sends a
-        sphere class to the sum of its two copies)."""
-        return x + y
-
-    def decide(self, x: GradedMap, y: GradedMap):
-        return gauge_equivalent(self.conv, x, y)
-
-    def _certify(self) -> None:
-        """Equate homology classes with gauge classes on this source:
-        every basis class is distinct from zero with a homology witness,
-        and homologous representatives are connected by a path."""
-        zero = self.zero()
-        for k in self.basis:
-            cert = self.decide(self.element({k: 1}), zero)
-            if not isinstance(cert, Distinct) or not cert.verify():
-                raise AssertionError(
-                    f"class {k!r} should be gauge-distinct from zero")
-            self.certificates.append(cert)
-        for idx, k in enumerate(self.basis):
-            for k2 in self.basis[idx + 1:]:
-                cert = self.decide(self.element({k: 1}), self.element({k2: 1}))
-                if not isinstance(cert, Distinct) or not cert.verify():
-                    raise AssertionError(
-                        f"classes {k!r} and {k2!r} should be gauge-distinct")
-                self.certificates.append(cert)
-        if self.basis:
-            k = self.basis[0]
-            same = self.decide(self.element({k: 1}), self.element({k: 1}))
-            if not isinstance(same, Equal) or not same.verify():
-                raise AssertionError("a class should equal itself with a path")
-            self.certificates.append(same)
-
-
-def sphere_pi_n(target: CdgCoalgebra, n: int,
-                degree_max: int | None = None) -> SphereHomotopyGroup:
-    """Rational homotopy group pi_n of the target as the degree-n loop
-    homology, with representative addition as the group law.
-
-    The window must cover degree n with room to spare; the default
-    n + 2 keeps the requested degree inside the trusted zone.
-    """
-    if n < 2:
-        raise ValueError("homotopy groups are computed for degrees >= 2")
-    window = degree_max if degree_max is not None else n + 2
-    if window - 1 < n:
-        raise ValueError(f"window {window} cannot certify degree {n}")
-    model = loop_homology(target, window)
-    return SphereHomotopyGroup(n, model)

@@ -6,15 +6,18 @@ cup product.  Targets are shifted presentations of rational homotopy:
 pi_n contributes a basis element in degree n, and the binary bracket is
 the Whitehead product.  The normalization l2(x, x) = y for the even
 sphere is fixed here once; Hopf numbers depend on it.
+
+Every model here is in the CLI registry below.  The ones only the tests
+use (CP^3, the free Lie model of S^2 and the Hopf map's Maurer-Cartan
+element) are built in tests/test_models.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import FreeLie
 from .graded import GradedMap, GradedSpace
-from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel, abelian_linfty
+from .models import CdgCoalgebra, LInfinityAlgebra, abelian_linfty
 
 F = Fraction
 
@@ -35,16 +38,6 @@ def cp2_coalgebra() -> CdgCoalgebra:
     sp = GradedSpace({2: ["a"], 4: ["b"]}, name="CP2")
     delta = {"b": {("a", "a"): F(1)}}
     return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name="CP2")
-
-
-def cp3_coalgebra() -> CdgCoalgebra:
-    """Reduced homology of CP^3: divided-power coproduct, so the top class
-    splits as c (x) a + a (x) c.  The only bundled source whose iterated
-    coproduct reaches depth three."""
-    sp = GradedSpace({2: ["a"], 4: ["b"], 6: ["c"]}, name="CP3")
-    delta = {"b": {("a", "a"): F(1)},
-             "c": {("a", "b"): F(1), ("b", "a"): F(1)}}
-    return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name="CP3")
 
 
 def s2xs2_coalgebra() -> CdgCoalgebra:
@@ -78,23 +71,6 @@ def abelian_pair_with_d() -> LInfinityAlgebra:
     sp = GradedSpace({2: ["u"], 3: ["v"]}, name="ab23")
     d = GradedMap(sp, sp, -1, {"v": {"u": F(1)}})
     return abelian_linfty(sp, d, name="ab23")
-
-
-def quillen_s2(deg_max: int = 4) -> QuillenModel:
-    """Free Lie model of the 2-sphere: one generator in classical degree 1,
-    zero differential."""
-    letters = GradedSpace({1: ["a"]}, name="S2gen")
-    fl = FreeLie(letters, deg_max=deg_max)
-    return QuillenModel(fl, GradedMap.zero(fl.space, fl.space, -1),
-                        name="quillen(S2)")
-
-
-def hopf_tau(k: int | Fraction = 1) -> GradedMap:
-    """The degree-0 map from the 3-sphere coalgebra to pi(S2) sending the
-    fundamental class to k times the Whitehead square."""
-    C = sphere_coalgebra(3)
-    L = pi_s2()
-    return GradedMap(C.space, L.space, 0, {"a": {"y": F(k)}}, name=f"tau{k}")
 
 
 BUILTIN_COALGEBRAS = {

@@ -18,8 +18,10 @@ element sum_i c_i e_i in Hom(C, Q[c] (x) L), the extension of scalars
 of models.extension_of_scalars.  Its A is TruncatedPolynomials: any
 graded-commutative dg algebra with degree, product, d and membership
 serves, and the same extension carries the gauge paths (A the interval
-forms) and transfer.push_path.  Q[c] is cut at the arity window, where
-every product of the search lands, and its monomials are never listed.
+forms) and their transport along an infinity-morphism (transfer.push_path,
+library API that no command reaches yet; its tests are in
+tests/test_transfer.py).  Q[c] is cut at the arity window, where every
+product of the search lands, and its monomials are never listed.
 
 The system is first settled exactly: an equation that is c x^k in a
 single coefficient forces x = 0, which is substituted until no equation
@@ -59,7 +61,9 @@ GRID_CAP = 64
 
 class Strictification:
     """Record of a source replacement by the bar construction of its
-    free Lie model."""
+    free Lie model.  No report prints it yet: its window and
+    exact_through are the truncation provenance a components report is
+    to carry."""
 
     def __init__(self, model: QuillenModel, coalgebra: CdgCoalgebra,
                  degree_max: int):
@@ -248,7 +252,6 @@ class ComponentReport:
         self.exhaustive = False
         self.method = ""
         self.notes: list[str] = []
-        self.window = getattr(conv, "strictification", None)
 
     def __len__(self):
         return len(self.classes)
@@ -264,26 +267,16 @@ class ComponentReport:
                 f"{self.method}{fam}]")
 
 
-def _point_from(assignment, pairs, conv) -> GradedMap | None:
-    cols: dict = {}
-    for (ck, lk), val in zip(pairs, assignment):
-        if val:
-            cols.setdefault(ck, {})[lk] = val
-    return GradedMap(conv.C.space, conv.L.space, 0, cols)
-
-
-def components(source, L: LInfinityAlgebra, restrict_to=None,
-               samples=(0, 1, 2), degree_max: int | None = None,
-               poly_bound: int | None = None) -> ComponentReport:
-    """Search for the components of the mapping space model.
+def components(conv: ConvolutionAlgebra, restrict_to=None,
+               samples=(0, 1, 2)) -> ComponentReport:
+    """Search for the components of the mapping space model conv (see
+    mapping_space_model).
 
     Degree-0 elements are parameterized on restrict_to (a list of
     carrier basis pairs) or on the whole degree-0 basis, the residual
     system is solved exactly, parametric families are sampled on the
     given grid, and distinct gauge classes are certified pairwise.
     """
-    conv = source if isinstance(source, ConvolutionAlgebra) else \
-        mapping_space_model(source, L, degree_max)
     all_pairs = list(conv.carrier.basis(0)) \
         if 0 in conv.carrier.degrees() else []
     if restrict_to is not None:
@@ -308,8 +301,7 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
         if not covers:
             report.notes.append("search restricted to an empty direction "
                                 "set; only the zero map was considered")
-        report.classes.append(moduli_normal_form(conv, conv.zero_map(0),
-                                                 poly_bound=poly_bound))
+        report.classes.append(moduli_normal_form(conv, conv.zero_map(0)))
         report.representatives.append(conv.zero_map(0))
         return report
 
@@ -359,13 +351,14 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
                 candidates.append(key)
 
     for point in candidates:
-        tau = _point_from(point, pairs, conv)
+        tau = conv.to_map({p: v for p, v in zip(pairs, point) if v},
+                          degree=0)
         res = conv.mc_check(tau)
         if not res.is_zero():
             raise AssertionError("solver produced a non-MC point")
         merged = False
         for i, rep in enumerate(report.representatives):
-            cert = gauge_equivalent(conv, tau, rep, poly_bound=poly_bound)
+            cert = gauge_equivalent(conv, tau, rep)
             report.pairwise.append((len(report.representatives), i, cert))
             if isinstance(cert, Equal):
                 merged = True
@@ -376,21 +369,18 @@ def components(source, L: LInfinityAlgebra, restrict_to=None,
                     "listed as separate classes")
         if not merged:
             report.representatives.append(tau)
-            report.classes.append(moduli_normal_form(conv, tau,
-                                                     poly_bound=poly_bound))
+            report.classes.append(moduli_normal_form(conv, tau))
     return report
 
 
-def pi_of_component(source, L: LInfinityAlgebra, tau: GradedMap, n: int,
-                    degree_max: int | None = None) -> dict:
-    """Homotopy group of the component of tau: the degree-n homology of
-    the carrier twisted by tau, as {class: representative cycle in the
-    carrier}, in the order of the contraction's homology basis.  tau must
-    satisfy the Maurer-Cartan equation; the twist constructor enforces
-    that."""
+def pi_of_component(conv: ConvolutionAlgebra, tau: GradedMap,
+                    n: int) -> dict:
+    """Homotopy group of the component of tau in conv: the degree-n
+    homology of the carrier twisted by tau, as {class: representative
+    cycle in the carrier}, in the order of the contraction's homology
+    basis.  tau must satisfy the Maurer-Cartan equation; the twist
+    constructor enforces that."""
     if n < 1:
         raise ValueError("component homotopy starts at n = 1")
-    conv = source if isinstance(source, ConvolutionAlgebra) else \
-        mapping_space_model(source, L, degree_max)
     con = contraction_from_complex(conv.twist(tau))
     return {k: con.i.column(k) for k in con.small.space.basis(n)}

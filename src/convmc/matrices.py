@@ -5,8 +5,8 @@ Echelon holds an echelon basis of sparse vectors, dicts {key: Fraction},
 offered one at a time: it accepts the ones independent of those before
 them and gives coordinates in the accepted ones.  FreeLie keeps one per
 degree.  column_split runs one over a list of columns; chain complexes
-(contractions, Betti numbers, the counit check) and the gauge decision
-(through coset_reduce and span_coords) run on it.
+(contractions and Betti numbers) and the gauge decision (through
+coset_reduce and span_coords) run on it.
 
 A normal form is defined by the leading columns of a span, the columns
 independent of the columns before them, which column_split finds

@@ -372,14 +372,14 @@ def _betti_from_json(rows, where: str) -> dict:
     return out
 
 
-def certificate_to_record(cert, arity_max: int | None = None) -> dict:
+def certificate_to_record(cert) -> dict:
     rec = _header("certificate", "")
     rec["outcome"] = cert.outcome
     if isinstance(cert, Unknown):
         rec["reason"] = cert.reason
         return rec
     rec["C"] = cdgc_to_record(cert.conv.C)
-    rec["L"] = linfty_to_record(cert.conv.L, arity_max)
+    rec["L"] = linfty_to_record(cert.conv.L)
     rec["x"] = gmap_to_json(cert.x)
     rec["y"] = gmap_to_json(cert.y)
     if isinstance(cert, Equal):
@@ -455,11 +455,13 @@ def dumps_record(rec: dict) -> str:
 
 
 def load_record(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             rec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFileError(path, f"not valid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(path, f"not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ModelFileError(path, exc.strerror or str(exc)) from None
     if not isinstance(rec, dict):
         raise ModelFileError(path, "top level must be an object")
     version = rec.get("format_version")

@@ -40,7 +40,7 @@ from . import words as wd
 from .freelie import FreeLie
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, TensorSpace,
                      Vec, add_term, tensor_terms, vec_add, vec_scale)
-from .matrices import ONE, ZERO
+from .matrices import ONE
 
 
 @dataclass(frozen=True)
@@ -246,9 +246,6 @@ class LInfinityAlgebra:
     def max_arity(self) -> int:
         return max(self.arities, default=0)
 
-    def is_strict(self) -> bool:
-        return all(n <= 2 for n in self.arities)
-
     def l1(self) -> GradedMap:
         cols = {k: self._lookup(1, (k,)) for k in self.space.all_keys()}
         return GradedMap(self.space, self.space, -1, cols, name="l1")
@@ -411,13 +408,6 @@ class IntervalForms:
         if kind == "p" and k > 0:
             return {("q", k - 1): Fraction(k)}
         return {}
-
-    def evaluate(self, key, t_value: Fraction) -> Fraction:
-        """Evaluate a form at an endpoint (dt goes to zero)."""
-        kind, k = key
-        if kind == "q":
-            return ZERO
-        return Fraction(t_value) ** k if k else ONE
 
 
 class TruncatedPolynomials:

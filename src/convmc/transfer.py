@@ -47,8 +47,17 @@ with the size of a bar construction.
 The sign of the series is forced by the coherence identity at arity 2:
 the inclusion needs l_1(i'_2(x, y)) = -l_2(i x, i y) + i l'_2(x, y),
 which is d h applied to l_2(i x, i y) read through the homotopy identity
-with a minus sign on h.  InfinityMorphism.coherence_residual checks the
-identity at every arity, so the convention is tested rather than trusted.
+with a minus sign on h.  The tests check the identity at every arity
+with a reference evaluation of both sides of the infinity-morphism
+identity (coherence_residual in tests/test_transfer.py, with
+strict_infinity, the plain maps viewed as infinity-morphisms), so the
+convention is tested rather than trusted.
+
+push_path, the transport of gauge paths, is reached from no command yet;
+it is kept for the component search over a transferred model, which will
+move gauge certificates with it.
+
+Library API: push_path
 """
 
 from __future__ import annotations
@@ -77,9 +86,9 @@ class InfinityMorphism:
     degree-0 components on source words, one per arity.
 
     Components are produced lazily by a compute hook and cached on sorted
-    words.  Nothing is assumed about them: coherence_residual evaluates
-    the morphism identity word by word, so broken candidates can be built
-    and inspected, and the tests pin the identity down empirically.
+    words.  Nothing is assumed about them, so broken candidates can be
+    built and inspected; the tests evaluate the morphism identity word by
+    word and pin it down empirically.
     """
 
     def __init__(self, source: LInfinityAlgebra, target: LInfinityAlgebra,
@@ -91,22 +100,8 @@ class InfinityMorphism:
         self._compute = compute
         self._tables: dict[int, dict[tuple, Vec]] = {}
 
-    @classmethod
-    def from_tables(cls, source, target, tables, name: str = ""):
-        fixed = {n: {w: {k: F(c) for k, c in v.items() if c}
-                     for w, v in tbl.items()}
-                 for n, tbl in tables.items()}
-
-        def compute(n, word):
-            return fixed.get(n, {}).get(word, {})
-
-        return cls(source, target, sorted(fixed), compute, name=name)
-
     def max_arity(self) -> int:
         return max(self.arities, default=0)
-
-    def is_strict(self) -> bool:
-        return all(n <= 1 for n in self.arities)
 
     def component(self, n: int, args) -> Vec:
         """Value of the arity-n component on a tuple of source basis keys."""
@@ -145,30 +140,6 @@ class InfinityMorphism:
         for keys, c in tensor_terms(vecs):
             for k, ck in self.component(n, keys).items():
                 add_term(out, k, c * ck)
-        return out
-
-    def coherence_residual(self, word) -> Vec:
-        """Difference of the two sides of the morphism identity on a sorted
-        source word; the components form a morphism on a window iff this
-        vanishes for every word in it.
-
-        One side sends the word through all unordered partitions into
-        component blocks and applies a target bracket to the block values;
-        the other distributes every source bracket over the word and feeds
-        the contraction back through a single component.  At arity 1 this
-        reduces to the chain-map condition.
-        """
-        word = tuple(word)
-        degs = [self.source.space.degree_of[k] for k in word]
-        out: Vec = {}
-        for vecs, sign in wd.morphism_terms(self.component, degs, word):
-            for k, c in self.target.bracket_multi(len(vecs), vecs).items():
-                add_term(out, k, sign * c)
-        for seq, c in wd.coderivation_terms(self.source.bracket,
-                                            range(1, len(word) + 1), degs,
-                                            word):
-            for k, ck in self.component(len(seq), seq).items():
-                add_term(out, k, -c * ck)
         return out
 
 
@@ -377,29 +348,8 @@ def transfer_linfty(ambient, contraction: Contraction | None = None,
     return TransferredLInfinity(alg, contraction, arity_max=arity_max)
 
 
-def strict_infinity(source: LInfinityAlgebra, target: LInfinityAlgebra,
-                    g: GradedMap, name: str = "") -> InfinityMorphism:
-    """A plain map viewed as an infinity-morphism concentrated in arity 1.
-
-    Nothing is checked here: the chain-map and bracket-compatibility
-    conditions are exactly what coherence_residual evaluates, so strict
-    candidates can be vetted the same way as transferred ones.
-    """
-    if g.degree != 0:
-        raise ValueError("a strict morphism component must have degree 0")
-
-    def compute(n, word):
-        if n == 1:
-            return g.entries.get(word[0], {})
-        return {}
-
-    return InfinityMorphism(source, target, [1], compute,
-                            name=name or g.name or "strict")
-
-
 def postcompose_strict(g: GradedMap, f: InfinityMorphism,
-                       target: LInfinityAlgebra,
-                       name: str = "") -> InfinityMorphism:
+                       target: LInfinityAlgebra) -> InfinityMorphism:
     """Compose a strict degree-0 algebra map after an infinity-morphism:
     the components are g applied to the components of f.  No coherence
     is assumed; when g is a strict morphism onto the given target the
@@ -411,7 +361,7 @@ def postcompose_strict(g: GradedMap, f: InfinityMorphism,
         return g.apply(f.component(n, word))
 
     return InfinityMorphism(f.source, target, list(f.arities), compute,
-                            name=name or f"{g.name or 'g'}.{f.name or 'f'}")
+                            name=f"{g.name or 'g'}.{f.name or 'f'}")
 
 
 def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,

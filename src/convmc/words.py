@@ -18,20 +18,23 @@ Conventions pinned here and relied on everywhere downstream:
     corestriction acts on the chosen front block, each unordered position
     subset counted once, and its letter goes in front of the rest.  The
     bar differential (coderivation), the Jacobi sum of an L-infinity
-    algebra, the transfer's bracket coderivation and the source side of
-    the infinity-morphism identity all read it.
-  * morphism_terms is the single coalgebra-morphism sum: one corestriction
-    per block of each unordered set partition, with the Koszul sign of
-    rearranging the word into the blocks.  coalgebra_morphism and the
-    target side of the infinity-morphism identity read it.
+    algebra and the transfer's bracket coderivation all read it, and so
+    does the source side of the infinity-morphism identity in the tests.
+  * blocks_sign is the Koszul sign of rearranging a word into blocks.
+    The coalgebra-morphism sum over unordered set partitions reads it too.
+    No computation evaluates a coalgebra morphism of words, so that sum
+    lives in tests/test_words.py as a reference, next to its tests; the
+    target side of the infinity-morphism identity in tests/test_transfer.py
+    reads it.
   * add_word is the single sort-and-accumulate: a letter tuple goes into a
     vector of words with its Koszul sort sign, and vanishes on a repeated
     odd letter.
   * symmetrize is the averaged inclusion into tensors, (1/n!) sum of signed
-    permutations, and wordify is its left inverse (sort with sign).  No
-    computation path calls symmetrize: the transfer lifts its homotopy to
-    words by a weighted sum over unshuffles instead of n! orderings.  It
-    stays as the reference the tests check that sum against.
+    permutations; its left inverse, wordify (add_word over a tensor
+    vector), is in tests/test_words.py.  No computation path calls
+    symmetrize: the transfer lifts its homotopy to words by a weighted sum
+    over unshuffles instead of n! orderings.  It stays as the reference
+    the tests check that sum against.
   * canonical_words is the single enumeration of basis words: every sorted
     n-letter word with no repeated odd letter, in the order of
     combinations_with_replacement over the letters in canonical order.
@@ -47,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graded import GradedMap, GradedSpace, Key, Vec, add_term, tensor_terms
+from .graded import GradedMap, GradedSpace, Key, Vec, add_term
 
 
 def sort_letters(letters: GradedSpace, seq: Sequence[Key]):
@@ -130,15 +133,6 @@ def word_space(letters: GradedSpace, deg_max: int, max_length: int | None = None
     for d in by_deg:
         by_deg[d].sort(key=lambda w: (len(w), [letters.sort_key(x) for x in w]))
     return GradedSpace(by_deg, name=name or f"words({letters.name})")
-
-
-def wordify(letters: GradedSpace, tensor_vec: Vec) -> Vec:
-    """Collapse tensor tuples to sorted words (the map called rho in the
-    transfer machinery).  Left inverse of symmetrize."""
-    out: Vec = {}
-    for tup, c in tensor_vec.items():
-        add_word(letters, out, tup, c)
-    return out
 
 
 def add_word(letters: GradedSpace, acc: Vec, seq: Sequence[Key],
@@ -244,28 +238,6 @@ def coderivation(components: dict[int, Callable[[tuple], Vec]],
     return out
 
 
-def set_partitions(n: int) -> Iterator[list[tuple[int, ...]]]:
-    """Unordered set partitions of range(n), blocks listed by least element,
-    in a fixed deterministic order."""
-    if n == 0:
-        yield []
-        return
-
-    def rec(i: int, blocks: list[list[int]]):
-        if i == n:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
-
-
 def blocks_sign(degs: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> int:
     """Koszul sign of rearranging the word into the concatenation of the
     blocks (each block keeps its internal order); with one block, the
@@ -277,50 +249,3 @@ def blocks_sign(degs: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> int:
             if order[i] > order[j] and (degs[order[i]] * degs[order[j]]) % 2:
                 sign = -sign
     return sign
-
-
-def morphism_terms(op: Callable[[int, tuple], Vec], degs: Sequence[int],
-                   word: tuple) -> Iterator[tuple[list[Vec], int]]:
-    """Terms of the coalgebra morphism with corestrictions op on a sorted
-    word: for each unordered set partition of the positions, in
-    set_partitions order, the values of op on its blocks and the Koszul
-    sign of rearranging the word into those blocks.  A partition with a
-    block on which op vanishes is skipped, and op is not called on the
-    blocks after it.  degs[i] is the degree of word[i].
-    """
-    for blocks in set_partitions(len(word)):
-        vecs = []
-        for b in blocks:
-            v = op(len(b), tuple(word[i] for i in b))
-            if not v:
-                break
-            vecs.append(v)
-        else:
-            yield vecs, blocks_sign(degs, blocks)
-
-
-def coalgebra_morphism(components: dict[int, Callable[[tuple], Vec]],
-                       src_words: GradedSpace, src_letters: GradedSpace,
-                       dst_words: GradedSpace, dst_letters: GradedSpace,
-                       name: str = "") -> GradedMap:
-    """Coalgebra morphism of cofree cocommutative coalgebras from its
-    corestrictions (all of degree 0).
-
-    components[n] maps a sorted n-letter source word to a target letter
-    vector.  On a word the morphism multiplies the block values of each
-    of its morphism_terms into a target word.  A block size with no
-    component contributes nothing.
-    """
-    def op(n, block):
-        return components[n](block) if n in components else {}
-
-    out = GradedMap(src_words, dst_words, 0, name=name)
-    for word in src_words.all_keys():
-        degs = [src_letters.degree_of[let] for let in word]
-        col: Vec = {}
-        for vecs, sign in morphism_terms(op, degs, word):
-            for tup, c in tensor_terms(vecs, Fraction(sign)):
-                add_word(dst_letters, col, tup, c)
-        if col:
-            out.set_column(word, col)
-    return out

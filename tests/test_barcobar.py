@@ -8,19 +8,210 @@ twisting residual from the plain Maurer-Cartan residual.
 """
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convmc.barcobar import (Adjunction, bar, cobar, cobar_map,
-                             counit_quasi_iso_check, twisting_residual,
-                             universal_factorization)
-from convmc.convolution import ConvolutionAlgebra, check_coalgebra_morphism
-from convmc.graded import GradedMap, GradedSpace, homology
+from convmc.barcobar import (BarCoalgebra, CobarAlgebra, bar, cobar,
+                             cobar_map, twisting_residual)
+from convmc.convolution import (ConvolutionAlgebra, check_coalgebra_morphism,
+                                convolve)
+from convmc.freelie import expr_degree, is_bracket
+from convmc.graded import (GradedMap, GradedSpace, Vec,
+                           contraction_from_complex, tensor_terms, vec_eq,
+                           vec_scale)
 from convmc.library import (abelian_pair_with_d, abelian_two, cp2_coalgebra,
-                            cp3_coalgebra, hopf_tau, pi_s2, pi_s3,
-                            sphere_coalgebra, wedge_s2_s3_coalgebra)
+                            pi_s2, pi_s3, sphere_coalgebra,
+                            wedge_s2_s3_coalgebra)
+from convmc.matrices import ONE, column_split
 from convmc.models import CdgCoalgebra, ChainComplex, LInfinityAlgebra
+from convmc.words import canonical_words
+from test_models import cp3_coalgebra, hopf_tau
+from test_words import wordify
+
+
+# -- the adjunction: the reference for its identities ----------------------
+#
+# No command builds the two legs of the adjunction; the package reads only
+# the twisting residual.  The legs, the universal factorization and the
+# counit check are built here, re-checking every identity they rest on.
+
+def is_strict(L: LInfinityAlgebra) -> bool:
+    """No operation above arity 2."""
+    return all(n <= 2 for n in L.arities)
+
+
+def check_strict_morphism(L: LInfinityAlgebra, Lp: LInfinityAlgebra,
+                          g: GradedMap):
+    """g commutes with l_1 and with every stored bracket on basis words."""
+    if g.degree != 0:
+        raise ValueError("strict morphisms have degree 0")
+    if (g.src.degree_of != L.space.degree_of
+            or g.dst.degree_of != Lp.space.degree_of):
+        raise ValueError("morphism endpoints do not match the algebras")
+    lhs = g.compose(L.l1())
+    rhs = Lp.l1().compose(g)
+    for k in L.space.all_keys():
+        if not vec_eq(lhs.column(k), rhs.column(k)):
+            raise ValueError("map does not commute with l_1")
+    for n in sorted(set(L.arities) | set(Lp.arities)):
+        if n < 2:
+            continue
+        for word in canonical_words(L.space, n):
+            left = g.apply(L.bracket(n, word))
+            right = Lp.bracket_multi(n, [g.apply({k: ONE}) for k in word])
+            if not vec_eq(left, right):
+                raise ValueError(
+                    f"map does not commute with l_{n} on {word!r}")
+
+
+class Adjunction:
+    """Three-way dictionary between coalgebra maps C -> bar(L), twisting
+    morphisms in the convolution algebra Hom(C, L), and algebra maps
+    cobar(C) -> L.
+
+    Every direction validates its input and its output: a map with a
+    nonzero twisting residual is rejected with that residual, a
+    non-morphism with the identity it breaks.  The algebra-map leg needs
+    a strict L (l_n = 0 for n >= 3).
+    """
+
+    def __init__(self, C: CdgCoalgebra, L: LInfinityAlgebra,
+                 degree_max: int):
+        self.C = C
+        self.L = L
+        self.degree_max = degree_max
+        self.convolution = ConvolutionAlgebra(C, L)
+        self._bar: BarCoalgebra | None = None
+        self._cobar: CobarAlgebra | None = None
+
+    def bar_side(self) -> BarCoalgebra:
+        if self._bar is None:
+            self._bar = bar(self.L, self.degree_max)
+        return self._bar
+
+    def cobar_side(self) -> CobarAlgebra:
+        if self._cobar is None:
+            self._cobar = cobar(self.C, self.degree_max)
+        return self._cobar
+
+    def _require_mc(self, tau: GradedMap):
+        res = twisting_residual(self.convolution, tau)
+        if not res.is_zero():
+            raise ValueError(
+                f"not a twisting morphism; residual {res.entries!r}")
+
+    def mc_to_coalgebra_map(self, tau: GradedMap) -> GradedMap:
+        """The unique dg coalgebra map C -> bar(L) whose letter part is
+        tau: sum over n of 1/n! tau-tensor-powers of the iterated
+        coproduct, collected into sorted words."""
+        self._require_mc(tau)
+        B = self.bar_side()
+
+        def product(n, vecs) -> Vec:
+            out = wordify(self.L.space, dict(tensor_terms(vecs)))
+            for word in out:
+                if word not in B.space.degree_of:
+                    raise ValueError(
+                        f"bar truncation {self.degree_max} too small "
+                        f"to hold the image word {word!r}")
+            return out
+
+        depth = self.convolution.coproduct_window()
+        f = convolve(self.C, [tau], product, B.space, 0,
+                     {n: F(1, factorial(n)) for n in range(1, depth + 1)})
+        check_coalgebra_morphism(self.C, B, f)
+        return f
+
+    def coalgebra_map_to_mc(self, f: GradedMap) -> GradedMap:
+        check_coalgebra_morphism(self.C, self.bar_side(), f)
+        tau = self.bar_side().projection().compose(f)
+        self._require_mc(tau)
+        return tau
+
+    def mc_to_algebra_map(self, tau: GradedMap) -> GradedMap:
+        """The induced strict morphism cobar(C) -> L, evaluating each
+        basis bracket expression with the shifted binary bracket."""
+        if not is_strict(self.L):
+            raise ValueError(
+                "the algebra-map leg needs a strict target (no l_n, n >= 3)")
+        self._require_mc(tau)
+        M = self.cobar_side()
+        letters = M.fl.letters
+        memo: dict = {}
+
+        def value(e) -> Vec:
+            if e in memo:
+                return memo[e]
+            if not is_bracket(e):
+                out = tau.apply({e: ONE})
+            else:
+                a, b = e[1], e[2]
+                va, vb = value(a), value(b)
+                out = self.L.bracket_multi(2, [va, vb]) if va and vb else {}
+                if (expr_degree(letters, a) + 1) % 2:
+                    out = vec_scale(-ONE, out)
+            memo[e] = out
+            return out
+
+        cols = {e: v for e in M.shifted().space.all_keys()
+                if (v := value(e))}
+        g = GradedMap(M.shifted().space, self.L.space, 0, cols)
+        check_strict_morphism(M.shifted(), self.L, g)
+        return g
+
+    def algebra_map_to_mc(self, g: GradedMap) -> GradedMap:
+        M = self.cobar_side()
+        check_strict_morphism(M.shifted(), self.L, g)
+        tau = g.compose(M.inclusion())
+        self._require_mc(tau)
+        return tau
+
+
+def universal_factorization(C: CdgCoalgebra, L: LInfinityAlgebra,
+                            phi: GradedMap, degree_max: int
+                            ) -> tuple[GradedMap, GradedMap]:
+    """Factor an MC element phi through the two universal twisting
+    morphisms: returns (f, g) with projection o f = phi on the bar side
+    and g o inclusion = phi on the cobar side, both checked exactly."""
+    adj = Adjunction(C, L, degree_max)
+    f = adj.mc_to_coalgebra_map(phi)
+    g = adj.mc_to_algebra_map(phi)
+    through_bar = adj.bar_side().projection().compose(f)
+    if not through_bar.equals(phi):
+        raise AssertionError("projection o f differs from phi")
+    through_cobar = g.compose(adj.cobar_side().inclusion())
+    if not through_cobar.equals(phi):
+        raise AssertionError("g o inclusion differs from phi")
+    return f, g
+
+
+def counit_quasi_iso_check(L: LInfinityAlgebra, degree_max: int) -> bool:
+    """Build cobar(bar(L)) and test that the counit induces a homology
+    isomorphism in degrees <= degree_max - 2; the top two degrees are
+    truncation boundary and excluded."""
+    if L.space.total_dim() == 0:
+        return True
+    B = bar(L, degree_max)
+    adj = Adjunction(B, L, degree_max)
+    counit = adj.mc_to_algebra_map(B.projection())
+    M = adj.cobar_side()
+    kM = contraction_from_complex(M.shifted().as_chain_complex())
+    kL = contraction_from_complex(L.as_chain_complex())
+    HM, HL = kM.small.space, kL.small.space
+    induced = kL.p.compose(counit).compose(kM.i)
+    seen = {n for n in HM.degrees() if HM.dim(n)}
+    seen |= {n for n in HL.degrees() if HL.dim(n)}
+    for n in sorted(seen):
+        if n > degree_max - 2:
+            continue
+        if HM.dim(n) != HL.dim(n):
+            return False
+        cols = [induced.entries.get(k, {}) for k in HM.basis(n)]
+        if len(column_split(cols, HM.basis(n))[0]) != HM.dim(n):
+            return False
+    return True
 
 
 def pq_coalgebra() -> CdgCoalgebra:
@@ -96,7 +287,7 @@ def test_bar_coproduct_counts_position_splits():
 
 def test_bar_homology_is_sphere_homology():
     B = bar(pi_s2(), 8)
-    H, _, _ = homology(ChainComplex(B.space, B.d, "B"))
+    H = contraction_from_complex(ChainComplex(B.space, B.d, "B")).small.space
     dims = {n: len(H.basis(n)) for n in H.degrees() if len(H.basis(n))}
     assert dims == {2: 1}
     assert B.exact_through == 7

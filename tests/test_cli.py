@@ -660,6 +660,32 @@ def test_bracket_keys_outside_the_basis_are_refused(files, capsys, argv,
                    "error": f"brackets[0]: {key} is not a basis key"}
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "FILE"],
+    ["gauge-check", "FILE"],
+    ["mc-check", "s3", "pi_s2", "FILE"],
+    ["hopf", "s3", "s2", "FILE"],
+    ["homotopic", "s3", "s2", "@eta1", "FILE"]],
+    ids=["validate", "gauge-check", "mc-check-tau", "hopf-map",
+         "homotopic-g"])
+def test_a_file_that_cannot_be_read_is_named(files, capsys, argv, kind):
+    path = files / "nofile"
+    if kind == "directory":
+        path.mkdir()
+    err = refusal(capsys, [str(path) if a == "FILE" else a for a in argv],
+                  files)
+    assert err["where"] == str(path)
+    assert err["error"].startswith(f"{path}: ")
+
+
+def test_an_out_path_that_cannot_be_written_is_named(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    err = refusal(capsys, ["cobar", "cp2", "--out", str(target)])
+    assert err["where"] == "--out"
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("field", ["basis", "d", "delta"])
 def test_coalgebra_fields_that_are_not_lists_are_refused(tmp_path, capsys,
                                                          field):

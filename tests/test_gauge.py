@@ -21,9 +21,10 @@ from convmc.gauge import (Distinct, Equal, GaugePath, Unknown,
 from convmc.graded import GradedSpace
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             abelian_pair_with_d, abelian_two,
-                            cp2_coalgebra, cp3_coalgebra, pi_s2, pi_s3,
-                            sphere_coalgebra, wedge_s2_s3_coalgebra)
+                            cp2_coalgebra, pi_s2, pi_s3, sphere_coalgebra,
+                            wedge_s2_s3_coalgebra)
 from convmc.models import LInfinityAlgebra
+from test_models import cp3_coalgebra
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -124,8 +125,9 @@ class TestGaugePath:
         conv = ConvolutionAlgebra(cp2_coalgebra(), abelian_pair_with_d())
         lam = conv.elementary("a", "v")
         path = gauge_flow(conv, conv.zero_map(0), lam, poly_bound=3)
-        assert path.direction(0).equals(lam)
-        assert path.direction(F(1, 2)).equals(lam)
+        # a constant direction: the dt part is lam dt, with no t^k dt
+        assert list(path.q_parts) == [0]
+        assert path.q_parts[0].equals(lam)
 
 
 # -- flows ---------------------------------------------------------------
@@ -252,7 +254,7 @@ class TestGaugeEquivalent:
         assert cert.outcome == "equal"
         assert cert.verify()
         assert len(cert.paths) == 1
-        assert cert.paths[0].direction(0).entries == {"a": {"v": F(-5)}}
+        assert cert.paths[0].q_parts[0].entries == {"a": {"v": F(-5)}}
 
     def test_distinct_classes_in_a_bracketless_target(self):
         conv = ConvolutionAlgebra(sphere_coalgebra(2), abelian_two())

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from convmc import hopf
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import Distinct, Equal, gauge_flow
+from convmc.gauge import Distinct, Equal, gauge_equivalent, gauge_flow
 from convmc.graded import GradedMap
 from convmc.library import cp2_coalgebra, sphere_coalgebra
 
@@ -110,12 +110,12 @@ def test_identity_and_zero_through_full_pipeline():
     ident = GradedMap(cp2.space, cp2.space, 0,
                       {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
     rid = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2, ident, degree_max=6)
+        cp2, cp2_model(), ident)
     assert dict(hopf.mc_of_map(rid).entries) == {"a": {"H2_0": F(1)}}
 
     zero = GradedMap(cp2.space, cp2.space, 0, {}, name="0")
     rz = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2, zero, degree_max=6)
+        cp2, cp2_model(), zero)
     assert hopf.mc_of_map(rz).is_zero()
 
     same = hopf.maps_homotopic(rid, rid)
@@ -129,9 +129,9 @@ def test_conjugation_is_a_distinct_self_map():
     conj = GradedMap(cp2.space, cp2.space, 0,
                      {"a": {"a": F(-1)}, "b": {"b": F(1)}}, name="conj")
     rid = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2, ident, degree_max=6)
+        cp2, cp2_model(), ident)
     rconj = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2, conj, degree_max=6)
+        cp2, cp2_model(), conj)
     assert dict(hopf.mc_of_map(rconj).entries) == {"a": {"H2_0": F(-1)}}
     cert = hopf.maps_homotopic(rid, rconj)
     assert isinstance(cert, Distinct) and cert.verify()
@@ -142,7 +142,7 @@ def test_both_input_forms_give_the_same_class():
     ident = GradedMap(cp2.space, cp2.space, 0,
                       {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
     ra = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2, ident, degree_max=6)
+        cp2, cp2_model(), ident)
     rb = hopf.MapRepresentation.from_mc(cp2, cp2_model(),
                                         hopf.mc_of_map(ra), name="id-as-mc")
     cert = hopf.maps_homotopic(ra, rb)
@@ -228,24 +228,109 @@ def test_coalgebra_morphism_validation():
     drop_top = GradedMap(cp2.space, cp2.space, 0, {"a": {"a": F(1)}})
     with pytest.raises(ValueError):
         hopf.MapRepresentation.from_coalgebra_morphism(
-            cp2, cp2, drop_top, degree_max=6)
+            cp2, cp2_model(), drop_top)
+
+
+# -- pi_n of the target through its loop homology -------------------------
+#
+# A map S^n -> Y is a class of pi_n(Y), the degree-n loop homology of Y.
+# SphereHomotopyGroup is the reference for that reading: it checks that
+# gauge classes over the sphere source are exactly the homology classes,
+# with representative addition as the group law.
+
+class SphereHomotopyGroup:
+    """A homotopy group of the target through its loop homology model:
+    the carrier line(s), representative addition as the group law, and
+    gauge certificates equating gauge classes with homology classes."""
+
+    def __init__(self, degree: int, model: hopf.LoopHomology):
+        self.degree = degree
+        self.conv = ConvolutionAlgebra(sphere_coalgebra(degree),
+                                       model.algebra)
+        self.basis = model.algebra.space.basis(degree)
+        self.certificates = []
+        self._certify()
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def zero(self) -> GradedMap:
+        return self.conv.zero_map(0)
+
+    def element(self, coeffs) -> GradedMap:
+        """Representative map from a coefficient vector over the basis."""
+        if isinstance(coeffs, dict):
+            vec = {k: F(c) for k, c in coeffs.items() if c}
+        else:
+            vec = {k: F(c) for k, c in zip(self.basis, coeffs) if c}
+        for k in vec:
+            if k not in self.basis:
+                raise ValueError(f"{k!r} is not a degree-{self.degree} class")
+        return self.conv.to_map({("a", k): c for k, c in vec.items()},
+                                degree=0)
+
+    def add(self, x: GradedMap, y: GradedMap) -> GradedMap:
+        """Group law: addition of representatives (the pinch map sends a
+        sphere class to the sum of its two copies)."""
+        return x + y
+
+    def decide(self, x: GradedMap, y: GradedMap):
+        return gauge_equivalent(self.conv, x, y)
+
+    def _certify(self) -> None:
+        """Every basis class is distinct from zero and from every other
+        basis class with a verified witness, and a class equals itself
+        with a path."""
+        zero = self.zero()
+        for k in self.basis:
+            cert = self.decide(self.element({k: 1}), zero)
+            if not isinstance(cert, Distinct) or not cert.verify():
+                raise AssertionError(
+                    f"class {k!r} should be gauge-distinct from zero")
+            self.certificates.append(cert)
+        for idx, k in enumerate(self.basis):
+            for k2 in self.basis[idx + 1:]:
+                cert = self.decide(self.element({k: 1}), self.element({k2: 1}))
+                if not isinstance(cert, Distinct) or not cert.verify():
+                    raise AssertionError(
+                        f"classes {k!r} and {k2!r} should be gauge-distinct")
+                self.certificates.append(cert)
+        if self.basis:
+            k = self.basis[0]
+            same = self.decide(self.element({k: 1}), self.element({k: 1}))
+            if not isinstance(same, Equal) or not same.verify():
+                raise AssertionError("a class should equal itself with a path")
+            self.certificates.append(same)
+
+
+def sphere_pi_n(target, n: int, degree_max: int | None = None
+                ) -> SphereHomotopyGroup:
+    """Rational pi_n of the target as the degree-n loop homology.  The
+    default window n + 2 keeps degree n inside exact_through."""
+    if n < 2:
+        raise ValueError("homotopy groups are computed for degrees >= 2")
+    window = degree_max if degree_max is not None else n + 2
+    if window - 1 < n:
+        raise ValueError(f"window {window} cannot certify degree {n}")
+    return SphereHomotopyGroup(n, hopf.loop_homology(target, window))
 
 
 def test_sphere_homotopy_group_dimensions():
     s2, cp2 = sphere_coalgebra(2), cp2_coalgebra()
-    assert hopf.sphere_pi_n(s2, 3).dim == 1
-    assert hopf.sphere_pi_n(s2, 4).dim == 0
-    assert hopf.sphere_pi_n(cp2, 2).dim == 1
-    assert hopf.sphere_pi_n(cp2, 5).dim == 1
-    assert hopf.sphere_pi_n(cp2, 5).basis == ("H5_0",)
+    assert sphere_pi_n(s2, 3).dim == 1
+    assert sphere_pi_n(s2, 4).dim == 0
+    assert sphere_pi_n(cp2, 2).dim == 1
+    assert sphere_pi_n(cp2, 5).dim == 1
+    assert sphere_pi_n(cp2, 5).basis == ("H5_0",)
 
 
 def test_sphere_group_certificates():
-    g = hopf.sphere_pi_n(sphere_coalgebra(2), 3)
+    g = sphere_pi_n(sphere_coalgebra(2), 3)
     assert g.basis == ("H3_0",)
     assert len(g.certificates) == 2
     assert all(c.verify() for c in g.certificates)
-    trivial = hopf.sphere_pi_n(sphere_coalgebra(2), 4)
+    trivial = sphere_pi_n(sphere_coalgebra(2), 4)
     assert trivial.certificates == []
     cert = trivial.decide(trivial.zero(), trivial.zero())
     assert isinstance(cert, Equal) and cert.verify()
@@ -255,7 +340,7 @@ def test_sphere_group_certificates():
 @given(j=st.integers(min_value=-3, max_value=3),
        k=st.integers(min_value=-3, max_value=3))
 def test_sphere_group_law(j, k):
-    g = hopf.sphere_pi_n(sphere_coalgebra(2), 3)
+    g = sphere_pi_n(sphere_coalgebra(2), 3)
     x, y = g.element([j]), g.element([k])
     cert = g.decide(g.add(x, y), g.element([j + k]))
     assert isinstance(cert, Equal) and cert.verify()
@@ -266,9 +351,9 @@ def test_sphere_group_law(j, k):
 
 def test_sphere_group_input_checks():
     with pytest.raises(ValueError, match=">= 2"):
-        hopf.sphere_pi_n(sphere_coalgebra(2), 1)
+        sphere_pi_n(sphere_coalgebra(2), 1)
     with pytest.raises(ValueError, match="window"):
-        hopf.sphere_pi_n(sphere_coalgebra(2), 5, degree_max=4)
-    g = hopf.sphere_pi_n(sphere_coalgebra(2), 3)
+        sphere_pi_n(sphere_coalgebra(2), 5, degree_max=4)
+    g = sphere_pi_n(sphere_coalgebra(2), 3)
     with pytest.raises(ValueError, match="class"):
         g.element({"H2_0": 1})

@@ -31,15 +31,15 @@ from convmc import mapping
 from convmc.barcobar import cobar
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import Distinct, Equal, gauge_flow
-from convmc.graded import GradedMap, GradedSpace, add_term
+from convmc.graded import GradedSpace, add_term
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
-                            builtin_model, cp2_coalgebra, cp3_coalgebra,
-                            pi_s2, quillen_s2, sphere_coalgebra,
-                            wedge_s2_s3_coalgebra)
+                            builtin_model, cp2_coalgebra, pi_s2,
+                            sphere_coalgebra, wedge_s2_s3_coalgebra)
 from convmc.models import LInfinityAlgebra, TruncatedPolynomials
 from convmc.transfer import transfer_linfty
 from test_convolution import ORACLE_PAIRS, bar_source
 from test_gauge import acyclic_pair_target
+from test_models import cp3_coalgebra, quillen_s2
 
 
 def zero_target():
@@ -66,7 +66,8 @@ def test_zero_target_gives_empty_carrier():
 
 
 def test_line_of_components_over_the_three_sphere():
-    rep = mapping.components(sphere_coalgebra(3), pi_s2())
+    rep = mapping.components(
+        mapping.mapping_space_model(sphere_coalgebra(3), pi_s2()))
     assert rep.method == "affine"
     assert rep.exhaustive
     assert rep.free_parameters == ("c0",)
@@ -79,7 +80,8 @@ def test_line_of_components_over_the_three_sphere():
 
 
 def test_obstruction_forces_the_null_component():
-    rep = mapping.components(cp2_coalgebra(), pi_s2())
+    rep = mapping.components(
+        mapping.mapping_space_model(cp2_coalgebra(), pi_s2()))
     assert rep.method == "polynomial"
     assert rep.exhaustive
     assert len(rep) == 1
@@ -88,7 +90,8 @@ def test_obstruction_forces_the_null_component():
 
 
 def test_zero_target_single_component():
-    rep = mapping.components(sphere_coalgebra(4), zero_target())
+    rep = mapping.components(
+        mapping.mapping_space_model(sphere_coalgebra(4), zero_target()))
     assert rep.method == "empty-hom"
     assert rep.exhaustive
     assert len(rep) == 1
@@ -97,61 +100,59 @@ def test_zero_target_single_component():
 def test_restricted_search_is_flagged():
     conv = mapping.mapping_space_model(quillen_s2(), pi_s2())
     bottom = (("a",), "x")
-    rep = mapping.components(conv, pi_s2(), restrict_to=[bottom])
+    rep = mapping.components(conv, restrict_to=[bottom])
     assert not rep.exhaustive
     assert any("restricted" in note for note in rep.notes)
     assert len(rep) == 1 and rep.classes[0].representative.is_zero()
 
-    empty = mapping.components(conv, pi_s2(), restrict_to=[])
+    empty = mapping.components(conv, restrict_to=[])
     assert not empty.exhaustive and len(empty) == 1
 
     with pytest.raises(ValueError, match="degree-0"):
-        mapping.components(conv, pi_s2(), restrict_to=[("a", "x")])
+        mapping.components(conv, restrict_to=[("a", "x")])
 
 
 def test_repeated_pair_is_rejected():
     # a repeated pair would get two coefficients for one direction, and
     # the point built from a solution keeps only the last of them
     with pytest.raises(ValueError, match="repeated"):
-        mapping.components(sphere_coalgebra(2), pi_s2(),
+        mapping.components(ConvolutionAlgebra(sphere_coalgebra(2), pi_s2()),
                            restrict_to=[("a", "x"), ("a", "x")])
 
 
 def test_repeated_sample_is_rejected():
     # duplicate grid values would use up GRID_CAP on duplicate points
     with pytest.raises(ValueError, match="sample 0 is repeated"):
-        mapping.components(sphere_coalgebra(3), pi_s2(), samples=(0, 0, 1))
+        mapping.components(ConvolutionAlgebra(sphere_coalgebra(3), pi_s2()),
+                           samples=(0, 0, 1))
 
 
 def test_component_homotopy_group_table():
-    s2, s3 = sphere_coalgebra(2), sphere_coalgebra(3)
     L = pi_s2()
+    s2 = ConvolutionAlgebra(sphere_coalgebra(2), L)
+    s3 = ConvolutionAlgebra(sphere_coalgebra(3), L)
     for lam in (0, 1):
-        tau = GradedMap(s2.space, L.space, 0,
-                        {"a": {"x": F(lam)}} if lam else {})
-        assert len(mapping.pi_of_component(s2, L, tau, 1)) == 1
-        assert len(mapping.pi_of_component(s2, L, tau, 2)) == 0
-    zero = GradedMap(s3.space, L.space, 0, {})
-    assert len(mapping.pi_of_component(s3, L, zero, 1)) == 0
-    assert len(mapping.pi_of_component(s3, L, zero, 2)) == 0
+        tau = s2.elementary("a", "x").scale(F(lam))
+        assert len(mapping.pi_of_component(s2, tau, 1)) == 1
+        assert len(mapping.pi_of_component(s2, tau, 2)) == 0
+    zero = s3.zero_map(0)
+    assert len(mapping.pi_of_component(s3, zero, 1)) == 0
+    assert len(mapping.pi_of_component(s3, zero, 2)) == 0
 
 
 def test_two_cell_component_matches_brute_force():
-    cp2 = cp2_coalgebra()
-    zero = GradedMap(cp2.space, pi_s2().space, 0, {})
-    pi1 = mapping.pi_of_component(cp2, pi_s2(), zero, 1)
-    conv = mapping.mapping_space_model(cp2, pi_s2())
+    conv = mapping.mapping_space_model(cp2_coalgebra(), pi_s2())
+    pi1 = mapping.pi_of_component(conv, conv.zero_map(0), 1)
     assert len(pi1) == len(conv.carrier.basis(1)) == 1
 
 
 def test_pi_of_component_input_checks():
-    cp2 = cp2_coalgebra()
-    zero = GradedMap(cp2.space, pi_s2().space, 0, {})
+    conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
     with pytest.raises(ValueError, match="n = 1"):
-        mapping.pi_of_component(cp2, pi_s2(), zero, 0)
-    bad = GradedMap(cp2.space, pi_s2().space, 0, {"a": {"x": F(1)}})
+        mapping.pi_of_component(conv, conv.zero_map(0), 0)
+    bad = conv.elementary("a", "x")
     with pytest.raises(ValueError, match="non-MC"):
-        mapping.pi_of_component(cp2, pi_s2(), bad, 1)
+        mapping.pi_of_component(conv, bad, 1)
 
 
 def test_pi_dimensions_are_gauge_invariant():
@@ -164,8 +165,8 @@ def test_pi_dimensions_are_gauge_invariant():
     assert path.path_check().is_zero()
     moved = path.endpoint(1)
     for n in (1, 2):
-        d0 = len(mapping.pi_of_component(conv, pi_s2(), zero, n))
-        d1 = len(mapping.pi_of_component(conv, pi_s2(), moved, n))
+        d0 = len(mapping.pi_of_component(conv, zero, n))
+        d1 = len(mapping.pi_of_component(conv, moved, n))
         assert d0 == d1
 
 
@@ -177,7 +178,7 @@ def test_strictified_source_matches_the_strict_model():
             for d in sorted(qconv.carrier.degrees())}
     assert dims == {-3: 1, -2: 2, -1: 2, 0: 2, 1: 1}
 
-    qrep = mapping.components(qconv, pi_s2())
+    qrep = mapping.components(qconv)
     assert qrep.exhaustive
     assert qrep.free_parameters == ("c0",)
     word = (("br", "a", "a"),)
@@ -185,15 +186,14 @@ def test_strictified_source_matches_the_strict_model():
     for _, _, cert in qrep.pairwise:
         assert isinstance(cert, Distinct) and cert.verify()
 
-    srep = mapping.components(sphere_coalgebra(2), pi_s2())
+    sconv = mapping.mapping_space_model(sphere_coalgebra(2), pi_s2())
+    srep = mapping.components(sconv)
     assert srep.exhaustive and srep.free_parameters == ("c0",)
     assert len(qrep) == len(srep) == 3
     for qc, sc in zip(qrep.classes, srep.classes):
         for n in (1, 2):
-            qd = len(mapping.pi_of_component(qconv, pi_s2(),
-                                             qc.representative, n))
-            sd = len(mapping.pi_of_component(sphere_coalgebra(2), pi_s2(),
-                                             sc.representative, n))
+            qd = len(mapping.pi_of_component(qconv, qc.representative, n))
+            sd = len(mapping.pi_of_component(sconv, sc.representative, n))
             assert qd == sd
 
 

@@ -21,6 +21,7 @@ from convmc.convolution import ConvolutionAlgebra
 from convmc.freelie import FreeLie, br
 from convmc.gauge import _integrate
 from convmc.graded import GradedMap, GradedSpace
+from convmc.matrices import ONE, ZERO
 from convmc.models import (CdgCoalgebra, IntervalForms, JacobiError,
                            LInfinityAlgebra, QuillenModel, Truncation,
                            TruncatedPolynomials, abelian_linfty,
@@ -30,11 +31,56 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
+# models the tests use outside the CLI registry
+
+def cp3_coalgebra() -> CdgCoalgebra:
+    """Reduced homology of CP^3: divided-power coproduct, so the top class
+    splits as c (x) a + a (x) c.  The only source here whose iterated
+    coproduct reaches depth three."""
+    sp = GradedSpace({2: ["a"], 4: ["b"], 6: ["c"]}, name="CP3")
+    delta = {"b": {("a", "a"): F(1)},
+             "c": {("a", "b"): F(1), ("b", "a"): F(1)}}
+    return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name="CP3")
+
+
+def quillen_s2(deg_max: int = 4) -> QuillenModel:
+    """Free Lie model of the 2-sphere: one generator in classical degree 1,
+    zero differential."""
+    letters = GradedSpace({1: ["a"]}, name="S2gen")
+    fl = FreeLie(letters, deg_max=deg_max)
+    return QuillenModel(fl, GradedMap.zero(fl.space, fl.space, -1),
+                        name="quillen(S2)")
+
+
+def hopf_tau(k=1) -> GradedMap:
+    """The degree-0 map from the 3-sphere coalgebra to pi(S2) sending the
+    fundamental class to k times the Whitehead square."""
+    C = lib.sphere_coalgebra(3)
+    return GradedMap(C.space, lib.pi_s2().space, 0, {"a": {"y": F(k)}},
+                     name=f"tau{k}")
+
+
+def evaluate(key, t) -> Fraction:
+    """An interval form at t, dt going to zero."""
+    kind, k = key
+    if kind == "q":
+        return ZERO
+    return F(t) ** k if k else ONE
+
+
+# ---------------------------------------------------------------------------
 # coalgebras
 
 def test_bundled_coalgebras_validate():
     for name in ("s2", "s3", "s4", "s2vs3", "cp2", "s2xs2"):
         lib.builtin_model(name).validate()
+
+
+def test_cp3_coproduct_reaches_depth_three():
+    C = cp3_coalgebra()
+    C.validate()
+    assert C.iterated_coproduct("c", 3) == {("a", "a", "a"): F(1)}
+    assert C.iterated_coproduct("c", 4) == {}
 
 
 def test_cp2_coproduct_values():
@@ -92,7 +138,7 @@ def test_pi_s2_validates():
     L.validate()
     assert L.bracket(2, ("x", "x")) == {"y": F(1)}
     assert L.bracket(2, ("x", "y")) == {}
-    assert L.is_strict() and not all(n == 1 for n in L.arities)
+    assert L.arities == [1, 2]
 
 
 def test_pi_s3_abelian():
@@ -260,7 +306,7 @@ def test_as_linfty_odd_first_argument_sign():
 
 
 def test_quillen_s2():
-    M = lib.quillen_s2()
+    M = quillen_s2()
     M.validate()
     L = M.as_linfty()
     assert L.space.degree_of["a"] == 2
@@ -283,10 +329,10 @@ def test_interval_forms_product_and_d():
 
 def test_interval_forms_evaluate_and_integrate():
     om = IntervalForms(4)
-    assert om.evaluate(("p", 0), F(0)) == 1
-    assert om.evaluate(("p", 2), F(0)) == 0
-    assert om.evaluate(("p", 2), F(1)) == 1
-    assert om.evaluate(("q", 1), F(1)) == 0
+    assert evaluate(("p", 0), F(0)) == 1
+    assert evaluate(("p", 2), F(0)) == 0
+    assert evaluate(("p", 2), F(1)) == 1
+    assert evaluate(("q", 1), F(1)) == 0
     # the one integration rule: t^k integrates to t^(k+1)/(k+1)
     conv = ConvolutionAlgebra(lib.sphere_coalgebra(2), lib.pi_s2())
     ext = extension_of_scalars(conv.L, om)
@@ -352,10 +398,10 @@ def test_extension_l1_square_zero():
 
 
 def evaluation(ext, target, t) -> GradedMap:
-    """Evaluation of the form part at t, from IntervalForms.evaluate."""
+    """Evaluation of the form part at t, from evaluate."""
     cols = {}
     for fk, let in ext.space.all_keys():
-        c = ext.space.A.evaluate(fk, t)
+        c = evaluate(fk, t)
         if c:
             cols[(fk, let)] = {let: c}
     return GradedMap(ext.space, target.space, 0, cols, name=f"ev{t}")
@@ -392,7 +438,7 @@ def test_evaluation_endpoints():
 # fixtures and registry
 
 def test_hopf_tau_fixture():
-    tau = lib.hopf_tau(3)
+    tau = hopf_tau(3)
     assert tau.degree == 0
     assert tau.column("a") == {"y": F(3)}
 
