@@ -33,13 +33,19 @@ this sum with any weight per arity and any n-ary operation, reading each
 word of the iterated coproduct once.  The Maurer-Cartan residual
 sum 1/n! l_n(tau, ..., tau) is the sum with weight 1; the twisted
 differential's 1/(n-1)! l_n(f, tau, ..., tau) puts f in the first slot
-with weight n; barcobar.twisting_residual, transfer.push_mc and
-transfer.push_path use weight 1/n! with, in turn, the brackets of L, the
-components of an infinity-morphism and those components extended over
-interval forms (models.extended, for a path); the bar-side coalgebra map
-of the adjunction (tests/test_barcobar.py) uses it with the product of
-symmetric words.  The
-component search's residual is the Maurer-Cartan sum over the
+with weight n.  ConvolutionAlgebra.twisted_columns evaluates that sum
+for the elementary maps e_(c, x) at many carrier keys in one walk over
+the coproduct words: a word's first letter picks the columns it feeds,
+its tail is read off tau once for all of them, and its slots carry no
+sign, because nothing stands in front of e_(c, x) and tau has degree 0.
+twist, the gauge flow rates and twisted_differential read it, so d^tau
+has one code path.  barcobar.twisting_residual, transfer.push_mc and
+transfer.push_path call convolve with weight 1/n! and, in turn, the
+brackets of L, the components of an infinity-morphism and those
+components extended over interval forms (models.extended, for a path);
+the bar-side coalgebra map of the adjunction (tests/test_barcobar.py)
+calls it with the product of symmetric words.  The component search's
+residual is the Maurer-Cartan sum over the
 extension of L by polynomial coefficients (models.extension_of_scalars),
 so one pass over the coproduct words gives every monomial.  The
 collapse needs the cocommutativity: on a coproduct that is not
@@ -54,7 +60,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .graded import ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term
+from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
+                     tensor_terms)
 from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra, Truncation
 from .words import canonical_words
@@ -124,10 +131,11 @@ class ConvolutionAlgebra:
         self.L = L
         self.name = name or f"Hom({C.name},{L.name})"
         self._window: int | None = None
-        self._l1: GradedMap | None = None
         # what the gauge decision derives from single Maurer-Cartan
-        # points (gauge._memo); nothing else reads it
+        # points (gauge._memo) and from the algebra alone
+        # (gauge._algebra_memo); nothing else reads them
         self.point_memo: OrderedDict[tuple, dict] = OrderedDict()
+        self.algebra_memo: dict = {}
 
     @cached_property
     def carrier(self) -> GradedSpace:
@@ -170,9 +178,11 @@ class ConvolutionAlgebra:
 
     # -- structure -------------------------------------------------------
 
+    @cached_property
+    def _l1(self) -> GradedMap:
+        return self.L.l1()
+
     def differential_of(self, f: GradedMap) -> GradedMap:
-        if self._l1 is None:
-            self._l1 = self.L.l1()
         out = self._l1.compose(f)
         fd = f.compose(self.C.d)
         if f.degree % 2:
@@ -213,13 +223,66 @@ class ConvolutionAlgebra:
                         degree, {n: weight(n)
                                  for n in range(2, self.arity_window() + 1)})
 
-    def twisted_differential(self, tau: GradedMap, f: GradedMap) -> GradedMap:
-        """d^tau(f) = l_1(f) + sum 1/(n-1)! l_n(f, tau, ..., tau), for tau
-        of degree 0: f in the first slot, n times."""
+    def twisted_columns(self, tau: GradedMap, keys) -> dict[Key, Vec]:
+        """The columns d^tau(e_k) of the twisted differential at the given
+        carrier keys k = (c, x), as carrier vectors, in one walk over the
+        coproduct words; zero columns are left out.
+
+        d^tau(e_k) is l_1(e_k) plus, for each arity n >= 2, n sum_w
+        gamma_w l_n^L(e_k(w_1), tau(w_2), ..., tau(w_n)): convolve with
+        e_k in the first slot and weight n.  e_k(w_1) is x when w_1 = c
+        and zero otherwise, so the first letter of a word picks the
+        columns it feeds and its tail is read off tau, once for all of
+        them.  No slot carries a sign: nothing stands in front of e_k and
+        tau has degree 0, so eps_w = +1.  l_1(e_k) = d_L o e_k -
+        (-1)^{|e_k|} e_k o d_C is l1(x) at c and -(-1)^{|e_k|} d_C(c')_c x
+        at every c'.
+        """
         if tau.degree != 0:
             raise ValueError("tau must have degree 0")
-        return self.differential_of(f) + self.series([f, tau], f.degree - 1,
-                                                     F)
+        C, L = self.C, self.L
+        cdeg, ldeg = C.space.degree_of, L.space.degree_of
+        by_first: dict[Key, list] = {}
+        cols: dict[Key, Vec] = {}
+        for c, x in keys:
+            by_first.setdefault(c, []).append(x)
+            col = cols[(c, x)] = {}
+            for lk, v in self._l1.entries.get(x, {}).items():
+                add_term(col, (c, lk), v)
+        for ck, dcol in C.d.entries.items():
+            for c, v in dcol.items():
+                for x in by_first.get(c, ()):
+                    add_term(cols[(c, x)], (ck, x),
+                             v if (ldeg[x] - cdeg[c]) % 2 else -v)
+        for ck in C.space.all_keys():
+            for n in range(2, self.arity_window() + 1):
+                tails: dict[Key, Vec] = {}
+                for word, gamma in C.iterated_coproduct(ck, n).items():
+                    if word[0] not in by_first:
+                        continue
+                    acc = tails.setdefault(word[0], {})
+                    for args, coef in tensor_terms(
+                            (tau.entries.get(w, {}) for w in word[1:]),
+                            n * gamma):
+                        add_term(acc, args, coef)
+                for c, acc in tails.items():
+                    for x in by_first[c]:
+                        col = cols[(c, x)]
+                        for args, coef in acc.items():
+                            for lk, v in L.bracket(n, (x,) + args).items():
+                                add_term(col, (ck, lk), coef * v)
+        return {k: col for k, col in cols.items() if col}
+
+    def twisted_differential(self, tau: GradedMap, f: GradedMap) -> GradedMap:
+        """d^tau(f) = l_1(f) + sum 1/(n-1)! l_n(f, tau, ..., tau), for tau
+        of degree 0: sum_k f_k d^tau(e_k) over the support of f."""
+        fv = self.to_vec(f)
+        cols = self.twisted_columns(tau, fv)
+        out: Vec = {}
+        for k, c in fv.items():
+            for kk, v in cols.get(k, {}).items():
+                add_term(out, kk, c * v)
+        return self.to_map(out, f.degree - 1)
 
     # -- Maurer-Cartan ---------------------------------------------------
 
@@ -235,13 +298,9 @@ class ConvolutionAlgebra:
         if not res.is_zero():
             raise ValueError(
                 f"cannot twist by a non-MC element, residual {res.entries!r}")
-        cols: dict[Key, Vec] = {}
-        for key in self.carrier.all_keys():
-            f = self.elementary(*key)
-            v = self.to_vec(self.twisted_differential(tau, f))
-            if v:
-                cols[key] = v
-        d = GradedMap(self.carrier, self.carrier, -1, cols, name="d^tau")
+        d = GradedMap(self.carrier, self.carrier, -1,
+                      self.twisted_columns(tau, self.carrier.all_keys()),
+                      name="d^tau")
         if not d.compose(d).is_zero():
             raise AssertionError("twisted differential does not square to zero")
         return TwistedComplex(self, tau, d)

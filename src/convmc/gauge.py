@@ -29,22 +29,36 @@ homology class as witness), and a twisted Betti comparison (equivalent
 elements have isomorphic twisted homology).
 
 The linear algebra runs on carrier-keyed sparse vectors in the one
-exact kernel of matrices: span_coords, column_split and coset_reduce.
-A normal form is defined by the leading columns of a span in carrier
-order, not by an elimination order.
+exact kernel of matrices: column_split, Echelon, and Coset and Span,
+which factor a list of vectors once and then reduce each right-hand side
+by one pass.  A normal form is defined by the leading columns of a span
+in carrier order, not by an elimination order.
 
-What the decision derives from one point alone is kept on the algebra,
-so a search that decides many pairs over few points computes it once per
-point: the Maurer-Cartan residual, the flow rates of the degree-1
-directions that the rigidity sweep reads, the staged normal form and the
-nonzero twisted Betti numbers.  Every path the decision builds has the
-polynomial bound default_poly_bound(conv), so a point has one normal
-form per algebra.  The store, ConvolutionAlgebra.point_memo, is an LRU
-of the _POINTS_CAP points used last, keyed by the degree and exact
-coefficients of the point.  Only gauge_equivalent and its helpers read
-it.  Every verify() and path_check recompute from scratch, so a
-certificate is checked again rather than looked up, and a stale or
-damaged entry cannot make a wrong answer verify.
+Everything the decision derives is computed once, at the level it
+depends on, so a search that decides many pairs over few points pays
+per pair only for sparse reductions:
+
+- per algebra, in ConvolutionAlgebra.algebra_memo: the degree-0 columns
+  by source degree, the l_1 effects of the elementary degree-1
+  directions, and the stages of the normal form (the admissible
+  combinations of each stage's candidate directions, their moves on the
+  stage column, and the Coset and Span of those moves), or, when no
+  bracket survives, the Span and Coset of all the effects;
+- per point, in ConvolutionAlgebra.point_memo: the Maurer-Cartan
+  residual, the sweep table (the Echelon of the flow rates on each
+  column, through the first column that some direction moves), the
+  staged normal form and the nonzero twisted Betti numbers.  The store
+  is an LRU of the _POINTS_CAP points used last, keyed by the degree
+  and exact coefficients of the point.
+
+Every path the decision builds has the polynomial bound
+default_poly_bound(conv), so a point has one normal form per algebra.
+Only gauge_equivalent and its helpers read the two stores.  Every
+verify() and path_check recompute from scratch, the sweep table and
+twisted Betti numbers included, so a certificate is checked again
+rather than looked up, and a stale or damaged entry cannot make a wrong
+answer verify; a damaged stage that predicts a wrong flow endpoint
+fails the stage-flow assertions instead.
 """
 
 from __future__ import annotations
@@ -54,7 +68,8 @@ from math import comb
 
 from .convolution import ConvolutionAlgebra
 from .graded import GradedMap, Vec, add_term, vec_sub
-from .matrices import ZERO, column_split, coset_reduce, span_coords
+from .matrices import (ONE, Coset, Echelon, Span, column_split,
+                       span_coords)
 from .models import IntervalForms, extension_of_scalars
 
 F = Fraction
@@ -296,7 +311,8 @@ class Distinct:
         if not conv.mc_check(x).is_zero() or not conv.mc_check(y).is_zero():
             return False
         if self.kind == "rigid-stage":
-            stage = _rigidity_sweep(conv, x, y, _flow_rates(conv, x))
+            stage = _rigidity_sweep(conv.to_vec(x), conv.to_vec(y),
+                                    _sweep_table(conv, x, _columns(conv)))
             return stage == self.witness["degree"]
         if self.kind == "homology-class":
             dv = conv.to_vec(y - x)
@@ -363,69 +379,151 @@ def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
     return {k: v for k, v in sorted(conv.twisted_betti(x).items()) if v}
 
 
-def _direction_maps(conv: ConvolutionAlgebra) -> list[tuple]:
-    """The elementary degree-1 directions, paired with their carrier key."""
-    return [(k, conv.elementary(*k)) for k in conv.carrier.basis(1)]
-
-
-def _combine(conv: ConvolutionAlgebra, dirs: list[tuple],
-             coeffs: list) -> GradedMap:
-    out = conv.zero_map(1)
-    for (key, e), c in zip(dirs, coeffs):
-        if c:
-            out = out + e.scale(c)
+def _combine(vectors: list[Vec], coeffs) -> Vec:
+    """sum coeffs[s] vectors[s]."""
+    out: Vec = {}
+    for s, v in zip(coeffs, vectors):
+        if s:
+            for k, c in v.items():
+                add_term(out, k, s * c)
     return out
+
+
+# -- what the decision derives from the algebra alone --------------------
+
+def _algebra_memo(conv: ConvolutionAlgebra, compute):
+    """compute(conv), kept in conv.algebra_memo under the name of
+    compute."""
+    memo = conv.algebra_memo
+    name = compute.__name__
+    if name not in memo:
+        memo[name] = compute(conv)
+    return memo[name]
+
+
+def _columns(conv: ConvolutionAlgebra) -> list[tuple]:
+    """(p, the degree-0 carrier keys of source degree p) for every source
+    degree p that has some, from the bottom."""
+    cdeg = conv.C.space.degree_of
+    keys0 = conv.carrier.basis(0)
+    out = []
+    for p in sorted({cdeg[k] for k in conv.C.space.all_keys()}):
+        basis = [k for k in keys0 if cdeg[k[0]] == p]
+        if basis:
+            out.append((p, basis))
+    return out
+
+
+def _effects(conv: ConvolutionAlgebra) -> list[Vec]:
+    """l_1 of every elementary degree-1 direction, in carrier order."""
+    return [conv.to_vec(conv.differential_of(conv.elementary(*k)))
+            for k in conv.carrier.basis(1)]
+
+
+def _abelian_stage(conv: ConvolutionAlgebra) -> tuple:
+    """The one stage of the abelian case, where the orbit of x is
+    x + im(l_1): every elementary direction, whose moves are their
+    effects on all degree-0 columns.  A stage is (combinations of
+    directions, as carrier vectors; Coset and Span of their moves)."""
+    effects = _algebra_memo(conv, _effects)
+    return ([{k: ONE} for k in conv.carrier.basis(1)],
+            Coset(effects, conv.carrier.basis(0)), Span(effects))
+
+
+def _stages(conv: ConvolutionAlgebra) -> list[tuple]:
+    """(p, basis_p, stage) for the stages of the staged normal form, one
+    per source degree p with degree-0 columns and candidate directions
+    (supported in source degrees p - 1 and p).  The stage's combinations
+    are the admissible ones, which leave column p - 1 alone, and its
+    moves are their l_1 effects on column p."""
+    cdeg = conv.C.space.degree_of
+    dirs = conv.carrier.basis(1)
+    effects = _algebra_memo(conv, _effects)
+    columns = dict(_algebra_memo(conv, _columns))
+    stages = []
+    for p, basis_p in columns.items():
+        basis_c = columns.get(p - 1, [])
+        cand = [j for j, k in enumerate(dirs) if cdeg[k[0]] in (p - 1, p)]
+        if not cand:
+            continue
+        _, admissible = column_split(
+            [_restrict(effects[j], basis_c) for j in cand], cand)
+        moves = [_restrict(_combine([effects[j] for j in combo],
+                                    combo.values()), basis_p)
+                 for combo in admissible]
+        combos = [{dirs[j]: c for j, c in combo.items()}
+                  for combo in admissible]
+        stages.append((p, basis_p, (combos, Coset(moves, basis_p),
+                                    Span(moves))))
+    return stages
 
 
 # -- the rigidity sweep --------------------------------------------------
 
 def _flow_rates(conv: ConvolutionAlgebra, x: GradedMap) -> list[Vec]:
-    """The flow rate at x of every elementary degree-1 direction, in the
-    order of _direction_maps: only the degree-1 columns of the twist."""
-    return [conv.to_vec(vector_field(conv, x, e))
-            for _, e in _direction_maps(conv)]
+    """The flow rate at x of every elementary degree-1 direction, in
+    carrier order: the degree-1 columns of the twist by x."""
+    keys = conv.carrier.basis(1)
+    cols = conv.twisted_columns(x, keys)
+    return [cols.get(k, {}) for k in keys]
 
 
-def _rigidity_sweep(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
-                    rates: list[Vec]) -> int | None:
-    """Source degree at which x and y are certifiably inequivalent, or
-    None when the sweep is inconclusive.
+def _sweep_table(conv: ConvolutionAlgebra, x: GradedMap,
+                 columns: list[tuple]) -> list[tuple]:
+    """(p, basis_p, Echelon of the flow rates at x on column p) for the
+    columns (_columns(conv)) from the bottom through the first that some
+    direction moves, which is as far as _rigidity_sweep reads."""
+    rates = _flow_rates(conv, x)
+    table = []
+    for p, basis in columns:
+        ech = Echelon()
+        for r in rates:
+            ech.add(_restrict(r, basis))
+        table.append((p, basis, ech))
+        if ech.rank:
+            break
+    return table
+
+
+def _rigidity_sweep(xv: Vec, yv: Vec, table: list[tuple]) -> int | None:
+    """Source degree at which the points with carrier vectors xv and yv
+    are certifiably inequivalent, or None when the sweep is inconclusive.
 
     Walking source degrees from the bottom: while every direction has
     zero flow rate on all columns seen so far, those columns are constant
     along every gauge path out of x, so the rates computed at x stay
     exact one degree higher.  At the first degree where the difference is
     nonzero it must lie in the span of the rates there; if it does not,
-    no path from x reaches y.  rates are _flow_rates(conv, x).
+    no path from x reaches y.  table is the _sweep_table of x.
     """
-    diff = conv.to_vec(y - x)
-    cdeg = conv.C.space.degree_of
-    keys0 = conv.carrier.basis(0)
-    for p in sorted({cdeg[k] for k in conv.C.space.all_keys()}):
-        basis = [k for k in keys0 if cdeg[k[0]] == p]
-        if not basis:
-            continue
-        dp = _restrict(diff, basis)
-        moves = [_restrict(r, basis) for r in rates]
+    for p, basis, ech in table:
+        dp = vec_sub(_restrict(yv, basis), _restrict(xv, basis))
         if dp:
-            return p if span_coords(moves, dp) is None else None
-        if any(moves):
+            return p if ech.coords(dp) is None else None
+        if ech.rank:
             return None
     return None
 
 
 # -- normal forms --------------------------------------------------------
 
+def _reduce(conv: ConvolutionAlgebra, stage: tuple, v: Vec) -> tuple:
+    """(the coset representative of v under the stage's moves, the
+    direction whose moves carry v there, or None when v is reduced)."""
+    combos, coset, span = stage
+    red = coset.reduce(v)
+    if red == v:
+        return red, None
+    return red, conv.to_map(_combine(combos, span.coords(vec_sub(red, v))),
+                            1)
+
+
 def _abelian_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
                          poly_bound: int) -> ModuliClass:
-    dirs = _direction_maps(conv)
-    effects = [conv.to_vec(conv.differential_of(e)) for _, e in dirs]
-    xv = conv.to_vec(x)
-    red = coset_reduce(xv, effects, conv.carrier.basis(0))
-    if red == xv:
+    red, lam = _reduce(conv, _algebra_memo(conv, _abelian_stage),
+                       conv.to_vec(x))
+    if lam is None:
         return ModuliClass(conv, x, x, ())
-    coeffs = span_coords(effects, vec_sub(red, xv))
-    lam = _combine(conv, dirs, coeffs)
     path = gauge_flow(conv, x, lam, poly_bound)
     rep = path.endpoint(1)
     if conv.to_vec(rep) != red:
@@ -436,36 +534,13 @@ def _abelian_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
 def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
                         poly_bound: int) -> ModuliClass:
     cdeg = conv.C.space.degree_of
-    keys0 = conv.carrier.basis(0)
-    dirs = _direction_maps(conv)
     current = x
     chain: list[GaugePath] = []
-    for p in sorted({cdeg[k] for k in conv.C.space.all_keys()}):
-        cand = [(k, e) for k, e in dirs if cdeg[k[0]] in (p - 1, p)]
-        basis_p = [k for k in keys0 if cdeg[k[0]] == p]
-        if not cand or not basis_p:
+    for p, basis_p, stage in _algebra_memo(conv, _stages):
+        red, lam = _reduce(conv, stage,
+                           _restrict(conv.to_vec(current), basis_p))
+        if lam is None:
             continue
-        effects = [conv.to_vec(conv.differential_of(e)) for _, e in cand]
-        basis_c = [k for k in keys0 if cdeg[k[0]] == p - 1]
-        # the combinations of the candidates that leave column p - 1 alone
-        _, admissible = column_split(
-            [_restrict(eff, basis_c) for eff in effects], range(len(cand)))
-        moves = []
-        for combo in admissible:
-            acc: Vec = {}
-            for j, c in combo.items():
-                for k, v in effects[j].items():
-                    add_term(acc, k, c * v)
-            moves.append(_restrict(acc, basis_p))
-        cur_p = _restrict(conv.to_vec(current), basis_p)
-        red = coset_reduce(cur_p, moves, basis_p)
-        if red == cur_p:
-            continue
-        sel = span_coords(moves, vec_sub(red, cur_p))
-        coeffs = [sum((s * combo.get(j, ZERO)
-                       for s, combo in zip(sel, admissible)), ZERO)
-                  for j in range(len(cand))]
-        lam = _combine(conv, cand, coeffs)
         path = gauge_flow(conv, current, lam, poly_bound)
         end = path.endpoint(1)
         delta = conv.to_vec(end - current)
@@ -513,10 +588,10 @@ def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:
     return (x.degree, frozenset(conv.to_vec(x).items()))
 
 
-def _memo(conv: ConvolutionAlgebra, x: GradedMap, field, compute):
-    """compute(), kept under field in the entry of x in conv.point_memo:
-    an LRU of the _POINTS_CAP points decided last."""
-    key = _point_key(conv, x)
+def _memo(conv: ConvolutionAlgebra, key: tuple, field, compute):
+    """compute(), kept under field in the entry of the point with
+    _point_key key in conv.point_memo: an LRU of the _POINTS_CAP points
+    decided last."""
     memo = conv.point_memo
     entry = memo.get(key)
     if entry is None:
@@ -532,16 +607,15 @@ def _memo(conv: ConvolutionAlgebra, x: GradedMap, field, compute):
 
 def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
                     poly_bound: int):
-    dirs = _direction_maps(conv)
-    effects = [conv.to_vec(conv.differential_of(e)) for _, e in dirs]
+    combos, _, span = _algebra_memo(conv, _abelian_stage)
     target = conv.to_vec(y - x)
-    coeffs = span_coords(effects, target)
+    coeffs = span.coords(target)
     if coeffs is None:
         witness = {"class_degree": 0,
                    "cycle": sorted(target.items(), key=lambda kv:
                                    conv.carrier.sort_key(kv[0]))}
         return Distinct(conv, x, y, "homology-class", witness)
-    lam = _combine(conv, dirs, coeffs)
+    lam = conv.to_map(_combine(combos, coeffs), 1)
     path = gauge_flow(conv, x, lam, poly_bound)
     if not path.endpoint(1).equals(y):
         raise AssertionError("abelian flow missed its predicted endpoint")
@@ -556,11 +630,12 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
     for the genuinely undecided case: normal forms differ but no sound
     separating invariant applies at this arity window.
     """
-    rx = _memo(conv, x, "residual", lambda: conv.mc_check(x))
+    kx, ky = _point_key(conv, x), _point_key(conv, y)
+    rx = _memo(conv, kx, "residual", lambda: conv.mc_check(x))
     if not rx.is_zero():
         raise ValueError(
             f"first element is not Maurer-Cartan, residual {rx.entries!r}")
-    ry = _memo(conv, y, "residual", lambda: conv.mc_check(y))
+    ry = _memo(conv, ky, "residual", lambda: conv.mc_check(y))
     if not ry.is_zero():
         raise ValueError(
             f"second element is not Maurer-Cartan, residual {ry.entries!r}")
@@ -569,17 +644,19 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
         return Equal(conv, x, y, (constant_path(conv, x, poly_bound),))
     if conv.arity_window() <= 1:
         return _abelian_decide(conv, x, y, poly_bound)
-    rates = _memo(conv, x, "rates", lambda: _flow_rates(conv, x))
-    stage = _rigidity_sweep(conv, x, y, rates)
+    table = _memo(conv, kx, "sweep", lambda: _sweep_table(
+        conv, x, _algebra_memo(conv, _columns)))
+    # a point key holds the point's carrier vector
+    stage = _rigidity_sweep(dict(kx[1]), dict(ky[1]), table)
     if stage is not None:
         return Distinct(conv, x, y, "rigid-stage", {"degree": stage})
-    nx = _memo(conv, x, "normal_form", lambda: moduli_normal_form(conv, x))
-    ny = _memo(conv, y, "normal_form", lambda: moduli_normal_form(conv, y))
+    nx = _memo(conv, kx, "normal_form", lambda: moduli_normal_form(conv, x))
+    ny = _memo(conv, ky, "normal_form", lambda: moduli_normal_form(conv, y))
     if nx.representative.equals(ny.representative):
         back = tuple(p.reversed() for p in reversed(ny.paths))
         return Equal(conv, x, y, nx.paths + back)
-    bx = _memo(conv, x, "betti", lambda: _twisted_betti(conv, x))
-    by = _memo(conv, y, "betti", lambda: _twisted_betti(conv, y))
+    bx = _memo(conv, kx, "betti", lambda: _twisted_betti(conv, x))
+    by = _memo(conv, ky, "betti", lambda: _twisted_betti(conv, y))
     if bx != by:
         return Distinct(conv, x, y, "twisted-betti",
                         {"betti_x": dict(bx), "betti_y": dict(by)})

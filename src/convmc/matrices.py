@@ -5,8 +5,9 @@ Echelon holds an echelon basis of sparse vectors, dicts {key: Fraction},
 offered one at a time: it accepts the ones independent of those before
 them and gives coordinates in the accepted ones.  FreeLie keeps one per
 degree.  column_split runs one over a list of columns; chain complexes
-(contractions and Betti numbers) and the gauge decision (through
-coset_reduce and span_coords) run on it.
+(contractions and Betti numbers) and the gauge decision (through Coset
+and Span, which factor a list of vectors once for many right-hand
+sides, and span_coords, one Span for one right-hand side) run on it.
 
 A normal form is defined by the leading columns of a span, the columns
 independent of the columns before them, which column_split finds
@@ -212,32 +213,48 @@ def column_split(columns: Sequence[dict], labels: Sequence
     return pivots, kernel
 
 
-def coset_reduce(v: dict, directions: Sequence[dict], keys: Sequence) -> dict:
-    """Canonical representative of v + span(directions), read at keys in
-    their order: the unique coset member that vanishes at the leading
-    keys of the span.  At every other key it is v paired with that key's
-    kernel vector from column_split, v_j - sum_t c_jt v_{pivot_t}, which
-    is what reducing by the rref rows of the directions leaves."""
-    columns = [{i: d[k] for i, d in enumerate(directions) if d.get(k)}
-               for k in keys]
-    pivots, kernel = column_split(columns, keys)
-    free = [k for j, k in enumerate(keys) if j not in pivots]
-    out: dict = {}
-    for key, z in zip(free, kernel):
-        c = sum((x * v[k] for k, x in z.items() if k in v), ZERO)
-        if c:
-            out[key] = c
-    return out
+class Coset:
+    """The cosets of span(directions) read at keys, factored once:
+    reduce(v) is the canonical representative of v + span(directions),
+    the unique coset member that vanishes at the leading keys of the
+    span.  At every other key it is v paired with that key's kernel
+    vector from column_split, v_j - sum_t c_jt v_{pivot_t}, which is what
+    reducing by the rref rows of the directions leaves."""
+
+    def __init__(self, directions: Sequence[dict], keys: Sequence):
+        columns = [{i: d[k] for i, d in enumerate(directions) if d.get(k)}
+                   for k in keys]
+        pivots, kernel = column_split(columns, keys)
+        free = [k for j, k in enumerate(keys) if j not in pivots]
+        self._kernel = list(zip(free, kernel))
+
+    def reduce(self, v: dict) -> dict:
+        out: dict = {}
+        for key, z in self._kernel:
+            c = sum((x * v[k] for k, x in z.items() if k in v), ZERO)
+            if c:
+                out[key] = c
+        return out
+
+
+class Span:
+    """The span of a fixed list of vectors, factored once: coords(v) is
+    the coordinates of v in the vectors, 0 on each vector that depends on
+    those before it (the solution with free variables 0), or None when v
+    is outside their span."""
+
+    def __init__(self, vectors: Sequence[dict]):
+        self._echelon = Echelon()
+        self._accepted = [self._echelon.add(u) for u in vectors]
+
+    def coords(self, v: dict) -> list | None:
+        coords = self._echelon.coords(v)
+        if coords is None:
+            return None
+        rest = iter(coords)
+        return [next(rest) if a else ZERO for a in self._accepted]
 
 
 def span_coords(vectors: Sequence[dict], v: dict) -> list | None:
-    """Coordinates of v in vectors, 0 on each vector that depends on
-    those before it (the solution with free variables 0), or None when v
-    is outside their span."""
-    ech = Echelon()
-    accepted = [ech.add(u) for u in vectors]
-    coords = ech.coords(v)
-    if coords is None:
-        return None
-    rest = iter(coords)
-    return [next(rest) if a else ZERO for a in accepted]
+    """Span(vectors).coords(v), for one v."""
+    return Span(vectors).coords(v)

@@ -137,6 +137,10 @@ GOLDEN = [
      "b87fa0b6019e48a9f43e7a052167ce6dbf857a32ecf6013054b40ec0305d13bc"),
     (["components", "cp2", "pi_s2"], 0,
      "7bea29f8d9a4b2ddcdd08a71687a358078250ef7b4e1164049fb5252b296a536"),
+    # 351 decisions: rigidity sweeps, 51 staged normal forms and 24
+    # twisted Betti comparisons, which leave 24 pairs undecided
+    (["components", "s2xs2", "@xyz_model"], 0,
+     "c1318a16a721f9bcdef84a37a53479274b30f7cfba388ce3857004ae46494bc9"),
     (["mc-check", "s3", "pi_s2", "@whitehead"], 0,
      "4ee5ed81d5b8f755e5093539fbb177e79213eb2eda1864ae260a79043533348c"),
     (["mc-check", "cp2", "pi_s2", "@cp2_bottom"], 1,

@@ -21,6 +21,11 @@ when the call passes it by keyword or by position, or passes *args or
 to a class counts as a call to its __init__.  OPTION_ALLOWED lists the
 defaults that stay although nothing under src/ sets them, each with its
 reason; an entry that no longer applies fails as stale.
+
+Imports.  Every name a module under src/convmc or tests/ binds by import
+(__future__ aside) is read in that module, as a name or in a quoted
+annotation.  IMPORT_ALLOWED lists re-exports, each with its reason, and
+fails as stale the same way.
 """
 
 from __future__ import annotations
@@ -244,3 +249,72 @@ def test_every_option_is_set_by_some_caller():
     assert not extra, f"defaults no caller sets: {sorted(extra)}"
     stale = set(OPTION_ALLOWED) - found
     assert not stale, f"stale allowlist: {sorted(stale)}"
+
+
+# -- imports ------------------------------------------------------------
+
+TESTS = ROOT / "tests"
+
+# (file, name): reason, for a name a module imports only for others to
+# import from it.  None does today: graded re-exports matrices.add_term
+# but reads it too.
+IMPORT_ALLOWED: dict[tuple[str, str], str] = {}
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """The names a module binds by import, with the line of each;
+    __future__ imports bind nothing."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    """The names a module reads anywhere, those in quoted annotations
+    included."""
+    out = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+           and not isinstance(node.ctx, ast.Store)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out |= {n.id for n in ast.walk(ast.parse(node.value,
+                                                         mode="eval"))
+                        if isinstance(n, ast.Name)}
+    return out
+
+
+def unused_imports() -> set[tuple[str, str]]:
+    """(file, name) for every imported name its module never reads."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = _loaded(tree)
+        rel = path.relative_to(ROOT).as_posix()
+        out |= {(rel, name) for name in _imported(tree) if name not in loaded}
+    return out
+
+
+def test_every_import_is_read():
+    unused = unused_imports()
+    stale = set(IMPORT_ALLOWED) - unused
+    assert not stale, f"allowed but read after all: {sorted(stale)}"
+    assert not unused - set(IMPORT_ALLOWED), \
+        f"imported and never read: {sorted(unused - set(IMPORT_ALLOWED))}"

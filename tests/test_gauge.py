@@ -14,15 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from convmc import gauge
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import (Distinct, Equal, GaugePath, Unknown,
+from convmc.gauge import (Distinct, Equal, GaugePath,
                           constant_path, default_poly_bound, gauge_flow,
                           gauge_equivalent, moduli_normal_form,
                           vector_field)
 from convmc.graded import GradedSpace
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             abelian_pair_with_d, abelian_two,
-                            cp2_coalgebra, pi_s2, pi_s3, sphere_coalgebra,
+                            cp2_coalgebra, pi_s2, sphere_coalgebra,
                             wedge_s2_s3_coalgebra)
+from convmc.matrices import Echelon, Span
 from convmc.models import LInfinityAlgebra
 from test_models import cp3_coalgebra
 
@@ -486,6 +487,11 @@ def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
                                     gauge._point_key(conv, p[1])}
 
 
+def no_moves(conv):
+    """A forged sweep table: every column, and no direction moves any."""
+    return [(p, basis, Echelon()) for p, basis in gauge._columns(conv)]
+
+
 def test_verify_recomputes_what_the_decision_memoises():
     conv = probe_algebra("pair")
     x, y, z = pair_mc(conv, 2, 3), pair_mc(conv, 2, -5), pair_mc(conv, 1, 0)
@@ -494,7 +500,7 @@ def test_verify_recomputes_what_the_decision_memoises():
     assert (equal.outcome, rigid.kind) == ("equal", "rigid-stage")
     entry = conv.point_memo[gauge._point_key(conv, x)]
     # no direction moves x any more, as far as the memo knows
-    entry["rates"] = [{} for _ in entry["rates"]]
+    entry["sweep"] = no_moves(conv)
     forged = gauge_equivalent(conv, x, y)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
     assert not forged.verify()
@@ -509,8 +515,45 @@ def test_verify_recomputes_what_the_decision_memoises():
                      {"betti_x": bx, "betti_y": by})
     assert gauge_equivalent(conv, x, y).kind == "rigid-stage"
     entry = conv.point_memo[gauge._point_key(conv, x)]
-    entry["rates"] = [{} for _ in entry["rates"]]
+    entry["sweep"] = no_moves(conv)
     entry["betti"] = {0: 99}
     assert betti.verify()
     assert not Distinct(conv, x, y, "twisted-betti",
                         {"betti_x": {0: 99}, "betti_y": by}).verify()
+
+
+def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
+    # what the decision keeps per algebra, damaged: a stage whose
+    # combinations overshoot fails the stage-flow assertion, and a sweep
+    # that skips a column or a span that reaches nothing gives a
+    # certificate that verify() rejects, because verify() builds both
+    # again
+    conv = probe_algebra("pair")
+    x, y, z = pair_mc(conv, 2, 3), pair_mc(conv, 2, -5), pair_mc(conv, 1, 0)
+    assert gauge_equivalent(conv, x, y).outcome == "equal"
+    assert gauge_equivalent(conv, x, z).witness == {"degree": 2}
+    stages = conv.algebra_memo["_stages"]
+
+    damaged = probe_algebra("pair")
+    damaged.algebra_memo["_stages"] = [
+        (p, basis, ([{k: 2 * c for k, c in combo.items()}
+                     for combo in combos], coset, span))
+        for p, basis, (combos, coset, span) in stages]
+    with pytest.raises(AssertionError, match="missed its predicted column"):
+        gauge_equivalent(damaged, x, y)
+
+    damaged = probe_algebra("pair")
+    damaged.algebra_memo["_columns"] = gauge._columns(damaged)[1:]
+    forged = gauge_equivalent(damaged, x, z)
+    assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
+    assert not forged.verify()
+
+    conv = ConvolutionAlgebra(wedge_s2_s3_coalgebra(), acyclic_pair_target())
+    assert conv.arity_window() == 1
+    x, y = conv.zero_map(0), conv.elementary("b", "y")
+    assert gauge_equivalent(conv, x, y).outcome == "equal"
+    combos, coset, _ = conv.algebra_memo["_abelian_stage"]
+    conv.algebra_memo["_abelian_stage"] = (combos, coset, Span([]))
+    forged = gauge_equivalent(conv, x, y)
+    assert forged.kind == "homology-class"
+    assert not forged.verify()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from convmc import matrices as mx
 from convmc.graded import (
-    ChainComplex, Contraction, GradedMap, GradedSpace, TensorSpace,
+    ChainComplex, GradedMap, GradedSpace, TensorSpace,
     add_term, basis_vec, contraction_from_complex,
     tensor_terms, vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub,
 )

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from convmc import mapping
 from convmc.barcobar import cobar
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import Distinct, Equal, gauge_flow
+from convmc.gauge import Distinct, gauge_flow
 from convmc.graded import GradedSpace, add_term
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             builtin_model, cp2_coalgebra, pi_s2,

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -73,9 +72,9 @@ def test_coset_reduce_idempotent_and_in_coset():
     keys = [0, 1, 2]
     v = _sparse([F(3), F(5), F(7)])
     dirs = [[F(1), F(1), F(0)], [F(0), F(2), F(2)]]
-    red = mx.coset_reduce(v, [_sparse(d) for d in dirs], keys)
-    red2 = mx.coset_reduce(red, [_sparse(d) for d in dirs], keys)
-    assert red == red2
+    coset = mx.Coset([_sparse(d) for d in dirs], keys)
+    red = coset.reduce(v)
+    assert coset.reduce(red) == red
     # difference lies in the span
     diff = [v.get(k, F(0)) - red.get(k, F(0)) for k in keys]
     assert mx.in_span(dirs, diff) is not None
@@ -280,17 +279,22 @@ def test_coset_reduce_and_coords_match_dense_reference(data):
     def dense(u):
         return [u.get(k, F(0)) for k in keys]
 
-    red = mx.coset_reduce(sparse_v, sparse_dirs, keys)
+    coset = mx.Coset(sparse_dirs, keys)
+    red = coset.reduce(sparse_v)
     assert dense(red) == _reference_coset_reduce(v, dirs)
     assert set(red) <= set(keys) and all(red.values())
+    # the factored coset reduces a second vector like a fresh one
+    assert coset.reduce(red) == red
     # a coordinate outside keys is not read
-    assert mx.coset_reduce({**sparse_v, "out": F(1)},
-                           sparse_dirs + [{"out": F(1)}], keys) == red
+    assert mx.Coset(sparse_dirs + [{"out": F(1)}], keys).reduce(
+        {**sparse_v, "out": F(1)}) == red
     diff = [x - y for x, y in zip(v, dense(red))]
-    coords = mx.span_coords(sparse_dirs, _sparse_keys(keys, diff))
+    span = mx.Span(sparse_dirs)
+    coords = span.coords(_sparse_keys(keys, diff))
     assert coords is not None and coords == _reference_coords(dirs, diff)
-    assert mx.span_coords(sparse_dirs, sparse_v) == \
-        _reference_coords(dirs, v)
+    # one factored span answers every right-hand side, like span_coords
+    assert span.coords(sparse_v) == _reference_coords(dirs, v)
+    assert mx.span_coords(sparse_dirs, sparse_v) == span.coords(sparse_v)
 
 
 def _sparse_keys(keys, v):

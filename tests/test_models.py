@@ -24,8 +24,7 @@ from convmc.graded import GradedMap, GradedSpace
 from convmc.matrices import ONE, ZERO
 from convmc.models import (CdgCoalgebra, IntervalForms, JacobiError,
                            LInfinityAlgebra, QuillenModel, Truncation,
-                           TruncatedPolynomials, abelian_linfty,
-                           extension_of_scalars)
+                           TruncatedPolynomials, extension_of_scalars)
 
 F = Fraction
 
