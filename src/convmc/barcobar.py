@@ -26,7 +26,8 @@ exactly when the twisting residual of tau vanishes, see
 twisting_residual below, which transfer.push_mc gates on.  The two legs
 of the adjunction, the universal factorization through them and the
 counit quasi-isomorphism cobar(bar(L)) -> L are built and checked in
-tests/test_barcobar.py, the reference for those identities.
+tests/test_barcobar.py, the reference for those identities, together
+with the universal twisting morphism bar(L) -> L they rest on.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ class BarCoalgebra(CdgCoalgebra):
         self.L = L
         self.degree_max = degree_max
         self.exact_through = degree_max - 1
-
-    def projection(self) -> GradedMap:
-        """Corestriction to single letters, the universal twisting
-        morphism out of the bar construction."""
-        cols: dict[Key, Vec] = {}
-        for w in self.space.all_keys():
-            if len(w) == 1:
-                cols[w] = {w[0]: ONE}
-        return GradedMap(self.space, self.L.space, 0, cols, name="pi")
 
 
 def bar(L: LInfinityAlgebra, degree_max: int) -> BarCoalgebra:

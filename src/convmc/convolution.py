@@ -50,7 +50,9 @@ extension of L by polynomial coefficients (models.extension_of_scalars),
 so one pass over the coproduct words gives every monomial.  The
 collapse needs the cocommutativity: on a coproduct that is not
 symmetric the one-ordering sum is not the bracket, so coalgebra records
-are validated where they are read (modelio.cdgc_from_record).
+are validated where they are read (modelio.cdgc_from_record).  The bracket
+tables of Hom(C, L) are never materialized here: tests/test_convolution.py
+materializes them and checks the generalized Jacobi identity on them.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ from math import factorial
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
                      tensor_terms)
 from .matrices import ONE
-from .models import CdgCoalgebra, LInfinityAlgebra, Truncation
-from .words import canonical_words
+from .models import CdgCoalgebra, LInfinityAlgebra
 
 F = Fraction
 
@@ -131,6 +132,7 @@ class ConvolutionAlgebra:
         self.L = L
         self.name = name or f"Hom({C.name},{L.name})"
         self._window: int | None = None
+        self._l1_cols: dict[Key, Vec] = {}
         # what the gauge decision derives from single Maurer-Cartan
         # points (gauge._memo) and from the algebra alone
         # (gauge._algebra_memo); nothing else reads them
@@ -178,12 +180,24 @@ class ConvolutionAlgebra:
 
     # -- structure -------------------------------------------------------
 
-    @cached_property
-    def _l1(self) -> GradedMap:
-        return self.L.l1()
+    def _l1_of(self, x: Key) -> Vec:
+        """l_1 of L on one basis key, read through L's cached bracket and
+        kept per key: only the keys some map touches are ever computed,
+        which matters on extensions whose basis is never listed."""
+        col = self._l1_cols.get(x)
+        if col is None:
+            col = self._l1_cols[x] = self.L.bracket(1, (x,))
+        return col
 
     def differential_of(self, f: GradedMap) -> GradedMap:
-        out = self._l1.compose(f)
+        cols: dict[Key, Vec] = {}
+        for ck, col in f.entries.items():
+            img: Vec = {}
+            for lk, c in col.items():
+                for y, v in self._l1_of(lk).items():
+                    add_term(img, y, c * v)
+            cols[ck] = img
+        out = GradedMap(f.src, self.L.space, f.degree - 1, cols)
         fd = f.compose(self.C.d)
         if f.degree % 2:
             return out + fd
@@ -247,7 +261,7 @@ class ConvolutionAlgebra:
         for c, x in keys:
             by_first.setdefault(c, []).append(x)
             col = cols[(c, x)] = {}
-            for lk, v in self._l1.entries.get(x, {}).items():
+            for lk, v in self._l1_of(x).items():
                 add_term(col, (c, lk), v)
         for ck, dcol in C.d.entries.items():
             for c, v in dcol.items():
@@ -307,39 +321,6 @@ class ConvolutionAlgebra:
 
     def twisted_betti(self, tau: GradedMap) -> dict[int, int]:
         return self.twist(tau).betti()
-
-    # -- materialized structure -----------------------------------------
-
-    def as_linfty(self, arity_max: int = 4) -> LInfinityAlgebra:
-        """The carrier with bracket tables materialized through the given
-        arity, suitable for the generic Jacobi validation."""
-        brackets: dict[int, dict[tuple, Vec]] = {1: {}}
-        for k in sorted(self.carrier.all_keys(), key=self.carrier.sort_key):
-            v = self.to_vec(self.differential_of(self.elementary(*k)))
-            if v:
-                brackets[1][(k,)] = v
-        top = min(arity_max, self.coproduct_window())
-        arities = [1]
-        for n in range(2, top + 1):
-            if n > self.L.max_arity():
-                break
-            table: dict[tuple, Vec] = {}
-            for word in canonical_words(self.carrier, n):
-                val = self.bracket(n, [self.elementary(*k) for k in word])
-                v = self.to_vec(val)
-                if v:
-                    table[word] = v
-            if table:
-                brackets[n] = table
-            arities.append(n)
-        return LInfinityAlgebra(self.carrier, brackets, name=self.name,
-                                arities=arities)
-
-    def validate(self, arity_max: int = 4):
-        """Generalized Jacobi on the materialized brackets, exact."""
-        tr = Truncation(self.carrier.deg_min, self.carrier.deg_max,
-                        arity_max)
-        self.as_linfty(arity_max).validate(tr)
 
 
 def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,

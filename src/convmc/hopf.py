@@ -15,6 +15,19 @@ of the target.  The middle leg lives in the divided-power normalization
 (see the transfer module), so that push gates on the twisting residual;
 the final result is checked against the literal Maurer-Cartan equation.
 
+A loop model keeps what it has pushed.  LoopHomology.pushed holds the
+canonical element of each of the _PUSHED_CAP most recently pushed strict
+maps, keyed by the signatures of the source coalgebra and of the
+morphism (sorted reprs of their tables, _entries_signature); each model
+also keeps the twisting morphism theta = p o iota of its own coalgebra.
+The key fixes every input of the composite, the target being the model,
+so a hit returns what a rebuild would.  Every gate above (the chain-map
+check of the induced cobar map, both pushforward gates and the final
+Maurer-Cartan check) still runs in full the first time a distinct map
+meets a model, and only a result that passed them all is stored, so a
+failing map raises on every call.  The memo dies with its model when the
+model cache evicts or clears it, and every call gets its own copy.
+
 Over a sphere source S^n the invariant of a map is a class of pi_n of the
 target, read as the degree-n loop homology with representative addition
 as the group law.  That reading, and the certificates that gauge classes
@@ -35,16 +48,31 @@ from .transfer import (InfinityMorphism, postcompose_strict, push_mc,
                        transfer_linfty)
 
 
+def _entries_signature(entries: dict) -> tuple:
+    """Canonical form of a table of columns {key: {key: coefficient}}:
+    sorted by repr, so it does not depend on insertion order."""
+    return tuple(sorted((repr(k), tuple(sorted((repr(x), str(c))
+                                               for x, c in v.items())))
+                        for k, v in entries.items()))
+
+
 def _coalgebra_signature(C: CdgCoalgebra) -> tuple:
     sp = C.space
     basis = tuple((d, tuple(sp.basis(d))) for d in sorted(sp.degrees()))
-    d_ent = tuple(sorted((repr(k), tuple(sorted((repr(x), str(c))
-                                                for x, c in v.items())))
-                         for k, v in C.d.entries.items()))
-    delta_ent = tuple(sorted((repr(k), tuple(sorted((repr(x), str(c))
-                                                    for x, c in v.items())))
-                             for k, v in C.delta.items()))
-    return (C.name, basis, d_ent, delta_ent)
+    return (C.name, basis, _entries_signature(C.d.entries),
+            _entries_signature(C.delta))
+
+
+def _lru(cache: OrderedDict, cap: int, key, build):
+    """cache[key], built on a miss and then kept among the cap most
+    recently used entries.  A build that raises stores nothing."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > cap:
+        cache.popitem(last=False)
+    return value
 
 
 class LoopHomology:
@@ -63,6 +91,11 @@ class LoopHomology:
         self.fingerprint = self.transfer.contraction.fingerprint
         self._inclusion = None
         self._projection = None
+        self._theta = None
+        # canonical Maurer-Cartan elements of the strict maps pushed into
+        # this model, by (source signature, morphism signature); only
+        # mc_of_map reads and fills it
+        self.pushed: OrderedDict[tuple, GradedMap] = OrderedDict()
 
     def inclusion(self) -> InfinityMorphism:
         if self._inclusion is None:
@@ -74,9 +107,18 @@ class LoopHomology:
             self._projection = self.transfer.projection_infinity()
         return self._projection
 
+    def theta(self) -> GradedMap:
+        """The canonical twisting morphism p o iota: C -> H(loops C) of the
+        coalgebra this model was built from."""
+        if self._theta is None:
+            self._theta = self.transfer.contraction.p.compose(
+                self.cobar.inclusion())
+        return self._theta
+
 
 _MODELS: OrderedDict[tuple, LoopHomology] = OrderedDict()
 _MODELS_CAP = 8
+_PUSHED_CAP = 64
 
 
 def loop_homology(coalgebra: CdgCoalgebra, degree_max: int) -> LoopHomology:
@@ -84,14 +126,9 @@ def loop_homology(coalgebra: CdgCoalgebra, degree_max: int) -> LoopHomology:
     equal coalgebras built independently share one model and hence one
     fingerprint.  The cache keeps the _MODELS_CAP most recently used
     models."""
-    key = (_coalgebra_signature(coalgebra), degree_max)
-    if key in _MODELS:
-        _MODELS.move_to_end(key)
-    else:
-        _MODELS[key] = LoopHomology(coalgebra, degree_max)
-        if len(_MODELS) > _MODELS_CAP:
-            _MODELS.popitem(last=False)
-    return _MODELS[key]
+    return _lru(_MODELS, _MODELS_CAP,
+                (_coalgebra_signature(coalgebra), degree_max),
+                lambda: LoopHomology(coalgebra, degree_max))
 
 
 class MapRepresentation:
@@ -150,21 +187,30 @@ def mc_of_map(rep: MapRepresentation) -> GradedMap:
     constructions, and pushed down to the target's homology along the
     projection.  The middle stage lives in the divided-power
     normalization; the result is checked to satisfy the literal
-    Maurer-Cartan equation before being returned.
+    Maurer-Cartan equation before being returned.  The composite runs once
+    per distinct map and target model (LoopHomology.pushed, see the module
+    docstring); every call returns a fresh copy on the caller's source.
     """
     if rep.kind == "mc":
         return rep.mc
+    key = (_coalgebra_signature(rep.source),
+           _entries_signature(rep.morphism.entries))
+    known = _lru(rep.model.pushed, _PUSHED_CAP, key, lambda: _push_map(rep))
+    return GradedMap(rep.source.space, known.dst, 0, known.entries,
+                     name=known.name)
+
+
+def _push_map(rep: MapRepresentation) -> GradedMap:
+    """The composite of mc_of_map for a strict morphism, every gate run."""
     model = rep.model
     C = rep.source
     source_model = loop_homology(C, model.degree_max)
-    kc = source_model.transfer.contraction
-    theta = kc.p.compose(source_model.cobar.inclusion())
     induced = cobar_map(rep.morphism, source_model.cobar, model.cobar)
     lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,
                        induced.entries, name=induced.name)
     carried = postcompose_strict(lifted, source_model.inclusion(),
                                  model.ambient)
-    middle = push_mc(carried, C, theta)
+    middle = push_mc(carried, C, source_model.theta())
     result = push_mc(model.projection(), C, middle, residual="twisting")
     conv = ConvolutionAlgebra(C, model.algebra)
     res = conv.mc_check(result)

@@ -569,6 +569,65 @@ def test_homotopic_bytes_do_not_depend_on_the_cached_models(tmp_path,
             assert homotopic(*pair) == fresh[pair]
 
 
+def _cp3_self_maps(where, degrees):
+    (where / "cp3.json").write_text(json.dumps(CP3))
+    for k in degrees:
+        (where / f"f{k}.json").write_text(json.dumps(_element(
+            "map", f"f{k}", [[f"a{i}", f"a{i}", f"{k ** i}/1"]
+                             for i in (1, 2, 3)], "CP3", "CP3")))
+
+
+def _count_cobar_maps(monkeypatch) -> list:
+    calls = []
+    cobar_map = hopf.cobar_map
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return cobar_map(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "cobar_map", counted)
+    return calls
+
+
+def test_homotopic_batch_pushes_each_map_once(tmp_path, capsys, monkeypatch):
+    # the loop model keeps the canonical element of every map it pushed,
+    # so a batch in one process runs the cobar composite once per map
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    _cp3_self_maps(tmp_path, (-1, 2, 3))
+    calls = _count_cobar_maps(monkeypatch)
+    pairs = [(2, 3), (3, 2), (2, 2), (-1, 3), (3, -1), (-1, -1)]
+    codes = [run(capsys, ["homotopic", "@cp3", "@cp3", f"@f{j}", f"@f{k}",
+                          "--window", "12"], tmp_path)[0]
+             for j, k in pairs]
+    assert codes == [1, 1, 0, 1, 1, 0]
+    assert len(calls) == 3
+    (model,) = hopf._MODELS.values()
+    assert len(model.pushed) == 3
+
+
+def test_pushed_maps_past_the_cap_are_evicted_and_rebuilt(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    monkeypatch.setattr(hopf, "_PUSHED_CAP", 2)
+    _cp3_self_maps(tmp_path, (-1, 2, 3))
+    calls = _count_cobar_maps(monkeypatch)
+
+    def invariant(k):
+        return run(capsys, ["hopf", "@cp3", "@cp3", f"@f{k}",
+                            "--window", "12"], tmp_path)
+
+    first = invariant(-1)
+    assert first[0] == 0
+    invariant(2)
+    invariant(3)
+    (model,) = hopf._MODELS.values()
+    assert len(model.pushed) == 2 and len(calls) == 3
+    # f-1, the least recently used, was evicted: pushed again in full
+    assert invariant(-1) == first
+    assert len(model.pushed) == 2 and len(calls) == 4
+    assert invariant(3)[0] == 0 and len(calls) == 4
+
+
 def test_python_m_convmc_runs_the_cli():
     argv, code, digest = next(g for g in GOLDEN if g[0] == ["cobar", "cp2"])
     src = str(Path(cli.__file__).resolve().parents[1])

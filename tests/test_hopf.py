@@ -122,6 +122,49 @@ def test_identity_and_zero_through_full_pipeline():
     assert isinstance(same, Equal) and same.verify()
 
 
+def test_pushed_elements_are_handed_out_as_copies():
+    cp2 = cp2_coalgebra()
+    ident = GradedMap(cp2.space, cp2.space, 0,
+                      {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
+    rid = hopf.MapRepresentation.from_coalgebra_morphism(
+        cp2, cp2_model(), ident)
+    first = hopf.mc_of_map(rid)
+    first.entries["a"]["H2_0"] = F(7)
+    assert dict(hopf.mc_of_map(rid).entries) == {"a": {"H2_0": F(1)}}
+
+
+def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
+    """The zero map from the two-cell source to the 2-sphere, with its last
+    pushforward replaced by the obstructed element of
+    test_bottom_class_obstruction_is_caught: the final check refuses
+    the composite, nothing is kept, and a second call runs the composite
+    again and raises again."""
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    cp2 = cp2_coalgebra()
+    m = sphere_model()
+    zero = GradedMap(cp2.space, m.coalgebra.space, 0, {}, name="0")
+    rep = hopf.MapRepresentation.from_coalgebra_morphism(cp2, m, zero)
+    push_mc = hopf.push_mc
+    pushes = []
+
+    def obstructed(f, C, tau, residual="mc_check"):
+        out = push_mc(f, C, tau, residual=residual)
+        pushes.append(residual)
+        if residual == "twisting":
+            return GradedMap(C.space, out.dst, 0, {"a": {"H2_0": F(1)}})
+        return out
+
+    monkeypatch.setattr(hopf, "push_mc", obstructed)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="enlarge the window"):
+            hopf.mc_of_map(rep)
+        assert not m.pushed
+    assert pushes == ["mc_check", "twisting"] * 2
+    monkeypatch.setattr(hopf, "push_mc", push_mc)
+    assert hopf.mc_of_map(rep).is_zero()
+    assert len(m.pushed) == 1
+
+
 def test_conjugation_is_a_distinct_self_map():
     cp2 = cp2_coalgebra()
     ident = GradedMap(cp2.space, cp2.space, 0,
