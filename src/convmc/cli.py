@@ -11,18 +11,29 @@ are JSON on standard error with exit code 2.  Semantic failures (a
 residual that is not zero, a certificate that does not verify) exit 1;
 an undecided homotopy question exits 3.
 
-The truncation window is taken from --window, then the CONVMC_WINDOW
-environment variable, then a per-command default.  Every command with a
-window refuses one below the lowest degree of the space its model is
-built on (the carrier of L for bar, the coalgebra for cobar and
-transfer, the target coalgebra for hopf and homotopic, the bar
+The six commands on a convolution algebra Hom(C, L) (mc-check, twist,
+pi, components, hopf, homotopic) share one target loader: an linfty
+record is L as it stands, and a coalgebra D, bundled or from a file, is
+read as its loop model, the transferred structure on the homology of
+its cobar construction (hopf.loop_homology, cached per process).  hopf
+and homotopic read maps into D itself and refuse an linfty target.
+
+The truncation window is taken from --window (mc-check, twist and pi
+have none), then the CONVMC_WINDOW environment variable, then a
+per-command default.  Every command with a window refuses one below the
+lowest degree of the space its model is built on (the carrier of L for
+bar, the coalgebra for cobar, transfer and a loop model, the bar
 construction of a free Lie model source for components), since that
-model would be empty.  components refuses --window with a coalgebra
-source, which it uses as is.  hopf and homotopic also refuse a window
-that leaves the top degree of the source above exact_through (window -
-1), where the loop model is only a truncation artifact.  transfer blames
---window for a Jacobi residue above exact_through, where the cobar cut
-at the window leaves homology that is not there.
+model would be empty.  A loop model is also refused at a window that
+leaves the top degree of the source above exact_through (window - 1),
+where the model is only a truncation artifact; by default it sits two
+above the top degrees of source and target.  For components, --window
+sets the bar construction of a free Lie model source, so a loop model
+target at that window is refused by the same rule, and with a coalgebra
+source and an linfty target, both used as they are, --window is
+refused.  transfer blames --window for a Jacobi residue above
+exact_through, where the cobar cut at the window leaves homology that
+is not there.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from . import hopf, mapping, modelio
 from . import words as wd
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
-from .gauge import Distinct, Equal, GaugePath, Unknown
+from .gauge import Distinct, Equal, GaugePath, Unknown, moduli_normal_form
 from .graded import ChainComplex
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
 from .models import (CdgCoalgebra, JacobiError, LInfinityAlgebra,
@@ -52,26 +63,24 @@ EXIT_UNKNOWN = 3
 WINDOW_ENV = "CONVMC_WINDOW"
 
 
-def _load(arg: str):
-    """A model object from a file path or a bundled name."""
+KINDS = {CdgCoalgebra: "a coalgebra model",
+         QuillenModel: "a free Lie model",
+         LInfinityAlgebra: "a homotopy algebra model"}
+TARGET_KINDS = (CdgCoalgebra, LInfinityAlgebra)
+
+
+def _load(arg: str, kinds: tuple):
+    """A model object of one of the classes kinds, from a file path or a
+    bundled name."""
     if os.path.exists(arg):
-        return modelio.record_to_object(modelio.load_record(arg))
-    if arg in BUILTIN_COALGEBRAS or arg in BUILTIN_TARGETS:
-        return builtin_model(arg)
-    raise ModelFileError(arg, "no such file or bundled model")
-
-
-def _load_coalgebra(arg: str) -> CdgCoalgebra:
-    obj = _load(arg)
-    if not isinstance(obj, CdgCoalgebra):
-        raise ModelFileError(arg, "expected a coalgebra model")
-    return obj
-
-
-def _load_linfty(arg: str) -> LInfinityAlgebra:
-    obj = _load(arg)
-    if not isinstance(obj, LInfinityAlgebra):
-        raise ModelFileError(arg, "expected a homotopy algebra model")
+        obj = modelio.record_to_object(modelio.load_record(arg))
+    elif arg in BUILTIN_COALGEBRAS or arg in BUILTIN_TARGETS:
+        obj = builtin_model(arg)
+    else:
+        raise ModelFileError(arg, "no such file or bundled model")
+    if not isinstance(obj, kinds):
+        raise ModelFileError(arg, "expected " + " or ".join(
+            KINDS[k] for k in kinds))
     return obj
 
 
@@ -115,6 +124,21 @@ def _model_window(args, space, margin: int, source=None) -> int:
                              f"{source.name}; the map would be read on "
                              "truncation artifacts")
     return window
+
+
+def _loop_model(args, D: CdgCoalgebra,
+                C: CdgCoalgebra) -> hopf.LoopHomology:
+    """The cached loop model of the target coalgebra D, at a window that
+    keeps the top degree of the source C at or below exact_through."""
+    return hopf.loop_homology(D, _model_window(args, D.space, 2, C.space))
+
+
+def _target(args, target, C: CdgCoalgebra) -> LInfinityAlgebra:
+    """L of Hom(C, L) for a loaded target: an linfty record as is, a
+    coalgebra as its loop model."""
+    if isinstance(target, CdgCoalgebra):
+        return _loop_model(args, target, C).algebra
+    return target
 
 
 def _replay(obj) -> dict | None:
@@ -174,13 +198,11 @@ def cmd_validate(args) -> int:
 def _as_complex(obj) -> ChainComplex:
     if isinstance(obj, CdgCoalgebra):
         return ChainComplex(obj.space, obj.d, name=obj.name)
-    if isinstance(obj, (QuillenModel, LInfinityAlgebra)):
-        return obj.as_chain_complex()
-    raise ModelFileError("file", "no chain complex for this kind")
+    return obj.as_chain_complex()
 
 
 def cmd_homology(args) -> int:
-    cx = _as_complex(_load(args.file))
+    cx = _as_complex(_load(args.file, tuple(KINDS)))
     betti = cx.betti()
     if args.degree is not None:
         betti = {d: n for d, n in betti.items() if d == args.degree}
@@ -190,7 +212,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_cobar(args) -> int:
-    C = _load_coalgebra(args.file)
+    C = _load(args.file, (CdgCoalgebra,))
     window = _model_window(args, C.space, 3)
     om = cobar(C, degree_max=window)
     rec = modelio.quillen_to_record(om)
@@ -201,7 +223,7 @@ def cmd_cobar(args) -> int:
 
 
 def cmd_bar(args) -> int:
-    L = _load_linfty(args.file)
+    L = _load(args.file, (LInfinityAlgebra,))
     window = _model_window(args, L.space, 3)
     B = bar(L, window)
     rec = modelio.cdgc_to_record(B)
@@ -212,8 +234,8 @@ def cmd_bar(args) -> int:
 
 
 def _conv_and_tau(args):
-    C = _load_coalgebra(args.C)
-    L = _load_linfty(args.L)
+    C = _load(args.C, (CdgCoalgebra,))
+    L = _target(args, _load(args.L, TARGET_KINDS), C)
     conv = ConvolutionAlgebra(C, L)
     tau = modelio.element_from_record(_load_element(args.tau),
                                       C.space, L.space)
@@ -251,41 +273,30 @@ def cmd_pi(args) -> int:
     return EXIT_OK
 
 
-def _map_representation(rec: dict, C: CdgCoalgebra, model):
-    if rec.get("kind") == "map":
-        f = modelio.element_from_record(rec, C.space, model.coalgebra.space)
-        return hopf.MapRepresentation.from_coalgebra_morphism(
-            C, model, f, name=rec.get("name", ""))
-    tau = modelio.element_from_record(rec, C.space, model.algebra.space)
-    return hopf.MapRepresentation.from_mc(C, model, tau,
-                                          name=rec.get("name", ""))
-
-
 def cmd_hopf(args) -> int:
-    C = _load_coalgebra(args.C)
-    D = _load_coalgebra(args.D)
-    window = _model_window(args, D.space, 2, C.space)
-    model = hopf.loop_homology(D, window)
-    rep = _map_representation(_load_element(args.map), C, model)
-    inv = hopf.hopf_invariant(rep)
+    C = _load(args.C, (CdgCoalgebra,))
+    D = _load(args.D, (CdgCoalgebra,))
+    model = _loop_model(args, D, C)
+    value = hopf.mc_of_map(model, C, _load_element(args.map))
+    moduli = moduli_normal_form(ConvolutionAlgebra(C, model.algebra), value)
     _emit(args, {"kind": "hopf_report",
-                 "source": C.name, "target": D.name, "window": window,
-                 "fingerprint": inv.fingerprint,
-                 "representative": modelio.gmap_to_json(inv.representative),
-                 "verified": inv.verify()})
+                 "source": C.name, "target": D.name,
+                 "window": model.degree_max,
+                 "fingerprint": model.fingerprint,
+                 "representative": modelio.gmap_to_json(
+                     moduli.representative),
+                 "verified": moduli.verify()})
     return EXIT_OK
 
 
 def cmd_homotopic(args) -> int:
-    C = _load_coalgebra(args.C)
-    D = _load_coalgebra(args.D)
-    window = _model_window(args, D.space, 2, C.space)
-    model = hopf.loop_homology(D, window)
-    fa = _map_representation(_load_element(args.f), C, model)
-    fb = _map_representation(_load_element(args.g), C, model)
-    cert = hopf.maps_homotopic(fa, fb)
+    C = _load(args.C, (CdgCoalgebra,))
+    model = _loop_model(args, _load(args.D, (CdgCoalgebra,)), C)
+    x, y = (hopf.mc_of_map(model, C, _load_element(arg))
+            for arg in (args.f, args.g))
+    cert = hopf.maps_homotopic(model, C, x, y)
     rec = {"kind": "homotopy_report", "outcome": cert.outcome,
-           "window": window,
+           "window": model.degree_max,
            "certificate": modelio.certificate_to_record(cert)}
     _emit(args, rec)
     if isinstance(cert, Equal):
@@ -307,21 +318,22 @@ def cmd_gauge_check(args) -> int:
 
 
 def cmd_components(args) -> int:
-    source = _load(args.C)
-    if not isinstance(source, (CdgCoalgebra, QuillenModel)):
-        raise ModelFileError(args.C, "expected a coalgebra or free Lie model")
-    L = _load_linfty(args.L)
+    source = _load(args.C, (CdgCoalgebra, QuillenModel))
+    target = _load(args.L, TARGET_KINDS)
     window = None
     if isinstance(source, QuillenModel):
         if args.window is not None or os.environ.get(WINDOW_ENV):
             # the source is replaced by its bar construction, which sits
             # one degree above the letters of the free Lie algebra
             window = _model_window(args, source.as_linfty().space, 0)
-    elif args.window is not None:
+    elif args.window is not None and isinstance(target, LInfinityAlgebra):
         raise ModelFileError("--window", f"{args.C} is a coalgebra model and "
-                             "is used as is; the window only sets the bar "
-                             "construction of a free Lie model source")
-    conv = mapping.mapping_space_model(source, L, window)
+                             f"{args.L} a homotopy algebra model, used as "
+                             "they are; the window only sets the bar "
+                             "construction of a free Lie model source and "
+                             "the loop model of a coalgebra target")
+    C = mapping.strict_source(source, window)
+    conv = ConvolutionAlgebra(C, _target(args, target, C))
     restrict = None
     if args.param is not None:
         try:
@@ -370,7 +382,7 @@ def cmd_transfer(args) -> int:
     if args.arity < 1:
         raise ModelFileError("--arity", f"arity {args.arity} is below 1; "
                              "the transferred structure starts at l_1")
-    C = _load_coalgebra(args.file)
+    C = _load(args.file, (CdgCoalgebra,))
     window = _model_window(args, C.space, 2)
     t = transfer_linfty(cobar(C, degree_max=window), arity_max=args.arity)
     try:

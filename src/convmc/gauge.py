@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import comb
 
 from .convolution import ConvolutionAlgebra
-from .graded import GradedMap, Vec, add_term, vec_sub
+from .graded import GradedMap, Vec, add_term, lru, vec_sub
 from .matrices import (ONE, Coset, Echelon, Span, column_split,
                        span_coords)
 from .models import IntervalForms, extension_of_scalars
@@ -592,14 +592,7 @@ def _memo(conv: ConvolutionAlgebra, key: tuple, field, compute):
     """compute(), kept under field in the entry of the point with
     _point_key key in conv.point_memo: an LRU of the _POINTS_CAP points
     decided last."""
-    memo = conv.point_memo
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = {}
-        if len(memo) > _POINTS_CAP:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
+    entry = lru(conv.point_memo, _POINTS_CAP, key, dict)
     if field not in entry:
         entry[field] = compute()
     return entry[field]

@@ -20,13 +20,16 @@ Every signed sum over sparse vectors in the package goes through two
 helpers: add_term (defined in matrices, whose Echelon reduces with it,
 and re-exported here) is the only way to accumulate a term into a vector
 (a coefficient that sums to zero drops its key), and tensor_terms is the
-only expansion of a tensor product of vectors into its terms.
+only expansion of a tensor product of vectors into its terms.  The
+bounded caches of the package (loop models, pushed maps, decided points)
+take their least-recently-used step from lru.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
@@ -36,6 +39,18 @@ from .matrices import ONE, add_term
 
 Key = Hashable
 Vec = dict  # dict[Key, Fraction]
+
+
+def lru(cache: OrderedDict, cap: int, key, build):
+    """cache[key], built on a miss and then kept among the cap most
+    recently used entries.  A build that raises stores nothing."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > cap:
+        cache.popitem(last=False)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ target.  A source handed over as a free Lie model is first strictified:
 its bar construction is a genuine coalgebra quasi-isomorphic to the
 homology of the source inside the truncation window, so the convolution
 algebra over that bar coalgebra computes the same moduli there.  The
-replacement is recorded on the returned algebra so downstream reports
-can carry the window.
+bar coalgebra (barcobar.BarCoalgebra) records its window and
+exact_through itself, so downstream reports can read them off conv.C.
 
 Component search parameterizes degree-0 elements by exact coefficients
 c0, c1, ... and expands the Maurer-Cartan residual as a polynomial
@@ -51,53 +51,29 @@ from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
                     moduli_normal_form)
 from .graded import GradedMap, add_term, contraction_from_complex
 from .matrices import ONE
-from .models import (CdgCoalgebra, LInfinityAlgebra, QuillenModel,
-                     TruncatedPolynomials, extension_of_scalars)
+from .models import (CdgCoalgebra, QuillenModel, TruncatedPolynomials,
+                     extension_of_scalars)
 
 F = Fraction
 
 GRID_CAP = 64
 
 
-class Strictification:
-    """Record of a source replacement by the bar construction of its
-    free Lie model.  No report prints it yet: its window and
-    exact_through are the truncation provenance a components report is
-    to carry."""
-
-    def __init__(self, model: QuillenModel, coalgebra: CdgCoalgebra,
-                 degree_max: int):
-        self.model = model
-        self.coalgebra = coalgebra
-        self.degree_max = degree_max
-        self.exact_through = degree_max - 1
-
-    def __repr__(self):
-        return (f"Strictification({self.model.name} -> "
-                f"{self.coalgebra.name}, window {self.degree_max})")
-
-
-def mapping_space_model(source, L: LInfinityAlgebra,
-                        degree_max: int | None = None) -> ConvolutionAlgebra:
-    """Convolution model of the pointed mapping space.
+def strict_source(source, degree_max: int | None = None) -> CdgCoalgebra:
+    """The coalgebra C of the mapping space model Hom(C, L) of source.
 
     A coalgebra source is used as is.  A free Lie model is strictified
     through its bar construction, truncated at degree_max (default: one
-    above the model's own word cap); the replacement record is attached
-    as .strictification.
+    above the model's own word cap); that BarCoalgebra carries its L,
+    degree_max and exact_through.
     """
     if isinstance(source, QuillenModel):
         window = degree_max if degree_max is not None else \
             source.fl.deg_max + 1
-        strict = bar(source.as_linfty(), window)
-        conv = ConvolutionAlgebra(strict, L)
-        conv.strictification = Strictification(source, strict, window)
-        return conv
+        return bar(source.as_linfty(), window)
     if not isinstance(source, CdgCoalgebra):
         raise TypeError("source must be a coalgebra or a free Lie model")
-    conv = ConvolutionAlgebra(source, L)
-    conv.strictification = None
-    return conv
+    return source
 
 
 def _residual_polynomials(conv: ConvolutionAlgebra, pairs) -> dict:
@@ -269,8 +245,8 @@ class ComponentReport:
 
 def components(conv: ConvolutionAlgebra, restrict_to=None,
                samples=(0, 1, 2)) -> ComponentReport:
-    """Search for the components of the mapping space model conv (see
-    mapping_space_model).
+    """Search for the components of the mapping space model conv, the
+    convolution algebra over strict_source(source).
 
     Degree-0 elements are parameterized on restrict_to (a list of
     carrier basis pairs) or on the whole degree-0 basis, the residual

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from convmc import cli, hopf
+from convmc import cli, hopf, modelio
+from convmc.library import builtin_model
 from convmc.models import JacobiError
 from convmc.transfer import TransferredLInfinity
 
@@ -47,6 +48,10 @@ RECORDS = {
                      [["a", "H3_0", "1/1"]], "S3", "loops(S2)"),
     "eta2": _element("mc_element", "eta2",
                      [["a", "H3_0", "2/1"]], "S3", "loops(S2)"),
+    # CP2 -> loop homology of a target with a class H2_0: the bottom class
+    # to it, obstructed into S2 and the identity's element into CP2
+    "cp2_h2": _element("mc_element", "cp2_h2",
+                       [["a", "H2_0", "1/1"]], "CP2", "loops"),
     # self-maps of CP2: the identity and the conjugation a |-> -a
     "cp2_id": _element("map", "id", [["a", "a", "1/1"], ["b", "b", "1/1"]],
                        "CP2", "CP2"),
@@ -626,6 +631,124 @@ def test_pushed_maps_past_the_cap_are_evicted_and_rebuilt(tmp_path, capsys,
     assert invariant(-1) == first
     assert len(model.pushed) == 2 and len(calls) == 4
     assert invariant(3)[0] == 0 and len(calls) == 4
+
+
+# -- one target model for the Hom(C, L) commands ------------------------------
+
+# the benchmark's frozen loop model of S2 v S3 at window 8, only read here
+S2VS3_LOOPS = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+               / "s2vs3_loops_w8.linfty.json")
+
+
+def _loop_model_record(where, name, window):
+    """The linfty record of the loop model of a bundled coalgebra."""
+    path = where / f"{name}_loops_w{window}.json"
+    path.write_text(modelio.dumps_record(modelio.linfty_to_record(
+        hopf.loop_homology(builtin_model(name), window).algebra)))
+    return path
+
+
+def test_the_frozen_loop_model_is_the_loop_model_of_s2vs3():
+    text = modelio.dumps_record(modelio.linfty_to_record(
+        hopf.loop_homology(builtin_model("s2vs3"), 8).algebra))
+    assert text.encode("utf-8") == S2VS3_LOOPS.read_bytes()
+
+
+def test_components_into_a_coalgebra_reads_its_loop_model(tmp_path, capsys):
+    # the default window is two above the top degree of CP3: 8, the
+    # window the frozen file was built at
+    (tmp_path / "cp3.json").write_text(json.dumps(CP3))
+    got = run(capsys, ["components", "@cp3", "s2vs3"], tmp_path)
+    assert got[0] == 0 and got[2] == ""
+    assert sha(got[1]).startswith("bb2d28913e11174a")
+    assert run(capsys, ["components", "@cp3", str(S2VS3_LOOPS)],
+               tmp_path) == got
+    # with a coalgebra source, --window sets the loop model of the target
+    assert run(capsys, ["components", "@cp3", "s2vs3", "--window", "8"],
+               tmp_path) == got
+
+
+@pytest.mark.parametrize("argv,window", [
+    (["mc-check", "s3", "s2", "@eta1"], 5),
+    (["mc-check", "cp2", "s2", "@cp2_h2"], 6),
+    (["twist", "s3", "s2", "@eta2"], 5),
+    (["twist", "cp2", "cp2", "@cp2_h2"], 6),
+    (["pi", "s3", "s2", "@eta1", "--n", "1"], 5),
+    (["pi", "cp2", "cp2", "@cp2_h2", "--n", "1"], 6),
+], ids=["mc-check", "mc-check-obstructed", "twist", "twist-cp2", "pi",
+        "pi-cp2"])
+@pytest.mark.parametrize("env", [None, "7"], ids=["default", "env"])
+def test_a_coalgebra_target_is_read_as_its_loop_model(files, capsys,
+                                                      monkeypatch, argv,
+                                                      window, env):
+    # the default window is two above the top degrees of source and target
+    if env is not None:
+        monkeypatch.setenv(cli.WINDOW_ENV, env)
+        window = int(env)
+    frozen = _loop_model_record(files, argv[2], window)
+    got = run(capsys, argv, files)
+    assert got[2] == ""
+    assert run(capsys, argv[:2] + [str(frozen)] + argv[3:], files) == got
+
+
+@pytest.mark.parametrize("argv", [
+    ["components", "s3", "s2"],
+    ["mc-check", "s3", "s2", "@eta1"],
+    ["twist", "s3", "s2", "@eta1"],
+    ["pi", "s3", "s2", "@eta1", "--n", "1"],
+    ["homotopic", "s3", "s2", "@eta1", "@eta2"],
+], ids=["components", "mc-check", "twist", "pi", "homotopic"])
+def test_every_loop_model_refuses_a_source_above_exact_through(
+        files, capsys, monkeypatch, argv):
+    # S3's class in degree 3 lies above exact_through 2 at window 3
+    hopf_argv = ["hopf", "s3", "s2", "@eta1"]
+    if argv[0] in ("components", "homotopic"):
+        assert refusal(capsys, argv + ["--window", "3"], files) == \
+            refusal(capsys, hopf_argv + ["--window", "3"], files)
+    monkeypatch.setenv(cli.WINDOW_ENV, "3")
+    err = refusal(capsys, argv, files)
+    assert err["where"] == "--window"
+    assert err == refusal(capsys, hopf_argv, files)
+
+
+def test_a_free_lie_source_window_is_refused_by_a_loop_model_target(
+        quillen_s2, capsys):
+    # --window sets the bar construction of the source, whose top cells a
+    # loop model at that same window cannot read
+    err = refusal(capsys, ["components", str(quillen_s2), "s2",
+                           "--window", "5"])
+    assert err["where"] == "--window"
+    assert "exact only through degree 4, below degree 5" in err["error"]
+    code, out, _ = run(capsys, ["components", str(quillen_s2), "s2"])
+    assert code == 0 and json.loads(out)["classes"]
+
+
+@pytest.mark.parametrize("source,count,window", [("s3", 3, 5),
+                                                 ("s2xs2", 5, 6)])
+def test_components_agree_with_homotopic(tmp_path, capsys, source, count,
+                                         window):
+    # every listed class is a map: homotopic finds it equal to itself and
+    # never equal to another listed class, and decides each pair as the
+    # component search did; both read the loop model at the default window
+    code, out, _ = run(capsys, ["components", source, "s2"])
+    report = json.loads(out)
+    classes = report["classes"]
+    assert code == 0 and len(classes) == count
+    pairwise = {(i, j): outcome for i, j, outcome in report["pairwise"]}
+    assert len(pairwise) == count * (count - 1) // 2
+    for i, c in enumerate(classes):
+        (tmp_path / f"c{i}.json").write_text(json.dumps(_element(
+            "mc_element", f"c{i}", c["representative"], source, "loops")))
+    for i in range(count):
+        for j in range(count):
+            code, out, err = run(capsys, ["homotopic", source, "s2",
+                                          f"@c{i}", f"@c{j}"], tmp_path)
+            report = json.loads(out)
+            outcome = report["outcome"]
+            assert (err, report["window"]) == ("", window)
+            assert (outcome == "equal") == (i == j), (i, j)
+            assert outcome == pairwise.get((i, j), outcome), (i, j)
+            assert code == {"equal": 0, "distinct": 1, "unknown": 3}[outcome]
 
 
 def test_python_m_convmc_runs_the_cli():

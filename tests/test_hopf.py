@@ -25,9 +25,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convmc import hopf
+from convmc import hopf, modelio
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import Distinct, Equal, gauge_equivalent, gauge_flow
+from convmc.gauge import (Distinct, Equal, gauge_equivalent, gauge_flow,
+                          moduli_normal_form)
 from convmc.graded import GradedMap
 from convmc.library import cp2_coalgebra, sphere_coalgebra
 
@@ -40,12 +41,36 @@ def cp2_model():
     return hopf.loop_homology(cp2_coalgebra(), 6)
 
 
+def record(kind, f):
+    """The map or mc_element record of f, as a model file holds it."""
+    return {"kind": kind, "degree": f.degree,
+            "entries": modelio.gmap_to_json(f)}
+
+
+def self_map(C, entries):
+    """The canonical element of the strict self-map of C with the given
+    entries, read in the model of C at window 6."""
+    f = GradedMap(C.space, C.space, 0, entries)
+    return hopf.mc_of_map(hopf.loop_homology(C, 6), C, record("map", f))
+
+
+CP2_ID = {"a": {"a": F(1)}, "b": {"b": F(1)}}
+
+
 def hopf_family(k):
     m = sphere_model()
     s3 = sphere_coalgebra(3)
     tau = GradedMap(s3.space, m.algebra.space, 0,
                     {"a": {"H3_0": F(k)}} if k else {})
-    return hopf.MapRepresentation.from_mc(s3, m, tau, name=f"eta^{k}")
+    return hopf.mc_of_map(m, s3, record("mc_element", tau))
+
+
+def s3_homotopic(x, y):
+    return hopf.maps_homotopic(sphere_model(), sphere_coalgebra(3), x, y)
+
+
+def cp2_homotopic(x, y):
+    return hopf.maps_homotopic(cp2_model(), cp2_coalgebra(), x, y)
 
 
 def test_sphere_loop_model_constants():
@@ -77,20 +102,20 @@ def test_model_cache_evicts_the_least_recently_used(monkeypatch):
 
 def test_hopf_family_invariants():
     one, two = hopf_family(1), hopf_family(2)
-    inv = hopf.hopf_invariant(one)
+    conv = ConvolutionAlgebra(sphere_coalgebra(3), sphere_model().algebra)
+    inv = moduli_normal_form(conv, one)
     assert dict(inv.representative.entries) == {"a": {"H3_0": F(1)}}
     assert inv.verify()
-    assert inv.fingerprint == sphere_model().fingerprint
 
-    cert = hopf.maps_homotopic(one, two)
+    cert = s3_homotopic(one, two)
     assert isinstance(cert, Distinct)
     assert cert.kind == "homology-class"
     assert cert.verify()
 
-    cert0 = hopf.maps_homotopic(one, hopf_family(0))
+    cert0 = s3_homotopic(one, hopf_family(0))
     assert isinstance(cert0, Distinct) and cert0.verify()
 
-    same = hopf.maps_homotopic(one, hopf_family(1))
+    same = s3_homotopic(one, hopf_family(1))
     assert isinstance(same, Equal) and same.verify()
 
 
@@ -98,7 +123,7 @@ def test_hopf_family_invariants():
 @given(j=st.integers(min_value=-4, max_value=4),
        k=st.integers(min_value=-4, max_value=4))
 def test_hopf_family_is_faithful(j, k):
-    cert = hopf.maps_homotopic(hopf_family(j), hopf_family(k))
+    cert = s3_homotopic(hopf_family(j), hopf_family(k))
     if j == k:
         assert isinstance(cert, Equal) and cert.verify()
     else:
@@ -107,30 +132,19 @@ def test_hopf_family_is_faithful(j, k):
 
 def test_identity_and_zero_through_full_pipeline():
     cp2 = cp2_coalgebra()
-    ident = GradedMap(cp2.space, cp2.space, 0,
-                      {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
-    rid = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2_model(), ident)
-    assert dict(hopf.mc_of_map(rid).entries) == {"a": {"H2_0": F(1)}}
+    ident = self_map(cp2, CP2_ID)
+    assert dict(ident.entries) == {"a": {"H2_0": F(1)}}
+    assert self_map(cp2, {}).is_zero()
 
-    zero = GradedMap(cp2.space, cp2.space, 0, {}, name="0")
-    rz = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2_model(), zero)
-    assert hopf.mc_of_map(rz).is_zero()
-
-    same = hopf.maps_homotopic(rid, rid)
+    same = cp2_homotopic(ident, ident)
     assert isinstance(same, Equal) and same.verify()
 
 
 def test_pushed_elements_are_handed_out_as_copies():
     cp2 = cp2_coalgebra()
-    ident = GradedMap(cp2.space, cp2.space, 0,
-                      {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
-    rid = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2_model(), ident)
-    first = hopf.mc_of_map(rid)
+    first = self_map(cp2, CP2_ID)
     first.entries["a"]["H2_0"] = F(7)
-    assert dict(hopf.mc_of_map(rid).entries) == {"a": {"H2_0": F(1)}}
+    assert dict(self_map(cp2, CP2_ID).entries) == {"a": {"H2_0": F(1)}}
 
 
 def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
@@ -142,8 +156,7 @@ def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
     monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
     cp2 = cp2_coalgebra()
     m = sphere_model()
-    zero = GradedMap(cp2.space, m.coalgebra.space, 0, {}, name="0")
-    rep = hopf.MapRepresentation.from_coalgebra_morphism(cp2, m, zero)
+    zero = record("map", GradedMap(cp2.space, m.coalgebra.space, 0, {}))
     push_mc = hopf.push_mc
     pushes = []
 
@@ -157,38 +170,27 @@ def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
     monkeypatch.setattr(hopf, "push_mc", obstructed)
     for _ in range(2):
         with pytest.raises(ValueError, match="enlarge the window"):
-            hopf.mc_of_map(rep)
+            hopf.mc_of_map(m, cp2, zero)
         assert not m.pushed
     assert pushes == ["mc_check", "twisting"] * 2
     monkeypatch.setattr(hopf, "push_mc", push_mc)
-    assert hopf.mc_of_map(rep).is_zero()
+    assert hopf.mc_of_map(m, cp2, zero).is_zero()
     assert len(m.pushed) == 1
 
 
 def test_conjugation_is_a_distinct_self_map():
     cp2 = cp2_coalgebra()
-    ident = GradedMap(cp2.space, cp2.space, 0,
-                      {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
-    conj = GradedMap(cp2.space, cp2.space, 0,
-                     {"a": {"a": F(-1)}, "b": {"b": F(1)}}, name="conj")
-    rid = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2_model(), ident)
-    rconj = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2_model(), conj)
-    assert dict(hopf.mc_of_map(rconj).entries) == {"a": {"H2_0": F(-1)}}
-    cert = hopf.maps_homotopic(rid, rconj)
+    conj = self_map(cp2, {"a": {"a": F(-1)}, "b": {"b": F(1)}})
+    assert dict(conj.entries) == {"a": {"H2_0": F(-1)}}
+    cert = cp2_homotopic(self_map(cp2, CP2_ID), conj)
     assert isinstance(cert, Distinct) and cert.verify()
 
 
 def test_both_input_forms_give_the_same_class():
     cp2 = cp2_coalgebra()
-    ident = GradedMap(cp2.space, cp2.space, 0,
-                      {"a": {"a": F(1)}, "b": {"b": F(1)}}, name="id")
-    ra = hopf.MapRepresentation.from_coalgebra_morphism(
-        cp2, cp2_model(), ident)
-    rb = hopf.MapRepresentation.from_mc(cp2, cp2_model(),
-                                        hopf.mc_of_map(ra), name="id-as-mc")
-    cert = hopf.maps_homotopic(ra, rb)
+    ident = self_map(cp2, CP2_ID)
+    as_mc = hopf.mc_of_map(cp2_model(), cp2, record("mc_element", ident))
+    cert = cp2_homotopic(ident, as_mc)
     assert isinstance(cert, Equal) and cert.verify()
 
 
@@ -197,13 +199,13 @@ def test_invariant_survives_gauge_flow():
     m = sphere_model()
     s3 = sphere_coalgebra(3)
     conv = ConvolutionAlgebra(s3, m.algebra)
-    path = gauge_flow(conv, hopf.mc_of_map(one), conv.zero_map(1))
-    assert path.endpoint(0).equals(hopf.mc_of_map(one))
-    flowed = hopf.MapRepresentation.from_mc(s3, m, path.endpoint(1))
-    cert = hopf.maps_homotopic(one, flowed)
+    path = gauge_flow(conv, one, conv.zero_map(1))
+    assert path.endpoint(0).equals(one)
+    flowed = hopf.mc_of_map(m, s3, record("mc_element", path.endpoint(1)))
+    cert = s3_homotopic(one, flowed)
     assert isinstance(cert, Equal) and cert.verify()
-    assert hopf.hopf_invariant(flowed).representative.equals(
-        hopf.hopf_invariant(one).representative)
+    assert moduli_normal_form(conv, flowed).representative.equals(
+        moduli_normal_form(conv, one).representative)
 
 
 def test_flow_along_a_nonzero_direction_preserves_the_class():
@@ -215,34 +217,10 @@ def test_flow_along_a_nonzero_direction_preserves_the_class():
     assert lam.degree == 1
     path = gauge_flow(conv, start, lam)
     assert path.path_check().is_zero()
-    flowed = hopf.MapRepresentation.from_mc(cp2, m, path.endpoint(1))
-    anchor = hopf.MapRepresentation.from_mc(cp2, m, start)
-    cert = hopf.maps_homotopic(anchor, flowed)
+    flowed, anchor = (hopf.mc_of_map(m, cp2, record("mc_element", x))
+                      for x in (path.endpoint(1), start))
+    cert = cp2_homotopic(anchor, flowed)
     assert isinstance(cert, Equal) and cert.verify()
-
-
-def test_fingerprint_mismatch_is_refused():
-    cp2 = cp2_coalgebra()
-    narrow, wide = cp2_model(), hopf.loop_homology(cp2_coalgebra(), 8)
-    assert narrow.fingerprint != wide.fingerprint
-    mk = lambda m: hopf.MapRepresentation.from_mc(
-        cp2, m, GradedMap(cp2.space, m.algebra.space, 0,
-                          {"a": {"H2_0": F(1)}}))
-    with pytest.raises(ValueError, match="fingerprint"):
-        hopf.maps_homotopic(mk(narrow), mk(wide))
-
-
-def test_different_sources_are_refused():
-    with pytest.raises(ValueError, match="sources"):
-        hopf.maps_homotopic(hopf_family(1), _s2_self_map(1))
-
-
-def _s2_self_map(k):
-    m = sphere_model()
-    s2 = sphere_coalgebra(2)
-    tau = GradedMap(s2.space, m.algebra.space, 0,
-                    {"a": {"H2_0": F(k)}} if k else {})
-    return hopf.MapRepresentation.from_mc(s2, m, tau, name=f"deg {k}")
 
 
 def test_mc_input_validation():
@@ -250,28 +228,26 @@ def test_mc_input_validation():
     s3 = sphere_coalgebra(3)
     lam = GradedMap(s3.space, m.algebra.space, 1, {})
     with pytest.raises(ValueError, match="degree 0"):
-        hopf.MapRepresentation.from_mc(s3, m, lam)
+        hopf.mc_of_map(m, s3, record("mc_element", lam))
 
 
 def test_bottom_class_obstruction_is_caught():
     """tau(a) = H2_0 over the two-cell source fails the equation: the
     coproduct of b produces the self-bracket class with nothing to
-    cancel it, so no such map exists and from_mc must refuse."""
+    cancel it, so no such map exists and mc_of_map must refuse."""
     cp2 = cp2_coalgebra()
     m = sphere_model()
     tau = GradedMap(cp2.space, m.algebra.space, 0, {"a": {"H2_0": F(1)}})
     conv = ConvolutionAlgebra(cp2, m.algebra)
     assert dict(conv.mc_check(tau).entries) == {"b": {"H3_0": F(1)}}
     with pytest.raises(ValueError, match="Maurer-Cartan"):
-        hopf.MapRepresentation.from_mc(cp2, m, tau)
+        hopf.mc_of_map(m, cp2, record("mc_element", tau))
 
 
 def test_coalgebra_morphism_validation():
     cp2 = cp2_coalgebra()
-    drop_top = GradedMap(cp2.space, cp2.space, 0, {"a": {"a": F(1)}})
     with pytest.raises(ValueError):
-        hopf.MapRepresentation.from_coalgebra_morphism(
-            cp2, cp2_model(), drop_top)
+        self_map(cp2, {"a": {"a": F(1)}})
 
 
 # -- pi_n of the target through its loop homology -------------------------

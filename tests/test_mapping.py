@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from convmc import mapping
-from convmc.barcobar import cobar
+from convmc.barcobar import BarCoalgebra, cobar
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import Distinct, gauge_flow
 from convmc.graded import GradedSpace, add_term
@@ -47,27 +47,34 @@ def zero_target():
                             arities=[1])
 
 
+def mapping_space_model(source, L, degree_max=None):
+    """Hom(C, L) over the coalgebra that stands for source, as the
+    components command builds it."""
+    return ConvolutionAlgebra(mapping.strict_source(source, degree_max), L)
+
+
 def test_mapping_space_model_carrier():
-    conv = mapping.mapping_space_model(sphere_coalgebra(2), pi_s2())
+    s2 = sphere_coalgebra(2)
+    conv = mapping_space_model(s2, pi_s2())
     dims = {d: len(conv.carrier.basis(d))
             for d in sorted(conv.carrier.degrees())}
     assert dims == {0: 1, 1: 1}
-    assert conv.strictification is None
+    assert conv.C is s2
 
 
 def test_mapping_space_model_rejects_bad_source():
     with pytest.raises(TypeError):
-        mapping.mapping_space_model("S2", pi_s2())
+        mapping_space_model("S2", pi_s2())
 
 
 def test_zero_target_gives_empty_carrier():
-    conv = mapping.mapping_space_model(sphere_coalgebra(4), zero_target())
+    conv = mapping_space_model(sphere_coalgebra(4), zero_target())
     assert conv.carrier.total_dim() == 0
 
 
 def test_line_of_components_over_the_three_sphere():
     rep = mapping.components(
-        mapping.mapping_space_model(sphere_coalgebra(3), pi_s2()))
+        mapping_space_model(sphere_coalgebra(3), pi_s2()))
     assert rep.method == "affine"
     assert rep.exhaustive
     assert rep.free_parameters == ("c0",)
@@ -81,7 +88,7 @@ def test_line_of_components_over_the_three_sphere():
 
 def test_obstruction_forces_the_null_component():
     rep = mapping.components(
-        mapping.mapping_space_model(cp2_coalgebra(), pi_s2()))
+        mapping_space_model(cp2_coalgebra(), pi_s2()))
     assert rep.method == "polynomial"
     assert rep.exhaustive
     assert len(rep) == 1
@@ -91,14 +98,14 @@ def test_obstruction_forces_the_null_component():
 
 def test_zero_target_single_component():
     rep = mapping.components(
-        mapping.mapping_space_model(sphere_coalgebra(4), zero_target()))
+        mapping_space_model(sphere_coalgebra(4), zero_target()))
     assert rep.method == "empty-hom"
     assert rep.exhaustive
     assert len(rep) == 1
 
 
 def test_restricted_search_is_flagged():
-    conv = mapping.mapping_space_model(quillen_s2(), pi_s2())
+    conv = mapping_space_model(quillen_s2(), pi_s2())
     bottom = (("a",), "x")
     rep = mapping.components(conv, restrict_to=[bottom])
     assert not rep.exhaustive
@@ -141,7 +148,7 @@ def test_component_homotopy_group_table():
 
 
 def test_two_cell_component_matches_brute_force():
-    conv = mapping.mapping_space_model(cp2_coalgebra(), pi_s2())
+    conv = mapping_space_model(cp2_coalgebra(), pi_s2())
     pi1 = mapping.pi_of_component(conv, conv.zero_map(0), 1)
     assert len(pi1) == len(conv.carrier.basis(1)) == 1
 
@@ -157,7 +164,7 @@ def test_pi_of_component_input_checks():
 
 def test_pi_dimensions_are_gauge_invariant():
     cp2 = cp2_coalgebra()
-    conv = mapping.mapping_space_model(cp2, pi_s2())
+    conv = mapping_space_model(cp2, pi_s2())
     zero = conv.zero_map(0)
     lam = conv.elementary("a", "y")
     assert lam.degree == 1
@@ -171,9 +178,9 @@ def test_pi_dimensions_are_gauge_invariant():
 
 
 def test_strictified_source_matches_the_strict_model():
-    qconv = mapping.mapping_space_model(quillen_s2(), pi_s2())
-    assert qconv.strictification is not None
-    assert qconv.strictification.degree_max == 5
+    qconv = mapping_space_model(quillen_s2(), pi_s2())
+    assert isinstance(qconv.C, BarCoalgebra)
+    assert (qconv.C.degree_max, qconv.C.exact_through) == (5, 4)
     dims = {d: len(qconv.carrier.basis(d))
             for d in sorted(qconv.carrier.degrees())}
     assert dims == {-3: 1, -2: 2, -1: 2, 0: 2, 1: 1}
@@ -186,7 +193,7 @@ def test_strictified_source_matches_the_strict_model():
     for _, _, cert in qrep.pairwise:
         assert isinstance(cert, Distinct) and cert.verify()
 
-    sconv = mapping.mapping_space_model(sphere_coalgebra(2), pi_s2())
+    sconv = mapping_space_model(sphere_coalgebra(2), pi_s2())
     srep = mapping.components(sconv)
     assert srep.exhaustive and srep.free_parameters == ("c0",)
     assert len(qrep) == len(srep) == 3
@@ -340,8 +347,7 @@ def bundled_systems():
     sources["quillen_s2"] = lambda _: quillen_s2()
     for name, make in sources.items():
         for target in BUILTIN_TARGETS:
-            conv = mapping.mapping_space_model(make(name),
-                                               builtin_model(target))
+            conv = mapping_space_model(make(name), builtin_model(target))
             pairs = conv.carrier.basis(0)
             polys = mapping._residual_polynomials(conv, pairs)
             yield (f"{name}-{target}",
@@ -442,8 +448,7 @@ def test_residual_matches_the_walk_on_bundled_pairs():
     sources["quillen_s2"] = lambda _: quillen_s2()
     for name, make in sources.items():
         for target in BUILTIN_TARGETS:
-            conv = mapping.mapping_space_model(make(name),
-                                               builtin_model(target))
+            conv = mapping_space_model(make(name), builtin_model(target))
             assert_same_residual(conv, list(conv.carrier.basis(0)))
 
 
@@ -470,7 +475,7 @@ def free_lie_cp3():
     up to the cut."""
     L = transfer_linfty(cobar(wedge_s2_s3_coalgebra(), degree_max=8),
                         arity_max=3).algebra
-    conv = mapping.mapping_space_model(cobar(cp3_coalgebra(), 7), L, 7)
+    conv = mapping_space_model(cobar(cp3_coalgebra(), 7), L, 7)
     return conv, list(conv.carrier.basis(0))
 
 
