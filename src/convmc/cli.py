@@ -44,7 +44,6 @@ import os
 import sys
 
 from . import hopf, mapping, modelio
-from . import words as wd
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
 from .gauge import Distinct, Equal, GaugePath, Unknown, moduli_normal_form
@@ -242,6 +241,14 @@ def _conv_and_tau(args):
     return conv, tau
 
 
+def _require_mc(args, conv: ConvolutionAlgebra, tau) -> None:
+    """Refuse the element argument unless tau is Maurer-Cartan."""
+    rows = modelio.gmap_to_json(conv.mc_check(tau))
+    if rows:
+        raise ModelFileError(args.tau, "not a Maurer-Cartan element, "
+                             f"residual {json.dumps(rows)}")
+
+
 def cmd_mc_check(args) -> int:
     conv, tau = _conv_and_tau(args)
     res = conv.mc_check(tau)
@@ -253,6 +260,7 @@ def cmd_mc_check(args) -> int:
 
 def cmd_twist(args) -> int:
     conv, tau = _conv_and_tau(args)
+    _require_mc(args, conv, tau)
     tw = conv.twist(tau)
     _emit(args, {"kind": "twist_report",
                  "betti": modelio._betti_to_json(tw.betti()),
@@ -264,6 +272,7 @@ def cmd_pi(args) -> int:
     conv, tau = _conv_and_tau(args)
     if args.n < 1:
         raise ModelFileError("--n", "component homotopy starts at n = 1")
+    _require_mc(args, conv, tau)
     reps = mapping.pi_of_component(conv, tau, args.n)
     classes = [{"name": modelio.encode_key(k),
                 "representative": modelio.entries_to_json({k: v})}
@@ -397,29 +406,15 @@ def cmd_transfer(args) -> int:
                              f"spurious: window {window} is too small for "
                              f"arity {args.arity}") from None
 
-    def morphism_rows(m):
-        # components have degree 0: a word above the target's top degree
-        # has no value
-        rows = []
-        for n in range(1, args.arity + 1):
-            for combo in wd.canonical_words(m.source.space, n,
-                                            m.target.space.deg_max):
-                for dst, c in m.component(n, combo).items():
-                    rows.append([n, [modelio.encode_key(k) for k in combo],
-                                 modelio.encode_key(dst),
-                                 modelio.frac_to_str(c)])
-        rows.sort(key=lambda r: (r[0], modelio._canon(r[1]),
-                                 modelio._canon(r[2])))
-        return rows
-
-    alg = modelio.linfty_to_record(t.algebra, args.arity)
+    alg = modelio.linfty_to_record(t.algebra)
     _emit(args, {"kind": "transfer_report", "window": window,
                  "arity_max": args.arity,
                  "fingerprint": t.contraction.fingerprint,
                  "homology": alg["basis"],
                  "brackets": alg["brackets"],
-                 "inclusion": morphism_rows(t.inclusion_infinity()),
-                 "projection": morphism_rows(t.projection_infinity())})
+                 "inclusion": modelio.operation_rows(t.inclusion_infinity()),
+                 "projection": modelio.operation_rows(
+                     t.projection_infinity())})
     return EXIT_OK
 
 

@@ -38,7 +38,8 @@ for the elementary maps e_(c, x) at many carrier keys in one walk over
 the coproduct words: a word's first letter picks the columns it feeds,
 its tail is read off tau once for all of them, and its slots carry no
 sign, because nothing stands in front of e_(c, x) and tau has degree 0.
-twist, the gauge flow rates and twisted_differential read it, so d^tau
+twist (a ChainComplex on the carrier), the gauge flow rates and
+twisted_differential (the gauge flow's vector field) read it, so d^tau
 has one code path.  barcobar.twisting_residual, transfer.push_mc and
 transfer.push_path call convolve with weight 1/n! and, in turn, the
 brackets of L, the components of an infinity-morphism and those
@@ -110,18 +111,6 @@ def convolve(C: CdgCoalgebra, maps, op, dst: GradedSpace, degree: int,
         if acc:
             cols[ck] = acc
     return GradedMap(C.space, dst, degree, cols)
-
-
-class TwistedComplex(ChainComplex):
-    """The convolution carrier with the differential twisted by an MC
-    element: d^tau(f) = sum 1/n! l_{n+1}(f, tau, ..., tau)."""
-
-    def __init__(self, algebra: "ConvolutionAlgebra", tau: GradedMap,
-                 d: GradedMap):
-        super().__init__(algebra.carrier, d,
-                         name=f"{algebra.name} twisted")
-        self.algebra = algebra
-        self.tau = tau
 
 
 class ConvolutionAlgebra:
@@ -307,7 +296,9 @@ class ConvolutionAlgebra:
         return self.differential_of(tau) + self.series([tau], -1,
                                                        lambda n: ONE)
 
-    def twist(self, tau: GradedMap) -> TwistedComplex:
+    def twist(self, tau: GradedMap) -> ChainComplex:
+        """The carrier with the differential twisted by a Maurer-Cartan
+        element: d^tau(f) = sum 1/n! l_{n+1}(f, tau, ..., tau)."""
         res = self.mc_check(tau)
         if not res.is_zero():
             raise ValueError(
@@ -317,10 +308,7 @@ class ConvolutionAlgebra:
                       name="d^tau")
         if not d.compose(d).is_zero():
             raise AssertionError("twisted differential does not square to zero")
-        return TwistedComplex(self, tau, d)
-
-    def twisted_betti(self, tau: GradedMap) -> dict[int, int]:
-        return self.twist(tau).betti()
+        return ChainComplex(self.carrier, d, name=f"{self.name} twisted")
 
 
 def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,

@@ -9,9 +9,10 @@ is Maurer-Cartan and that dx/dt equals the gauge vector field
 
     dx/dt = l_1(lambda) + sum_{n>=1} 1/n! l_{n+1}(lambda, x, ..., x),
 
-so flowing along a degree-1 direction and checking a claimed path are
-both exact computations over Fraction scalars.  gauge_equivalent returns
-a certificate in every case: Equal carries a chain of paths that can be
+the twisted differential d^x(lambda) of ConvolutionAlgebra, so flowing
+along a degree-1 direction and checking a claimed path are both exact
+computations over Fraction scalars.  gauge_equivalent returns a
+certificate in every case: Equal carries a chain of paths that can be
 replayed through path_check, Distinct carries a reason that verify()
 recomputes from scratch, and Unknown is an honest failure to decide.
 
@@ -43,7 +44,8 @@ per pair only for sparse reductions:
   directions, and the stages of the normal form (the admissible
   combinations of each stage's candidate directions, their moves on the
   stage column, and the Coset and Span of those moves), or, when no
-  bracket survives, the Span and Coset of all the effects;
+  bracket survives, the one stage _abelian_stage, whose moves are all
+  the effects;
 - per point, in ConvolutionAlgebra.point_memo: the Maurer-Cartan
   residual, the sweep table (the Echelon of the flow rates on each
   column, through the first column that some direction moves), the
@@ -68,8 +70,7 @@ from math import comb
 
 from .convolution import ConvolutionAlgebra
 from .graded import GradedMap, Vec, add_term, lru, vec_sub
-from .matrices import (ONE, Coset, Echelon, Span, column_split,
-                       span_coords)
+from .matrices import ONE, Coset, Echelon, Span, column_split
 from .models import IntervalForms, extension_of_scalars
 
 F = Fraction
@@ -80,15 +81,6 @@ def default_poly_bound(conv: ConvolutionAlgebra) -> int:
     depth a source of this size can produce, with slack."""
     degrees = {conv.C.space.degree_of[k] for k in conv.C.space.all_keys()}
     return max(4, len(degrees) + 2)
-
-
-def vector_field(conv: ConvolutionAlgebra, x: GradedMap,
-                 lam: GradedMap) -> GradedMap:
-    """Right-hand side of the gauge flow equation at the point x in the
-    direction lam: l_1(lam) + sum 1/n! l_{n+1}(lam, x, ..., x)."""
-    if lam.degree != 1:
-        raise ValueError("gauge directions must have degree 1")
-    return conv.twisted_differential(x, lam)
 
 
 # -- paths ---------------------------------------------------------------
@@ -233,7 +225,7 @@ def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
     current = base
     for _ in range(poly_bound + 2):
         try:
-            rate = vector_field(ext_conv, current, lam_p)
+            rate = ext_conv.twisted_differential(current, lam_p)
             nxt = base + _integrate(conv, ext, rate, poly_bound)
         except ValueError as err:
             raise ValueError(
@@ -322,7 +314,7 @@ class Distinct:
             if tw.d.apply(dv):
                 return False
             bnd = [tw.d.entries.get(k, {}) for k in conv.carrier.basis(1)]
-            return span_coords(bnd, dv) is None
+            return Span(bnd).coords(dv) is None
         if self.kind == "twisted-betti":
             bx = _twisted_betti(conv, x)
             by = _twisted_betti(conv, y)
@@ -376,7 +368,7 @@ def _restrict(v: Vec, keys) -> Vec:
 
 def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
     """The nonzero Betti numbers of the carrier twisted by x."""
-    return {k: v for k, v in sorted(conv.twisted_betti(x).items()) if v}
+    return {k: v for k, v in sorted(conv.twist(x).betti().items()) if v}
 
 
 def _combine(vectors: list[Vec], coeffs) -> Vec:
@@ -518,25 +510,38 @@ def _reduce(conv: ConvolutionAlgebra, stage: tuple, v: Vec) -> tuple:
                             1)
 
 
-def _abelian_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
-                         poly_bound: int) -> ModuliClass:
-    red, lam = _reduce(conv, _algebra_memo(conv, _abelian_stage),
-                       conv.to_vec(x))
-    if lam is None:
-        return ModuliClass(conv, x, x, ())
-    path = gauge_flow(conv, x, lam, poly_bound)
-    rep = path.endpoint(1)
-    if conv.to_vec(rep) != red:
-        raise AssertionError("abelian flow missed its predicted endpoint")
-    return ModuliClass(conv, x, rep, (path,))
+def moduli_normal_form(conv: ConvolutionAlgebra,
+                       x: GradedMap) -> ModuliClass:
+    """Greedy staged reduction of a Maurer-Cartan element to a canonical
+    coset representative, with the realizing gauge paths.
 
-
-def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
-                        poly_bound: int) -> ModuliClass:
+    In the abelian case (no brackets survive the arity window) the orbit
+    of x is exactly x + im(d), so the one stage, _abelian_stage over
+    every degree-0 column, is a complete coset reduction and distinct
+    normal forms imply distinct classes.  Otherwise stages
+    run over source degrees: each stage reduces its column by directions
+    supported in the two adjacent source degrees, constrained to leave
+    the finished columns alone; those moves act linearly on the stage
+    column, so the reduction is exact, deterministic, and idempotent,
+    but normal forms of equivalent elements are only guaranteed to agree
+    when the moves available to general paths are stage-local too.
+    """
+    res = conv.mc_check(x)
+    if not res.is_zero():
+        raise ValueError(
+            f"normal form of a non-MC element, residual {res.entries!r}")
+    if conv.arity_window() <= 1:
+        # one stage over every degree-0 column; the source is one-reduced,
+        # so no finished column lies below degree 1
+        stages = [(1, conv.carrier.basis(0),
+                   _algebra_memo(conv, _abelian_stage))]
+    else:
+        stages = _algebra_memo(conv, _stages)
+    poly_bound = default_poly_bound(conv)
     cdeg = conv.C.space.degree_of
     current = x
     chain: list[GaugePath] = []
-    for p, basis_p, stage in _algebra_memo(conv, _stages):
+    for p, basis_p, stage in stages:
         red, lam = _reduce(conv, stage,
                            _restrict(conv.to_vec(current), basis_p))
         if lam is None:
@@ -551,31 +556,6 @@ def _staged_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
         chain.append(path)
         current = end
     return ModuliClass(conv, x, current, tuple(chain))
-
-
-def moduli_normal_form(conv: ConvolutionAlgebra,
-                       x: GradedMap) -> ModuliClass:
-    """Greedy staged reduction of a Maurer-Cartan element to a canonical
-    coset representative, with the realizing gauge paths.
-
-    In the abelian case (no brackets survive the arity window) the orbit
-    of x is exactly x + im(d), one global coset reduction is complete,
-    and distinct normal forms imply distinct classes.  Otherwise stages
-    run over source degrees: each stage reduces its column by directions
-    supported in the two adjacent source degrees, constrained to leave
-    the finished columns alone; those moves act linearly on the stage
-    column, so the reduction is exact, deterministic, and idempotent,
-    but normal forms of equivalent elements are only guaranteed to agree
-    when the moves available to general paths are stage-local too.
-    """
-    res = conv.mc_check(x)
-    if not res.is_zero():
-        raise ValueError(
-            f"normal form of a non-MC element, residual {res.entries!r}")
-    poly_bound = default_poly_bound(conv)
-    if conv.arity_window() <= 1:
-        return _abelian_normal_form(conv, x, poly_bound)
-    return _staged_normal_form(conv, x, poly_bound)
 
 
 # -- the decision --------------------------------------------------------
@@ -604,10 +584,7 @@ def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     target = conv.to_vec(y - x)
     coeffs = span.coords(target)
     if coeffs is None:
-        witness = {"class_degree": 0,
-                   "cycle": sorted(target.items(), key=lambda kv:
-                                   conv.carrier.sort_key(kv[0]))}
-        return Distinct(conv, x, y, "homology-class", witness)
+        return Distinct(conv, x, y, "homology-class", {})
     lam = conv.to_map(_combine(combos, coeffs), 1)
     path = gauge_flow(conv, x, lam, poly_bound)
     if not path.endpoint(1).equals(y):

@@ -56,10 +56,6 @@ def lru(cache: OrderedDict, cap: int, key, build):
 # ---------------------------------------------------------------------------
 # vectors
 
-def vec(*pairs) -> Vec:
-    return {k: Fraction(c) for k, c in pairs if c}
-
-
 def basis_vec(key: Key) -> Vec:
     return {key: ONE}
 

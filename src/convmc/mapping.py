@@ -221,7 +221,6 @@ class ComponentReport:
         self.conv = conv
         self.pairs = list(pairs)
         self.classes: list[ModuliClass] = []
-        self.representatives: list[GradedMap] = []
         self.pairwise: list[tuple[int, int, object]] = []
         self.free_parameters: tuple[str, ...] = ()
         self.parametric: list[dict] = []
@@ -278,7 +277,6 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
             report.notes.append("search restricted to an empty direction "
                                 "set; only the zero map was considered")
         report.classes.append(moduli_normal_form(conv, conv.zero_map(0)))
-        report.representatives.append(conv.zero_map(0))
         return report
 
     eqs = [p for p in _residual_polynomials(conv, pairs).values() if p]
@@ -333,9 +331,9 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
         if not res.is_zero():
             raise AssertionError("solver produced a non-MC point")
         merged = False
-        for i, rep in enumerate(report.representatives):
-            cert = gauge_equivalent(conv, tau, rep)
-            report.pairwise.append((len(report.representatives), i, cert))
+        for i, cls in enumerate(report.classes):
+            cert = gauge_equivalent(conv, tau, cls.start)
+            report.pairwise.append((len(report.classes), i, cert))
             if isinstance(cert, Equal):
                 merged = True
                 break
@@ -344,7 +342,6 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
                     "a pair of candidates could not be decided; they are "
                     "listed as separate classes")
         if not merged:
-            report.representatives.append(tau)
             report.classes.append(moduli_normal_form(conv, tau))
     return report
 

@@ -7,7 +7,7 @@ them and gives coordinates in the accepted ones.  FreeLie keeps one per
 degree.  column_split runs one over a list of columns; chain complexes
 (contractions and Betti numbers) and the gauge decision (through Coset
 and Span, which factor a list of vectors once for many right-hand
-sides, and span_coords, one Span for one right-hand side) run on it.
+sides) run on it.
 
 A normal form is defined by the leading columns of a span, the columns
 independent of the columns before them, which column_split finds
@@ -253,8 +253,3 @@ class Span:
             return None
         rest = iter(coords)
         return [next(rest) if a else ZERO for a in self._accepted]
-
-
-def span_coords(vectors: Sequence[dict], v: dict) -> list | None:
-    """Span(vectors).coords(v), for one v."""
-    return Span(vectors).coords(v)

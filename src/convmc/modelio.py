@@ -6,7 +6,9 @@ strings or nested tuples (bracket words, bar words, carrier pairs);
 tuples are encoded as nested JSON arrays and decoded back to tuples.
 Matrix data is written as sorted triple lists [src, dst, coeff] rather
 than objects keyed by encoded keys, which keeps the canonical ordering
-independent of the key encoding.
+independent of the key encoding.  operation_rows is the one writer of
+graded symmetric operations (the brackets of an linfty record, the
+components of a transfer report's infinity-morphisms).
 
 Serialization is deterministic: dictionaries are dumped with sorted
 keys and entry lists are sorted on their encoded form, so identical
@@ -29,7 +31,8 @@ from . import words as wd
 from .freelie import FreeLie
 from .gauge import Distinct, Equal, GaugePath, Unknown
 from .graded import ChainComplex, GradedMap, GradedSpace
-from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
+from .models import (CdgCoalgebra, LInfinityAlgebra, QuillenModel,
+                     SymmetricOperations)
 
 F = Fraction
 
@@ -194,39 +197,33 @@ def cdgc_from_record(rec: dict) -> CdgCoalgebra:
     return C
 
 
-def materialize_brackets(L: LInfinityAlgebra,
-                         arity_max: int | None = None) -> dict:
-    """Force every bracket value on canonical words of the carrier, so a
-    lazily computed structure can be written out.  l_n has degree -1, so
-    only words of degree <= deg_max + 1 can have a value in the carrier."""
-    cap = arity_max if arity_max is not None else L.max_arity()
-    tables: dict[int, dict] = {}
-    for n in L.arities:
-        if n > cap:
-            continue
-        for combo in wd.canonical_words(L.space, n, L.space.deg_max + 1):
-            val = L.bracket(n, combo)
-            if val:
-                tables.setdefault(n, {})[combo] = dict(val)
-    return tables
+def operation_rows(ops: SymmetricOperations) -> list:
+    """Sorted [n, word, dst, 'p/q'] rows of a table of graded symmetric
+    operations: the brackets of an L-infinity algebra or the components
+    of an infinity-morphism.  A computed table is first forced on every
+    canonical word that can have a value: an operation of degree
+    ops.degree on a word above degree codomain.deg_max - ops.degree
+    lands outside the codomain."""
+    if ops.compute is not None:
+        top = ops.codomain.deg_max - ops.degree
+        for n in ops.arities:
+            for word in wd.canonical_words(ops.space, n, top):
+                ops.value(n, word)
+    rows = []
+    for n, table in ops.tables.items():
+        for word, v in table.items():
+            for dst, c in v.items():
+                rows.append([n, [encode_key(k) for k in word],
+                             encode_key(dst), frac_to_str(c)])
+    rows.sort(key=lambda r: (r[0], _canon(r[1]), _canon(r[2])))
+    return rows
 
 
-def linfty_to_record(L: LInfinityAlgebra,
-                     arity_max: int | None = None) -> dict:
+def linfty_to_record(L: LInfinityAlgebra) -> dict:
     rec = _header("linfty", L.name)
     rec["basis"] = space_to_json(L.space)
     rec["arities"] = sorted(L.arities)
-    tables = materialize_brackets(L, arity_max) if L.compute is not None \
-        else L.brackets
-    rows = []
-    for n, table in tables.items():
-        for word, v in table.items():
-            for dst, c in v.items():
-                if c:
-                    rows.append([n, [encode_key(k) for k in word],
-                                 encode_key(dst), frac_to_str(c)])
-    rows.sort(key=lambda r: (r[0], _canon(r[1]), _canon(r[2])))
-    rec["brackets"] = rows
+    rec["brackets"] = operation_rows(L)
     return rec
 
 

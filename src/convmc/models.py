@@ -13,6 +13,12 @@ Grading conventions, fixed once for the whole package:
     one and twisting the bracket by (-1)^{shifted degree of the first
     argument}.
 
+SymmetricOperations is the one table of graded symmetric operations on
+sorted words, with one lookup and one multilinear extension: the
+brackets of LInfinityAlgebra (degree -1) and the components of
+transfer.InfinityMorphism (degree 0).  extended() extends either over
+scalars, and modelio.operation_rows writes either out.
+
 Extension of scalars tensors an L-infinity algebra L with a finite
 graded-commutative dg algebra A.  A is any object that provides
 degree(a), product(a, b) -> (key, coeff) or None when the product dies,
@@ -160,94 +166,110 @@ class JacobiError(ValueError):
         self.residue = residue
 
 
-class LInfinityAlgebra:
-    """Shifted L-infinity algebra: graded symmetric operations, all of
-    degree -1, stored by their values on sorted basis words.
+class SymmetricOperations:
+    """Graded symmetric operations of one degree, one per arity, stored
+    by their values on sorted basis words of space and landing in
+    codomain.  The tables are checked as sorted and non-vanishing.
 
-    An optional compute hook supplies bracket values on demand (used for
-    extensions of scalars whose full bracket table would be wasteful to
-    materialize); computed values are cached.
+    An optional compute hook supplies the values of the arities listed
+    in arities on demand (for structures whose full table would be
+    wasteful to materialize); computed values are degree-checked and
+    cached in the tables.
     """
+
+    symbol = "op"
+
+    def __init__(self, space: GradedSpace, codomain: GradedSpace,
+                 degree: int,
+                 tables: dict[int, dict[tuple, Vec]] | None = None,
+                 name: str = "",
+                 arities: Sequence[int] | None = None,
+                 compute: Callable[[int, tuple], Vec] | None = None):
+        self.space = space
+        self.codomain = codomain
+        self.degree = degree
+        self.name = name
+        self.compute = compute
+        self.tables: dict[int, dict[tuple, Vec]] = {}
+        for n, table in (tables or {}).items():
+            clean: dict[tuple, Vec] = {}
+            for word, v in table.items():
+                sw = wd.sort_letters(space, word)
+                if sw is None:
+                    raise ValueError(f"bracket stored on vanishing word {word!r}")
+                if sw[0] != word:
+                    raise ValueError(f"bracket word {word!r} is not sorted")
+                val = {k: Fraction(c) for k, c in v.items() if c}
+                if val:
+                    clean[word] = val
+            if clean:
+                self.tables[n] = clean
+        self.arities = sorted(set(arities) if arities is not None
+                              else self.tables)
+
+    def _check_degree(self, n: int, word: tuple, val: Vec) -> None:
+        want = sum(self.space.degree_of[k] for k in word) + self.degree
+        degf = self.codomain.degree_of
+        for k in val:
+            if degf[k] != want:
+                raise ValueError(f"{self.symbol}_{n}{word!r} lands in "
+                                 f"degree {degf[k]}, expected {want}")
+
+    def value(self, n: int, args: Sequence[Key]) -> Vec:
+        """The arity-n operation on basis letters in any order: the Koszul
+        sort sign times the stored or computed value on the sorted word
+        (a repeated odd letter gives zero)."""
+        args = tuple(args)
+        if len(args) != n:
+            raise ValueError(f"arity-{n} operation on {len(args)} letters")
+        sw = wd.sort_letters(self.space, args)
+        if sw is None:
+            return {}
+        word, sign = sw
+        table = self.tables.setdefault(n, {})
+        val = table.get(word)
+        if val is None:
+            if self.compute is None or n not in self.arities:
+                return {}
+            val = {k: Fraction(c) for k, c in self.compute(n, word).items()
+                   if c}
+            self._check_degree(n, word, val)
+            table[word] = val
+        return vec_scale(sign, val) if val else {}
+
+    def multi(self, n: int, vecs: Sequence[Vec]) -> Vec:
+        """Multilinear extension of the arity-n operation to vectors."""
+        if len(vecs) != n:
+            raise ValueError(f"arity-{n} operation on {len(vecs)} vectors")
+        out: Vec = {}
+        for args, c in tensor_terms(vecs):
+            for k, cc in self.value(n, args).items():
+                add_term(out, k, c * cc)
+        return out
+
+    def max_arity(self) -> int:
+        return max(self.arities, default=0)
+
+
+class LInfinityAlgebra(SymmetricOperations):
+    """Shifted L-infinity algebra: the graded symmetric operations l_n on
+    one space, all of degree -1, stored as brackets on sorted words."""
+
+    symbol = "l"
+    brackets = property(lambda self: self.tables)
+    bracket = SymmetricOperations.value
+    bracket_multi = SymmetricOperations.multi
 
     def __init__(self, space: GradedSpace,
                  brackets: dict[int, dict[tuple, Vec]] | None = None,
                  name: str = "",
                  arities: Sequence[int] | None = None,
                  compute: Callable[[int, tuple], Vec] | None = None):
-        self.space = space
-        self.name = name or space.name
-        self.brackets: dict[int, dict[tuple, Vec]] = {}
-        self.compute = compute
-        for n, table in (brackets or {}).items():
-            clean: dict[tuple, Vec] = {}
-            for word, v in table.items():
-                sw = wd.sort_letters(space, word)
-                if sw is None:
-                    raise ValueError(f"bracket stored on vanishing word {word!r}")
-                sword, sgn = sw
-                if sword != word:
-                    raise ValueError(f"bracket word {word!r} is not sorted")
-                val = {k: Fraction(c) for k, c in v.items() if c}
-                if val:
-                    clean[word] = val
-            if clean:
-                self.brackets[n] = clean
-        if arities is not None:
-            self.arities = sorted(set(arities))
-        else:
-            self.arities = sorted(self.brackets)
-
-    # -- evaluation ------------------------------------------------------
-
-    def _check_degree(self, n: int, word: tuple, val: Vec) -> None:
-        degf = self.space.degree_of
-        want = sum(degf[k] for k in word) - 1
-        for k in val:
-            if degf[k] != want:
-                raise ValueError(f"l_{n}{word!r} lands in degree {degf[k]}, "
-                                 f"expected {want}")
-
-    def _lookup(self, n: int, word: tuple) -> Vec:
-        table = self.brackets.setdefault(n, {})
-        if word in table:
-            return table[word]
-        if self.compute is not None and n in self.arities:
-            val = {k: Fraction(c) for k, c in self.compute(n, word).items()
-                   if c}
-            self._check_degree(n, word, val)
-            table[word] = val
-            return val
-        return {}
-
-    def bracket(self, n: int, args: Sequence[Key]) -> Vec:
-        """l_n on basis letters, in any order (the Koszul sort sign is
-        applied; a repeated odd argument gives zero)."""
-        if len(args) != n:
-            raise ValueError("arity mismatch")
-        sw = wd.sort_letters(self.space, tuple(args))
-        if sw is None:
-            return {}
-        word, sgn = sw
-        val = self._lookup(n, word)
-        return vec_scale(Fraction(sgn), val) if val else {}
-
-    def bracket_multi(self, n: int, vecs: Sequence[Vec]) -> Vec:
-        """Multilinear extension of l_n to vectors."""
-        if len(vecs) != n:
-            raise ValueError("arity mismatch")
-        out: Vec = {}
-        for args, c in tensor_terms(vecs):
-            for k, cc in self.bracket(n, args).items():
-                add_term(out, k, c * cc)
-        return out
-
-    # -- structure queries ----------------------------------------------
-
-    def max_arity(self) -> int:
-        return max(self.arities, default=0)
+        super().__init__(space, space, -1, brackets, name or space.name,
+                         arities, compute)
 
     def l1(self) -> GradedMap:
-        cols = {k: self._lookup(1, (k,)) for k in self.space.all_keys()}
+        cols = {k: self.bracket(1, (k,)) for k in self.space.all_keys()}
         return GradedMap(self.space, self.space, -1, cols, name="l1")
 
     def as_chain_complex(self) -> ChainComplex:
@@ -262,7 +284,7 @@ class LInfinityAlgebra:
         (on the span of the given letters)."""
         degs = [self.space.degree_of[k] for k in word]
         inner = [j for j in range(1, len(word) + 1)
-                 if j in self.arities or self.brackets.get(j)]
+                 if j in self.arities or self.tables.get(j)]
         out: Vec = {}
         for seq, c in wd.coderivation_terms(self.bracket, inner, degs, word):
             for k, cc in self.bracket(len(seq), seq).items():
@@ -282,7 +304,7 @@ class LInfinityAlgebra:
         nonzero goes unchecked: a word of degree <= deg_max + 1 is itself
         visited, and the j = m term of its sum evaluates l_m on it.
         """
-        for n, table in self.brackets.items():
+        for n, table in self.tables.items():
             for word, v in table.items():
                 if len(word) != n:
                     raise ValueError(f"bracket arity mismatch on {word!r}")
@@ -442,16 +464,19 @@ class TruncatedPolynomials:
         return {}
 
 
-def extended(A, op, letter_degree, n: int, vecs, odd: bool = False) -> Vec:
-    """The n-ary operation op(n, letters) extended over A, on vectors over
-    keys (a, x) and multilinear in them.
+def extended(A, ops: SymmetricOperations, n: int, vecs) -> Vec:
+    """The arity-n operation of ops extended over A, on vectors over keys
+    (a, x) and multilinear in them.
 
     On a basis word (a_1, x_1) ... (a_n, x_n) the value is the product
-    a_1 ... a_n in front of op(n, (x_1, ..., x_n)), with the Koszul sign
-    of each odd a_i passing x_1 ... x_(i-1), and for an odd op the sign of
-    op passing the whole block of forms; a word whose product dies gives
-    zero.  Only A.degree and A.product are read.
+    a_1 ... a_n in front of the operation on (x_1, ..., x_n), with the
+    Koszul sign of each odd a_i passing x_1 ... x_(i-1) (degrees read off
+    ops.space), and for an operation of odd degree the sign of the
+    operation passing the whole block of forms; a word whose product dies
+    gives zero.  Only A.degree and A.product are read.
     """
+    letter_degree = ops.space.degree_of
+    odd = ops.degree % 2
     out: Vec = {}
     for keys, coef in tensor_terms(vecs):
         before = 0
@@ -474,7 +499,7 @@ def extended(A, op, letter_degree, n: int, vecs, odd: bool = False) -> Vec:
         else:
             if odd and parity % 2:
                 coef = -coef
-            for y, c in op(n, tuple(x for _, x in keys)).items():
+            for y, c in ops.value(n, tuple(x for _, x in keys)).items():
                 add_term(out, (prod, y), coef * c)
     return out
 
@@ -493,8 +518,7 @@ def extension_of_scalars(L: LInfinityAlgebra, A) -> LInfinityAlgebra:
     def compute(n: int, word: tuple) -> Vec:
         a, x = word[0]
         d_part = {(a2, x): c for a2, c in A.d(a).items()} if n == 1 else {}
-        return vec_add(d_part, extended(A, L.bracket, L.space.degree_of, n,
-                                        [{k: ONE} for k in word], odd=True))
+        return vec_add(d_part, extended(A, L, n, [{k: ONE} for k in word]))
 
     return LInfinityAlgebra(space, {}, name=space.name,
                             arities=sorted(set(L.arities) | {1}),

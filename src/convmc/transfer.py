@@ -40,6 +40,8 @@ and the perturbed data read off from it give all three outputs at once:
     projection component  p'_n = p . (letter part of A (-hhat))
 
 for n >= 2, while l'_1, i'_1, p'_1 are the small differential, i and p.
+InfinityMorphism is a models.SymmetricOperations of degree 0, so it
+shares the brackets' lookup, extension over forms and writer.
 No word space is ever materialized; maps are evaluated lazily on the
 words actually reached, so cost scales with the arity window rather than
 with the size of a bar construction.
@@ -63,7 +65,6 @@ Library API: push_path
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial
 
 from . import words as wd
@@ -71,19 +72,20 @@ from .barcobar import CobarAlgebra, twisting_residual
 from .convolution import ConvolutionAlgebra, convolve
 from .gauge import GaugePath
 from .graded import (Contraction, GradedMap, TensorSpace, Vec, add_term,
-                     contraction_from_complex, tensor_terms, vec_scale)
+                     contraction_from_complex, tensor_terms)
 from .matrices import ONE
-from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra, Truncation,
-                     extended)
+from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra,
+                     SymmetricOperations, Truncation, extended)
 
 F = Fraction
 
 WVec = dict
 
 
-class InfinityMorphism:
+class InfinityMorphism(SymmetricOperations):
     """Morphism of shifted L-infinity algebras given by graded symmetric
-    degree-0 components on source words, one per arity.
+    degree-0 components on source words, one per arity, landing in the
+    target's space (models.SymmetricOperations of degree 0).
 
     Components are produced lazily by a compute hook and cached on sorted
     words.  Nothing is assumed about them, so broken candidates can be
@@ -91,56 +93,24 @@ class InfinityMorphism:
     word and pin it down empirically.
     """
 
+    symbol = "f"
+    component_multi = SymmetricOperations.multi
+
     def __init__(self, source: LInfinityAlgebra, target: LInfinityAlgebra,
                  arities, compute, name: str = ""):
+        super().__init__(source.space, target.space, 0, name=name,
+                         arities=arities, compute=compute)
         self.source = source
         self.target = target
-        self.arities = sorted(set(arities))
-        self.name = name
-        self._compute = compute
-        self._tables: dict[int, dict[tuple, Vec]] = {}
-
-    def max_arity(self) -> int:
-        return max(self.arities, default=0)
 
     def component(self, n: int, args) -> Vec:
         """Value of the arity-n component on a tuple of source basis keys."""
-        args = tuple(args)
-        if len(args) != n:
-            raise ValueError(f"component of arity {n} got {len(args)} letters")
-        sorted_word = wd.sort_letters(self.source.space, args)
-        if sorted_word is None:
-            return {}
-        word, sign = sorted_word
-        table = self._tables.setdefault(n, {})
-        if word not in table:
-            if n in self.arities:
-                val = {k: F(c) for k, c in self._compute(n, word).items() if c}
-            else:
-                val = {}
-            want = sum(self.source.space.degree_of[k] for k in word)
-            for k in val:
-                if self.target.space.degree_of[k] != want:
-                    raise ValueError(
-                        f"component {n} on {word!r} is not degree 0")
-            table[word] = val
-        val = table[word]
-        if not val:
-            return {}
-        if sign == 1:
-            return dict(val)
-        return vec_scale(F(sign), val)
+        return SymmetricOperations.value(self, n, args)
 
-    def component_multi(self, n: int, vecs) -> Vec:
-        """Multilinear extension of the arity-n component to vectors."""
-        vecs = list(vecs)
-        if len(vecs) != n:
-            raise ValueError(f"component of arity {n} got {len(vecs)} vectors")
-        out: Vec = {}
-        for keys, c in tensor_terms(vecs):
-            for k, ck in self.component(n, keys).items():
-                add_term(out, k, c * ck)
-        return out
+    def value(self, n: int, args) -> Vec:
+        # component_multi, models.extended and modelio.operation_rows come
+        # here: every evaluation passes component, which perfbench counts
+        return self.component(n, args)
 
 
 class TransferredLInfinity:
@@ -421,8 +391,7 @@ def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
     bound = path.poly_bound * max(1, window)
     omega = IntervalForms(bound)
     pushed = convolve(conv.C, [path.z],
-                      partial(extended, omega, f.component,
-                              f.source.space.degree_of),
+                      lambda n, vecs: extended(omega, f, n, vecs),
                       TensorSpace(omega, f.target.space), 0,
                       {n: F(1, factorial(n)) for n in range(1, window + 1)})
     return GaugePath.from_map(ConvolutionAlgebra(conv.C, f.target), bound,

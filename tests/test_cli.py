@@ -146,6 +146,10 @@ GOLDEN = [
     # twisted Betti comparisons, which leave 24 pairs undecided
     (["components", "s2xs2", "@xyz_model"], 0,
      "c1318a16a721f9bcdef84a37a53479274b30f7cfba388ce3857004ae46494bc9"),
+    # the only pinned call that runs gauge_flow: two flows in the abelian
+    # target, one verified class
+    (["components", "s2", "ab23"], 0,
+     "b9c166059bc3fb78a88b1dc2757756e90c54ebbc482b7ef3d361e485ee863ba3"),
     (["mc-check", "s3", "pi_s2", "@whitehead"], 0,
      "4ee5ed81d5b8f755e5093539fbb177e79213eb2eda1864ae260a79043533348c"),
     (["mc-check", "cp2", "pi_s2", "@cp2_bottom"], 1,
@@ -277,6 +281,100 @@ def refusal(capsys, argv, where=None):
     code, out, err = run(capsys, argv, where)
     assert (code, out) == (2, "")
     return json.loads(err)
+
+
+QUILLEN = {"format_version": 1, "kind": "quillen", "name": "Q",
+           "letters": [{"name": "a", "degree": 1}], "deg_max": 3,
+           "delta": []}
+
+# (content of @bad, argv, where, CONVMC_WINDOW); content is a record or
+# raw text, and "@name" in argv and where is the file of name
+REFUSALS = {
+    "no-such-model": (None, ["homology", "nosuch"], "nosuch", None),
+    "wrong-model-kind": (None, ["cobar", "pi_s2"], "pi_s2", None),
+    "element-of-another-kind": (RECORDS["cp2_model"],
+                                ["mc-check", "s3", "pi_s2", "@bad"], "@bad",
+                                None),
+    "window-env": (None, ["cobar", "cp2"], "CONVMC_WINDOW", "x"),
+    "pi-n-0": (None, ["pi", "s3", "pi_s2", "@whitehead", "--n", "0"], "--n",
+               None),
+    "gauge-check-model": (None, ["gauge-check", "@cp2_model"],
+                          "@cp2_model", None),
+    "param-not-json": (None, ["components", "s2", "pi_s2", "--param",
+                              "[nope"], "--param", None),
+    "not-json": ("{nope", ["validate", "@bad"], "@bad", None),
+    "not-an-object": ("[1]", ["validate", "@bad"], "@bad", None),
+    "format-version": ({**RECORDS["cp2_model"], "format_version": 2},
+                       ["validate", "@bad"], "@bad.format_version", None),
+    "unknown-kind": ({**RECORDS["cp2_model"], "kind": "nope"},
+                     ["validate", "@bad"], "kind", None),
+    "rational-not-string": ({**RECORDS["cp2_model"], "d": [["b", "a", 1]]},
+                            ["validate", "@bad"], "d[0]", None),
+    "bad-rational": ({**RECORDS["cp2_model"], "d": [["b", "a", "1/0"]]},
+                     ["validate", "@bad"], "d[0]", None),
+    "undecodable-key": ({**RECORDS["cp2_model"],
+                         "d": [[{"k": 1}, "a", "1/1"]]},
+                        ["validate", "@bad"], "d[0]", None),
+    "basis-row-fields": ({**RECORDS["cp2_model"], "basis": [{"name": "a"}]},
+                         ["validate", "@bad"], "basis[0]", None),
+    "basis-degree": ({**RECORDS["cp2_model"],
+                      "basis": [{"name": "a", "degree": "2"}]},
+                     ["validate", "@bad"], "basis[0]", None),
+    "matrix-row": ({**RECORDS["cp2_model"], "d": [["b", "a"]]},
+                   ["validate", "@bad"], "d[0]", None),
+    "coproduct-row": ({**RECORDS["cp2_model"], "delta": [["b", "a", "1/1"]]},
+                      ["validate", "@bad"], "delta[0]", None),
+    "bracket-row": ({**RECORDS["pi_s2_model"],
+                     "brackets": [[2, "x", "y", "1/1"]]},
+                    ["validate", "@bad"], "brackets[0]", None),
+    "word-length": ({**RECORDS["pi_s2_model"],
+                     "brackets": [[3, ["x", "x"], "y", "1/1"]]},
+                    ["validate", "@bad"], "brackets[0]", None),
+    "arities": ({**RECORDS["pi_s2_model"], "arities": "12"},
+                ["validate", "@bad"], "arities", None),
+    "quillen-deg-max": ({**QUILLEN, "deg_max": "3"}, ["validate", "@bad"],
+                        "deg_max", None),
+    "quillen-delta-source": ({**QUILLEN, "delta": [["zz", "a", "1/1"]]},
+                             ["validate", "@bad"], "delta", None),
+    "element-degree": ({**RECORDS["whitehead"], "degree": "0"},
+                       ["mc-check", "s3", "pi_s2", "@bad"], "degree", None),
+}
+
+
+def _at(where, s: str) -> str:
+    """s with a leading @name read as the file of name."""
+    if not s.startswith("@"):
+        return s
+    name, dot, rest = s[1:].partition(".")
+    return str(where / f"{name}.json") + dot + rest
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_where_the_input_breaks(files, capsys, monkeypatch,
+                                              case):
+    content, argv, where, env = REFUSALS[case]
+    if content is not None:
+        (files / "bad.json").write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    if env is not None:
+        monkeypatch.setenv(cli.WINDOW_ENV, env)
+    assert refusal(capsys, argv, files)["where"] == _at(files, where)
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "cp2", "pi_s2", "@cp2_bottom"],
+    ["pi", "cp2", "pi_s2", "@cp2_bottom", "--n", "1"]], ids=["twist", "pi"])
+def test_twist_and_pi_refuse_an_element_that_is_not_maurer_cartan(
+        files, capsys, argv):
+    where = _at(files, "@cp2_bottom")
+    assert refusal(capsys, argv, files) == {
+        "where": where, "error": f"{where}: not a Maurer-Cartan element, "
+                                 'residual [["b", "y", "1/1"]]'}
+    # mc-check answers the same element, with the same residual rows
+    code, out, err = run(capsys, ["mc-check", "cp2", "pi_s2", "@cp2_bottom"],
+                         files)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["residual"] == [["b", "y", "1/1"]]
 
 
 @pytest.mark.parametrize("command", ["cobar", "transfer"])
@@ -751,6 +849,56 @@ def test_components_agree_with_homotopic(tmp_path, capsys, source, count,
             assert code == {"equal": 0, "distinct": 1, "unknown": 3}[outcome]
 
 
+def test_an_undecided_pair_exits_3_and_so_does_its_certificate(tmp_path,
+                                                             capsys):
+    # classes 10 and 9 of the CP3 search into s2vs3 differ in normal form
+    # and no invariant separates them
+    (tmp_path / "cp3.json").write_text(json.dumps(CP3))
+    code, out, _ = run(capsys, ["components", "@cp3", "s2vs3"], tmp_path)
+    report = json.loads(out)
+    assert code == 0 and [10, 9, "unknown"] in report["pairwise"]
+    for i in (10, 9):
+        (tmp_path / f"c{i}.json").write_text(json.dumps(_element(
+            "mc_element", f"c{i}", report["classes"][i]["representative"],
+            "CP3", "loops")))
+    code, out, err = run(capsys, ["homotopic", "@cp3", "s2vs3", "@c10",
+                                  "@c9"], tmp_path)
+    cert = json.loads(out)["certificate"]
+    assert (code, err, cert["outcome"]) == (3, "", "unknown")
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    code, out, err = run(capsys, ["gauge-check", "@cert"], tmp_path)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"kind": "gauge_check_report",
+                               "checked": "certificate", "outcome": "unknown",
+                               "valid": False, "reason": cert["reason"]}
+
+
+@pytest.mark.parametrize("kind", ["homology-class", "nope"])
+def test_a_relabelled_witness_does_not_verify(files, capsys, kind):
+    # the rigid-stage certificate of id against conj, read as another kind
+    _, out, _ = run(capsys, ["homotopic", "cp2", "cp2", "@cp2_id",
+                             "@cp2_conj"], files)
+    cert = json.loads(out)["certificate"]
+    assert cert["witness_kind"] == "rigid-stage"
+    (files / "cert.json").write_text(json.dumps({**cert,
+                                                 "witness_kind": kind}))
+    code, out, err = run(capsys, ["gauge-check", "@cert"], files)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["valid"] is False
+
+
+def test_homology_of_a_cobar_record_is_its_free_lie_homology(tmp_path,
+                                                            capsys):
+    # the loop space of CP2 is S1 x Omega S5 rationally: classes in
+    # degrees 1 and 4 among 1..5
+    quillen = tmp_path / "q.json"
+    assert run(capsys, ["cobar", "cp2", "--out", str(quillen)])[0] == 0
+    code, out, _ = run(capsys, ["homology", str(quillen)])
+    betti = dict(json.loads(out)["betti"])
+    assert code == 0
+    assert [betti.get(d, 0) for d in range(1, 6)] == [1, 0, 0, 1, 0]
+
+
 def test_python_m_convmc_runs_the_cli():
     argv, code, digest = next(g for g in GOLDEN if g[0] == ["cobar", "cp2"])
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -801,11 +949,12 @@ def _homotopic_certificate(files, capsys, g):
      "witness.degree"),
     ("eta2", {"witness_kind": "rigid-stage", "witness": {"degree": True}},
      "witness.degree"),
+    ("eta2", {"outcome": "maybe"}, "outcome"),
 ], ids=["paths-string", "path-string", "parts-string", "C-string",
         "L-list", "x-string", "witness-string", "betti-int", "betti-row-str",
         "betti-row-null", "x-source-key", "y-target-key", "y-degree",
         "parts-source-key", "rigid-no-degree", "rigid-str-degree",
-        "rigid-bool-degree"])
+        "rigid-bool-degree", "unknown-outcome"])
 @pytest.mark.parametrize("command", ["gauge-check", "validate"])
 def test_malformed_certificate_fields_are_refused(files, capsys, command,
                                                   g, edit, where):
@@ -819,8 +968,12 @@ def test_malformed_certificate_fields_are_refused(files, capsys, command,
     ({"C": "nope"}, "C"), ({"L": 5}, "L"), ({"path": "nope"}, "path"),
     ({"path": {"poly_bound": 1, "q_parts": {}}}, "path.q_parts"),
     ({"path": {"poly_bound": 1, "q_parts": [[0, [["a", "zz", "1/1"]]]]}},
-     "path.q_parts[0]")],
-    ids=["C", "L", "path", "q_parts", "q_parts-target-key"])
+     "path.q_parts[0]"),
+    ({"path": {"poly_bound": 1, "p_parts": [["0", []]]}}, "path.p_parts[0]"),
+    ({"path": {"poly_bound": -1}}, "path.poly_bound"),
+    ({"path": {"poly_bound": "1"}}, "path.poly_bound")],
+    ids=["C", "L", "path", "q_parts", "q_parts-target-key", "part-row",
+         "negative-poly-bound", "str-poly-bound"])
 def test_malformed_gauge_path_fields_are_refused(files, capsys, edit, where):
     cert = _homotopic_certificate(files, capsys, "eta1")
     path = files / "path.json"

@@ -12,8 +12,10 @@ A reached definition reaches every definition whose name it reads, as a
 name or as an attribute, compared bare: a method counts as reached once
 any attribute of its name is read.  A reached class contributes only its
 bases, decorators, non-method body and dunder methods; its other methods
-are reached by name.  Imports read nothing, and a function that only
-calls itself stays unreached.
+are reached by name.  A function's reads leave out the names it binds
+itself (parameters, assignment, loop, comprehension, with and except
+targets), which are its locals.  Imports read nothing, and a function
+that only calls itself stays unreached.
 
 Options.  A parameter with a default is set by a call under src/convmc
 when the call passes it by keyword or by position, or passes *args or
@@ -105,9 +107,10 @@ def definitions() -> list[Definition]:
     return out
 
 
-def _read_names(nodes) -> set[str]:
+def _read_names(nodes, local=frozenset()) -> set[str]:
     """Names and attributes read by nodes, not descending into the
-    definitions nested in them, which are definitions of their own."""
+    definitions nested in them, which are definitions of their own.  A
+    name in local is a local variable, so reading it reads nothing."""
     out: set[str] = set()
     stack = list(nodes)
     while stack:
@@ -115,7 +118,8 @@ def _read_names(nodes) -> set[str]:
         if isinstance(getattr(node, "ctx", None), ast.Store):
             pass
         elif isinstance(node, ast.Name):
-            out.add(node.id)
+            if node.id not in local:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         stack.extend(child for child in ast.iter_child_nodes(node)
@@ -123,16 +127,38 @@ def _read_names(nodes) -> set[str]:
     return out
 
 
+def _bound_names(node) -> set[str]:
+    """The names a def binds itself: its parameters (and those of its
+    lambdas), and the targets of its assignments, loops, comprehensions,
+    with blocks and except clauses, not those of the definitions nested
+    in it.  A read of one of them is a read of a local, not of a
+    definition."""
+    out: set[str] = set()
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.arg):
+            out.add(child.arg)
+        elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+            out.add(child.id)
+        elif isinstance(child, ast.ExceptHandler) and child.name:
+            out.add(child.name)
+        stack.extend(c for c in ast.iter_child_nodes(child)
+                     if not isinstance(c, DEFS))
+    return out
+
+
 def _own_reads(node) -> set[str]:
-    """What a def reads: decorators, defaults, annotations and body.  What
-    a class reads: decorators, bases and the statements that are not
-    definitions."""
+    """What a def reads: decorators, defaults, annotations and body, less
+    the names it binds itself.  What a class reads: decorators, bases and
+    the statements that are not definitions."""
     if isinstance(node, ast.ClassDef):
         return _read_names(node.decorator_list + node.bases + node.keywords
                            + [n for n in node.body
                               if not isinstance(n, DEFS)])
     return _read_names(node.decorator_list + [node.args] + node.body
-                       + ([node.returns] if node.returns else []))
+                       + ([node.returns] if node.returns else []),
+                       _bound_names(node))
 
 
 def traced() -> set[tuple[str, str]]:
