@@ -11,10 +11,39 @@ Left-normed expressions span the free Lie algebra, so bases are chosen by
 expanding left-normed words degree by degree, in the order of the tensor
 words of that degree, and keeping the ones that grow the rank
 (deterministic, so every run picks the same basis).  A word's expansion
-is the commutator of its prefix's, kept from a lower degree, with its
-last letter; commutator is also the one rule expand and bracket use.
-One echelon of the accepted expansions per degree serves both the scan
-and express.
+is the commutator of its prefix's with its last letter; commutator is
+also the one rule expand and bracket use.
+
+Blocks.  The letter content of a tensor word is the multiset of its
+letters, written as a count per letter.  A commutator of two words is a
+sum of words with the joint content, so a left-normed word expands inside
+its own content and the free Lie algebra is the direct sum of its blocks
+L_beta, one per content beta.  A word grows the rank of its degree
+exactly when it grows the rank of its block, so one echelon per content
+picks the same basis, in the same order, as one echelon per degree; and
+express reduces each content part of a vector against its own block.
+
+Block dimensions come from PBW in plain integers.  The enveloping algebra
+of the free Lie algebra on V is the tensor algebra T(V), and by PBW it
+is, as a multigraded space, the product of S(L_beta) over even beta and
+of the exterior algebras of L_beta over odd beta (parity of the degree).
+In commuting variables t_i, one per letter, the Hilbert series are
+
+    1 / (1 - sum_i t_i)
+        = prod_{beta even} (1 - t^beta)^{-dim L_beta}
+          prod_{beta odd} (1 + t^beta)^{dim L_beta}.
+
+Taking logarithms and reading the coefficient of t^beta gives the super
+Witt formula, with W(beta) the number of words of content beta, |beta|
+its length and s(u) = -1 for odd and +1 for even degree:
+
+    W(beta) = sum_{k | gcd(beta)} (|beta| / k) s(beta/k)^{k+1} dim L_{beta/k}.
+
+The k = 1 term is |beta| dim L_beta, so each block's dimension follows
+from those of the contents beta/k below it by one exact division.  Once a
+block holds that many basis elements, the later words of its content are
+skipped without being expanded; a skipped word's expansion is built only
+when a later word needs it as a prefix.
 
 A FreeLie keeps two memos for its lifetime, so they go wherever the
 instance goes (a loop model in hopf's model cache keeps them with it):
@@ -33,6 +62,7 @@ memo entry is handed to a caller.
 from __future__ import annotations
 
 from functools import reduce
+from math import comb, gcd
 
 from . import matrices
 from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, vec_add,
@@ -114,44 +144,102 @@ class FreeLie:
                 raise ValueError("letter key collides with bracket tag")
         self.letters = letters
         self.deg_max = deg_max
+        self._index = {k: i for i, k in enumerate(letters.all_keys())}
         basis_by_deg: dict[int, list] = {}
-        self._echelons: dict[int, matrices.Echelon] = {}
+        # per content: the echelon of its accepted expansions, and the
+        # basis elements they are, in order
+        self._blocks: dict[tuple, tuple[matrices.Echelon, list]] = {}
         self._expansions: dict = {}
         self._brackets: dict[tuple, Vec] = {}
-        words_ex: dict[tuple, Vec] = {}   # every word's, for its extensions
-        for d, words in sorted(_tensor_words(letters, deg_max).items()):
-            ech = self._echelons[d] = matrices.Echelon()
-            for word in words:
-                e = reduce(br, word)   # left-normed: [[w1, w2], w3] ...
+        words = _tensor_words(letters, deg_max)
+        self._degrees = set(words)
+        dims: dict[tuple, int] = {}
+        words_ex: dict[tuple, Vec] = {}   # the ones scanned or needed
+
+        def expansion(word: tuple) -> Vec:
+            ex = words_ex.get(word)
+            if ex is None:
                 ex = words_ex[word] = {word: ONE} if len(word) == 1 else \
-                    commutator(letters, words_ex[word[:-1]], {word[-1:]: ONE})
+                    commutator(letters, expansion(word[:-1]),
+                               {word[-1:]: ONE})
+            return ex
+
+        for d, scan in sorted(words.items()):
+            for word in scan:
+                content = self._content(word)
+                block = self._blocks.get(content)
+                if block is None:
+                    block = self._blocks[content] = (matrices.Echelon(), [])
+                ech, elements = block
+                if ech.rank == self._witt_dim(content, dims):
+                    continue
+                ex = expansion(word)
                 if ech.add(ex):
+                    e = reduce(br, word)   # left-normed: [[w1, w2], w3] ...
+                    elements.append(e)
                     basis_by_deg.setdefault(d, []).append(e)
                     self._expansions[e] = ex
         self.space = GradedSpace(basis_by_deg, name=f"L({letters.name})")
+
+    def _content(self, word: tuple) -> tuple:
+        """The letter content of a tensor word: its count of each letter."""
+        counts = [0] * len(self._index)
+        for x in word:
+            counts[self._index[x]] += 1
+        return tuple(counts)
+
+    def _witt_dim(self, content: tuple, dims: dict) -> int:
+        """dim L_content by the super Witt formula (module docstring),
+        memoized in dims together with the contents content/k it reads."""
+        dim = dims.get(content)
+        if dim is not None:
+            return dim
+        length = sum(content)
+        words, seen = 1, 0   # the multinomial coefficient W(content)
+        for c in content:
+            seen += c
+            words *= comb(seen, c)
+        rest = words
+        degrees = [self.letters.degree_of[k] for k in self._index]
+        for k in range(2, gcd(*content) + 1):
+            if any(c % k for c in content):
+                continue
+            sub = tuple(c // k for c in content)
+            odd = sum(c * d for c, d in zip(sub, degrees)) % 2
+            sign = -1 if odd and k % 2 == 0 else 1
+            rest -= (length // k) * sign * self._witt_dim(sub, dims)
+        dim, remainder = divmod(rest, length)
+        if remainder:
+            raise AssertionError(f"Witt formula leaves {remainder} over "
+                                 f"{length} at letter content {content}")
+        dims[content] = dim
+        return dim
 
     def dim(self, n: int) -> int:
         return self.space.dim(n)
 
     def express(self, tv: Vec) -> Vec:
         """Write a tensor vector in the chosen Lie basis; raises when the
-        vector is not in the Lie span."""
-        if not tv:
-            return {}
-        degs = {sum(self.letters.degree_of[x] for x in w) for w in tv}
+        vector is not in the Lie span, naming the lowest degree that
+        fails."""
+        parts: dict[int, dict[tuple, Vec]] = {}
+        for w, c in tv.items():
+            d = sum(self.letters.degree_of[x] for x in w)
+            parts.setdefault(d, {}).setdefault(self._content(w), {})[w] = c
         out: Vec = {}
-        for d in sorted(degs):
-            part = {w: c for w, c in tv.items()
-                    if sum(self.letters.degree_of[x] for x in w) == d}
-            if d not in self._echelons:
+        for d in sorted(parts):
+            if d not in self._degrees:
                 raise ValueError(f"degree {d} is outside the truncation")
-            sol = self._echelons[d].coords(part)
-            if sol is None:
-                raise ValueError(f"vector is not in the Lie span in degree {d}")
-            for e, c in zip(self.space.basis(d), sol):
-                if c:
-                    out[e] = c
-        return out
+            for content, part in parts[d].items():
+                ech, elements = self._blocks[content]
+                sol = ech.coords(part)
+                if sol is None:
+                    raise ValueError(
+                        f"vector is not in the Lie span in degree {d}")
+                for e, c in zip(elements, sol):
+                    if c:
+                        out[e] = c
+        return {e: out[e] for e in sorted(out, key=self.space.sort_key)}
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         """Classical bracket of two vectors in basis coordinates, expressed

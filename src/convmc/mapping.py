@@ -215,7 +215,9 @@ def _solve_preferring_polynomial(eqs, n: int) -> list:
 
 class ComponentReport:
     """Moduli classes found by a component search, with pairwise gauge
-    certificates and honesty flags."""
+    certificates and honesty flags.  pairwise holds (candidate, class,
+    certificate): each candidate, numbered in search order, against the
+    classes listed before it, up to the first it is Equal to."""
 
     def __init__(self, conv: ConvolutionAlgebra, pairs):
         self.conv = conv
@@ -324,7 +326,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
                 seen.add(key)
                 candidates.append(key)
 
-    for point in candidates:
+    for n, point in enumerate(candidates):
         tau = conv.to_map({p: v for p, v in zip(pairs, point) if v},
                           degree=0)
         res = conv.mc_check(tau)
@@ -333,7 +335,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
         merged = False
         for i, cls in enumerate(report.classes):
             cert = gauge_equivalent(conv, tau, cls.start)
-            report.pairwise.append((len(report.classes), i, cert))
+            report.pairwise.append((n, i, cert))
             if isinstance(cert, Equal):
                 merged = True
                 break

@@ -4,7 +4,7 @@ dense row reduction kept as the tests' reference.
 Echelon holds an echelon basis of sparse vectors, dicts {key: Fraction},
 offered one at a time: it accepts the ones independent of those before
 them and gives coordinates in the accepted ones.  FreeLie keeps one per
-degree.  column_split runs one over a list of columns; chain complexes
+letter content.  column_split runs one over a list of columns; chain complexes
 (contractions and Betti numbers) and the gauge decision (through Coset
 and Span, which factor a list of vectors once for many right-hand
 sides) run on it.

@@ -19,7 +19,10 @@ Certificate records embed the full source coalgebra and target algebra,
 so a decision can be re-verified later from the file alone.  Every
 coalgebra record, embedded or not, is validated as it is read: d squares
 to zero (where "d"), and the coproduct is cocommutative, coassociative
-and compatible with d (where "delta").
+and compatible with d (where "delta").  A quillen record's delta is a
+derivation: given on the letters alone it is extended by the Leibniz
+rule, and given on bracket words as well it must equal that extension
+(where "delta").
 """
 
 from __future__ import annotations
@@ -276,8 +279,19 @@ def quillen_from_record(rec: dict) -> QuillenModel:
         if src not in fl.space.degree_of:
             raise ModelFileError("delta",
                                  f"{src!r} is not a word of the model")
-    delta = GradedMap(fl.space, fl.space, -1, cols)
-    return QuillenModel(fl, delta, name=name)
+    try:
+        given = GradedMap(fl.space, fl.space, -1, cols)
+    except ValueError as exc:
+        raise ModelFileError("delta", str(exc)) from None
+    if all(src in letters for src in cols):
+        return QuillenModel(fl, fl.derivation(cols, -1), name=name)
+    # a word missing from the record has delta 0 there
+    Q = QuillenModel(fl, given, name=name)
+    bad = Q.leibniz_defect()
+    if bad is not None:
+        raise ModelFileError("delta", "not the derivation of its values on "
+                             f"the letters, first at {bad!r}")
+    return Q
 
 
 def map_from_json(rows, where: str, src: GradedSpace, dst: GradedSpace,

@@ -344,7 +344,9 @@ def abelian_linfty(space: GradedSpace, d: GradedMap | None = None,
 
 class QuillenModel:
     """Free Lie algebra on a letter space with a square-zero derivation
-    differential, in classical degrees."""
+    differential, in classical degrees.  validate checks that delta is
+    the derivation its values on the letters determine (the Leibniz
+    rule) and that it squares to zero."""
 
     def __init__(self, fl: FreeLie, delta: GradedMap, name: str = ""):
         if delta.src is not fl.space or delta.degree != -1:
@@ -353,7 +355,22 @@ class QuillenModel:
         self.delta = delta
         self.name = name
 
+    def leibniz_defect(self):
+        """The first basis word, in basis order, where delta differs from
+        the derivation extending its values on the letters; None when
+        delta is that derivation."""
+        letters = {k: col for k in self.fl.letters.all_keys()
+                   if (col := self.delta.entries.get(k))}
+        derived = self.fl.derivation(letters, -1)
+        return next((e for e in self.fl.space.all_keys()
+                     if self.delta.entries.get(e, {})
+                     != derived.entries.get(e, {})), None)
+
     def validate(self):
+        bad = self.leibniz_defect()
+        if bad is not None:
+            raise ValueError(f"delta of {self.name!r} is not a derivation, "
+                             f"first at {bad!r}")
         ChainComplex(self.fl.space, self.delta, self.name).validate()
 
     def as_chain_complex(self) -> ChainComplex:

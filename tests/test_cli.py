@@ -84,6 +84,13 @@ RECORDS = {
                   "brackets": [[2, ["x", "y"], "z", "1/1"]]},
     "one_sided_tau": _element("mc_element", "tau", [["a", "x", "1/1"]],
                               "B", "T"),
+    # S2 v S2 v S2: its cobar is the whole free Lie algebra on three
+    # letters of degree 1
+    "s2_wedge3": {"format_version": 1, "kind": "cdgc", "name": "S2vS2vS2",
+                  "basis": [{"name": "a", "degree": 2},
+                            {"name": "b", "degree": 2},
+                            {"name": "c", "degree": 2}],
+                  "d": [], "delta": []},
 }
 
 # (argv, exit code, sha256 of stdout); "@name" is the file of RECORDS[name]
@@ -112,6 +119,9 @@ GOLDEN = [
      "4bca550b0484b79e0578b6e4714a04f07722e65c6a71fb71916921b4dc8e30c7"),
     (["cobar", "s2xs2", "--window", "5"], 0,
      "215779f83bd3147e9f55a3899e7f6ac54c1a5ea37f03909d06bd0a9e389e9429"),
+    # the free Lie basis scan on three letters through degree 7
+    (["cobar", "@s2_wedge3", "--window", "8"], 0,
+     "3de166632619b1d70171b3ae9477090301348f2115366a54d9918fe5e9f6be28"),
     (["bar", "pi_s2"], 0,
      "952a9964cff91d66f4dda060579deee8f6d54c4b2182213d0d7ec1f8f9086621"),
     (["bar", "ab23", "--window", "5"], 0,
@@ -134,6 +144,8 @@ GOLDEN = [
     # h != 0 here too, on a larger cobar complex than cp2's
     (["transfer", "s2xs2", "--window", "9"], 0,
      "b6dfdde289c9515feca834486cffebb97c90b30a420b0f55d91ec7d126c76da7"),
+    (["transfer", "s2xs2", "--window", "10"], 0,
+     "3f4e1cf8a533b534e9429885e161b2237897426f1a99ccee6b86fe23ee4a4245"),
     (["components", "s3", "pi_s2"], 0,
      "7e051403354a63c6a9756314c52eb6f9207bad2353a5e6ded7777665e8a29d68"),
     (["components", "s2", "pi_s2", "--samples", "0,1"], 0,
@@ -147,9 +159,9 @@ GOLDEN = [
     (["components", "s2xs2", "@xyz_model"], 0,
      "c1318a16a721f9bcdef84a37a53479274b30f7cfba388ce3857004ae46494bc9"),
     # the only pinned call that runs gauge_flow: two flows in the abelian
-    # target, one verified class
+    # target, one verified class; candidates 1 and 2 both merge into it
     (["components", "s2", "ab23"], 0,
-     "b9c166059bc3fb78a88b1dc2757756e90c54ebbc482b7ef3d361e485ee863ba3"),
+     "ea1b888c71bc02e086d39d697d4082cae3d683bfacae2d37fc2c9fde14bbcef3"),
     (["mc-check", "s3", "pi_s2", "@whitehead"], 0,
      "4ee5ed81d5b8f755e5093539fbb177e79213eb2eda1864ae260a79043533348c"),
     (["mc-check", "cp2", "pi_s2", "@cp2_bottom"], 1,
@@ -287,6 +299,13 @@ QUILLEN = {"format_version": 1, "kind": "quillen", "name": "Q",
            "letters": [{"name": "a", "degree": 1}], "deg_max": 3,
            "delta": []}
 
+# L(a2, b2, c7) with delta(c) = [a, [a, b]] = -[[a, b], a], given on the
+# letters alone: the loader extends it as a derivation
+LABC = {"format_version": 1, "kind": "quillen", "name": "Labc",
+        "letters": [{"name": "a", "degree": 2}, {"name": "b", "degree": 2},
+                    {"name": "c", "degree": 7}], "deg_max": 9,
+        "delta": [["c", ["br", ["br", "a", "b"], "a"], "-1/1"]]}
+
 # (content of @bad, argv, where, CONVMC_WINDOW); content is a record or
 # raw text, and "@name" in argv and where is the file of name
 REFUSALS = {
@@ -336,6 +355,14 @@ REFUSALS = {
                         "deg_max", None),
     "quillen-delta-source": ({**QUILLEN, "delta": [["zz", "a", "1/1"]]},
                              ["validate", "@bad"], "delta", None),
+    "quillen-delta-target": ({**QUILLEN, "delta": [["a", "zz", "1/1"]]},
+                             ["validate", "@bad"], "delta", None),
+    # delta[a, c] lies in the letter content a a a b, not a a b b
+    "quillen-delta-not-derivation": (
+        {**LABC, "delta": LABC["delta"] + [
+            [["br", "a", "c"],
+             ["br", ["br", ["br", "a", "b"], "a"], "b"], "1/1"]]},
+        ["validate", "@bad"], "delta", None),
     "element-degree": ({**RECORDS["whitehead"], "degree": "0"},
                        ["mc-check", "s3", "pi_s2", "@bad"], "degree", None),
 }
@@ -897,6 +924,43 @@ def test_homology_of_a_cobar_record_is_its_free_lie_homology(tmp_path,
     betti = dict(json.loads(out)["betti"])
     assert code == 0
     assert [betti.get(d, 0) for d in range(1, 6)] == [1, 0, 0, 1, 0]
+
+
+def test_a_quillen_delta_on_letters_is_extended_as_a_derivation(tmp_path,
+                                                               capsys):
+    # the Leibniz rule gives delta[a, c] and delta[b, c] nonzero, so only
+    # one class survives in degree 8 (and none in degree 9, whose
+    # brackets with c hit the three degree-8 words)
+    path = tmp_path / "labc.json"
+    path.write_text(json.dumps(LABC))
+    code, out, _ = run(capsys, ["homology", str(path)])
+    assert code == 0
+    assert dict(json.loads(out)["betti"]) == {2: 2, 4: 1, 6: 1, 7: 0, 8: 1,
+                                              9: 0}
+    assert run(capsys, ["validate", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("model", ["cp2", "s2xs2", "s2vs3"])
+def test_a_cobar_record_loads_as_the_same_derivation(tmp_path, capsys,
+                                                     model):
+    # cobar writes delta on every word; reading it back checks it against
+    # the derivation of its letter values and keeps every byte
+    path = tmp_path / "q.json"
+    assert run(capsys, ["cobar", model, "--window", "7",
+                        "--out", str(path)])[:2] == (0, "")
+    text = path.read_text(encoding="utf-8")
+    rec = json.loads(text)
+    Q = modelio.quillen_from_record(rec)
+    assert Q.leibniz_defect() is None
+    assert modelio.dumps_record({**modelio.quillen_to_record(Q),
+                                 "window": 7, "exact_through": 6}) == text
+
+
+def test_components_names_each_merged_candidate(capsys):
+    # both later candidates merge into class 0
+    code, out, _ = run(capsys, ["components", "s2", "ab23"])
+    assert code == 0
+    assert json.loads(out)["pairwise"] == [[1, 0, "equal"], [2, 0, "equal"]]
 
 
 def test_python_m_convmc_runs_the_cli():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from convmc.freelie import FreeLie, br, expand, expr_degree
+from convmc import matrices
+from convmc.freelie import (FreeLie, _tensor_words, br, commutator, expand,
+                            expr_degree)
 from convmc.graded import (ChainComplex, GradedSpace, add_term,
                            contraction_from_complex)
 
@@ -176,17 +179,21 @@ def tensor_word_count(degrees, deg_max):
 
 
 @st.composite
-def free_lie_algebras(draw):
-    """1-3 letters in each of a nonempty set of degrees in 1..4, a window
-    of at most 7, and few enough tensor words to scan quickly."""
+def letter_spaces(draw, top=8, most_words=400):
+    """Odd and even letters, one to three in each of a nonempty set of
+    degrees in 1..4, a window of at most top, and at most most_words
+    tensor words, so that the unpruned scan runs quickly."""
     per_degree = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 3),
                                       min_size=1))
-    deg_max = draw(st.integers(min(per_degree), 7))
+    deg_max = draw(st.integers(min(per_degree), top))
     degrees = [d for d, m in per_degree.items() for _ in range(m)]
-    assume(tensor_word_count(degrees, deg_max) <= 300)
-    letters = GradedSpace({d: [f"x{d}_{i}" for i in range(m)]
-                           for d, m in per_degree.items()}, name="V")
-    return FreeLie(letters, deg_max)
+    assume(tensor_word_count(degrees, deg_max) <= most_words)
+    return GradedSpace({d: [f"x{d}_{i}" for i in range(m)]
+                        for d, m in per_degree.items()}, name="V"), deg_max
+
+
+def free_lie_algebras():
+    return letter_spaces(top=7, most_words=300).map(lambda s: FreeLie(*s))
 
 
 def basis_vectors(keys):
@@ -241,3 +248,145 @@ def test_memoized_bracket_matches_the_direct_computation(data):
     # the table is bounded by the pairs of basis elements in the window
     assert all(a in fl.space and b in fl.space
                and deg[a] + deg[b] <= fl.deg_max for a, b in fl._brackets)
+
+
+class ReferenceFreeLie:
+    """The unpruned scan: every tensor word's left-normed bracket is
+    offered, in the scan order, to one echelon per degree, and express
+    reduces each degree part against its degree's echelon.  Its bracket
+    is reference_bracket(ref, u, v)."""
+
+    def __init__(self, letters, deg_max):
+        self.letters = letters
+        self.deg_max = deg_max
+        self.basis: dict[int, list] = {}
+        self.expansions: dict = {}
+        self.echelons: dict[int, matrices.Echelon] = {}
+        words_ex: dict = {}
+        for d, words in sorted(_tensor_words(letters, deg_max).items()):
+            ech = self.echelons[d] = matrices.Echelon()
+            for word in words:
+                ex = words_ex[word] = {word: F(1)} if len(word) == 1 else \
+                    commutator(letters, words_ex[word[:-1]],
+                               {word[-1:]: F(1)})
+                if ech.add(ex):
+                    e = reduce(br, word)
+                    self.basis.setdefault(d, []).append(e)
+                    self.expansions[e] = ex
+
+    def degree(self, word) -> int:
+        return sum(self.letters.degree_of[x] for x in word)
+
+    def express(self, tv):
+        out = {}
+        for d in sorted({self.degree(w) for w in tv}):
+            part = {w: c for w, c in tv.items() if self.degree(w) == d}
+            if d not in self.echelons:
+                raise ValueError(f"degree {d} is outside the truncation")
+            sol = self.echelons[d].coords(part)
+            if sol is None:
+                raise ValueError(
+                    f"vector is not in the Lie span in degree {d}")
+            out.update((e, c) for e, c in zip(self.basis.get(d, []), sol)
+                       if c)
+        return out
+
+
+def content_of(fl, word):
+    return tuple(sum(1 for x in word if x == k)
+                 for k in fl.letters.all_keys())
+
+
+def letters_of(e):
+    return [x for part in e[1:] for x in letters_of(part)] \
+        if isinstance(e, tuple) and e[:1] == ("br",) else [e]
+
+
+def assert_same_outcome(got, want):
+    """Two calls give the same dict, in the same order, or raise
+    ValueErrors with the same message."""
+    results = []
+    for call in (got, want):
+        try:
+            results.append(("value", list(call().items())))
+        except ValueError as exc:
+            results.append(("error", str(exc)))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_spaces())
+def test_witt_block_dims_are_the_ranks_of_the_unpruned_scan(space):
+    letters, deg_max = space
+    fl = FreeLie(letters, deg_max)
+    ref = ReferenceFreeLie(letters, deg_max)
+    ranks: dict = {}
+    for elements in ref.basis.values():
+        for e in elements:
+            c = content_of(fl, letters_of(e))
+            ranks[c] = ranks.get(c, 0) + 1
+    contents = {content_of(fl, w) for words in
+                _tensor_words(letters, deg_max).values() for w in words}
+    assert {c: fl._witt_dim(c, {}) for c in contents} == \
+        {c: ranks.get(c, 0) for c in contents}
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_spaces())
+def test_pruned_basis_is_the_unpruned_basis_in_order(space):
+    letters, deg_max = space
+    fl = FreeLie(letters, deg_max)
+    ref = ReferenceFreeLie(letters, deg_max)
+    assert {d: list(fl.space.basis(d)) for d in fl.space.degrees()} == \
+        ref.basis
+    assert fl._expansions == ref.expansions
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_spaces(), st.data())
+def test_express_and_bracket_agree_with_the_unpruned_scan(space, data):
+    letters, deg_max = space
+    fl = FreeLie(letters, deg_max)
+    ref = ReferenceFreeLie(letters, deg_max)
+    keys = fl.space.all_keys()
+    # tensor words through one letter past the window, so that some lie
+    # outside the truncation
+    words = [w for ws in _tensor_words(
+        letters, deg_max + max(letters.degrees())).values() for w in ws]
+    coefficient = st.sampled_from([F(0), F(1), F(-2), F(1, 3)])
+    for _ in range(6):
+        tv = {}
+        for e in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
+            c = data.draw(coefficient)
+            for w, cw in fl._expansions[e].items():
+                add_term(tv, w, c * cw)
+        # a stray word, mostly outside the Lie span or the window; an
+        # explicit zero coefficient is kept as an entry
+        for w in data.draw(st.lists(st.sampled_from(words), max_size=2)):
+            tv[w] = tv.get(w, F(0)) + data.draw(coefficient)
+        assert_same_outcome(lambda: fl.express(tv), lambda: ref.express(tv))
+        u = data.draw(basis_vectors(keys))
+        v = data.draw(basis_vectors(keys))
+        assert_same_outcome(lambda: fl.bracket(u, v),
+                            lambda: reference_bracket(ref, u, v))
+
+
+@pytest.mark.parametrize("tv,message", [
+    # degree 3 is out of the span, degree 2 is fine: degree 3 is named
+    ({("a", "b"): F(1), ("b", "a"): F(1), ("a", "a", "b"): F(1)},
+     "vector is not in the Lie span in degree 3"),
+    # degree 2 fails before degree 5 is reached
+    ({("a", "b"): F(1), ("a", "a", "a", "a", "a"): F(1)},
+     "vector is not in the Lie span in degree 2"),
+    ({("a", "b", "a", "b", "a"): F(1), ("a", "a"): F(2)},
+     "degree 5 is outside the truncation"),
+], ids=["span-3", "span-2-first", "outside-5"])
+def test_express_names_the_first_failing_degree(tv, message):
+    letters = GradedSpace({1: ["a", "b"]}, name="V")
+    fl = FreeLie(letters, deg_max=4)
+    with pytest.raises(ValueError) as exc:
+        fl.express(tv)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        ReferenceFreeLie(letters, 4).express(tv)
+    assert str(exc.value) == message

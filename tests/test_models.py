@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from convmc import library as lib
+from convmc import modelio
 from convmc import words as wd
 from convmc.convolution import ConvolutionAlgebra
-from convmc.freelie import FreeLie, br
+from convmc.freelie import FreeLie, br, is_bracket
 from convmc.gauge import _integrate
 from convmc.graded import GradedMap, GradedSpace
 from convmc.matrices import ONE, ZERO
@@ -446,3 +447,54 @@ def test_builtin_registry():
     assert lib.builtin_model("pi_s2").name == "pi(S2)"
     with pytest.raises(KeyError, match="unknown builtin"):
         lib.builtin_model("nope")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_quillen_record_is_read_as_a_derivation(data):
+    # a random derivation of a free Lie algebra on one or two letters in
+    # each of degrees 1..3 loads with its values on every word, or on
+    # the letters alone; one bracket column changed is refused there
+    per_degree = data.draw(st.dictionaries(st.integers(1, 3),
+                                           st.integers(1, 2), min_size=1))
+    deg_max = data.draw(st.integers(max(per_degree), 6))
+    letters = GradedSpace({d: [f"x{d}_{i}" for i in range(m)]
+                           for d, m in per_degree.items()}, name="V")
+    fl = FreeLie(letters, deg_max)
+    coefficient = st.sampled_from([F(1), F(-2), F(1, 3)])
+    values = {}
+    for k in letters.all_keys():
+        targets = fl.space.basis(letters.degree_of[k] - 1)
+        for e in data.draw(st.lists(st.sampled_from(targets), max_size=2)
+                           if targets else st.just([])):
+            values.setdefault(k, {})[e] = data.draw(coefficient)
+    delta = fl.derivation(values, -1)
+
+    def record(entries):
+        return {"format_version": 1, "kind": "quillen", "name": "D",
+                "letters": modelio.space_to_json(letters),
+                "deg_max": deg_max,
+                "delta": modelio.entries_to_json(entries)}
+
+    on_letters = {k: v for k, v in delta.entries.items() if k in letters}
+    for entries in (delta.entries, on_letters):
+        Q = modelio.quillen_from_record(record(entries))
+        assert Q.delta.entries == delta.entries
+        assert Q.leibniz_defect() is None
+
+    brackets = [e for e in fl.space.all_keys() if is_bracket(e)
+                and fl.space.basis(fl.space.degree_of[e] - 1)]
+    if not brackets:
+        return
+    e = data.draw(st.sampled_from(brackets))
+    t = data.draw(st.sampled_from(fl.space.basis(fl.space.degree_of[e] - 1)))
+    col = dict(delta.entries.get(e, {}))
+    col[t] = 2 * col[t] if t in col else F(1)
+    changed = {**delta.entries, e: col}
+    with pytest.raises(modelio.ModelFileError) as exc:
+        modelio.quillen_from_record(record(changed))
+    assert exc.value.where == "delta"
+    assert str(exc.value).endswith(f"first at {e!r}")
+    with pytest.raises(ValueError, match="is not a derivation"):
+        QuillenModel(fl, GradedMap(fl.space, fl.space, -1, changed)
+                     ).validate()
