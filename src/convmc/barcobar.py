@@ -32,7 +32,6 @@ with the universal twisting morphism bar(L) -> L they rest on.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from . import words as wd
@@ -40,10 +39,8 @@ from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
 from .freelie import FreeLie, is_bracket
 from .graded import (GradedMap, GradedSpace, Key, Vec, add_term, vec_add,
                      vec_scale)
-from .matrices import ONE
+from .matrices import ONE, inverse
 from .models import CdgCoalgebra, LInfinityAlgebra, QuillenModel
-
-F = Fraction
 
 
 def twisting_residual(conv: ConvolutionAlgebra, tau: GradedMap) -> GradedMap:
@@ -63,7 +60,7 @@ def twisting_residual(conv: ConvolutionAlgebra, tau: GradedMap) -> GradedMap:
     if tau.degree != 0:
         raise ValueError("twisting-morphism candidates must have degree 0")
     return conv.differential_of(tau) + conv.series(
-        [tau], -1, lambda n: F(1, factorial(n)))
+        [tau], -1, lambda n: inverse(factorial(n)))
 
 
 class BarCoalgebra(CdgCoalgebra):
@@ -148,7 +145,7 @@ def cobar(C: CdgCoalgebra, degree_max: int) -> CobarAlgebra:
         for (w1, w2), gamma in C.delta.get(c, {}).items():
             sgn = -gamma if C.space.degree_of[w1] % 2 == 0 else gamma
             term = fl.bracket({w1: ONE}, {w2: ONE})
-            col = vec_add(col, vec_scale(sgn * F(1, 2), term))
+            col = vec_add(col, vec_scale(sgn * inverse(2), term))
         if col:
             vals[c] = col
     delta = fl.derivation(vals, -1, name="d_Omega")

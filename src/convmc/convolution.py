@@ -59,16 +59,13 @@ materializes them and checks the generalized Jacobi identity on them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
-                     tensor_terms)
+                     exact_repr, tensor_terms)
 from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra
-
-F = Fraction
 
 
 def convolve(C: CdgCoalgebra, maps, op, dst: GradedSpace, degree: int,
@@ -217,7 +214,7 @@ class ConvolutionAlgebra:
         if n == 1:
             return self.differential_of(fs[0])
         return convolve(self.C, fs, self.L.bracket_multi, self.L.space,
-                        sum(f.degree for f in fs) - 1, {n: F(factorial(n))})
+                        sum(f.degree for f in fs) - 1, {n: factorial(n)})
 
     def series(self, maps, degree: int, weight) -> GradedMap:
         """convolve with the brackets of L over the arities 2 through the
@@ -302,7 +299,8 @@ class ConvolutionAlgebra:
         res = self.mc_check(tau)
         if not res.is_zero():
             raise ValueError(
-                f"cannot twist by a non-MC element, residual {res.entries!r}")
+                "cannot twist by a non-MC element, residual "
+                f"{exact_repr(res.entries)}")
         d = GradedMap(self.carrier, self.carrier, -1,
                       self.twisted_columns(tau, self.carrier.all_keys()),
                       name="d^tau")

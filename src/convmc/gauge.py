@@ -11,7 +11,7 @@ is Maurer-Cartan and that dx/dt equals the gauge vector field
 
 the twisted differential d^x(lambda) of ConvolutionAlgebra, so flowing
 along a degree-1 direction and checking a claimed path are both exact
-computations over Fraction scalars.  gauge_equivalent returns a
+computations over exact rational scalars.  gauge_equivalent returns a
 certificate in every case: Equal carries a chain of paths that can be
 replayed through path_check, Distinct carries a reason that verify()
 recomputes from scratch, and Unknown is an honest failure to decide.
@@ -65,15 +65,12 @@ fails the stage-flow assertions instead.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .convolution import ConvolutionAlgebra
-from .graded import GradedMap, Vec, add_term, lru, vec_sub
-from .matrices import ONE, Coset, Echelon, Span, column_split
+from .graded import GradedMap, Vec, add_term, exact_repr, lru, vec_sub
+from .matrices import ONE, Coset, Echelon, Span, column_split, inverse, scalar
 from .models import IntervalForms, extension_of_scalars
-
-F = Fraction
 
 
 def default_poly_bound(conv: ConvolutionAlgebra) -> int:
@@ -144,7 +141,7 @@ class GaugePath:
 
     def endpoint(self, t) -> GradedMap:
         """The element x(t), by evaluating the polynomial parts."""
-        t = F(t)
+        t = scalar(t)
         out = self.conv.zero_map(0)
         for k, f in self.p_parts.items():
             out = out + f.scale(t ** k)
@@ -158,7 +155,7 @@ class GaugePath:
                                  (self.q_parts, -1, new[1])):
             for k, f in parts.items():
                 for j in range(k + 1):
-                    part = f.scale(sign * F(comb(k, j)) * (-1) ** j)
+                    part = f.scale(sign * comb(k, j) * (-1) ** j)
                     out[j] = out[j] + part if j in out else part
         return GaugePath(self.conv, self.poly_bound, *new)
 
@@ -193,7 +190,7 @@ def _integrate(conv: ConvolutionAlgebra, ext, rate: GradedMap,
                 raise ValueError(
                     f"integration needs polynomial degree {k + 1}, "
                     f"bound is {poly_bound}")
-            dst[(("p", k + 1), lk)] = c * F(1, k + 1)
+            dst[(("p", k + 1), lk)] = c * inverse(k + 1)
         if dst:
             cols[ck] = dst
     return GradedMap(conv.C.space, ext.space, rate.degree, cols)
@@ -215,7 +212,8 @@ def gauge_flow(conv: ConvolutionAlgebra, x: GradedMap, lam: GradedMap,
     res = conv.mc_check(x)
     if not res.is_zero():
         raise ValueError(
-            f"cannot flow a non-MC element, residual {res.entries!r}")
+            "cannot flow a non-MC element, residual "
+            f"{exact_repr(res.entries)}")
     if poly_bound is None:
         poly_bound = default_poly_bound(conv)
     ext = extension_of_scalars(conv.L, IntervalForms(poly_bound))
@@ -529,7 +527,8 @@ def moduli_normal_form(conv: ConvolutionAlgebra,
     res = conv.mc_check(x)
     if not res.is_zero():
         raise ValueError(
-            f"normal form of a non-MC element, residual {res.entries!r}")
+            "normal form of a non-MC element, residual "
+            f"{exact_repr(res.entries)}")
     if conv.arity_window() <= 1:
         # one stage over every degree-0 column; the source is one-reduced,
         # so no finished column lies below degree 1
@@ -604,11 +603,13 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
     rx = _memo(conv, kx, "residual", lambda: conv.mc_check(x))
     if not rx.is_zero():
         raise ValueError(
-            f"first element is not Maurer-Cartan, residual {rx.entries!r}")
+            "first element is not Maurer-Cartan, residual "
+            f"{exact_repr(rx.entries)}")
     ry = _memo(conv, ky, "residual", lambda: conv.mc_check(y))
     if not ry.is_zero():
         raise ValueError(
-            f"second element is not Maurer-Cartan, residual {ry.entries!r}")
+            "second element is not Maurer-Cartan, residual "
+            f"{exact_repr(ry.entries)}")
     poly_bound = default_poly_bound(conv)
     if x.equals(y):
         return Equal(conv, x, y, (constant_path(conv, x, poly_bound),))

@@ -1,8 +1,11 @@
 """Graded vector spaces, graded maps, chain complexes, contractions.
 
-The ground field is Q, scalars are fractions.Fraction.  Grading is
-homological: differentials lower degree by one.  A vector is a plain dict
-{basis_key: Fraction}; keys are hashable labels (strings for user-facing
+The ground field is Q.  A scalar is an exact rational, held as an int
+when it is integral and as a fractions.Fraction otherwise; matrices.scalar
+brings a coefficient to that form and refuses a float, and
+matrices.inverse is the only division.  Grading is homological:
+differentials lower degree by one.  A vector is a plain dict
+{basis_key: scalar}; keys are hashable labels (strings for user-facing
 models, tuples for tensor and word spaces).  A GradedMap keeps sparse
 columns and knows its source, target and degree, so the sums built on
 it can apply the Koszul sign rule mechanically.  A TensorSpace A (x) V
@@ -22,7 +25,8 @@ and re-exported here) is the only way to accumulate a term into a vector
 (a coefficient that sums to zero drops its key), and tensor_terms is the
 only expansion of a tensor product of vectors into its terms.  The
 bounded caches of the package (loop models, pushed maps, decided points)
-take their least-recently-used step from lru.
+take their least-recently-used step from lru.  Error messages show
+coefficients through exact_repr, as Fraction(p, q) however they are held.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from . import matrices
-from .matrices import ONE, add_term
+from .matrices import ONE, add_term, scalar
 
 Key = Hashable
-Vec = dict  # dict[Key, Fraction]
+Vec = dict  # dict[Key, scalar]
 
 
 def lru(cache: OrderedDict, cap: int, key, build):
@@ -60,11 +64,11 @@ def basis_vec(key: Key) -> Vec:
     return {key: ONE}
 
 
-def tensor_terms(vecs: Iterable[Vec], c=ONE) -> list[tuple[tuple, Fraction]]:
+def tensor_terms(vecs: Iterable[Vec], c=ONE) -> list[tuple]:
     """The (key_tuple, coeff) terms of c . v_1 (x) ... (x) v_n, over the
     supports of the factors in product order; empty as soon as one factor
     is empty, so a lazy iterable of factors stops being consumed there."""
-    terms: list[tuple[tuple, Fraction]] = [((), c)]
+    terms: list[tuple] = [((), c)]
     for v in vecs:
         terms = [(keys + (k,), cc * ck)
                  for keys, cc in terms for k, ck in v.items() if ck]
@@ -86,10 +90,19 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 
 
 def vec_scale(c, v: Vec) -> Vec:
-    c = Fraction(c)
+    c = scalar(c)
     if not c:
         return {}
     return {k: c * x for k, x in v.items()}
+
+
+def exact_repr(v) -> str:
+    """repr of a vector, or of a dict of vectors such as a map's columns,
+    with every coefficient written as Fraction(p, q), int or not."""
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k!r}: {exact_repr(c)}"
+                               for k, c in v.items()) + "}"
+    return repr(Fraction(v))
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -235,7 +248,7 @@ class GradedMap:
     def set_column(self, key: Key, value: Vec):
         if key not in self.src.degree_of:
             raise ValueError(f"source key {key!r} not in {self.src.name!r}")
-        value = {k: Fraction(c) for k, c in value.items() if c}
+        value = {k: scalar(c) for k, c in value.items() if c}
         want = self.src.degree_of[key] + self.degree
         for k in value:
             if k not in self.dst.degree_of:
@@ -288,7 +301,7 @@ class GradedMap:
         return self + other.scale(-ONE)
 
     def scale(self, c) -> "GradedMap":
-        c = Fraction(c)
+        c = scalar(c)
         out = GradedMap(self.src, self.dst, self.degree)
         if c:
             for k, col in self.entries.items():

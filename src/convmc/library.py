@@ -14,12 +14,8 @@ element) are built in tests/test_models.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graded import GradedMap, GradedSpace
 from .models import CdgCoalgebra, LInfinityAlgebra, abelian_linfty
-
-F = Fraction
 
 
 def sphere_coalgebra(n: int) -> CdgCoalgebra:
@@ -36,13 +32,13 @@ def wedge_s2_s3_coalgebra() -> CdgCoalgebra:
 
 def cp2_coalgebra() -> CdgCoalgebra:
     sp = GradedSpace({2: ["a"], 4: ["b"]}, name="CP2")
-    delta = {"b": {("a", "a"): F(1)}}
+    delta = {"b": {("a", "a"): 1}}
     return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name="CP2")
 
 
 def s2xs2_coalgebra() -> CdgCoalgebra:
     sp = GradedSpace({2: ["a", "b"], 4: ["t"]}, name="S2xS2")
-    delta = {"t": {("a", "b"): F(1), ("b", "a"): F(1)}}
+    delta = {"t": {("a", "b"): 1, ("b", "a"): 1}}
     return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name="S2xS2")
 
 
@@ -50,7 +46,7 @@ def pi_s2() -> LInfinityAlgebra:
     """Rational homotopy of the 2-sphere: x in degree 2, y in degree 3,
     l2(x, x) = y (the Whitehead square normalization)."""
     sp = GradedSpace({2: ["x"], 3: ["y"]}, name="pi(S2)")
-    return LInfinityAlgebra(sp, {2: {("x", "x"): {"y": F(1)}}},
+    return LInfinityAlgebra(sp, {2: {("x", "x"): {"y": 1}}},
                             name="pi(S2)", arities=[1, 2])
 
 
@@ -69,7 +65,7 @@ def abelian_pair_with_d() -> LInfinityAlgebra:
     """Two classes with l1(v) = u: an acyclic abelian target exercising
     the differential part of the convolution bracket."""
     sp = GradedSpace({2: ["u"], 3: ["v"]}, name="ab23")
-    d = GradedMap(sp, sp, -1, {"v": {"u": F(1)}})
+    d = GradedMap(sp, sp, -1, {"v": {"u": 1}})
     return abelian_linfty(sp, d, name="ab23")
 
 

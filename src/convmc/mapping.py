@@ -12,7 +12,7 @@ exact_through itself, so downstream reports can read them off conv.C.
 
 Component search parameterizes degree-0 elements by exact coefficients
 c0, c1, ... and expands the Maurer-Cartan residual as a polynomial
-system over the rationals: one dict from exponent tuple to Fraction per
+system over the rationals: one dict from exponent tuple to exact scalar per
 carrier basis pair.  The expansion is the residual of the generic
 element sum_i c_i e_i in Hom(C, Q[c] (x) L), the extension of scalars
 of models.extension_of_scalars.  Its A is TruncatedPolynomials: any
@@ -27,7 +27,7 @@ The system is first settled exactly: an equation that is c x^k in a
 single coefficient forces x = 0, which is substituted until no equation
 is left.  Each step is an equivalence over Q, so a settled system is
 the single branch "forced coefficients 0, the rest free", decided in
-Fractions (sympy may list the same set with redundant sub-branches of
+exact scalars (sympy may list the same set with redundant sub-branches of
 its case splits; the settle does not).  A system that
 does not settle this way is solved symbolically by sympy.solve, which
 is imported only then: sympy stays a runtime dependency for that
@@ -50,11 +50,9 @@ from .convolution import ConvolutionAlgebra
 from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
                     moduli_normal_form)
 from .graded import GradedMap, add_term, contraction_from_complex
-from .matrices import ONE
+from .matrices import ONE, scalar
 from .models import (CdgCoalgebra, QuillenModel, TruncatedPolynomials,
                      extension_of_scalars)
-
-F = Fraction
 
 GRID_CAP = 64
 
@@ -162,7 +160,7 @@ def _solve_preferring_polynomial(eqs, n: int) -> list:
     text, and a map from values of the free coefficients, in that order,
     to the point, None where it is not rational.
 
-    A system that settles exactly has one branch, computed in Fractions.
+    A system that settles exactly has one branch, computed in exact scalars.
     Any other goes to sympy, preferring a solved form whose branches are
     polynomial in the remaining free coefficients and solve every
     equation: families then come out as honest parameterizations instead
@@ -175,7 +173,7 @@ def _solve_preferring_polynomial(eqs, n: int) -> list:
 
         def at(values):
             subs = dict(zip(free, values))
-            return [F(0) if i in forced else subs[names[i]]
+            return [0 if i in forced else subs[names[i]]
                     for i in range(n)]
         return [(free, ["0" if i in forced else names[i]
                         for i in range(n)], at)]
@@ -207,7 +205,7 @@ def _solve_preferring_polynomial(eqs, n: int) -> list:
             point = [e.subs(subs) for e in vals]
             if not all(v.is_rational for v in point):
                 return None
-            return [F(int(v.p), int(v.q)) for v in point]
+            return [scalar(Fraction(int(v.p), int(v.q))) for v in point]
         branches.append(([s.name for s in free], [str(e) for e in vals],
                          at))
     return branches
@@ -303,7 +301,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
             report.free_parameters = tuple(
                 sorted(set(report.free_parameters) | set(free)))
             report.parametric.append(dict(zip(pairs, values)))
-            grid = itertools.product([F(v) for v in samples],
+            grid = itertools.product([scalar(v) for v in samples],
                                      repeat=len(free))
             grid = list(itertools.islice(grid, GRID_CAP + 1))
             if len(grid) > GRID_CAP:

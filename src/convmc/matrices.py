@@ -1,7 +1,14 @@
-"""Exact linear algebra over Fraction: one sparse echelon kernel, and
-dense row reduction kept as the tests' reference.
+"""Exact scalars, and exact linear algebra over them: one sparse echelon
+kernel, and dense row reduction kept as the tests' reference.
 
-Echelon holds an echelon basis of sparse vectors, dicts {key: Fraction},
+An exact scalar is a rational number held as an int when it is integral
+and as a Fraction otherwise.  scalar(c) brings any exact rational to that
+form and refuses a float with TypeError, and inverse(c) is the one
+division in the package.  Koszul signs, coproduct coefficients and free
+Lie structure constants are integers, so most arithmetic stays on ints;
+add_term turns a sum that comes out integral back into an int.
+
+Echelon holds an echelon basis of sparse vectors, dicts {key: scalar},
 offered one at a time: it accepts the ones independent of those before
 them and gives coordinates in the accepted ones.  FreeLie keeps one per
 letter content.  column_split runs one over a list of columns; chain complexes
@@ -16,7 +23,7 @@ linear algebra alone and equals the dense reduced-row-echelon answer.
 
 Nothing in the package calls the dense functions (rref, rank, nullspace,
 solve, solve_matrix, in_span), which work on lists of rows; the tests
-use them as the reference.  No floating point enters anywhere.
+use them as the reference.
 """
 
 from __future__ import annotations
@@ -24,11 +31,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
-Matrix = list  # list[list[Fraction]]
-Vector = list  # list[Fraction]
+Matrix = list  # list[list[scalar]]
+Vector = list  # list[scalar]
+
+
+def scalar(c):
+    """c as an exact scalar: an int when it is integral, else a Fraction.
+    An int comes back unchanged; a float is refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"a float is not an exact scalar: {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def inverse(c):
+    """1/c as an exact scalar; ZeroDivisionError when c is 0.  The one
+    division in the package."""
+    c = scalar(c)
+    if c == 1 or c == -1:
+        return c
+    return scalar(Fraction(1) / c)
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -56,7 +83,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[tuple[int, int]]]:
             continue
         if sel != prow:
             r[sel], r[prow] = r[prow], r[sel]
-        inv = ONE / r[prow][col]
+        inv = inverse(r[prow][col])
         if inv != 1:
             r[prow] = [x * inv for x in r[prow]]
         for row in range(m):
@@ -134,10 +161,11 @@ def in_span(vectors: Sequence[Vector], v: Vector) -> Vector | None:
 
 
 def add_term(out: dict, key, c) -> None:
-    """out[key] += c, dropping the key when the sum is zero."""
+    """out[key] += c, dropping the key when the sum is zero and keeping
+    it an int when the sum is integral."""
     nc = out.get(key, ZERO) + c
     if nc:
-        out[key] = nc
+        out[key] = nc if nc.denominator != 1 else nc.numerator
     else:
         out.pop(key, None)
 
@@ -177,11 +205,11 @@ class Echelon:
         if not res:
             return False
         pivot = next(iter(res))
-        inv = ONE / res[pivot]
-        combination = {j: -inv * x for j, x in comb.items()}
+        inv = inverse(res[pivot])
+        combination = {j: scalar(-inv * x) for j, x in comb.items()}
         combination[self.rank] = inv
-        self._rows.append((pivot, {k: inv * x for k, x in res.items()},
-                           combination))
+        self._rows.append((pivot, {k: scalar(inv * x)
+                                   for k, x in res.items()}, combination))
         return True
 
     def coords(self, v: dict) -> list | None:

@@ -28,16 +28,14 @@ rule, and given on bracket words as well it must equal that extension
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import words as wd
 from .freelie import FreeLie
 from .gauge import Distinct, Equal, GaugePath, Unknown
 from .graded import ChainComplex, GradedMap, GradedSpace
+from .matrices import scalar
 from .models import (CdgCoalgebra, LInfinityAlgebra, QuillenModel,
                      SymmetricOperations)
-
-F = Fraction
 
 FORMAT_VERSION = 1
 
@@ -56,15 +54,15 @@ class ModelFileError(ValueError):
 # -- scalars and keys -------------------------------------------------------
 
 def frac_to_str(c) -> str:
-    c = F(c)
+    c = scalar(c)
     return f"{c.numerator}/{c.denominator}"
 
 
-def frac_from_str(s, where: str) -> Fraction:
+def frac_from_str(s, where: str):
     if not isinstance(s, str):
         raise ModelFileError(where, f"expected a 'p/q' string, got {s!r}")
     try:
-        return F(s)
+        return scalar(s)
     except (ValueError, ZeroDivisionError):
         raise ModelFileError(where, f"bad rational {s!r}") from None
 

@@ -38,29 +38,27 @@ reads only degree and product.  Three places use it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import words as wd
 from .freelie import FreeLie
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, TensorSpace,
-                     Vec, add_term, tensor_terms, vec_add, vec_scale)
-from .matrices import ONE
+                     Vec, add_term, exact_repr, tensor_terms, vec_add,
+                     vec_scale)
+from .matrices import ONE, scalar
 
 
-@dataclass(frozen=True)
 class Truncation:
     """Finite computation window: degrees and bracket arity."""
-    deg_min: int
-    deg_max: int
-    arity_max: int
 
-    def __post_init__(self):
-        if self.deg_min > self.deg_max:
+    def __init__(self, deg_min: int, deg_max: int, arity_max: int):
+        if deg_min > deg_max:
             raise ValueError("empty degree window")
-        if self.arity_max < 1:
+        if arity_max < 1:
             raise ValueError("arity_max must be at least 1")
+        self.deg_min = deg_min
+        self.deg_max = deg_max
+        self.arity_max = arity_max
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +76,7 @@ class CdgCoalgebra:
                  delta: dict[Key, Vec], name: str = ""):
         self.space = space
         self.d = d
-        self.delta = {k: {p: Fraction(c) for p, c in v.items() if c}
+        self.delta = {k: {p: scalar(c) for p, c in v.items() if c}
                       for k, v in delta.items() if v}
         self.name = name or space.name
         self._coproducts: dict[tuple[Key, int], Vec] = {}
@@ -161,7 +159,8 @@ class JacobiError(ValueError):
     evaluated on and the residue vector."""
 
     def __init__(self, word: tuple, residue: Vec):
-        super().__init__(f"Jacobi fails on {word!r}: residue {residue!r}")
+        super().__init__(f"Jacobi fails on {word!r}: residue "
+                         f"{exact_repr(residue)}")
         self.word = word
         self.residue = residue
 
@@ -199,7 +198,7 @@ class SymmetricOperations:
                     raise ValueError(f"bracket stored on vanishing word {word!r}")
                 if sw[0] != word:
                     raise ValueError(f"bracket word {word!r} is not sorted")
-                val = {k: Fraction(c) for k, c in v.items() if c}
+                val = {k: scalar(c) for k, c in v.items() if c}
                 if val:
                     clean[word] = val
             if clean:
@@ -231,7 +230,7 @@ class SymmetricOperations:
         if val is None:
             if self.compute is None or n not in self.arities:
                 return {}
-            val = {k: Fraction(c) for k, c in self.compute(n, word).items()
+            val = {k: scalar(c) for k, c in self.compute(n, word).items()
                    if c}
             self._check_degree(n, word, val)
             table[word] = val
@@ -445,7 +444,7 @@ class IntervalForms:
     def d(self, key) -> Vec:
         kind, k = key
         if kind == "p" and k > 0:
-            return {("q", k - 1): Fraction(k)}
+            return {("q", k - 1): k}
         return {}
 
 

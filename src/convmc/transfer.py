@@ -64,7 +64,6 @@ Library API: push_path
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 
 from . import words as wd
@@ -73,11 +72,9 @@ from .convolution import ConvolutionAlgebra, convolve
 from .gauge import GaugePath
 from .graded import (Contraction, GradedMap, TensorSpace, Vec, add_term,
                      contraction_from_complex, tensor_terms)
-from .matrices import ONE
+from .matrices import ONE, inverse
 from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra,
                      SymmetricOperations, Truncation, extended)
-
-F = Fraction
 
 WVec = dict
 
@@ -192,7 +189,7 @@ class TransferredLInfinity:
                     continue
                 rest_degs = [degf[k] for k in rest]
                 for k in range(n):
-                    weight = F(s1 * c, n * comb(n - 1, k))
+                    weight = s1 * c * inverse(n * comb(n - 1, k))
                     for front, back, s2 in wd.unshuffles(rest_degs, rest, k):
                         # (a, S, T) -> (S, a, T), then h crosses S
                         if sum(degf[x] for x in front) * (degf[a] + 1) % 2:
@@ -368,7 +365,7 @@ def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,
                          f"equation; residual on {sorted(res.entries)}")
     window = min(conv.coproduct_window(), f.max_arity())
     out = convolve(coalgebra, [tau], f.component_multi, f.target.space, 0,
-                   {n: F(1, factorial(n)) for n in range(1, window + 1)})
+                   {n: inverse(factorial(n)) for n in range(1, window + 1)})
     out.name = f"push({tau.name})" if tau.name else "push"
     return out
 
@@ -393,6 +390,6 @@ def push_path(f: InfinityMorphism, path: GaugePath) -> GaugePath:
     pushed = convolve(conv.C, [path.z],
                       lambda n, vecs: extended(omega, f, n, vecs),
                       TensorSpace(omega, f.target.space), 0,
-                      {n: F(1, factorial(n)) for n in range(1, window + 1)})
+                      {n: inverse(factorial(n)) for n in range(1, window + 1)})
     return GaugePath.from_map(ConvolutionAlgebra(conv.C, f.target), bound,
                               pushed)

@@ -46,11 +46,12 @@ Conventions pinned here and relied on everywhere downstream:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graded import GradedMap, GradedSpace, Key, Vec, add_term
+from .matrices import inverse
 
 
 def sort_letters(letters: GradedSpace, seq: Sequence[Key]):
@@ -151,9 +152,7 @@ def symmetrize(letters: GradedSpace, word: tuple) -> Vec:
     signed sum over all position permutations."""
     n = len(word)
     degs = [letters.degree_of[let] for let in word]
-    coeff = Fraction(1)
-    for k in range(2, n + 1):
-        coeff /= k
+    coeff = inverse(factorial(n))
     out: Vec = {}
     for perm in permutations(range(n)):
         add_term(out, tuple(word[p] for p in perm),
@@ -192,14 +191,14 @@ def reduced_coproduct_terms(letters: GradedSpace, word: tuple):
     subsets.  Both halves of a sorted word stay sorted, so no resorting is
     needed, only the unshuffle sign."""
     degs = [letters.degree_of[let] for let in word]
-    return [((left, right), Fraction(sign))
+    return [((left, right), sign)
             for k in range(1, len(word))
             for left, right, sign in unshuffles(degs, word, k)]
 
 
 def coderivation_terms(op: Callable[[int, tuple], Vec], arities: Iterable[int],
                        degs: Sequence[int], word: tuple
-                       ) -> Iterator[tuple[tuple, Fraction]]:
+                       ) -> Iterator[tuple]:
     """Terms of the coderivation with corestrictions op on a sorted word.
 
     For each n in arities, in the given order, and each n-subset of the

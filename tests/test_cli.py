@@ -975,6 +975,17 @@ def test_python_m_convmc_runs_the_cli():
     assert sha(done.stdout) == digest
 
 
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    # a fresh isolated interpreter, as the console script starts: no
+    # dataclass pulls in inspect, ast, dis and tokenize at start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import convmc.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
 # -- malformed records ----------------------------------------------------------
 
 def _homotopic_certificate(files, capsys, g):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,69 @@ def test_echelon_agrees_with_dense_rank_and_in_span(data):
     assert len(missed) >= n - len(accepted)
     for u in missed:
         assert ech.coords(_sparse(u)) is None
+
+
+def test_scalar_holds_integral_values_as_ints():
+    two = mx.scalar(F(6, 3))
+    assert two == 2 and type(two) is int
+    assert type(mx.scalar(-5)) is int
+    half = mx.scalar(F(1, 2))
+    assert half == F(1, 2) and type(half) is Fraction
+    assert mx.scalar("-3/4") == F(-3, 4)
+    for bad in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            mx.scalar(bad)
+
+
+def test_inverse_is_exact_and_keeps_units_ints():
+    for unit in (1, -1, F(-1)):
+        inv = mx.inverse(unit)
+        assert inv == unit and type(inv) is int
+    assert mx.inverse(2) == F(1, 2)
+    two = mx.inverse(F(1, 2))
+    assert two == 2 and type(two) is int
+    assert mx.inverse(F(-2, 3)) == F(-3, 2)
+    for zero in (0, F(0)):
+        with pytest.raises(ZeroDivisionError):
+            mx.inverse(zero)
+    with pytest.raises(TypeError):
+        mx.inverse(0.5)
+
+
+@st.composite
+def integer_columns(draw):
+    """The length n and a list of dense integer vectors of that length,
+    with zeros, units and non-units as entries."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+    return n, [[draw(entry) for _ in range(n)]
+               for _ in range(draw(st.integers(0, 6)))]
+
+
+@given(integer_columns())
+@settings(max_examples=150, deadline=None)
+def test_echelon_on_ints_equals_echelon_on_fractions(data):
+    n, dense = data
+    ints = [_sparse(v) for v in dense]
+    fracs = [{k: F(x) for k, x in v.items()} for v in ints]
+    by_int, by_frac = mx.Echelon(), mx.Echelon()
+    assert [by_int.add(v) for v in ints] == [by_frac.add(v) for v in fracs]
+    assert by_int._rows == by_frac._rows
+    for _, row, combination in by_int._rows:
+        for x in (*row.values(), *combination.values()):
+            assert type(x) is int or x.denominator != 1
+    units = [{i: 1} for i in range(n)]
+    for v in ints + units:
+        coords = by_int.coords(v)
+        assert coords == by_frac.coords({k: F(x) for k, x in v.items()})
+        assert coords is None or all(type(c) is int or c.denominator != 1
+                                     for c in coords)
+    # the vectors as the columns of a dense matrix
+    matrix = [[F(v[i]) for v in dense] for i in range(n)]
+    pivots, kernel = mx.column_split(ints, range(len(dense)))
+    assert pivots == [c for _, c in mx.rref(matrix)[1]]
+    assert [[z.get(j, 0) for j in range(len(dense))] for z in kernel] == \
+        mx.nullspace(matrix)
 
 
 def test_echelon_empty_and_zero_vectors():

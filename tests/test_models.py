@@ -21,7 +21,7 @@ from convmc import words as wd
 from convmc.convolution import ConvolutionAlgebra
 from convmc.freelie import FreeLie, br, is_bracket
 from convmc.gauge import _integrate
-from convmc.graded import GradedMap, GradedSpace
+from convmc.graded import GradedMap, GradedSpace, exact_repr
 from convmc.matrices import ONE, ZERO
 from convmc.models import (CdgCoalgebra, IntervalForms, JacobiError,
                            LInfinityAlgebra, QuillenModel, Truncation,
@@ -200,7 +200,7 @@ def first_jacobi_failure(L):
     for w in words:
         jac = L.jacobiator(w)
         if jac:
-            return f"Jacobi fails on {w!r}: residue {jac!r}"
+            return f"Jacobi fails on {w!r}: residue {exact_repr(jac)}"
     return None
 
 
