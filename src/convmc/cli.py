@@ -261,7 +261,7 @@ def cmd_mc_check(args) -> int:
 def cmd_twist(args) -> int:
     conv, tau = _conv_and_tau(args)
     _require_mc(args, conv, tau)
-    tw = conv.twist(tau)
+    tw = conv.twisted_complex(tau)
     _emit(args, {"kind": "twist_report",
                  "betti": modelio._betti_to_json(tw.betti()),
                  "differential": modelio.gmap_to_json(tw.d)})

@@ -38,9 +38,10 @@ for the elementary maps e_(c, x) at many carrier keys in one walk over
 the coproduct words: a word's first letter picks the columns it feeds,
 its tail is read off tau once for all of them, and its slots carry no
 sign, because nothing stands in front of e_(c, x) and tau has degree 0.
-twist (a ChainComplex on the carrier), the gauge flow rates and
-twisted_differential (the gauge flow's vector field) read it, so d^tau
-has one code path.  barcobar.twisting_residual, transfer.push_mc and
+twist and its unchecked twisted_complex (a ChainComplex on the
+carrier), the gauge flow rates and twisted_differential (the gauge
+flow's vector field) read it, so d^tau has one code path.
+barcobar.twisting_residual, transfer.push_mc and
 transfer.push_path call convolve with weight 1/n! and, in turn, the
 brackets of L, the components of an infinity-morphism and those
 components extended over interval forms (models.extended, for a path);
@@ -118,11 +119,12 @@ class ConvolutionAlgebra:
         self.L = L
         self.name = name or f"Hom({C.name},{L.name})"
         self._window: int | None = None
+        self._arity: int | None = None
         self._l1_cols: dict[Key, Vec] = {}
         # what the gauge decision derives from single Maurer-Cartan
-        # points (gauge._memo) and from the algebra alone
-        # (gauge._algebra_memo); nothing else reads them
-        self.point_memo: OrderedDict[tuple, dict] = OrderedDict()
+        # points (gauge.point_record, also read by mapping.components)
+        # and from the algebra alone (gauge._algebra_memo)
+        self.point_memo: OrderedDict[tuple, object] = OrderedDict()
         self.algebra_memo: dict = {}
 
     @cached_property
@@ -204,7 +206,9 @@ class ConvolutionAlgebra:
         return self._window
 
     def arity_window(self) -> int:
-        return min(self.coproduct_window(), self.L.max_arity())
+        if self._arity is None:
+            self._arity = min(self.coproduct_window(), self.L.max_arity())
+        return self._arity
 
     def bracket(self, n: int, fs) -> GradedMap:
         """l_n of the convolution algebra on n homogeneous maps."""
@@ -295,12 +299,19 @@ class ConvolutionAlgebra:
 
     def twist(self, tau: GradedMap) -> ChainComplex:
         """The carrier with the differential twisted by a Maurer-Cartan
-        element: d^tau(f) = sum 1/n! l_{n+1}(f, tau, ..., tau)."""
+        element: d^tau(f) = sum 1/n! l_{n+1}(f, tau, ..., tau).  Refuses
+        a tau whose residual is not zero."""
         res = self.mc_check(tau)
         if not res.is_zero():
             raise ValueError(
                 "cannot twist by a non-MC element, residual "
                 f"{exact_repr(res.entries)}")
+        return self.twisted_complex(tau)
+
+    def twisted_complex(self, tau: GradedMap) -> ChainComplex:
+        """twist without the Maurer-Cartan check, for a caller that has
+        just seen the residual of tau vanish; d o d = 0 is still
+        asserted."""
         d = GradedMap(self.carrier, self.carrier, -1,
                       self.twisted_columns(tau, self.carrier.all_keys()),
                       name="d^tau")

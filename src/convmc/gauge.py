@@ -37,34 +37,58 @@ in carrier order, not by an elimination order.
 
 Everything the decision derives is computed once, at the level it
 depends on, so a search that decides many pairs over few points pays
-per pair only for sparse reductions:
+per pair only for comparisons:
 
 - per algebra, in ConvolutionAlgebra.algebra_memo: the degree-0 columns
-  by source degree, the l_1 effects of the elementary degree-1
-  directions, and the stages of the normal form (the admissible
-  combinations of each stage's candidate directions, their moves on the
-  stage column, and the Coset and Span of those moves), or, when no
-  bracket survives, the one stage _abelian_stage, whose moves are all
-  the effects;
-- per point, in ConvolutionAlgebra.point_memo: the Maurer-Cartan
-  residual, the sweep table (the Echelon of the flow rates on each
-  column, through the first column that some direction moves), the
-  staged normal form and the nonzero twisted Betti numbers.  The store
-  is an LRU of the _POINTS_CAP points used last, keyed by the degree
-  and exact coefficients of the point.
+  by source degree, the polynomial bound, the l_1 effects of the
+  elementary degree-1 directions, and the stages of the normal form (the
+  admissible combinations of each stage's candidate directions, their
+  moves on the stage column, and the Coset and Span of those moves), or,
+  when no bracket survives, the one stage _abelian_stage, whose moves are
+  all the effects;
+- per point, one PointRecord in ConvolutionAlgebra.point_memo, with four
+  fields each computed at most once: residual (the Maurer-Cartan
+  residual), invariant (the sweep invariant below), normal_form (the
+  staged normal form) and betti (the nonzero twisted Betti numbers).
+  The store is an LRU of the _POINTS_CAP points used last, keyed by the
+  degree and exact coefficients of the point, and mapping.components
+  reads its candidates' residuals and normal forms from it.
+
+The rigidity sweep becomes a per-point invariant by the filtration of a
+one-reduced source by source degree, the filtration of the filtered
+setting of Dolgushev and Rogers (arXiv:1407.6735).  Lemma: for a point x
+and an elementary degree-1 direction e, the degree-1 twisted column
+d^x(e) restricted to column p (the source keys of degree p) depends only
+on the columns of x below p.  Its l_1 part does not involve x, and its
+bracket terms at a source key c of degree p are l_n^L(e(w_1), x(w_2),
+..., x(w_n)) over the words w of the iterated reduced coproduct of c:
+the coproduct has degree 0 and every letter has degree at least 2, so
+each x(w_i) reads a column of degree at most p - 2.  The sweep invariant
+of x has one entry per column of x's sweep table: x's values on each
+rigid column and, on the first column some direction moves, the Coset
+representative of x's values modulo the flow rates there.  Two points
+whose invariants agree on the columns below p agree on those columns
+(each is rigid and holds the values), so by the lemma they have the same
+flow rates on column p, and with them the same rigidity and the same
+Coset there.  Hence the first column where the invariants of x and y
+differ is exactly where _rigidity_sweep(x, y, sweep table of x) stops
+with a witness, and equal invariants are exactly where it is
+inconclusive (gauge_equivalent).
 
 Every path the decision builds has the polynomial bound
 default_poly_bound(conv), so a point has one normal form per algebra.
-Only gauge_equivalent and its helpers read the two stores.  Every
-verify() and path_check recompute from scratch, the sweep table and
-twisted Betti numbers included, so a certificate is checked again
-rather than looked up, and a stale or damaged entry cannot make a wrong
-answer verify; a damaged stage that predicts a wrong flow endpoint
-fails the stage-flow assertions instead.
+Only the decision, its helpers and mapping.components read the two
+stores.  Every verify() and path_check recompute from scratch, the
+sweep table and twisted Betti numbers included, and never read a
+record, so a certificate is checked again rather than looked up, and a
+stale or damaged entry cannot make a wrong answer verify; a damaged
+stage that predicts a wrong flow endpoint fails the stage-flow
+assertions instead.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
 from .convolution import ConvolutionAlgebra
@@ -75,7 +99,12 @@ from .models import IntervalForms, extension_of_scalars
 
 def default_poly_bound(conv: ConvolutionAlgebra) -> int:
     """Polynomial degree bound that covers the flows of every nilpotency
-    depth a source of this size can produce, with slack."""
+    depth a source of this size can produce, with slack; kept in
+    conv.algebra_memo."""
+    return _algebra_memo(conv, _poly_bound)
+
+
+def _poly_bound(conv: ConvolutionAlgebra) -> int:
     degrees = {conv.C.space.degree_of[k] for k in conv.C.space.all_keys()}
     return max(4, len(degrees) + 2)
 
@@ -308,7 +337,7 @@ class Distinct:
             dv = conv.to_vec(y - x)
             if conv.arity_window() > 1 or not dv:
                 return False
-            tw = conv.twist(x)
+            tw = conv.twisted_complex(x)
             if tw.d.apply(dv):
                 return False
             bnd = [tw.d.entries.get(k, {}) for k in conv.carrier.basis(1)]
@@ -365,8 +394,10 @@ def _restrict(v: Vec, keys) -> Vec:
 
 
 def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
-    """The nonzero Betti numbers of the carrier twisted by x."""
-    return {k: v for k, v in sorted(conv.twist(x).betti().items()) if v}
+    """The nonzero Betti numbers of the carrier twisted by x, a point
+    whose Maurer-Cartan residual the caller has just seen vanish."""
+    return {k: v for k, v in sorted(conv.twisted_complex(x).betti().items())
+            if v}
 
 
 def _combine(vectors: list[Vec], coeffs) -> Vec:
@@ -495,6 +526,35 @@ def _rigidity_sweep(xv: Vec, yv: Vec, table: list[tuple]) -> int | None:
     return None
 
 
+def _sweep_invariant(conv: ConvolutionAlgebra, x: GradedMap) -> list[tuple]:
+    """(p, entry) for each column of x's sweep table: on a rigid column
+    the entry is x's values there, on the first column that some
+    direction moves it is the Coset representative of x's values modulo
+    the flow rates there, and the invariant ends with that column."""
+    rates = _flow_rates(conv, x)
+    xv = conv.to_vec(x)
+    out = []
+    for p, basis in _algebra_memo(conv, _columns):
+        values = _restrict(xv, basis)
+        moves = [m for m in (_restrict(r, basis) for r in rates) if m]
+        if moves:
+            out.append((p, Coset(moves, basis).reduce(values)))
+            break
+        out.append((p, values))
+    return out
+
+
+def _first_difference(ix: list[tuple], iy: list[tuple]) -> int | None:
+    """The first column p at which the sweep invariants ix and iy differ,
+    or None when they agree.  By the filtration lemma of the module
+    docstring this is _rigidity_sweep on the sweep table of the first
+    point."""
+    for (p, a), (_, b) in zip(ix, iy):
+        if a != b:
+            return p
+    return None
+
+
 # -- normal forms --------------------------------------------------------
 
 def _reduce(conv: ConvolutionAlgebra, stage: tuple, v: Vec) -> tuple:
@@ -563,18 +623,46 @@ def moduli_normal_form(conv: ConvolutionAlgebra,
 _POINTS_CAP = 64
 
 
+class PointRecord:
+    """What the decision derives from the point x of conv, each field
+    computed on first use and then kept: residual (the Maurer-Cartan
+    residual), invariant (the sweep invariant), normal_form (the staged
+    normal form) and betti (the nonzero twisted Betti numbers)."""
+
+    def __init__(self, conv: ConvolutionAlgebra, x: GradedMap):
+        self.conv = conv
+        self.x = x
+
+    @cached_property
+    def residual(self) -> GradedMap:
+        return self.conv.mc_check(self.x)
+
+    @cached_property
+    def invariant(self) -> list[tuple]:
+        return _sweep_invariant(self.conv, self.x)
+
+    @cached_property
+    def normal_form(self) -> ModuliClass:
+        return moduli_normal_form(self.conv, self.x)
+
+    @cached_property
+    def betti(self) -> dict[int, int]:
+        # the twisted complex is built without a residual of its own: the
+        # record's residual is the check
+        if not self.residual.is_zero():
+            raise ValueError("twisted Betti numbers of a non-MC element")
+        return _twisted_betti(self.conv, self.x)
+
+
 def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:
     return (x.degree, frozenset(conv.to_vec(x).items()))
 
 
-def _memo(conv: ConvolutionAlgebra, key: tuple, field, compute):
-    """compute(), kept under field in the entry of the point with
-    _point_key key in conv.point_memo: an LRU of the _POINTS_CAP points
-    decided last."""
-    entry = lru(conv.point_memo, _POINTS_CAP, key, dict)
-    if field not in entry:
-        entry[field] = compute()
-    return entry[field]
+def point_record(conv: ConvolutionAlgebra, x: GradedMap) -> PointRecord:
+    """The record of x in conv.point_memo, an LRU of the _POINTS_CAP
+    points used last; one record per _point_key."""
+    return lru(conv.point_memo, _POINTS_CAP, _point_key(conv, x),
+               lambda: PointRecord(conv, x))
 
 
 def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
@@ -598,36 +686,37 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
     verifiable unreachability argument, or Unknown.  Unknown is reserved
     for the genuinely undecided case: normal forms differ but no sound
     separating invariant applies at this arity window.
+
+    Everything is read from the two points' records.  The records are
+    one per point key, so x and y are equal exactly when their records
+    are the same.  The rigid-stage answer is the first column where the
+    sweep invariants differ, the outcome and witness of _rigidity_sweep
+    on the sweep table of x by the filtration lemma of the module
+    docstring; its verify() runs that sweep from scratch.
     """
-    kx, ky = _point_key(conv, x), _point_key(conv, y)
-    rx = _memo(conv, kx, "residual", lambda: conv.mc_check(x))
-    if not rx.is_zero():
+    px = point_record(conv, x)
+    if not px.residual.is_zero():
         raise ValueError(
             "first element is not Maurer-Cartan, residual "
-            f"{exact_repr(rx.entries)}")
-    ry = _memo(conv, ky, "residual", lambda: conv.mc_check(y))
-    if not ry.is_zero():
+            f"{exact_repr(px.residual.entries)}")
+    py = point_record(conv, y)
+    if not py.residual.is_zero():
         raise ValueError(
             "second element is not Maurer-Cartan, residual "
-            f"{exact_repr(ry.entries)}")
+            f"{exact_repr(py.residual.entries)}")
     poly_bound = default_poly_bound(conv)
-    if x.equals(y):
+    if px is py:
         return Equal(conv, x, y, (constant_path(conv, x, poly_bound),))
     if conv.arity_window() <= 1:
         return _abelian_decide(conv, x, y, poly_bound)
-    table = _memo(conv, kx, "sweep", lambda: _sweep_table(
-        conv, x, _algebra_memo(conv, _columns)))
-    # a point key holds the point's carrier vector
-    stage = _rigidity_sweep(dict(kx[1]), dict(ky[1]), table)
+    stage = _first_difference(px.invariant, py.invariant)
     if stage is not None:
         return Distinct(conv, x, y, "rigid-stage", {"degree": stage})
-    nx = _memo(conv, kx, "normal_form", lambda: moduli_normal_form(conv, x))
-    ny = _memo(conv, ky, "normal_form", lambda: moduli_normal_form(conv, y))
+    nx, ny = px.normal_form, py.normal_form
     if nx.representative.equals(ny.representative):
         back = tuple(p.reversed() for p in reversed(ny.paths))
         return Equal(conv, x, y, nx.paths + back)
-    bx = _memo(conv, kx, "betti", lambda: _twisted_betti(conv, x))
-    by = _memo(conv, ky, "betti", lambda: _twisted_betti(conv, y))
+    bx, by = px.betti, py.betti
     if bx != by:
         return Distinct(conv, x, y, "twisted-betti",
                         {"betti_x": dict(bx), "betti_y": dict(by)})

@@ -351,9 +351,12 @@ class ChainComplex:
             raise ValueError(f"d^2 != 0 on {self.name!r}, first at {bad[0]!r}")
 
     def betti(self) -> dict[int, int]:
-        rank = {n: len(matrices.column_split(
-            [self.d.entries.get(k, {}) for k in keys], keys)[0])
-            for n, keys in self.space.by_degree.items()}
+        rank = {}
+        for n, keys in self.space.by_degree.items():
+            ech = matrices.Echelon()
+            for k in keys:
+                ech.add(self.d.entries.get(k, {}))
+            rank[n] = ech.rank
         return {n: self.space.dim(n) - rank[n] - rank.get(n + 1, 0)
                 for n in self.space.degrees()}
 

@@ -48,7 +48,7 @@ from fractions import Fraction
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
 from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
-                    moduli_normal_form)
+                    moduli_normal_form, point_record)
 from .graded import GradedMap, add_term, contraction_from_complex
 from .matrices import ONE, scalar
 from .models import (CdgCoalgebra, QuillenModel, TruncatedPolynomials,
@@ -327,8 +327,9 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
     for n, point in enumerate(candidates):
         tau = conv.to_map({p: v for p, v in zip(pairs, point) if v},
                           degree=0)
-        res = conv.mc_check(tau)
-        if not res.is_zero():
+        # the residual and normal form the decisions keep for tau
+        record = point_record(conv, tau)
+        if not record.residual.is_zero():
             raise AssertionError("solver produced a non-MC point")
         merged = False
         for i, cls in enumerate(report.classes):
@@ -342,7 +343,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
                     "a pair of candidates could not be decided; they are "
                     "listed as separate classes")
         if not merged:
-            report.classes.append(moduli_normal_form(conv, tau))
+            report.classes.append(record.normal_form)
     return report
 
 

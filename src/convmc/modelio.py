@@ -83,8 +83,8 @@ def decode_key(j, where: str = "key"):
     raise ModelFileError(where, f"cannot decode key {j!r}")
 
 
-def _canon(j) -> str:
-    return json.dumps(j, sort_keys=True)
+# the bytes of json.dumps(j, sort_keys=True), from one encoder built once
+_canon = json.JSONEncoder(sort_keys=True).encode
 
 
 def _expect(value, kind: type, where: str):

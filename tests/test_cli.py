@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from convmc import cli, hopf, modelio
+from convmc.convolution import ConvolutionAlgebra
 from convmc.library import builtin_model
 from convmc.models import JacobiError
 from convmc.transfer import TransferredLInfinity
@@ -402,6 +403,26 @@ def test_twist_and_pi_refuse_an_element_that_is_not_maurer_cartan(
                          files)
     assert (code, err) == (1, "")
     assert json.loads(out)["residual"] == [["b", "y", "1/1"]]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["twist", "s3", "pi_s2", "@whitehead"], 0),
+    (["twist", "cp2", "pi_s2", "@cp2_bottom"], 2)],
+    ids=["answered", "refused"])
+def test_twist_checks_its_element_once(files, capsys, monkeypatch, argv,
+                                       code):
+    # the argument check is the only residual: the twisted complex is
+    # built after it without a second one
+    checked = []
+    mc_check = ConvolutionAlgebra.mc_check
+
+    def counting(self, tau):
+        checked.append(tau)
+        return mc_check(self, tau)
+
+    monkeypatch.setattr(ConvolutionAlgebra, "mc_check", counting)
+    assert run(capsys, argv, files)[0] == code
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("command", ["cobar", "transfer"])

@@ -8,11 +8,12 @@ of l_1 with the bracket coupling.
 """
 
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from convmc import gauge
+from convmc import gauge, mapping
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import (Distinct, Equal, GaugePath,
                           constant_path, default_poly_bound, gauge_flow,
@@ -22,7 +23,7 @@ from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             abelian_pair_with_d, abelian_two,
                             cp2_coalgebra, pi_s2, sphere_coalgebra,
                             wedge_s2_s3_coalgebra)
-from convmc.matrices import Echelon, Span
+from convmc.matrices import Span
 from convmc.models import LInfinityAlgebra
 from test_models import cp3_coalgebra
 
@@ -470,6 +471,72 @@ def test_shared_algebra_decides_like_fresh_ones(family, data):
     assert len(shared.point_memo) <= len(points)
 
 
+def bundled_algebra(source, target):
+    return ConvolutionAlgebra(BUILTIN_COALGEBRAS[source](),
+                              BUILTIN_TARGETS[target]())
+
+
+# the bundled pairs with degree-0 maps to search
+BUNDLED = [(c, t) for c in sorted(BUILTIN_COALGEBRAS)
+           for t in sorted(BUILTIN_TARGETS)
+           if bundled_algebra(c, t).carrier.basis(0)]
+
+
+@cache
+def bundled_branches(source, target):
+    """The degree-0 pairs of a bundled algebra and the solution branches
+    of its Maurer-Cartan system, as the component search finds them."""
+    conv = bundled_algebra(source, target)
+    pairs = list(conv.carrier.basis(0))
+    eqs = [p for p in mapping._residual_polynomials(conv, pairs).values()
+           if p]
+    return pairs, mapping._solve_preferring_polynomial(eqs, len(pairs))
+
+
+@st.composite
+def decision_cases(draw):
+    """A fresh algebra and two of its Maurer-Cartan points: from a probe
+    family, or from a branch of a bundled algebra's component search at
+    small values of the free coefficients."""
+    family = draw(st.sampled_from(["pair", "two_step", "bundled"]))
+    if family != "bundled":
+        conv = probe_algebra(family)
+        dim = 2 if family == "pair" else 3
+        return conv, [probe_mc(conv, family, draw(st.tuples(*[small] * dim)))
+                      for _ in range(2)]
+    source, target = draw(st.sampled_from(BUNDLED))
+    pairs, branches = bundled_branches(source, target)
+    assume(branches)
+    conv = bundled_algebra(source, target)
+    points = []
+    for _ in range(2):
+        free, _, at = draw(st.sampled_from(branches))
+        point = at([draw(small) for _ in free])
+        assume(point is not None)
+        points.append(conv.to_map({p: v for p, v in zip(pairs, point) if v},
+                                  degree=0))
+    return conv, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=decision_cases())
+def test_sweep_invariants_decide_like_the_rigidity_sweep(case):
+    conv, (x, y) = case
+    for a, b in ((x, y), (y, x)):
+        table = gauge._sweep_table(conv, a, gauge._columns(conv))
+        want = gauge._rigidity_sweep(conv.to_vec(a), conv.to_vec(b), table)
+        got = gauge._first_difference(gauge.point_record(conv, a).invariant,
+                                      gauge.point_record(conv, b).invariant)
+        assert got == want
+        cert = gauge_equivalent(conv, a, b)
+        rigid = getattr(cert, "kind", None) == "rigid-stage"
+        if conv.arity_window() > 1 and not a.equals(b):
+            assert rigid == (want is not None)
+        if rigid:
+            assert cert.witness == {"degree": want}
+            assert cert.verify()
+
+
 def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
     monkeypatch.setattr(gauge, "_POINTS_CAP", 2)
     conv = probe_algebra("pair")
@@ -486,9 +553,12 @@ def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
                                     gauge._point_key(conv, p[1])}
 
 
-def no_moves(conv):
-    """A forged sweep table: every column, and no direction moves any."""
-    return [(p, basis, Echelon()) for p, basis in gauge._columns(conv)]
+def all_rigid(conv, x):
+    """A forged sweep invariant of x: every column, each rigid and
+    holding x's values, as if no direction moved any."""
+    xv = conv.to_vec(x)
+    return [(p, {k: xv[k] for k in basis if k in xv})
+            for p, basis in gauge._columns(conv)]
 
 
 def test_verify_recomputes_what_the_decision_memoises():
@@ -497,9 +567,9 @@ def test_verify_recomputes_what_the_decision_memoises():
     equal = gauge_equivalent(conv, x, y)
     rigid = gauge_equivalent(conv, x, z)
     assert (equal.outcome, rigid.kind) == ("equal", "rigid-stage")
-    entry = conv.point_memo[gauge._point_key(conv, x)]
+    record = conv.point_memo[gauge._point_key(conv, x)]
     # no direction moves x any more, as far as the memo knows
-    entry["sweep"] = no_moves(conv)
+    record.invariant = all_rigid(conv, x)
     forged = gauge_equivalent(conv, x, y)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
     assert not forged.verify()
@@ -513,9 +583,9 @@ def test_verify_recomputes_what_the_decision_memoises():
     betti = Distinct(conv, x, y, "twisted-betti",
                      {"betti_x": bx, "betti_y": by})
     assert gauge_equivalent(conv, x, y).kind == "rigid-stage"
-    entry = conv.point_memo[gauge._point_key(conv, x)]
-    entry["sweep"] = no_moves(conv)
-    entry["betti"] = {0: 99}
+    record = conv.point_memo[gauge._point_key(conv, x)]
+    record.invariant = all_rigid(conv, x)
+    record.betti = {0: 99}
     assert betti.verify()
     assert not Distinct(conv, x, y, "twisted-betti",
                         {"betti_x": {0: 99}, "betti_y": by}).verify()
@@ -523,10 +593,10 @@ def test_verify_recomputes_what_the_decision_memoises():
 
 def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
     # what the decision keeps per algebra, damaged: a stage whose
-    # combinations overshoot fails the stage-flow assertion, and a sweep
-    # that skips a column or a span that reaches nothing gives a
-    # certificate that verify() rejects, because verify() builds both
-    # again
+    # combinations overshoot fails the stage-flow assertion, and sweep
+    # invariants built on a column list that skips a column, or a span
+    # that reaches nothing, give a certificate that verify() rejects,
+    # because verify() builds the sweep table and the span again
     conv = probe_algebra("pair")
     x, y, z = pair_mc(conv, 2, 3), pair_mc(conv, 2, -5), pair_mc(conv, 1, 0)
     assert gauge_equivalent(conv, x, y).outcome == "equal"
@@ -545,6 +615,7 @@ def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
     damaged.algebra_memo["_columns"] = gauge._columns(damaged)[1:]
     forged = gauge_equivalent(damaged, x, z)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
+    assert [p for p, _ in gauge.point_record(damaged, x).invariant] == [4]
     assert not forged.verify()
 
     conv = ConvolutionAlgebra(wedge_s2_s3_coalgebra(), acyclic_pair_target())

@@ -246,3 +246,23 @@ def test_column_split_matches_dense_rref(data):
     con = contraction_from_complex(cx)
     con.validate()
     assert con.small.space.total_dim() == sum(cx.betti().values())
+
+
+@given(chain_complexes())
+@settings(max_examples=60, deadline=None)
+def test_betti_ranks_are_the_column_split_pivot_counts(data):
+    """betti reads the rank of each d_n off an Echelon, which builds no
+    kernel vectors; those ranks are the pivot counts of column_split."""
+    cx, keys = data
+    rank = {n: len(mx.column_split([cx.d.entries.get(k, {}) for k in cols],
+                                   cols)[0])
+            for n, cols in keys.items()}
+    want = {n: len(cols) - rank[n] - rank.get(n + 1, 0)
+            for n, cols in keys.items() if cols}
+
+    def split(*args):
+        raise AssertionError("betti built kernel vectors")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mx, "column_split", split)
+        assert cx.betti() == want
