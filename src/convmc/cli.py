@@ -16,7 +16,9 @@ pi, components, hopf, homotopic) share one target loader: an linfty
 record is L as it stands, and a coalgebra D, bundled or from a file, is
 read as its loop model, the transferred structure on the homology of
 its cobar construction (hopf.loop_homology, cached per process).  hopf
-and homotopic read maps into D itself and refuse an linfty target.
+and homotopic read maps into D itself and refuse an linfty target.  A
+model file is decoded and validated once per distinct content in a
+process (_load), so a batch of calls pays for each file once.
 
 The truncation window is taken from --window (mc-check, twist and pi
 have none), then the CONVMC_WINDOW environment variable, then a
@@ -42,12 +44,13 @@ import argparse
 import json
 import os
 import sys
+from collections import OrderedDict
 
 from . import hopf, mapping, modelio
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
-from .gauge import Distinct, Equal, GaugePath, Unknown, moduli_normal_form
-from .graded import ChainComplex
+from .gauge import Distinct, Equal, GaugePath, Unknown, point_record
+from .graded import ChainComplex, lru
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
 from .models import (CdgCoalgebra, JacobiError, LInfinityAlgebra,
                      QuillenModel)
@@ -68,19 +71,34 @@ KINDS = {CdgCoalgebra: "a coalgebra model",
 TARGET_KINDS = (CdgCoalgebra, LInfinityAlgebra)
 
 
-def _load(arg: str, kinds: tuple):
-    """A model object of one of the classes kinds, from a file path or a
-    bundled name."""
-    if os.path.exists(arg):
-        obj = modelio.record_to_object(modelio.load_record(arg))
-    elif arg in BUILTIN_COALGEBRAS or arg in BUILTIN_TARGETS:
-        obj = builtin_model(arg)
-    else:
-        raise ModelFileError(arg, "no such file or bundled model")
+# models decoded from files, by the file's text: a batch of calls in one
+# process decodes and validates each distinct file once.  A model depends
+# only on that text and no command changes one after it is built.
+_LOADED: OrderedDict[str, object] = OrderedDict()
+_LOADED_CAP = 8
+
+
+def _of_kind(arg: str, obj, kinds: tuple):
     if not isinstance(obj, kinds):
         raise ModelFileError(arg, "expected " + " or ".join(
             KINDS[k] for k in kinds))
     return obj
+
+
+def _load(arg: str, kinds: tuple):
+    """A model object of one of the classes kinds, from a file path or a
+    bundled name.  A file is read once per call; only a model that was
+    decoded without error and is of one of the kinds is kept in _LOADED."""
+    if os.path.exists(arg):
+        text = modelio.read_text(arg)
+        obj = lru(_LOADED, _LOADED_CAP, text, lambda: _of_kind(
+            arg, modelio.record_to_object(modelio.load_record(arg, text)),
+            kinds))
+    elif arg in BUILTIN_COALGEBRAS or arg in BUILTIN_TARGETS:
+        obj = builtin_model(arg)
+    else:
+        raise ModelFileError(arg, "no such file or bundled model")
+    return _of_kind(arg, obj, kinds)
 
 
 def _load_element(arg: str) -> dict:
@@ -242,8 +260,9 @@ def _conv_and_tau(args):
 
 
 def _require_mc(args, conv: ConvolutionAlgebra, tau) -> None:
-    """Refuse the element argument unless tau is Maurer-Cartan."""
-    rows = modelio.gmap_to_json(conv.mc_check(tau))
+    """Refuse the element argument unless tau is Maurer-Cartan, by the
+    residual of its record, which the library then reads again."""
+    rows = modelio.gmap_to_json(point_record(conv, tau).residual)
     if rows:
         raise ModelFileError(args.tau, "not a Maurer-Cartan element, "
                              f"residual {json.dumps(rows)}")
@@ -287,7 +306,7 @@ def cmd_hopf(args) -> int:
     D = _load(args.D, (CdgCoalgebra,))
     model = _loop_model(args, D, C)
     value = hopf.mc_of_map(model, C, _load_element(args.map))
-    moduli = moduli_normal_form(ConvolutionAlgebra(C, model.algebra), value)
+    moduli = point_record(model.hom(C), value).normal_form
     _emit(args, {"kind": "hopf_report",
                  "source": C.name, "target": D.name,
                  "window": model.degree_max,

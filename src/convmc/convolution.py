@@ -122,8 +122,10 @@ class ConvolutionAlgebra:
         self._arity: int | None = None
         self._l1_cols: dict[Key, Vec] = {}
         # what the gauge decision derives from single Maurer-Cartan
-        # points (gauge.point_record, also read by mapping.components)
-        # and from the algebra alone (gauge._algebra_memo)
+        # points (gauge.point_record, whose residual is also the one
+        # Maurer-Cartan check of mapping, hopf and the CLI) and from the
+        # algebra alone (gauge._algebra_memo; modelio keeps the records
+        # of C and L there)
         self.point_memo: OrderedDict[tuple, object] = OrderedDict()
         self.algebra_memo: dict = {}
 
@@ -297,11 +299,13 @@ class ConvolutionAlgebra:
         return self.differential_of(tau) + self.series([tau], -1,
                                                        lambda n: ONE)
 
-    def twist(self, tau: GradedMap) -> ChainComplex:
+    def twist(self, tau: GradedMap,
+              residual: GradedMap | None = None) -> ChainComplex:
         """The carrier with the differential twisted by a Maurer-Cartan
         element: d^tau(f) = sum 1/n! l_{n+1}(f, tau, ..., tau).  Refuses
-        a tau whose residual is not zero."""
-        res = self.mc_check(tau)
+        a tau whose residual is not zero; residual is mc_check(tau), for
+        a caller that holds it (the point's gauge.PointRecord)."""
+        res = self.mc_check(tau) if residual is None else residual
         if not res.is_zero():
             raise ValueError(
                 "cannot twist by a non-MC element, residual "

@@ -77,8 +77,11 @@ inconclusive (gauge_equivalent).
 
 Every path the decision builds has the polynomial bound
 default_poly_bound(conv), so a point has one normal form per algebra.
-Only the decision, its helpers and mapping.components read the two
-stores.  Every verify() and path_check recompute from scratch, the
+Only the decision, its helpers, mapping, hopf and the CLI read the point
+store, and a record's residual is their one Maurer-Cartan check of a
+point; the algebra store also keeps the C and L
+records that modelio writes into every certificate over the algebra.
+Every verify() and path_check recompute from scratch, the
 sweep table and twisted Betti numbers included, and never read a
 record, so a certificate is checked again rather than looked up, and a
 stale or damaged entry cannot make a wrong answer verify; a damaged
@@ -627,7 +630,14 @@ class PointRecord:
     """What the decision derives from the point x of conv, each field
     computed on first use and then kept: residual (the Maurer-Cartan
     residual), invariant (the sweep invariant), normal_form (the staged
-    normal form) and betti (the nonzero twisted Betti numbers)."""
+    normal form) and betti (the nonzero twisted Betti numbers).
+
+    A record lives as long as conv keeps it: until _POINTS_CAP other
+    points of conv have been used since, or conv itself is dropped.  An
+    algebra built for one call dies with the call; the algebra of a
+    source over a loop model (hopf.LoopHomology.hom) lives in the model,
+    so a record of it lasts across calls until the model's LRU of
+    algebras or the model cache evicts it."""
 
     def __init__(self, conv: ConvolutionAlgebra, x: GradedMap):
         self.conv = conv

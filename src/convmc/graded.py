@@ -24,8 +24,10 @@ helpers: add_term (defined in matrices, whose Echelon reduces with it,
 and re-exported here) is the only way to accumulate a term into a vector
 (a coefficient that sums to zero drops its key), and tensor_terms is the
 only expansion of a tensor product of vectors into its terms.  The
-bounded caches of the package (loop models, pushed maps, decided points)
-take their least-recently-used step from lru.  Error messages show
+bounded caches of the package (loaded model files, loop models, their
+Hom algebras and pushed maps, decided points) take their
+least-recently-used step from lru, and keys of tables of columns come
+from entries_signature.  Error messages show
 coefficients through exact_repr, as Fraction(p, q) however they are held.
 """
 
@@ -55,6 +57,14 @@ def lru(cache: OrderedDict, cap: int, key, build):
     if len(cache) > cap:
         cache.popitem(last=False)
     return value
+
+
+def entries_signature(entries: dict) -> tuple:
+    """Canonical form of a table of columns {key: {key: coefficient}}:
+    sorted by repr, so it does not depend on insertion order."""
+    return tuple(sorted((repr(k), tuple(sorted((repr(x), str(c))
+                                               for x, c in v.items())))
+                        for k, v in entries.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,36 @@ of the target.  The middle leg lives in the divided-power normalization
 (see the transfer module), so that push gates on the twisting residual;
 the final result is checked against the literal Maurer-Cartan equation.
 
-A loop model keeps what it has pushed.  LoopHomology.pushed holds the
-canonical element of each of the _PUSHED_CAP most recently pushed strict
-maps, keyed by the signatures of the source coalgebra and of the
-morphism (sorted reprs of their tables, _entries_signature); each model
-also keeps the twisting morphism theta = p o iota of its own coalgebra.
-The key fixes every input of the composite, the target being the model,
-so a hit returns what a rebuild would.  Every gate above (the chain-map
-check of the induced cobar map, both pushforward gates and the final
-Maurer-Cartan check) still runs in full the first time a distinct map
-meets a model, and only a result that passed them all is stored, so a
-failing map raises on every call.  The memo dies with its model when the
-model cache evicts or clears it, and every call gets its own copy.
+A loop model keeps what depends only on it and a source.  Each
+LoopHomology holds, in bounded LRUs:
+
+- homs: the convolution algebra Hom(source, model.algebra) of each of
+  the _HOMS_CAP most recently used sources, keyed by the signature of the
+  source coalgebra (its name and sorted reprs of its basis, d and
+  coproduct, CdgCoalgebra.signature), so structurally equal sources share
+  one algebra and write the same certificate records.  mc_of_map,
+  _push_map, maps_homotopic and the hopf command all read it, so the
+  gauge.PointRecord of a point (its Maurer-Cartan residual, sweep
+  invariant and normal form) and the algebra's own memos live as long as
+  the model keeps the algebra;
+- pushed: the canonical element of each of the _PUSHED_CAP most recently
+  pushed strict maps, keyed by the source signature and the signature of
+  the morphism's table (graded.entries_signature);
+- theta = p o iota of its own coalgebra.
+
+The final Maurer-Cartan check of _push_map and the check of an
+mc_element record are the residual of the point's record, which
+gauge_equivalent's gates then read instead of recomputing it.  A push
+memo key fixes every input of the composite and of the coalgebra-morphism
+check: the source (its signature), the morphism's entries, and the
+target, which is the model.  Only a map that passed the morphism
+check and every gate of the composite (the chain-map check of the induced
+cobar map, both pushforward gates and the final Maurer-Cartan check) is
+stored, so a hit needs no check again, a failing map raises on every
+call, and every gate still runs in full the first time a distinct map
+meets a model.  The memos die with their model when the model cache
+evicts or clears it, and every call gets its own copy of a pushed
+element.
 
 Over a sphere source S^n the invariant of a map is a class of pi_n of the
 target, read as the degree-n loop homology with representative addition
@@ -46,27 +64,12 @@ from functools import cached_property
 
 from .barcobar import cobar, cobar_map
 from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
-from .gauge import gauge_equivalent
-from .graded import GradedMap, lru
+from .gauge import gauge_equivalent, point_record
+from .graded import GradedMap, entries_signature, lru
 from .modelio import element_from_record
 from .models import CdgCoalgebra
 from .transfer import (InfinityMorphism, postcompose_strict, push_mc,
                        transfer_linfty)
-
-
-def _entries_signature(entries: dict) -> tuple:
-    """Canonical form of a table of columns {key: {key: coefficient}}:
-    sorted by repr, so it does not depend on insertion order."""
-    return tuple(sorted((repr(k), tuple(sorted((repr(x), str(c))
-                                               for x, c in v.items())))
-                        for k, v in entries.items()))
-
-
-def _coalgebra_signature(C: CdgCoalgebra) -> tuple:
-    sp = C.space
-    basis = tuple((d, tuple(sp.basis(d))) for d in sorted(sp.degrees()))
-    return (C.name, basis, _entries_signature(C.d.entries),
-            _entries_signature(C.delta))
 
 
 class LoopHomology:
@@ -87,6 +90,8 @@ class LoopHomology:
         # this model, by (source signature, morphism signature); only
         # mc_of_map reads and fills it
         self.pushed: OrderedDict[tuple, GradedMap] = OrderedDict()
+        # Hom(source, algebra) by source signature (hom)
+        self.homs: OrderedDict[tuple, ConvolutionAlgebra] = OrderedDict()
 
     @cached_property
     def inclusion(self) -> InfinityMorphism:
@@ -102,10 +107,17 @@ class LoopHomology:
         coalgebra this model was built from."""
         return self.transfer.contraction.p.compose(self.cobar.inclusion())
 
+    def hom(self, source: CdgCoalgebra) -> ConvolutionAlgebra:
+        """The convolution algebra Hom(source, self.algebra), one per source
+        signature among the _HOMS_CAP most recently used."""
+        return lru(self.homs, _HOMS_CAP, source.signature,
+                   lambda: ConvolutionAlgebra(source, self.algebra))
+
 
 _MODELS: OrderedDict[tuple, LoopHomology] = OrderedDict()
 _MODELS_CAP = 8
 _PUSHED_CAP = 64
+_HOMS_CAP = 8
 
 
 def loop_homology(coalgebra: CdgCoalgebra, degree_max: int) -> LoopHomology:
@@ -113,8 +125,7 @@ def loop_homology(coalgebra: CdgCoalgebra, degree_max: int) -> LoopHomology:
     equal coalgebras built independently share one model and hence one
     fingerprint.  The cache keeps the _MODELS_CAP most recently used
     models."""
-    return lru(_MODELS, _MODELS_CAP,
-               (_coalgebra_signature(coalgebra), degree_max),
+    return lru(_MODELS, _MODELS_CAP, (coalgebra.signature, degree_max),
                lambda: LoopHomology(coalgebra, degree_max))
 
 
@@ -124,22 +135,22 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
     map from source into the target of model that the record rec holds.
 
     An mc_element record is the element itself, returned once it passes
-    the literal Maurer-Cartan equation.  A map record is a strict
-    morphism of coalgebra models, checked to commute with both the
-    differential and the coproduct; its element is the composite of
-    _push_map: classes of the source homology are included into the
-    source cobar construction by the transferred infinity-morphism,
-    carried over by the induced map of cobar constructions, and pushed
-    down to the target's homology along the projection.  The composite
-    runs once per distinct map and target model (LoopHomology.pushed,
-    see the module docstring); every call returns a fresh copy on the
-    caller's source.
+    the literal Maurer-Cartan equation (the residual of its record in
+    model.hom).  A map record is a strict morphism of coalgebra models,
+    checked to commute with both the differential and the coproduct; its
+    element is the composite of _push_map: classes of the source homology
+    are included into the source cobar construction by the transferred
+    infinity-morphism, carried over by the induced map of cobar
+    constructions, and pushed down to the target's homology along the
+    projection.  The check and the composite run once per distinct map
+    and target model (LoopHomology.pushed, see the module docstring);
+    every call returns a fresh copy on the caller's source.
     """
     if rec["kind"] == "mc_element":
         tau = element_from_record(rec, source.space, model.algebra.space)
         if tau.degree != 0:
             raise ValueError("a Maurer-Cartan element must have degree 0")
-        res = ConvolutionAlgebra(source, model.algebra).mc_check(tau)
+        res = point_record(model.hom(source), tau).residual
         if not res.is_zero():
             raise ValueError("input fails the Maurer-Cartan equation on "
                              f"{sorted(res.entries)}")
@@ -147,10 +158,13 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
     f = element_from_record(rec, source.space, model.coalgebra.space)
     if f.degree != 0:
         raise ValueError("a coalgebra morphism must have degree 0")
-    check_coalgebra_morphism(source, model.coalgebra, f)
-    key = (_coalgebra_signature(source), _entries_signature(f.entries))
-    known = lru(model.pushed, _PUSHED_CAP, key,
-                lambda: _push_map(model, source, f))
+
+    def push() -> GradedMap:
+        check_coalgebra_morphism(source, model.coalgebra, f)
+        return _push_map(model, source, f)
+
+    known = lru(model.pushed, _PUSHED_CAP,
+                (source.signature, entries_signature(f.entries)), push)
     return GradedMap(source.space, known.dst, 0, known.entries,
                      name=known.name)
 
@@ -159,7 +173,8 @@ def _push_map(model: LoopHomology, C: CdgCoalgebra,
               f: GradedMap) -> GradedMap:
     """The composite of mc_of_map for a strict morphism, every gate run:
     the middle stage lives in the divided-power normalization, and the
-    result is checked against the literal Maurer-Cartan equation."""
+    result is checked against the literal Maurer-Cartan equation as the
+    residual of its record in model.hom(C)."""
     source_model = loop_homology(C, model.degree_max)
     induced = cobar_map(f, source_model.cobar, model.cobar)
     lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,
@@ -168,7 +183,7 @@ def _push_map(model: LoopHomology, C: CdgCoalgebra,
                                  model.ambient)
     middle = push_mc(carried, C, source_model.theta)
     result = push_mc(model.projection, C, middle, residual="twisting")
-    res = ConvolutionAlgebra(C, model.algebra).mc_check(result)
+    res = point_record(model.hom(C), result).residual
     if not res.is_zero():
         raise ValueError("composite failed the Maurer-Cartan equation on "
                          f"{sorted(res.entries)}; enlarge the window")
@@ -179,5 +194,7 @@ def maps_homotopic(model: LoopHomology, source: CdgCoalgebra,
                    x: GradedMap, y: GradedMap):
     """Decide whether two maps from source into the target of model are
     homotopic, given their canonical Maurer-Cartan elements (mc_of_map):
-    the gauge certificate between them in Hom(H(C), H(loops D))."""
-    return gauge_equivalent(ConvolutionAlgebra(source, model.algebra), x, y)
+    the gauge certificate between them in Hom(H(C), H(loops D)), the
+    algebra model.hom keeps, whose point records hold the residuals that
+    mc_of_map has checked."""
+    return gauge_equivalent(model.hom(source), x, y)

@@ -353,8 +353,11 @@ def pi_of_component(conv: ConvolutionAlgebra, tau: GradedMap,
     homology of the carrier twisted by tau, as {class: representative
     cycle in the carrier}, in the order of the contraction's homology
     basis.  tau must satisfy the Maurer-Cartan equation; the twist
-    constructor enforces that."""
+    constructor enforces that with the residual of tau's record, which a
+    caller that has checked tau through point_record has already
+    computed."""
     if n < 1:
         raise ValueError("component homotopy starts at n = 1")
-    con = contraction_from_complex(conv.twist(tau))
+    con = contraction_from_complex(
+        conv.twist(tau, point_record(conv, tau).residual))
     return {k: con.i.column(k) for k in con.small.space.basis(n)}

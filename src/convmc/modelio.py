@@ -381,14 +381,23 @@ def _betti_from_json(rows, where: str) -> dict:
     return out
 
 
+def _algebra_records(conv) -> tuple[dict, dict]:
+    """The records of C and L of conv, built once per algebra and kept in
+    conv.algebra_memo: every certificate record over conv shares them, so
+    they are only read."""
+    memo = conv.algebra_memo
+    if "records" not in memo:
+        memo["records"] = (cdgc_to_record(conv.C), linfty_to_record(conv.L))
+    return memo["records"]
+
+
 def certificate_to_record(cert) -> dict:
     rec = _header("certificate", "")
     rec["outcome"] = cert.outcome
     if isinstance(cert, Unknown):
         rec["reason"] = cert.reason
         return rec
-    rec["C"] = cdgc_to_record(cert.conv.C)
-    rec["L"] = linfty_to_record(cert.conv.L)
+    rec["C"], rec["L"] = _algebra_records(cert.conv)
     rec["x"] = gmap_to_json(cert.x)
     rec["y"] = gmap_to_json(cert.y)
     if isinstance(cert, Equal):
@@ -463,14 +472,23 @@ def dumps_record(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, indent=2) + "\n"
 
 
-def load_record(path: str) -> dict:
+def read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(path, f"not valid JSON: {exc}") from None
+            return fh.read()
     except OSError as exc:
         raise ModelFileError(path, exc.strerror or str(exc)) from None
+
+
+def load_record(path: str, text: str | None = None) -> dict:
+    """The record in the file at path; text is the file's contents, for a
+    caller that has read them (read_text)."""
+    if text is None:
+        text = read_text(path)
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(path, f"not valid JSON: {exc}") from None
     if not isinstance(rec, dict):
         raise ModelFileError(path, "top level must be an object")
     version = rec.get("format_version")

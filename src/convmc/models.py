@@ -38,13 +38,14 @@ reads only degree and product.  Three places use it:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import words as wd
 from .freelie import FreeLie
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, TensorSpace,
-                     Vec, add_term, exact_repr, tensor_terms, vec_add,
-                     vec_scale)
+                     Vec, add_term, entries_signature, exact_repr,
+                     tensor_terms, vec_add, vec_scale)
 from .matrices import ONE, scalar
 
 
@@ -69,7 +70,9 @@ class CdgCoalgebra:
 
     delta maps each basis key to a vector over ordered pairs of keys; it
     must be cocommutative on the nose (tau delta = delta with the Koszul
-    flip), coassociative, and compatible with the differential.
+    flip), coassociative, and compatible with the differential.  A
+    coalgebra is not changed after construction: its iterated coproducts
+    and its signature are kept.
     """
 
     def __init__(self, space: GradedSpace, d: GradedMap,
@@ -80,6 +83,16 @@ class CdgCoalgebra:
                       for k, v in delta.items() if v}
         self.name = name or space.name
         self._coproducts: dict[tuple[Key, int], Vec] = {}
+
+    @cached_property
+    def signature(self) -> tuple:
+        """The structural key of the coalgebra: its name, basis by degree,
+        d and coproduct, in the sorted form of entries_signature, so two
+        equal coalgebras built independently have the same key."""
+        sp = self.space
+        basis = tuple((d, tuple(sp.basis(d))) for d in sorted(sp.degrees()))
+        return (self.name, basis, entries_signature(self.d.entries),
+                entries_signature(self.delta))
 
     def delta_apply(self, v: Vec) -> Vec:
         out: Vec = {}

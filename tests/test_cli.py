@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from convmc import cli, hopf, modelio
+from convmc import cli, gauge, hopf, modelio
 from convmc.convolution import ConvolutionAlgebra
 from convmc.library import builtin_model
 from convmc.models import JacobiError
@@ -425,6 +425,18 @@ def test_twist_checks_its_element_once(files, capsys, monkeypatch, argv,
     assert len(checked) == 1
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["pi", "s3", "pi_s2", "@whitehead", "--n", "1"], 0),
+    (["pi", "cp2", "pi_s2", "@cp2_bottom", "--n", "1"], 2)],
+    ids=["answered", "refused"])
+def test_pi_checks_its_element_once(files, capsys, monkeypatch, argv, code):
+    # the argument check and the library's twist gate read one residual,
+    # the record of the element in its convolution algebra
+    checked = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")
+    assert run(capsys, argv, files)[0] == code
+    assert len(checked) == 1
+
+
 @pytest.mark.parametrize("command", ["cobar", "transfer"])
 def test_window_below_the_lowest_class_is_refused(capsys, monkeypatch,
                                                   command):
@@ -728,15 +740,16 @@ def _cp3_self_maps(where, degrees):
                              for i in (1, 2, 3)], "CP3", "CP3")))
 
 
-def _count_cobar_maps(monkeypatch) -> list:
+def _counted(monkeypatch, owner, name) -> list:
+    """Record the first argument of every call of owner.name."""
     calls = []
-    cobar_map = hopf.cobar_map
+    orig = getattr(owner, name)
 
-    def counted(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(args[0])
-        return cobar_map(*args, **kwargs)
+        return orig(*args, **kwargs)
 
-    monkeypatch.setattr(hopf, "cobar_map", counted)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -745,7 +758,7 @@ def test_homotopic_batch_pushes_each_map_once(tmp_path, capsys, monkeypatch):
     # so a batch in one process runs the cobar composite once per map
     monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
     _cp3_self_maps(tmp_path, (-1, 2, 3))
-    calls = _count_cobar_maps(monkeypatch)
+    calls = _counted(monkeypatch, hopf, "cobar_map")
     pairs = [(2, 3), (3, 2), (2, 2), (-1, 3), (3, -1), (-1, -1)]
     codes = [run(capsys, ["homotopic", "@cp3", "@cp3", f"@f{j}", f"@f{k}",
                           "--window", "12"], tmp_path)[0]
@@ -761,7 +774,7 @@ def test_pushed_maps_past_the_cap_are_evicted_and_rebuilt(tmp_path, capsys,
     monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
     monkeypatch.setattr(hopf, "_PUSHED_CAP", 2)
     _cp3_self_maps(tmp_path, (-1, 2, 3))
-    calls = _count_cobar_maps(monkeypatch)
+    calls = _counted(monkeypatch, hopf, "cobar_map")
 
     def invariant(k):
         return run(capsys, ["hopf", "@cp3", "@cp3", f"@f{k}",
@@ -777,6 +790,199 @@ def test_pushed_maps_past_the_cap_are_evicted_and_rebuilt(tmp_path, capsys,
     assert invariant(-1) == first
     assert len(model.pushed) == 2 and len(calls) == 4
     assert invariant(3)[0] == 0 and len(calls) == 4
+
+
+def _fresh_process(monkeypatch):
+    """Empty model caches, as in a new process."""
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    monkeypatch.setattr(cli, "_LOADED", type(cli._LOADED)())
+
+
+def _cp3_elements(where):
+    """CP3, its self-maps f-1, f2, f3, and the Maurer-Cartan elements m2
+    (the element of f2) and m5 over the loop model of CP3."""
+    _cp3_self_maps(where, (-1, 2, 3))
+    for k in (2, 5):
+        (where / f"m{k}.json").write_text(json.dumps(_element(
+            "mc_element", f"m{k}", [["a1", "H2_0", f"{k}/1"]], "CP3",
+            "loops(CP3)")))
+
+
+def test_warm_calls_print_what_a_fresh_process_prints(files, capsys,
+                                                      monkeypatch):
+    # the loop model keeps its Hom algebras, point records and pushed maps,
+    # and the loader keeps decoded files: each call of a batch in one
+    # process prints what it prints after both caches are emptied
+    _fresh_process(monkeypatch)
+    _cp3_elements(files)
+    cp3 = ["@cp3", "@cp3"]
+    window = ["--window", "12"]
+    batch = [["homotopic", *cp3, "@f2", "@f3", *window],
+             ["homotopic", *cp3, "@f3", "@f2", *window],
+             ["homotopic", *cp3, "@f2", "@m2", *window],
+             ["homotopic", *cp3, "@m2", "@f2", *window],
+             ["homotopic", *cp3, "@f3", "@f3", *window],
+             ["homotopic", *cp3, "@m5", "@f-1", *window],
+             ["homotopic", *cp3, "@f-1", "@m5", *window],
+             ["homotopic", *cp3, "@m5", "@m5", *window],
+             ["hopf", *cp3, "@f2", *window],
+             ["hopf", *cp3, "@m2", *window],
+             ["hopf", *cp3, "@f-1", *window],
+             ["hopf", *cp3, "@m5", *window],
+             ["homotopic", "s3", "s2", "@eta1", "@eta2"],
+             ["homotopic", "s3", "s2", "@eta2", "@eta1"],
+             ["homotopic", "s3", "s2", "@eta1", "@eta1"],
+             ["hopf", "s3", "s2", "@eta2"]]
+    fresh = {}
+    for argv in batch:
+        hopf._MODELS.clear()
+        cli._LOADED.clear()
+        fresh[tuple(argv)] = run(capsys, argv, files)
+    assert {code for code, _, _ in fresh.values()} == {0, 1}
+    assert fresh[tuple(batch[2])][0] == 0
+    for order in (batch, batch[::-1]):
+        hopf._MODELS.clear()
+        cli._LOADED.clear()
+        for argv in order:
+            assert run(capsys, argv, files) == fresh[tuple(argv)], argv
+
+
+def test_gates_fire_on_every_warm_call(files, capsys, monkeypatch):
+    _fresh_process(monkeypatch)
+    _cp3_elements(files)
+    # a1 -> 2 a1 and a2 -> 3 a2 is not a coalgebra map: Delta(a2) has
+    # a1 (x) a1, which the map sends to 4 a1 (x) a1
+    (files / "bad.json").write_text(json.dumps(_element(
+        "map", "bad", [["a1", "a1", "2/1"], ["a2", "a2", "3/1"],
+                       ["a3", "a3", "8/1"]], "CP3", "CP3")))
+    window = ["--window", "12"]
+    assert run(capsys, ["hopf", "@cp3", "@cp3", "@f2", *window],
+               files)[0] == 0
+    for argv in (["homotopic", "@cp3", "@cp3", "@f2", "@bad", *window],
+                 ["homotopic", "@cp3", "@cp3", "@bad", "@f2", *window],
+                 ["hopf", "@cp3", "@cp3", "@bad", *window]) * 2:
+        err = refusal(capsys, argv, files)
+        assert err == {"error": "coproducts disagree after the map at 'a2'"}
+    # only the map that passed is kept
+    (model,) = hopf._MODELS.values()
+    assert len(model.pushed) == 1
+    # the bottom class of CP2 to H2_0 is obstructed into S2: refused on
+    # every call, before and after a Maurer-Cartan element of the same
+    # source and target was accepted
+    zero = _element("mc_element", "zero", [], "CP2", "loops(S2)")
+    (files / "zero.json").write_text(json.dumps(zero))
+    for argv in (["hopf", "cp2", "s2", "@cp2_h2"],
+                 ["homotopic", "cp2", "s2", "@zero", "@cp2_h2"],
+                 ["hopf", "cp2", "s2", "@zero"],
+                 ["hopf", "cp2", "s2", "@cp2_h2"],
+                 ["homotopic", "cp2", "s2", "@cp2_h2", "@zero"]):
+        code, out, err = run(capsys, argv, files)
+        if "@cp2_h2" in argv:
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"].startswith(
+                "input fails the Maurer-Cartan equation on")
+        else:
+            assert (code, err) == (0, "")
+
+
+# the benchmark's hopf-batch pairs at seed 1 (perfbench/workloads.py,
+# hopf_pairs(1)): 15 calls over the 6 maps of degrees -2, -1, 1, 2, 3, 4
+HOPF_BATCH_SEED_1 = [(-1, -1), (-1, 4), (3, 3), (-2, -2), (-1, 1), (-1, 3),
+                     (2, 1), (-2, 2), (1, 2), (-2, 3), (1, 4), (4, 2),
+                     (3, -2), (4, 2), (1, 4)]
+
+
+def test_homotopic_batch_checks_each_element_once(tmp_path, capsys,
+                                                   monkeypatch):
+    # one Hom algebra per loop model: each of the 6 distinct elements is
+    # checked by the first pushforward gate and by the final check, whose
+    # residual the gauge gates then read; its sweep invariant and its
+    # morphism check run once, and the CP3 file is decoded once
+    _fresh_process(monkeypatch)
+    _cp3_self_maps(tmp_path, (-2, -1, 1, 2, 3, 4))
+    checks = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")
+    sweeps = _counted(monkeypatch, gauge, "_sweep_invariant")
+    morphisms = _counted(monkeypatch, hopf, "check_coalgebra_morphism")
+    decoded = _counted(monkeypatch, modelio, "record_to_object")
+    decided = _counted(monkeypatch, hopf, "gauge_equivalent")
+    codes = [run(capsys, ["homotopic", "@cp3", "@cp3", f"@f{j}", f"@f{k}",
+                          "--window", "12"], tmp_path)[0]
+             for j, k in HOPF_BATCH_SEED_1]
+    assert codes == [0 if j == k else 1 for j, k in HOPF_BATCH_SEED_1]
+    assert (len(checks), len(sweeps), len(morphisms), len(decoded),
+            len(decided)) == (12, 6, 6, 1, 15)
+
+
+def test_hom_algebras_past_the_cap_are_evicted_and_rebuilt(tmp_path, capsys,
+                                                          monkeypatch):
+    # cap + 1 sources into one loop model: the model keeps _HOMS_CAP Hom
+    # algebras, and the evicted one, built again, prints the same bytes
+    _fresh_process(monkeypatch)
+    (tmp_path / "zero.json").write_text(json.dumps(_element(
+        "mc_element", "zero", [], "S", "loops(S2)")))
+    sources = ["s2", "s3", "s4", "cp2", "s2xs2", "s2vs3"]
+    for n in range(5, 5 + hopf._HOMS_CAP + 1 - len(sources)):
+        (tmp_path / f"s{n}.json").write_text(json.dumps(
+            {"format_version": 1, "kind": "cdgc", "name": f"S{n}",
+             "basis": [{"name": "a", "degree": n}], "d": [], "delta": []}))
+        sources.append(f"@s{n}")
+    assert len(sources) == hopf._HOMS_CAP + 1
+
+    def invariant(source):
+        return run(capsys, ["hopf", source, "s2", "@zero", "--window", "12"],
+                   tmp_path)
+
+    first = invariant(sources[0])
+    assert first[0] == 0
+    for source in sources[1:]:
+        assert invariant(source)[0] == 0
+    (model,) = hopf._MODELS.values()
+    assert len(model.homs) == hopf._HOMS_CAP
+    s2 = builtin_model("s2").signature
+    assert s2 not in model.homs
+    assert invariant(sources[0]) == first
+    assert s2 in model.homs and len(model.homs) == hopf._HOMS_CAP
+
+
+def test_loaded_models_past_the_cap_are_evicted_and_rebuilt(tmp_path, capsys,
+                                                           monkeypatch):
+    _fresh_process(monkeypatch)
+    decoded = _counted(monkeypatch, modelio, "record_to_object")
+    names = [f"CP3_{i}" for i in range(cli._LOADED_CAP + 1)]
+    for name in names:
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(CP3,
+                                                               name=name)))
+
+    def homology(name):
+        return run(capsys, ["homology", f"@{name}"], tmp_path)
+
+    first = homology(names[0])
+    assert first[0] == 0 and json.loads(first[1])["name"] == names[0]
+    for name in names[1:]:
+        assert homology(name)[0] == 0
+        assert len(cli._LOADED) <= cli._LOADED_CAP
+    assert len(cli._LOADED) == cli._LOADED_CAP and len(decoded) == len(names)
+    # a hit decodes nothing; the evicted first file is decoded again
+    assert homology(names[-1])[0] == 0 and len(decoded) == len(names)
+    assert homology(names[0]) == first and len(decoded) == len(names) + 1
+    assert len(cli._LOADED) == cli._LOADED_CAP
+
+
+def test_a_file_of_the_wrong_kind_is_not_kept(files, capsys, monkeypatch):
+    # a file refused as the wrong kind is not kept, and a kept model is
+    # still refused where its kind is not wanted
+    _fresh_process(monkeypatch)
+    decoded = _counted(monkeypatch, modelio, "record_to_object")
+    as_source = ["hopf", "cp2", "@pi_s2_model", "@cp2_id"]
+    refused = refusal(capsys, as_source, files)
+    assert refused["error"].endswith("expected a coalgebra model")
+    assert refusal(capsys, as_source, files) == refused
+    assert not cli._LOADED and len(decoded) == 2
+    code, _, err = run(capsys, ["mc-check", "s3", "@pi_s2_model",
+                                "@whitehead"], files)
+    assert (code, err) == (0, "") and len(cli._LOADED) == 1
+    assert refusal(capsys, as_source, files) == refused
+    assert len(decoded) == 3
 
 
 # -- one target model for the Hom(C, L) commands ------------------------------
