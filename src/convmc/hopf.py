@@ -158,13 +158,9 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
     f = element_from_record(rec, source.space, model.coalgebra.space)
     if f.degree != 0:
         raise ValueError("a coalgebra morphism must have degree 0")
-
-    def push() -> GradedMap:
-        check_coalgebra_morphism(source, model.coalgebra, f)
-        return _push_map(model, source, f)
-
     known = lru(model.pushed, _PUSHED_CAP,
-                (source.signature, entries_signature(f.entries)), push)
+                (source.signature, entries_signature(f.entries)),
+                lambda: _push_map(model, source, f))
     return GradedMap(source.space, known.dst, 0, known.entries,
                      name=known.name)
 
@@ -172,9 +168,11 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
 def _push_map(model: LoopHomology, C: CdgCoalgebra,
               f: GradedMap) -> GradedMap:
     """The composite of mc_of_map for a strict morphism, every gate run:
-    the middle stage lives in the divided-power normalization, and the
-    result is checked against the literal Maurer-Cartan equation as the
-    residual of its record in model.hom(C)."""
+    f is first checked to be a coalgebra morphism, the middle stage lives
+    in the divided-power normalization, and the result is checked against
+    the literal Maurer-Cartan equation as the residual of its record in
+    model.hom(C)."""
+    check_coalgebra_morphism(C, model.coalgebra, f)
     source_model = loop_homology(C, model.degree_max)
     induced = cobar_map(f, source_model.cobar, model.cobar)
     lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,
