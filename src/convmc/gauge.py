@@ -571,8 +571,8 @@ def _reduce(conv: ConvolutionAlgebra, stage: tuple, v: Vec) -> tuple:
                             1)
 
 
-def moduli_normal_form(conv: ConvolutionAlgebra,
-                       x: GradedMap) -> ModuliClass:
+def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
+                       residual: GradedMap | None = None) -> ModuliClass:
     """Greedy staged reduction of a Maurer-Cartan element to a canonical
     coset representative, with the realizing gauge paths.
 
@@ -586,8 +586,12 @@ def moduli_normal_form(conv: ConvolutionAlgebra,
     column, so the reduction is exact, deterministic, and idempotent,
     but normal forms of equivalent elements are only guaranteed to agree
     when the moves available to general paths are stage-local too.
+
+    Refuses an x whose Maurer-Cartan residual is not zero; residual is
+    conv.mc_check(x), for a caller that holds it (the point's
+    PointRecord).
     """
-    res = conv.mc_check(x)
+    res = conv.mc_check(x) if residual is None else residual
     if not res.is_zero():
         raise ValueError(
             "normal form of a non-MC element, residual "
@@ -631,6 +635,8 @@ class PointRecord:
     computed on first use and then kept: residual (the Maurer-Cartan
     residual), invariant (the sweep invariant), normal_form (the staged
     normal form) and betti (the nonzero twisted Betti numbers).
+    normal_form and betti read the kept residual as their Maurer-Cartan
+    gate instead of computing it again.
 
     A record lives as long as conv keeps it: until _POINTS_CAP other
     points of conv have been used since, or conv itself is dropped.  An
@@ -653,7 +659,7 @@ class PointRecord:
 
     @cached_property
     def normal_form(self) -> ModuliClass:
-        return moduli_normal_form(self.conv, self.x)
+        return moduli_normal_form(self.conv, self.x, self.residual)
 
     @cached_property
     def betti(self) -> dict[int, int]:

@@ -38,15 +38,18 @@ LoopHomology holds, in bounded LRUs:
 
 The final Maurer-Cartan check of _push_map and the check of an
 mc_element record are the residual of the point's record, which
-gauge_equivalent's gates then read instead of recomputing it.  A push
-memo key fixes every input of the composite and of the coalgebra-morphism
-check: the source (its signature), the morphism's entries, and the
-target, which is the model.  Only a map that passed the morphism
-check and every gate of the composite (the chain-map check of the induced
-cobar map, both pushforward gates and the final Maurer-Cartan check) is
-stored, so a hit needs no check again, a failing map raises on every
-call, and every gate still runs in full the first time a distinct map
-meets a model.  The memos die with their model when the model cache
+gauge_equivalent's gates then read instead of recomputing it.  The
+coalgebra-morphism check of a map runs once per push, in
+barcobar.cobar_map, after the source's loop model is built or read from
+the cache: a map that is not a morphism is refused once that model
+exists.  A push memo key fixes every input of the composite and of the
+morphism check: the source (its signature), the morphism's entries, and
+the target, which is the model.  Only a map that passed the morphism
+check and every gate of the composite (the chain-map check of the
+induced cobar map, both pushforward gates and the final Maurer-Cartan
+check) is stored, so a hit needs no check again, a failing map raises on
+every call, and every gate still runs in full the first time a distinct
+map meets a model.  The memos die with their model when the model cache
 evicts or clears it, and every call gets its own copy of a pushed
 element.
 
@@ -63,7 +66,7 @@ from collections import OrderedDict
 from functools import cached_property
 
 from .barcobar import cobar, cobar_map
-from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
+from .convolution import ConvolutionAlgebra
 from .gauge import gauge_equivalent, point_record
 from .graded import GradedMap, entries_signature, lru
 from .modelio import element_from_record
@@ -168,11 +171,11 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
 def _push_map(model: LoopHomology, C: CdgCoalgebra,
               f: GradedMap) -> GradedMap:
     """The composite of mc_of_map for a strict morphism, every gate run:
-    f is first checked to be a coalgebra morphism, the middle stage lives
-    in the divided-power normalization, and the result is checked against
-    the literal Maurer-Cartan equation as the residual of its record in
+    cobar_map checks f to be a coalgebra morphism (after the loop model of
+    C is built or read from the cache), the middle stage lives in the
+    divided-power normalization, and the result is checked against the
+    literal Maurer-Cartan equation as the residual of its record in
     model.hom(C)."""
-    check_coalgebra_morphism(C, model.coalgebra, f)
     source_model = loop_homology(C, model.degree_max)
     induced = cobar_map(f, source_model.cobar, model.cobar)
     lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,

@@ -15,6 +15,19 @@ keys and entry lists are sorted on their encoded form, so identical
 objects produce byte-identical files.  parse errors carry the path of
 the offending entry.
 
+dumps_record writes a record in one pass.  Its bytes are those of
+json.dumps with sorted keys and an indent of 2 spaces, plus a newline,
+and ASCII only: every other character is escaped as json's
+ensure_ascii escapes it.  Tuples are written as arrays, object keys are
+sorted as json sorts them, and a record holds str, int, bool, None,
+lists, tuples and dicts only; anything else, a float or a Fraction
+included, raises TypeError.  The row builders (entries_to_json,
+cdgc_to_record, operation_rows) encode each basis key once per record,
+with its sort text (_key_coder), so every row that names a key holds
+the same encoded object.  Those shared keys are read-only: the writer
+keeps the text of each container per indentation, by its id within the
+one call, and so writes a shared key once per indentation.
+
 Certificate records embed the full source coalgebra and target algebra,
 so a decision can be re-verified later from the file alone.  Every
 coalgebra record, embedded or not, is validated as it is read: d squares
@@ -28,6 +41,7 @@ rule, and given on bracket words as well it must equal that extension
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from . import words as wd
 from .freelie import FreeLie
@@ -54,6 +68,8 @@ class ModelFileError(ValueError):
 # -- scalars and keys -------------------------------------------------------
 
 def frac_to_str(c) -> str:
+    if type(c) is int:
+        return f"{c}/1"
     c = scalar(c)
     return f"{c.numerator}/{c.denominator}"
 
@@ -85,6 +101,27 @@ def decode_key(j, where: str = "key"):
 
 # the bytes of json.dumps(j, sort_keys=True), from one encoder built once
 _canon = json.JSONEncoder(sort_keys=True).encode
+
+
+def _key_coder():
+    """code(k) = (encode_key(k), its _canon text), computed once per key for
+    the one record being built: every row that names k holds the same
+    encoded object, which is never mutated (see the module docstring)."""
+    memo: dict = {}
+
+    def code(k):
+        got = memo.get(k)
+        if got is None:
+            j = encode_key(k)
+            got = memo[k] = (j, _canon(j))
+        return got
+    return code
+
+
+def _sorted_rows(keyed: list) -> list:
+    """The rows of keyed, a list of (sort key, row), in sort-key order."""
+    keyed.sort(key=itemgetter(0))
+    return [row for _, row in keyed]
 
 
 def _expect(value, kind: type, where: str):
@@ -121,14 +158,15 @@ def space_from_json(rows, name: str, where: str) -> GradedSpace:
 
 
 def entries_to_json(entries: dict) -> list:
-    rows = []
+    code = _key_coder()
+    keyed = []
     for src, col in entries.items():
+        js, cs = code(src)
         for dst, c in col.items():
             if c:
-                rows.append([encode_key(src), encode_key(dst),
-                             frac_to_str(c)])
-    rows.sort(key=lambda r: (_canon(r[0]), _canon(r[1])))
-    return rows
+                jd, cd = code(dst)
+                keyed.append(((cs, cd), [js, jd, frac_to_str(c)]))
+    return _sorted_rows(keyed)
 
 
 def entries_from_json(rows, where: str) -> dict:
@@ -159,13 +197,14 @@ def cdgc_to_record(C: CdgCoalgebra) -> dict:
     rec = _header("cdgc", C.name)
     rec["basis"] = space_to_json(C.space)
     rec["d"] = entries_to_json(C.d.entries)
-    rows = []
+    code = _key_coder()
+    keyed = []
     for k, col in C.delta.items():
+        jk, ck = code(k)
         for (a, b), c in col.items():
-            rows.append([encode_key(k), encode_key(a), encode_key(b),
-                         frac_to_str(c)])
-    rows.sort(key=lambda r: (_canon(r[0]), _canon(r[1]), _canon(r[2])))
-    rec["delta"] = rows
+            (ja, ca), (jb, cb) = code(a), code(b)
+            keyed.append(((ck, ca, cb), [jk, ja, jb, frac_to_str(c)]))
+    rec["delta"] = _sorted_rows(keyed)
     return rec
 
 
@@ -210,14 +249,16 @@ def operation_rows(ops: SymmetricOperations) -> list:
         for n in ops.arities:
             for word in wd.canonical_words(ops.space, n, top):
                 ops.value(n, word)
-    rows = []
+    code = _key_coder()
+    keyed = []
     for n, table in ops.tables.items():
         for word, v in table.items():
+            jw = [code(k)[0] for k in word]
+            cw = _canon(jw)
             for dst, c in v.items():
-                rows.append([n, [encode_key(k) for k in word],
-                             encode_key(dst), frac_to_str(c)])
-    rows.sort(key=lambda r: (r[0], _canon(r[1]), _canon(r[2])))
-    return rows
+                jd, cd = code(dst)
+                keyed.append(((n, cw, cd), [n, jw, jd, frac_to_str(c)]))
+    return _sorted_rows(keyed)
 
 
 def linfty_to_record(L: LInfinityAlgebra) -> dict:
@@ -469,7 +510,59 @@ def record_to_object(rec: dict):
 
 
 def dumps_record(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, indent=2) + "\n"
+    """The text of rec in a file: json.dumps of rec with sorted keys and
+    an indent of 2, plus a newline (see the module docstring)."""
+    return _dump(rec, "\n", {}) + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dump(o, nl: str, memo: dict) -> str:
+    """The text of o with its lines after the first indented by nl, a
+    newline and the indentation.  memo holds the text of each container
+    already written at that indentation, by (id, nl); a container's text
+    is built with one join."""
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, (list, tuple, dict)):
+        mk = (id(o), nl)
+        text = memo.get(mk)
+        if text is not None:
+            return text
+        inner = nl + "  "
+        if not o:
+            text = "{}" if isinstance(o, dict) else "[]"
+        elif isinstance(o, dict):
+            parts = [_dump_key(k) + ": " + _dump(v, inner, memo)
+                     for k, v in sorted(o.items())]
+            text = f"{{{inner}{(',' + inner).join(parts)}{nl}}}"
+        else:
+            parts = [_dump(x, inner, memo) for x in o]
+            text = f"[{inner}{(',' + inner).join(parts)}{nl}]"
+        memo[mk] = text
+        return text
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} "
+                    "is not JSON serializable")
+
+
+def _dump_key(k) -> str:
+    """An object key as json writes it: a str key as itself, an int, bool
+    or None key as its text in quotes."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, int):
+        return f'"{_dump(k, "", {})}"'
+    raise TypeError("keys must be str, int, bool or None, "
+                    f"not {type(k).__name__}")
 
 
 def read_text(path: str) -> str:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from convmc import cli, gauge, hopf, modelio
+from convmc import barcobar, cli, gauge, hopf, modelio
 from convmc.convolution import ConvolutionAlgebra
 from convmc.library import builtin_model
 from convmc.models import JacobiError
@@ -902,7 +902,7 @@ def test_homotopic_batch_checks_each_element_once(tmp_path, capsys,
     _cp3_self_maps(tmp_path, (-2, -1, 1, 2, 3, 4))
     checks = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")
     sweeps = _counted(monkeypatch, gauge, "_sweep_invariant")
-    morphisms = _counted(monkeypatch, hopf, "check_coalgebra_morphism")
+    morphisms = _counted(monkeypatch, barcobar, "check_coalgebra_morphism")
     decoded = _counted(monkeypatch, modelio, "record_to_object")
     decided = _counted(monkeypatch, hopf, "gauge_equivalent")
     codes = [run(capsys, ["homotopic", "@cp3", "@cp3", f"@f{j}", f"@f{k}",
@@ -1018,6 +1018,18 @@ def test_components_into_a_coalgebra_reads_its_loop_model(tmp_path, capsys):
     # with a coalgebra source, --window sets the loop model of the target
     assert run(capsys, ["components", "@cp3", "s2vs3", "--window", "8"],
                tmp_path) == got
+
+
+def test_components_checks_each_point_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's moduli-search call: each of the 27 points is checked
+    # once by its record, whose residual the normal form reads, and once
+    # more by the deliberate ModuliClass.verify of its class
+    _fresh_process(monkeypatch)
+    (tmp_path / "cp3.json").write_text(json.dumps(CP3))
+    checks = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")
+    got = run(capsys, ["components", "@cp3", str(S2VS3_LOOPS)], tmp_path)
+    assert got[0] == 0 and sha(got[1]).startswith("bb2d28913e11174a")
+    assert len(checks) == 54
 
 
 @pytest.mark.parametrize("argv,window", [
