@@ -193,10 +193,7 @@ def cmd_validate(args) -> int:
     rec = modelio.load_record(args.file)
     obj = modelio.record_to_object(rec)
     if isinstance(obj, dict):
-        for i, row in enumerate(obj.get("entries", [])):
-            modelio.frac_from_str(row[2] if isinstance(row, list)
-                                  and len(row) == 3 else None,
-                                  f"entries[{i}]")
+        modelio.element_entries(obj)
         _emit(args, {"kind": "validation_report", "valid": True,
                      "checked": obj.get("kind")})
         return EXIT_OK

@@ -338,8 +338,7 @@ def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,
         lhs = C.delta_apply(h.apply({k: ONE}))
         rhs: Vec = {}
         for (a, b), c in Cp.delta.get(k, {}).items():
-            for a2, c2 in h.apply({a: ONE}).items():
-                for b2, c3 in h.apply({b: ONE}).items():
-                    add_term(rhs, (a2, b2), c * c2 * c3)
+            for pair, cc in tensor_terms((h.column(a), h.column(b)), c):
+                add_term(rhs, pair, cc)
         if lhs != rhs:
             raise ValueError(f"coproducts disagree after the map at {k!r}")

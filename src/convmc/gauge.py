@@ -30,9 +30,9 @@ homology class as witness), and a twisted Betti comparison (equivalent
 elements have isomorphic twisted homology).
 
 The linear algebra runs on carrier-keyed sparse vectors in the one
-exact kernel of matrices: column_split, Echelon, and Coset and Span,
-which factor a list of vectors once and then reduce each right-hand side
-by one pass.  A normal form is defined by the leading columns of a span
+exact kernel of matrices: column_split, and Coset and Span, which
+factor a list of vectors once and then reduce each right-hand side by
+one pass.  A normal form is defined by the leading columns of a span
 in carrier order, not by an elimination order.
 
 Everything the decision derives is computed once, at the level it
@@ -54,7 +54,7 @@ per pair only for comparisons:
   degree and exact coefficients of the point, and mapping.components
   reads its candidates' residuals and normal forms from it.
 
-The rigidity sweep becomes a per-point invariant by the filtration of a
+The rigidity sweep is a per-point invariant by the filtration of a
 one-reduced source by source degree, the filtration of the filtered
 setting of Dolgushev and Rogers (arXiv:1407.6735).  Lemma: for a point x
 and an elementary degree-1 direction e, the degree-1 twisted column
@@ -64,16 +64,17 @@ bracket terms at a source key c of degree p are l_n^L(e(w_1), x(w_2),
 ..., x(w_n)) over the words w of the iterated reduced coproduct of c:
 the coproduct has degree 0 and every letter has degree at least 2, so
 each x(w_i) reads a column of degree at most p - 2.  The sweep invariant
-of x has one entry per column of x's sweep table: x's values on each
-rigid column and, on the first column some direction moves, the Coset
-representative of x's values modulo the flow rates there.  Two points
-whose invariants agree on the columns below p agree on those columns
-(each is rigid and holds the values), so by the lemma they have the same
-flow rates on column p, and with them the same rigidity and the same
-Coset there.  Hence the first column where the invariants of x and y
-differ is exactly where _rigidity_sweep(x, y, sweep table of x) stops
-with a witness, and equal invariants are exactly where it is
-inconclusive (gauge_equivalent).
+of x walks the columns from the bottom: x's values on each rigid column
+(one that no flow rate at x moves) and, on the first column some
+direction moves, the Coset representative of x's values modulo the flow
+rates there.  It is a gauge invariant.  Along a gauge path x(t), dx/dt
+on column p lies in the span of the flow rates at x(t) there.  By
+induction from the bottom column, the columns below p are constant along
+the path, so by the lemma the rates on column p are those at x: zero on
+a rigid column, which then stays constant too, and on the first moved
+column the same span, which keeps x(t) in one coset.  Hence the first
+column where the sweep invariants of x and y differ certifies that no
+path joins them (gauge_equivalent's rigid-stage answer).
 
 Every path the decision builds has the polynomial bound
 default_poly_bound(conv), so a point has one normal form per algebra.
@@ -81,8 +82,8 @@ Only the decision, its helpers, mapping, hopf and the CLI read the point
 store, and a record's residual is their one Maurer-Cartan check of a
 point; the algebra store also keeps the C and L
 records that modelio writes into every certificate over the algebra.
-Every verify() and path_check recompute from scratch, the
-sweep table and twisted Betti numbers included, and never read a
+Every verify() and path_check recompute from scratch, the columns,
+sweep invariants and twisted Betti numbers included, and never read a
 record, so a certificate is checked again rather than looked up, and a
 stale or damaged entry cannot make a wrong answer verify; a damaged
 stage that predicts a wrong flow endpoint fails the stage-flow
@@ -96,7 +97,7 @@ from math import comb
 
 from .convolution import ConvolutionAlgebra
 from .graded import GradedMap, Vec, add_term, exact_repr, lru, vec_sub
-from .matrices import ONE, Coset, Echelon, Span, column_split, inverse, scalar
+from .matrices import ONE, Coset, Span, column_split, inverse, scalar
 from .models import IntervalForms, extension_of_scalars
 
 
@@ -333,9 +334,10 @@ class Distinct:
         if not conv.mc_check(x).is_zero() or not conv.mc_check(y).is_zero():
             return False
         if self.kind == "rigid-stage":
-            stage = _rigidity_sweep(conv.to_vec(x), conv.to_vec(y),
-                                    _sweep_table(conv, x, _columns(conv)))
-            return stage == self.witness["degree"]
+            columns = _columns(conv)
+            return _first_difference(
+                _sweep_invariant(conv, x, columns),
+                _sweep_invariant(conv, y, columns)) == self.witness["degree"]
         if self.kind == "homology-class":
             dv = conv.to_vec(y - x)
             if conv.arity_window() > 1 or not dv:
@@ -484,60 +486,16 @@ def _stages(conv: ConvolutionAlgebra) -> list[tuple]:
 
 # -- the rigidity sweep --------------------------------------------------
 
-def _flow_rates(conv: ConvolutionAlgebra, x: GradedMap) -> list[Vec]:
-    """The flow rate at x of every elementary degree-1 direction, in
-    carrier order: the degree-1 columns of the twist by x."""
-    keys = conv.carrier.basis(1)
-    cols = conv.twisted_columns(x, keys)
-    return [cols.get(k, {}) for k in keys]
-
-
-def _sweep_table(conv: ConvolutionAlgebra, x: GradedMap,
-                 columns: list[tuple]) -> list[tuple]:
-    """(p, basis_p, Echelon of the flow rates at x on column p) for the
-    columns (_columns(conv)) from the bottom through the first that some
-    direction moves, which is as far as _rigidity_sweep reads."""
-    rates = _flow_rates(conv, x)
-    table = []
-    for p, basis in columns:
-        ech = Echelon()
-        for r in rates:
-            ech.add(_restrict(r, basis))
-        table.append((p, basis, ech))
-        if ech.rank:
-            break
-    return table
-
-
-def _rigidity_sweep(xv: Vec, yv: Vec, table: list[tuple]) -> int | None:
-    """Source degree at which the points with carrier vectors xv and yv
-    are certifiably inequivalent, or None when the sweep is inconclusive.
-
-    Walking source degrees from the bottom: while every direction has
-    zero flow rate on all columns seen so far, those columns are constant
-    along every gauge path out of x, so the rates computed at x stay
-    exact one degree higher.  At the first degree where the difference is
-    nonzero it must lie in the span of the rates there; if it does not,
-    no path from x reaches y.  table is the _sweep_table of x.
-    """
-    for p, basis, ech in table:
-        dp = vec_sub(_restrict(yv, basis), _restrict(xv, basis))
-        if dp:
-            return p if ech.coords(dp) is None else None
-        if ech.rank:
-            return None
-    return None
-
-
-def _sweep_invariant(conv: ConvolutionAlgebra, x: GradedMap) -> list[tuple]:
-    """(p, entry) for each column of x's sweep table: on a rigid column
-    the entry is x's values there, on the first column that some
-    direction moves it is the Coset representative of x's values modulo
-    the flow rates there, and the invariant ends with that column."""
-    rates = _flow_rates(conv, x)
+def _sweep_invariant(conv: ConvolutionAlgebra, x: GradedMap,
+                     columns: list[tuple]) -> list[tuple]:
+    """(p, entry) for the columns (_columns(conv)) from the bottom through
+    the first that a flow rate at x (a degree-1 column of the twist by x)
+    moves: x's values on a rigid column, and on the moved column the
+    Coset representative of x's values modulo the flow rates there."""
+    rates = conv.twisted_columns(x, conv.carrier.basis(1)).values()
     xv = conv.to_vec(x)
     out = []
-    for p, basis in _algebra_memo(conv, _columns):
+    for p, basis in columns:
         values = _restrict(xv, basis)
         moves = [m for m in (_restrict(r, basis) for r in rates) if m]
         if moves:
@@ -550,8 +508,8 @@ def _sweep_invariant(conv: ConvolutionAlgebra, x: GradedMap) -> list[tuple]:
 def _first_difference(ix: list[tuple], iy: list[tuple]) -> int | None:
     """The first column p at which the sweep invariants ix and iy differ,
     or None when they agree.  By the filtration lemma of the module
-    docstring this is _rigidity_sweep on the sweep table of the first
-    point."""
+    docstring the sweep invariant is constant along every gauge path, so
+    a difference certifies that the two points are inequivalent."""
     for (p, a), (_, b) in zip(ix, iy):
         if a != b:
             return p
@@ -633,10 +591,11 @@ _POINTS_CAP = 64
 class PointRecord:
     """What the decision derives from the point x of conv, each field
     computed on first use and then kept: residual (the Maurer-Cartan
-    residual), invariant (the sweep invariant), normal_form (the staged
-    normal form) and betti (the nonzero twisted Betti numbers).
-    normal_form and betti read the kept residual as their Maurer-Cartan
-    gate instead of computing it again.
+    residual), invariant (the sweep invariant over the algebra's kept
+    columns), normal_form (the staged normal form) and betti (the
+    nonzero twisted Betti numbers).  normal_form and betti read the kept
+    residual as their Maurer-Cartan gate instead of computing it again;
+    no verify() reads a record.
 
     A record lives as long as conv keeps it: until _POINTS_CAP other
     points of conv have been used since, or conv itself is dropped.  An
@@ -655,7 +614,8 @@ class PointRecord:
 
     @cached_property
     def invariant(self) -> list[tuple]:
-        return _sweep_invariant(self.conv, self.x)
+        return _sweep_invariant(self.conv, self.x,
+                                _algebra_memo(self.conv, _columns))
 
     @cached_property
     def normal_form(self) -> ModuliClass:
@@ -706,9 +666,9 @@ def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
     Everything is read from the two points' records.  The records are
     one per point key, so x and y are equal exactly when their records
     are the same.  The rigid-stage answer is the first column where the
-    sweep invariants differ, the outcome and witness of _rigidity_sweep
-    on the sweep table of x by the filtration lemma of the module
-    docstring; its verify() runs that sweep from scratch.
+    sweep invariants differ, a gauge invariant by the filtration lemma
+    of the module docstring; its verify() computes the columns and both
+    invariants from scratch.
     """
     px = point_record(conv, x)
     if not px.residual.is_zero():

@@ -333,12 +333,11 @@ def quillen_from_record(rec: dict) -> QuillenModel:
     return Q
 
 
-def map_from_json(rows, where: str, src: GradedSpace, dst: GradedSpace,
-                  degree: int, name: str = "") -> GradedMap:
-    """The map of the given degree with matrix rows `rows`, refused at
-    where unless its source keys are basis keys of src, its target keys
-    basis keys of dst, and every image lands in the right degree."""
-    cols = entries_from_json(rows, where)
+def map_from_columns(cols, where: str, src: GradedSpace, dst: GradedSpace,
+                     degree: int, name: str = "") -> GradedMap:
+    """The map of the given degree with the columns cols entries_from_json
+    read, refused at where unless its source keys are basis keys of src,
+    its target keys basis keys of dst, and every image has the degree."""
     for ck, col in cols.items():
         if ck not in src.degree_of:
             raise ModelFileError(where, f"{ck!r} is not a source basis key")
@@ -352,13 +351,20 @@ def map_from_json(rows, where: str, src: GradedSpace, dst: GradedSpace,
         raise ModelFileError(where, str(exc)) from None
 
 
+def element_entries(rec: dict) -> tuple[int, dict]:
+    """(degree, columns) of an mc_element or map record: the one shape
+    check of its fields, refused at degree or at a row of entries."""
+    degree = rec.get("degree", 0)
+    if type(degree) is not int:
+        raise ModelFileError("degree", "must be an integer")
+    return degree, entries_from_json(rec.get("entries", []), "entries")
+
+
 def element_from_record(rec: dict, src: GradedSpace,
                         dst: GradedSpace) -> GradedMap:
-    degree = rec.get("degree", 0)
-    if not isinstance(degree, int):
-        raise ModelFileError("degree", "must be an integer")
-    return map_from_json(rec.get("entries", []), "entries", src, dst, degree,
-                         name=rec.get("name", ""))
+    degree, cols = element_entries(rec)
+    return map_from_columns(cols, "entries", src, dst, degree,
+                            name=rec.get("name", ""))
 
 
 # -- paths and certificates -------------------------------------------------
@@ -374,8 +380,8 @@ def _parts_from_json(rows, where: str, conv, degree: int) -> dict:
         if not isinstance(row, list) or len(row) != 2 \
                 or not isinstance(row[0], int):
             raise ModelFileError(loc, "path parts are [power, entries]")
-        out[row[0]] = map_from_json(row[1], loc, conv.C.space,
-                                    conv.L.space, degree)
+        out[row[0]] = map_from_columns(entries_from_json(row[1], loc), loc,
+                                       conv.C.space, conv.L.space, degree)
     return out
 
 
@@ -463,8 +469,8 @@ def certificate_from_record(rec: dict):
     if outcome == "unknown":
         return Unknown(rec.get("reason", ""))
     conv = _embedded_conv(rec)
-    x, y = (map_from_json(rec.get(k, []), k, conv.C.space, conv.L.space, 0)
-            for k in "xy")
+    x, y = (map_from_columns(entries_from_json(rec.get(k, []), k), k,
+                             conv.C.space, conv.L.space, 0) for k in "xy")
     if outcome == "equal":
         paths = [path_from_json(p, conv, f"paths[{i}]") for i, p in
                  enumerate(_expect(rec.get("paths", []), list, "paths"))]

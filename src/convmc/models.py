@@ -139,16 +139,13 @@ class CdgCoalgebra:
                 add_term(flipped, (b, a), s * c)
             if flipped != v:
                 raise ValueError(f"coproduct not cocommutative at {k!r}")
-        # coassociativity
+        # coassociativity: (delta (x) id) delta = (id (x) delta) delta
         for k in self.delta:
             left: Vec = {}
-            right: Vec = {}
             for (a, b), c in self.delta[k].items():
                 for (a1, a2), c2 in self.delta.get(a, {}).items():
                     add_term(left, (a1, a2, b), c * c2)
-                for (b1, b2), c2 in self.delta.get(b, {}).items():
-                    add_term(right, (a, b1, b2), c * c2)
-            if left != right:
+            if left != self.iterated_coproduct(k, 3):
                 raise ValueError(f"coproduct not coassociative at {k!r}")
         # d is a coderivation: delta d = (d (x) id + id (x) d) delta
         for k in self.space.all_keys():

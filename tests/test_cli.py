@@ -366,6 +366,16 @@ REFUSALS = {
         ["validate", "@bad"], "delta", None),
     "element-degree": ({**RECORDS["whitehead"], "degree": "0"},
                        ["mc-check", "s3", "pi_s2", "@bad"], "degree", None),
+    "validate-element-entries": ({**RECORDS["whitehead"], "entries": 5},
+                                 ["validate", "@bad"], "entries", None),
+    "validate-element-degree": ({**RECORDS["whitehead"], "degree": "0"},
+                                ["validate", "@bad"], "degree", None),
+    "element-bool-degree": ({**RECORDS["whitehead"], "degree": True},
+                            ["mc-check", "s3", "pi_s2", "@bad"], "degree",
+                            None),
+    "validate-element-row": ({**RECORDS["whitehead"],
+                              "entries": [["a", "x"]]},
+                             ["validate", "@bad"], "entries[0]", None),
 }
 
 
@@ -1139,15 +1149,19 @@ def test_an_undecided_pair_exits_3_and_so_does_its_certificate(tmp_path,
                                "valid": False, "reason": cert["reason"]}
 
 
-@pytest.mark.parametrize("kind", ["homology-class", "nope"])
-def test_a_relabelled_witness_does_not_verify(files, capsys, kind):
+@pytest.mark.parametrize("forge", [
+    lambda cert: {"witness_kind": "homology-class"},
+    lambda cert: {"witness_kind": "nope"},
+    lambda cert: {"witness": {"degree": cert["witness"]["degree"] + 1}}],
+    ids=["homology-class", "nope", "degree-shifted"])
+def test_a_relabelled_witness_does_not_verify(files, capsys, forge):
     # the rigid-stage certificate of id against conj, read as another kind
+    # or with its first differing column moved up by one
     _, out, _ = run(capsys, ["homotopic", "cp2", "cp2", "@cp2_id",
                              "@cp2_conj"], files)
     cert = json.loads(out)["certificate"]
     assert cert["witness_kind"] == "rigid-stage"
-    (files / "cert.json").write_text(json.dumps({**cert,
-                                                 "witness_kind": kind}))
+    (files / "cert.json").write_text(json.dumps({**cert, **forge(cert)}))
     code, out, err = run(capsys, ["gauge-check", "@cert"], files)
     assert (code, err) == (1, "")
     assert json.loads(out)["valid"] is False
