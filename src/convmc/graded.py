@@ -285,8 +285,6 @@ class GradedMap:
                 add_term(out, kk, c * cc)
         return out
 
-    __call__ = apply
-
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self o other (apply other first)."""
         if other.dst is not self.src and other.dst.degree_of.keys() != self.src.degree_of.keys():

@@ -217,9 +217,7 @@ class ComponentReport:
     certificate): each candidate, numbered in search order, against the
     classes listed before it, up to the first it is Equal to."""
 
-    def __init__(self, conv: ConvolutionAlgebra, pairs):
-        self.conv = conv
-        self.pairs = list(pairs)
+    def __init__(self):
         self.classes: list[ModuliClass] = []
         self.pairwise: list[tuple[int, int, object]] = []
         self.free_parameters: tuple[str, ...] = ()
@@ -230,9 +228,6 @@ class ComponentReport:
 
     def __len__(self):
         return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
 
     def summary(self) -> str:
         tag = "exhaustive" if self.exhaustive else "NOT exhaustive"
@@ -267,7 +262,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
         # a repeat would spend the grid cap on duplicate points
         if v in samples[:i]:
             raise ValueError(f"sample {v!r} is repeated")
-    report = ComponentReport(conv, pairs)
+    report = ComponentReport()
     covers = len(pairs) == len(all_pairs)
 
     if not pairs:

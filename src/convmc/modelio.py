@@ -4,11 +4,16 @@ Everything is JSON with a fixed shape per kind.  Rationals are written
 as "p/q" strings so no floating point ever appears.  Basis keys may be
 strings or nested tuples (bracket words, bar words, carrier pairs);
 tuples are encoded as nested JSON arrays and decoded back to tuples.
-Matrix data is written as sorted triple lists [src, dst, coeff] rather
-than objects keyed by encoded keys, which keeps the canonical ordering
-independent of the key encoding.  operation_rows is the one writer of
-graded symmetric operations (the brackets of an linfty record, the
-components of a transfer report's infinity-morphisms).
+Every coefficient table is a list of rows [key, ..., 'p/q'] rather than
+an object keyed by encoded keys, which keeps the canonical ordering
+independent of the key encoding: the entries of a map (d, elements,
+certificates, paths), the coproduct of a cdgc record, and the graded
+symmetric operations of an linfty record or a transfer report
+(operation_rows).  One generator, _table, reads every table, and one,
+_table_rows, writes them.  _table refuses a row that repeats the keys of
+an earlier row, so that no later row silently replaces one.  Every
+integer field passes one check, _int, which refuses JSON true and false,
+as decode_key refuses them as keys.
 
 Serialization is deterministic: dictionaries are dumped with sorted
 keys and entry lists are sorted on their encoded form, so identical
@@ -21,12 +26,11 @@ and ASCII only: every other character is escaped as json's
 ensure_ascii escapes it.  Tuples are written as arrays, object keys are
 sorted as json sorts them, and a record holds str, int, bool, None,
 lists, tuples and dicts only; anything else, a float or a Fraction
-included, raises TypeError.  The row builders (entries_to_json,
-cdgc_to_record, operation_rows) encode each basis key once per record,
-with its sort text (_key_coder), so every row that names a key holds
-the same encoded object.  Those shared keys are read-only: the writer
-keeps the text of each container per indentation, by its id within the
-one call, and so writes a shared key once per indentation.
+included, raises TypeError.  _table_rows encodes each basis key once per
+table, with its sort text (_key_coder), so every row that names a key
+holds the same encoded object.  Those shared keys are read-only: the
+writer keeps the text of each container per indentation, by its id
+within the one call, and so writes a shared key once per indentation.
 
 Certificate records embed the full source coalgebra and target algebra,
 so a decision can be re-verified later from the file alone.  Every
@@ -52,9 +56,6 @@ from .models import (CdgCoalgebra, LInfinityAlgebra, QuillenModel,
                      SymmetricOperations)
 
 FORMAT_VERSION = 1
-
-KINDS = ("cdgc", "linfty", "quillen", "mc_element", "map", "gauge_path",
-         "certificate")
 
 
 class ModelFileError(ValueError):
@@ -86,7 +87,7 @@ def frac_from_str(s, where: str):
 def encode_key(k):
     if isinstance(k, tuple):
         return [encode_key(x) for x in k]
-    if isinstance(k, (str, int)):
+    if isinstance(k, str) or type(k) is int:
         return k
     raise ModelFileError("key", f"cannot encode key {k!r}")
 
@@ -94,9 +95,17 @@ def encode_key(k):
 def decode_key(j, where: str = "key"):
     if isinstance(j, list):
         return tuple(decode_key(x, where) for x in j)
-    if isinstance(j, (str, int)):
+    if isinstance(j, str) or type(j) is int:
         return j
     raise ModelFileError(where, f"cannot decode key {j!r}")
+
+
+def _int(value, where: str) -> int:
+    """value, refused at where unless it is a JSON integer: true and false
+    are not, although Python counts them as ints."""
+    if type(value) is not int:
+        raise ModelFileError(where, f"expected an integer, got {value!r}")
+    return value
 
 
 # the bytes of json.dumps(j, sort_keys=True), from one encoder built once
@@ -105,7 +114,7 @@ _canon = json.JSONEncoder(sort_keys=True).encode
 
 def _key_coder():
     """code(k) = (encode_key(k), its _canon text), computed once per key for
-    the one record being built: every row that names k holds the same
+    the one table being built: every row that names k holds the same
     encoded object, which is never mutated (see the module docstring)."""
     memo: dict = {}
 
@@ -118,10 +127,48 @@ def _key_coder():
     return code
 
 
-def _sorted_rows(keyed: list) -> list:
-    """The rows of keyed, a list of (sort key, row), in sort-key order."""
+def _table_rows(terms) -> list:
+    """The rows [*keys, 'p/q'] of terms, pairs (keys, c) with keys a tuple
+    of keys (basis keys, words, arities), sorted on the canonical texts of
+    the keys."""
+    code = _key_coder()
+    keyed = []
+    for keys, c in terms:
+        js, texts = zip(*map(code, keys))
+        keyed.append((texts, [*js, frac_to_str(c)]))
     keyed.sort(key=itemgetter(0))
     return [row for _, row in keyed]
+
+
+def _table(rows, where: str, width: int, shape: str):
+    """(loc, keys, c) for each row [*keys, 'p/q'] of the table at where,
+    keys decoded: a row is refused at loc, its place in the table, unless
+    it is a list of width fields whose keys no earlier row gave."""
+    seen: dict = {}
+    for i, row in enumerate(_expect(rows, list, where)):
+        loc = f"{where}[{i}]"
+        if not isinstance(row, list) or len(row) != width:
+            raise ModelFileError(loc, shape)
+        keys = tuple(decode_key(k, loc) for k in row[:-1])
+        first = seen.setdefault(keys, i)
+        if first != i:
+            raise ModelFileError(loc, f"repeats the keys of {where}[{first}]")
+        yield loc, keys, frac_from_str(row[-1], loc)
+
+
+def _int_rows(rows, where: str, shape: str):
+    """(loc, n, value) for each row [n, value] of the list at where: a row
+    is refused at loc unless n is an integer that no earlier row gave."""
+    seen = set()
+    for i, row in enumerate(_expect(rows, list, where)):
+        loc = f"{where}[{i}]"
+        if not isinstance(row, list) or len(row) != 2:
+            raise ModelFileError(loc, shape)
+        n = _int(row[0], loc)
+        if n in seen:
+            raise ModelFileError(loc, f"{n} is repeated")
+        seen.add(n)
+        yield loc, n, row[1]
 
 
 def _expect(value, kind: type, where: str):
@@ -150,34 +197,20 @@ def space_from_json(rows, name: str, where: str) -> GradedSpace:
         if not isinstance(row, dict) or "name" not in row \
                 or "degree" not in row:
             raise ModelFileError(loc, "basis rows need 'name' and 'degree'")
-        d = row["degree"]
-        if not isinstance(d, int):
-            raise ModelFileError(loc, f"degree must be an integer, got {d!r}")
-        by_deg.setdefault(d, []).append(decode_key(row["name"], loc))
+        by_deg.setdefault(_int(row["degree"], loc), []).append(
+            decode_key(row["name"], loc))
     return GradedSpace(by_deg, name=name)
 
 
 def entries_to_json(entries: dict) -> list:
-    code = _key_coder()
-    keyed = []
-    for src, col in entries.items():
-        js, cs = code(src)
-        for dst, c in col.items():
-            if c:
-                jd, cd = code(dst)
-                keyed.append(((cs, cd), [js, jd, frac_to_str(c)]))
-    return _sorted_rows(keyed)
+    return _table_rows(((src, dst), c) for src, col in entries.items()
+                       for dst, c in col.items() if c)
 
 
 def entries_from_json(rows, where: str) -> dict:
     cols: dict = {}
-    for i, row in enumerate(_expect(rows, list, where)):
-        loc = f"{where}[{i}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise ModelFileError(loc, "matrix rows are [src, dst, 'p/q']")
-        src = decode_key(row[0], loc)
-        dst = decode_key(row[1], loc)
-        c = frac_from_str(row[2], loc)
+    for _, (src, dst), c in _table(rows, where, 3,
+                                   "matrix rows are [src, dst, 'p/q']"):
         if c:
             cols.setdefault(src, {})[dst] = c
     return cols
@@ -197,14 +230,8 @@ def cdgc_to_record(C: CdgCoalgebra) -> dict:
     rec = _header("cdgc", C.name)
     rec["basis"] = space_to_json(C.space)
     rec["d"] = entries_to_json(C.d.entries)
-    code = _key_coder()
-    keyed = []
-    for k, col in C.delta.items():
-        jk, ck = code(k)
-        for (a, b), c in col.items():
-            (ja, ca), (jb, cb) = code(a), code(b)
-            keyed.append(((ck, ca, cb), [jk, ja, jb, frac_to_str(c)]))
-    rec["delta"] = _sorted_rows(keyed)
+    rec["delta"] = _table_rows(((k, a, b), c) for k, col in C.delta.items()
+                               for (a, b), c in col.items())
     return rec
 
 
@@ -213,15 +240,10 @@ def cdgc_from_record(rec: dict) -> CdgCoalgebra:
     sp = space_from_json(rec.get("basis", []), name, "basis")
     d = GradedMap(sp, sp, -1, entries_from_json(rec.get("d", []), "d"))
     delta: dict = {}
-    for i, row in enumerate(_expect(rec.get("delta", []), list, "delta")):
-        loc = f"delta[{i}]"
-        if not isinstance(row, list) or len(row) != 4:
-            raise ModelFileError(loc, "coproduct rows are [src, a, b, 'p/q']")
-        k = decode_key(row[0], loc)
-        pair = (decode_key(row[1], loc), decode_key(row[2], loc))
-        c = frac_from_str(row[3], loc)
+    for _, (k, a, b), c in _table(rec.get("delta", []), "delta", 4,
+                                  "coproduct rows are [src, a, b, 'p/q']"):
         if c:
-            delta.setdefault(k, {})[pair] = c
+            delta.setdefault(k, {})[a, b] = c
     try:
         ChainComplex(sp, d, name).validate()
     except ValueError as exc:
@@ -249,16 +271,11 @@ def operation_rows(ops: SymmetricOperations) -> list:
         for n in ops.arities:
             for word in wd.canonical_words(ops.space, n, top):
                 ops.value(n, word)
-    code = _key_coder()
-    keyed = []
-    for n, table in ops.tables.items():
-        for word, v in table.items():
-            jw = [code(k)[0] for k in word]
-            cw = _canon(jw)
-            for dst, c in v.items():
-                jd, cd = code(dst)
-                keyed.append(((n, cw, cd), [n, jw, jd, frac_to_str(c)]))
-    return _sorted_rows(keyed)
+    rows = _table_rows(((n, word, dst), c) for n, table in ops.tables.items()
+                       for word, v in table.items() for dst, c in v.items())
+    # grouped by the integer arity, so that arity 10 follows arity 9
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 def linfty_to_record(L: LInfinityAlgebra) -> dict:
@@ -273,28 +290,22 @@ def linfty_from_record(rec: dict) -> LInfinityAlgebra:
     name = rec.get("name", "")
     sp = space_from_json(rec.get("basis", []), name, "basis")
     brackets: dict = {}
-    for i, row in enumerate(_expect(rec.get("brackets", []), list,
-                                    "brackets")):
-        loc = f"brackets[{i}]"
-        if not isinstance(row, list) or len(row) != 4 \
-                or not isinstance(row[0], int) or not isinstance(row[1], list):
-            raise ModelFileError(loc,
-                                 "bracket rows are [n, [word], dst, 'p/q']")
-        n = row[0]
-        word = tuple(decode_key(k, loc) for k in row[1])
-        if len(word) != n:
+    shape = "bracket rows are [n, [word], dst, 'p/q']"
+    for loc, (n, word, dst), c in _table(rec.get("brackets", []), "brackets",
+                                         4, shape):
+        if not isinstance(word, tuple):
+            raise ModelFileError(loc, shape)
+        if len(word) != _int(n, loc):
             raise ModelFileError(loc, f"word length {len(word)} != arity {n}")
-        dst = decode_key(row[2], loc)
         for k in (*word, dst):
             if k not in sp.degree_of:
                 raise ModelFileError(loc, f"{k!r} is not a basis key")
-        c = frac_from_str(row[3], loc)
         if c:
             brackets.setdefault(n, {}).setdefault(word, {})[dst] = c
     arities = rec.get("arities")
-    if arities is not None and (not isinstance(arities, list) or
-                                any(not isinstance(a, int) for a in arities)):
-        raise ModelFileError("arities", "must be a list of integers")
+    if arities is not None:
+        arities = [_int(a, "arities")
+                   for a in _expect(arities, list, "arities")]
     return LInfinityAlgebra(sp, brackets, name=name, arities=arities)
 
 
@@ -309,19 +320,9 @@ def quillen_to_record(Q: QuillenModel) -> dict:
 def quillen_from_record(rec: dict) -> QuillenModel:
     name = rec.get("name", "")
     letters = space_from_json(rec.get("letters", []), name, "letters")
-    deg_max = rec.get("deg_max")
-    if not isinstance(deg_max, int):
-        raise ModelFileError("deg_max", "must be an integer")
-    fl = FreeLie(letters, deg_max)
+    fl = FreeLie(letters, _int(rec.get("deg_max"), "deg_max"))
     cols = entries_from_json(rec.get("delta", []), "delta")
-    for src in cols:
-        if src not in fl.space.degree_of:
-            raise ModelFileError("delta",
-                                 f"{src!r} is not a word of the model")
-    try:
-        given = GradedMap(fl.space, fl.space, -1, cols)
-    except ValueError as exc:
-        raise ModelFileError("delta", str(exc)) from None
+    given = map_from_columns(cols, "delta", fl.space, fl.space, -1)
     if all(src in letters for src in cols):
         return QuillenModel(fl, fl.derivation(cols, -1), name=name)
     # a word missing from the record has delta 0 there
@@ -354,10 +355,8 @@ def map_from_columns(cols, where: str, src: GradedSpace, dst: GradedSpace,
 def element_entries(rec: dict) -> tuple[int, dict]:
     """(degree, columns) of an mc_element or map record: the one shape
     check of its fields, refused at degree or at a row of entries."""
-    degree = rec.get("degree", 0)
-    if type(degree) is not int:
-        raise ModelFileError("degree", "must be an integer")
-    return degree, entries_from_json(rec.get("entries", []), "entries")
+    return (_int(rec.get("degree", 0), "degree"),
+            entries_from_json(rec.get("entries", []), "entries"))
 
 
 def element_from_record(rec: dict, src: GradedSpace,
@@ -374,15 +373,10 @@ def _parts_to_json(parts: dict) -> list:
 
 
 def _parts_from_json(rows, where: str, conv, degree: int) -> dict:
-    out = {}
-    for i, row in enumerate(_expect(rows, list, where)):
-        loc = f"{where}[{i}]"
-        if not isinstance(row, list) or len(row) != 2 \
-                or not isinstance(row[0], int):
-            raise ModelFileError(loc, "path parts are [power, entries]")
-        out[row[0]] = map_from_columns(entries_from_json(row[1], loc), loc,
-                                       conv.C.space, conv.L.space, degree)
-    return out
+    return {power: map_from_columns(entries_from_json(entries, loc), loc,
+                                    conv.C.space, conv.L.space, degree)
+            for loc, power, entries in _int_rows(
+                rows, where, "path parts are [power, entries]")}
 
 
 def path_to_json(path: GaugePath) -> dict:
@@ -392,10 +386,11 @@ def path_to_json(path: GaugePath) -> dict:
 
 
 def path_from_json(rec: dict, conv, where: str = "path") -> GaugePath:
-    bound = _expect(rec, dict, where).get("poly_bound")
-    if not isinstance(bound, int) or bound < 0:
+    bound = _int(_expect(rec, dict, where).get("poly_bound"),
+                 f"{where}.poly_bound")
+    if bound < 0:
         raise ModelFileError(f"{where}.poly_bound",
-                             "must be a nonnegative integer")
+                             f"expected a nonnegative integer, got {bound}")
     p = _parts_from_json(rec.get("p_parts", []), f"{where}.p_parts", conv, 0)
     q = _parts_from_json(rec.get("q_parts", []), f"{where}.q_parts", conv, 1)
     return GaugePath(conv, bound, p, q)
@@ -419,13 +414,8 @@ def _betti_to_json(b: dict) -> list:
 
 
 def _betti_from_json(rows, where: str) -> dict:
-    out = {}
-    for i, row in enumerate(_expect(rows, list, where)):
-        if not isinstance(row, list) or len(row) != 2 \
-                or not all(isinstance(x, int) for x in row):
-            raise ModelFileError(f"{where}[{i}]", "betti rows are [deg, dim]")
-        out[row[0]] = row[1]
-    return out
+    return {d: _int(n, loc) for loc, d, n in _int_rows(
+        rows, where, "betti rows are [deg, dim]")}
 
 
 def _algebra_records(conv) -> tuple[dict, dict]:
@@ -454,9 +444,8 @@ def certificate_to_record(cert) -> dict:
         if cert.kind == "rigid-stage":
             rec["witness"] = {"degree": cert.witness["degree"]}
         elif cert.kind == "twisted-betti":
-            rec["witness"] = {
-                "betti_x": _betti_to_json(cert.witness["betti_x"]),
-                "betti_y": _betti_to_json(cert.witness["betti_y"])}
+            rec["witness"] = {k: _betti_to_json(cert.witness[k])
+                              for k in ("betti_x", "betti_y")}
         else:
             rec["witness"] = {}
     else:
@@ -479,40 +468,37 @@ def certificate_from_record(rec: dict):
         kind = rec.get("witness_kind", "")
         wit = _expect(rec.get("witness", {}), dict, "witness")
         if kind == "rigid-stage":
-            degree = wit.get("degree")
-            if type(degree) is not int:
-                raise ModelFileError("witness.degree",
-                                     f"expected an integer, got {degree!r}")
-            wit = {"degree": degree}
+            wit = {"degree": _int(wit.get("degree"), "witness.degree")}
         elif kind == "twisted-betti":
-            wit = {"betti_x": _betti_from_json(wit.get("betti_x", []),
-                                               "witness.betti_x"),
-                   "betti_y": _betti_from_json(wit.get("betti_y", []),
-                                               "witness.betti_y")}
+            wit = {k: _betti_from_json(wit.get(k, []), f"witness.{k}")
+                   for k in ("betti_x", "betti_y")}
         return Distinct(conv, x, y, kind, wit)
     raise ModelFileError("outcome", f"unknown certificate outcome {outcome!r}")
 
 
 # -- top level --------------------------------------------------------------
 
+# the record kinds, each with its loader; elements (mc_element, map) have
+# none and stay as records: they need their endpoint spaces
 _LOADERS = {
     "cdgc": cdgc_from_record,
     "linfty": linfty_from_record,
     "quillen": quillen_from_record,
+    "mc_element": None,
+    "map": None,
     "gauge_path": gauge_path_from_record,
     "certificate": certificate_from_record,
 }
 
 
 def record_to_object(rec: dict):
-    """Decode a parsed record into the matching domain object.  Elements
-    (mc_element, map) stay as records: they need their endpoint spaces."""
+    """Decode a parsed record into the matching domain object, or return
+    it as it is if it is an element record."""
     kind = rec.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise ModelFileError("kind", f"unknown kind {kind!r}")
-    if kind in ("mc_element", "map"):
-        return rec
-    return _LOADERS[kind](rec)
+    load = _LOADERS[kind]
+    return rec if load is None else load(rec)
 
 
 def dumps_record(rec: dict) -> str:

@@ -136,7 +136,6 @@ class TransferredLInfinity:
                                     if col)
         self._delta_arities = [n for n in ambient.arities if n >= 2]
         self._tree: dict[tuple, Vec] = {}
-        self._cotree: dict[tuple, Vec] = {}
         small = contraction.small
         self.algebra = LInfinityAlgebra(
             small.space, {},
@@ -232,11 +231,8 @@ class TransferredLInfinity:
     def _cotree_letters(self, word: tuple) -> Vec:
         if self._h_support.isdisjoint(word):
             return {}
-        if word not in self._cotree:
-            lifted = self._apply_hhat({word: ONE})
-            start = {w: -c for w, c in lifted.items()}
-            self._cotree[word] = self._series_letter_part(start)
-        return self._cotree[word]
+        lifted = self._apply_hhat({word: ONE})
+        return self._series_letter_part({w: -c for w, c in lifted.items()})
 
     def _bracket(self, n: int, word: tuple) -> Vec:
         if n == 1:

@@ -376,6 +376,32 @@ REFUSALS = {
     "validate-element-row": ({**RECORDS["whitehead"],
                               "entries": [["a", "x"]]},
                              ["validate", "@bad"], "entries[0]", None),
+    # a later row would silently replace the earlier one
+    "delta-repeated-row": ({**RECORDS["cp2_model"],
+                            "delta": [["b", "a", "a", "1/1"],
+                                      ["b", "a", "a", "5/1"]]},
+                           ["validate", "@bad"], "delta[1]", None),
+    "d-repeated-row": ({**RECORDS["cp2_model"],
+                        "d": [["b", "a", "1/1"], ["b", "a", "1/1"]]},
+                       ["validate", "@bad"], "d[1]", None),
+    "bracket-repeated-row": ({**RECORDS["pi_s2_model"],
+                              "brackets": [[2, ["x", "x"], "y", "1/1"],
+                                           [2, ["x", "x"], "y", "1/1"]]},
+                             ["validate", "@bad"], "brackets[1]", None),
+    # JSON true is not the integer 1
+    "basis-bool-degree": ({**RECORDS["cp2_model"], "delta": [],
+                           "basis": [{"name": "a", "degree": True},
+                                     {"name": "b", "degree": 4}]},
+                          ["validate", "@bad"], "basis[0]", None),
+    "quillen-bool-deg-max": ({**QUILLEN, "deg_max": True},
+                             ["validate", "@bad"], "deg_max", None),
+    "bracket-bool-arity": ({**RECORDS["pi_s2_model"],
+                            "brackets": [[True, ["y"], "x", "1/1"]]},
+                           ["validate", "@bad"], "brackets[0]", None),
+    "arities-bool": ({**RECORDS["pi_s2_model"], "arities": [True, 2]},
+                     ["validate", "@bad"], "arities", None),
+    "kind-not-a-string": ({**RECORDS["cp2_model"], "kind": []},
+                          ["validate", "@bad"], "kind", None),
 }
 
 
@@ -706,6 +732,39 @@ def test_sympy_is_imported_only_for_a_system_the_settle_leaves_open(
     assert json.loads(Path(settled).read_text())["method"] == "polynomial"
     assert [[[["a"], "x"], "c0"], [[[["br", "a", "a"]], "y"], "2*c0**2"]] \
         in json.loads(Path(opened).read_text())["parametric"]
+
+
+# the sympy path, the transfer, a components search over a loop model and
+# a certificate: every report a set or dict order could reach
+HASH_SEED_BATCH = [
+    ["cobar", "s2", "--window", "5", "--out", "Q.json"],
+    ["components", "Q.json", "pi_s2"],
+    ["transfer", "s2vs3", "--window", "9"],
+    ["components", "s2xs2", "s2vs3"],
+    ["homotopic", "s3", "s2", "eta1.json", "eta2.json", "--window", "5"]]
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("from convmc.cli import main\n"
+              f"print([main(argv) for argv in {HASH_SEED_BATCH!r}])\n")
+    outs = []
+    for seed in ("0", "1"):
+        where = tmp_path / seed
+        where.mkdir()
+        for name in ("eta1", "eta2"):
+            (where / f"{name}.json").write_text(json.dumps(RECORDS[name]))
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        env.pop(cli.WINDOW_ENV, None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              cwd=where, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        outs.append((done.stdout, (where / "Q.json").read_text()))
+    assert outs[0][0].splitlines()[-1] == "[0, 0, 0, 0, 1]"
+    assert outs[0] == outs[1]
 
 
 CP3 = {"format_version": 1, "kind": "cdgc", "name": "CP3",
@@ -1265,6 +1324,12 @@ def _homotopic_certificate(files, capsys, g):
     ("eta2", {"witness_kind": "twisted-betti",
               "witness": {"betti_x": [[1, None]], "betti_y": []}},
      "witness.betti_x[0]"),
+    ("eta2", {"witness_kind": "twisted-betti",
+              "witness": {"betti_x": [[True, 1]], "betti_y": []}},
+     "witness.betti_x[0]"),
+    ("eta2", {"witness_kind": "twisted-betti",
+              "witness": {"betti_x": [], "betti_y": [[3, 1], [3, 0]]}},
+     "witness.betti_y[1]"),
     ("eta2", {"x": [["zz", "H3_0", "1/1"]]}, "x"),
     ("eta2", {"y": [["a", "zz", "1/1"]]}, "y"),
     ("eta2", {"y": [["a", "H2_0", "1/1"]]}, "y"),
@@ -1280,7 +1345,8 @@ def _homotopic_certificate(files, capsys, g):
     ("eta2", {"outcome": "maybe"}, "outcome"),
 ], ids=["paths-string", "path-string", "parts-string", "C-string",
         "L-list", "x-string", "witness-string", "betti-int", "betti-row-str",
-        "betti-row-null", "x-source-key", "y-target-key", "y-degree",
+        "betti-row-null", "betti-row-bool", "betti-repeated-degree",
+        "x-source-key", "y-target-key", "y-degree",
         "parts-source-key", "rigid-no-degree", "rigid-str-degree",
         "rigid-bool-degree", "unknown-outcome"])
 @pytest.mark.parametrize("command", ["gauge-check", "validate"])
@@ -1299,9 +1365,15 @@ def test_malformed_certificate_fields_are_refused(files, capsys, command,
      "path.q_parts[0]"),
     ({"path": {"poly_bound": 1, "p_parts": [["0", []]]}}, "path.p_parts[0]"),
     ({"path": {"poly_bound": -1}}, "path.poly_bound"),
-    ({"path": {"poly_bound": "1"}}, "path.poly_bound")],
+    ({"path": {"poly_bound": "1"}}, "path.poly_bound"),
+    ({"path": {"poly_bound": True}}, "path.poly_bound"),
+    ({"path": {"poly_bound": 1, "p_parts": [[True, []]]}},
+     "path.p_parts[0]"),
+    ({"path": {"poly_bound": 1, "q_parts": [[0, []], [0, []]]}},
+     "path.q_parts[1]")],
     ids=["C", "L", "path", "q_parts", "q_parts-target-key", "part-row",
-         "negative-poly-bound", "str-poly-bound"])
+         "negative-poly-bound", "str-poly-bound", "bool-poly-bound",
+         "bool-part-power", "repeated-part-power"])
 def test_malformed_gauge_path_fields_are_refused(files, capsys, edit, where):
     cert = _homotopic_certificate(files, capsys, "eta1")
     path = files / "path.json"

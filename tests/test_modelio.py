@@ -7,7 +7,7 @@ escaping, big and negative ints, bools, None, and dicts keyed by ints,
 bools or None.  It shares the text of a container that appears more than
 once, so generated values also hold the same object at several depths.
 What json refuses it refuses, and it also refuses a float, which no
-report may hold.
+report may hold.  operation_rows orders its rows by integer arity.
 """
 
 import json
@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from convmc import modelio
 from convmc.barcobar import cobar
+from convmc.graded import GradedSpace
 from convmc.hopf import loop_homology
 from convmc.library import builtin_model
+from convmc.models import SymmetricOperations
 from test_models import cp3_coalgebra
 
 
@@ -110,3 +112,11 @@ def test_records_with_shared_keys_are_json_dumps_indented():
     words = [k for row in quillen["delta"] for k in row[:2]
              if isinstance(k, list)]
     assert len({id(k) for k in words}) < len(words)
+
+
+def test_operation_rows_are_grouped_by_integer_arity():
+    # the canonical text of arity 10 sorts before that of arity 2
+    sp = GradedSpace({0: ["x"], 2: ["y"]}, name="S")
+    ops = SymmetricOperations(sp, sp, 0, {n: {("x",) * n: {"y": 1}}
+                                          for n in (10, 2, 9)})
+    assert [row[0] for row in modelio.operation_rows(ops)] == [2, 9, 10]
