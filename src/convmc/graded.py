@@ -19,11 +19,12 @@ Sign conventions used throughout the package:
 and more generally a tensor product of maps picks up
 (-1)^{sum_{j<i} |f_i||x_j|}.  Composition of maps carries no sign.
 
-Every signed sum over sparse vectors in the package goes through two
-helpers: add_term (defined in matrices, whose Echelon reduces with it,
-and re-exported here) is the only way to accumulate a term into a vector
-(a coefficient that sums to zero drops its key), and tensor_terms is the
-only expansion of a tensor product of vectors into its terms.  The
+Every signed sum over sparse vectors in the package, but for the
+integer rows inside matrices.Echelon, goes through two helpers: add_term
+(defined in matrices and re-exported here) is the only way to
+accumulate a term into a vector (a coefficient that sums to zero drops
+its key), and tensor_terms is the only expansion of a tensor product of
+vectors into its terms.  The
 bounded caches of the package (loaded model files, loop models, their
 Hom algebras and pushed maps, decided points) take their
 least-recently-used step from lru, and keys of tables of columns come

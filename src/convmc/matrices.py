@@ -10,8 +10,11 @@ add_term turns a sum that comes out integral back into an int.
 
 Echelon holds an echelon basis of sparse vectors, dicts {key: scalar},
 offered one at a time: it accepts the ones independent of those before
-them and gives coordinates in the accepted ones.  FreeLie keeps one per
-letter content.  column_split runs one over a list of columns; chain complexes
+them and gives coordinates in the accepted ones.  It is fraction-free
+(Bareiss, Math. Comp. 22, 1968): its rows are primitive integer vectors,
+a combination is built only for an accepted vector or in coords, and
+coords divides once.  FreeLie keeps one per letter content.
+column_split runs one over a list of columns; chain complexes
 (contractions and Betti numbers) and the gauge decision (through Coset
 and Span, which factor a list of vectors once for many right-hand
 sides) run on it.
@@ -29,6 +32,7 @@ use them as the reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 ZERO = 0
@@ -173,52 +177,93 @@ def add_term(out: dict, key, c) -> None:
 class Echelon:
     """Echelon basis of the span of the sparse vectors accepted so far.
 
-    Row j is accepted vector j reduced against rows 0..j-1 and scaled to 1
-    at its pivot, so it vanishes at every earlier pivot, and it carries
-    its combination of the accepted vectors.  One forward pass over the
-    rows therefore reduces a vector and yields its coordinates.
+    An offered vector v is cleared to the integer vector L v, L the least
+    common denominator of its entries.  Row j is accepted vector j so
+    cleared, reduced against rows 0..j-1 and divided by its content: a
+    primitive integer vector, positive at its pivot and zero at every
+    earlier pivot.  It carries an integer combination of the accepted
+    vectors over an integer denominator: d_j row_j = sum_i C_j[i] v_i.
+    Reducing res by row j, of pivot value a where res holds c, takes
+    m res - k row_j with m = a/g, k = c/g and g = gcd(a, c), and records
+    (j, m, k); one forward pass over the rows reduces a vector, with no
+    division.  The combination is built from the steps only when a vector
+    is accepted or its coordinates are asked, and coords divides once.
     """
 
     def __init__(self):
-        self._rows: list[tuple] = []   # (pivot, row, combination)
+        self._rows: list[tuple] = []   # (pivot, value, row, d, C)
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: dict) -> tuple[dict, dict]:
-        """(residual, comb) with v = residual + sum comb[j] accepted_j."""
-        res = {k: x for k, x in v.items() if x}
-        comb: dict = {}
-        for pivot, row, rc in self._rows:
+    def _reduce(self, v: dict) -> tuple[dict, int, list]:
+        """(res, L, steps): L v reduced against every row, and the steps
+        (j, m, k) that reduced it."""
+        clear = 1
+        for x in v.values():
+            clear *= x.denominator // gcd(clear, x.denominator)
+        res = {k: x.numerator * (clear // x.denominator)
+               for k, x in v.items() if x}
+        steps = []
+        for j, (pivot, a, row, _, _) in enumerate(self._rows):
             c = res.get(pivot)
             if c:
-                for k, x in row.items():
-                    add_term(res, k, -c * x)
-                for j, x in rc.items():
-                    add_term(comb, j, c * x)
-        return res, comb
+                g = gcd(a, c)
+                m, k = a // g, c // g
+                if m != 1:
+                    res = {key: m * x for key, x in res.items()}
+                for key, x in row.items():
+                    y = res.get(key, 0) - k * x
+                    if y:
+                        res[key] = y
+                    else:
+                        del res[key]
+                steps.append((j, m, k))
+        return res, clear, steps
+
+    def _combination(self, steps: list) -> tuple[int, int, dict]:
+        """(S, E, X) with S L v = E res + sum_i X_i v_i, for the res that
+        steps leave of L v: each step multiplies through by m d_j/g with
+        g = gcd(d_j, E k), which keeps every term integral."""
+        scale, extra, comb = 1, 1, {}
+        for j, m, k in steps:
+            d, cj = self._rows[j][3:]
+            g = gcd(d, extra * k)
+            t, f = extra * k // g, d // g
+            if m * f != 1:
+                comb = {i: m * f * x for i, x in comb.items()}
+                scale, extra = scale * m * f, extra * f
+            for i, x in cj.items():
+                comb[i] = comb.get(i, 0) + t * x
+        return scale, extra, comb
 
     def add(self, v: dict) -> bool:
-        """Accept v if it grows the span; return whether it did."""
-        res, comb = self._reduce(v)
+        """Accept v if it grows the span; return whether it did.  A
+        rejected v builds no combination."""
+        res, clear, steps = self._reduce(v)
         if not res:
             return False
         pivot = next(iter(res))
-        inv = inverse(res[pivot])
-        combination = {j: scalar(-inv * x) for j, x in comb.items()}
-        combination[self.rank] = inv
-        self._rows.append((pivot, {k: scalar(inv * x)
-                                   for k, x in res.items()}, combination))
+        g = gcd(*res.values()) * (1 if res[pivot] > 0 else -1)
+        scale, extra, comb = self._combination(steps)
+        comb = {i: -x for i, x in comb.items() if x}
+        comb[self.rank] = scale * clear
+        h = gcd(extra * g, *comb.values())
+        self._rows.append((pivot, res[pivot] // g,
+                           {k: x // g for k, x in res.items()}, extra * g // h,
+                           {i: x // h for i, x in comb.items()}))
         return True
 
     def coords(self, v: dict) -> list | None:
         """Coordinates of v in the accepted vectors, or None when v is
-        outside their span."""
-        res, comb = self._reduce(v)
+        outside their span: X_i / (S L), by one inverse."""
+        res, clear, steps = self._reduce(v)
         if res:
             return None
-        return [comb.get(j, ZERO) for j in range(self.rank)]
+        scale, _, comb = self._combination(steps)
+        inv = inverse(scale * clear)
+        return [scalar(comb.get(j, ZERO) * inv) for j in range(self.rank)]
 
 
 def column_split(columns: Sequence[dict], labels: Sequence

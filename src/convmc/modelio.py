@@ -11,7 +11,10 @@ certificates, paths), the coproduct of a cdgc record, and the graded
 symmetric operations of an linfty record or a transfer report
 (operation_rows).  One generator, _table, reads every table, and one,
 _table_rows, writes them.  _table refuses a row that repeats the keys of
-an earlier row, so that no later row silently replaces one.  Every
+an earlier row, so that no later row silently replaces one, and
+space_from_json a basis row that repeats the name of an earlier one.  A
+row of a cdgc or linfty table that names a key outside the basis is
+refused at that row.  Every
 integer field passes one check, _int, which refuses JSON true and false,
 as decode_key refuses them as keys.
 
@@ -191,15 +194,29 @@ def space_to_json(sp: GradedSpace) -> list:
 
 
 def space_from_json(rows, name: str, where: str) -> GradedSpace:
+    """The space of the basis rows at where: a row is refused at loc, its
+    place in the list, unless it has a name no earlier row gave and an
+    integer degree."""
     by_deg: dict[int, list] = {}
+    seen: dict = {}
     for i, row in enumerate(_expect(rows, list, where)):
         loc = f"{where}[{i}]"
         if not isinstance(row, dict) or "name" not in row \
                 or "degree" not in row:
             raise ModelFileError(loc, "basis rows need 'name' and 'degree'")
-        by_deg.setdefault(_int(row["degree"], loc), []).append(
-            decode_key(row["name"], loc))
+        key = decode_key(row["name"], loc)
+        first = seen.setdefault(key, i)
+        if first != i:
+            raise ModelFileError(loc, f"repeats the name of {where}[{first}]")
+        by_deg.setdefault(_int(row["degree"], loc), []).append(key)
     return GradedSpace(by_deg, name=name)
+
+
+def _basis_keys(keys: tuple, sp: GradedSpace, loc: str) -> None:
+    """Refuse the row at loc unless every one of keys is a basis key."""
+    for k in keys:
+        if k not in sp.degree_of:
+            raise ModelFileError(loc, f"{k!r} is not a basis key")
 
 
 def entries_to_json(entries: dict) -> list:
@@ -238,10 +255,17 @@ def cdgc_to_record(C: CdgCoalgebra) -> dict:
 def cdgc_from_record(rec: dict) -> CdgCoalgebra:
     name = rec.get("name", "")
     sp = space_from_json(rec.get("basis", []), name, "basis")
-    d = GradedMap(sp, sp, -1, entries_from_json(rec.get("d", []), "d"))
+    cols: dict = {}
+    for loc, keys, c in _table(rec.get("d", []), "d", 3,
+                               "matrix rows are [src, dst, 'p/q']"):
+        _basis_keys(keys, sp, loc)
+        if c:
+            cols.setdefault(keys[0], {})[keys[1]] = c
+    d = map_from_columns(cols, "d", sp, sp, -1)
     delta: dict = {}
-    for _, (k, a, b), c in _table(rec.get("delta", []), "delta", 4,
-                                  "coproduct rows are [src, a, b, 'p/q']"):
+    for loc, (k, a, b), c in _table(rec.get("delta", []), "delta", 4,
+                                    "coproduct rows are [src, a, b, 'p/q']"):
+        _basis_keys((k, a, b), sp, loc)
         if c:
             delta.setdefault(k, {})[a, b] = c
     try:
@@ -297,9 +321,7 @@ def linfty_from_record(rec: dict) -> LInfinityAlgebra:
             raise ModelFileError(loc, shape)
         if len(word) != _int(n, loc):
             raise ModelFileError(loc, f"word length {len(word)} != arity {n}")
-        for k in (*word, dst):
-            if k not in sp.degree_of:
-                raise ModelFileError(loc, f"{k!r} is not a basis key")
+        _basis_keys((*word, dst), sp, loc)
         if c:
             brackets.setdefault(n, {}).setdefault(word, {})[dst] = c
     arities = rec.get("arities")

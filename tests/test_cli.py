@@ -388,6 +388,25 @@ REFUSALS = {
                               "brackets": [[2, ["x", "x"], "y", "1/1"],
                                            [2, ["x", "x"], "y", "1/1"]]},
                              ["validate", "@bad"], "brackets[1]", None),
+    # a key outside the basis is refused at its row
+    "delta-unknown-key": ({**RECORDS["cp2_model"],
+                           "delta": [["b", "zz", "zz", "1/1"]]},
+                          ["validate", "@bad"], "delta[0]", None),
+    "d-unknown-key": ({**RECORDS["cp2_model"], "d": [["zz", "a", "1/1"]]},
+                      ["validate", "@bad"], "d[0]", None),
+    # a repeated basis name is refused at the later row
+    "cdgc-repeated-basis": ({**RECORDS["cp2_model"], "delta": [],
+                             "basis": [{"name": "a", "degree": 2},
+                                       {"name": "a", "degree": 2}]},
+                            ["validate", "@bad"], "basis[1]", None),
+    "linfty-repeated-basis": ({**RECORDS["pi_s2_model"], "brackets": [],
+                               "basis": [{"name": "x", "degree": 2},
+                                         {"name": "x", "degree": 3}]},
+                              ["validate", "@bad"], "basis[1]", None),
+    "quillen-repeated-letter": ({**QUILLEN, "letters": [
+        {"name": "a", "degree": 1}, {"name": "b", "degree": 1},
+        {"name": "a", "degree": 1}]}, ["validate", "@bad"], "letters[2]",
+        None),
     # JSON true is not the integer 1
     "basis-bool-degree": ({**RECORDS["cp2_model"], "delta": [],
                            "basis": [{"name": "a", "degree": True},

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,10 +220,14 @@ def test_echelon_on_ints_equals_echelon_on_fractions(data):
     fracs = [{k: F(x) for k, x in v.items()} for v in ints]
     by_int, by_frac = mx.Echelon(), mx.Echelon()
     assert [by_int.add(v) for v in ints] == [by_frac.add(v) for v in fracs]
+    # every stored row is a primitive integer vector, positive at its
+    # pivot, and int and Fraction inputs store the same rows
     assert by_int._rows == by_frac._rows
-    for _, row, combination in by_int._rows:
-        for x in (*row.values(), *combination.values()):
-            assert type(x) is int or x.denominator != 1
+    for pivot, value, row, den, combination in by_int._rows:
+        assert row[pivot] == value > 0
+        assert all(type(x) is int for x in (*row.values(), den,
+                                            *combination.values()))
+        assert gcd(*row.values()) == 1
     units = [{i: 1} for i in range(n)]
     for v in ints + units:
         coords = by_int.coords(v)
@@ -362,3 +367,77 @@ def test_coset_reduce_and_coords_match_dense_reference(data):
 
 def _sparse_keys(keys, v):
     return {k: x for k, x in zip(keys, v) if x}
+
+
+big_fraction = st.one_of(
+    st.just(0),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 60)))
+
+
+@st.composite
+def rational_vectors(draw):
+    """Up to 8 dense vectors of length up to 6 with large rational
+    entries, each drawn afresh, zero, or a combination of those before
+    it, and one more vector drawn the same way as the right-hand side."""
+    n = draw(st.integers(1, 6))
+    vectors: list = []
+    for _ in range(draw(st.integers(0, 8)) + 1):
+        kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
+        if kind == "zero" or (kind == "dependent" and not vectors):
+            vectors.append([F(0)] * n)
+        elif kind == "dependent":
+            cs = [draw(big_fraction) for _ in vectors]
+            vectors.append([sum((c * u[i] for c, u in zip(cs, vectors)),
+                                F(0)) for i in range(n)])
+        else:
+            vectors.append([F(draw(big_fraction)) for _ in range(n)])
+    return n, vectors[:-1], vectors[-1]
+
+
+def _canonical(x):
+    return type(x) is int or x.denominator != 1
+
+
+@given(rational_vectors())
+@settings(max_examples=120, deadline=2000)
+def test_echelon_on_large_rationals_matches_dense_reference(data):
+    """add, coords, column_split, Coset.reduce and Span.coords equal the
+    dense rref, solve and nullspace on large numerators and denominators,
+    and every coordinate comes back canonical."""
+    n, vectors, v = data
+    ech = mx.Echelon()
+    accepted = []
+    for u in vectors:
+        grows = mx.rank(accepted + [u]) > len(accepted)
+        assert ech.add(_sparse(u)) is grows
+        if grows:
+            accepted.append(u)
+    for u in vectors + [v]:
+        got = ech.coords(_sparse(u))
+        assert got == mx.in_span(accepted, u)
+        assert got is None or all(_canonical(c) for c in got)
+    # the vectors as the columns of a dense matrix
+    matrix = [[u[i] for u in vectors] for i in range(n)]
+    pivots, kernel = mx.column_split([_sparse(u) for u in vectors],
+                                     range(len(vectors)))
+    if vectors:
+        assert pivots == [c for _, c in mx.rref(matrix)[1]]
+        assert [[z.get(j, 0) for j in range(len(vectors))]
+                for z in kernel] == mx.nullspace(matrix)
+    else:
+        assert pivots == kernel == []
+    # the vectors as directions read at the keys 0..n-1
+    red = [v[i] for i in range(n)]
+    if vectors:
+        rows, rref_pivots = mx.rref(vectors)
+        for row, col in rref_pivots:
+            c = red[col]
+            red = [x - c * y for x, y in zip(red, rows[row])]
+    assert mx.Coset([_sparse(u) for u in vectors], range(n)).reduce(
+        _sparse(v)) == _sparse(red)
+    span = mx.Span([_sparse(u) for u in vectors])
+    want = mx.solve(matrix, v) if vectors else (
+        None if any(v) else [])
+    got = span.coords(_sparse(v))
+    assert got == want
+    assert got is None or all(_canonical(c) for c in got)
