@@ -45,10 +45,12 @@ import json
 import os
 import sys
 from collections import OrderedDict
+from contextlib import contextmanager
 
 from . import hopf, mapping, modelio
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
+from .freelie import BasisTooLarge
 from .gauge import Distinct, Equal, GaugePath, Unknown, point_record
 from .graded import ChainComplex, lru
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
@@ -143,11 +145,23 @@ def _model_window(args, space, margin: int, source=None) -> int:
     return window
 
 
+@contextmanager
+def _window_cap(window: int):
+    """Refuse --window when a free Lie algebra built at it would pass
+    freelie.BASIS_CAP basis elements."""
+    try:
+        yield
+    except BasisTooLarge as exc:
+        raise ModelFileError("--window", f"window {window}: {exc}") from None
+
+
 def _loop_model(args, D: CdgCoalgebra,
                 C: CdgCoalgebra) -> hopf.LoopHomology:
     """The cached loop model of the target coalgebra D, at a window that
     keeps the top degree of the source C at or below exact_through."""
-    return hopf.loop_homology(D, _model_window(args, D.space, 2, C.space))
+    window = _model_window(args, D.space, 2, C.space)
+    with _window_cap(window):
+        return hopf.loop_homology(D, window)
 
 
 def _target(args, target, C: CdgCoalgebra) -> LInfinityAlgebra:
@@ -228,7 +242,8 @@ def cmd_homology(args) -> int:
 def cmd_cobar(args) -> int:
     C = _load(args.file, (CdgCoalgebra,))
     window = _model_window(args, C.space, 3)
-    om = cobar(C, degree_max=window)
+    with _window_cap(window):
+        om = cobar(C, degree_max=window)
     rec = modelio.quillen_to_record(om)
     rec["window"] = window
     rec["exact_through"] = om.exact_through
@@ -409,7 +424,9 @@ def cmd_transfer(args) -> int:
                              "the transferred structure starts at l_1")
     C = _load(args.file, (CdgCoalgebra,))
     window = _model_window(args, C.space, 2)
-    t = transfer_linfty(cobar(C, degree_max=window), arity_max=args.arity)
+    with _window_cap(window):
+        om = cobar(C, degree_max=window)
+    t = transfer_linfty(om, arity_max=args.arity)
     try:
         t.validate()
     except JacobiError as exc:

@@ -7,61 +7,55 @@ The shifted bookkeeping used by the rest of the package is a thin wrapper
 applied where the Lie algebra is consumed, not here.
 
 Bracket expressions are nested tuples ("br", left, right) over letter keys.
-Left-normed expressions span the free Lie algebra, so bases are chosen by
-expanding left-normed words degree by degree, in the order of the tensor
-words of that degree, and keeping the ones that grow the rank
-(deterministic, so every run picks the same basis).  A word's expansion
-is the commutator of its prefix's with its last letter; commutator is
-also the one rule expand and bracket use.
+The basis of each degree is greedy: the left-normed brackets of its tensor
+words, by length and then lexicographically (letters in sort order), each
+kept when it grows the rank.  A word's expansion is the commutator of its
+prefix's with its last letter; commutator is also the one rule expand and
+bracket use.
 
-Blocks.  The letter content of a tensor word is the multiset of its
-letters, written as a count per letter.  A commutator of two words is a
-sum of words with the joint content, so a left-normed word expands inside
-its own content and the free Lie algebra is the direct sum of its blocks
-L_beta, one per content beta.  A word grows the rank of its degree
-exactly when it grows the rank of its block, so one echelon per content
-picks the same basis, in the same order, as one echelon per degree; and
-express reduces each content part of a vector against its own block.
+Blocks.  A commutator of words is a sum of words of the joint letter
+content (count of each letter), so the algebra is the direct sum of blocks
+L_beta, one per content beta, and a word grows the rank of its degree
+exactly when it grows the rank of its block.  A block's words have one
+length, so the scan takes each block alone, in lexicographic order (next
+permutation of the sorted multiset), until it holds dim L_beta elements;
+sorting the kept words by (length, word) gives the greedy basis in order.
+express reduces each content part against its block, and the bracket of
+two basis elements reads their commutator in the block of their joint
+content.
 
-Block dimensions come from PBW in plain integers.  The enveloping algebra
-of the free Lie algebra on V is the tensor algebra T(V), and by PBW it
-is, as a multigraded space, the product of S(L_beta) over even beta and
-of the exterior algebras of L_beta over odd beta (parity of the degree).
-In commuting variables t_i, one per letter, the Hilbert series are
-
-    1 / (1 - sum_i t_i)
-        = prod_{beta even} (1 - t^beta)^{-dim L_beta}
-          prod_{beta odd} (1 + t^beta)^{dim L_beta}.
-
-Taking logarithms and reading the coefficient of t^beta gives the super
-Witt formula, with W(beta) the number of words of content beta, |beta|
-its length and s(u) = -1 for odd and +1 for even degree:
+Sizes, before any word is built.  A content of one letter x has dimension
+1 for x, 1 for x x when x is odd and 0 past that ([x, x] = 0 for even x,
+[x, [x, x]] = 0), so x^n is never listed for n > 2.  Any other content
+through deg_max holds a Lyndon word, so its dimension is at least 1; the
+super Witt formula, the logarithm of PBW (U(L(V)) = T(V)), gives it from
+W(beta), the number of words of content beta, its length |beta| and the
+sign s(u), -1 for odd and +1 for even degree:
 
     W(beta) = sum_{k | gcd(beta)} (|beta| / k) s(beta/k)^{k+1} dim L_{beta/k}.
 
-The k = 1 term is |beta| dim L_beta, so each block's dimension follows
-from those of the contents beta/k below it by one exact division.  Once a
-block holds that many basis elements, the later words of its content are
-skipped without being expanded; a skipped word's expansion is built only
-when a later word needs it as a prefix.
+The k = 1 term is |beta| dim L_beta: one exact division.  Once the sizes
+sum past BASIS_CAP = 2^15, the listing stops and raises BasisTooLarge, a
+ValueError.  Each element keeps its expansion, up to 2^(n-1) words at
+length n, so the cap bounds memory: on 2 vCPUs, cobar of S2vS2vS2 at
+window 12 (25,545 elements) takes 49 s and 1.5 GB; window 13 (69,765)
+is refused.
 
-A FreeLie keeps two memos for its lifetime, so they go wherever the
-instance goes (a loop model in hopf's model cache keeps them with it):
-
-- the tensor expansion of each basis element, keyed by the element, kept
-  by the basis scan that computed it; one entry per basis element.
-- the bracket of each pair of basis elements in the basis, keyed by the
-  pair (a, b) and filled on the first bracket that needs it.  A pair
-  above the window raises before anything is stored, so it holds at most
-  one entry per pair whose degrees sum to at most deg_max.
-
-bracket is bilinear over the second memo and returns a fresh dict; no
-memo entry is handed to a caller.
+A FreeLie keeps, for its lifetime (a loop model in hopf's model cache
+keeps them with it), the expansion and content of each basis element and
+a memo of the bracket of each pair (a, b) of basis elements in the basis.
+For each kept word p x whose prefix's bracket p is a basis element, the
+scan stores [p, x] = {p x: 1}, an identity of expansions; any other pair
+is filled on the first bracket that needs it.  A pair above the window
+raises first, so the memo holds at most one entry per pair whose degrees
+sum to at most deg_max.  bracket is bilinear over the memo and returns a
+fresh dict; no memo entry is handed to a caller.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from math import comb, gcd
 
 from . import matrices
@@ -109,51 +103,57 @@ def commutator(letters: GradedSpace, u: Vec, v: Vec) -> Vec:
     return out
 
 
-def _tensor_words(letters: GradedSpace, deg_max: int) -> dict[int, list[tuple]]:
-    """Tensor words by degree up to deg_max, each degree ordered by length
-    and then lexicographically in the letters' sort order: the order in
-    which FreeLie offers their left-normed brackets to the basis."""
-    keys = sorted(letters.all_keys(), key=letters.sort_key)
-    min_deg = min((letters.degree_of[k] for k in keys), default=1)
-    if min_deg < 1:
-        raise ValueError("free Lie letters must sit in degrees >= 1")
-    by_deg: dict[int, list[tuple]] = {}
-    frontier: list[tuple[tuple, int]] = [((), 0)]
-    while frontier:
-        nxt = []
-        for word, d in frontier:
-            for k in keys:
-                nd = d + letters.degree_of[k]
-                if nd > deg_max:
-                    continue
-                w = word + (k,)
-                by_deg.setdefault(nd, []).append(w)
-                nxt.append((w, nd))
-        frontier = nxt
-    for d in by_deg:
-        by_deg[d].sort(key=lambda w: (len(w), [letters.sort_key(x) for x in w]))
-    return by_deg
+# the most basis elements, over all degrees, a FreeLie builds (see above)
+BASIS_CAP = 1 << 15
+
+
+class BasisTooLarge(ValueError):
+    """The Witt dimensions through the window sum past BASIS_CAP."""
+
+
+def _contents(degrees: list[int], room: int):
+    """Every letter content of degree at most room on letters of the
+    given degrees, as counts per letter, the empty one included."""
+    if not degrees:
+        yield ()
+        return
+    for c in range(room // degrees[0] + 1):
+        for rest in _contents(degrees[1:], room - c * degrees[0]):
+            yield (c,) + rest
+
+
+def _arrangements(word: list):
+    """A sorted list's distinct rearrangements, by next permutation."""
+    while True:
+        yield tuple(word)
+        i = max((i for i in range(len(word) - 1) if word[i] < word[i + 1]),
+                default=-1)
+        if i < 0:
+            return
+        j = max(j for j in range(i + 1, len(word)) if word[j] > word[i])
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
 
 
 class FreeLie:
     """Free graded Lie algebra on a letter space, truncated in degree."""
 
     def __init__(self, letters: GradedSpace, deg_max: int):
-        for k in letters.all_keys():
+        keys = self._keys = letters.all_keys()
+        for k in keys:
             if isinstance(k, tuple) and len(k) == 3 and k[0] == BR:
                 raise ValueError("letter key collides with bracket tag")
+        degrees = self._degrees = [letters.degree_of[k] for k in keys]
+        if min(degrees, default=1) < 1:
+            raise ValueError("free Lie letters must sit in degrees >= 1")
         self.letters = letters
         self.deg_max = deg_max
-        self._index = {k: i for i, k in enumerate(letters.all_keys())}
-        basis_by_deg: dict[int, list] = {}
         # per content: the echelon of its accepted expansions, and the
         # basis elements they are, in order
         self._blocks: dict[tuple, tuple[matrices.Echelon, list]] = {}
+        self._content_of: dict = {}
         self._expansions: dict = {}
         self._brackets: dict[tuple, Vec] = {}
-        words = _tensor_words(letters, deg_max)
-        self._degrees = set(words)
-        dims: dict[tuple, int] = {}
         words_ex: dict[tuple, Vec] = {}   # the ones scanned or needed
 
         def expansion(word: tuple) -> Vec:
@@ -164,29 +164,48 @@ class FreeLie:
                                {word[-1:]: ONE})
             return ex
 
-        for d, scan in sorted(words.items()):
-            for word in scan:
-                content = self._content(word)
-                block = self._blocks.get(content)
-                if block is None:
-                    block = self._blocks[content] = (matrices.Echelon(), [])
-                ech, elements = block
-                if ech.rank == self._witt_dim(content, dims):
-                    continue
-                ex = expansion(word)
-                if ech.add(ex):
+        sized, total, dims = [], 0, {}
+        # one letter: x, and x x for odd x; then two letters or more, the
+        # first of them i, each content listed once
+        ones = (((0,) * i + (n,) + (0,) * (len(keys) - i - 1), 1)
+                for i, d in enumerate(degrees) for n in (1, 2)
+                if n * d <= deg_max and (n == 1 or d % 2))
+        mixed = ((c, self._witt_dim(c, dims)) for c in (
+            (0,) * i + (n,) + rest for i, d in enumerate(degrees)
+            for n in range(1, (deg_max - min(degrees[i + 1:],
+                                             default=deg_max + 1)) // d + 1)
+            for rest in _contents(degrees[i + 1:], deg_max - n * d)
+            if any(rest)))
+        for content, dim in chain(ones, mixed):
+            total += dim
+            if total > BASIS_CAP:
+                raise BasisTooLarge(f"the free Lie basis through degree "
+                                    f"{deg_max} passes {BASIS_CAP} elements")
+            if dim:
+                sized.append((content, dim))
+        accepted = []
+        for content, dim in sized:
+            ech, elements = self._blocks[content] = (matrices.Echelon(), [])
+            degree = sum(c * d for c, d in zip(content, degrees))
+            for iw in _arrangements([i for i, c in enumerate(content)
+                                     for _ in range(c)]):
+                word = tuple(keys[i] for i in iw)
+                if ech.add(ex := expansion(word)):
                     e = reduce(br, word)   # left-normed: [[w1, w2], w3] ...
                     elements.append(e)
-                    basis_by_deg.setdefault(d, []).append(e)
-                    self._expansions[e] = ex
+                    self._content_of[e], self._expansions[e] = content, ex
+                    accepted.append((degree, len(iw), iw, e))
+                    if ech.rank == dim:
+                        break
+            else:
+                raise AssertionError(f"letter content {content} holds "
+                                     f"{ech.rank} basis elements, not {dim}")
+        basis_by_deg: dict[int, list] = {}
+        for degree, _, _, e in sorted(accepted):
+            basis_by_deg.setdefault(degree, []).append(e)
+            if is_bracket(e) and e[1] in self._expansions:
+                self._brackets[e[1], e[2]] = {e: ONE}
         self.space = GradedSpace(basis_by_deg, name=f"L({letters.name})")
-
-    def _content(self, word: tuple) -> tuple:
-        """The letter content of a tensor word: its count of each letter."""
-        counts = [0] * len(self._index)
-        for x in word:
-            counts[self._index[x]] += 1
-        return tuple(counts)
 
     def _witt_dim(self, content: tuple, dims: dict) -> int:
         """dim L_content by the super Witt formula (module docstring),
@@ -199,13 +218,10 @@ class FreeLie:
         for c in content:
             seen += c
             words *= comb(seen, c)
-        rest = words
-        degrees = [self.letters.degree_of[k] for k in self._index]
-        for k in range(2, gcd(*content) + 1):
-            if any(c % k for c in content):
-                continue
+        rest, g = words, gcd(*content)
+        for k in [k for k in range(2, g + 1) if g % k == 0]:
             sub = tuple(c // k for c in content)
-            odd = sum(c * d for c, d in zip(sub, degrees)) % 2
+            odd = sum(c * d for c, d in zip(sub, self._degrees)) % 2
             sign = -1 if odd and k % 2 == 0 else 1
             rest -= (length // k) * sign * self._witt_dim(sub, dims)
         dim, remainder = divmod(rest, length)
@@ -225,21 +241,24 @@ class FreeLie:
         parts: dict[int, dict[tuple, Vec]] = {}
         for w, c in tv.items():
             d = sum(self.letters.degree_of[x] for x in w)
-            parts.setdefault(d, {}).setdefault(self._content(w), {})[w] = c
+            content = tuple(map(w.count, self._keys))
+            parts.setdefault(d, {}).setdefault(content, {})[w] = c
         out: Vec = {}
         for d in sorted(parts):
-            if d not in self._degrees:
+            if not 0 < d <= self.deg_max:
                 raise ValueError(f"degree {d} is outside the truncation")
             for content, part in parts[d].items():
-                ech, elements = self._blocks[content]
-                sol = ech.coords(part)
-                if sol is None:
-                    raise ValueError(
-                        f"vector is not in the Lie span in degree {d}")
-                for e, c in zip(elements, sol):
-                    if c:
-                        out[e] = c
+                out.update(self._in_block(content, part, d))
         return {e: out[e] for e in sorted(out, key=self.space.sort_key)}
+
+    def _in_block(self, content: tuple, tv: Vec, degree: int) -> Vec:
+        """A tensor vector of one content in its block's basis, in basis
+        order; raises when it is not in the Lie span."""
+        ech, elements = self._blocks.get(content) or (matrices.Echelon(), [])
+        sol = ech.coords(tv)
+        if sol is None:
+            raise ValueError(f"vector is not in the Lie span in degree {degree}")
+        return {e: c for e, c in zip(elements, sol) if c}
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         """Classical bracket of two vectors in basis coordinates, expressed
@@ -260,13 +279,14 @@ class FreeLie:
         val = self._brackets.get((a, b))
         if val is not None:
             return val
-        da = expr_degree(self.letters, a)
-        db = expr_degree(self.letters, b)
-        if da + db > self.deg_max:
+        d = self.space.degree_of[a] + self.space.degree_of[b]
+        if d > self.deg_max:
             raise ValueError("bracket leaves the truncation window")
-        val = self._brackets[(a, b)] = self.express(
-            commutator(self.letters, self._expansions[a],
-                       self._expansions[b]))
+        content = tuple(map(sum, zip(self._content_of[a],
+                                     self._content_of[b])))
+        val = self._brackets[(a, b)] = self._in_block(
+            content, commutator(self.letters, self._expansions[a],
+                                self._expansions[b]), d)
         return val
 
     def derivation(self, letter_values: dict[Key, Vec], degree: int,

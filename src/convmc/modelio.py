@@ -224,12 +224,18 @@ def entries_to_json(entries: dict) -> list:
                        for dst, c in col.items() if c)
 
 
-def entries_from_json(rows, where: str) -> dict:
+def entries_from_json(rows, where: str, src: GradedSpace | None = None,
+                      dst: GradedSpace | None = None) -> dict:
+    """The columns of the matrix rows at where; given the spaces, a row is
+    refused at its loc unless its keys are basis keys of src and dst."""
     cols: dict = {}
-    for _, (src, dst), c in _table(rows, where, 3,
-                                   "matrix rows are [src, dst, 'p/q']"):
+    for loc, keys, c in _table(rows, where, 3,
+                               "matrix rows are [src, dst, 'p/q']"):
+        if src is not None:
+            _basis_keys(keys[:1], src, loc)
+            _basis_keys(keys[1:], dst, loc)
         if c:
-            cols.setdefault(src, {})[dst] = c
+            cols.setdefault(keys[0], {})[keys[1]] = c
     return cols
 
 
@@ -255,13 +261,8 @@ def cdgc_to_record(C: CdgCoalgebra) -> dict:
 def cdgc_from_record(rec: dict) -> CdgCoalgebra:
     name = rec.get("name", "")
     sp = space_from_json(rec.get("basis", []), name, "basis")
-    cols: dict = {}
-    for loc, keys, c in _table(rec.get("d", []), "d", 3,
-                               "matrix rows are [src, dst, 'p/q']"):
-        _basis_keys(keys, sp, loc)
-        if c:
-            cols.setdefault(keys[0], {})[keys[1]] = c
-    d = map_from_columns(cols, "d", sp, sp, -1)
+    d = map_from_columns(entries_from_json(rec.get("d", []), "d", sp, sp),
+                         "d", sp, sp, -1)
     delta: dict = {}
     for loc, (k, a, b), c in _table(rec.get("delta", []), "delta", 4,
                                     "coproduct rows are [src, a, b, 'p/q']"):
@@ -343,7 +344,8 @@ def quillen_from_record(rec: dict) -> QuillenModel:
     name = rec.get("name", "")
     letters = space_from_json(rec.get("letters", []), name, "letters")
     fl = FreeLie(letters, _int(rec.get("deg_max"), "deg_max"))
-    cols = entries_from_json(rec.get("delta", []), "delta")
+    cols = entries_from_json(rec.get("delta", []), "delta", fl.space,
+                             fl.space)
     given = map_from_columns(cols, "delta", fl.space, fl.space, -1)
     if all(src in letters for src in cols):
         return QuillenModel(fl, fl.derivation(cols, -1), name=name)
@@ -358,32 +360,27 @@ def quillen_from_record(rec: dict) -> QuillenModel:
 
 def map_from_columns(cols, where: str, src: GradedSpace, dst: GradedSpace,
                      degree: int, name: str = "") -> GradedMap:
-    """The map of the given degree with the columns cols entries_from_json
-    read, refused at where unless its source keys are basis keys of src,
-    its target keys basis keys of dst, and every image has the degree."""
-    for ck, col in cols.items():
-        if ck not in src.degree_of:
-            raise ModelFileError(where, f"{ck!r} is not a source basis key")
-        for lk in col:
-            if lk not in dst.degree_of:
-                raise ModelFileError(where,
-                                     f"{lk!r} is not a target basis key")
+    """The map of the given degree with the columns cols that
+    entries_from_json read against src and dst, refused at where unless
+    every image has the degree; the map is named name, or else where."""
     try:
-        return GradedMap(src, dst, degree, cols, name=name)
+        return GradedMap(src, dst, degree, cols, name=name or where)
     except ValueError as exc:
         raise ModelFileError(where, str(exc)) from None
 
 
-def element_entries(rec: dict) -> tuple[int, dict]:
+def element_entries(rec: dict, src: GradedSpace | None = None,
+                    dst: GradedSpace | None = None) -> tuple[int, dict]:
     """(degree, columns) of an mc_element or map record: the one shape
-    check of its fields, refused at degree or at a row of entries."""
+    check of its fields, refused at degree or at a row of entries, whose
+    keys are checked against src and dst when they are given."""
     return (_int(rec.get("degree", 0), "degree"),
-            entries_from_json(rec.get("entries", []), "entries"))
+            entries_from_json(rec.get("entries", []), "entries", src, dst))
 
 
 def element_from_record(rec: dict, src: GradedSpace,
                         dst: GradedSpace) -> GradedMap:
-    degree, cols = element_entries(rec)
+    degree, cols = element_entries(rec, src, dst)
     return map_from_columns(cols, "entries", src, dst, degree,
                             name=rec.get("name", ""))
 
@@ -395,8 +392,9 @@ def _parts_to_json(parts: dict) -> list:
 
 
 def _parts_from_json(rows, where: str, conv, degree: int) -> dict:
-    return {power: map_from_columns(entries_from_json(entries, loc), loc,
-                                    conv.C.space, conv.L.space, degree)
+    return {power: map_from_columns(
+        entries_from_json(entries, loc, conv.C.space, conv.L.space), loc,
+        conv.C.space, conv.L.space, degree)
             for loc, power, entries in _int_rows(
                 rows, where, "path parts are [power, entries]")}
 
@@ -480,8 +478,9 @@ def certificate_from_record(rec: dict):
     if outcome == "unknown":
         return Unknown(rec.get("reason", ""))
     conv = _embedded_conv(rec)
-    x, y = (map_from_columns(entries_from_json(rec.get(k, []), k), k,
-                             conv.C.space, conv.L.space, 0) for k in "xy")
+    x, y = (map_from_columns(
+        entries_from_json(rec.get(k, []), k, conv.C.space, conv.L.space), k,
+        conv.C.space, conv.L.space, 0) for k in "xy")
     if outcome == "equal":
         paths = [path_from_json(p, conv, f"paths[{i}]") for i, p in
                  enumerate(_expect(rec.get("paths", []), list, "paths"))]

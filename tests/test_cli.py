@@ -355,9 +355,9 @@ REFUSALS = {
     "quillen-deg-max": ({**QUILLEN, "deg_max": "3"}, ["validate", "@bad"],
                         "deg_max", None),
     "quillen-delta-source": ({**QUILLEN, "delta": [["zz", "a", "1/1"]]},
-                             ["validate", "@bad"], "delta", None),
+                             ["validate", "@bad"], "delta[0]", None),
     "quillen-delta-target": ({**QUILLEN, "delta": [["a", "zz", "1/1"]]},
-                             ["validate", "@bad"], "delta", None),
+                             ["validate", "@bad"], "delta[0]", None),
     # delta[a, c] lies in the letter content a a a b, not a a b b
     "quillen-delta-not-derivation": (
         {**LABC, "delta": LABC["delta"] + [
@@ -376,6 +376,12 @@ REFUSALS = {
     "validate-element-row": ({**RECORDS["whitehead"],
                               "entries": [["a", "x"]]},
                              ["validate", "@bad"], "entries[0]", None),
+    # a key outside the source basis is refused at its row of entries
+    "element-entries-key": ({**RECORDS["whitehead"],
+                             "entries": [["a", "y", "1/1"],
+                                         ["zz", "y", "1/1"]]},
+                            ["mc-check", "s3", "pi_s2", "@bad"], "entries[1]",
+                            None),
     # a later row would silently replace the earlier one
     "delta-repeated-row": ({**RECORDS["cp2_model"],
                             "delta": [["b", "a", "a", "1/1"],
@@ -576,7 +582,10 @@ def test_coalgebra_that_is_not_cocommutative_is_refused(files, capsys, argv):
                 {"name": "c", "degree": 4}],
       "d": [["c", "b", "1/1"], ["b", "a", "1/1"]], "delta": []},
      "d", "d^2 != 0 on 'B', first at 'c'"),
-], ids=["coassociative", "coderivation", "square-zero"])
+    ({"basis": [{"name": "a", "degree": 2}, {"name": "b", "degree": 4}],
+      "d": [["b", "a", "1/1"]], "delta": []},
+     "d", "map d: image of 'b' hits degree 2, expected 3"),
+], ids=["coassociative", "coderivation", "square-zero", "d-degree"])
 def test_coalgebra_records_are_validated_where_they_are_read(
         tmp_path, capsys, record, where, message):
     path = tmp_path / "c.json"
@@ -1349,12 +1358,12 @@ def _homotopic_certificate(files, capsys, g):
     ("eta2", {"witness_kind": "twisted-betti",
               "witness": {"betti_x": [], "betti_y": [[3, 1], [3, 0]]}},
      "witness.betti_y[1]"),
-    ("eta2", {"x": [["zz", "H3_0", "1/1"]]}, "x"),
-    ("eta2", {"y": [["a", "zz", "1/1"]]}, "y"),
+    ("eta2", {"x": [["zz", "H3_0", "1/1"]]}, "x[0]"),
+    ("eta2", {"y": [["a", "zz", "1/1"]]}, "y[0]"),
     ("eta2", {"y": [["a", "H2_0", "1/1"]]}, "y"),
     ("eta1", {"paths": [{"poly_bound": 1,
                          "p_parts": [[0, []], [1, [["zz", "H3_0", "1/1"]]]]}]},
-     "paths[0].p_parts[1]"),
+     "paths[0].p_parts[1][0]"),
     ("eta2", {"witness_kind": "rigid-stage", "witness": {}},
      "witness.degree"),
     ("eta2", {"witness_kind": "rigid-stage", "witness": {"degree": "3"}},
@@ -1381,7 +1390,7 @@ def test_malformed_certificate_fields_are_refused(files, capsys, command,
     ({"C": "nope"}, "C"), ({"L": 5}, "L"), ({"path": "nope"}, "path"),
     ({"path": {"poly_bound": 1, "q_parts": {}}}, "path.q_parts"),
     ({"path": {"poly_bound": 1, "q_parts": [[0, [["a", "zz", "1/1"]]]]}},
-     "path.q_parts[0]"),
+     "path.q_parts[0][0]"),
     ({"path": {"poly_bound": 1, "p_parts": [["0", []]]}}, "path.p_parts[0]"),
     ({"path": {"poly_bound": -1}}, "path.poly_bound"),
     ({"path": {"poly_bound": "1"}}, "path.poly_bound"),

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from convmc import matrices
-from convmc.freelie import (FreeLie, _tensor_words, br, commutator, expand,
-                            expr_degree)
+from convmc import cli, matrices
+from convmc.freelie import FreeLie, br, commutator, expand, expr_degree
 from convmc.graded import (ChainComplex, GradedSpace, add_term,
                            contraction_from_complex)
 
@@ -250,6 +254,29 @@ def test_memoized_bracket_matches_the_direct_computation(data):
                and deg[a] + deg[b] <= fl.deg_max for a, b in fl._brackets)
 
 
+def _tensor_words(letters: GradedSpace, deg_max: int) -> dict[int, list]:
+    """Tensor words by degree up to deg_max, each degree ordered by length
+    and then lexicographically in the letters' sort order: the order in
+    which the reference scan offers their left-normed brackets."""
+    keys = sorted(letters.all_keys(), key=letters.sort_key)
+    by_deg: dict[int, list] = {}
+    frontier: list[tuple[tuple, int]] = [((), 0)]
+    while frontier:
+        nxt = []
+        for word, d in frontier:
+            for k in keys:
+                nd = d + letters.degree_of[k]
+                if nd > deg_max:
+                    continue
+                w = word + (k,)
+                by_deg.setdefault(nd, []).append(w)
+                nxt.append((w, nd))
+        frontier = nxt
+    for d in by_deg:
+        by_deg[d].sort(key=lambda w: (len(w), [letters.sort_key(x) for x in w]))
+    return by_deg
+
+
 class ReferenceFreeLie:
     """The unpruned scan: every tensor word's left-normed bracket is
     offered, in the scan order, to one echelon per degree, and express
@@ -390,3 +417,67 @@ def test_express_names_the_first_failing_degree(tv, message):
     with pytest.raises(ValueError) as exc:
         ReferenceFreeLie(letters, 4).express(tv)
     assert str(exc.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_spaces().filter(
+    lambda space: len({d % 2 for d in space[0].degrees()}) == 2))
+def test_content_scan_fills_every_block_and_reads_successors_off(space):
+    letters, deg_max = space
+    fl = FreeLie(letters, deg_max)
+    deg = fl.space.degree_of
+    # every block holds its Witt dimension, and the blocks hold the basis
+    for content, (ech, elements) in fl._blocks.items():
+        assert ech.rank == len(elements) == fl._witt_dim(content, {}) > 0
+    assert sum(len(b[1]) for b in fl._blocks.values()) == \
+        fl.space.total_dim()
+    # before any bracket, the table holds the successor entries alone:
+    # [p, x] = p x for each basis element p x whose prefix p is one too
+    successors = {(e[1], e[2]): {e: F(1)} for e in fl.space.all_keys()
+                  if e[:1] == ("br",) and e[1] in fl.space}
+    assert fl._brackets == successors
+    for (p, x), value in successors.items():
+        assert list(reference_bracket(fl, {p: F(1)}, {x: F(1)}).items()) \
+            == list(value.items())
+    assert all(a in fl.space and b in fl.space
+               and deg[a] + deg[b] <= fl.deg_max for a, b in fl._brackets)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_one_letter_blocks_follow_the_closed_form(degree):
+    # x, and [x, x] for odd x: the scan never lists a longer power of one
+    # letter, and the Witt recursion agrees that each is zero
+    fl = FreeLie(GradedSpace({degree: ["x"]}, name="V"), deg_max=8 * degree)
+    for count in range(1, 9):
+        closed = int(count == 1 or (count == 2 and degree % 2 == 1))
+        assert fl._witt_dim((count,), {}) == closed
+        assert fl.dim(count * degree) == closed
+
+
+def test_a_huge_window_on_one_letter_answers_at_once():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop(cli.WINDOW_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-m", "convmc", "cobar", "s2", "--window",
+         "100000000"], env=env, capture_output=True, text=True, timeout=10)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0 or (
+        done.returncode == 2
+        and json.loads(done.stderr)["where"] == "--window")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cobar", "s2vs3", "--window", "40"],
+    ["transfer", "s2vs3", "--window", "40"],
+    ["cobar", "s2xs2", "--window", "1000000"]], ids=["cobar", "transfer",
+                                                     "cobar-huge"])
+def test_a_window_past_the_basis_cap_is_refused(capsys, monkeypatch, argv):
+    monkeypatch.delenv(cli.WINDOW_ENV, raising=False)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["where"] == "--window"
+    assert "passes 32768 elements" in err["error"]
