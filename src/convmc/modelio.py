@@ -51,7 +51,7 @@ import json
 from operator import itemgetter
 
 from . import words as wd
-from .freelie import FreeLie
+from .freelie import BasisTooLarge, FreeLie
 from .gauge import Distinct, Equal, GaugePath, Unknown
 from .graded import ChainComplex, GradedMap, GradedSpace
 from .matrices import scalar
@@ -343,7 +343,10 @@ def quillen_to_record(Q: QuillenModel) -> dict:
 def quillen_from_record(rec: dict) -> QuillenModel:
     name = rec.get("name", "")
     letters = space_from_json(rec.get("letters", []), name, "letters")
-    fl = FreeLie(letters, _int(rec.get("deg_max"), "deg_max"))
+    try:
+        fl = FreeLie(letters, _int(rec.get("deg_max"), "deg_max"))
+    except BasisTooLarge as exc:
+        raise ModelFileError("deg_max", str(exc)) from None
     cols = entries_from_json(rec.get("delta", []), "delta", fl.space,
                              fl.space)
     given = map_from_columns(cols, "delta", fl.space, fl.space, -1)

@@ -183,7 +183,10 @@ class SymmetricOperations:
     An optional compute hook supplies the values of the arities listed
     in arities on demand (for structures whose full table would be
     wasteful to materialize); computed values are degree-checked and
-    cached in the tables.
+    cached in the tables.  value sorts its letters, then reads
+    sorted_value, the lookup on a sorted word; only callers that hold
+    sorted blocks (the Jacobi and transfer coderivation sums) call it,
+    and they must not change the cached vector it returns.
     """
 
     symbol = "op"
@@ -232,9 +235,11 @@ class SymmetricOperations:
         if len(args) != n:
             raise ValueError(f"arity-{n} operation on {len(args)} letters")
         sw = wd.sort_letters(self.space, args)
-        if sw is None:
-            return {}
-        word, sign = sw
+        val = sw and self.sorted_value(n, sw[0])
+        return vec_scale(sw[1], val) if val else {}
+
+    def sorted_value(self, n: int, word: tuple) -> Vec:
+        """The stored or computed value on a sorted n-letter word."""
         table = self.tables.setdefault(n, {})
         val = table.get(word)
         if val is None:
@@ -244,7 +249,7 @@ class SymmetricOperations:
                    if c}
             self._check_degree(n, word, val)
             table[word] = val
-        return vec_scale(sign, val) if val else {}
+        return val
 
     def multi(self, n: int, vecs: Sequence[Vec]) -> Vec:
         """Multilinear extension of the arity-n operation to vectors."""
@@ -295,7 +300,8 @@ class LInfinityAlgebra(SymmetricOperations):
         inner = [j for j in range(1, len(word) + 1)
                  if j in self.arities or self.tables.get(j)]
         out: Vec = {}
-        for seq, c in wd.coderivation_terms(self.bracket, inner, degs, word):
+        for seq, c in wd.coderivation_terms(self.sorted_value, inner, degs,
+                                            word):
             for k, cc in self.bracket(len(seq), seq).items():
                 add_term(out, k, c * cc)
         return out

@@ -163,8 +163,8 @@ class TransferredLInfinity:
             # with h = 0 a shorter bracket leaves a word hhat kills
             arities = (self._delta_arities if self._h_support
                        else [n] if n in self._delta_arities else [])
-            for seq, ck in wd.coderivation_terms(amb.bracket, arities, degs,
-                                                 word):
+            for seq, ck in wd.coderivation_terms(amb.sorted_value, arities,
+                                                 degs, word):
                 wd.add_word(letters, out, seq, ck * c)
         return out
 

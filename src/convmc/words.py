@@ -17,6 +17,9 @@ Conventions pinned here and relied on everywhere downstream:
   * coderivation_terms is the single coderivation sum: each arity-n
     corestriction acts on the chosen front block, each unordered position
     subset counted once, and its letter goes in front of the rest.  The
+    blocks of a sorted word are sorted.  The whole word and the single
+    letters, skipped where their value is zero, are split directly, each
+    value read once; only the arities between go through unshuffles.  The
     bar differential (coderivation), the Jacobi sum of an L-infinity
     algebra and the transfer's bracket coderivation all read it, and so
     does the source side of the infinity-morphism identity in the tests.
@@ -58,22 +61,25 @@ def sort_letters(letters: GradedSpace, seq: Sequence[Key]):
     """Sort a tuple of letters into canonical order with the Koszul sign.
 
     Returns (word, sign), or None when the word vanishes because of a
-    repeated odd letter.
+    repeated odd letter.  Each letter's sort key and parity are read once.
     """
     sign = 1
     out: list = []
+    keys: list = []
+    odds: list = []
     for let in seq:
-        d = letters.degree_of[let]
         k = letters.sort_key(let)
-        j = len(out)
-        while j > 0 and letters.sort_key(out[j - 1]) > k:
-            if (d * letters.degree_of[out[j - 1]]) % 2:
-                sign = -sign
+        odd = letters.degree_of[let] % 2
+        j = len(keys)
+        while j and keys[j - 1] > k:
             j -= 1
-        out.insert(j, let)
-    for a, b in zip(out, out[1:]):
-        if a == b and letters.degree_of[a] % 2:
+            if odd and odds[j]:
+                sign = -sign
+        if odd and j and keys[j - 1] == k:
             return None
+        out.insert(j, let)
+        keys.insert(j, k)
+        odds.insert(j, odd)
     return tuple(out), sign
 
 
@@ -208,9 +214,20 @@ def coderivation_terms(op: Callable[[int, tuple], Vec], arities: Iterable[int],
     (let,) + rest.  degs[i] is the degree of word[i].
     """
     for n in arities:
-        for block, rest, sign in unshuffles(degs, word, n):
-            for let, c in op(n, block).items():
-                yield (let,) + rest, sign * c
+        if n == len(word):
+            for let, c in op(n, word).items():
+                yield (let,), c
+        elif n == 1:
+            before = 0  # degree of the letters before position i
+            for i, let in enumerate(word):
+                for k, c in op(1, (let,)).items():
+                    yield ((k,) + word[:i] + word[i + 1:],
+                           -c if before * degs[i] % 2 else c)
+                before += degs[i]
+        else:
+            for block, rest, sign in unshuffles(degs, word, n):
+                for let, c in op(n, block).items():
+                    yield (let,) + rest, sign * c
 
 
 def coderivation(components: dict[int, Callable[[tuple], Vec]],
@@ -223,14 +240,12 @@ def coderivation(components: dict[int, Callable[[tuple], Vec]],
     homogeneous of the given degree; the value on a word sums
     coderivation_terms sorted back into words.
     """
-    def op(n, block):
-        return components[n](block)
-
     out = GradedMap(words, words, degree, name=name)
     for word in words.all_keys():
         degs = [letters.degree_of[let] for let in word]
         col: Vec = {}
-        for seq, c in coderivation_terms(op, components, degs, word):
+        for seq, c in coderivation_terms(lambda n, b: components[n](b),
+                                         components, degs, word):
             add_word(letters, col, seq, c)
         if col:
             out.set_column(word, col)

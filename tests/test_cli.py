@@ -354,6 +354,10 @@ REFUSALS = {
                 ["validate", "@bad"], "arities", None),
     "quillen-deg-max": ({**QUILLEN, "deg_max": "3"}, ["validate", "@bad"],
                         "deg_max", None),
+    # letters a1, b2 through degree 200 pass freelie.BASIS_CAP
+    "quillen-deg-max-cap": ({**QUILLEN, "letters": [
+        {"name": "a", "degree": 1}, {"name": "b", "degree": 2}],
+        "deg_max": 200}, ["validate", "@bad"], "deg_max", None),
     "quillen-delta-source": ({**QUILLEN, "delta": [["zz", "a", "1/1"]]},
                              ["validate", "@bad"], "delta[0]", None),
     "quillen-delta-target": ({**QUILLEN, "delta": [["a", "zz", "1/1"]]},

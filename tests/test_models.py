@@ -166,14 +166,16 @@ def test_jacobi_failure_detected():
 @st.composite
 def bracket_tables(draw, low):
     """Up to five letters in degrees low..4 and a few random values of l_2,
-    and sometimes of l_3, each in the degree |w| - 1: some tables satisfy
-    every Jacobi identity and some do not."""
+    and sometimes of l_1 and of l_3, each in the degree |w| - 1: some
+    tables satisfy every Jacobi identity and some do not."""
     degrees = draw(st.lists(st.integers(low, 4), min_size=1, max_size=5))
     by_deg: dict[int, list] = {}
     for i, d in enumerate(degrees):
         by_deg.setdefault(d, []).append(f"e{i}")
     sp = GradedSpace(by_deg, name="L")
     arities = [2, 3] if draw(st.booleans()) else [2]
+    if draw(st.booleans()):
+        arities.insert(0, 1)
     brackets: dict[int, dict] = {}
     for n in arities:
         words = [w for w in wd.canonical_words(sp, n)

@@ -7,7 +7,8 @@ from typing import Callable, Iterator, Sequence
 from hypothesis import given, settings, strategies as st
 
 from convmc import words as wd
-from convmc.graded import GradedMap, GradedSpace, tensor_terms
+from convmc.graded import GradedMap, GradedSpace, TensorSpace, tensor_terms
+from convmc.models import IntervalForms
 
 F = Fraction
 
@@ -27,6 +28,43 @@ def test_sort_letters_signs():
     assert wd.sort_letters(L, ("a", "a")) is None
     # repeated even letter is fine
     assert wd.sort_letters(L, ("u", "u")) == (("u", "u"), 1)
+
+
+def sort_by_inversions(L, seq):
+    """sort_letters by definition: a stable sort on sort_key, with the
+    sign (-1)^(number of position pairs of two odd letters out of order),
+    and None when an odd letter repeats."""
+    odd = [L.degree_of[let] % 2 for let in seq]
+    if any(o and seq.count(let) > 1 for let, o in zip(seq, odd)):
+        return None
+    keys = [L.sort_key(let) for let in seq]
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2)
+                     if keys[i] > keys[j] and odd[i] and odd[j])
+    order = sorted(range(len(seq)), key=keys.__getitem__)
+    return tuple(seq[i] for i in order), (-1) ** inversions
+
+
+@st.composite
+def letter_tuples(draw):
+    """A letter space, graded or a TensorSpace over IntervalForms (whose
+    dt shifts parity), and a tuple of up to six of its letters, repeats
+    allowed."""
+    degrees = draw(st.lists(st.integers(-2, 4), min_size=1, max_size=5))
+    by_deg: dict[int, list] = {}
+    for i, d in enumerate(degrees):
+        by_deg.setdefault(d, []).append(f"e{i}")
+    L = GradedSpace(by_deg, name="L")
+    if draw(st.booleans()):
+        L = TensorSpace(IntervalForms(1), L)
+    keys = L.all_keys()
+    return L, tuple(draw(st.lists(st.sampled_from(keys), max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(letter_tuples())
+def test_sort_letters_is_a_stable_sort_with_the_odd_inversion_sign(case):
+    L, seq = case
+    assert wd.sort_letters(L, seq) == sort_by_inversions(L, seq)
 
 
 def test_canonical_words_are_the_words_sort_letters_keeps():
@@ -179,6 +217,47 @@ def sphere_bracket(block):
     if block == ("x", "x"):
         return {"y": F(1)}
     return {}
+
+
+def coderivation_terms_by_subsets(op, arities, degs, word):
+    """The coderivation sum by its definition, the reference for
+    wd.coderivation_terms: for each n in arities, every n-subset of the
+    positions in unshuffles order, op on the block in front of the rest
+    with the unshuffle sign."""
+    for n in arities:
+        for block, rest, sign in wd.unshuffles(degs, word, n):
+            for let, c in op(n, block).items():
+                yield (let,) + rest, sign * c
+
+
+@settings(max_examples=200, deadline=2000)
+@given(letter_spaces(), st.integers(0, 5), st.data())
+def test_coderivation_terms_are_the_subset_sum_in_its_order(L, m, data):
+    words = list(wd.canonical_words(L, m))
+    word = data.draw(st.sampled_from(words)) if words else ()
+    m = len(word)
+    degs = [L.degree_of[let] for let in word]
+    # arities 1 and len(word) always, in a drawn order, among others
+    arities = data.draw(st.permutations(sorted(
+        set(data.draw(st.lists(st.integers(1, 6), max_size=3)))
+        | {1, max(m, 1)})))
+    zeros = data.draw(st.sets(st.sampled_from(L.all_keys())))
+
+    def op(n, block):
+        # zero on the drawn letters, two output letters elsewhere
+        calls.append((n, block))
+        if zeros.intersection(block):
+            return {}
+        return {("o", block): n + len(zeros), ("p", n): -1}
+
+    calls: list = []
+    got = list(wd.coderivation_terms(op, arities, degs, word))
+    got_calls, calls = calls, []
+    want = [(seq, c) for seq, c in
+            coderivation_terms_by_subsets(op, arities, degs, word) if c]
+    assert got == want
+    # one read per block
+    assert got_calls == calls
 
 
 def test_coderivation_sphere_values():
