@@ -104,7 +104,7 @@ class CobarAlgebra(QuillenModel):
     cobar differential, in classical degrees.
 
     The letter keys are the coalgebra's own basis keys, one classical
-    degree down.  shifted() is the degree +1 presentation used by every
+    degree down.  as_linfty() is the degree +1 presentation used by every
     consumer that mixes cobar output with convolution carriers, and
     exact_through is the last shifted degree with complete homology.
     """
@@ -115,17 +115,11 @@ class CobarAlgebra(QuillenModel):
         self.C = C
         self.degree_max = degree_max
         self.exact_through = degree_max - 1
-        self._shifted: LInfinityAlgebra | None = None
-
-    def shifted(self) -> LInfinityAlgebra:
-        if self._shifted is None:
-            self._shifted = self.as_linfty()
-        return self._shifted
 
     def inclusion(self) -> GradedMap:
         """Generator inclusion C -> cobar(C) in the shifted presentation,
         degree 0; generators above the truncation are dropped."""
-        sh = self.shifted().space
+        sh = self.as_linfty().space
         cols = {c: {c: ONE} for c in self.C.space.all_keys() if c in sh}
         return GradedMap(self.C.space, sh, 0, cols, name="iota")
 

@@ -51,7 +51,8 @@ from . import hopf, mapping, modelio
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
 from .freelie import BasisTooLarge
-from .gauge import Distinct, Equal, GaugePath, Unknown, point_record
+from .gauge import (Distinct, Equal, GaugePath, NotMaurerCartan, Unknown,
+                    point_record)
 from .graded import ChainComplex, lru
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
 from .models import (CdgCoalgebra, JacobiError, LInfinityAlgebra,
@@ -271,13 +272,16 @@ def _conv_and_tau(args):
     return conv, tau
 
 
-def _require_mc(args, conv: ConvolutionAlgebra, tau) -> None:
-    """Refuse the element argument unless tau is Maurer-Cartan, by the
-    residual of its record, which the library then reads again."""
-    rows = modelio.gmap_to_json(point_record(conv, tau).residual)
-    if rows:
-        raise ModelFileError(args.tau, "not a Maurer-Cartan element, "
-                             f"residual {json.dumps(rows)}")
+def _require_mc(where: str, record):
+    """record(), the checked element (gauge.PointRecord) it makes from the
+    element argument at where, which the library then takes; an element
+    that is not Maurer-Cartan is refused at where, with its residual."""
+    try:
+        return record()
+    except NotMaurerCartan as exc:
+        rows = modelio.gmap_to_json(exc.residual)
+        raise ModelFileError(where, "not a Maurer-Cartan element, "
+                             f"residual {json.dumps(rows)}") from None
 
 
 def cmd_mc_check(args) -> int:
@@ -291,8 +295,7 @@ def cmd_mc_check(args) -> int:
 
 def cmd_twist(args) -> int:
     conv, tau = _conv_and_tau(args)
-    _require_mc(args, conv, tau)
-    tw = conv.twisted_complex(tau)
+    tw = conv.twist(_require_mc(args.tau, lambda: point_record(conv, tau)))
     _emit(args, {"kind": "twist_report",
                  "betti": modelio._betti_to_json(tw.betti()),
                  "differential": modelio.gmap_to_json(tw.d)})
@@ -303,8 +306,8 @@ def cmd_pi(args) -> int:
     conv, tau = _conv_and_tau(args)
     if args.n < 1:
         raise ModelFileError("--n", "component homotopy starts at n = 1")
-    _require_mc(args, conv, tau)
-    reps = mapping.pi_of_component(conv, tau, args.n)
+    reps = mapping.pi_of_component(
+        _require_mc(args.tau, lambda: point_record(conv, tau)), args.n)
     classes = [{"name": modelio.encode_key(k),
                 "representative": modelio.entries_to_json({k: v})}
                for k, v in reps.items()]
@@ -317,8 +320,8 @@ def cmd_hopf(args) -> int:
     C = _load(args.C, (CdgCoalgebra,))
     D = _load(args.D, (CdgCoalgebra,))
     model = _loop_model(args, D, C)
-    value = hopf.mc_of_map(model, C, _load_element(args.map))
-    moduli = point_record(model.hom(C), value).normal_form
+    moduli = _require_mc(args.map, lambda: hopf.mc_of_map(
+        model, C, _load_element(args.map))).normal_form
     _emit(args, {"kind": "hopf_report",
                  "source": C.name, "target": D.name,
                  "window": model.degree_max,
@@ -332,9 +335,9 @@ def cmd_hopf(args) -> int:
 def cmd_homotopic(args) -> int:
     C = _load(args.C, (CdgCoalgebra,))
     model = _loop_model(args, _load(args.D, (CdgCoalgebra,)), C)
-    x, y = (hopf.mc_of_map(model, C, _load_element(arg))
-            for arg in (args.f, args.g))
-    cert = hopf.maps_homotopic(model, C, x, y)
+    x, y = (_require_mc(arg, lambda: hopf.mc_of_map(
+        model, C, _load_element(arg))) for arg in (args.f, args.g))
+    cert = hopf.maps_homotopic(x, y)
     rec = {"kind": "homotopy_report", "outcome": cert.outcome,
            "window": model.degree_max,
            "certificate": modelio.certificate_to_record(cert)}

@@ -38,9 +38,10 @@ for the elementary maps e_(c, x) at many carrier keys in one walk over
 the coproduct words: a word's first letter picks the columns it feeds,
 its tail is read off tau once for all of them, and its slots carry no
 sign, because nothing stands in front of e_(c, x) and tau has degree 0.
-twist and its unchecked twisted_complex (a ChainComplex on the
-carrier), the gauge flow rates and twisted_differential (the gauge
-flow's vector field) read it, so d^tau has one code path.
+twist (a ChainComplex on the carrier), the gauge flow rates and
+twisted_differential (the gauge flow's vector field) read it, so d^tau
+has one code path.  twist takes a checked element, a gauge.PointRecord
+of the same algebra, and has no unchecked twin.
 barcobar.twisting_residual, transfer.push_mc and
 transfer.push_path call convolve with weight 1/n! and, in turn, the
 brackets of L, the components of an infinity-morphism and those
@@ -64,7 +65,7 @@ from functools import cached_property
 from math import factorial
 
 from .graded import (ChainComplex, GradedMap, GradedSpace, Key, Vec, add_term,
-                     exact_repr, tensor_terms)
+                     tensor_terms)
 from .matrices import ONE
 from .models import CdgCoalgebra, LInfinityAlgebra
 
@@ -122,8 +123,8 @@ class ConvolutionAlgebra:
         self._arity: int | None = None
         self._l1_cols: dict[Key, Vec] = {}
         # what the gauge decision derives from single Maurer-Cartan
-        # points (gauge.point_record, whose residual is also the one
-        # Maurer-Cartan check of mapping, hopf and the CLI) and from the
+        # points (gauge.point_record, whose records are the checked
+        # elements that mapping, hopf and the CLI take) and from the
         # algebra alone (gauge._algebra_memo; modelio keeps the records
         # of C and L there)
         self.point_memo: OrderedDict[tuple, object] = OrderedDict()
@@ -299,25 +300,16 @@ class ConvolutionAlgebra:
         return self.differential_of(tau) + self.series([tau], -1,
                                                        lambda n: ONE)
 
-    def twist(self, tau: GradedMap,
-              residual: GradedMap | None = None) -> ChainComplex:
-        """The carrier with the differential twisted by a Maurer-Cartan
-        element: d^tau(f) = sum 1/n! l_{n+1}(f, tau, ..., tau).  Refuses
-        a tau whose residual is not zero; residual is mc_check(tau), for
-        a caller that holds it (the point's gauge.PointRecord)."""
-        res = self.mc_check(tau) if residual is None else residual
-        if not res.is_zero():
-            raise ValueError(
-                "cannot twist by a non-MC element, residual "
-                f"{exact_repr(res.entries)}")
-        return self.twisted_complex(tau)
-
-    def twisted_complex(self, tau: GradedMap) -> ChainComplex:
-        """twist without the Maurer-Cartan check, for a caller that has
-        just seen the residual of tau vanish; d o d = 0 is still
-        asserted."""
+    def twist(self, x) -> ChainComplex:
+        """The carrier with the differential twisted by the Maurer-Cartan
+        element x.x of the record x (a gauge.PointRecord, which checked
+        it): d^x(f) = sum 1/n! l_{n+1}(f, x, ..., x).  Refuses a record of
+        another algebra; d o d = 0 is still asserted."""
+        if x.conv is not self:
+            raise ValueError(f"cannot twist {self.name} by an element of "
+                             f"{x.conv.name}")
         d = GradedMap(self.carrier, self.carrier, -1,
-                      self.twisted_columns(tau, self.carrier.all_keys()),
+                      self.twisted_columns(x.x, self.carrier.all_keys()),
                       name="d^tau")
         if not d.compose(d).is_zero():
             raise AssertionError("twisted differential does not square to zero")

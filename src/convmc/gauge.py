@@ -46,13 +46,12 @@ per pair only for comparisons:
   moves on the stage column, and the Coset and Span of those moves), or,
   when no bracket survives, the one stage _abelian_stage, whose moves are
   all the effects;
-- per point, one PointRecord in ConvolutionAlgebra.point_memo, with four
-  fields each computed at most once: residual (the Maurer-Cartan
-  residual), invariant (the sweep invariant below), normal_form (the
-  staged normal form) and betti (the nonzero twisted Betti numbers).
-  The store is an LRU of the _POINTS_CAP points used last, keyed by the
-  degree and exact coefficients of the point, and mapping.components
-  reads its candidates' residuals and normal forms from it.
+- per point, one PointRecord in ConvolutionAlgebra.point_memo, with
+  three fields each computed at most once: invariant (the sweep
+  invariant below), normal_form (the staged normal form) and betti (the
+  nonzero twisted Betti numbers).  The store is an LRU of the
+  _POINTS_CAP points used last, keyed by the degree and exact
+  coefficients of the point.
 
 The rigidity sweep is a per-point invariant by the filtration of a
 one-reduced source by source degree, the filtration of the filtered
@@ -76,18 +75,23 @@ column the same span, which keeps x(t) in one coset.  Hence the first
 column where the sweep invariants of x and y differ certifies that no
 path joins them (gauge_equivalent's rigid-stage answer).
 
+A PointRecord is the checked Maurer-Cartan element: its constructor
+computes the residual once and raises NotMaurerCartan unless it is
+zero.  point_record makes the records of the component search, of
+hopf.mc_of_map and of the CLI's element arguments, and the decision,
+moduli_normal_form, ConvolutionAlgebra.twist, mapping.pi_of_component
+and hopf.maps_homotopic take them, so none of those checks a point
+again; the decision and twist refuse a record of another algebra.
 Every path the decision builds has the polynomial bound
-default_poly_bound(conv), so a point has one normal form per algebra.
-Only the decision, its helpers, mapping, hopf and the CLI read the point
-store, and a record's residual is their one Maurer-Cartan check of a
-point; the algebra store also keeps the C and L
-records that modelio writes into every certificate over the algebra.
-Every verify() and path_check recompute from scratch, the columns,
-sweep invariants and twisted Betti numbers included, and never read a
-record, so a certificate is checked again rather than looked up, and a
-stale or damaged entry cannot make a wrong answer verify; a damaged
-stage that predicts a wrong flow endpoint fails the stage-flow
-assertions instead.
+default_poly_bound(conv), so a point has one normal form per algebra;
+the algebra store also keeps the C and L records that modelio writes
+into every certificate over the algebra.  Every verify() and
+path_check recompute from scratch, the columns, sweep invariants and
+twisted Betti numbers included, and never read the store
+(Distinct.verify twists by fresh records), so a certificate is checked
+again rather than looked up, and a stale or damaged entry cannot make a
+wrong answer verify; a damaged stage that predicts a wrong flow
+endpoint fails the stage-flow assertions instead.
 """
 
 from __future__ import annotations
@@ -330,28 +334,30 @@ class Distinct:
         self.witness = witness
 
     def verify(self) -> bool:
-        conv, x, y = self.conv, self.x, self.y
-        if not conv.mc_check(x).is_zero() or not conv.mc_check(y).is_zero():
+        conv = self.conv
+        try:
+            # fresh records, never the store's
+            x, y = PointRecord(conv, self.x), PointRecord(conv, self.y)
+        except NotMaurerCartan:
             return False
         if self.kind == "rigid-stage":
             columns = _columns(conv)
             return _first_difference(
-                _sweep_invariant(conv, x, columns),
-                _sweep_invariant(conv, y, columns)) == self.witness["degree"]
+                _sweep_invariant(conv, x.x, columns),
+                _sweep_invariant(conv, y.x, columns)) == self.witness["degree"]
         if self.kind == "homology-class":
-            dv = conv.to_vec(y - x)
+            dv = conv.to_vec(y.x - x.x)
             if conv.arity_window() > 1 or not dv:
                 return False
-            tw = conv.twisted_complex(x)
+            tw = conv.twist(x)
             if tw.d.apply(dv):
                 return False
             bnd = [tw.d.entries.get(k, {}) for k in conv.carrier.basis(1)]
             return Span(bnd).coords(dv) is None
         if self.kind == "twisted-betti":
-            bx = _twisted_betti(conv, x)
-            by = _twisted_betti(conv, y)
-            return (bx, by) == (self.witness["betti_x"],
-                                self.witness["betti_y"]) and bx != by
+            return (x.betti, y.betti) == (self.witness["betti_x"],
+                                          self.witness["betti_y"]) \
+                and x.betti != y.betti
         return False
 
     def __repr__(self):
@@ -396,13 +402,6 @@ class ModuliClass:
 
 def _restrict(v: Vec, keys) -> Vec:
     return {k: v[k] for k in keys if k in v}
-
-
-def _twisted_betti(conv: ConvolutionAlgebra, x: GradedMap) -> dict[int, int]:
-    """The nonzero Betti numbers of the carrier twisted by x, a point
-    whose Maurer-Cartan residual the caller has just seen vanish."""
-    return {k: v for k, v in sorted(conv.twisted_complex(x).betti().items())
-            if v}
 
 
 def _combine(vectors: list[Vec], coeffs) -> Vec:
@@ -529,10 +528,9 @@ def _reduce(conv: ConvolutionAlgebra, stage: tuple, v: Vec) -> tuple:
                             1)
 
 
-def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
-                       residual: GradedMap | None = None) -> ModuliClass:
-    """Greedy staged reduction of a Maurer-Cartan element to a canonical
-    coset representative, with the realizing gauge paths.
+def moduli_normal_form(x: PointRecord) -> ModuliClass:
+    """Greedy staged reduction of a Maurer-Cartan element, the record x,
+    to a canonical coset representative, with the realizing gauge paths.
 
     In the abelian case (no brackets survive the arity window) the orbit
     of x is exactly x + im(d), so the one stage, _abelian_stage over
@@ -544,16 +542,8 @@ def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
     column, so the reduction is exact, deterministic, and idempotent,
     but normal forms of equivalent elements are only guaranteed to agree
     when the moves available to general paths are stage-local too.
-
-    Refuses an x whose Maurer-Cartan residual is not zero; residual is
-    conv.mc_check(x), for a caller that holds it (the point's
-    PointRecord).
     """
-    res = conv.mc_check(x) if residual is None else residual
-    if not res.is_zero():
-        raise ValueError(
-            "normal form of a non-MC element, residual "
-            f"{exact_repr(res.entries)}")
+    conv = x.conv
     if conv.arity_window() <= 1:
         # one stage over every degree-0 column; the source is one-reduced,
         # so no finished column lies below degree 1
@@ -563,7 +553,7 @@ def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
         stages = _algebra_memo(conv, _stages)
     poly_bound = default_poly_bound(conv)
     cdeg = conv.C.space.degree_of
-    current = x
+    current = x.x
     chain: list[GaugePath] = []
     for p, basis_p, stage in stages:
         red, lam = _reduce(conv, stage,
@@ -579,7 +569,7 @@ def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
             raise AssertionError("stage flow missed its predicted column")
         chain.append(path)
         current = end
-    return ModuliClass(conv, x, current, tuple(chain))
+    return ModuliClass(conv, x.x, current, tuple(chain))
 
 
 # -- the decision --------------------------------------------------------
@@ -588,29 +578,38 @@ def moduli_normal_form(conv: ConvolutionAlgebra, x: GradedMap,
 _POINTS_CAP = 64
 
 
-class PointRecord:
-    """What the decision derives from the point x of conv, each field
-    computed on first use and then kept: residual (the Maurer-Cartan
-    residual), invariant (the sweep invariant over the algebra's kept
-    columns), normal_form (the staged normal form) and betti (the
-    nonzero twisted Betti numbers).  normal_form and betti read the kept
-    residual as their Maurer-Cartan gate instead of computing it again;
-    no verify() reads a record.
+class NotMaurerCartan(ValueError):
+    """The refusal of a point whose Maurer-Cartan residual, kept as
+    residual, is not zero."""
 
-    A record lives as long as conv keeps it: until _POINTS_CAP other
-    points of conv have been used since, or conv itself is dropped.  An
-    algebra built for one call dies with the call; the algebra of a
-    source over a loop model (hopf.LoopHomology.hom) lives in the model,
-    so a record of it lasts across calls until the model's LRU of
-    algebras or the model cache evicts it."""
+    def __init__(self, residual: GradedMap):
+        super().__init__("not a Maurer-Cartan element, residual "
+                         f"{exact_repr(residual.entries)}")
+        self.residual = residual
+
+
+class PointRecord:
+    """The Maurer-Cartan element x of conv, checked: the constructor
+    computes the residual once and raises NotMaurerCartan unless it is
+    zero.  What the decision derives from x is computed on first use and
+    then kept: invariant (the sweep invariant over the algebra's kept
+    columns), normal_form (the staged normal form) and betti (the
+    nonzero twisted Betti numbers).
+
+    A record of the store lives as long as conv keeps it: until
+    _POINTS_CAP other points of conv have been used since, or conv
+    itself is dropped.  An algebra built for one call dies with the
+    call; the algebra of a source over a loop model
+    (hopf.LoopHomology.hom) lives in the model, so a record of it lasts
+    across calls until the model's LRU of algebras or the model cache
+    evicts it."""
 
     def __init__(self, conv: ConvolutionAlgebra, x: GradedMap):
+        residual = conv.mc_check(x)
+        if not residual.is_zero():
+            raise NotMaurerCartan(residual)
         self.conv = conv
         self.x = x
-
-    @cached_property
-    def residual(self) -> GradedMap:
-        return self.conv.mc_check(self.x)
 
     @cached_property
     def invariant(self) -> list[tuple]:
@@ -619,15 +618,12 @@ class PointRecord:
 
     @cached_property
     def normal_form(self) -> ModuliClass:
-        return moduli_normal_form(self.conv, self.x, self.residual)
+        return moduli_normal_form(self)
 
     @cached_property
     def betti(self) -> dict[int, int]:
-        # the twisted complex is built without a residual of its own: the
-        # record's residual is the check
-        if not self.residual.is_zero():
-            raise ValueError("twisted Betti numbers of a non-MC element")
-        return _twisted_betti(self.conv, self.x)
+        return {k: v for k, v in sorted(self.conv.twist(self).betti().items())
+                if v}
 
 
 def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:
@@ -636,7 +632,8 @@ def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:
 
 def point_record(conv: ConvolutionAlgebra, x: GradedMap) -> PointRecord:
     """The record of x in conv.point_memo, an LRU of the _POINTS_CAP
-    points used last; one record per _point_key."""
+    points used last; one record per _point_key.  A point that is not
+    Maurer-Cartan raises NotMaurerCartan and is not kept."""
     return lru(conv.point_memo, _POINTS_CAP, _point_key(conv, x),
                lambda: PointRecord(conv, x))
 
@@ -655,46 +652,38 @@ def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
     return Equal(conv, x, y, (path,))
 
 
-def gauge_equivalent(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
-    """Decide gauge equivalence of two Maurer-Cartan elements.
+def gauge_equivalent(x: PointRecord, y: PointRecord):
+    """Decide gauge equivalence of two Maurer-Cartan elements, the records
+    x and y of one algebra; records of two algebras are refused.
 
     Returns Equal with a verifiable chain of paths, Distinct with a
     verifiable unreachability argument, or Unknown.  Unknown is reserved
     for the genuinely undecided case: normal forms differ but no sound
     separating invariant applies at this arity window.
 
-    Everything is read from the two points' records.  The records are
-    one per point key, so x and y are equal exactly when their records
-    are the same.  The rigid-stage answer is the first column where the
-    sweep invariants differ, a gauge invariant by the filtration lemma
-    of the module docstring; its verify() computes the columns and both
-    invariants from scratch.
+    Everything is read from the two records.  The rigid-stage answer is
+    the first column where the sweep invariants differ, a gauge
+    invariant by the filtration lemma of the module docstring; its
+    verify() computes the columns and both invariants from scratch.
     """
-    px = point_record(conv, x)
-    if not px.residual.is_zero():
-        raise ValueError(
-            "first element is not Maurer-Cartan, residual "
-            f"{exact_repr(px.residual.entries)}")
-    py = point_record(conv, y)
-    if not py.residual.is_zero():
-        raise ValueError(
-            "second element is not Maurer-Cartan, residual "
-            f"{exact_repr(py.residual.entries)}")
+    conv = x.conv
+    if y.conv is not conv:
+        raise ValueError(f"elements of two algebras, {conv.name} and "
+                         f"{y.conv.name}, cannot be compared")
     poly_bound = default_poly_bound(conv)
-    if px is py:
-        return Equal(conv, x, y, (constant_path(conv, x, poly_bound),))
+    if conv.to_vec(x.x) == conv.to_vec(y.x):
+        return Equal(conv, x.x, y.x, (constant_path(conv, x.x, poly_bound),))
     if conv.arity_window() <= 1:
-        return _abelian_decide(conv, x, y, poly_bound)
-    stage = _first_difference(px.invariant, py.invariant)
+        return _abelian_decide(conv, x.x, y.x, poly_bound)
+    stage = _first_difference(x.invariant, y.invariant)
     if stage is not None:
-        return Distinct(conv, x, y, "rigid-stage", {"degree": stage})
-    nx, ny = px.normal_form, py.normal_form
+        return Distinct(conv, x.x, y.x, "rigid-stage", {"degree": stage})
+    nx, ny = x.normal_form, y.normal_form
     if nx.representative.equals(ny.representative):
         back = tuple(p.reversed() for p in reversed(ny.paths))
-        return Equal(conv, x, y, nx.paths + back)
-    bx, by = px.betti, py.betti
-    if bx != by:
-        return Distinct(conv, x, y, "twisted-betti",
-                        {"betti_x": dict(bx), "betti_y": dict(by)})
+        return Equal(conv, x.x, y.x, nx.paths + back)
+    if x.betti != y.betti:
+        return Distinct(conv, x.x, y.x, "twisted-betti",
+                        {"betti_x": dict(x.betti), "betti_y": dict(y.betti)})
     return Unknown("normal forms differ but no separating invariant "
                    "applies at this arity window")

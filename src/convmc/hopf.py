@@ -3,14 +3,15 @@
 A map enters as a record (see modelio): a strict morphism of coalgebra
 models ("map"), or a Maurer-Cartan element over the source with values
 in the loop homology of the target ("mc_element").  mc_of_map reads
-either straight to its canonical Maurer-Cartan element: a morphism is
-checked to commute with the differential and the coproduct and then
-pushed, an element is checked against the literal Maurer-Cartan
-equation.  The caller holds the target's loop model and the source, so
-every element it compares lives in one convolution algebra, with the
-homology representatives fixed by the pivot fingerprint of that model's
-contraction (LoopHomology.fingerprint, which a report prints with the
-moduli normal form).
+either straight to its canonical Maurer-Cartan element, checked as a
+gauge.PointRecord: a morphism is checked to commute with the
+differential and the coproduct and then pushed, an element is checked
+against the literal Maurer-Cartan equation.  The caller holds the
+target's loop model and the source, so every element it compares lives
+in one convolution algebra, with the homology representatives fixed by
+the pivot fingerprint of that model's contraction
+(LoopHomology.fingerprint, which a report prints with the moduli normal
+form).
 
 The strict-morphism pipeline runs the whole composite through verified
 machinery: the induced map of cobar constructions, precomposed with the
@@ -26,19 +27,19 @@ LoopHomology holds, in bounded LRUs:
   the _HOMS_CAP most recently used sources, keyed by the signature of the
   source coalgebra (its name and sorted reprs of its basis, d and
   coproduct, CdgCoalgebra.signature), so structurally equal sources share
-  one algebra and write the same certificate records.  mc_of_map,
-  _push_map, maps_homotopic and the hopf command all read it, so the
-  gauge.PointRecord of a point (its Maurer-Cartan residual, sweep
-  invariant and normal form) and the algebra's own memos live as long as
-  the model keeps the algebra;
-- pushed: the canonical element of each of the _PUSHED_CAP most recently
-  pushed strict maps, keyed by the source signature and the signature of
-  the morphism's table (graded.entries_signature);
+  one algebra and write the same certificate records.  mc_of_map and
+  _push_map make their records in it, so the gauge.PointRecord of a
+  point (its sweep invariant and normal form) and the algebra's own
+  memos live as long as the model keeps the algebra;
+- pushed: the record of the canonical element of each of the
+  _PUSHED_CAP most recently pushed strict maps, keyed by the source
+  signature and the signature of the morphism's table
+  (graded.entries_signature);
 - theta = p o iota of its own coalgebra.
 
 The final Maurer-Cartan check of _push_map and the check of an
-mc_element record are the residual of the point's record, which
-gauge_equivalent's gates then read instead of recomputing it.  The
+mc_element record are the construction of the point's record, which
+maps_homotopic and the hopf command then take as it is.  The
 coalgebra-morphism check of a map runs once per push, in
 barcobar.cobar_map, after the source's loop model is built or read from
 the cache: a map that is not a morphism is refused once that model
@@ -50,8 +51,8 @@ induced cobar map, both pushforward gates and the final Maurer-Cartan
 check) is stored, so a hit needs no check again, a failing map raises on
 every call, and every gate still runs in full the first time a distinct
 map meets a model.  The memos die with their model when the model cache
-evicts or clears it, and every call gets its own copy of a pushed
-element.
+evicts or clears it.  A hit hands out the stored record, not a copy:
+nothing writes into the map of a record.
 
 Over a sphere source S^n the invariant of a map is a class of pi_n of the
 target, read as the degree-n loop homology with representative addition
@@ -67,7 +68,7 @@ from functools import cached_property
 
 from .barcobar import cobar, cobar_map
 from .convolution import ConvolutionAlgebra
-from .gauge import gauge_equivalent, point_record
+from .gauge import NotMaurerCartan, PointRecord, gauge_equivalent, point_record
 from .graded import GradedMap, entries_signature, lru
 from .modelio import element_from_record
 from .models import CdgCoalgebra
@@ -89,10 +90,10 @@ class LoopHomology:
         self.algebra = self.transfer.algebra
         self.ambient = self.transfer.ambient
         self.fingerprint = self.transfer.contraction.fingerprint
-        # canonical Maurer-Cartan elements of the strict maps pushed into
-        # this model, by (source signature, morphism signature); only
-        # mc_of_map reads and fills it
-        self.pushed: OrderedDict[tuple, GradedMap] = OrderedDict()
+        # records of the canonical Maurer-Cartan elements of the strict
+        # maps pushed into this model, by (source signature, morphism
+        # signature); only mc_of_map reads and fills it
+        self.pushed: OrderedDict[tuple, PointRecord] = OrderedDict()
         # Hom(source, algebra) by source signature (hom)
         self.homs: OrderedDict[tuple, ConvolutionAlgebra] = OrderedDict()
 
@@ -133,49 +134,47 @@ def loop_homology(coalgebra: CdgCoalgebra, degree_max: int) -> LoopHomology:
 
 
 def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
-              rec: dict) -> GradedMap:
-    """Canonical Maurer-Cartan element, in Hom(H(C), H(loops D)), of the
-    map from source into the target of model that the record rec holds.
+              rec: dict) -> PointRecord:
+    """The record (gauge.PointRecord) in model.hom(source) of the canonical
+    Maurer-Cartan element, in Hom(H(C), H(loops D)), of the map from
+    source into the target of model that the record rec holds.
 
-    An mc_element record is the element itself, returned once it passes
-    the literal Maurer-Cartan equation (the residual of its record in
-    model.hom).  A map record is a strict morphism of coalgebra models,
-    checked to commute with both the differential and the coproduct; its
-    element is the composite of _push_map: classes of the source homology
-    are included into the source cobar construction by the transferred
-    infinity-morphism, carried over by the induced map of cobar
-    constructions, and pushed down to the target's homology along the
-    projection.  The check and the composite run once per distinct map
-    and target model (LoopHomology.pushed, see the module docstring);
-    every call returns a fresh copy on the caller's source.
+    An mc_element record is the element itself, checked against the
+    literal Maurer-Cartan equation by its record.  A map record is a
+    strict morphism of coalgebra models, checked to commute with both
+    the differential and the coproduct; its element is the composite of
+    _push_map: classes of the source homology are included into the
+    source cobar construction by the transferred infinity-morphism,
+    carried over by the induced map of cobar constructions, and pushed
+    down to the target's homology along the projection.  The check and
+    the composite run once per distinct map and target model
+    (LoopHomology.pushed, see the module docstring), and a hit returns
+    the stored record.
     """
+    conv = model.hom(source)
     if rec["kind"] == "mc_element":
         tau = element_from_record(rec, source.space, model.algebra.space)
         if tau.degree != 0:
             raise ValueError("a Maurer-Cartan element must have degree 0")
-        res = point_record(model.hom(source), tau).residual
-        if not res.is_zero():
-            raise ValueError("input fails the Maurer-Cartan equation on "
-                             f"{sorted(res.entries)}")
-        return tau
+        return point_record(conv, tau)
     f = element_from_record(rec, source.space, model.coalgebra.space)
     if f.degree != 0:
         raise ValueError("a coalgebra morphism must have degree 0")
     known = lru(model.pushed, _PUSHED_CAP,
                 (source.signature, entries_signature(f.entries)),
                 lambda: _push_map(model, source, f))
-    return GradedMap(source.space, known.dst, 0, known.entries,
-                     name=known.name)
+    # a record of an algebra that model.hom has evicted since is checked
+    # again in the algebra that replaced it
+    return known if known.conv is conv else point_record(conv, known.x)
 
 
 def _push_map(model: LoopHomology, C: CdgCoalgebra,
-              f: GradedMap) -> GradedMap:
+              f: GradedMap) -> PointRecord:
     """The composite of mc_of_map for a strict morphism, every gate run:
     cobar_map checks f to be a coalgebra morphism (after the loop model of
     C is built or read from the cache), the middle stage lives in the
     divided-power normalization, and the result is checked against the
-    literal Maurer-Cartan equation as the residual of its record in
-    model.hom(C)."""
+    literal Maurer-Cartan equation by its record in model.hom(C)."""
     source_model = loop_homology(C, model.degree_max)
     induced = cobar_map(f, source_model.cobar, model.cobar)
     lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,
@@ -184,18 +183,15 @@ def _push_map(model: LoopHomology, C: CdgCoalgebra,
                                  model.ambient)
     middle = push_mc(carried, C, source_model.theta)
     result = push_mc(model.projection, C, middle, residual="twisting")
-    res = point_record(model.hom(C), result).residual
-    if not res.is_zero():
-        raise ValueError("composite failed the Maurer-Cartan equation on "
-                         f"{sorted(res.entries)}; enlarge the window")
-    return result
+    try:
+        return point_record(model.hom(C), result)
+    except NotMaurerCartan as exc:
+        raise ValueError(f"composite: {exc}; enlarge the window") from None
 
 
-def maps_homotopic(model: LoopHomology, source: CdgCoalgebra,
-                   x: GradedMap, y: GradedMap):
-    """Decide whether two maps from source into the target of model are
-    homotopic, given their canonical Maurer-Cartan elements (mc_of_map):
-    the gauge certificate between them in Hom(H(C), H(loops D)), the
-    algebra model.hom keeps, whose point records hold the residuals that
-    mc_of_map has checked."""
-    return gauge_equivalent(model.hom(source), x, y)
+def maps_homotopic(x: PointRecord, y: PointRecord):
+    """Decide whether two maps into the target of a loop model are
+    homotopic, given the records of their canonical Maurer-Cartan
+    elements (mc_of_map) in one algebra model.hom(source): the gauge
+    certificate between them in Hom(H(C), H(loops D))."""
+    return gauge_equivalent(x, y)

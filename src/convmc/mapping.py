@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
-from .gauge import (Equal, ModuliClass, Unknown, gauge_equivalent,
-                    moduli_normal_form, point_record)
+from .gauge import (Equal, ModuliClass, PointRecord, Unknown,
+                    gauge_equivalent, point_record)
 from .graded import GradedMap, add_term, contraction_from_complex
 from .matrices import ONE, scalar
 from .models import (CdgCoalgebra, QuillenModel, TruncatedPolynomials,
@@ -271,7 +271,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
         if not covers:
             report.notes.append("search restricted to an empty direction "
                                 "set; only the zero map was considered")
-        report.classes.append(moduli_normal_form(conv, conv.zero_map(0)))
+        report.classes.append(point_record(conv, conv.zero_map(0)).normal_form)
         return report
 
     eqs = [p for p in _residual_polynomials(conv, pairs).values() if p]
@@ -319,16 +319,14 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
                 seen.add(key)
                 candidates.append(key)
 
+    starts: list[PointRecord] = []  # the checked start of each class
     for n, point in enumerate(candidates):
-        tau = conv.to_map({p: v for p, v in zip(pairs, point) if v},
-                          degree=0)
-        # the residual and normal form the decisions keep for tau
-        record = point_record(conv, tau)
-        if not record.residual.is_zero():
-            raise AssertionError("solver produced a non-MC point")
+        # the solver's point, checked; its record keeps the normal form
+        record = point_record(conv, conv.to_map(
+            {p: v for p, v in zip(pairs, point) if v}, degree=0))
         merged = False
-        for i, cls in enumerate(report.classes):
-            cert = gauge_equivalent(conv, tau, cls.start)
+        for i, start in enumerate(starts):
+            cert = gauge_equivalent(record, start)
             report.pairwise.append((n, i, cert))
             if isinstance(cert, Equal):
                 merged = True
@@ -339,20 +337,16 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
                     "listed as separate classes")
         if not merged:
             report.classes.append(record.normal_form)
+            starts.append(record)
     return report
 
 
-def pi_of_component(conv: ConvolutionAlgebra, tau: GradedMap,
-                    n: int) -> dict:
-    """Homotopy group of the component of tau in conv: the degree-n
-    homology of the carrier twisted by tau, as {class: representative
-    cycle in the carrier}, in the order of the contraction's homology
-    basis.  tau must satisfy the Maurer-Cartan equation; the twist
-    constructor enforces that with the residual of tau's record, which a
-    caller that has checked tau through point_record has already
-    computed."""
+def pi_of_component(x: PointRecord, n: int) -> dict:
+    """Homotopy group of the component of the Maurer-Cartan element x, a
+    gauge.PointRecord: the degree-n homology of the carrier twisted by
+    x, as {class: representative cycle in the carrier}, in the order of
+    the contraction's homology basis."""
     if n < 1:
         raise ValueError("component homotopy starts at n = 1")
-    con = contraction_from_complex(
-        conv.twist(tau, point_record(conv, tau).residual))
+    con = contraction_from_complex(x.conv.twist(x))
     return {k: con.i.column(k) for k in con.small.space.basis(n)}

@@ -52,12 +52,9 @@ from .matrices import ONE, scalar
 class Truncation:
     """Finite computation window: degrees and bracket arity."""
 
-    def __init__(self, deg_min: int, deg_max: int, arity_max: int):
-        if deg_min > deg_max:
-            raise ValueError("empty degree window")
+    def __init__(self, deg_max: int, arity_max: int):
         if arity_max < 1:
             raise ValueError("arity_max must be at least 1")
-        self.deg_min = deg_min
         self.deg_max = deg_max
         self.arity_max = arity_max
 
@@ -369,6 +366,7 @@ class QuillenModel:
         self.fl = fl
         self.delta = delta
         self.name = name
+        self._linfty: LInfinityAlgebra | None = None
 
     def leibniz_defect(self):
         """The first basis word, in basis order, where delta differs from
@@ -394,7 +392,10 @@ class QuillenModel:
     def as_linfty(self) -> LInfinityAlgebra:
         """Shifted presentation: degrees go up by one, l1 is the
         differential, and l2(x, y) = (-1)^{|x|} [x, y] with the shifted
-        degree of x (graded symmetric by classical antisymmetry)."""
+        degree of x (graded symmetric by classical antisymmetry).  Built
+        once per model and kept, with its bracket cache."""
+        if self._linfty is not None:
+            return self._linfty
         cls = self.fl.space
         shifted = GradedSpace(
             {n + 1: list(cls.basis(n)) for n in cls.degrees()},
@@ -412,9 +413,10 @@ class QuillenModel:
             val = self.fl.bracket({x: ONE}, {y: ONE})
             return vec_scale(-ONE, val) if shifted.degree_of[x] % 2 else val
 
-        return LInfinityAlgebra(shifted, {1: l1} if l1 else {},
-                                name=self.name, arities=[1, 2],
-                                compute=compute)
+        self._linfty = LInfinityAlgebra(shifted, {1: l1} if l1 else {},
+                                        name=self.name, arities=[1, 2],
+                                        compute=compute)
+        return self._linfty
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,14 @@ from __future__ import annotations
 from math import comb, factorial
 
 from . import words as wd
-from .barcobar import CobarAlgebra, twisting_residual
+from .barcobar import twisting_residual
 from .convolution import ConvolutionAlgebra, convolve
 from .gauge import GaugePath
 from .graded import (Contraction, GradedMap, TensorSpace, Vec, add_term,
                      contraction_from_complex, tensor_terms)
 from .matrices import ONE, inverse
 from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra,
-                     SymmetricOperations, Truncation, extended)
+                     QuillenModel, SymmetricOperations, Truncation, extended)
 
 WVec = dict
 
@@ -274,22 +274,14 @@ class TransferredLInfinity:
         if truncation is None:
             degrees = list(self.algebra.space.degrees())
             top = max(degrees, default=1)
-            truncation = Truncation(deg_min=1,
-                                    deg_max=max(1, top) * self.arity_max,
+            truncation = Truncation(deg_max=max(1, top) * self.arity_max,
                                     arity_max=self.arity_max)
         self.algebra.validate(truncation)
 
 
-def _as_linfty(ambient) -> LInfinityAlgebra:
-    if isinstance(ambient, CobarAlgebra):
-        return ambient.shifted()
-    return ambient
-
-
-def homology_contraction(ambient) -> Contraction:
+def homology_contraction(alg: LInfinityAlgebra) -> Contraction:
     """Deterministic contraction of an algebra's underlying complex onto
     its homology, ready to feed transfer_linfty."""
-    alg = _as_linfty(ambient)
     return contraction_from_complex(alg.as_chain_complex())
 
 
@@ -297,14 +289,16 @@ def transfer_linfty(ambient, contraction: Contraction | None = None,
                     arity_max: int = 3) -> TransferredLInfinity:
     """Transferred structure of an algebra along a contraction.
 
-    The ambient algebra may be given directly or as a cobar construction,
-    in which case its shifted form is used; for a cobar input built with
-    degree bound N the homology, hence the transferred structure, is only
-    trustworthy through degree N - 1.  When no contraction is supplied the
-    canonical one onto homology is built.  The contraction identities are
-    verified before any transfer happens.
+    The ambient algebra may be given directly or as a free Lie model such
+    as a cobar construction, in which case its shifted form (as_linfty)
+    is used; for a cobar input built with degree bound N the homology,
+    hence the transferred structure, is only trustworthy through degree
+    N - 1.  When no contraction is supplied the canonical one onto
+    homology is built.  The contraction identities are verified before
+    any transfer happens.
     """
-    alg = _as_linfty(ambient)
+    alg = ambient.as_linfty() if isinstance(ambient, QuillenModel) \
+        else ambient
     if contraction is None:
         contraction = homology_contraction(alg)
     contraction.validate()

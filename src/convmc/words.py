@@ -12,8 +12,10 @@ Conventions pinned here and relied on everywhere downstream:
   * unshuffles is the single enumeration of position subsets: for each
     k-subset, in combinations order, the chosen block, the rest and the
     Koszul sign of moving the block to the front.
-  * reduced_coproduct_terms sums over proper nonempty position subsets, so
-    a squared even letter x gives  x.x |-> 2 (x (x) x).
+  * reduced_coproduct_terms is the sum over proper nonempty position
+    subsets, so a squared even letter x gives  x.x |-> 2 (x (x) x), read
+    off the sub-multisets instead: a word with m_i copies of each letter
+    has prod (m_i + 1) splits, with coefficients prod C(m_i, k_i).
   * coderivation_terms is the single coderivation sum: each arity-n
     corestriction acts on the chosen front block, each unordered position
     subset counted once, and its letter goes in front of the rest.  The
@@ -49,8 +51,8 @@ Conventions pinned here and relied on everywhere downstream:
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, groupby, permutations, product
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graded import GradedMap, GradedSpace, Key, Vec, add_term
@@ -193,13 +195,26 @@ def unshuffles(degs: Sequence[int], word: tuple, k: int
 
 
 def reduced_coproduct_terms(letters: GradedSpace, word: tuple):
-    """[( (left_word, right_word), coeff )] over proper nonempty position
-    subsets.  Both halves of a sorted word stay sorted, so no resorting is
-    needed, only the unshuffle sign."""
-    degs = [letters.degree_of[let] for let in word]
-    return [((left, right), sign)
-            for k in range(1, len(word))
-            for left, right, sign in unshuffles(degs, word, k)]
+    """[((left_word, right_word), coeff)], the reduced coproduct of a
+    sorted word summed over its position subsets: one term per proper
+    nonempty sub-multiset, in the order the subsets of unshuffles first
+    reach it.  Taking k of the m copies of a letter to the left happens
+    in C(m, k) ways; an odd letter never repeats, and taking it crosses
+    the odd letters left behind before it.  Both halves stay sorted."""
+    runs = [(let, len(list(g)), letters.degree_of[let] % 2)
+            for let, g in groupby(word)]
+    terms = []
+    # how many copies of each letter go left: by total, then from most
+    for ks in sorted(product(*(range(m, -1, -1) for _, m, _ in runs)),
+                     key=sum)[1:-1]:
+        coeff, crossed, left, right = 1, 0, (), ()
+        for (let, m, odd), k in zip(runs, ks):
+            coeff *= -comb(m, k) if odd and k and crossed else comb(m, k)
+            crossed ^= odd and not k
+            left += (let,) * k
+            right += (let,) * (m - k)
+        terms.append(((left, right), coeff))
+    return terms
 
 
 def coderivation_terms(op: Callable[[int, tuple], Vec], arities: Iterable[int],

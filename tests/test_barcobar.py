@@ -165,15 +165,15 @@ class Adjunction:
             memo[e] = out
             return out
 
-        cols = {e: v for e in M.shifted().space.all_keys()
+        cols = {e: v for e in M.as_linfty().space.all_keys()
                 if (v := value(e))}
-        g = GradedMap(M.shifted().space, self.L.space, 0, cols)
-        check_strict_morphism(M.shifted(), self.L, g)
+        g = GradedMap(M.as_linfty().space, self.L.space, 0, cols)
+        check_strict_morphism(M.as_linfty(), self.L, g)
         return g
 
     def algebra_map_to_mc(self, g: GradedMap) -> GradedMap:
         M = self.cobar_side()
-        check_strict_morphism(M.shifted(), self.L, g)
+        check_strict_morphism(M.as_linfty(), self.L, g)
         tau = g.compose(M.inclusion())
         self._require_mc(tau)
         return tau
@@ -207,7 +207,7 @@ def counit_quasi_iso_check(L: LInfinityAlgebra, degree_max: int) -> bool:
     adj = Adjunction(B, L, degree_max)
     counit = adj.mc_to_algebra_map(bar_projection(B))
     M = adj.cobar_side()
-    kM = contraction_from_complex(M.shifted().as_chain_complex())
+    kM = contraction_from_complex(M.as_linfty().as_chain_complex())
     kL = contraction_from_complex(L.as_chain_complex())
     HM, HL = kM.small.space, kL.small.space
     induced = kL.p.compose(counit).compose(kM.i)
@@ -337,14 +337,14 @@ def test_projection_is_a_twisting_morphism():
 def test_cobar_cp2_differential_and_homology():
     Om = cobar(cp2_coalgebra(), 7)
     assert dict(Om.delta.column("b")) == {("br", "a", "a"): F(-1, 2)}
-    betti = Om.shifted().as_chain_complex().betti()
+    betti = Om.as_linfty().as_chain_complex().betti()
     window = {n: b for n, b in betti.items() if n <= Om.exact_through}
     assert window == {2: 1, 3: 0, 4: 0, 5: 1, 6: 0}
 
 
 def test_cobar_s2_homology():
     Om = cobar(sphere_coalgebra(2), 5)
-    betti = {n: b for n, b in Om.shifted().as_chain_complex().betti().items()
+    betti = {n: b for n, b in Om.as_linfty().as_chain_complex().betti().items()
              if n <= Om.exact_through}
     assert betti == {2: 1, 3: 1}
 
@@ -352,7 +352,7 @@ def test_cobar_s2_homology():
 def test_cobar_s3_is_free_on_one_generator():
     Om = cobar(sphere_coalgebra(3), 6)
     assert Om.delta.is_zero()
-    assert Om.shifted().as_chain_complex().betti() == {3: 1}
+    assert Om.as_linfty().as_chain_complex().betti() == {3: 1}
 
 
 def test_cobar_requires_one_reduced():

@@ -53,6 +53,8 @@ RECORDS = {
     # to it, obstructed into S2 and the identity's element into CP2
     "cp2_h2": _element("mc_element", "cp2_h2",
                        [["a", "H2_0", "1/1"]], "CP2", "loops"),
+    # CP2 -> loop homology of any target: the zero element
+    "cp2_zero": _element("mc_element", "cp2_zero", [], "CP2", "loops"),
     # self-maps of CP2: the identity and the conjugation a |-> -a
     "cp2_id": _element("map", "id", [["a", "a", "1/1"], ["b", "b", "1/1"]],
                        "CP2", "CP2"),
@@ -368,6 +370,15 @@ REFUSALS = {
             [["br", "a", "c"],
              ["br", ["br", ["br", "a", "b"], "a"], "b"], "1/1"]]},
         ["validate", "@bad"], "delta", None),
+    # an element that is not Maurer-Cartan is refused at its argument
+    "hopf-map-not-mc": (RECORDS["cp2_h2"], ["hopf", "cp2", "s2", "@bad"],
+                        "@bad", None),
+    "homotopic-f-not-mc": (RECORDS["cp2_h2"],
+                           ["homotopic", "cp2", "s2", "@bad", "@cp2_zero"],
+                           "@bad", None),
+    "homotopic-g-not-mc": (RECORDS["cp2_h2"],
+                           ["homotopic", "cp2", "s2", "@cp2_zero", "@bad"],
+                           "@bad", None),
     "element-degree": ({**RECORDS["whitehead"], "degree": "0"},
                        ["mc-check", "s3", "pi_s2", "@bad"], "degree", None),
     "validate-element-entries": ({**RECORDS["whitehead"], "entries": 5},
@@ -476,8 +487,8 @@ def test_twist_and_pi_refuse_an_element_that_is_not_maurer_cartan(
     ids=["answered", "refused"])
 def test_twist_checks_its_element_once(files, capsys, monkeypatch, argv,
                                        code):
-    # the argument check is the only residual: the twisted complex is
-    # built after it without a second one
+    # the record of the element argument is the only check: twist takes
+    # it as it is
     checked = []
     mc_check = ConvolutionAlgebra.mc_check
 
@@ -495,8 +506,8 @@ def test_twist_checks_its_element_once(files, capsys, monkeypatch, argv,
     (["pi", "cp2", "pi_s2", "@cp2_bottom", "--n", "1"], 2)],
     ids=["answered", "refused"])
 def test_pi_checks_its_element_once(files, capsys, monkeypatch, argv, code):
-    # the argument check and the library's twist gate read one residual,
-    # the record of the element in its convolution algebra
+    # the record of the element argument is the only check: pi and its
+    # twist take it as it is
     checked = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")
     assert run(capsys, argv, files)[0] == code
     assert len(checked) == 1
@@ -967,21 +978,22 @@ def test_gates_fire_on_every_warm_call(files, capsys, monkeypatch):
     # only the map that passed is kept
     (model,) = hopf._MODELS.values()
     assert len(model.pushed) == 1
-    # the bottom class of CP2 to H2_0 is obstructed into S2: refused on
-    # every call, before and after a Maurer-Cartan element of the same
-    # source and target was accepted
-    zero = _element("mc_element", "zero", [], "CP2", "loops(S2)")
-    (files / "zero.json").write_text(json.dumps(zero))
+    # the bottom class of CP2 to H2_0 is obstructed into S2: refused at
+    # its argument on every call, before and after a Maurer-Cartan
+    # element of the same source and target was accepted
+    where = _at(files, "@cp2_h2")
     for argv in (["hopf", "cp2", "s2", "@cp2_h2"],
-                 ["homotopic", "cp2", "s2", "@zero", "@cp2_h2"],
-                 ["hopf", "cp2", "s2", "@zero"],
+                 ["homotopic", "cp2", "s2", "@cp2_zero", "@cp2_h2"],
+                 ["hopf", "cp2", "s2", "@cp2_zero"],
                  ["hopf", "cp2", "s2", "@cp2_h2"],
-                 ["homotopic", "cp2", "s2", "@cp2_h2", "@zero"]):
+                 ["homotopic", "cp2", "s2", "@cp2_h2", "@cp2_zero"]):
         code, out, err = run(capsys, argv, files)
         if "@cp2_h2" in argv:
             assert (code, out) == (2, "")
-            assert json.loads(err)["error"].startswith(
-                "input fails the Maurer-Cartan equation on")
+            assert json.loads(err) == {
+                "where": where, "error": f"{where}: not a Maurer-Cartan "
+                                         'element, residual [["b", "H3_0", '
+                                         '"1/1"]]'}
         else:
             assert (code, err) == (0, "")
 
@@ -996,8 +1008,8 @@ HOPF_BATCH_SEED_1 = [(-1, -1), (-1, 4), (3, 3), (-2, -2), (-1, 1), (-1, 3),
 def test_homotopic_batch_checks_each_element_once(tmp_path, capsys,
                                                    monkeypatch):
     # one Hom algebra per loop model: each of the 6 distinct elements is
-    # checked by the first pushforward gate and by the final check, whose
-    # residual the gauge gates then read; its sweep invariant and its
+    # checked by the first pushforward gate and by its record, which the
+    # decision then takes as it is; its sweep invariant and its
     # morphism check run once, and the CP3 file is decoded once
     _fresh_process(monkeypatch)
     _cp3_self_maps(tmp_path, (-2, -1, 1, 2, 3, 4))
@@ -1123,8 +1135,9 @@ def test_components_into_a_coalgebra_reads_its_loop_model(tmp_path, capsys):
 
 def test_components_checks_each_point_once(tmp_path, capsys, monkeypatch):
     # the benchmark's moduli-search call: each of the 27 points is checked
-    # once by its record, whose residual the normal form reads, and once
-    # more by the deliberate ModuliClass.verify of its class
+    # once by the construction of its record, which the normal form and
+    # the decisions take, and once more by the deliberate
+    # ModuliClass.verify of its class
     _fresh_process(monkeypatch)
     (tmp_path / "cp3.json").write_text(json.dumps(CP3))
     checks = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")

@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from convmc import gauge, mapping
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import (Distinct, Equal, GaugePath,
+from convmc.gauge import (Distinct, Equal, GaugePath, NotMaurerCartan,
                           constant_path, default_poly_bound, gauge_flow,
-                          gauge_equivalent, moduli_normal_form)
+                          gauge_equivalent, moduli_normal_form, point_record)
 from convmc.graded import GradedSpace
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             abelian_pair_with_d, abelian_two,
@@ -52,6 +52,15 @@ def two_step_target():
     return LInfinityAlgebra(sp, {2: {("x", "y"): {"u": F(1)},
                                      ("y", "u"): {"n": F(1)}}},
                             name="T2", arities=[1, 2])
+
+
+def decide(conv, x, y):
+    """gauge_equivalent on the records of two points of conv."""
+    return gauge_equivalent(point_record(conv, x), point_record(conv, y))
+
+
+def normal_form(conv, x):
+    return moduli_normal_form(point_record(conv, x))
 
 
 def pair_mc(conv, alpha, gamma):
@@ -213,8 +222,8 @@ class TestGaugeFlow:
         assert path.path_check().is_zero()
         end = path.endpoint(1)
         assert conv.mc_check(end).is_zero()
-        nf_x = moduli_normal_form(conv, x)
-        nf_e = moduli_normal_form(conv, end)
+        nf_x = normal_form(conv, x)
+        nf_e = normal_form(conv, end)
         assert nf_x.representative.equals(nf_e.representative)
 
     def test_vector_field_matches_the_abelian_flow_rate(self):
@@ -232,7 +241,7 @@ class TestGaugeEquivalent:
     def test_equal_elements_give_a_constant_path(self):
         conv = ConvolutionAlgebra(sphere_coalgebra(3), pi_s2())
         x = conv.elementary("a", "y").scale(F(7, 3))
-        cert = gauge_equivalent(conv, x, x)
+        cert = decide(conv, x, x)
         assert cert.outcome == "equal"
         assert len(cert.paths) == 1
         assert cert.verify()
@@ -240,7 +249,7 @@ class TestGaugeEquivalent:
     def test_distinct_whitehead_multiples_with_homology_witness(self):
         conv = ConvolutionAlgebra(sphere_coalgebra(3), pi_s2())
         x = conv.elementary("a", "y")
-        cert = gauge_equivalent(conv, x, x.scale(F(2)))
+        cert = decide(conv, x, x.scale(F(2)))
         assert cert.outcome == "distinct"
         assert cert.kind == "homology-class"
         assert cert.witness == {}
@@ -251,7 +260,7 @@ class TestGaugeEquivalent:
                                   abelian_pair_with_d())
         x = conv.elementary("a", "u").scale(F(3))
         y = conv.elementary("a", "u").scale(F(-2))
-        cert = gauge_equivalent(conv, x, y)
+        cert = decide(conv, x, y)
         assert cert.outcome == "equal"
         assert cert.verify()
         assert len(cert.paths) == 1
@@ -260,14 +269,14 @@ class TestGaugeEquivalent:
     def test_distinct_classes_in_a_bracketless_target(self):
         conv = ConvolutionAlgebra(sphere_coalgebra(2), abelian_two())
         x = conv.elementary("a", "u")
-        cert = gauge_equivalent(conv, x, x.scale(F(4)))
+        cert = decide(conv, x, x.scale(F(4)))
         assert cert.outcome == "distinct"
         assert cert.kind == "homology-class"
         assert cert.verify()
 
     def test_bottom_stage_rigidity_separates_the_pair_family(self):
         conv = ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target())
-        cert = gauge_equivalent(conv, pair_mc(conv, 1, 0),
+        cert = decide(conv, pair_mc(conv, 1, 0),
                                 pair_mc(conv, 2, 0))
         assert cert.outcome == "distinct"
         assert cert.kind == "rigid-stage"
@@ -276,7 +285,7 @@ class TestGaugeEquivalent:
 
     def test_top_stage_moves_connect_the_pair_family(self):
         conv = ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target())
-        cert = gauge_equivalent(conv, pair_mc(conv, 2, 3),
+        cert = decide(conv, pair_mc(conv, 2, 3),
                                 pair_mc(conv, 2, -5))
         assert cert.outcome == "equal"
         assert len(cert.paths) == 2
@@ -285,7 +294,7 @@ class TestGaugeEquivalent:
     def test_frozen_beta_is_certified_by_the_sweep_invariant(self):
         conv = ConvolutionAlgebra(cp3_coalgebra(), two_step_target())
         t1 = conv.elementary("b", "u")
-        cert = gauge_equivalent(conv, t1, t1.scale(F(2)))
+        cert = decide(conv, t1, t1.scale(F(2)))
         assert cert.outcome == "distinct"
         assert cert.kind == "rigid-stage"
         assert cert.witness == {"degree": 4}
@@ -297,25 +306,47 @@ class TestGaugeEquivalent:
         path = gauge_flow(conv, tau, conv.elementary("a", "y"),
                           poly_bound=4)
         end = path.endpoint(1)
-        cert = gauge_equivalent(conv, tau, end)
+        cert = decide(conv, tau, end)
         assert cert.outcome == "unknown"
         assert "no separating invariant" in cert.reason
         assert Equal(conv, tau, end, (path,)).verify()
 
     def test_non_mc_inputs_are_rejected(self):
+        # a point that is not Maurer-Cartan has no record: it is refused
+        # with its residual and the store keeps nothing of it
         conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
         good = conv.zero_map(0)
         bad = conv.elementary("a", "x")
-        with pytest.raises(ValueError, match="first element"):
-            gauge_equivalent(conv, bad, good)
-        with pytest.raises(ValueError, match="second element"):
-            gauge_equivalent(conv, good, bad)
+        for x, y in ((bad, good), (good, bad)):
+            with pytest.raises(NotMaurerCartan) as refused:
+                decide(conv, x, y)
+            assert refused.value.residual.equals(conv.mc_check(bad))
+            assert str(refused.value) == (
+                "not a Maurer-Cartan element, residual "
+                "{'b': {'y': Fraction(1, 1)}}")
+        assert list(conv.point_memo) == [gauge._point_key(conv, good)]
+
+    def test_records_of_two_algebras_are_refused(self):
+        # two algebras of one model, and of two models: the same point is
+        # a record of each, and no decision or twist mixes them
+        cp2 = cp2_coalgebra()
+        one, two = (ConvolutionAlgebra(cp2, pi_s2()) for _ in range(2))
+        other = ConvolutionAlgebra(cp2, acyclic_pair_target())
+        x = point_record(one, one.zero_map(0))
+        for conv in (two, other):
+            y = point_record(conv, conv.zero_map(0))
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match="two algebras"):
+                    gauge_equivalent(a, b)
+            with pytest.raises(ValueError, match="cannot twist"):
+                one.twist(y)
+        assert gauge_equivalent(x, x).verify()
 
     def test_certificate_verify_rejects_a_tampered_chain(self):
         conv = ConvolutionAlgebra(sphere_coalgebra(2),
                                   abelian_pair_with_d())
         x = conv.elementary("a", "u")
-        cert = gauge_equivalent(conv, x, x.scale(F(2)))
+        cert = decide(conv, x, x.scale(F(2)))
         assert cert.verify()
         forged = Equal(conv, x, x.scale(F(3)), cert.paths)
         assert not forged.verify()
@@ -326,7 +357,7 @@ class TestGaugeEquivalent:
 class TestModuliNormalForm:
     def test_zero_is_its_own_normal_form(self):
         conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
-        nf = moduli_normal_form(conv, conv.zero_map(0))
+        nf = normal_form(conv, conv.zero_map(0))
         assert nf.representative.is_zero()
         assert nf.paths == ()
         assert nf.verify()
@@ -334,34 +365,36 @@ class TestModuliNormalForm:
     def test_sphere_sources_are_rigid(self):
         conv = ConvolutionAlgebra(sphere_coalgebra(3), pi_s2())
         x = conv.elementary("a", "y").scale(F(7, 3))
-        nf = moduli_normal_form(conv, x)
+        nf = normal_form(conv, x)
         assert nf.representative.equals(x)
         assert nf.paths == ()
 
     def test_pair_family_reduces_to_the_u_slice(self):
         conv = ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target())
-        nf = moduli_normal_form(conv, pair_mc(conv, 2, 3))
+        nf = normal_form(conv, pair_mc(conv, 2, 3))
         assert nf.representative.equals(pair_mc(conv, 2, 0))
         assert len(nf.paths) == 1
         assert nf.verify()
 
     def test_normal_form_is_idempotent(self):
         conv = ConvolutionAlgebra(cp2_coalgebra(), acyclic_pair_target())
-        nf = moduli_normal_form(conv, pair_mc(conv, -3, F(5, 2)))
-        again = moduli_normal_form(conv, nf.representative)
+        nf = normal_form(conv, pair_mc(conv, -3, F(5, 2)))
+        again = normal_form(conv, nf.representative)
         assert again.representative.equals(nf.representative)
         assert again.paths == ()
 
     def test_normal_form_rejects_non_mc_input(self):
+        # the normal form takes a record, which a non-MC point has not
         conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
-        with pytest.raises(ValueError, match="non-MC"):
-            moduli_normal_form(conv, conv.elementary("a", "x"))
+        with pytest.raises(NotMaurerCartan):
+            normal_form(conv, conv.elementary("a", "x"))
+        assert not conv.point_memo
 
     def test_abelian_normal_form_matches_plain_linear_algebra(self):
         conv = ConvolutionAlgebra(wedge_s2_s3_coalgebra(),
                                   abelian_pair_with_d())
         x = conv.elementary("a", "u").scale(F(9, 4))
-        nf = moduli_normal_form(conv, x)
+        nf = normal_form(conv, x)
         assert nf.representative.is_zero()
         assert nf.verify()
 
@@ -383,10 +416,10 @@ def test_flow_endpoints_keep_normal_forms_across_builtin_pairs():
             assert path.path_check().is_zero()
             end = path.endpoint(1)
             assert conv.mc_check(end).is_zero()
-            nf0 = moduli_normal_form(conv, conv.zero_map(0))
-            nfe = moduli_normal_form(conv, end)
+            nf0 = normal_form(conv, conv.zero_map(0))
+            nfe = normal_form(conv, end)
             assert nf0.representative.equals(nfe.representative)
-            cert = gauge_equivalent(conv, conv.zero_map(0), end)
+            cert = decide(conv, conv.zero_map(0), end)
             assert cert.outcome == "equal"
             assert cert.verify()
 
@@ -462,10 +495,10 @@ def test_shared_algebra_decides_like_fresh_ones(family, data):
     pairs += [pairs[0], pairs[0][::-1]]
     shared = probe_algebra(family)
     for i, j in pairs:
-        got = gauge_equivalent(shared, probe_mc(shared, family, points[i]),
+        got = decide(shared, probe_mc(shared, family, points[i]),
                                probe_mc(shared, family, points[j]))
         fresh = probe_algebra(family)
-        want = gauge_equivalent(fresh, probe_mc(fresh, family, points[i]),
+        want = decide(fresh, probe_mc(fresh, family, points[i]),
                                 probe_mc(fresh, family, points[j]))
         assert signature(got) == signature(want)
     assert len(shared.point_memo) <= len(points)
@@ -536,7 +569,7 @@ def test_the_sweep_invariant_is_constant_along_gauge_flows(case):
         end = path.endpoint(1)
         assert gauge._sweep_invariant(conv, end, columns) == invariant
     for a, b in ((x, y), (y, x)):
-        cert = gauge_equivalent(conv, a, b)
+        cert = decide(conv, a, b)
         if getattr(cert, "kind", None) == "rigid-stage":
             assert cert.verify()
 
@@ -545,12 +578,12 @@ def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
     monkeypatch.setattr(gauge, "_POINTS_CAP", 2)
     conv = probe_algebra("pair")
     p = [pair_mc(conv, a, g) for a, g in [(2, 3), (2, -5), (1, 0), (0, 1)]]
-    first = gauge_equivalent(conv, p[0], p[1])
+    first = decide(conv, p[0], p[1])
     assert first.outcome == "equal"
-    assert gauge_equivalent(conv, p[2], p[3]).outcome == "distinct"
+    assert decide(conv, p[2], p[3]).outcome == "distinct"
     assert set(conv.point_memo) == {gauge._point_key(conv, p[2]),
                                     gauge._point_key(conv, p[3])}
-    again = gauge_equivalent(conv, p[0], p[1])
+    again = decide(conv, p[0], p[1])
     assert signature(again) == signature(first)
     assert again.verify()
     assert set(conv.point_memo) == {gauge._point_key(conv, p[0]),
@@ -568,13 +601,13 @@ def all_rigid(conv, x):
 def test_verify_recomputes_what_the_decision_memoises():
     conv = probe_algebra("pair")
     x, y, z = pair_mc(conv, 2, 3), pair_mc(conv, 2, -5), pair_mc(conv, 1, 0)
-    equal = gauge_equivalent(conv, x, y)
-    rigid = gauge_equivalent(conv, x, z)
+    equal = decide(conv, x, y)
+    rigid = decide(conv, x, z)
     assert (equal.outcome, rigid.kind) == ("equal", "rigid-stage")
     record = conv.point_memo[gauge._point_key(conv, x)]
     # no direction moves x any more, as far as the memo knows
     record.invariant = all_rigid(conv, x)
-    forged = gauge_equivalent(conv, x, y)
+    forged = decide(conv, x, y)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
     assert not forged.verify()
     assert equal.verify()
@@ -585,11 +618,11 @@ def test_verify_recomputes_what_the_decision_memoises():
 
     conv = probe_algebra("two_step")
     x, y = two_step_mc(conv, 0, 0, 0), two_step_mc(conv, 0, 1, 0)
-    bx, by = gauge._twisted_betti(conv, x), gauge._twisted_betti(conv, y)
+    bx, by = (gauge.PointRecord(conv, p).betti for p in (x, y))
     assert bx != by
     betti = Distinct(conv, x, y, "twisted-betti",
                      {"betti_x": bx, "betti_y": by})
-    assert gauge_equivalent(conv, x, y).kind == "rigid-stage"
+    assert decide(conv, x, y).kind == "rigid-stage"
     record = conv.point_memo[gauge._point_key(conv, x)]
     record.invariant = all_rigid(conv, x)
     record.betti = {0: 99}
@@ -606,8 +639,8 @@ def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
     # because verify() builds the sweep table and the span again
     conv = probe_algebra("pair")
     x, y, z = pair_mc(conv, 2, 3), pair_mc(conv, 2, -5), pair_mc(conv, 1, 0)
-    assert gauge_equivalent(conv, x, y).outcome == "equal"
-    assert gauge_equivalent(conv, x, z).witness == {"degree": 2}
+    assert decide(conv, x, y).outcome == "equal"
+    assert decide(conv, x, z).witness == {"degree": 2}
     stages = conv.algebra_memo["_stages"]
 
     damaged = probe_algebra("pair")
@@ -616,11 +649,11 @@ def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
                      for combo in combos], coset, span))
         for p, basis, (combos, coset, span) in stages]
     with pytest.raises(AssertionError, match="missed its predicted column"):
-        gauge_equivalent(damaged, x, y)
+        decide(damaged, x, y)
 
     damaged = probe_algebra("pair")
     damaged.algebra_memo["_columns"] = gauge._columns(damaged)[1:]
-    forged = gauge_equivalent(damaged, x, z)
+    forged = decide(damaged, x, z)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
     assert [p for p, _ in gauge.point_record(damaged, x).invariant] == [4]
     assert not forged.verify()
@@ -628,9 +661,9 @@ def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
     conv = ConvolutionAlgebra(wedge_s2_s3_coalgebra(), acyclic_pair_target())
     assert conv.arity_window() == 1
     x, y = conv.zero_map(0), conv.elementary("b", "y")
-    assert gauge_equivalent(conv, x, y).outcome == "equal"
+    assert decide(conv, x, y).outcome == "equal"
     combos, coset, _ = conv.algebra_memo["_abelian_stage"]
     conv.algebra_memo["_abelian_stage"] = (combos, coset, Span([]))
-    forged = gauge_equivalent(conv, x, y)
+    forged = decide(conv, x, y)
     assert forged.kind == "homology-class"
     assert not forged.verify()

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from convmc import hopf, modelio
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import (Distinct, Equal, gauge_equivalent, gauge_flow,
-                          moduli_normal_form)
+                          moduli_normal_form, point_record)
 from convmc.graded import GradedMap
 from convmc.library import cp2_coalgebra, sphere_coalgebra
 
@@ -48,8 +48,8 @@ def record(kind, f):
 
 
 def self_map(C, entries):
-    """The canonical element of the strict self-map of C with the given
-    entries, read in the model of C at window 6."""
+    """The record of the canonical element of the strict self-map of C
+    with the given entries, read in the model of C at window 6."""
     f = GradedMap(C.space, C.space, 0, entries)
     return hopf.mc_of_map(hopf.loop_homology(C, 6), C, record("map", f))
 
@@ -63,14 +63,6 @@ def hopf_family(k):
     tau = GradedMap(s3.space, m.algebra.space, 0,
                     {"a": {"H3_0": F(k)}} if k else {})
     return hopf.mc_of_map(m, s3, record("mc_element", tau))
-
-
-def s3_homotopic(x, y):
-    return hopf.maps_homotopic(sphere_model(), sphere_coalgebra(3), x, y)
-
-
-def cp2_homotopic(x, y):
-    return hopf.maps_homotopic(cp2_model(), cp2_coalgebra(), x, y)
 
 
 def test_sphere_loop_model_constants():
@@ -102,20 +94,19 @@ def test_model_cache_evicts_the_least_recently_used(monkeypatch):
 
 def test_hopf_family_invariants():
     one, two = hopf_family(1), hopf_family(2)
-    conv = ConvolutionAlgebra(sphere_coalgebra(3), sphere_model().algebra)
-    inv = moduli_normal_form(conv, one)
+    inv = moduli_normal_form(one)
     assert dict(inv.representative.entries) == {"a": {"H3_0": F(1)}}
     assert inv.verify()
 
-    cert = s3_homotopic(one, two)
+    cert = hopf.maps_homotopic(one, two)
     assert isinstance(cert, Distinct)
     assert cert.kind == "homology-class"
     assert cert.verify()
 
-    cert0 = s3_homotopic(one, hopf_family(0))
+    cert0 = hopf.maps_homotopic(one, hopf_family(0))
     assert isinstance(cert0, Distinct) and cert0.verify()
 
-    same = s3_homotopic(one, hopf_family(1))
+    same = hopf.maps_homotopic(one, hopf_family(1))
     assert isinstance(same, Equal) and same.verify()
 
 
@@ -123,7 +114,7 @@ def test_hopf_family_invariants():
 @given(j=st.integers(min_value=-4, max_value=4),
        k=st.integers(min_value=-4, max_value=4))
 def test_hopf_family_is_faithful(j, k):
-    cert = s3_homotopic(hopf_family(j), hopf_family(k))
+    cert = hopf.maps_homotopic(hopf_family(j), hopf_family(k))
     if j == k:
         assert isinstance(cert, Equal) and cert.verify()
     else:
@@ -133,18 +124,36 @@ def test_hopf_family_is_faithful(j, k):
 def test_identity_and_zero_through_full_pipeline():
     cp2 = cp2_coalgebra()
     ident = self_map(cp2, CP2_ID)
-    assert dict(ident.entries) == {"a": {"H2_0": F(1)}}
-    assert self_map(cp2, {}).is_zero()
+    assert dict(ident.x.entries) == {"a": {"H2_0": F(1)}}
+    assert self_map(cp2, {}).x.is_zero()
 
-    same = cp2_homotopic(ident, ident)
+    same = hopf.maps_homotopic(ident, ident)
     assert isinstance(same, Equal) and same.verify()
 
 
-def test_pushed_elements_are_handed_out_as_copies():
+def test_pushed_elements_are_handed_out_as_stored():
+    # a memo hit hands out the record the push stored, of the algebra
+    # model.hom keeps for the source
     cp2 = cp2_coalgebra()
     first = self_map(cp2, CP2_ID)
-    first.entries["a"]["H2_0"] = F(7)
-    assert dict(self_map(cp2, CP2_ID).entries) == {"a": {"H2_0": F(1)}}
+    assert self_map(cp2, CP2_ID) is first
+    assert first.conv is cp2_model().hom(cp2)
+
+
+def test_a_pushed_record_follows_its_source_algebra(monkeypatch):
+    # once model.hom has evicted the algebra of a stored record, a hit is
+    # checked again in the algebra that replaced it, so it can be decided
+    # against the records of that algebra
+    monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
+    monkeypatch.setattr(hopf, "_HOMS_CAP", 1)
+    cp2, m = cp2_coalgebra(), cp2_model()
+    first = self_map(cp2, CP2_ID)
+    m.hom(sphere_coalgebra(3))
+    again = self_map(cp2, CP2_ID)
+    assert again.conv is m.hom(cp2) is not first.conv
+    assert again.x.equals(first.x)
+    as_mc = hopf.mc_of_map(m, cp2, record("mc_element", first.x))
+    assert isinstance(hopf.maps_homotopic(again, as_mc), Equal)
 
 
 def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
@@ -174,23 +183,23 @@ def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
         assert not m.pushed
     assert pushes == ["mc_check", "twisting"] * 2
     monkeypatch.setattr(hopf, "push_mc", push_mc)
-    assert hopf.mc_of_map(m, cp2, zero).is_zero()
+    assert hopf.mc_of_map(m, cp2, zero).x.is_zero()
     assert len(m.pushed) == 1
 
 
 def test_conjugation_is_a_distinct_self_map():
     cp2 = cp2_coalgebra()
     conj = self_map(cp2, {"a": {"a": F(-1)}, "b": {"b": F(1)}})
-    assert dict(conj.entries) == {"a": {"H2_0": F(-1)}}
-    cert = cp2_homotopic(self_map(cp2, CP2_ID), conj)
+    assert dict(conj.x.entries) == {"a": {"H2_0": F(-1)}}
+    cert = hopf.maps_homotopic(self_map(cp2, CP2_ID), conj)
     assert isinstance(cert, Distinct) and cert.verify()
 
 
 def test_both_input_forms_give_the_same_class():
     cp2 = cp2_coalgebra()
     ident = self_map(cp2, CP2_ID)
-    as_mc = hopf.mc_of_map(cp2_model(), cp2, record("mc_element", ident))
-    cert = cp2_homotopic(ident, as_mc)
+    as_mc = hopf.mc_of_map(cp2_model(), cp2, record("mc_element", ident.x))
+    cert = hopf.maps_homotopic(ident, as_mc)
     assert isinstance(cert, Equal) and cert.verify()
 
 
@@ -199,13 +208,13 @@ def test_invariant_survives_gauge_flow():
     m = sphere_model()
     s3 = sphere_coalgebra(3)
     conv = ConvolutionAlgebra(s3, m.algebra)
-    path = gauge_flow(conv, one, conv.zero_map(1))
-    assert path.endpoint(0).equals(one)
+    path = gauge_flow(conv, one.x, conv.zero_map(1))
+    assert path.endpoint(0).equals(one.x)
     flowed = hopf.mc_of_map(m, s3, record("mc_element", path.endpoint(1)))
-    cert = s3_homotopic(one, flowed)
+    cert = hopf.maps_homotopic(one, flowed)
     assert isinstance(cert, Equal) and cert.verify()
-    assert moduli_normal_form(conv, flowed).representative.equals(
-        moduli_normal_form(conv, one).representative)
+    assert flowed.normal_form.representative.equals(
+        one.normal_form.representative)
 
 
 def test_flow_along_a_nonzero_direction_preserves_the_class():
@@ -219,7 +228,7 @@ def test_flow_along_a_nonzero_direction_preserves_the_class():
     assert path.path_check().is_zero()
     flowed, anchor = (hopf.mc_of_map(m, cp2, record("mc_element", x))
                       for x in (path.endpoint(1), start))
-    cert = cp2_homotopic(anchor, flowed)
+    cert = hopf.maps_homotopic(anchor, flowed)
     assert isinstance(cert, Equal) and cert.verify()
 
 
@@ -295,7 +304,8 @@ class SphereHomotopyGroup:
         return x + y
 
     def decide(self, x: GradedMap, y: GradedMap):
-        return gauge_equivalent(self.conv, x, y)
+        return gauge_equivalent(point_record(self.conv, x),
+                                point_record(self.conv, y))
 
     def _certify(self) -> None:
         """Every basis class is distinct from zero and from every other

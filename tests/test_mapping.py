@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from convmc import mapping
 from convmc.barcobar import BarCoalgebra, cobar
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import Distinct, gauge_flow
+from convmc.gauge import Distinct, NotMaurerCartan, gauge_flow, point_record
 from convmc.graded import GradedSpace, add_term
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             builtin_model, cp2_coalgebra, pi_s2,
@@ -45,6 +45,11 @@ from test_models import cp3_coalgebra, quillen_s2
 def zero_target():
     return LInfinityAlgebra(GradedSpace({}, name="0"), {}, name="0",
                             arities=[1])
+
+
+def pi(conv, tau, n):
+    """pi_n of the component of the point tau of conv, through its record."""
+    return mapping.pi_of_component(point_record(conv, tau), n)
 
 
 def mapping_space_model(source, L, degree_max=None):
@@ -140,26 +145,26 @@ def test_component_homotopy_group_table():
     s3 = ConvolutionAlgebra(sphere_coalgebra(3), L)
     for lam in (0, 1):
         tau = s2.elementary("a", "x").scale(F(lam))
-        assert len(mapping.pi_of_component(s2, tau, 1)) == 1
-        assert len(mapping.pi_of_component(s2, tau, 2)) == 0
+        assert len(pi(s2, tau, 1)) == 1
+        assert len(pi(s2, tau, 2)) == 0
     zero = s3.zero_map(0)
-    assert len(mapping.pi_of_component(s3, zero, 1)) == 0
-    assert len(mapping.pi_of_component(s3, zero, 2)) == 0
+    assert len(pi(s3, zero, 1)) == 0
+    assert len(pi(s3, zero, 2)) == 0
 
 
 def test_two_cell_component_matches_brute_force():
     conv = mapping_space_model(cp2_coalgebra(), pi_s2())
-    pi1 = mapping.pi_of_component(conv, conv.zero_map(0), 1)
+    pi1 = pi(conv, conv.zero_map(0), 1)
     assert len(pi1) == len(conv.carrier.basis(1)) == 1
 
 
 def test_pi_of_component_input_checks():
     conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
     with pytest.raises(ValueError, match="n = 1"):
-        mapping.pi_of_component(conv, conv.zero_map(0), 0)
+        pi(conv, conv.zero_map(0), 0)
     bad = conv.elementary("a", "x")
-    with pytest.raises(ValueError, match="non-MC"):
-        mapping.pi_of_component(conv, bad, 1)
+    with pytest.raises(NotMaurerCartan):
+        pi(conv, bad, 1)
 
 
 def test_pi_dimensions_are_gauge_invariant():
@@ -172,8 +177,8 @@ def test_pi_dimensions_are_gauge_invariant():
     assert path.path_check().is_zero()
     moved = path.endpoint(1)
     for n in (1, 2):
-        d0 = len(mapping.pi_of_component(conv, zero, n))
-        d1 = len(mapping.pi_of_component(conv, moved, n))
+        d0 = len(pi(conv, zero, n))
+        d1 = len(pi(conv, moved, n))
         assert d0 == d1
 
 
@@ -199,8 +204,8 @@ def test_strictified_source_matches_the_strict_model():
     assert len(qrep) == len(srep) == 3
     for qc, sc in zip(qrep.classes, srep.classes):
         for n in (1, 2):
-            qd = len(mapping.pi_of_component(qconv, qc.representative, n))
-            sd = len(mapping.pi_of_component(sconv, sc.representative, n))
+            qd = len(pi(qconv, qc.representative, n))
+            sd = len(pi(sconv, sc.representative, n))
             assert qd == sd
 
 

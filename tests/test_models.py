@@ -160,7 +160,7 @@ def test_jacobi_failure_detected():
     L = LInfinityAlgebra(sp, {2: {("x", "x"): {"y": F(1)},
                                   ("x", "y"): {"z": F(1)}}})
     with pytest.raises(ValueError, match="Jacobi"):
-        L.validate(Truncation(0, 12, 3))
+        L.validate(Truncation(12, 3))
 
 
 @st.composite
@@ -288,7 +288,9 @@ def test_as_linfty_shift_dictionary():
     assert L.bracket(1, ("b",)) == {br("a", "a"): F(-1)}
     # first argument has even shifted degree: plus sign
     assert L.bracket(2, ("a", "a")) == {br("a", "a"): F(1)}
-    L.validate(Truncation(0, 20, 3))
+    L.validate(Truncation(20, 3))
+    # one presentation per model, with one bracket cache
+    assert M.as_linfty() is L
 
 
 def test_as_linfty_odd_first_argument_sign():
@@ -304,7 +306,7 @@ def test_as_linfty_odd_first_argument_sign():
     assert L.bracket(2, ("c", "e")) == {br("c", "e"): F(-1)}
     # swapped odd arguments flip the sign, matching classical antisymmetry
     assert L.bracket(2, ("e", "c")) == {br("c", "e"): F(1)}
-    L.validate(Truncation(0, 12, 3))
+    L.validate(Truncation(12, 3))
 
 
 def test_quillen_s2():

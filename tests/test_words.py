@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from hypothesis import given, settings, strategies as st
@@ -173,11 +174,43 @@ def test_word_space_enumeration():
     assert W.total_dim() == 7
 
 
+def reduced_coproduct_by_subsets(L, word):
+    """The reduced coproduct by its definition, the reference for
+    wd.reduced_coproduct_terms: every proper nonempty position subset in
+    unshuffles order with its unshuffle sign, summed into one term per
+    split in the order the subsets first reach it."""
+    degs = [L.degree_of[let] for let in word]
+    out: dict = {}
+    for k in range(1, len(word)):
+        for left, right, sign in wd.unshuffles(degs, word, k):
+            out[left, right] = out.get((left, right), 0) + sign
+    return list(out.items())
+
+
 def test_reduced_coproduct_orbit_convention():
     L = sphere_letters()
     terms = wd.reduced_coproduct_terms(L, ("x", "x"))
-    # two position subsets, both give x (x) x with sign +1
-    assert terms == [((("x",), ("x",)), F(1)), ((("x",), ("x",)), F(1))]
+    # two position subsets, both give x (x) x with sign +1: one term
+    assert terms == [((("x",), ("x",)), F(2))]
+    assert terms == reduced_coproduct_by_subsets(L, ("x", "x"))
+
+
+def test_reduced_coproduct_of_a_power_is_binomial():
+    # 4094 position subsets of x^12, but 11 splits x^k (x) x^(12-k)
+    L = sphere_letters()
+    assert wd.reduced_coproduct_terms(L, ("x",) * 12) == [
+        ((("x",) * k, ("x",) * (12 - k)), comb(12, k)) for k in range(1, 12)]
+
+
+@settings(max_examples=200, deadline=2000)
+@given(letter_spaces(), st.integers(0, 7), st.data())
+def test_reduced_coproduct_is_the_subset_sum_in_its_order(L, m, data):
+    # words of mixed parity, with repeated even letters: one nonzero term
+    # per split, the reference's sum, in the reference's order
+    words = list(wd.canonical_words(L, m))
+    word = data.draw(st.sampled_from(words)) if words else ()
+    assert wd.reduced_coproduct_terms(L, word) == \
+        reduced_coproduct_by_subsets(L, word)
 
 
 def test_reduced_coproduct_signs_odd_letters():
