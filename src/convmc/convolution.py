@@ -213,6 +213,17 @@ class ConvolutionAlgebra:
             self._arity = min(self.coproduct_window(), self.L.max_arity())
         return self._arity
 
+    @cached_property
+    def tail_keys(self) -> frozenset:
+        """The source keys at position 2 or later of a word of the
+        iterated coproduct Delta^(n-1)(c), for some c and 2 <= n <= the
+        arity window: the only columns of tau that twisted_columns
+        reads."""
+        return frozenset(w for ck in self.C.space.all_keys()
+                         for n in range(2, self.arity_window() + 1)
+                         for word in self.C.iterated_coproduct(ck, n)
+                         for w in word[1:])
+
     def bracket(self, n: int, fs) -> GradedMap:
         """l_n of the convolution algebra on n homogeneous maps."""
         fs = list(fs)
@@ -244,6 +255,11 @@ class ConvolutionAlgebra:
         tau has degree 0, so eps_w = +1.  l_1(e_k) = d_L o e_k -
         (-1)^{|e_k|} e_k o d_C is l1(x) at c and -(-1)^{|e_k|} d_C(c')_c x
         at every c'.
+
+        Tail lemma: tau is read only at the letters w_2 ... w_n of the
+        words walked here, which are tail_keys, so the columns, and with
+        them the twisted complex and the flow rates, depend on tau only
+        through its restriction to tail_keys.
         """
         if tau.degree != 0:
             raise ValueError("tau must have degree 0")

@@ -46,12 +46,19 @@ per pair only for comparisons:
   moves on the stage column, and the Coset and Span of those moves), or,
   when no bracket survives, the one stage _abelian_stage, whose moves are
   all the effects;
-- per point, one PointRecord in ConvolutionAlgebra.point_memo, with
-  three fields each computed at most once: invariant (the sweep
-  invariant below), normal_form (the staged normal form) and betti (the
-  nonzero twisted Betti numbers).  The store is an LRU of the
-  _POINTS_CAP points used last, keyed by the degree and exact
-  coefficients of the point.
+- per tail restriction, one _TailEntry in the algebra memo's _tails,
+  with two fields each computed at most once: sweep_table (the rigid
+  columns and the Coset of the flow rates on the first moved column) and
+  betti (the nonzero twisted Betti numbers).  By the tail lemma below
+  both depend on a point x only through x|tail, so every point with that
+  restriction shares them.  The store is an LRU of the _POINTS_CAP
+  restrictions used last, keyed by x's nonzero entries on the tail keys;
+- per point, one PointRecord in ConvolutionAlgebra.point_memo, with two
+  fields each computed at most once: invariant (the sweep invariant
+  below, x's values reduced by its tail entry's sweep table) and
+  normal_form (the staged normal form); its betti is read from its tail
+  entry.  The store is an LRU of the _POINTS_CAP points used last, keyed
+  by the degree and exact coefficients of the point.
 
 The rigidity sweep is a per-point invariant by the filtration of a
 one-reduced source by source degree, the filtration of the filtered
@@ -75,6 +82,18 @@ column the same span, which keeps x(t) in one coset.  Hence the first
 column where the sweep invariants of x and y differ certifies that no
 path joins them (gauge_equivalent's rigid-stage answer).
 
+Tail lemma: call the tail keys of conv (ConvolutionAlgebra.tail_keys)
+the source keys that occur at position 2 or later in a word of the
+iterated coproduct Delta^(n-1)(c), for some c and 2 <= n <= the arity
+window.  Then the twisted differential d^x depends on x only through
+its restriction x|tail.  Proof: d^x(e_k) is l_1(e_k), which does not
+involve x, plus for each arity n the sum over the words w of
+Delta^(n-1)(c) of n gamma_w l_n^L(e_k(w_1), x(w_2), ..., x(w_n)), which
+reads x only at w_2, ..., w_n, tail keys by definition.  So the flow
+rates, the sweep table built from them, the twisted complex with its
+d o d = 0 assertion and the twisted Betti numbers are functions of
+x|tail, and points that agree there share them.
+
 A PointRecord is the checked Maurer-Cartan element: its constructor
 computes the residual once and raises NotMaurerCartan unless it is
 zero.  point_record makes the records of the component search, of
@@ -86,16 +105,17 @@ Every path the decision builds has the polynomial bound
 default_poly_bound(conv), so a point has one normal form per algebra;
 the algebra store also keeps the C and L records that modelio writes
 into every certificate over the algebra.  Every verify() and
-path_check recompute from scratch, the columns, sweep invariants and
-twisted Betti numbers included, and never read the store
-(Distinct.verify twists by fresh records), so a certificate is checked
-again rather than looked up, and a stale or damaged entry cannot make a
-wrong answer verify; a damaged stage that predicts a wrong flow
+path_check recompute from scratch, the columns, sweep tables, sweep
+invariants and twisted Betti numbers included, and never read either
+store (Distinct.verify twists by fresh records), so a certificate is
+checked again rather than looked up, and a stale or damaged entry cannot
+make a wrong answer verify; a damaged stage that predicts a wrong flow
 endpoint fails the stage-flow assertions instead.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import cached_property
 from math import comb
 
@@ -342,9 +362,10 @@ class Distinct:
             return False
         if self.kind == "rigid-stage":
             columns = _columns(conv)
-            return _first_difference(
-                _sweep_invariant(conv, x.x, columns),
-                _sweep_invariant(conv, y.x, columns)) == self.witness["degree"]
+            ix, iy = (_sweep_invariant(conv, r.x,
+                                       _sweep_table(conv, r.x, columns))
+                      for r in (x, y))
+            return _first_difference(ix, iy) == self.witness["degree"]
         if self.kind == "homology-class":
             dv = conv.to_vec(y.x - x.x)
             if conv.arity_window() > 1 or not dv:
@@ -355,9 +376,9 @@ class Distinct:
             bnd = [tw.d.entries.get(k, {}) for k in conv.carrier.basis(1)]
             return Span(bnd).coords(dv) is None
         if self.kind == "twisted-betti":
-            return (x.betti, y.betti) == (self.witness["betti_x"],
-                                          self.witness["betti_y"]) \
-                and x.betti != y.betti
+            bx, by = _betti(conv.twist(x)), _betti(conv.twist(y))
+            return (bx, by) == (self.witness["betti_x"],
+                                self.witness["betti_y"]) and bx != by
         return False
 
     def __repr__(self):
@@ -485,23 +506,38 @@ def _stages(conv: ConvolutionAlgebra) -> list[tuple]:
 
 # -- the rigidity sweep --------------------------------------------------
 
-def _sweep_invariant(conv: ConvolutionAlgebra, x: GradedMap,
-                     columns: list[tuple]) -> list[tuple]:
-    """(p, entry) for the columns (_columns(conv)) from the bottom through
-    the first that a flow rate at x (a degree-1 column of the twist by x)
-    moves: x's values on a rigid column, and on the moved column the
-    Coset representative of x's values modulo the flow rates there."""
+def _sweep_table(conv: ConvolutionAlgebra, x: GradedMap,
+                 columns: list[tuple]) -> list[tuple]:
+    """(p, basis, coset) for the columns (_columns(conv)) from the bottom
+    through the first that a flow rate at x (a degree-1 column of the
+    twist by x) moves: coset is None on a rigid column and, on the moved
+    column, the Coset of the flow rates there.  By the tail lemma of the
+    module docstring it depends on x only through x|tail."""
     rates = conv.twisted_columns(x, conv.carrier.basis(1)).values()
-    xv = conv.to_vec(x)
     out = []
     for p, basis in columns:
-        values = _restrict(xv, basis)
         moves = [m for m in (_restrict(r, basis) for r in rates) if m]
         if moves:
-            out.append((p, Coset(moves, basis).reduce(values)))
+            out.append((p, basis, Coset(moves, basis)))
             break
-        out.append((p, values))
+        out.append((p, basis, None))
     return out
+
+
+def _sweep_invariant(conv: ConvolutionAlgebra, x: GradedMap,
+                     table: list[tuple]) -> list[tuple]:
+    """(p, entry) for the columns of the sweep table of x: x's values on
+    a rigid column, and on the moved column the Coset representative of
+    x's values modulo the flow rates there."""
+    xv = conv.to_vec(x)
+    return [(p, _restrict(xv, basis) if coset is None
+             else coset.reduce(_restrict(xv, basis)))
+            for p, basis, coset in table]
+
+
+def _betti(complex_) -> dict[int, int]:
+    """The nonzero Betti numbers of a twisted complex, by degree."""
+    return {k: v for k, v in sorted(complex_.betti().items()) if v}
 
 
 def _first_difference(ix: list[tuple], iy: list[tuple]) -> int | None:
@@ -592,9 +628,11 @@ class PointRecord:
     """The Maurer-Cartan element x of conv, checked: the constructor
     computes the residual once and raises NotMaurerCartan unless it is
     zero.  What the decision derives from x is computed on first use and
-    then kept: invariant (the sweep invariant over the algebra's kept
-    columns), normal_form (the staged normal form) and betti (the
-    nonzero twisted Betti numbers).
+    then kept: invariant (the sweep invariant, x's values reduced by the
+    sweep table of x|tail), normal_form (the staged normal form) and
+    betti (the nonzero twisted Betti numbers of x|tail).  The sweep table
+    and the Betti numbers are read from the _TailEntry of x|tail, which
+    every point of conv with that restriction shares.
 
     A record of the store lives as long as conv keeps it: until
     _POINTS_CAP other points of conv have been used since, or conv
@@ -612,9 +650,17 @@ class PointRecord:
         self.x = x
 
     @cached_property
+    def tail(self) -> _TailEntry:
+        """The entry of x|tail in the algebra memo's _tails, an LRU of the
+        _POINTS_CAP restrictions used last."""
+        conv = self.conv
+        return lru(conv.algebra_memo.setdefault("_tails", OrderedDict()),
+                   _POINTS_CAP, _tail_key(conv, self.x),
+                   lambda: _TailEntry(self))
+
+    @cached_property
     def invariant(self) -> list[tuple]:
-        return _sweep_invariant(self.conv, self.x,
-                                _algebra_memo(self.conv, _columns))
+        return _sweep_invariant(self.conv, self.x, self.tail.sweep_table)
 
     @cached_property
     def normal_form(self) -> ModuliClass:
@@ -622,8 +668,32 @@ class PointRecord:
 
     @cached_property
     def betti(self) -> dict[int, int]:
-        return {k: v for k, v in sorted(self.conv.twist(self).betti().items())
-                if v}
+        return self.tail.betti
+
+
+class _TailEntry:
+    """What a point x of conv determines through x|tail alone (the tail
+    lemma of the module docstring), each computed on first use from the
+    record that made the entry: sweep_table and betti."""
+
+    def __init__(self, record: PointRecord):
+        self.record = record
+
+    @cached_property
+    def sweep_table(self) -> list[tuple]:
+        conv = self.record.conv
+        return _sweep_table(conv, self.record.x,
+                            _algebra_memo(conv, _columns))
+
+    @cached_property
+    def betti(self) -> dict[int, int]:
+        return _betti(self.record.conv.twist(self.record))
+
+
+def _tail_key(conv: ConvolutionAlgebra, x: GradedMap) -> frozenset:
+    tail = conv.tail_keys
+    return frozenset((k, c) for k, c in conv.to_vec(x).items()
+                     if k[0] in tail)
 
 
 def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:

@@ -26,6 +26,7 @@ import pytest
 
 from convmc import barcobar, cli, gauge, hopf, modelio
 from convmc.convolution import ConvolutionAlgebra
+from convmc.graded import ChainComplex
 from convmc.library import builtin_model
 from convmc.models import JacobiError
 from convmc.transfer import TransferredLInfinity
@@ -1137,13 +1138,20 @@ def test_components_checks_each_point_once(tmp_path, capsys, monkeypatch):
     # the benchmark's moduli-search call: each of the 27 points is checked
     # once by the construction of its record, which the normal form and
     # the decisions take, and once more by the deliberate
-    # ModuliClass.verify of its class
+    # ModuliClass.verify of its class.  Each point's sweep invariant is
+    # computed once, but the 18 points that reach the Betti comparison
+    # take only 2 values on the tail keys a1 and a2, so the carrier is
+    # twisted twice
     _fresh_process(monkeypatch)
     (tmp_path / "cp3.json").write_text(json.dumps(CP3))
     checks = _counted(monkeypatch, ConvolutionAlgebra, "mc_check")
+    twists = _counted(monkeypatch, ConvolutionAlgebra, "twist")
+    bettis = _counted(monkeypatch, ChainComplex, "betti")
+    sweeps = _counted(monkeypatch, gauge, "_sweep_invariant")
     got = run(capsys, ["components", "@cp3", str(S2VS3_LOOPS)], tmp_path)
     assert got[0] == 0 and sha(got[1]).startswith("bb2d28913e11174a")
-    assert len(checks) == 54
+    assert (len(checks), len(twists), len(bettis), len(sweeps)) == \
+        (54, 2, 2, 27)
 
 
 @pytest.mark.parametrize("argv,window", [

@@ -8,7 +8,7 @@ of l_1 with the bracket coupling.
 """
 
 from fractions import Fraction as F
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -559,7 +559,12 @@ def test_the_sweep_invariant_is_constant_along_gauge_flows(case):
     # invariant, so a first difference certifies inequivalence
     conv, (x, y) = case
     columns = gauge._columns(conv)
-    invariant = gauge._sweep_invariant(conv, x, columns)
+
+    def sweep(x):
+        return gauge._sweep_invariant(conv, x,
+                                      gauge._sweep_table(conv, x, columns))
+
+    invariant = sweep(x)
     for k in conv.carrier.basis(1):
         try:
             path = gauge_flow(conv, x, conv.elementary(*k))
@@ -567,11 +572,61 @@ def test_the_sweep_invariant_is_constant_along_gauge_flows(case):
             assert "polynomial bound" in str(err)
             continue
         end = path.endpoint(1)
-        assert gauge._sweep_invariant(conv, end, columns) == invariant
+        assert sweep(end) == invariant
     for a, b in ((x, y), (y, x)):
         cert = decide(conv, a, b)
         if getattr(cert, "kind", None) == "rigid-stage":
             assert cert.verify()
+
+
+# every bundled algebra with degree-0 maps, and the two probe algebras
+TAIL_ALGEBRAS = ([partial(bundled_algebra, c, t) for c, t in BUNDLED]
+                 + [partial(probe_algebra, f) for f in ("pair", "two_step")])
+
+
+def test_tail_keys_are_the_letters_after_the_first():
+    # CP3's a and b (a1 and a2 of the benchmark's CP3); none when the
+    # coproduct is zero or the arity window is 1
+    assert probe_algebra("two_step").tail_keys == {"a", "b"}
+    assert probe_algebra("pair").tail_keys == {"a"}
+    tails = {("cp2", "pi_s2"): {"a"}, ("s2xs2", "pi_s2"): {"a", "b"}}
+    for c, t in BUNDLED:
+        assert bundled_algebra(c, t).tail_keys == tails.get((c, t), set())
+
+
+@settings(max_examples=100, deadline=5000)
+@given(data=st.data())
+def test_twisted_columns_read_only_the_tail_keys(data):
+    # the tail lemma: two degree-0 maps that agree on the tail keys, Maurer-
+    # Cartan or not, have the same twisted column at every carrier key
+    conv = data.draw(st.sampled_from(TAIL_ALGEBRAS))()
+    x, y = {}, {}
+    for k in conv.carrier.basis(0):
+        x[k] = data.draw(fractions)
+        y[k] = x[k] if k[0] in conv.tail_keys else data.draw(fractions)
+    keys = conv.carrier.all_keys()
+    cx, cy = (conv.twisted_columns(
+        conv.to_map({k: c for k, c in v.items() if c}, degree=0), keys)
+        for v in (x, y))
+    assert cx == cy
+
+
+def test_tail_store_evicts_the_oldest_restriction_past_its_cap(monkeypatch):
+    monkeypatch.setattr(gauge, "_POINTS_CAP", 2)
+    conv = probe_algebra("two_step")
+    # the tail keys are a and b: the first two points share one entry
+    p = [two_step_mc(conv, *coeffs)
+         for coeffs in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]]
+    entries = [point_record(conv, q).tail for q in p]
+    assert entries[0] is entries[1]
+    assert len({id(e) for e in entries}) == 3
+    assert set(conv.algebra_memo["_tails"]) == {
+        gauge._tail_key(conv, p[2]), gauge._tail_key(conv, p[3])}
+    again = point_record(conv, p[0])
+    assert again.tail is not entries[0]
+    assert again.betti == entries[0].betti
+    assert set(conv.algebra_memo["_tails"]) == {
+        gauge._tail_key(conv, p[3]), gauge._tail_key(conv, p[0])}
 
 
 def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
@@ -616,6 +671,16 @@ def test_verify_recomputes_what_the_decision_memoises():
     assert Distinct(fresh, x, z, rigid.kind, rigid.witness).verify()
     assert (fresh.point_memo, fresh.algebra_memo) == ({}, {})
 
+    # the shared entry of x|tail, forged: every column rigid.  y agrees
+    # with x on the tail key a, so its record reads the same entry
+    conv = probe_algebra("pair")
+    entry = point_record(conv, x).tail
+    assert point_record(conv, y).tail is entry
+    entry.sweep_table = [(p, basis, None) for p, basis in gauge._columns(conv)]
+    forged = decide(conv, x, y)
+    assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
+    assert not forged.verify()
+
     conv = probe_algebra("two_step")
     x, y = two_step_mc(conv, 0, 0, 0), two_step_mc(conv, 0, 1, 0)
     bx, by = (gauge.PointRecord(conv, p).betti for p in (x, y))
@@ -629,6 +694,22 @@ def test_verify_recomputes_what_the_decision_memoises():
     assert betti.verify()
     assert not Distinct(conv, x, y, "twisted-betti",
                         {"betti_x": {0: 99}, "betti_y": by}).verify()
+    fresh = ConvolutionAlgebra(conv.C, conv.L)
+    assert Distinct(fresh, x, y, "twisted-betti",
+                    {"betti_x": bx, "betti_y": by}).verify()
+    assert (fresh.point_memo, fresh.algebra_memo) == ({}, {})
+
+    # the shared entries of x|tail and y|tail, forged: empty sweep tables,
+    # so the decision reaches the Betti comparison, and wrong Betti
+    # numbers for x
+    conv = probe_algebra("two_step")
+    for p in (x, y):
+        point_record(conv, p).tail.sweep_table = []
+    point_record(conv, x).tail.betti = {0: 99}
+    forged = decide(conv, x, y)
+    assert (forged.kind, forged.witness) == (
+        "twisted-betti", {"betti_x": {0: 99}, "betti_y": by})
+    assert not forged.verify()
 
 
 def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
