@@ -51,8 +51,8 @@ from . import hopf, mapping, modelio
 from .barcobar import bar, cobar
 from .convolution import ConvolutionAlgebra
 from .freelie import BasisTooLarge
-from .gauge import (Distinct, Equal, GaugePath, NotMaurerCartan, Unknown,
-                    point_record)
+from .gauge import (Distinct, Equal, GaugePath, NotMaurerCartan,
+                    PointRecord, Unknown)
 from .graded import ChainComplex, lru
 from .library import BUILTIN_COALGEBRAS, BUILTIN_TARGETS, builtin_model
 from .models import (CdgCoalgebra, JacobiError, LInfinityAlgebra,
@@ -295,7 +295,7 @@ def cmd_mc_check(args) -> int:
 
 def cmd_twist(args) -> int:
     conv, tau = _conv_and_tau(args)
-    tw = conv.twist(_require_mc(args.tau, lambda: point_record(conv, tau)))
+    tw = conv.twist(_require_mc(args.tau, lambda: PointRecord(conv, tau)))
     _emit(args, {"kind": "twist_report",
                  "betti": modelio._betti_to_json(tw.betti()),
                  "differential": modelio.gmap_to_json(tw.d)})
@@ -307,7 +307,7 @@ def cmd_pi(args) -> int:
     if args.n < 1:
         raise ModelFileError("--n", "component homotopy starts at n = 1")
     reps = mapping.pi_of_component(
-        _require_mc(args.tau, lambda: point_record(conv, tau)), args.n)
+        _require_mc(args.tau, lambda: PointRecord(conv, tau)), args.n)
     classes = [{"name": modelio.encode_key(k),
                 "representative": modelio.entries_to_json({k: v})}
                for k, v in reps.items()]

@@ -60,7 +60,6 @@ materializes them and checks the generalized Jacobi identity on them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import cached_property
 from math import factorial
 
@@ -121,13 +120,10 @@ class ConvolutionAlgebra:
         self.name = name or f"Hom({C.name},{L.name})"
         self._window: int | None = None
         self._arity: int | None = None
-        self._l1_cols: dict[Key, Vec] = {}
-        # what the gauge decision derives from single Maurer-Cartan
-        # points (gauge.point_record, whose records are the checked
-        # elements that mapping, hopf and the CLI take) and from the
-        # algebra alone (gauge._algebra_memo; modelio keeps the records
-        # of C and L there)
-        self.point_memo: OrderedDict[tuple, object] = OrderedDict()
+        # what the gauge decision derives from the algebra alone and from
+        # the tail restrictions of its points (gauge._algebra_memo,
+        # gauge.PointRecord.tail); modelio keeps the records of C and L
+        # there
         self.algebra_memo: dict = {}
 
     @cached_property
@@ -172,13 +168,11 @@ class ConvolutionAlgebra:
     # -- structure -------------------------------------------------------
 
     def _l1_of(self, x: Key) -> Vec:
-        """l_1 of L on one basis key, read through L's cached bracket and
-        kept per key: only the keys some map touches are ever computed,
-        which matters on extensions whose basis is never listed."""
-        col = self._l1_cols.get(x)
-        if col is None:
-            col = self._l1_cols[x] = self.L.bracket(1, (x,))
-        return col
+        """l_1 of L on one basis key: the vector L keeps for the one-letter
+        word, which is sorted, so only the keys some map touches are ever
+        computed, which matters on extensions whose basis is never listed.
+        Callers only read it."""
+        return self.L.sorted_value(1, (x,))
 
     def differential_of(self, f: GradedMap) -> GradedMap:
         cols: dict[Key, Vec] = {}

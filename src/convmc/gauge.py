@@ -40,12 +40,12 @@ depends on, so a search that decides many pairs over few points pays
 per pair only for comparisons:
 
 - per algebra, in ConvolutionAlgebra.algebra_memo: the degree-0 columns
-  by source degree, the polynomial bound, the l_1 effects of the
-  elementary degree-1 directions, and the stages of the normal form (the
-  admissible combinations of each stage's candidate directions, their
-  moves on the stage column, and the Coset and Span of those moves), or,
-  when no bracket survives, the one stage _abelian_stage, whose moves are
-  all the effects;
+  by source degree, the l_1 effects of the elementary degree-1
+  directions, and the stages of the normal form (the admissible
+  combinations of each stage's candidate directions, their moves on the
+  stage column, and the Coset and Span of those moves), or, when no
+  bracket survives, the one stage _abelian_stage, whose moves are all
+  the effects;
 - per tail restriction, one _TailEntry in the algebra memo's _tails,
   with two fields each computed at most once: sweep_table (the rigid
   columns and the Coset of the flow rates on the first moved column) and
@@ -53,12 +53,11 @@ per pair only for comparisons:
   both depend on a point x only through x|tail, so every point with that
   restriction shares them.  The store is an LRU of the _POINTS_CAP
   restrictions used last, keyed by x's nonzero entries on the tail keys;
-- per point, one PointRecord in ConvolutionAlgebra.point_memo, with two
+- per point, its PointRecord, held by the caller that made it, with two
   fields each computed at most once: invariant (the sweep invariant
   below, x's values reduced by its tail entry's sweep table) and
   normal_form (the staged normal form); its betti is read from its tail
-  entry.  The store is an LRU of the _POINTS_CAP points used last, keyed
-  by the degree and exact coefficients of the point.
+  entry.
 
 The rigidity sweep is a per-point invariant by the filtration of a
 one-reduced source by source degree, the filtration of the filtered
@@ -96,21 +95,22 @@ x|tail, and points that agree there share them.
 
 A PointRecord is the checked Maurer-Cartan element: its constructor
 computes the residual once and raises NotMaurerCartan unless it is
-zero.  point_record makes the records of the component search, of
-hopf.mc_of_map and of the CLI's element arguments, and the decision,
-moduli_normal_form, ConvolutionAlgebra.twist, mapping.pi_of_component
-and hopf.maps_homotopic take them, so none of those checks a point
-again; the decision and twist refuse a record of another algebra.
-Every path the decision builds has the polynomial bound
-default_poly_bound(conv), so a point has one normal form per algebra;
-the algebra store also keeps the C and L records that modelio writes
-into every certificate over the algebra.  Every verify() and
+zero.  The component search, hopf.mc_of_map and the CLI's element
+arguments each build the record of a point once and hold it (the class
+starts of mapping.components, LoopHomology.pushed, one call), and the
+decision, moduli_normal_form, ConvolutionAlgebra.twist,
+mapping.pi_of_component and hopf.maps_homotopic take them, so none of
+those checks a point again; the decision and twist refuse a record of
+another algebra.  Every path the decision builds has the polynomial
+bound default_poly_bound(conv), so a point has one normal form per
+algebra; the algebra store also keeps the C and L records that modelio
+writes into every certificate over the algebra.  Every verify() and
 path_check recompute from scratch, the columns, sweep tables, sweep
-invariants and twisted Betti numbers included, and never read either
-store (Distinct.verify twists by fresh records), so a certificate is
-checked again rather than looked up, and a stale or damaged entry cannot
-make a wrong answer verify; a damaged stage that predicts a wrong flow
-endpoint fails the stage-flow assertions instead.
+invariants and twisted Betti numbers included, and never read the
+algebra store (Distinct.verify twists by fresh records), so a
+certificate is checked again rather than looked up, and a stale or
+damaged entry cannot make a wrong answer verify; a damaged stage that
+predicts a wrong flow endpoint fails the stage-flow assertions instead.
 """
 
 from __future__ import annotations
@@ -127,14 +127,9 @@ from .models import IntervalForms, extension_of_scalars
 
 def default_poly_bound(conv: ConvolutionAlgebra) -> int:
     """Polynomial degree bound that covers the flows of every nilpotency
-    depth a source of this size can produce, with slack; kept in
-    conv.algebra_memo."""
-    return _algebra_memo(conv, _poly_bound)
-
-
-def _poly_bound(conv: ConvolutionAlgebra) -> int:
-    degrees = {conv.C.space.degree_of[k] for k in conv.C.space.all_keys()}
-    return max(4, len(degrees) + 2)
+    depth a source of this size can produce, with slack: two more than
+    the number of source degrees, and at least 4."""
+    return max(4, len(conv.C.space.degrees()) + 2)
 
 
 # -- paths ---------------------------------------------------------------
@@ -610,7 +605,8 @@ def moduli_normal_form(x: PointRecord) -> ModuliClass:
 
 # -- the decision --------------------------------------------------------
 
-# as many points as a component search samples on one family grid
+# the tail restrictions kept per algebra: as many as a component search
+# has points on one family grid
 _POINTS_CAP = 64
 
 
@@ -632,15 +628,7 @@ class PointRecord:
     sweep table of x|tail), normal_form (the staged normal form) and
     betti (the nonzero twisted Betti numbers of x|tail).  The sweep table
     and the Betti numbers are read from the _TailEntry of x|tail, which
-    every point of conv with that restriction shares.
-
-    A record of the store lives as long as conv keeps it: until
-    _POINTS_CAP other points of conv have been used since, or conv
-    itself is dropped.  An algebra built for one call dies with the
-    call; the algebra of a source over a loop model
-    (hopf.LoopHomology.hom) lives in the model, so a record of it lasts
-    across calls until the model's LRU of algebras or the model cache
-    evicts it."""
+    every point of conv with that restriction shares."""
 
     def __init__(self, conv: ConvolutionAlgebra, x: GradedMap):
         residual = conv.mc_check(x)
@@ -696,27 +684,14 @@ def _tail_key(conv: ConvolutionAlgebra, x: GradedMap) -> frozenset:
                      if k[0] in tail)
 
 
-def _point_key(conv: ConvolutionAlgebra, x: GradedMap) -> tuple:
-    return (x.degree, frozenset(conv.to_vec(x).items()))
-
-
-def point_record(conv: ConvolutionAlgebra, x: GradedMap) -> PointRecord:
-    """The record of x in conv.point_memo, an LRU of the _POINTS_CAP
-    points used last; one record per _point_key.  A point that is not
-    Maurer-Cartan raises NotMaurerCartan and is not kept."""
-    return lru(conv.point_memo, _POINTS_CAP, _point_key(conv, x),
-               lambda: PointRecord(conv, x))
-
-
-def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap,
-                    poly_bound: int):
+def _abelian_decide(conv: ConvolutionAlgebra, x: GradedMap, y: GradedMap):
     combos, _, span = _algebra_memo(conv, _abelian_stage)
     target = conv.to_vec(y - x)
     coeffs = span.coords(target)
     if coeffs is None:
         return Distinct(conv, x, y, "homology-class", {})
     lam = conv.to_map(_combine(combos, coeffs), 1)
-    path = gauge_flow(conv, x, lam, poly_bound)
+    path = gauge_flow(conv, x, lam)
     if not path.endpoint(1).equals(y):
         raise AssertionError("abelian flow missed its predicted endpoint")
     return Equal(conv, x, y, (path,))
@@ -740,11 +715,11 @@ def gauge_equivalent(x: PointRecord, y: PointRecord):
     if y.conv is not conv:
         raise ValueError(f"elements of two algebras, {conv.name} and "
                          f"{y.conv.name}, cannot be compared")
-    poly_bound = default_poly_bound(conv)
     if conv.to_vec(x.x) == conv.to_vec(y.x):
-        return Equal(conv, x.x, y.x, (constant_path(conv, x.x, poly_bound),))
+        return Equal(conv, x.x, y.x,
+                     (constant_path(conv, x.x, default_poly_bound(conv)),))
     if conv.arity_window() <= 1:
-        return _abelian_decide(conv, x.x, y.x, poly_bound)
+        return _abelian_decide(conv, x.x, y.x)
     stage = _first_difference(x.invariant, y.invariant)
     if stage is not None:
         return Distinct(conv, x.x, y.x, "rigid-stage", {"degree": stage})

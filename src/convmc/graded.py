@@ -24,12 +24,12 @@ integer rows inside matrices.Echelon, goes through two helpers: add_term
 (defined in matrices and re-exported here) is the only way to
 accumulate a term into a vector (a coefficient that sums to zero drops
 its key), and tensor_terms is the only expansion of a tensor product of
-vectors into its terms.  The
-bounded caches of the package (loaded model files, loop models, their
-Hom algebras and pushed maps, decided points) take their
-least-recently-used step from lru, and keys of tables of columns come
-from entries_signature.  Error messages show
-coefficients through exact_repr, as Fraction(p, q) however they are held.
+vectors into its terms.  The bounded caches of the package (loaded
+model files, loop models, their Hom algebras and pushed maps, the tail
+restrictions of decided points) take their least-recently-used step
+from lru, and keys of tables of columns come from entries_signature.
+Error messages show coefficients through exact_repr, as Fraction(p, q)
+however they are held.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ LoopHomology holds, in bounded LRUs:
   source coalgebra (its name and sorted reprs of its basis, d and
   coproduct, CdgCoalgebra.signature), so structurally equal sources share
   one algebra and write the same certificate records.  mc_of_map and
-  _push_map make their records in it, so the gauge.PointRecord of a
-  point (its sweep invariant and normal form) and the algebra's own
-  memos live as long as the model keeps the algebra;
+  _push_map make their records in it.  The algebra's own memos live as
+  long as the model keeps the algebra; a record lives as long as its
+  holder, pushed below or the caller, keeps it;
 - pushed: the record of the canonical element of each of the
   _PUSHED_CAP most recently pushed strict maps, keyed by the source
   signature and the signature of the morphism's table
@@ -68,7 +68,7 @@ from functools import cached_property
 
 from .barcobar import cobar, cobar_map
 from .convolution import ConvolutionAlgebra
-from .gauge import NotMaurerCartan, PointRecord, gauge_equivalent, point_record
+from .gauge import NotMaurerCartan, PointRecord, gauge_equivalent
 from .graded import GradedMap, entries_signature, lru
 from .modelio import element_from_record
 from .models import CdgCoalgebra
@@ -156,7 +156,7 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
         tau = element_from_record(rec, source.space, model.algebra.space)
         if tau.degree != 0:
             raise ValueError("a Maurer-Cartan element must have degree 0")
-        return point_record(conv, tau)
+        return PointRecord(conv, tau)
     f = element_from_record(rec, source.space, model.coalgebra.space)
     if f.degree != 0:
         raise ValueError("a coalgebra morphism must have degree 0")
@@ -165,7 +165,7 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
                 lambda: _push_map(model, source, f))
     # a record of an algebra that model.hom has evicted since is checked
     # again in the algebra that replaced it
-    return known if known.conv is conv else point_record(conv, known.x)
+    return known if known.conv is conv else PointRecord(conv, known.x)
 
 
 def _push_map(model: LoopHomology, C: CdgCoalgebra,
@@ -184,7 +184,7 @@ def _push_map(model: LoopHomology, C: CdgCoalgebra,
     middle = push_mc(carried, C, source_model.theta)
     result = push_mc(model.projection, C, middle, residual="twisting")
     try:
-        return point_record(model.hom(C), result)
+        return PointRecord(model.hom(C), result)
     except NotMaurerCartan as exc:
         raise ValueError(f"composite: {exc}; enlarge the window") from None
 

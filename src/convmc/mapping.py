@@ -47,8 +47,7 @@ from fractions import Fraction
 
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
-from .gauge import (Equal, ModuliClass, PointRecord, Unknown,
-                    gauge_equivalent, point_record)
+from .gauge import Equal, ModuliClass, PointRecord, Unknown, gauge_equivalent
 from .graded import GradedMap, add_term, contraction_from_complex
 from .matrices import ONE, scalar
 from .models import (CdgCoalgebra, QuillenModel, TruncatedPolynomials,
@@ -271,7 +270,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
         if not covers:
             report.notes.append("search restricted to an empty direction "
                                 "set; only the zero map was considered")
-        report.classes.append(point_record(conv, conv.zero_map(0)).normal_form)
+        report.classes.append(PointRecord(conv, conv.zero_map(0)).normal_form)
         return report
 
     eqs = [p for p in _residual_polynomials(conv, pairs).values() if p]
@@ -322,7 +321,7 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
     starts: list[PointRecord] = []  # the checked start of each class
     for n, point in enumerate(candidates):
         # the solver's point, checked; its record keeps the normal form
-        record = point_record(conv, conv.to_map(
+        record = PointRecord(conv, conv.to_map(
             {p: v for p, v in zip(pairs, point) if v}, degree=0))
         merged = False
         for i, start in enumerate(starts):

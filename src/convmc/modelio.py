@@ -312,8 +312,16 @@ def linfty_to_record(L: LInfinityAlgebra) -> dict:
 
 
 def linfty_from_record(rec: dict) -> LInfinityAlgebra:
+    """The algebra of an linfty record.  Listed arities bound the brackets
+    the convolution reads, so each must be at least 1 and list every row's."""
     name = rec.get("name", "")
     sp = space_from_json(rec.get("basis", []), name, "basis")
+    arities = rec.get("arities")
+    if arities is not None:
+        arities = [_int(a, "arities")
+                   for a in _expect(arities, list, "arities")]
+        if min(arities, default=1) < 1:
+            raise ModelFileError("arities", f"arity {min(arities)} is below 1")
     brackets: dict = {}
     shape = "bracket rows are [n, [word], dst, 'p/q']"
     for loc, (n, word, dst), c in _table(rec.get("brackets", []), "brackets",
@@ -322,13 +330,11 @@ def linfty_from_record(rec: dict) -> LInfinityAlgebra:
             raise ModelFileError(loc, shape)
         if len(word) != _int(n, loc):
             raise ModelFileError(loc, f"word length {len(word)} != arity {n}")
+        if arities is not None and n not in arities:
+            raise ModelFileError(loc, f"arity {n} is not listed in arities")
         _basis_keys((*word, dst), sp, loc)
         if c:
             brackets.setdefault(n, {}).setdefault(word, {})[dst] = c
-    arities = rec.get("arities")
-    if arities is not None:
-        arities = [_int(a, "arities")
-                   for a in _expect(arities, list, "arities")]
     return LInfinityAlgebra(sp, brackets, name=name, arities=arities)
 
 
@@ -343,8 +349,13 @@ def quillen_to_record(Q: QuillenModel) -> dict:
 def quillen_from_record(rec: dict) -> QuillenModel:
     name = rec.get("name", "")
     letters = space_from_json(rec.get("letters", []), name, "letters")
+    deg_max = _int(rec.get("deg_max"), "deg_max")
+    if letters.degrees() and deg_max < letters.deg_min:
+        raise ModelFileError("deg_max", f"deg_max {deg_max} is below degree "
+                             f"{letters.deg_min}, the lowest letter degree; "
+                             "the model would be empty")
     try:
-        fl = FreeLie(letters, _int(rec.get("deg_max"), "deg_max"))
+        fl = FreeLie(letters, deg_max)
     except BasisTooLarge as exc:
         raise ModelFileError("deg_max", str(exc)) from None
     cols = entries_from_json(rec.get("delta", []), "delta", fl.space,
@@ -394,12 +405,19 @@ def _parts_to_json(parts: dict) -> list:
     return [[k, gmap_to_json(f)] for k, f in sorted(parts.items())]
 
 
-def _parts_from_json(rows, where: str, conv, degree: int) -> dict:
-    return {power: map_from_columns(
-        entries_from_json(entries, loc, conv.C.space, conv.L.space), loc,
-        conv.C.space, conv.L.space, degree)
-            for loc, power, entries in _int_rows(
-                rows, where, "path parts are [power, entries]")}
+def _parts_from_json(rows, where: str, conv, degree: int,
+                     bound: int) -> dict:
+    """The parts t^power of a path with polynomial bound bound; a nonzero
+    part is refused at its row unless 0 <= power <= bound."""
+    parts = {}
+    for loc, power, entries in _int_rows(rows, where,
+                                         "path parts are [power, entries]"):
+        cols = entries_from_json(entries, loc, conv.C.space, conv.L.space)
+        if cols and not 0 <= power <= bound:
+            raise ModelFileError(loc, f"power {power} is outside 0..{bound}")
+        parts[power] = map_from_columns(cols, loc, conv.C.space,
+                                        conv.L.space, degree)
+    return parts
 
 
 def path_to_json(path: GaugePath) -> dict:
@@ -414,8 +432,9 @@ def path_from_json(rec: dict, conv, where: str = "path") -> GaugePath:
     if bound < 0:
         raise ModelFileError(f"{where}.poly_bound",
                              f"expected a nonnegative integer, got {bound}")
-    p = _parts_from_json(rec.get("p_parts", []), f"{where}.p_parts", conv, 0)
-    q = _parts_from_json(rec.get("q_parts", []), f"{where}.q_parts", conv, 1)
+    p, q = (_parts_from_json(rec.get(f"{kind}_parts", []),
+                             f"{where}.{kind}_parts", conv, degree, bound)
+            for kind, degree in (("p", 0), ("q", 1)))
     return GaugePath(conv, bound, p, q)
 
 

@@ -355,8 +355,19 @@ REFUSALS = {
                     ["validate", "@bad"], "brackets[0]", None),
     "arities": ({**RECORDS["pi_s2_model"], "arities": "12"},
                 ["validate", "@bad"], "arities", None),
+    # max_arity reads the list, so an arity below 1 or a bracket of an
+    # arity the list omits would drop that bracket from the convolution
+    "arities-below-one": ({**RECORDS["pi_s2_model"], "arities": [0]},
+                          ["validate", "@bad"], "arities", None),
+    "arities-omit-bracket": ({**RECORDS["pi_s2_model"], "arities": [1]},
+                             ["components", "cp2", "@bad"], "brackets[0]",
+                             None),
     "quillen-deg-max": ({**QUILLEN, "deg_max": "3"}, ["validate", "@bad"],
                         "deg_max", None),
+    # below the lowest letter degree the model would be empty
+    "quillen-deg-max-below-letters": ({**QUILLEN, "deg_max": 0},
+                                      ["components", "@bad", "pi_s2"],
+                                      "deg_max", None),
     # letters a1, b2 through degree 200 pass freelie.BASIS_CAP
     "quillen-deg-max-cap": ({**QUILLEN, "letters": [
         {"name": "a", "degree": 1}, {"name": "b", "degree": 2}],
@@ -464,6 +475,14 @@ def test_refusals_name_where_the_input_breaks(files, capsys, monkeypatch,
     if env is not None:
         monkeypatch.setenv(cli.WINDOW_ENV, env)
     assert refusal(capsys, argv, files)["where"] == _at(files, where)
+
+
+def test_a_quillen_record_without_letters_is_valid(files, capsys):
+    # no letter degree bounds deg_max from below
+    (files / "empty.json").write_text(json.dumps(
+        {**QUILLEN, "letters": [], "deg_max": -3}))
+    code, out, _ = run(capsys, ["validate", "@empty"], files)
+    assert (code, json.loads(out)["valid"]) == (0, True)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1389,6 +1408,12 @@ def _homotopic_certificate(files, capsys, g):
     ("eta1", {"paths": [{"poly_bound": 1,
                          "p_parts": [[0, []], [1, [["zz", "H3_0", "1/1"]]]]}]},
      "paths[0].p_parts[1][0]"),
+    ("eta1", {"paths": [{"poly_bound": 4,
+                         "p_parts": [[-1, [["a", "H3_0", "1/1"]]]]}]},
+     "paths[0].p_parts[0]"),
+    ("eta1", {"paths": [{"poly_bound": 4, "p_parts": [
+        [0, [["a", "H3_0", "1/1"]]], [5, [["a", "H3_0", "1/1"]]]]}]},
+     "paths[0].p_parts[1]"),
     ("eta2", {"witness_kind": "rigid-stage", "witness": {}},
      "witness.degree"),
     ("eta2", {"witness_kind": "rigid-stage", "witness": {"degree": "3"}},
@@ -1400,7 +1425,8 @@ def _homotopic_certificate(files, capsys, g):
         "L-list", "x-string", "witness-string", "betti-int", "betti-row-str",
         "betti-row-null", "betti-row-bool", "betti-repeated-degree",
         "x-source-key", "y-target-key", "y-degree",
-        "parts-source-key", "rigid-no-degree", "rigid-str-degree",
+        "parts-source-key", "negative-power", "power-past-bound",
+        "rigid-no-degree", "rigid-str-degree",
         "rigid-bool-degree", "unknown-outcome"])
 @pytest.mark.parametrize("command", ["gauge-check", "validate"])
 def test_malformed_certificate_fields_are_refused(files, capsys, command,
@@ -1423,10 +1449,18 @@ def test_malformed_certificate_fields_are_refused(files, capsys, command,
     ({"path": {"poly_bound": 1, "p_parts": [[True, []]]}},
      "path.p_parts[0]"),
     ({"path": {"poly_bound": 1, "q_parts": [[0, []], [0, []]]}},
-     "path.q_parts[1]")],
+     "path.q_parts[1]"),
+    # a nonzero part outside t^0 .. t^poly_bound; a zero part is dropped
+    ({"path": {"poly_bound": 4, "p_parts": [[-2, []],
+                                            [-1, [["a", "H3_0", "1/1"]]]]}},
+     "path.p_parts[1]"),
+    ({"path": {"poly_bound": 4, "p_parts": [[9, []],
+                                            [5, [["a", "H3_0", "1/1"]]]]}},
+     "path.p_parts[1]")],
     ids=["C", "L", "path", "q_parts", "q_parts-target-key", "part-row",
          "negative-poly-bound", "str-poly-bound", "bool-poly-bound",
-         "bool-part-power", "repeated-part-power"])
+         "bool-part-power", "repeated-part-power", "negative-power",
+         "power-past-bound"])
 def test_malformed_gauge_path_fields_are_refused(files, capsys, edit, where):
     cert = _homotopic_certificate(files, capsys, "eta1")
     path = files / "path.json"

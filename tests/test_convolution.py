@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from convmc import words as wd
 from convmc.barcobar import bar, twisting_residual
 from convmc.convolution import ConvolutionAlgebra, check_coalgebra_morphism
-from convmc.gauge import NotMaurerCartan, point_record
+from convmc.gauge import NotMaurerCartan, PointRecord
 from convmc.graded import GradedMap, GradedSpace, add_term
 from convmc.library import (abelian_pair_with_d, abelian_two, cp2_coalgebra,
                             pi_s2, pi_s3, s2xs2_coalgebra, sphere_coalgebra,
@@ -236,7 +236,7 @@ def test_as_linfty_materializes(conv_cp2):
 
 def test_twist_by_zero_is_the_plain_differential():
     cv = ConvolutionAlgebra(chain_source(), abelian_pair_with_d())
-    tw = cv.twist(point_record(cv, cv.zero_map()))
+    tw = cv.twist(PointRecord(cv, cv.zero_map()))
     for key in cv.carrier.all_keys():
         f = cv.elementary(*key)
         assert tw.d.apply(cv.to_vec(f)) == cv.to_vec(cv.differential_of(f))
@@ -244,10 +244,10 @@ def test_twist_by_zero_is_the_plain_differential():
 
 def test_twist_frozen_on_product_of_spheres(conv_prod):
     tau = conv_prod.elementary("a", "x").scale(F(3))
-    tw = conv_prod.twist(point_record(conv_prod, tau))
+    tw = conv_prod.twist(PointRecord(conv_prod, tau))
     assert tw.d.entries == {("b", "x"): {("t", "y"): F(6)}}
     assert tw.betti() == {-2: 1, -1: 0, 0: 1, 1: 2}
-    plain = conv_prod.twist(point_record(conv_prod, conv_prod.zero_map()))
+    plain = conv_prod.twist(PointRecord(conv_prod, conv_prod.zero_map()))
     assert plain.betti() == {-2: 1, -1: 1, 0: 2, 1: 2}
 
 
@@ -255,19 +255,19 @@ def test_twist_rejects_non_mc(conv_cp2):
     # twist takes a record, which a non-MC point has not, and only one of
     # its own algebra
     with pytest.raises(NotMaurerCartan):
-        conv_cp2.twist(point_record(conv_cp2, conv_cp2.elementary("a", "x")))
+        conv_cp2.twist(PointRecord(conv_cp2, conv_cp2.elementary("a", "x")))
     twin = ConvolutionAlgebra(conv_cp2.C, conv_cp2.L)
     with pytest.raises(ValueError, match="cannot twist"):
-        conv_cp2.twist(point_record(twin, twin.zero_map()))
+        conv_cp2.twist(PointRecord(twin, twin.zero_map()))
 
 
 def test_twisted_homology_of_sphere_sources():
     cv3 = ConvolutionAlgebra(sphere_coalgebra(3), pi_s2())
     tau = cv3.elementary("a", "y").scale(F(5))
-    betti = cv3.twist(point_record(cv3, tau)).betti()
+    betti = cv3.twist(PointRecord(cv3, tau)).betti()
     assert all(betti.get(k, 0) == 0 for k in range(1, 4))
     cv2 = ConvolutionAlgebra(sphere_coalgebra(2), pi_s2())
-    assert len(pi_of_component(point_record(cv2, cv2.zero_map()), 1)) == 1
+    assert len(pi_of_component(PointRecord(cv2, cv2.zero_map()), 1)) == 1
 
 
 # -- naturality: the reference maps Hom(C, L) -> Hom(C, L') and
@@ -467,7 +467,7 @@ def test_twist_columns_match_the_orderings():
               lambda cv: cv.elementary("a", "x"))]
     for conv, make in cases:
         tau = make(conv)
-        d = conv.twist(point_record(conv, tau)).d
+        d = conv.twist(PointRecord(conv, tau)).d
         for key in conv.carrier.all_keys():
             want = old_twisted(conv, tau, conv.elementary(*key))
             assert d.column(key) == conv.to_vec(want)

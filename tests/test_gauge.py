@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from convmc import gauge, mapping
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import (Distinct, Equal, GaugePath, NotMaurerCartan,
-                          constant_path, default_poly_bound, gauge_flow,
-                          gauge_equivalent, moduli_normal_form, point_record)
+                          PointRecord, constant_path, default_poly_bound,
+                          gauge_flow, gauge_equivalent, moduli_normal_form)
 from convmc.graded import GradedSpace
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             abelian_pair_with_d, abelian_two,
@@ -56,11 +56,11 @@ def two_step_target():
 
 def decide(conv, x, y):
     """gauge_equivalent on the records of two points of conv."""
-    return gauge_equivalent(point_record(conv, x), point_record(conv, y))
+    return gauge_equivalent(PointRecord(conv, x), PointRecord(conv, y))
 
 
 def normal_form(conv, x):
-    return moduli_normal_form(point_record(conv, x))
+    return moduli_normal_form(PointRecord(conv, x))
 
 
 def pair_mc(conv, alpha, gamma):
@@ -313,7 +313,7 @@ class TestGaugeEquivalent:
 
     def test_non_mc_inputs_are_rejected(self):
         # a point that is not Maurer-Cartan has no record: it is refused
-        # with its residual and the store keeps nothing of it
+        # with its residual and the algebra's store keeps nothing of it
         conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
         good = conv.zero_map(0)
         bad = conv.elementary("a", "x")
@@ -324,7 +324,7 @@ class TestGaugeEquivalent:
             assert str(refused.value) == (
                 "not a Maurer-Cartan element, residual "
                 "{'b': {'y': Fraction(1, 1)}}")
-        assert list(conv.point_memo) == [gauge._point_key(conv, good)]
+        assert conv.algebra_memo == {}
 
     def test_records_of_two_algebras_are_refused(self):
         # two algebras of one model, and of two models: the same point is
@@ -332,9 +332,9 @@ class TestGaugeEquivalent:
         cp2 = cp2_coalgebra()
         one, two = (ConvolutionAlgebra(cp2, pi_s2()) for _ in range(2))
         other = ConvolutionAlgebra(cp2, acyclic_pair_target())
-        x = point_record(one, one.zero_map(0))
+        x = PointRecord(one, one.zero_map(0))
         for conv in (two, other):
-            y = point_record(conv, conv.zero_map(0))
+            y = PointRecord(conv, conv.zero_map(0))
             for a, b in ((x, y), (y, x)):
                 with pytest.raises(ValueError, match="two algebras"):
                     gauge_equivalent(a, b)
@@ -388,7 +388,7 @@ class TestModuliNormalForm:
         conv = ConvolutionAlgebra(cp2_coalgebra(), pi_s2())
         with pytest.raises(NotMaurerCartan):
             normal_form(conv, conv.elementary("a", "x"))
-        assert not conv.point_memo
+        assert conv.algebra_memo == {}
 
     def test_abelian_normal_form_matches_plain_linear_algebra(self):
         conv = ConvolutionAlgebra(wedge_s2_s3_coalgebra(),
@@ -501,7 +501,7 @@ def test_shared_algebra_decides_like_fresh_ones(family, data):
         want = decide(fresh, probe_mc(fresh, family, points[i]),
                                 probe_mc(fresh, family, points[j]))
         assert signature(got) == signature(want)
-    assert len(shared.point_memo) <= len(points)
+    assert len(shared.algebra_memo.get("_tails", {})) <= len(points)
 
 
 def bundled_algebra(source, target):
@@ -617,32 +617,16 @@ def test_tail_store_evicts_the_oldest_restriction_past_its_cap(monkeypatch):
     # the tail keys are a and b: the first two points share one entry
     p = [two_step_mc(conv, *coeffs)
          for coeffs in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]]
-    entries = [point_record(conv, q).tail for q in p]
+    entries = [PointRecord(conv, q).tail for q in p]
     assert entries[0] is entries[1]
     assert len({id(e) for e in entries}) == 3
     assert set(conv.algebra_memo["_tails"]) == {
         gauge._tail_key(conv, p[2]), gauge._tail_key(conv, p[3])}
-    again = point_record(conv, p[0])
+    again = PointRecord(conv, p[0])
     assert again.tail is not entries[0]
     assert again.betti == entries[0].betti
     assert set(conv.algebra_memo["_tails"]) == {
         gauge._tail_key(conv, p[3]), gauge._tail_key(conv, p[0])}
-
-
-def test_point_memo_evicts_the_oldest_point_past_its_cap(monkeypatch):
-    monkeypatch.setattr(gauge, "_POINTS_CAP", 2)
-    conv = probe_algebra("pair")
-    p = [pair_mc(conv, a, g) for a, g in [(2, 3), (2, -5), (1, 0), (0, 1)]]
-    first = decide(conv, p[0], p[1])
-    assert first.outcome == "equal"
-    assert decide(conv, p[2], p[3]).outcome == "distinct"
-    assert set(conv.point_memo) == {gauge._point_key(conv, p[2]),
-                                    gauge._point_key(conv, p[3])}
-    again = decide(conv, p[0], p[1])
-    assert signature(again) == signature(first)
-    assert again.verify()
-    assert set(conv.point_memo) == {gauge._point_key(conv, p[0]),
-                                    gauge._point_key(conv, p[1])}
 
 
 def all_rigid(conv, x):
@@ -659,23 +643,23 @@ def test_verify_recomputes_what_the_decision_memoises():
     equal = decide(conv, x, y)
     rigid = decide(conv, x, z)
     assert (equal.outcome, rigid.kind) == ("equal", "rigid-stage")
-    record = conv.point_memo[gauge._point_key(conv, x)]
-    # no direction moves x any more, as far as the memo knows
+    # a held record of x that says no direction moves x any more
+    record = PointRecord(conv, x)
     record.invariant = all_rigid(conv, x)
-    forged = decide(conv, x, y)
+    forged = gauge_equivalent(record, PointRecord(conv, y))
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
     assert not forged.verify()
     assert equal.verify()
     assert rigid.verify()
     fresh = ConvolutionAlgebra(conv.C, conv.L)
     assert Distinct(fresh, x, z, rigid.kind, rigid.witness).verify()
-    assert (fresh.point_memo, fresh.algebra_memo) == ({}, {})
+    assert fresh.algebra_memo == {}
 
     # the shared entry of x|tail, forged: every column rigid.  y agrees
     # with x on the tail key a, so its record reads the same entry
     conv = probe_algebra("pair")
-    entry = point_record(conv, x).tail
-    assert point_record(conv, y).tail is entry
+    entry = PointRecord(conv, x).tail
+    assert PointRecord(conv, y).tail is entry
     entry.sweep_table = [(p, basis, None) for p, basis in gauge._columns(conv)]
     forged = decide(conv, x, y)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
@@ -683,29 +667,32 @@ def test_verify_recomputes_what_the_decision_memoises():
 
     conv = probe_algebra("two_step")
     x, y = two_step_mc(conv, 0, 0, 0), two_step_mc(conv, 0, 1, 0)
-    bx, by = (gauge.PointRecord(conv, p).betti for p in (x, y))
+    bx, by = (PointRecord(conv, p).betti for p in (x, y))
     assert bx != by
     betti = Distinct(conv, x, y, "twisted-betti",
                      {"betti_x": bx, "betti_y": by})
     assert decide(conv, x, y).kind == "rigid-stage"
-    record = conv.point_memo[gauge._point_key(conv, x)]
-    record.invariant = all_rigid(conv, x)
+    # a held record of x with y's sweep invariant and wrong Betti numbers
+    record, other = PointRecord(conv, x), PointRecord(conv, y)
+    record.invariant = other.invariant
     record.betti = {0: 99}
+    forged = gauge_equivalent(record, other)
+    assert (forged.kind, forged.witness) == (
+        "twisted-betti", {"betti_x": {0: 99}, "betti_y": by})
+    assert not forged.verify()
     assert betti.verify()
-    assert not Distinct(conv, x, y, "twisted-betti",
-                        {"betti_x": {0: 99}, "betti_y": by}).verify()
     fresh = ConvolutionAlgebra(conv.C, conv.L)
     assert Distinct(fresh, x, y, "twisted-betti",
                     {"betti_x": bx, "betti_y": by}).verify()
-    assert (fresh.point_memo, fresh.algebra_memo) == ({}, {})
+    assert fresh.algebra_memo == {}
 
     # the shared entries of x|tail and y|tail, forged: empty sweep tables,
     # so the decision reaches the Betti comparison, and wrong Betti
     # numbers for x
     conv = probe_algebra("two_step")
     for p in (x, y):
-        point_record(conv, p).tail.sweep_table = []
-    point_record(conv, x).tail.betti = {0: 99}
+        PointRecord(conv, p).tail.sweep_table = []
+    PointRecord(conv, x).tail.betti = {0: 99}
     forged = decide(conv, x, y)
     assert (forged.kind, forged.witness) == (
         "twisted-betti", {"betti_x": {0: 99}, "betti_y": by})
@@ -736,7 +723,7 @@ def test_damaged_algebra_memo_cannot_verify_a_wrong_answer():
     damaged.algebra_memo["_columns"] = gauge._columns(damaged)[1:]
     forged = decide(damaged, x, z)
     assert (forged.kind, forged.witness) == ("rigid-stage", {"degree": 4})
-    assert [p for p, _ in gauge.point_record(damaged, x).invariant] == [4]
+    assert [p for p, _ in PointRecord(damaged, x).invariant] == [4]
     assert not forged.verify()
 
     conv = ConvolutionAlgebra(wedge_s2_s3_coalgebra(), acyclic_pair_target())

@@ -27,8 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from convmc import hopf, modelio
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import (Distinct, Equal, gauge_equivalent, gauge_flow,
-                          moduli_normal_form, point_record)
+from convmc.gauge import (Distinct, Equal, PointRecord, gauge_equivalent,
+                          gauge_flow, moduli_normal_form)
 from convmc.graded import GradedMap
 from convmc.library import cp2_coalgebra, sphere_coalgebra
 
@@ -304,8 +304,8 @@ class SphereHomotopyGroup:
         return x + y
 
     def decide(self, x: GradedMap, y: GradedMap):
-        return gauge_equivalent(point_record(self.conv, x),
-                                point_record(self.conv, y))
+        return gauge_equivalent(PointRecord(self.conv, x),
+                                PointRecord(self.conv, y))
 
     def _certify(self) -> None:
         """Every basis class is distinct from zero and from every other

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from convmc import mapping
 from convmc.barcobar import BarCoalgebra, cobar
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import Distinct, NotMaurerCartan, gauge_flow, point_record
+from convmc.gauge import Distinct, NotMaurerCartan, PointRecord, gauge_flow
 from convmc.graded import GradedSpace, add_term
 from convmc.library import (BUILTIN_COALGEBRAS, BUILTIN_TARGETS,
                             builtin_model, cp2_coalgebra, pi_s2,
@@ -49,7 +49,7 @@ def zero_target():
 
 def pi(conv, tau, n):
     """pi_n of the component of the point tau of conv, through its record."""
-    return mapping.pi_of_component(point_record(conv, tau), n)
+    return mapping.pi_of_component(PointRecord(conv, tau), n)
 
 
 def mapping_space_model(source, L, degree_max=None):
