@@ -123,7 +123,7 @@ class ConvolutionAlgebra:
         # what the gauge decision derives from the algebra alone and from
         # the tail restrictions of its points (gauge._algebra_memo,
         # gauge.PointRecord.tail); modelio keeps the records of C and L
-        # there
+        # there, and hopf the records of the strict maps it pushed
         self.algebra_memo: dict = {}
 
     @cached_property

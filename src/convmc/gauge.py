@@ -97,20 +97,21 @@ A PointRecord is the checked Maurer-Cartan element: its constructor
 computes the residual once and raises NotMaurerCartan unless it is
 zero.  The component search, hopf.mc_of_map and the CLI's element
 arguments each build the record of a point once and hold it (the class
-starts of mapping.components, LoopHomology.pushed, one call), and the
-decision, moduli_normal_form, ConvolutionAlgebra.twist,
+starts of mapping.components, the algebra store's "pushed", one call),
+and the decision, moduli_normal_form, ConvolutionAlgebra.twist,
 mapping.pi_of_component and hopf.maps_homotopic take them, so none of
 those checks a point again; the decision and twist refuse a record of
 another algebra.  Every path the decision builds has the polynomial
 bound default_poly_bound(conv), so a point has one normal form per
 algebra; the algebra store also keeps the C and L records that modelio
-writes into every certificate over the algebra.  Every verify() and
-path_check recompute from scratch, the columns, sweep tables, sweep
-invariants and twisted Betti numbers included, and never read the
-algebra store (Distinct.verify twists by fresh records), so a
-certificate is checked again rather than looked up, and a stale or
-damaged entry cannot make a wrong answer verify; a damaged stage that
-predicts a wrong flow endpoint fails the stage-flow assertions instead.
+writes into every certificate over the algebra, and the records of the
+strict maps hopf pushed into it.  Every verify() and path_check
+recompute from scratch, the columns, sweep tables, sweep invariants and
+twisted Betti numbers included, and never read the algebra store
+(Distinct.verify twists by fresh records), so a certificate is checked
+again rather than looked up, and a stale or damaged entry cannot make a
+wrong answer verify; a damaged stage that predicts a wrong flow endpoint
+fails the stage-flow assertions instead.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ class GaugePath:
             for k, f in parts.items():
                 if f.degree != degree:
                     raise ValueError(f"{name} parts must have degree {degree}")
+                if k < 0:
+                    raise ValueError(
+                        f"{name} part t^{k}{dt} has negative power {k}")
                 if k > poly_bound:
                     raise ValueError(
                         f"{name} part t^{k}{dt} exceeds bound {poly_bound}")

@@ -30,11 +30,11 @@ LoopHomology holds, in bounded LRUs:
   one algebra and write the same certificate records.  mc_of_map and
   _push_map make their records in it.  The algebra's own memos live as
   long as the model keeps the algebra; a record lives as long as its
-  holder, pushed below or the caller, keeps it;
-- pushed: the record of the canonical element of each of the
-  _PUSHED_CAP most recently pushed strict maps, keyed by the source
-  signature and the signature of the morphism's table
-  (graded.entries_signature);
+  holder, the algebra or the caller, keeps it.  The algebra's memo
+  "pushed" holds the record of the canonical element of each of the
+  _PUSHED_CAP most recently pushed strict maps from its source, keyed by
+  the signature of the morphism's table (graded.entries_signature), so
+  an evicted algebra takes its pushed maps with it;
 - theta = p o iota of its own coalgebra.
 
 The final Maurer-Cartan check of _push_map and the check of an
@@ -43,16 +43,17 @@ maps_homotopic and the hopf command then take as it is.  The
 coalgebra-morphism check of a map runs once per push, in
 barcobar.cobar_map, after the source's loop model is built or read from
 the cache: a map that is not a morphism is refused once that model
-exists.  A push memo key fixes every input of the composite and of the
-morphism check: the source (its signature), the morphism's entries, and
-the target, which is the model.  Only a map that passed the morphism
-check and every gate of the composite (the chain-map check of the
-induced cobar map, both pushforward gates and the final Maurer-Cartan
-check) is stored, so a hit needs no check again, a failing map raises on
-every call, and every gate still runs in full the first time a distinct
-map meets a model.  The memos die with their model when the model cache
-evicts or clears it.  A hit hands out the stored record, not a copy:
-nothing writes into the map of a record.
+exists.  A push memo key, with the algebra that holds it, fixes every
+input of the composite and of the morphism check: the source (the
+algebra's signature), the morphism's entries, and the target, which is
+the model.  Only a map that passed the morphism check and every gate of
+the composite (the chain-map check of the induced cobar map, both
+pushforward gates and the final Maurer-Cartan check) is stored, so a hit
+needs no check again, a failing map raises on every call, and every gate
+still runs in full the first time a distinct map meets an algebra.  The
+memos die with their algebra when the model evicts it, or with the model
+when the model cache evicts or clears it.  A hit hands out the stored
+record, not a copy: nothing writes into the map of a record.
 
 Over a sphere source S^n the invariant of a map is a class of pi_n of the
 target, read as the degree-n loop homology with representative addition
@@ -90,10 +91,6 @@ class LoopHomology:
         self.algebra = self.transfer.algebra
         self.ambient = self.transfer.ambient
         self.fingerprint = self.transfer.contraction.fingerprint
-        # records of the canonical Maurer-Cartan elements of the strict
-        # maps pushed into this model, by (source signature, morphism
-        # signature); only mc_of_map reads and fills it
-        self.pushed: OrderedDict[tuple, PointRecord] = OrderedDict()
         # Hom(source, algebra) by source signature (hom)
         self.homs: OrderedDict[tuple, ConvolutionAlgebra] = OrderedDict()
 
@@ -147,9 +144,9 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
     source cobar construction by the transferred infinity-morphism,
     carried over by the induced map of cobar constructions, and pushed
     down to the target's homology along the projection.  The check and
-    the composite run once per distinct map and target model
-    (LoopHomology.pushed, see the module docstring), and a hit returns
-    the stored record.
+    the composite run once per distinct map and Hom algebra (its memo
+    "pushed", see the module docstring), and a hit returns the stored
+    record.
     """
     conv = model.hom(source)
     if rec["kind"] == "mc_element":
@@ -160,21 +157,19 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
     f = element_from_record(rec, source.space, model.coalgebra.space)
     if f.degree != 0:
         raise ValueError("a coalgebra morphism must have degree 0")
-    known = lru(model.pushed, _PUSHED_CAP,
-                (source.signature, entries_signature(f.entries)),
-                lambda: _push_map(model, source, f))
-    # a record of an algebra that model.hom has evicted since is checked
-    # again in the algebra that replaced it
-    return known if known.conv is conv else PointRecord(conv, known.x)
+    return lru(conv.algebra_memo.setdefault("pushed", OrderedDict()),
+               _PUSHED_CAP, entries_signature(f.entries),
+               lambda: _push_map(model, conv, f))
 
 
-def _push_map(model: LoopHomology, C: CdgCoalgebra,
+def _push_map(model: LoopHomology, conv: ConvolutionAlgebra,
               f: GradedMap) -> PointRecord:
     """The composite of mc_of_map for a strict morphism, every gate run:
     cobar_map checks f to be a coalgebra morphism (after the loop model of
-    C is built or read from the cache), the middle stage lives in the
-    divided-power normalization, and the result is checked against the
-    literal Maurer-Cartan equation by its record in model.hom(C)."""
+    the source C is built or read from the cache), the middle stage lives
+    in the divided-power normalization, and the result is checked against
+    the literal Maurer-Cartan equation by its record in conv."""
+    C = conv.C
     source_model = loop_homology(C, model.degree_max)
     induced = cobar_map(f, source_model.cobar, model.cobar)
     lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,
@@ -184,7 +179,7 @@ def _push_map(model: LoopHomology, C: CdgCoalgebra,
     middle = push_mc(carried, C, source_model.theta)
     result = push_mc(model.projection, C, middle, residual="twisting")
     try:
-        return PointRecord(model.hom(C), result)
+        return PointRecord(conv, result)
     except NotMaurerCartan as exc:
         raise ValueError(f"composite: {exc}; enlarge the window") from None
 

@@ -49,16 +49,6 @@ from .graded import (ChainComplex, GradedMap, GradedSpace, Key, TensorSpace,
 from .matrices import ONE, scalar
 
 
-class Truncation:
-    """Finite computation window: degrees and bracket arity."""
-
-    def __init__(self, deg_max: int, arity_max: int):
-        if arity_max < 1:
-            raise ValueError("arity_max must be at least 1")
-        self.deg_max = deg_max
-        self.arity_max = arity_max
-
-
 # ---------------------------------------------------------------------------
 # coalgebras
 
@@ -303,11 +293,14 @@ class LInfinityAlgebra(SymmetricOperations):
                 add_term(out, k, c * cc)
         return out
 
-    def validate(self, truncation: Truncation | None = None):
+    def validate(self, arity_max: int | None = None):
         """Check the stored brackets' arities and degrees, then the
-        generalized Jacobi identities on every word in the truncation.
-        Values a compute hook supplies are degree-checked as they are
-        stored, so the Jacobi pass checks those it evaluates.
+        generalized Jacobi identities on every word of at most arity_max
+        letters (default twice the top arity) and degree at most
+        deg_max + 2, lowest degree first, then shortest, then canonical,
+        so cli.cmd_transfer can blame the first residue's degree on the
+        cobar window.  Values a compute hook supplies are degree-checked
+        as they are stored, so the Jacobi pass checks those it evaluates.
 
         Words above degree deg_max + 2 of the carrier are not visited:
         every l_n has degree -1, so the Jacobi sum on a word w lies in
@@ -316,24 +309,17 @@ class LInfinityAlgebra(SymmetricOperations):
         nonzero goes unchecked: a word of degree <= deg_max + 1 is itself
         visited, and the j = m term of its sum evaluates l_m on it.
         """
+        if arity_max is None:
+            arity_max = max((2 * n for n in self.arities), default=2)
+        if arity_max < 1:
+            raise ValueError("arity_max must be at least 1")
         for n, table in self.tables.items():
             for word, v in table.items():
                 if len(word) != n:
                     raise ValueError(f"bracket arity mismatch on {word!r}")
                 self._check_degree(n, word, v)
-        arity_cap = truncation.arity_max if truncation else max(
-            (2 * n for n in self.arities), default=2)
-        top = self.space.deg_max + 2
-        if min(self.space.degrees(), default=1) >= 1:
-            deg_cap = truncation.deg_max if truncation \
-                else self.space.deg_max * arity_cap
-            words = wd.word_space(self.space, deg_max=min(deg_cap, top),
-                                  max_length=arity_cap).all_keys()
-        else:
-            # letters in degrees < 1: enumerate words directly
-            words = (word for m in range(1, arity_cap + 1)
-                     for word in wd.canonical_words(self.space, m, top))
-        for word in words:
+        for word in wd.word_space(self.space, self.space.deg_max + 2,
+                                  arity_max).all_keys():
             jac = self.jacobiator(word)
             if jac:
                 raise JacobiError(word, jac)

@@ -74,7 +74,7 @@ from .graded import (Contraction, GradedMap, TensorSpace, Vec, add_term,
                      contraction_from_complex, tensor_terms)
 from .matrices import ONE, inverse
 from .models import (CdgCoalgebra, IntervalForms, LInfinityAlgebra,
-                     QuillenModel, SymmetricOperations, Truncation, extended)
+                     QuillenModel, SymmetricOperations, extended)
 
 WVec = dict
 
@@ -268,15 +268,11 @@ class TransferredLInfinity:
                                 list(range(1, self.arity_max + 1)),
                                 compute, name="projection")
 
-    def validate(self, truncation: Truncation | None = None) -> None:
+    def validate(self) -> None:
         """Check the generalized Jacobi identities of the transferred
-        brackets on all words up to the arity bound."""
-        if truncation is None:
-            degrees = list(self.algebra.space.degrees())
-            top = max(degrees, default=1)
-            truncation = Truncation(deg_max=max(1, top) * self.arity_max,
-                                    arity_max=self.arity_max)
-        self.algebra.validate(truncation)
+        brackets on all words of at most arity_max letters, through
+        LInfinityAlgebra.validate and in its order."""
+        self.algebra.validate(self.arity_max)
 
 
 def homology_contraction(alg: LInfinityAlgebra) -> Contraction:

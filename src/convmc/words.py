@@ -123,22 +123,22 @@ def canonical_words(letters: GradedSpace, n: int,
 
 def word_space(letters: GradedSpace, deg_max: int, max_length: int | None = None,
                name: str = "") -> GradedSpace:
-    """All nonzero words of length >= 1 and degree <= deg_max.
+    """All nonzero words of length 1..max_length and degree <= deg_max,
+    each degree's words shortest first, then in canonical order.
 
-    Letters must sit in degrees >= 1 so that the degree cap keeps the word
-    count finite; pass a truncated letter space otherwise.
+    Letters in degrees >= 1 keep the word count finite through the degree
+    cap alone; letters below degree 1 need max_length.
     """
     if not letters.degree_of:
         return GradedSpace({}, name=name)
-    min_deg = letters.deg_min
-    if min_deg < 1:
-        raise ValueError("word_space needs letters in degrees >= 1; truncate first")
+    if max_length is None:
+        if letters.deg_min < 1:
+            raise ValueError("word_space needs a max_length for letters below degree 1")
+        max_length = deg_max // letters.deg_min
     by_deg: dict[int, list] = {}
-    n = 1
-    while n * min_deg <= deg_max and (max_length is None or n <= max_length):
+    for n in range(1, max_length + 1):
         for combo in canonical_words(letters, n, deg_max):
             by_deg.setdefault(word_degree(letters, combo), []).append(combo)
-        n += 1
     for d in by_deg:
         by_deg[d].sort(key=lambda w: (len(w), [letters.sort_key(x) for x in w]))
     return GradedSpace(by_deg, name=name or f"words({letters.name})")

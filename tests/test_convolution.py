@@ -26,7 +26,7 @@ from convmc.library import (abelian_pair_with_d, abelian_two, cp2_coalgebra,
                             pi_s2, pi_s3, s2xs2_coalgebra, sphere_coalgebra,
                             wedge_s2_s3_coalgebra)
 from convmc.mapping import pi_of_component
-from convmc.models import CdgCoalgebra, LInfinityAlgebra, Truncation
+from convmc.models import CdgCoalgebra, LInfinityAlgebra
 from test_barcobar import check_strict_morphism
 from test_gauge import acyclic_pair_target, pair_mc, two_step_target
 from test_models import cp3_coalgebra
@@ -204,8 +204,7 @@ def materialize(conv: ConvolutionAlgebra,
 
 def validate_convolution(conv: ConvolutionAlgebra, arity_max: int = 4):
     """Generalized Jacobi on the materialized brackets, exact."""
-    tr = Truncation(conv.carrier.deg_max, arity_max)
-    materialize(conv, arity_max).validate(tr)
+    materialize(conv, arity_max).validate(arity_max)
 
 
 def test_validate_bundled_pairs():

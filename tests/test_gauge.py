@@ -130,6 +130,9 @@ class TestGaugePath:
         with pytest.raises(ValueError, match="exceeds bound"):
             GaugePath(conv, 1, {2: conv.zero_map(0) +
                                 conv.elementary("a", "u")}, {})
+        with pytest.raises(ValueError, match="dt part t\\^-1 dt has "
+                                             "negative power -1"):
+            GaugePath(conv, 4, {}, {-1: conv.elementary("a", "v")})
 
     def test_direction_reads_off_the_dt_part(self):
         conv = ConvolutionAlgebra(cp2_coalgebra(), abelian_pair_with_d())

@@ -24,7 +24,7 @@ from convmc.gauge import _integrate
 from convmc.graded import GradedMap, GradedSpace, exact_repr
 from convmc.matrices import ONE, ZERO
 from convmc.models import (CdgCoalgebra, IntervalForms, JacobiError,
-                           LInfinityAlgebra, QuillenModel, Truncation,
+                           LInfinityAlgebra, QuillenModel,
                            TruncatedPolynomials, extension_of_scalars)
 
 F = Fraction
@@ -160,7 +160,7 @@ def test_jacobi_failure_detected():
     L = LInfinityAlgebra(sp, {2: {("x", "x"): {"y": F(1)},
                                   ("x", "y"): {"z": F(1)}}})
     with pytest.raises(ValueError, match="Jacobi"):
-        L.validate(Truncation(12, 3))
+        L.validate(3)
 
 
 @st.composite
@@ -189,21 +189,31 @@ def bracket_tables(draw, low):
 
 
 def first_jacobi_failure(L):
-    """The Jacobi pass over every word validate() visits without its
-    degree cut: all words up to twice the top arity, of degree at most
-    the top degree times that arity."""
+    """The Jacobi pass over every word validate() visits, without its
+    degree cut: all words up to twice the top arity, lowest degree first,
+    then shortest, then in canonical order."""
     arity = max(2 * n for n in L.arities)
-    if L.space.deg_min >= 1:
-        words = wd.word_space(L.space, L.space.deg_max * arity,
-                              arity).all_keys()
-    else:
-        words = [w for m in range(1, arity + 1)
-                 for w in wd.canonical_words(L.space, m)]
+    words = sorted((w for m in range(1, arity + 1)
+                    for w in wd.canonical_words(L.space, m)),
+                   key=lambda w: (wd.word_degree(L.space, w), len(w),
+                                  [L.space.sort_key(x) for x in w]))
     for w in words:
         jac = L.jacobiator(w)
         if jac:
             return f"Jacobi fails on {w!r}: residue {exact_repr(jac)}"
     return None
+
+
+def lowest_failure_below_degree_one():
+    """l1(x) = y and l1(y) = z, with l2(u, z) = u for a letter u in degree
+    -1: l1 does not square to zero on the word (x,) of degree 3, and the
+    longer word (u, y) of degree 1 fails too, through l2(u, l1 y) = u.
+    The lowest degree comes first, so validate() names (u, y)."""
+    sp = GradedSpace({-1: ["u"], 1: ["z"], 2: ["y"], 3: ["x"]})
+    return LInfinityAlgebra(sp, {1: {("x",): {"y": F(1)},
+                                     ("y",): {"z": F(1)}},
+                                 2: {("u", "z"): {"u": F(1)}}},
+                            arities=[1, 2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,6 +223,7 @@ def first_jacobi_failure(L):
 @example(LInfinityAlgebra(GradedSpace({2: ["x"], 3: ["y"], 4: ["z"]}),
                           {2: {("x", "x"): {"y": F(1)},
                                ("x", "y"): {"z": F(1)}}}))
+@example(lowest_failure_below_degree_one())
 def test_validate_fails_exactly_where_the_full_degree_pass_does(L):
     want = first_jacobi_failure(L)
     if want is None:
@@ -221,6 +232,19 @@ def test_validate_fails_exactly_where_the_full_degree_pass_does(L):
         with pytest.raises(JacobiError) as exc:
             L.validate()
         assert str(exc.value) == want
+
+
+def test_validate_reports_the_lowest_degree_failure_first():
+    L = lowest_failure_below_degree_one()
+    with pytest.raises(JacobiError) as exc:
+        L.validate()
+    assert str(exc.value) == ("Jacobi fails on ('u', 'y'): "
+                              "residue {'u': Fraction(-1, 1)}")
+
+
+def test_validate_refuses_an_arity_below_one():
+    with pytest.raises(ValueError, match="arity_max must be at least 1"):
+        lib.pi_s2().validate(0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,7 +312,7 @@ def test_as_linfty_shift_dictionary():
     assert L.bracket(1, ("b",)) == {br("a", "a"): F(-1)}
     # first argument has even shifted degree: plus sign
     assert L.bracket(2, ("a", "a")) == {br("a", "a"): F(1)}
-    L.validate(Truncation(20, 3))
+    L.validate(3)
     # one presentation per model, with one bracket cache
     assert M.as_linfty() is L
 
@@ -306,7 +330,7 @@ def test_as_linfty_odd_first_argument_sign():
     assert L.bracket(2, ("c", "e")) == {br("c", "e"): F(-1)}
     # swapped odd arguments flip the sign, matching classical antisymmetry
     assert L.bracket(2, ("e", "c")) == {br("c", "e"): F(1)}
-    L.validate(Truncation(12, 3))
+    L.validate(3)
 
 
 def test_quillen_s2():

@@ -5,7 +5,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convmc import words as wd
 from convmc.graded import GradedMap, GradedSpace, TensorSpace, tensor_terms
@@ -143,13 +144,19 @@ def test_bounded_canonical_words_are_the_filtered_words_in_order(L, n,
 
 
 @settings(max_examples=60, deadline=None)
-@given(letter_spaces(low=1), st.integers(0, 12),
+@given(st.sampled_from([1, -2]).flatmap(letter_spaces), st.integers(-8, 12),
        st.one_of(st.none(), st.integers(1, 4)))
+# a longer word of letters below degree 1 can be lighter than its prefix
+@example(GradedSpace({-2: ["a"]}, name="L"), -3, 2)
 def test_word_space_equals_the_filtered_enumeration(L, deg_max, max_length):
+    if L.deg_min < 1 and max_length is None:
+        with pytest.raises(ValueError, match="max_length"):
+            wd.word_space(L, deg_max)
+        return
     by_deg: dict[int, list] = {}
     n = 1
-    while n * L.deg_min <= deg_max and (max_length is None
-                                        or n <= max_length):
+    while (L.deg_min < 1 or n * L.deg_min <= deg_max) and (
+            max_length is None or n <= max_length):
         for w in words_by_filter(L, n):
             if wd.word_degree(L, w) <= deg_max:
                 by_deg.setdefault(wd.word_degree(L, w), []).append(w)
