@@ -29,12 +29,14 @@ model files, loop models, their Hom algebras and pushed maps, the tail
 restrictions of decided points) take their least-recently-used step
 from lru, and keys of tables of columns come from entries_signature.
 Error messages show coefficients through exact_repr, as Fraction(p, q)
-however they are held.
+however they are held.  A contraction's fingerprint is the first 16 hex
+digits of the SHA-256 of json.dumps(payload, sort_keys=True), where the
+payload holds the basis names per degree and the pivot columns; it is
+computed with CPython's built-in SHA-256, without loading OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import OrderedDict
 from fractions import Fraction
@@ -43,6 +45,14 @@ from typing import Hashable, Iterable, Sequence
 
 from . import matrices
 from .matrices import ONE, add_term, scalar
+
+try:  # CPython's built-in SHA-256; hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 Key = Hashable
 Vec = dict  # dict[Key, scalar]
@@ -417,8 +427,11 @@ def contraction_from_complex(cx: ChainComplex) -> Contraction:
     representatives are the kernel vectors that extend them; the
     complement is spanned by the pivot basis vectors of d_n.  p and h read
     each basis vector's coordinates in [boundaries | reps | complement]
-    off one echelon of those columns.  The fingerprint hashes the basis
-    and the pivot columns, and depends on nothing else.
+    off one echelon of those columns.  The fingerprint is the first 16
+    hex digits of the SHA-256 of json.dumps(payload, sort_keys=True),
+    where payload holds the basis names per degree and the pivot columns
+    of each d_n, and nothing else; the SHA-256 is CPython's built-in one,
+    so computing it loads no OpenSSL.
 
     The construction already satisfies the side conditions, so no
     post-processing of h is required; validate() is still the contract.
@@ -468,5 +481,9 @@ def contraction_from_complex(cx: ChainComplex) -> Contraction:
         "space": {str(n): [str(k) for k in sp.basis(n)] for n in degs},
         "pivots": [[n, piv] for n, piv in pivot_record],
     }
-    fp = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-    return Contraction(cx, small, i, p, h, fingerprint=fp)
+    return Contraction(cx, small, i, p, h, fingerprint=fingerprint(payload))
+
+
+def fingerprint(payload) -> str:
+    """First 16 hex digits of the SHA-256 of the payload's sorted-key JSON."""
+    return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]

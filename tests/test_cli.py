@@ -15,6 +15,7 @@ after the golden table.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -795,6 +796,32 @@ def test_sympy_is_imported_only_for_a_system_the_settle_leaves_open(
     assert json.loads(Path(settled).read_text())["method"] == "polynomial"
     assert [[[["a"], "x"], "c0"], [[[["br", "a", "a"]], "y"], "2*c0**2"]] \
         in json.loads(Path(opened).read_text())["parametric"]
+
+
+@pytest.mark.skipif(all(importlib.util.find_spec(name) is None
+                        for name in ("_sha2", "_sha256")),
+                    reason="this CPython has no built-in SHA-256 module, so "
+                    "the fingerprint falls back to hashlib")
+def test_a_fingerprint_loads_neither_openssl_nor_sympy(tmp_path):
+    # both calls print a contraction fingerprint; -I ignores PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parents[1])
+    eta1 = tmp_path / "eta1.json"
+    eta1.write_text(json.dumps(RECORDS["eta1"]))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from convmc.cli import main\n"
+        "assert main(['transfer', 's2vs3', '--window', '6']) == 0\n"
+        f"assert main(['homotopic', 's3', 's2', {str(eta1)!r}, "
+        f"{str(eta1)!r}, '--window', '5']) == 0\n"
+        "print('_hashlib' in sys.modules, 'sympy' in sys.modules)\n")
+    env = dict(os.environ)
+    env.pop(cli.WINDOW_ENV, None)
+    done = subprocess.run([sys.executable, "-I", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"fingerprint": "72089c78b47a5f1c"' in done.stdout
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 # the sympy path, the transfer, a components search over a loop model and

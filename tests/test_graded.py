@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -7,12 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convmc import matrices as mx
+from convmc.barcobar import cobar
 from convmc.graded import (
     ChainComplex, GradedMap, GradedSpace, TensorSpace,
-    add_term, basis_vec, contraction_from_complex,
+    add_term, basis_vec, contraction_from_complex, fingerprint,
     tensor_terms, vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub,
 )
+from convmc.library import builtin_model
 from convmc.models import IntervalForms, TruncatedPolynomials
+from convmc.transfer import homology_contraction
 
 F = Fraction
 
@@ -147,6 +152,34 @@ def test_contraction_fingerprint_stable():
     d2 = GradedMap(sp2, sp2, -1, {"bb": {"a": F(1)}})
     f3 = contraction_from_complex(ChainComplex(sp2, d2)).fingerprint
     assert f3 != f1
+
+
+# payloads shaped like contraction_from_complex's: basis names per degree
+# and the pivot columns of each d_n
+fingerprint_payloads = st.fixed_dictionaries({
+    "space": st.dictionaries(
+        st.integers(-3, 12).map(str),
+        st.lists(st.text(max_size=6), max_size=4), max_size=4),
+    "pivots": st.lists(st.tuples(st.integers(-3, 12),
+                                 st.lists(st.integers(0, 9), max_size=4))
+                       .map(list), max_size=4)})
+
+
+@given(fingerprint_payloads)
+@settings(max_examples=200, deadline=1000)
+def test_fingerprint_is_hashlib_sha256(payload):
+    text = json.dumps(payload, sort_keys=True)
+    assert fingerprint(payload) == \
+        hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, window, want", [
+    ("s2", 3, "5afdae614c7df766"), ("s2vs3", 6, "72089c78b47a5f1c")])
+def test_transfer_fingerprints_keep_their_bytes(name, window, want):
+    # the contractions of `transfer s2 --window 3` and
+    # `transfer s2vs3 --window 6`
+    om = cobar(builtin_model(name), degree_max=window)
+    assert homology_contraction(om.as_linfty()).fingerprint == want
 
 
 # sparse vectors on a few keys; zero coefficients stay as explicit entries
