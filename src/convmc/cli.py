@@ -11,6 +11,14 @@ are JSON on standard error with exit code 2.  Semantic failures (a
 residual that is not zero, a certificate that does not verify) exit 1;
 an undecided homotopy question exits 3.
 
+A command line is the command, then its positionals in order, with each
+option of the command as --opt VALUE or --opt=VALUE anywhere after it
+(COMMANDS).  An option is spelled in full and given at most once: an
+abbreviation or a repeated option is refused.  -h or --help prints one
+line per command, or after a command that command's line, and exits 0.
+A usage error is reported like any other error, as JSON with exit code
+2, its "where" set to "command", the missing positional or the option.
+
 The six commands on a convolution algebra Hom(C, L) (mc-check, twist,
 pi, components, hopf, homotopic) share one target loader: an linfty
 record is L as it stands, and a coalgebra D, bundled or from a file, is
@@ -40,12 +48,12 @@ is not there.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections import OrderedDict
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from . import hopf, mapping, modelio
 from .barcobar import bar, cobar
@@ -454,91 +462,106 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-# -- parser -----------------------------------------------------------------
+# -- command line -----------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="convmc",
-        description="exact rational homotopy computations over "
-                    "convolution algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+WINDOW = {"--window": (int, None)}
+OUT = {"--out": (str, None)}
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--out", help="write the JSON report to this file")
-        return p
-
-    p = add("validate", cmd_validate, "validate a model file")
-    p.add_argument("file")
-
-    p = add("homology", cmd_homology, "betti numbers of a model")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, default=None)
-
-    p = add("cobar", cmd_cobar, "free Lie model of a coalgebra")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=None)
-
-    p = add("bar", cmd_bar, "coalgebra model of a homotopy algebra")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=None)
-
-    for name, func, help_text in (
-            ("mc-check", cmd_mc_check, "Maurer-Cartan residual of an "
-                                       "element"),
-            ("twist", cmd_twist, "twisted differential and betti numbers"),
-            ("pi", cmd_pi, "homotopy groups of a component")):
-        p = add(name, func, help_text)
-        p.add_argument("C")
-        p.add_argument("L")
-        p.add_argument("tau")
-        if name == "pi":
-            p.add_argument("--n", type=int, required=True)
-
-    p = add("hopf", cmd_hopf, "Hopf invariant of a map")
-    p.add_argument("C")
-    p.add_argument("D")
-    p.add_argument("map")
-    p.add_argument("--window", type=int, default=None)
-
-    p = add("homotopic", cmd_homotopic, "decide whether two maps are "
-                                        "homotopic")
-    p.add_argument("C")
-    p.add_argument("D")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--window", type=int, default=None)
-
-    p = add("gauge-check", cmd_gauge_check, "verify a path or certificate")
-    p.add_argument("file")
-
-    p = add("components", cmd_components, "moduli classes of a mapping "
-                                          "space")
-    p.add_argument("C")
-    p.add_argument("L")
-    p.add_argument("--param", default=None,
-                   help="JSON list of degree-0 basis pairs to search")
-    p.add_argument("--samples", default="0,1,2")
-    p.add_argument("--window", type=int, default=None)
-
-    p = add("transfer", cmd_transfer, "transferred structure on loop "
-                                      "homology")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--arity", type=int, default=3)
-
-    return parser
+# name: (handler, help, positionals, options), each option with its type
+# and its default or REQUIRED; every command also takes OUT
+COMMANDS = {
+    "validate": (cmd_validate, "validate a model file", ("file",), {}),
+    "homology": (cmd_homology, "betti numbers of a model", ("file",),
+                 {"--degree": (int, None)}),
+    "cobar": (cmd_cobar, "free Lie model of a coalgebra", ("file",), WINDOW),
+    "bar": (cmd_bar, "coalgebra model of a homotopy algebra", ("file",),
+            WINDOW),
+    "mc-check": (cmd_mc_check, "Maurer-Cartan residual of an element",
+                 ("C", "L", "tau"), {}),
+    "twist": (cmd_twist, "twisted differential and betti numbers",
+              ("C", "L", "tau"), {}),
+    "pi": (cmd_pi, "homotopy groups of a component", ("C", "L", "tau"),
+           {"--n": (int, REQUIRED)}),
+    "hopf": (cmd_hopf, "Hopf invariant of a map", ("C", "D", "map"), WINDOW),
+    "homotopic": (cmd_homotopic, "decide whether two maps are homotopic",
+                  ("C", "D", "f", "g"), WINDOW),
+    "gauge-check": (cmd_gauge_check, "verify a path or certificate",
+                    ("file",), {}),
+    "components": (cmd_components, "moduli classes of a mapping space "
+                   "(--param: JSON list of degree-0 basis pairs to search)",
+                   ("C", "L"), {"--param": (str, None),
+                                "--samples": (str, "0,1,2"), **WINDOW}),
+    "transfer": (cmd_transfer, "transferred structure on loop homology",
+                 ("file",), {**WINDOW, "--arity": (int, 3)}),
+}
 
 
-# built once per process: a batch of calls in one process parses with it
-# again, and building it imports what argparse's help text needs
-PARSER = build_parser()
+def _usage(name: str) -> str:
+    _, _, positionals, options = COMMANDS[name]
+    return " ".join([name, *positionals] + [
+        f"{opt} {kind.__name__}" if default is REQUIRED
+        else f"[{opt} {kind.__name__}]"
+        for opt, (kind, default) in {**options, **OUT}.items()])
+
+
+def _help(names) -> int:
+    """One line per command: its arguments and what it computes."""
+    usages = {name: _usage(name) for name in names}
+    width = max(map(len, usages.values()))
+    for name, usage in usages.items():
+        sys.stdout.write(f"convmc {usage:<{width}}  {COMMANDS[name][1]}\n")
+    return EXIT_OK
+
+
+def parse(argv):
+    """The arguments of one command line: func, the handler, and one
+    attribute per positional and per option of the command, named without
+    the dashes.  A help request gets a func that prints the help; a line
+    off the grammar raises ModelFileError."""
+    if argv and argv[0] in ("-h", "--help"):
+        return SimpleNamespace(func=lambda args: _help(COMMANDS))
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ModelFileError("command", f"{got}; expected one of "
+                             + ", ".join(COMMANDS))
+    name, *tokens = argv
+    func, _, positionals, options = COMMANDS[name]
+    options = {**options, **OUT}
+    words, values = [], {}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(func=lambda args: _help([name]))
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        if opt not in options:
+            raise ModelFileError(opt, f"not an option of {_usage(name)}")
+        if opt in values:
+            raise ModelFileError(opt, "given more than once")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ModelFileError(opt, "expected a value")
+        try:
+            values[opt] = options[opt][0](value)
+        except ValueError:
+            raise ModelFileError(opt, f"not an integer: {value!r}") from None
+    if len(words) != len(positionals):
+        raise ModelFileError(
+            positionals[len(words)] if len(words) < len(positionals)
+            else "command", f"{len(words)} arguments to {_usage(name)}")
+    args = SimpleNamespace(func=func, **dict(zip(positionals, words)))
+    for opt, (_, default) in options.items():
+        if default is REQUIRED and opt not in values:
+            raise ModelFileError(opt, f"required by {_usage(name)}")
+        setattr(args, opt[2:], values.get(opt, default))
+    return args
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except ModelFileError as exc:
         sys.stderr.write(json.dumps(

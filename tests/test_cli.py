@@ -300,6 +300,61 @@ def refusal(capsys, argv, where=None):
     return json.loads(err)
 
 
+# -- the command line grammar ---------------------------------------------------
+
+def test_an_option_is_read_in_either_form_anywhere_after_the_command(capsys):
+    _, spaced, _ = run(capsys, ["transfer", "cp2", "--window", "6",
+                                "--arity", "2"])
+    for argv in (["transfer", "cp2", "--window=6", "--arity=2"],
+                 ["transfer", "--arity", "2", "cp2", "--window=6"]):
+        assert run(capsys, argv) == (0, spaced, "")
+
+
+USAGE_ERRORS = [
+    ([], "command", "no command; expected one of validate, homology, "),
+    (["cobars", "s2"], "command", "unknown command 'cobars'"),
+    (["pi", "s2", "pi_s2"], "tau", "2 arguments to pi C L tau --n int"),
+    (["cobar", "s2", "s3"], "command", "2 arguments to cobar file "),
+    (["transfer", "s2vs3", "--window", "abc"], "--window",
+     "not an integer: 'abc'"),
+    (["transfer", "s2vs3", "--window"], "--window", "expected a value"),
+    (["transfer", "s2vs3", "--win", "3"], "--win",
+     "not an option of transfer file [--window int]"),
+    (["transfer", "s2vs3", "--windows=3"], "--windows", "not an option"),
+    (["cobar", "s2", "--arity", "2"], "--arity", "not an option of cobar"),
+    (["homology", "s2", "-d", "2"], "-d", "not an option of homology"),
+    (["transfer", "s2vs3", "--window", "6", "--window=7"], "--window",
+     "given more than once"),
+    (["pi", "s2", "pi_s2", "tau"], "--n", "required by pi C L tau --n int"),
+]
+
+
+@pytest.mark.parametrize("argv,where,message", USAGE_ERRORS,
+                         ids=[" ".join(e[0]) or "no command"
+                              for e in USAGE_ERRORS])
+def test_a_usage_error_is_a_json_refusal(capsys, argv, where, message):
+    # main returns 2 with the error on stderr; it never raises SystemExit
+    err = refusal(capsys, argv)
+    assert err["where"] == where
+    assert err["error"].startswith(f"{where}: {message}")
+
+
+def test_help_prints_one_line_per_command_of_the_table(capsys):
+    handlers = sorted(name for name in vars(cli) if name.startswith("cmd_"))
+    assert sorted(entry[0].__name__ for entry in cli.COMMANDS.values()) \
+        == handlers
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, [flag])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines] == list(cli.COMMANDS)
+        for line, (_, text, _, _) in zip(lines, cli.COMMANDS.values()):
+            assert line.endswith(f"  {text}")
+    assert run(capsys, ["pi", "s2", "--help"]) == (
+        0, "convmc pi C L tau --n int [--out str]  homotopy groups of a "
+        "component\n", "")
+
+
 QUILLEN = {"format_version": 1, "kind": "quillen", "name": "Q",
            "letters": [{"name": "a", "degree": 1}], "deg_max": 3,
            "delta": []}
@@ -802,8 +857,10 @@ def test_sympy_is_imported_only_for_a_system_the_settle_leaves_open(
                         for name in ("_sha2", "_sha256")),
                     reason="this CPython has no built-in SHA-256 module, so "
                     "the fingerprint falls back to hashlib")
-def test_a_fingerprint_loads_neither_openssl_nor_sympy(tmp_path):
-    # both calls print a contraction fingerprint; -I ignores PYTHONPATH
+def test_a_fingerprint_loads_no_openssl_sympy_or_argparse(tmp_path):
+    # both calls print a contraction fingerprint; -I ignores PYTHONPATH.
+    # The command line is read from cli.COMMANDS, so neither argparse nor
+    # the gettext and locale modules its help text needs are loaded
     src = str(Path(cli.__file__).resolve().parents[1])
     eta1 = tmp_path / "eta1.json"
     eta1.write_text(json.dumps(RECORDS["eta1"]))
@@ -814,14 +871,15 @@ def test_a_fingerprint_loads_neither_openssl_nor_sympy(tmp_path):
         "assert main(['transfer', 's2vs3', '--window', '6']) == 0\n"
         f"assert main(['homotopic', 's3', 's2', {str(eta1)!r}, "
         f"{str(eta1)!r}, '--window', '5']) == 0\n"
-        "print('_hashlib' in sys.modules, 'sympy' in sys.modules)\n")
+        "print('_hashlib' in sys.modules, 'sympy' in sys.modules, sorted("
+        "{'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
     env = dict(os.environ)
     env.pop(cli.WINDOW_ENV, None)
     done = subprocess.run([sys.executable, "-I", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert '"fingerprint": "72089c78b47a5f1c"' in done.stdout
-    assert done.stdout.splitlines()[-1] == "False False"
+    assert done.stdout.splitlines()[-1] == "False False []"
 
 
 # the sympy path, the transfer, a components search over a loop model and
