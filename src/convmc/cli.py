@@ -26,7 +26,14 @@ read as its loop model, the transferred structure on the homology of
 its cobar construction (hopf.loop_homology, cached per process).  hopf
 and homotopic read maps into D itself and refuse an linfty target.  A
 model file is decoded and validated once per distinct content in a
-process (_load), so a batch of calls pays for each file once.
+process (_load), so a batch of calls pays for each file once.  Reading
+checks every model's differential to square to zero: d of a cdgc record
+(with its coproduct cocommutative, coassociative and compatible with
+d), delta of a quillen record (also checked to be a derivation) and
+l_1 of an linfty record, whose Jacobi identities only validate checks.
+An element or map record must have degree 0.  A map that is not a
+coalgebra morphism, or an element that is not Maurer-Cartan, is refused
+at its argument.
 
 The truncation window is taken from --window (mc-check, twist and pi
 have none), then the CONVMC_WINDOW environment variable, then a
@@ -57,7 +64,7 @@ from types import SimpleNamespace
 
 from . import hopf, mapping, modelio
 from .barcobar import bar, cobar
-from .convolution import ConvolutionAlgebra
+from .convolution import ConvolutionAlgebra, NotAMorphism
 from .freelie import BasisTooLarge
 from .gauge import (Distinct, Equal, GaugePath, NotMaurerCartan,
                     PointRecord, Unknown)
@@ -283,13 +290,16 @@ def _conv_and_tau(args):
 def _require_mc(where: str, record):
     """record(), the checked element (gauge.PointRecord) it makes from the
     element argument at where, which the library then takes; an element
-    that is not Maurer-Cartan is refused at where, with its residual."""
+    that is not Maurer-Cartan is refused at where, with its residual, and
+    a map that is not a coalgebra morphism at where, with its message."""
     try:
         return record()
     except NotMaurerCartan as exc:
         rows = modelio.gmap_to_json(exc.residual)
         raise ModelFileError(where, "not a Maurer-Cartan element, "
                              f"residual {json.dumps(rows)}") from None
+    except NotAMorphism as exc:
+        raise ModelFileError(where, str(exc)) from None
 
 
 def cmd_mc_check(args) -> int:

@@ -326,16 +326,21 @@ class ConvolutionAlgebra:
         return ChainComplex(self.carrier, d, name=f"{self.name} twisted")
 
 
+class NotAMorphism(ValueError):
+    """A map that check_coalgebra_morphism refuses."""
+
+
 def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,
                              h: GradedMap):
-    """h is a degree-0 chain map with (h (x) h) o Delta' = Delta o h."""
+    """h is a degree-0 chain map with (h (x) h) o Delta' = Delta o h;
+    raises NotAMorphism where it is not."""
     if h.degree != 0:
-        raise ValueError("coalgebra morphisms have degree 0")
+        raise NotAMorphism("coalgebra morphisms have degree 0")
     if (h.src.degree_of != Cp.space.degree_of
             or h.dst.degree_of != C.space.degree_of):
-        raise ValueError("morphism endpoints do not match the coalgebras")
+        raise NotAMorphism("morphism endpoints do not match the coalgebras")
     if not (h.compose(Cp.d) - C.d.compose(h)).is_zero():
-        raise ValueError("map does not commute with the differentials")
+        raise NotAMorphism("map does not commute with the differentials")
     for k in Cp.space.all_keys():
         lhs = C.delta_apply(h.apply({k: ONE}))
         rhs: Vec = {}
@@ -343,4 +348,4 @@ def check_coalgebra_morphism(Cp: CdgCoalgebra, C: CdgCoalgebra,
             for pair, cc in tensor_terms((h.column(a), h.column(b)), c):
                 add_term(rhs, pair, cc)
         if lhs != rhs:
-            raise ValueError(f"coproducts disagree after the map at {k!r}")
+            raise NotAMorphism(f"coproducts disagree after the map at {k!r}")

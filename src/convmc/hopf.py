@@ -13,12 +13,17 @@ the pivot fingerprint of that model's contraction
 (LoopHomology.fingerprint, which a report prints with the moduli normal
 form).
 
-The strict-morphism pipeline runs the whole composite through verified
-machinery: the induced map of cobar constructions, precomposed with the
-inclusion-side transfer of the source and pushed down the projection
-of the target.  The middle leg lives in the divided-power normalization
-(see the transfer module), so that push gates on the twisting residual;
-the final result is checked against the literal Maurer-Cartan equation.
+A strict morphism f: C -> D is pushed in one step.  Its twisting
+morphism is iota_D o f: C -> loops D, f followed by the generator
+inclusion of the target's cobar construction, which is a twisting
+morphism exactly when f commutes with the differential and the
+coproduct on the generators inside the window.  It is pushed once down
+the projection infinity-morphism of the target's loop model onto
+H(loops D).  Three gates run: the coalgebra-morphism check of f, the
+push's gate on the twisting residual (iota_D o f lives in the
+divided-power normalization, see the transfer module), and the literal
+Maurer-Cartan check of the result, which is the construction of its
+record.
 
 A loop model keeps what depends only on it and a source.  Each
 LoopHomology holds, in bounded LRUs:
@@ -34,26 +39,22 @@ LoopHomology holds, in bounded LRUs:
   "pushed" holds the record of the canonical element of each of the
   _PUSHED_CAP most recently pushed strict maps from its source, keyed by
   the signature of the morphism's table (graded.entries_signature), so
-  an evicted algebra takes its pushed maps with it;
-- theta = p o iota of its own coalgebra.
+  an evicted algebra takes its pushed maps with it.
 
 The final Maurer-Cartan check of _push_map and the check of an
 mc_element record are the construction of the point's record, which
 maps_homotopic and the hopf command then take as it is.  The
-coalgebra-morphism check of a map runs once per push, in
-barcobar.cobar_map, after the source's loop model is built or read from
-the cache: a map that is not a morphism is refused once that model
-exists.  A push memo key, with the algebra that holds it, fixes every
-input of the composite and of the morphism check: the source (the
-algebra's signature), the morphism's entries, and the target, which is
-the model.  Only a map that passed the morphism check and every gate of
-the composite (the chain-map check of the induced cobar map, both
-pushforward gates and the final Maurer-Cartan check) is stored, so a hit
-needs no check again, a failing map raises on every call, and every gate
-still runs in full the first time a distinct map meets an algebra.  The
-memos die with their algebra when the model evicts it, or with the model
-when the model cache evicts or clears it.  A hit hands out the stored
-record, not a copy: nothing writes into the map of a record.
+coalgebra-morphism check of a map runs once per push, before it: a map
+that is not a morphism is refused before anything is pushed.  A push
+memo key, with the algebra that holds it, fixes every input of the push
+and of the morphism check: the source (the algebra's signature), the
+morphism's entries, and the target, which is the model.  Only a map that
+passed all three gates is stored, so a hit needs no check again, a
+failing map raises on every call, and every gate still runs in full the
+first time a distinct map meets an algebra.  The memos die with their
+algebra when the model evicts it, or with the model when the model cache
+evicts or clears it.  A hit hands out the stored record, not a copy:
+nothing writes into the map of a record.
 
 Over a sphere source S^n the invariant of a map is a class of pi_n of the
 target, read as the degree-n loop homology with representative addition
@@ -67,14 +68,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import cached_property
 
-from .barcobar import cobar, cobar_map
-from .convolution import ConvolutionAlgebra
+from .barcobar import cobar
+from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
 from .gauge import NotMaurerCartan, PointRecord, gauge_equivalent
 from .graded import GradedMap, entries_signature, lru
 from .modelio import element_from_record
 from .models import CdgCoalgebra
-from .transfer import (InfinityMorphism, postcompose_strict, push_mc,
-                       transfer_linfty)
+from .transfer import InfinityMorphism, push_mc, transfer_linfty
 
 
 class LoopHomology:
@@ -95,18 +95,8 @@ class LoopHomology:
         self.homs: OrderedDict[tuple, ConvolutionAlgebra] = OrderedDict()
 
     @cached_property
-    def inclusion(self) -> InfinityMorphism:
-        return self.transfer.inclusion_infinity()
-
-    @cached_property
     def projection(self) -> InfinityMorphism:
         return self.transfer.projection_infinity()
-
-    @cached_property
-    def theta(self) -> GradedMap:
-        """The canonical twisting morphism p o iota: C -> H(loops C) of the
-        coalgebra this model was built from."""
-        return self.transfer.contraction.p.compose(self.cobar.inclusion())
 
     def hom(self, source: CdgCoalgebra) -> ConvolutionAlgebra:
         """The convolution algebra Hom(source, self.algebra), one per source
@@ -139,24 +129,16 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
     An mc_element record is the element itself, checked against the
     literal Maurer-Cartan equation by its record.  A map record is a
     strict morphism of coalgebra models, checked to commute with both
-    the differential and the coproduct; its element is the composite of
-    _push_map: classes of the source homology are included into the
-    source cobar construction by the transferred infinity-morphism,
-    carried over by the induced map of cobar constructions, and pushed
-    down to the target's homology along the projection.  The check and
-    the composite run once per distinct map and Hom algebra (its memo
-    "pushed", see the module docstring), and a hit returns the stored
-    record.
+    the differential and the coproduct; its element is the push of
+    _push_map.  The check and the push run once per distinct map and Hom
+    algebra (its memo "pushed", see the module docstring), and a hit
+    returns the stored record.
     """
     conv = model.hom(source)
     if rec["kind"] == "mc_element":
-        tau = element_from_record(rec, source.space, model.algebra.space)
-        if tau.degree != 0:
-            raise ValueError("a Maurer-Cartan element must have degree 0")
-        return PointRecord(conv, tau)
+        return PointRecord(conv, element_from_record(
+            rec, source.space, model.algebra.space))
     f = element_from_record(rec, source.space, model.coalgebra.space)
-    if f.degree != 0:
-        raise ValueError("a coalgebra morphism must have degree 0")
     return lru(conv.algebra_memo.setdefault("pushed", OrderedDict()),
                _PUSHED_CAP, entries_signature(f.entries),
                lambda: _push_map(model, conv, f))
@@ -164,24 +146,19 @@ def mc_of_map(model: LoopHomology, source: CdgCoalgebra,
 
 def _push_map(model: LoopHomology, conv: ConvolutionAlgebra,
               f: GradedMap) -> PointRecord:
-    """The composite of mc_of_map for a strict morphism, every gate run:
-    cobar_map checks f to be a coalgebra morphism (after the loop model of
-    the source C is built or read from the cache), the middle stage lives
-    in the divided-power normalization, and the result is checked against
-    the literal Maurer-Cartan equation by its record in conv."""
+    """The element of mc_of_map for a strict morphism f, every gate run:
+    f is checked to be a coalgebra morphism, its twisting morphism
+    iota_D o f is pushed down the projection of model once, gated on the
+    twisting residual, and the result is checked against the literal
+    Maurer-Cartan equation by its record in conv."""
     C = conv.C
-    source_model = loop_homology(C, model.degree_max)
-    induced = cobar_map(f, source_model.cobar, model.cobar)
-    lifted = GradedMap(source_model.ambient.space, model.ambient.space, 0,
-                       induced.entries, name=induced.name)
-    carried = postcompose_strict(lifted, source_model.inclusion,
-                                 model.ambient)
-    middle = push_mc(carried, C, source_model.theta)
-    result = push_mc(model.projection, C, middle, residual="twisting")
+    check_coalgebra_morphism(C, model.coalgebra, f)
+    tau = model.cobar.inclusion().compose(f)
+    result = push_mc(model.projection, C, tau, residual="twisting")
     try:
         return PointRecord(conv, result)
     except NotMaurerCartan as exc:
-        raise ValueError(f"composite: {exc}; enlarge the window") from None
+        raise ValueError(f"push: {exc}; enlarge the window") from None
 
 
 def maps_homotopic(x: PointRecord, y: PointRecord):

@@ -21,7 +21,9 @@ serves, and the same extension carries the gauge paths (A the interval
 forms) and their transport along an infinity-morphism (transfer.push_path,
 library API that no command reaches yet; its tests are in
 tests/test_transfer.py).  Q[c] is cut at the arity window, where every
-product of the search lands, and its monomials are never listed.
+product of the search lands, and its monomials are never listed.  The
+equations come in carrier order: by the source key, then the target
+key.
 
 The system is first settled exactly: an equation that is c x^k in a
 single coefficient forces x = 0, which is substituted until no equation
@@ -78,48 +80,29 @@ def _residual_polynomials(conv: ConvolutionAlgebra, pairs) -> dict:
     one per carrier basis pair of the image: a dict from the exponent
     tuple of each monomial to its coefficient.
 
-    The linear part is sum_i c_i l_1(e_i).  The brackets are the series
+    The residual is read in one pass, as the differential plus the series
     of the generic element in Hom(C, Q[c] (x) L), with Q[c] cut at the
     arity window: one convolve pass reads each coproduct word once and
     yields every monomial with its 1/m! weights, and no monomial basis
-    is listed.
-
-    The pairs come in the order the equations have always had, so the
-    solver sees the same system: those of the linear part first, the
-    others where a walk over the multisets of directions meets them
-    first (by arity, then multiset in combinations_with_replacement
-    order, then source key, then the letter's place in that bracket)."""
-    polys: dict = {}
-    units = [tuple(int(j == i) for j in range(len(pairs)))
-             for i in range(len(pairs))]
-    for unit, pair in zip(units, pairs):
-        d = conv.differential_of(conv.elementary(*pair))
-        for ck, col in d.entries.items():
-            for lk, c in col.items():
-                add_term(polys.setdefault((ck, lk), {}), unit, c)
+    is listed.  The pairs come in carrier order: by the source key, then
+    the target key, each in its space's sort order."""
     ext = extension_of_scalars(
         conv.L, TruncatedPolynomials(len(pairs), conv.arity_window()))
     cols: dict = {}
-    for unit, (ck, lk) in zip(units, pairs):
+    for i, (ck, lk) in enumerate(pairs):
+        unit = tuple(int(j == i) for j in range(len(pairs)))
         cols.setdefault(ck, {})[(unit, lk)] = ONE
+    hom = ConvolutionAlgebra(conv.C, ext)
     generic = GradedMap(conv.C.space, ext.space, 0, cols)
-    brackets = ConvolutionAlgebra(conv.C, ext).series([generic], -1,
-                                                      lambda n: ONE)
-    rest: dict = {}
-    for ck, col in brackets.entries.items():
+    residual = hom.differential_of(generic) + hom.series([generic], -1,
+                                                         lambda n: ONE)
+    polys: dict = {}
+    for ck, col in residual.entries.items():
         for (mono, lk), c in col.items():
-            into = polys if (ck, lk) in polys else rest
-            add_term(into.setdefault((ck, lk), {}), mono, c)
-
-    def met(key):
-        n, idx = min((sum(m), tuple(j for j, k in enumerate(m)
-                                    for _ in range(k))) for m in rest[key])
-        val = conv.L.bracket(n, [pairs[j][1] for j in idx])
-        return n, idx, conv.C.space.sort_key(key[0]), list(val).index(key[1])
-
-    for key in sorted(rest, key=met):
-        polys[key] = rest[key]
-    return polys
+            add_term(polys.setdefault((ck, lk), {}), mono, c)
+    C, L = conv.C.space, conv.L.space
+    return {key: polys[key] for key in sorted(
+        polys, key=lambda k: (C.sort_key(k[0]), L.sort_key(k[1])))}
 
 
 def _settle(eqs) -> set | None:

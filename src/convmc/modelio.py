@@ -42,7 +42,10 @@ to zero (where "d"), and the coproduct is cocommutative, coassociative
 and compatible with d (where "delta").  A quillen record's delta is a
 derivation: given on the letters alone it is extended by the Leibniz
 rule, and given on bracket words as well it must equal that extension
-(where "delta").
+(where "delta"); it squares to zero (where "delta").  An linfty record's
+l_1 squares to zero (where "brackets"); its Jacobi identities are left
+to validate.  An mc_element or map record has degree 0 (where
+"degree").
 """
 
 from __future__ import annotations
@@ -269,10 +272,7 @@ def cdgc_from_record(rec: dict) -> CdgCoalgebra:
         _basis_keys((k, a, b), sp, loc)
         if c:
             delta.setdefault(k, {})[a, b] = c
-    try:
-        ChainComplex(sp, d, name).validate()
-    except ValueError as exc:
-        raise ModelFileError("d", str(exc)) from None
+    _square_zero(ChainComplex(sp, d, name), "d")
     C = CdgCoalgebra(sp, d, delta, name=name)
     # the convolution brackets read each coproduct word once, which
     # equals the sum over orderings only for a cocommutative,
@@ -335,7 +335,9 @@ def linfty_from_record(rec: dict) -> LInfinityAlgebra:
         _basis_keys((*word, dst), sp, loc)
         if c:
             brackets.setdefault(n, {}).setdefault(word, {})[dst] = c
-    return LInfinityAlgebra(sp, brackets, name=name, arities=arities)
+    L = LInfinityAlgebra(sp, brackets, name=name, arities=arities)
+    _square_zero(L.as_chain_complex(), "brackets")
+    return L
 
 
 def quillen_to_record(Q: QuillenModel) -> dict:
@@ -362,14 +364,24 @@ def quillen_from_record(rec: dict) -> QuillenModel:
                              fl.space)
     given = map_from_columns(cols, "delta", fl.space, fl.space, -1)
     if all(src in letters for src in cols):
-        return QuillenModel(fl, fl.derivation(cols, -1), name=name)
-    # a word missing from the record has delta 0 there
-    Q = QuillenModel(fl, given, name=name)
-    bad = Q.leibniz_defect()
-    if bad is not None:
-        raise ModelFileError("delta", "not the derivation of its values on "
-                             f"the letters, first at {bad!r}")
+        Q = QuillenModel(fl, fl.derivation(cols, -1), name=name)
+    else:
+        # a word missing from the record has delta 0 there
+        Q = QuillenModel(fl, given, name=name)
+        bad = Q.leibniz_defect()
+        if bad is not None:
+            raise ModelFileError("delta", "not the derivation of its values "
+                                 f"on the letters, first at {bad!r}")
+    _square_zero(Q.as_chain_complex(), "delta")
     return Q
+
+
+def _square_zero(cx: ChainComplex, where: str) -> None:
+    """Refuse at where a differential that does not square to zero."""
+    try:
+        cx.validate()
+    except ValueError as exc:
+        raise ModelFileError(where, str(exc)) from None
 
 
 def map_from_columns(cols, where: str, src: GradedSpace, dst: GradedSpace,
@@ -384,19 +396,22 @@ def map_from_columns(cols, where: str, src: GradedSpace, dst: GradedSpace,
 
 
 def element_entries(rec: dict, src: GradedSpace | None = None,
-                    dst: GradedSpace | None = None) -> tuple[int, dict]:
-    """(degree, columns) of an mc_element or map record: the one shape
-    check of its fields, refused at degree or at a row of entries, whose
-    keys are checked against src and dst when they are given."""
-    return (_int(rec.get("degree", 0), "degree"),
-            entries_from_json(rec.get("entries", []), "entries", src, dst))
+                    dst: GradedSpace | None = None) -> dict:
+    """The columns of an mc_element or map record: the one shape check of
+    its fields, refused at degree, which is 0 for both kinds, or at a row
+    of entries, whose keys are checked against src and dst when they are
+    given."""
+    degree = _int(rec.get("degree", 0), "degree")
+    if degree:
+        raise ModelFileError("degree", f"degree {degree}: an mc_element or "
+                             "map record has degree 0")
+    return entries_from_json(rec.get("entries", []), "entries", src, dst)
 
 
 def element_from_record(rec: dict, src: GradedSpace,
                         dst: GradedSpace) -> GradedMap:
-    degree, cols = element_entries(rec, src, dst)
-    return map_from_columns(cols, "entries", src, dst, degree,
-                            name=rec.get("name", ""))
+    return map_from_columns(element_entries(rec, src, dst), "entries", src,
+                            dst, 0, name=rec.get("name", ""))
 
 
 # -- paths and certificates -------------------------------------------------

@@ -333,9 +333,10 @@ def push_mc(f: InfinityMorphism, coalgebra: CdgCoalgebra,
     The input gate depends on which normalization the element lives in:
     residual="mc_check" (default) requires the literal Maurer-Cartan
     residual to vanish, residual="twisting" requires the divided-power
-    one.  Elements produced by earlier pushforwards up an inclusion sit
-    on the twisting side, so staged composites gate their middle legs
-    with residual="twisting".
+    one.  The twisting morphism iota o f of a strict coalgebra map f,
+    f followed by the generator inclusion into a cobar construction,
+    sits on the twisting side, so hopf pushes it with
+    residual="twisting".
     """
     conv = ConvolutionAlgebra(coalgebra, f.source)
     if tau.degree != 0:

@@ -8,11 +8,15 @@ in degree 3 spanned by the self-bracket, nothing above.  A map from the
 multiples are distinct maps: this is the classical Hopf family.
 
 For the cell structure with a degree-2 class a and a degree-4 class b
-with coproduct b -> a (x) a, the identity pushes to a |-> H2_0 through
-the full composite pipeline, and the conjugation a |-> -a, b |-> b
-pushes to a |-> -H2_0, visibly not gauge equivalent to the identity.
-The pipeline's middle stage sits in the divided-power normalization,
-so these two exercise the staged residual gates end to end.
+with coproduct b -> a (x) a, the identity pushes to a |-> H2_0, and the
+conjugation a |-> -a, b |-> b pushes to a |-> -H2_0, visibly not gauge
+equivalent to the identity.  The pushed twisting morphism iota o f sits
+in the divided-power normalization, so these two exercise both residual
+gates end to end.
+
+A strict map is pushed in one step.  reference_push, the five-stage
+composite that pipeline replaced, is the oracle for it: wherever the
+composite answers, the one push gives an equal element.
 
 No Maurer-Cartan element over that cell structure with values in the
 loop homology of the 2-sphere can hit the bottom class: the coproduct
@@ -21,16 +25,21 @@ is also pinned here.
 """
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from convmc import hopf, modelio
+from convmc.barcobar import bar, cobar_map
 from convmc.convolution import ConvolutionAlgebra
 from convmc.gauge import (Distinct, Equal, PointRecord, gauge_equivalent,
                           gauge_flow, moduli_normal_form)
-from convmc.graded import GradedMap
-from convmc.library import cp2_coalgebra, sphere_coalgebra
+from convmc.graded import GradedMap, GradedSpace
+from convmc.library import (cp2_coalgebra, pi_s2, s2xs2_coalgebra,
+                            sphere_coalgebra, wedge_s2_s3_coalgebra)
+from convmc.models import CdgCoalgebra
+from convmc.transfer import postcompose_strict, push_mc
 
 
 def sphere_model():
@@ -157,11 +166,11 @@ def test_a_pushed_record_follows_its_source_algebra(monkeypatch):
 
 
 def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
-    """The zero map from the two-cell source to the 2-sphere, with its last
-    pushforward replaced by the obstructed element of
-    test_bottom_class_obstruction_is_caught: the final check refuses
-    the composite, nothing is kept, and a second call runs the composite
-    again and raises again."""
+    """The zero map from the two-cell source to the 2-sphere, with its
+    push replaced by the obstructed element of
+    test_bottom_class_obstruction_is_caught: the final check refuses the
+    pushed element, nothing is kept, and a second call pushes again and
+    raises again."""
     monkeypatch.setattr(hopf, "_MODELS", type(hopf._MODELS)())
     cp2 = cp2_coalgebra()
     m = sphere_model()
@@ -181,7 +190,7 @@ def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
         with pytest.raises(ValueError, match="enlarge the window"):
             hopf.mc_of_map(m, cp2, zero)
         assert not m.hom(cp2).algebra_memo.get("pushed")
-    assert pushes == ["mc_check", "twisting"] * 2
+    assert pushes == ["twisting"] * 2
     monkeypatch.setattr(hopf, "push_mc", push_mc)
     assert hopf.mc_of_map(m, cp2, zero).x.is_zero()
     assert len(m.hom(cp2).algebra_memo["pushed"]) == 1
@@ -257,6 +266,140 @@ def test_coalgebra_morphism_validation():
     cp2 = cp2_coalgebra()
     with pytest.raises(ValueError):
         self_map(cp2, {"a": {"a": F(1)}})
+
+
+# -- the one push against the five-stage composite --------------------------
+
+def reference_push(model, C, f):
+    """The element of the strict morphism f: C -> D that the five-stage
+    composite gives: the loop model of the source C, the induced map of
+    cobar constructions, the source's inclusion infinity-morphism
+    postcomposed with it, a push of the source's canonical twisting
+    morphism p o iota up that composite, and a push of the result down
+    the projection of the target's model.  The middle element lives in
+    the divided-power normalization, so the second push gates on the
+    twisting residual.  Raises ValueError where the composite refuses f,
+    its final literal Maurer-Cartan check included."""
+    source = hopf.loop_homology(C, model.degree_max)
+    induced = cobar_map(f, source.cobar, model.cobar)
+    lifted = GradedMap(source.ambient.space, model.ambient.space, 0,
+                       induced.entries)
+    carried = postcompose_strict(lifted, source.transfer.inclusion_infinity(),
+                                 model.ambient)
+    theta = source.transfer.contraction.p.compose(source.cobar.inclusion())
+    middle = push_mc(carried, C, theta)
+    out = push_mc(model.projection, C, middle, residual="twisting")
+    return PointRecord(model.hom(C), out).x
+
+
+def cp(n):
+    """CP^n with classes a1, ..., an and Delta(ak) = sum ai (x) a(k-i)."""
+    sp = GradedSpace({2 * k: [f"a{k}"] for k in range(1, n + 1)},
+                     name=f"CP{n}")
+    delta = {f"a{k}": {(f"a{i}", f"a{k - i}"): F(1) for i in range(1, k)}
+             for k in range(2, n + 1)}
+    return CdgCoalgebra(sp, GradedMap.zero(sp, sp, -1), delta, name=f"CP{n}")
+
+
+def cp_self_map(n, k):
+    """The degree-k self-map ai -> k^i ai of CP^n."""
+    return {f"a{i}": {f"a{i}": F(k ** i)} for i in range(1, n + 1) if k}
+
+
+S2, S3, S4 = (sphere_coalgebra(n) for n in (2, 3, 4))
+S2XS2, S2VS3 = s2xs2_coalgebra(), wedge_s2_s3_coalgebra()
+CP = {n: cp(n) for n in (2, 3, 4)}
+
+# (source, target, entries of the strict morphism of parameter k)
+STRICT_MAPS = [
+    *((CP[n], CP[n], lambda k, n=n: cp_self_map(n, k)) for n in (2, 3, 4)),
+    (S2, CP[2], lambda k: {"a": {"a1": F(k)}}),
+    (S2, CP[3], lambda k: {"a": {"a1": F(k)}}),
+    (S2, S2XS2, lambda k: {"a": {"a": F(k), "b": F(1)}}),
+    (S3, S2VS3, lambda k: {"a": {"b": F(k)}}),
+    (S2XS2, S2XS2, lambda k: {"a": {"a": F(k)}, "b": {"b": F(1)},
+                              "t": {"t": F(k)}}),
+    (S2XS2, S2XS2, lambda k: {"a": {"b": F(k)}, "b": {"a": F(1)},
+                              "t": {"t": F(k)}}),
+    (S2XS2, CP[2], lambda k: {"a": {"a1": F(k)}, "b": {"a1": F(1)},
+                              "t": {"a2": F(2 * k)}}),
+    (CP[2], CP[3], lambda k: cp_self_map(2, k)),
+    (S4, CP[2], lambda k: {}),
+    (CP[3], S2, lambda k: {}),
+]
+
+
+def push(C, D, entries, window):
+    f = GradedMap(C.space, D.space, 0, entries)
+    return hopf.mc_of_map(hopf.loop_homology(D, window), C, record("map", f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(STRICT_MAPS),
+       k=st.sampled_from([-3, -1, 0, 1, 2, 5]),
+       margin=st.sampled_from([2, 3]))
+def test_one_push_agrees_with_the_composite(case, k, margin):
+    C, D, entries = case
+    window = max(C.space.deg_max, D.space.deg_max) + margin
+    model = hopf.loop_homology(D, window)
+    f = GradedMap(C.space, D.space, 0, entries(k))
+    try:
+        expected = reference_push(model, C, f)
+    except ValueError:
+        return
+    assert push(C, D, entries(k), window).x.equals(expected)
+
+
+def test_cp4_self_maps_are_answered():
+    # the composite's first push is cut at arity 3 and refuses every
+    # self-map of CP4, whose coproduct reaches arity 4; the one push's
+    # arity-4 term would land in degree 8 of the loop homology, which is
+    # empty, so its answer passes the literal Maurer-Cartan check
+    model = hopf.loop_homology(CP[4], 10)
+    assert model.algebra.space.degrees() == [2, 9, 10]
+    f2 = GradedMap(CP[4].space, CP[4].space, 0, cp_self_map(4, 2))
+    with pytest.raises(ValueError, match="residual on \\['a4'\\]"):
+        reference_push(model, CP[4], f2)
+    x, y = (push(CP[4], CP[4], cp_self_map(4, k), 10) for k in (2, 3))
+    assert dict(x.x.entries) == {"a1": {"H2_0": F(2)}}
+    assert isinstance(hopf.maps_homotopic(x, y), Distinct)
+    same = hopf.maps_homotopic(x, push(CP[4], CP[4], cp_self_map(4, 2), 10))
+    assert isinstance(same, Equal) and same.verify()
+
+
+def test_a_bar_source_is_answered_and_agrees_after_precomposition():
+    # f: bar(pi_s2) -> CP3, x^m -> m! a_m and the words with y to zero:
+    # the composite refuses it, the one push answers, and the answer
+    # precomposed with j: S2 -> bar(pi_s2), a -> [x], is the composite's
+    # element of f o j
+    B, D = bar(pi_s2(), 7), CP[3]
+    model = hopf.loop_homology(D, 8)
+    f = GradedMap(B.space, D.space, 0, {("x",) * m: {f"a{m}": F(factorial(m))}
+                                        for m in (1, 2, 3)})
+    with pytest.raises(ValueError, match="Maurer-Cartan"):
+        reference_push(model, B, f)
+    x = hopf.mc_of_map(model, B, record("map", f))
+    assert dict(x.x.entries) == {("x",): {"H2_0": F(1)}}
+    j = GradedMap(S2.space, B.space, 0, {"a": {("x",): F(1)}})
+    conv = model.hom(S2)
+    along = PointRecord(conv, GradedMap(S2.space, model.algebra.space, 0,
+                                        x.x.compose(j).entries))
+    cert = gauge_equivalent(along, PointRecord(
+        conv, reference_push(model, S2, f.compose(j))))
+    assert isinstance(cert, Equal) and cert.verify()
+
+
+def test_bar_self_maps_are_refused_by_both():
+    # the identity of bar(pi_s2) passes the morphism check; both pipelines
+    # refuse it, the one push at its final literal Maurer-Cartan check
+    B = bar(pi_s2(), 7)
+    model = hopf.loop_homology(B, 8)
+    ident = GradedMap(B.space, B.space, 0,
+                      {k: {k: F(1)} for k in B.space.all_keys()})
+    with pytest.raises(ValueError, match="Maurer-Cartan"):
+        reference_push(model, B, ident)
+    with pytest.raises(ValueError, match="enlarge the window"):
+        hopf.mc_of_map(model, B, record("map", ident))
 
 
 # -- pi_n of the target through its loop homology -------------------------

@@ -482,7 +482,8 @@ def test_builtin_registry():
 def test_a_quillen_record_is_read_as_a_derivation(data):
     # a random derivation of a free Lie algebra on one or two letters in
     # each of degrees 1..3 loads with its values on every word, or on
-    # the letters alone; one bracket column changed is refused there
+    # the letters alone, when it squares to zero, and is refused at
+    # delta when it does not; one bracket column changed is refused there
     per_degree = data.draw(st.dictionaries(st.integers(1, 3),
                                            st.integers(1, 2), min_size=1))
     deg_max = data.draw(st.integers(max(per_degree), 6))
@@ -506,6 +507,12 @@ def test_a_quillen_record_is_read_as_a_derivation(data):
 
     on_letters = {k: v for k, v in delta.entries.items() if k in letters}
     for entries in (delta.entries, on_letters):
+        if not delta.compose(delta).is_zero():
+            with pytest.raises(modelio.ModelFileError, match="d\\^2 != 0") \
+                    as exc:
+                modelio.quillen_from_record(record(entries))
+            assert exc.value.where == "delta"
+            continue
         Q = modelio.quillen_from_record(record(entries))
         assert Q.delta.entries == delta.entries
         assert Q.leibniz_defect() is None
