@@ -70,7 +70,7 @@ from functools import cached_property
 
 from .barcobar import cobar
 from .convolution import ConvolutionAlgebra, check_coalgebra_morphism
-from .gauge import NotMaurerCartan, PointRecord, gauge_equivalent
+from .gauge import PointRecord, gauge_equivalent
 from .graded import GradedMap, entries_signature, lru
 from .modelio import element_from_record
 from .models import CdgCoalgebra
@@ -150,15 +150,13 @@ def _push_map(model: LoopHomology, conv: ConvolutionAlgebra,
     f is checked to be a coalgebra morphism, its twisting morphism
     iota_D o f is pushed down the projection of model once, gated on the
     twisting residual, and the result is checked against the literal
-    Maurer-Cartan equation by its record in conv."""
+    Maurer-Cartan equation by its record in conv, which raises
+    NotMaurerCartan with the residual."""
     C = conv.C
     check_coalgebra_morphism(C, model.coalgebra, f)
     tau = model.cobar.inclusion().compose(f)
-    result = push_mc(model.projection, C, tau, residual="twisting")
-    try:
-        return PointRecord(conv, result)
-    except NotMaurerCartan as exc:
-        raise ValueError(f"push: {exc}; enlarge the window") from None
+    return PointRecord(conv, push_mc(model.projection, C, tau,
+                                     residual="twisting"))
 
 
 def maps_homotopic(x: PointRecord, y: PointRecord):

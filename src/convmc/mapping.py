@@ -25,33 +25,48 @@ product of the search lands, and its monomials are never listed.  The
 equations come in carrier order: by the source key, then the target
 key.
 
-The system is first settled exactly: an equation that is c x^k in a
-single coefficient forces x = 0, which is substituted until no equation
-is left.  Each step is an equivalence over Q, so a settled system is
-the single branch "forced coefficients 0, the rest free", decided in
-exact scalars (sympy may list the same set with redundant sub-branches of
-its case splits; the settle does not).  A system that
-does not settle this way is solved symbolically by sympy.solve, which
-is imported only then: sympy stays a runtime dependency for that
-fallback alone.  Solutions come back as points or as parametric
-families; families are sampled on a small grid and every surviving
-candidate is reduced to a certified moduli class, with pairwise gauge
-decisions recorded.  The report says plainly whether the search was
-exhaustive: it is when the candidate space covers all of degree 0 or
-the system is affine, and the notes spell out anything that was sampled
-rather than enumerated.
+The system is solved by one exact elimination in int-first scalars;
+the package has no computer-algebra dependency.  A branch holds solved
+coordinates, each a polynomial in the free ones, and equations left to
+solve.  The first step that applies is taken, each an equivalence over Q
+or a complete case split, until no equation is left:
+
+1. a nonzero constant equation: the branch has no point;
+2. c x^k, one term in one coordinate: x = 0;
+3. x occurring in an equation only as c x, c constant: x = -(rest)/c,
+   for the lowest such x, in its first such equation;
+4. a monomial dividing every term of an equation: a branch x = 0 per
+   coordinate x in it, in order, then one with the quotient;
+5. an equation in one coordinate x: a branch x = r per rational root r
+   (the rational root theorem, divisors by trial division);
+6. a homogeneous equation in two coordinates x < y: a branch x = t y per
+   rational root t of f(t, 1), or y = 0 when there is none.
+
+A value found is substituted into every equation and solved value.  A
+branch no step applies to is open: its equations stay, its coordinates
+stay free, and its grid points are kept where the equations vanish.
+Values print as sympy printed them, terms in descending lex order of
+the coordinates sorted by name: -c27/2 + c3*c4/2 + c4**2/8.  Families
+are sampled on a small grid and every surviving candidate is reduced to
+a certified moduli class, with pairwise gauge decisions recorded.  The
+report says plainly whether the search was exhaustive: it is when the
+candidate space covers all of degree 0 or the system is affine, and no
+branch is open; the notes spell out anything that was sampled rather
+than enumerated or left open.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import isqrt, lcm, prod
+from operator import add, sub
 
 from .barcobar import bar
 from .convolution import ConvolutionAlgebra
 from .gauge import Equal, ModuliClass, PointRecord, Unknown, gauge_equivalent
 from .graded import GradedMap, add_term, contraction_from_complex
-from .matrices import ONE, scalar
+from .matrices import ONE, inverse, scalar
 from .models import (CdgCoalgebra, QuillenModel, TruncatedPolynomials,
                      extension_of_scalars)
 
@@ -105,91 +120,131 @@ def _residual_polynomials(conv: ConvolutionAlgebra, pairs) -> dict:
         polys, key=lambda k: (C.sort_key(k[0]), L.sort_key(k[1])))}
 
 
-def _settle(eqs) -> set | None:
-    """The coordinates forced to 0 when the system settles exactly, else
-    None.  An equation c x^k with c != 0 forces x = 0; substituting it and
-    dropping what vanishes is an equivalence over Q, repeated until no
-    equation is left (settled) or none is a single power (not settled)."""
-    forced: set = set()
-    while eqs:
-        powers = [[i for i, k in enumerate(mono) if k]
-                  for eq in eqs if len(eq) == 1 for mono in eq]
-        new = {v[0] for v in powers if len(v) == 1}
-        if not new:
-            return None
-        forced |= new
-        eqs = [r for r in ({m: c for m, c in eq.items()
-                            if not any(m[i] for i in new)} for eq in eqs)
-               if r]
-    return forced
+def _substitute(poly: dict, subs: dict) -> dict:
+    """poly with each coordinate i of subs replaced by the polynomial
+    subs[i], which is free of every coordinate of subs."""
+    out: dict = {}
+    for mono, c in poly.items():
+        terms = [(tuple(0 if i in subs else k for i, k in enumerate(mono)),
+                  c)]
+        for i, value in subs.items():
+            for _ in range(mono[i]):
+                terms = [(tuple(map(add, m, b)), d * e) for m, d in terms
+                         for b, e in value.items()]
+        for m, d in terms:
+            add_term(out, m, d)
+    return out
 
 
-def _acceptable(sols, syms, exprs) -> bool:
-    """Whether a sympy solve can stand for the system exprs: it has
-    branches, each polynomial in syms, and each, substituted into every
-    equation and expanded, gives 0.  A solve for a subset of the
-    coefficients ignores the equations free of that subset, so its
-    branches are checked against all of them."""
-    return bool(sols) and all(
-        e.is_polynomial(*syms) for sol in sols for e in sol.values()) and \
-        all(ex.xreplace(sol).expand() == 0 for sol in sols for ex in exprs)
+def _rational_roots(coeffs: dict) -> list:
+    """The rational roots, ascending, of sum c t^k over coeffs {k: c},
+    whose constant term is nonzero."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+
+    def divisors(c):
+        a = abs(int(c * den))
+        return {e for d in range(1, isqrt(a) + 1) if not a % d
+                for e in (d, a // d)}
+    return sorted({t for t in (scalar(s * p * inverse(q))
+                               for p in divisors(coeffs[0])
+                               for q in divisors(coeffs[max(coeffs)])
+                               for s in (1, -1))
+                   if not sum(c * t ** k for k, c in coeffs.items())})
+
+
+def _step(eqs: list, n: int) -> list | None:
+    """The branches (equations, substitution) of the first step of the
+    module docstring that applies to eqs, or None when none does."""
+    supports = [[[i for i, k in enumerate(m) if k] for m in eq] for eq in eqs]
+    if [[]] in supports:  # step 1
+        return []
+    zeros = sorted({s[0][0] for s in supports if len(s) == 1 == len(s[0])})
+    if zeros:  # step 2
+        return [(eqs, dict.fromkeys(zeros, {}))]
+    linear = [(s[0], k, m) for k, (eq, sup) in enumerate(zip(eqs, supports))
+              for m, s in zip(eq, sup) if len(s) == 1 and m[s[0]] == 1
+              and sum(s[0] in t for t in sup) == 1]
+    if linear:  # step 3
+        x, k, unit = min(linear)
+        inv = -inverse(eqs[k][unit])
+        return [(eqs, {x: {m: scalar(c * inv) for m, c in eqs[k].items()
+                           if m != unit}})]
+    for k, eq in enumerate(eqs):  # step 4
+        g = tuple(map(min, *eq)) if len(eq) > 1 else next(iter(eq))
+        if any(g):
+            rest = {tuple(map(sub, m, g)): c for m, c in eq.items()}
+            return [(eqs, {i: {}}) for i, e in enumerate(g) if e] + \
+                [(eqs[:k] + [rest] + eqs[k + 1:], {})]
+    for width in (1, 2):  # steps 5, 6
+        for eq, sup in zip(eqs, supports):
+            xs = sorted({i for s in sup for i in s})
+            if len(xs) != width or width == 2 and \
+                    len({sum(m) for m in eq}) > 1:
+                continue
+            roots = _rational_roots({m[xs[0]]: c for m, c in eq.items()})
+            if width == 2 and not roots:
+                return [(eqs, {xs[1]: {}})]
+            y = tuple(int(width == 2 and i == xs[-1]) for i in range(n))
+            return [(eqs, {xs[0]: {y: t}}) for t in roots]
+    return None
+
+
+def _text(poly: dict, order: list) -> str:
+    """poly as the module docstring prints it, order the coordinates
+    sorted by name."""
+    out = ""
+    for mono, c in sorted(poly.items(), reverse=True,
+                          key=lambda t: [t[0][i] for i in order]):
+        c = Fraction(c)
+        factors = [f"c{i}" + (f"**{mono[i]}" if mono[i] > 1 else "")
+                   for i in order if mono[i]]
+        body = "*".join([str(abs(c.numerator))] * (
+            abs(c.numerator) != 1 or not factors) + factors) + \
+            (f"/{c.denominator}" if c.denominator != 1 else "")
+        out += (" - " if c < 0 else " + ") + body if out else \
+            "-" * (c < 0) + body
+    return out or "0"
+
+
+def _value(poly: dict, point: list):
+    return scalar(sum(c * prod(v ** k for v, k in zip(point, m) if k)
+                      for m, c in poly.items()))
+
+
+def _branch(n: int, solved: dict, open_eqs: list) -> tuple:
+    """(free, values, at, open) of a branch: its free coordinates sorted
+    by name, every value as text, the map from values of the free ones to
+    the point (None off the open equations), and those equations as text."""
+    order = sorted(range(n), key=lambda i: f"c{i}")
+    free = [i for i in order if i not in solved]
+
+    def at(values):
+        point = [0] * n
+        for i, v in zip(free, values):
+            point[i] = v
+        point = [_value(solved[i], point) if i in solved else point[i]
+                 for i in range(n)]
+        return None if any(_value(eq, point) for eq in open_eqs) else point
+    return ([f"c{i}" for i in free],
+            [_text(solved[i], order) if i in solved else f"c{i}"
+             for i in range(n)], at, [_text(eq, order) for eq in open_eqs])
 
 
 def _solve_preferring_polynomial(eqs, n: int) -> list:
-    """Solve the residual system eqs, nonzero polynomials in c0..c{n-1},
-    as a list of branches (free, values, at): the names of the free
-    coefficients sorted as strings, each coefficient's solved value as
-    text, and a map from values of the free coefficients, in that order,
-    to the point, None where it is not rational.
-
-    A system that settles exactly has one branch, computed in exact scalars.
-    Any other goes to sympy, preferring a solved form whose branches are
-    polynomial in the remaining free coefficients and solve every
-    equation: families then come out as honest parameterizations instead
-    of radical expressions.  Falls back to whatever the default solve
-    returns."""
-    names = [f"c{i}" for i in range(n)]
-    forced = _settle(eqs)
-    if forced is not None:
-        free = sorted(names[i] for i in range(n) if i not in forced)
-
-        def at(values):
-            subs = dict(zip(free, values))
-            return [0 if i in forced else subs[names[i]]
-                    for i in range(n)]
-        return [(free, ["0" if i in forced else names[i]
-                        for i in range(n)], at)]
-
-    import sympy
-    syms = sympy.symbols(names)
-    exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
-                         * sympy.Mul(*(s**k for s, k in zip(syms, mono)))
-                         for mono, c in eq.items())) for eq in eqs]
-    default = sympy.solve(exprs, syms, dict=True)
-    subsets = itertools.islice(itertools.chain.from_iterable(
-        itertools.combinations(syms, r)
-        for r in range(min(len(exprs), n), 0, -1)), 64)
-    trials = itertools.chain([default], (sympy.solve(exprs, list(subset),
-                                                     dict=True)
-                                         for subset in subsets))
-    sols = next((t for t in trials if _acceptable(t, syms, exprs)),
-                default)
-
-    branches = []
-    for sol in sols:
-        vals = [sol.get(s, s) for s in syms]
-        free = sorted({f for e in vals for f in e.free_symbols
-                       if f in syms}, key=lambda s: s.name)
-
-        def at(values, vals=vals, free=free):
-            subs = {s: sympy.Rational(v.numerator, v.denominator)
-                    for s, v in zip(free, values)}
-            point = [e.subs(subs) for e in vals]
-            if not all(v.is_rational for v in point):
-                return None
-            return [scalar(Fraction(int(v.p), int(v.q))) for v in point]
-        branches.append(([s.name for s in free], [str(e) for e in vals],
-                         at))
+    """The branches of _branch, depth first in the order of their case
+    splits, that the steps of the module docstring leave for the system
+    eqs, nonzero polynomials in c0..c{n-1}: together they cover every
+    rational solution."""
+    branches, todo = [], [(list(eqs), {})]
+    while todo:
+        eqs, solved = todo.pop()
+        children = _step(eqs, n)
+        if children is None:
+            branches.append(_branch(n, solved, eqs))
+            continue
+        todo += [([r for r in (_substitute(e, subs) for e in eqs2) if r],
+                  {**{i: _substitute(v, subs) for i, v in solved.items()},
+                   **subs}) for eqs2, subs in reversed(children)]
     return branches
 
 
@@ -265,15 +320,15 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
             f"search restricted to {len(pairs)} of {len(all_pairs)} "
             "degree-0 directions")
 
-    branches = _solve_preferring_polynomial(eqs, len(pairs))
-    if not branches:
-        report.notes.append("residual system has no solutions in the "
-                            "searched subspace")
-        return report
-
     candidates: list[tuple] = []
     seen = set()
-    for free, values, at in branches:
+    for free, values, at, open_eqs in _solve_preferring_polynomial(
+            eqs, len(pairs)):
+        if open_eqs:
+            report.exhaustive = False
+            report.notes.append("a branch leaves " + ", ".join(
+                f"{e} = 0" for e in open_eqs) + " open; its grid points "
+                "are kept where they hold")
         if free:
             report.free_parameters = tuple(
                 sorted(set(report.free_parameters) | set(free)))
@@ -293,8 +348,6 @@ def components(conv: ConvolutionAlgebra, restrict_to=None,
         for params in grid:
             point = at(params)
             if point is None:
-                report.notes.append("dropped a non-rational solution branch")
-                report.exhaustive = False
                 continue
             key = tuple(point)
             if key not in seen:

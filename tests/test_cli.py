@@ -26,9 +26,10 @@ from pathlib import Path
 import pytest
 
 from convmc import cli, gauge, hopf, modelio
+from convmc.barcobar import bar
 from convmc.convolution import ConvolutionAlgebra
 from convmc.graded import ChainComplex
-from convmc.library import builtin_model
+from convmc.library import builtin_model, pi_s2
 from convmc.models import JacobiError
 from convmc.transfer import TransferredLInfinity
 
@@ -37,6 +38,9 @@ def _element(kind, name, entries, source, target):
     return {"format_version": 1, "kind": kind, "name": name, "degree": 0,
             "entries": entries, "source": source, "target": target}
 
+
+# bar(pi(S2)) at window 7
+BAR_PI_S2 = modelio.cdgc_to_record(bar(pi_s2(), 7))
 
 RECORDS = {
     # S3 -> pi(S2): the fundamental class to the Whitehead square
@@ -96,6 +100,7 @@ RECORDS = {
                             {"name": "b", "degree": 2},
                             {"name": "c", "degree": 2}],
                   "d": [], "delta": []},
+    "bar_pi_s2": BAR_PI_S2,
 }
 
 # (argv, exit code, sha256 of stdout); "@name" is the file of RECORDS[name]
@@ -448,6 +453,13 @@ REFUSALS = {
     # an element that is not Maurer-Cartan is refused at its argument
     "hopf-map-not-mc": (RECORDS["cp2_h2"], ["hopf", "cp2", "s2", "@bad"],
                         "@bad", None),
+    # the identity of bar(pi(S2)) is a coalgebra morphism, but its pushed
+    # element leaves a residual on (x, x): refused at the map argument
+    "hopf-push-not-mc": (_element("map", "id", [
+        [b["name"], b["name"], "1/1"] for b in BAR_PI_S2["basis"]],
+        BAR_PI_S2["name"], BAR_PI_S2["name"]),
+        ["hopf", "@bar_pi_s2", "@bar_pi_s2", "@bad", "--window", "8"],
+        "@bad", None),
     "homotopic-f-not-mc": (RECORDS["cp2_h2"],
                            ["homotopic", "cp2", "s2", "@bad", "@cp2_zero"],
                            "@bad", None),
@@ -858,33 +870,53 @@ def test_components_window_with_a_coalgebra_source_is_refused(
     assert run(capsys, ["components", "cp2", "pi_s2"]) == (0, plain, "")
 
 
-def test_sympy_is_imported_only_for_a_system_the_settle_leaves_open(
-        tmp_path):
-    # cp2 into pi(S2) gives c0^2 = 0, which settles exactly; the
-    # strictified S2 source gives 2 c0^2 - c1 = 0, which goes to sympy
+def test_no_components_call_loads_sympy(tmp_path):
+    # the ten bundled calls whose systems went to a sympy solve before the
+    # exact elimination: s2xs2 and the free Lie model of S2, each into
+    # pi_s2, s2, s2vs3, s2xs2 and the frozen loop model.  The free Lie
+    # source into pi(S2) gives 2 c0^2 - c1 = 0, solved as c1 = 2 c0^2
     src = str(Path(cli.__file__).resolve().parents[1])
-    quillen, settled, opened = (str(tmp_path / f"{name}.json") for name in
-                                ("quillen", "settled", "opened"))
+    quillen = str(tmp_path / "quillen.json")
+    targets = ["pi_s2", "s2", "s2vs3", "s2xs2", str(S2VS3_LOOPS)]
     script = (
         "import sys\n"
         "from convmc.cli import main\n"
-        f"assert main(['components', 'cp2', 'pi_s2', '--out', {settled!r}])"
-        " == 0\n"
-        "print('sympy' in sys.modules)\n"
         f"assert main(['cobar', 's2', '--out', {quillen!r}]) == 0\n"
-        f"assert main(['components', {quillen!r}, 'pi_s2', '--out', "
-        f"{opened!r}]) == 0\n"
+        f"for i, source in enumerate(['s2xs2', {quillen!r}]):\n"
+        f"    for j, target in enumerate({targets!r}):\n"
+        "        out = f'{i}{j}.json'\n"
+        "        assert main(['components', source, target, '--out', out]) "
+        "== 0\n"
         "print('sympy' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     env.pop(cli.WINDOW_ENV, None)
     done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.split() == ["False", "True"]
-    assert json.loads(Path(settled).read_text())["method"] == "polynomial"
+    assert done.stdout.split() == ["False"]
+    assert len(list(tmp_path.glob("[01][0-4].json"))) == 10
     assert [[[["a"], "x"], "c0"], [[[["br", "a", "a"]], "y"], "2*c0**2"]] \
-        in json.loads(Path(opened).read_text())["parametric"]
+        in json.loads((tmp_path / "10.json").read_text())["parametric"]
+
+
+@pytest.mark.parametrize("n,window,digest", [
+    (3, 8, "fb09fc4d1857ef34279606593a0225b75dafeb578ca39aef2387809f65d8e36d"),
+    (4, 10, "857f936b35a76ad7792c0266e1c5eeb47bf622aee03dbc099da372d6b93f6f52"),
+], ids=["cp3-w8", "cp4-w10"])
+def test_free_lie_cp_components_keep_their_bytes(tmp_path, capsys, n,
+                                                 window, digest):
+    # the free Lie models of CP3 and CP4 into the frozen loop model: the
+    # sympy solve these systems once went to took 12.5 s and 494 s; the
+    # elimination settles both, CP4's 3 (2 c3 + c4)^2 = 0 as c3 = -c4/2
+    (tmp_path / "cp.json").write_text(json.dumps(cp_record(n)))
+    q, out = tmp_path / "q.json", tmp_path / "out.json"
+    assert run(capsys, ["cobar", "@cp", "--window", str(window), "--out",
+                        str(q)], tmp_path)[0] == 0
+    assert run(capsys, ["components", str(q), str(S2VS3_LOOPS), "--window",
+                        str(window), "--out", str(out)])[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.skipif(all(importlib.util.find_spec(name) is None
@@ -916,8 +948,8 @@ def test_a_fingerprint_loads_no_openssl_sympy_or_argparse(tmp_path):
     assert done.stdout.splitlines()[-1] == "False False []"
 
 
-# the sympy path, the transfer, a components search over a loop model and
-# a certificate: every report a set or dict order could reach
+# the elimination, the transfer, a components search over a loop model
+# and a certificate: every report a set or dict order could reach
 HASH_SEED_BATCH = [
     ["cobar", "s2", "--window", "5", "--out", "Q.json"],
     ["components", "Q.json", "pi_s2"],
@@ -949,10 +981,18 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0] == outs[1]
 
 
-CP3 = {"format_version": 1, "kind": "cdgc", "name": "CP3",
-       "basis": [{"name": f"a{i}", "degree": 2 * i} for i in (1, 2, 3)],
-       "d": [], "delta": [["a2", "a1", "a1", "1/1"], ["a3", "a1", "a2", "1/1"],
-                          ["a3", "a2", "a1", "1/1"]]}
+def cp_record(n):
+    """The CP_n coalgebra: a_i in degree 2 i, each a_k splitting into
+    every a_i (x) a_(k-i)."""
+    return {"format_version": 1, "kind": "cdgc", "name": f"CP{n}",
+            "basis": [{"name": f"a{i}", "degree": 2 * i}
+                      for i in range(1, n + 1)],
+            "d": [], "delta": [[f"a{k}", f"a{i}", f"a{k - i}", "1/1"]
+                               for k in range(2, n + 1)
+                               for i in range(1, k)]}
+
+
+CP3 = cp_record(3)
 
 
 def test_homotopic_bytes_do_not_depend_on_the_cached_models(tmp_path,

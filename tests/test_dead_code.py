@@ -47,10 +47,6 @@ API_TAG = "Library API:"
 OPTION_ALLOWED = {
     ("cli", "main", "argv"):
         "the console script calls main() with no argument, tests pass argv",
-    ("mapping", "_solve_preferring_polynomial.at", "vals"):
-        "binds the loop's branch values when the closure is defined",
-    ("mapping", "_solve_preferring_polynomial.at", "free"):
-        "binds the loop's free coefficients when the closure is defined",
     ("transfer", "transfer_linfty", "contraction"):
         "tests transfer along contractions other than the canonical one",
 }

@@ -546,7 +546,7 @@ def decision_cases(draw):
     conv = bundled_algebra(source, target)
     points = []
     for _ in range(2):
-        free, _, at = draw(st.sampled_from(branches))
+        free, _, at, _ = draw(st.sampled_from(branches))
         point = at([draw(small) for _ in free])
         assume(point is not None)
         points.append(conv.to_map({p: v for p, v in zip(pairs, point) if v},

@@ -33,8 +33,8 @@ from hypothesis import given, settings, strategies as st
 from convmc import hopf, modelio
 from convmc.barcobar import bar, cobar_map
 from convmc.convolution import ConvolutionAlgebra
-from convmc.gauge import (Distinct, Equal, PointRecord, gauge_equivalent,
-                          gauge_flow, moduli_normal_form)
+from convmc.gauge import (Distinct, Equal, NotMaurerCartan, PointRecord,
+                          gauge_equivalent, gauge_flow, moduli_normal_form)
 from convmc.graded import GradedMap, GradedSpace
 from convmc.library import (cp2_coalgebra, pi_s2, s2xs2_coalgebra,
                             sphere_coalgebra, wedge_s2_s3_coalgebra)
@@ -187,7 +187,7 @@ def test_a_map_failing_the_final_check_is_not_kept(monkeypatch):
 
     monkeypatch.setattr(hopf, "push_mc", obstructed)
     for _ in range(2):
-        with pytest.raises(ValueError, match="enlarge the window"):
+        with pytest.raises(NotMaurerCartan, match="not a Maurer-Cartan"):
             hopf.mc_of_map(m, cp2, zero)
         assert not m.hom(cp2).algebra_memo.get("pushed")
     assert pushes == ["twisting"] * 2
@@ -398,7 +398,7 @@ def test_bar_self_maps_are_refused_by_both():
                       {k: {k: F(1)} for k in B.space.all_keys()})
     with pytest.raises(ValueError, match="Maurer-Cartan"):
         reference_push(model, B, ident)
-    with pytest.raises(ValueError, match="enlarge the window"):
+    with pytest.raises(NotMaurerCartan, match="not a Maurer-Cartan"):
         hopf.mc_of_map(model, B, record("map", ident))
 
 

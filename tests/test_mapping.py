@@ -19,10 +19,13 @@ bracket letter to track the square of the bottom value.  Sampling the
 parabola reproduces the strict line sample by sample.
 """
 
+import ast
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -209,103 +212,50 @@ def test_strictified_source_matches_the_strict_model():
             assert qd == sd
 
 
-# -- the exact settle against sympy ------------------------------------------
+# -- the exact elimination ----------------------------------------------------
 
-def sympy_exprs(eqs, syms):
-    import sympy
-    return [sympy.expand(sum(sympy.Rational(c.numerator, c.denominator)
-                             * sympy.Mul(*(s**k for s, k in zip(syms, mono)))
-                             for mono, c in eq.items())) for eq in eqs]
+GRID = range(-2, 3)
 
 
-def sympy_branches(eqs, n, samples):
-    """The sympy solve the component search ran for every system, read the
-    way it read it: per branch the free names, the solved values as text
-    and the rational points (None where not rational) over the grid.  A
-    solve counts as polynomial only if each branch also solves every
-    equation, which a solve for a subset of the coefficients need not."""
-    import sympy
-    syms = sympy.symbols(f"c0:{n}")
-    exprs = sympy_exprs(eqs, syms)
-
-    def polynomial(sols):
-        return bool(sols) and all(e.is_polynomial(*syms)
-                                  for sol in sols for e in sol.values()) \
-            and all(sympy.expand(ex.subs(sol, simultaneous=True)) == 0
-                    for sol in sols for ex in exprs)
-
-    def solve():
-        default = sympy.solve(exprs, list(syms), dict=True)
-        if polynomial(default):
-            return default
-        attempts = 0
-        for r in range(min(len(exprs), n), 0, -1):
-            for subset in itertools.combinations(syms, r):
-                attempts += 1
-                if attempts > 64:
-                    return default
-                trial = sympy.solve(exprs, list(subset), dict=True)
-                if polynomial(trial):
-                    return trial
-        return default
-
-    sols = solve() if exprs else [{}]
-    out = []
-    for sol in sols:
-        branch = [sol.get(s, s) for s in syms]
-        free = sorted({f for e in branch for f in e.free_symbols
-                       if f in syms}, key=lambda s: s.name)
-        points = []
-        for values in itertools.product(samples, repeat=len(free)):
-            vals = [e.subs(dict(zip(free, map(sympy.Rational, values))))
-                    for e in branch]
-            points.append([F(int(v.p), int(v.q)) for v in vals]
-                          if all(v.is_rational for v in vals) else None)
-        out.append(([s.name for s in free], [str(e) for e in branch],
-                    points))
-    return out
+def evaluate(poly, point):
+    return sum(c * prod(F(v) ** k for v, k in zip(point, mono))
+               for mono, c in poly.items())
 
 
-def exact_branches(eqs, n, samples):
-    return [(free, values,
-             [at(tuple(map(F, v)))
-              for v in itertools.product(samples, repeat=len(free))])
-            for free, values, at in
-            mapping._solve_preferring_polynomial(eqs, n)]
+def read_text(text, point):
+    """The value of a solved value's text at point: its integer literals
+    read as Fractions, so '/' divides exactly."""
+    src = re.sub(r"(?<![\w*])(\d+)", r"F(\1)", text)
+    return eval(src, {"F": F, **{f"c{i}": F(v) for i, v in enumerate(point)}})
 
 
-def check_against_sympy(eqs, n, one_branch=False):
-    import sympy
-    forced = mapping._settle(eqs)
-    if forced is None:
-        # left open: the same branches the plain sympy solve gave
-        assert exact_branches(eqs, n, (0, 1, -2)) == \
-            sympy_branches(eqs, n, (0, 1, -2))
-        return
-    (free, values, _), = mapping._solve_preferring_polynomial(eqs, n)
-    assert values == ["0" if i in forced else f"c{i}" for i in range(n)]
-    if not eqs:
-        return
-    syms = sympy.symbols(f"c0:{n}")
-    sols = sympy.solve(sympy_exprs(eqs, syms), list(syms), dict=True)
-    zero = {syms[i]: 0 for i in forced}
-    # sympy describes the same set: the settle's branch is one of its
-    # branches and any other pins the forced coordinates to 0 too (a
-    # redundant sub-branch of a case split, as for c0 c2 = c1 + c2 = c1 = 0)
-    assert zero in sols
-    assert all(sol.get(s) == 0 for sol in sols for s in zero)
-    assert sols == [zero] or not one_branch
-    if sols == [zero]:
-        assert exact_branches(eqs, n, (0, 1, -2)) == \
-            sympy_branches(eqs, n, (0, 1, -2))
+def check_branches(eqs, n):
+    """The branches against brute force on the grid {-2..2}^n.  Sound:
+    each point a branch gives solves every equation, and its text reads
+    as that point; a settled branch gives a point at every grid value of
+    its free coordinates.  Complete: every grid point that solves the
+    system lies on a branch, with its open equations vanishing there."""
+    branches = mapping._solve_preferring_polynomial(eqs, n)
+    for free, values, at, open_eqs in branches:
+        for params in itertools.product(GRID, repeat=len(free)):
+            point = at([F(v) for v in params])
+            assert point is not None or open_eqs
+            if point is not None:
+                assert all(evaluate(eq, point) == 0 for eq in eqs)
+                assert [read_text(v, point) for v in values] == point
+                assert all(read_text(e, point) == 0 for e in open_eqs)
+    for point in itertools.product(GRID, repeat=n):
+        if any(evaluate(eq, point) for eq in eqs):
+            continue
+        assert any(at([F(point[int(name[1:])]) for name in free]) ==
+                   list(point) for free, _, at, _ in branches), point
 
 
 @st.composite
 def polynomial_systems(draw):
     """Systems without constant terms in up to 5 variables, built from
-    pure powers, products of two variables and linear terms.  At most
-    three equations of two terms keep sympy's general solve, which every
-    system the settle leaves open goes to, within seconds."""
+    pure powers, products of two variables and linear terms: at most
+    three equations of at most two terms each."""
     n = draw(st.integers(min_value=1, max_value=5))
     var = st.integers(min_value=0, max_value=n - 1)
     coef = st.fractions(min_value=-3, max_value=3,
@@ -333,20 +283,6 @@ def polynomial_systems(draw):
     return eqs, n
 
 
-@settings(max_examples=30, deadline=None)
-@given(polynomial_systems())
-# c0 c2 = c1 + c2 = c1 = 0 settles to c1 = c2 = 0; sympy's case split on
-# c0 c2 lists the sub-branch c0 = c1 = c2 = 0 as well
-@example(([{(1, 0, 1): F(1)}, {(0, 0, 1): F(1), (0, 1, 0): F(1)},
-           {(0, 1, 0): F(1)}], 3))
-# c3 + c0^2 = c1 = 0: the default solve has radicals, and a solve for a
-# subset that skips c3 + c0^2 = 0 would leave c0, c2, c3 free
-@example(([{(0, 0, 0, 1): F(1), (2, 0, 0, 0): F(1)},
-           {(0, 1, 0, 0): F(1)}], 4))
-def test_exact_settle_agrees_with_sympy(system):
-    check_against_sympy(*system)
-
-
 def bundled_systems():
     sources = {name: builtin_model for name in BUILTIN_COALGEBRAS}
     sources["quillen_s2"] = lambda _: quillen_s2()
@@ -362,47 +298,157 @@ def bundled_systems():
 BUNDLED = list(bundled_systems())
 
 
-@pytest.mark.parametrize("eqs,n", [b[1:] for b in BUNDLED],
-                         ids=[b[0] for b in BUNDLED])
-def test_exact_settle_agrees_with_sympy_on_bundled_pairs(eqs, n):
-    # no bundled pair has a sub-branch, so its components report keeps
-    # its bytes
-    check_against_sympy(eqs, n, one_branch=True)
+@settings(max_examples=100, deadline=2000)
+@given(st.one_of(polynomial_systems(),
+                 st.sampled_from([b[1:] for b in BUNDLED])))
+# c0 c1 = 0 and 2 c2 = 3 c1^2: a solve that checked only that each branch
+# solves every equation dropped the component c1 = c2 = 0, c0 free
+@example(([{(1, 1, 0): F(-1)}, {(0, 2, 0): F(-3), (0, 0, 1): F(2)}], 3))
+# 3 c0 c1 + c0^3 = 0: the same solve dropped c0 = 0, c1 free
+@example(([{(1, 1): F(3), (3, 0): F(1)}], 2))
+# c0 c2 = c1 + c2 = c1 = 0 settles to c1 = c2 = 0
+@example(([{(1, 0, 1): F(1)}, {(0, 0, 1): F(1), (0, 1, 0): F(1)},
+           {(0, 1, 0): F(1)}], 3))
+# c0 c1 + 3 c2^2 = 0 is left open
+@example(([{(1, 1, 0): F(1), (0, 0, 2): F(3)}], 3))
+# c0^2 + c1^2 = 0 has no rational ratio c0 / c1, only the point 0
+@example(([{(2, 0): F(1), (0, 2): F(1)}], 2))
+def test_branches_are_sound_and_complete(system):
+    check_branches(*system)
+
+
+def branch_text(eqs, n):
+    return [(free, values, open_eqs) for free, values, _, open_eqs in
+            mapping._solve_preferring_polynomial(eqs, n)]
+
+
+# the branches sympy.solve gave each bundled pair that has an equation;
+# every other pair has one branch with each coordinate free
+SYMPY_BUNDLED = {
+    "s3-ab23": [([], ["0"])],
+    "s2vs3-ab23": [(["c0"], ["c0", "0"])],
+    "cp2-pi_s2": [([], ["0"])],
+    "s2xs2-pi_s2": [(["c1"], ["0", "c1"]), (["c0"], ["c0", "0"])],
+    "quillen_s2-pi_s2": [(["c0"], ["c0", "2*c0**2"])],
+    "quillen_s2-pi_s3": [([], ["0"])],
+    "quillen_s2-ab23": [(["c0"], ["c0", "0"])],
+}
+
+
+@pytest.mark.parametrize("name,eqs,n", BUNDLED, ids=[b[0] for b in BUNDLED])
+def test_exact_settle_agrees_with_sympy_on_bundled_pairs(name, eqs, n):
+    # the branches, in order, that the sympy solve the elimination
+    # replaces gave: each components report keeps its bytes
+    names = [f"c{i}" for i in range(n)]
+    want = SYMPY_BUNDLED.get(name, [(sorted(names), names)])
+    assert bool(eqs) == (name in SYMPY_BUNDLED)
+    assert branch_text(eqs, n) == [(f, v, []) for f, v in want]
+
+
+def test_the_incomplete_examples_list_every_component():
+    # c0 c1 = 0, 2 c2 = 3 c1^2: c0 = 0 with the parabola, or c1 = c2 = 0
+    assert branch_text([{(1, 1, 0): F(-1)},
+                        {(0, 2, 0): F(-3), (0, 0, 1): F(2)}], 3) == [
+        (["c1"], ["0", "c1", "3*c1**2/2"], []),
+        (["c0"], ["c0", "0", "0"], [])]
+    # 3 c0 c1 + c0^3 = c0 (3 c1 + c0^2): c0 = 0, or c1 = -c0^2/3
+    assert branch_text([{(1, 1): F(3), (3, 0): F(1)}], 2) == [
+        (["c1"], ["0", "c1"], []), (["c0"], ["c0", "-c0**2/3"], [])]
 
 
 def test_the_settle_forces_through_substitution():
     # c0^2 = 0 forces c0; then c0 c1 + c2^3 = 0 leaves c2^3 = 0
     eqs = [{(2, 0, 0): F(1)}, {(1, 1, 0): F(1), (0, 0, 3): F(-2)}]
-    assert mapping._settle(eqs) == {0, 2}
-    (free, values, at), = mapping._solve_preferring_polynomial(eqs, 3)
-    assert (free, values) == (["c1"], ["0", "c1", "0"])
+    (free, values, at, open_eqs), = \
+        mapping._solve_preferring_polynomial(eqs, 3)
+    assert (free, values, open_eqs) == (["c1"], ["0", "c1", "0"], [])
     assert at((F(5, 2),)) == [0, F(5, 2), 0]
-    # a linear relation between two coordinates is left to sympy
-    assert mapping._settle([{(1, 0): F(1), (0, 1): F(-1)}]) is None
+    # a linear relation between two coordinates is solved for the lower
+    assert branch_text([{(1, 0): F(1), (0, 1): F(-1)}], 2) == [
+        (["c1"], ["c1", "c1"], [])]
 
 
-def test_a_subset_solve_is_accepted_only_if_it_solves_every_equation():
-    # -c3/2 - c0 = 0, -c1^2 c4^2 - c1 = 0, -3 c0^2 c1^2 - c4 = 0: solving
-    # for c3 alone ignores the two equations free of c3
-    import sympy
-    c = sympy.symbols("c0:5")
-    eqs = [{(1, 0, 0, 0, 0): F(-1), (0, 0, 0, 1, 0): F(-1, 2)},
-           {(0, 2, 0, 0, 2): F(-1), (0, 1, 0, 0, 0): F(-1)},
-           {(2, 2, 0, 0, 0): F(-3), (0, 0, 0, 0, 1): F(-1)}]
-    exprs = sympy_exprs(eqs, c)
-    partial = sympy.solve(exprs, [c[3]], dict=True)
-    assert partial == [{c[3]: -2 * c[0]}]
-    assert not mapping._acceptable(partial, c, exprs)
-    # c0 = c1 = c4 = 1 leaves -2 in the second equation
-    assert exprs[1].subs({c[0]: 1, c[1]: 1, c[3]: -2, c[4]: 1}) == -2
-    true = {c[1]: sympy.S(0), c[3]: -2 * c[0], c[4]: sympy.S(0)}
-    assert mapping._acceptable([true], c, exprs)
-    # one failing branch rejects the whole solve
-    assert not mapping._acceptable([true] + partial, c, exprs)
-    # a branch that is not polynomial stays rejected, as does no branch
-    root = sympy.sqrt(c[3])
-    assert not mapping._acceptable([{c[0]: root}], c, [c[0] ** 2 - c[3]])
-    assert not mapping._acceptable([], c, exprs)
+@pytest.mark.parametrize("eqs,n,want", [
+    # step 1: a nonzero constant, here after c0 = 0, leaves no point
+    ([{(1,): F(1), (0,): F(-1)}, {(2,): F(1)}], 1, []),
+    # step 2: c x^k forces x = 0
+    ([{(0, 3): F(-2)}], 2, [(["c0"], ["c0", "0"], [])]),
+    # step 3: the lowest coordinate that occurs only as c x is solved in
+    # its first such equation, here c0 = 2 c2^2, then c1 = -2 c2^3
+    ([{(0, 1, 0): F(1), (1, 0, 1): F(1)},
+      {(1, 0, 0): F(1), (0, 0, 2): F(-2)}], 3,
+     [(["c2"], ["2*c2**2", "-2*c2**3", "c2"], [])]),
+    # step 4: c0 c1 (c0 + c1) splits into c0 = 0, c1 = 0 and c0 = -c1
+    ([{(1, 2): F(1), (2, 1): F(1)}], 2,
+     [(["c1"], ["0", "c1"], []), (["c0"], ["c0", "0"], []),
+      (["c1"], ["-c1", "c1"], [])]),
+    # step 5: one branch per rational root, ascending, none for x^2 = 2
+    ([{(2,): F(2), (1,): F(-3), (0,): F(1)}], 1,
+     [([], ["1/2"], []), ([], ["1"], [])]),
+    ([{(2,): F(1), (0,): F(-2)}], 1, []),
+    # step 6: 3 (2 c0 + c1)^2 = 0 gives c0 = -c1/2; c0^2 + c1^2 = 0 has
+    # no rational ratio, so c1 = 0 and then c0 = 0
+    ([{(2, 0): F(12), (1, 1): F(12), (0, 2): F(3)}], 2,
+     [(["c1"], ["-c1/2", "c1"], [])]),
+    ([{(2, 0): F(1), (0, 2): F(1)}], 2, [([], ["0", "0"], [])]),
+    # no step applies to c0 c1 + 3 c2^2 = 0: the branch is left open
+    ([{(1, 1, 0): F(1), (0, 0, 2): F(3)}], 3,
+     [(["c0", "c1", "c2"], ["c0", "c1", "c2"], ["c0*c1 + 3*c2**2"])]),
+], ids=["constant", "power", "linear", "monomial", "roots", "no-root",
+        "homogeneous", "homogeneous-no-root", "open"])
+def test_each_step(eqs, n, want):
+    assert branch_text(eqs, n) == want
+
+
+def test_an_open_branch_keeps_only_points_where_its_equations_vanish():
+    (_, _, at, _), = mapping._solve_preferring_polynomial(
+        [{(1, 1, 0): F(1), (0, 0, 2): F(3)}], 3)
+    assert at([F(3), F(-1), F(1)]) == [3, -1, 1]
+    assert at([F(1), F(1), F(1)]) is None
+
+
+def test_an_open_branch_makes_the_report_not_exhaustive(monkeypatch):
+    # the one equation of cp2 into pi(S2) is c0^2 = 0; an open branch
+    # in its place is noted and the report is not exhaustive, although
+    # its grid point 0 is kept
+    conv = mapping_space_model(cp2_coalgebra(), pi_s2())
+    assert mapping.components(conv).exhaustive
+    monkeypatch.setattr(mapping, "_step", lambda eqs, n: None)
+    rep = mapping.components(conv)
+    assert not rep.exhaustive and len(rep) == 1
+    assert "a branch leaves c0**2 = 0 open; its grid points are kept " \
+        "where they hold" in rep.notes
+
+
+@pytest.mark.parametrize("terms,n,text", [
+    ({(2,): 2}, 1, "2*c0**2"),
+    ({(0,) * 28: F(-2, 5)}, 28, "-2/5"),
+    ({}, 1, "0"),
+    ({(1, 0): -1, (0, 1): 1}, 2, "-c0 + c1"),
+    # names sort as strings: c10 before c9
+    ({tuple(int(i == 9) for i in range(11)): 1,
+      tuple(int(i == 10) for i in range(11)): 1}, 11, "c10 + c9"),
+    ({tuple(int(i == 27) for i in range(28)): F(-1, 2),
+      tuple(int(i in (3, 4)) for i in range(28)): F(1, 2),
+      tuple(2 * int(i == 4) for i in range(28)): F(1, 8)}, 28,
+     "-c27/2 + c3*c4/2 + c4**2/8"),
+], ids=["power", "constant", "zero", "negative-first", "name-order", "cp3"])
+def test_values_print_as_sympy_printed_them(terms, n, text):
+    assert mapping._text(terms, sorted(range(n), key=lambda i: f"c{i}")) \
+        == text
+
+
+def test_no_module_imports_sympy():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted([*(root / "src" / "convmc").glob("*.py"),
+                        *(root / "tests").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) \
+                else []
+            assert not any(name.split(".")[0] == "sympy" for name in names), \
+                f"{path.name}:{node.lineno} imports sympy"
 
 
 # ---------------------------------------------------------------------------

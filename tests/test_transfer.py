@@ -365,7 +365,7 @@ def test_push_mc_preserves_mc_on_solved_families(target, source, side,
     Maurer-Cartan point: down the projection under the literal residual,
     up the inclusion under the divided-power one, as push_mc documents."""
     T, pairs, branches = solved_families(target, source, side)
-    free, _, at = data.draw(st.sampled_from(branches))
+    free, _, at, _ = data.draw(st.sampled_from(branches))
     point = at([data.draw(scalars) for _ in free])
     C = builtin_model(source)
     conv = ConvolutionAlgebra(C, getattr(T, side))
